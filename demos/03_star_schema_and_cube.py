@@ -53,8 +53,8 @@ reloaded = load_schema(warehouse_dir)
 print(f"persisted and reloaded from {warehouse_dir} "
       f"({len(reloaded.facts)} facts verified by checksum)")
 
-# The cube is the same data as a dense multidimensional array, one axis per
-# dimension, ready for repeated aggregate queries.
+# The cube holds the same data as one code array per dimension (one entry
+# per non-empty cell) plus the measures, ready for repeated aggregate queries.
 cube = build_cube(schema)
 total, seekers, directed = cube.mass()
 print(f"\ncube mass: total={total} seekers={seekers} directed={directed}")

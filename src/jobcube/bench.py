@@ -13,7 +13,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .cube import (
     AggregateQuery,
@@ -21,9 +21,9 @@ from .cube import (
     ResultTable,
     aggregate,
     base_level,
-    level_path,
+    normalize_query,
 )
-from .errors import AnswerMismatch, BadLevel, BadQuery, ConfigError
+from .errors import AnswerMismatch, BadLevel, ConfigError
 from .records import (
     DIMENSIONS,
     STATUS_SEEKER,
@@ -47,30 +47,6 @@ def _record_label(record: CanonicalApplicant, dimension: str, level: str,
     raise BadLevel(f"{dimension}: unknown level {level!r}")
 
 
-def _normalize(query: AggregateQuery) -> tuple[list, list]:
-    if query.measure not in ("total", "seekers", "directed"):
-        raise BadQuery(f"unknown measure {query.measure!r}")
-    group_by = []
-    for entry in query.group_by:
-        dimension, level = (entry, None) if isinstance(entry, str) else entry
-        if dimension not in DIMENSIONS:
-            raise BadQuery(f"unknown dimension {dimension!r}")
-        if level is not None and level not in level_path(dimension):
-            raise BadLevel(f"{dimension}: unknown level {level!r}")
-        group_by.append((dimension, level or base_level(dimension)))
-    filters = []
-    for entry in query.filters:
-        if len(entry) == 2:
-            dimension, members = entry
-            level = base_level(dimension)
-        else:
-            dimension, level, members = entry
-        if dimension not in DIMENSIONS:
-            raise BadQuery(f"unknown dimension {dimension!r}")
-        filters.append((dimension, level, frozenset(members)))
-    return group_by, filters
-
-
 def run_scan_query(records: Sequence[CanonicalApplicant], query: AggregateQuery,
                    congress_parent: Mapping[str, str] | None = None,
                    ) -> ResultTable:
@@ -81,7 +57,8 @@ def run_scan_query(records: Sequence[CanonicalApplicant], query: AggregateQuery,
     own city-level ancestor. Membership of filter values is not validated
     here: a member nothing matches simply contributes nothing.
     """
-    group_by, filters = _normalize(query)
+    group_by, filters = normalize_query(
+        query, {dimension: base_level(dimension) for dimension in DIMENSIONS})
     measure = query.measure
     groups: dict[tuple[str, ...], int] = {}
     for r in records:
@@ -129,12 +106,8 @@ class BenchConfig:
 @dataclass(frozen=True)
 class QueryTiming:
     query_id: str
-    scan_mean: float
     scan_median: float
-    scan_stddev: float
-    cube_mean: float
     cube_median: float
-    cube_stddev: float
     speedup: float              # scan_median / cube_median
     answers_equal: bool
 
@@ -181,12 +154,8 @@ def run_benchmark(records: Sequence[CanonicalApplicant], cube: Cube,
         cube_median = statistics.median(cube_times)
         timings.append(QueryTiming(
             query_id=query_id,
-            scan_mean=statistics.fmean(scan_times),
             scan_median=scan_median,
-            scan_stddev=statistics.pstdev(scan_times),
-            cube_mean=statistics.fmean(cube_times),
             cube_median=cube_median,
-            cube_stddev=statistics.pstdev(cube_times),
             speedup=scan_median / max(cube_median, 1e-9),
             answers_equal=True,
         ))

@@ -42,7 +42,7 @@ from .preprocess import run_pipeline
 from .records import read_records_csv, write_records_csv
 from .reporting import render_text_table, run_report, write_result
 from .sources import ingest_sources
-from .warehouse import StarSchema, build_schema, check_integrity, load_schema, persist, refresh
+from .warehouse import build_schema, check_integrity, load_schema, persist, refresh
 
 USAGE_ERRORS = (ConfigError, BadPolicy, BadHierarchy, BadLevelPair, BadQuery,
                 BadLevel, UnknownMember, EmptyMemberSet, EmptyYearRange)
@@ -93,15 +93,9 @@ def _print_table(table: ResultTable, format: str, stream) -> None:
     writer.writerows(table.rows)
 
 
-def _congress_city_map(schema: StarSchema) -> dict[str, str]:
-    rows = schema.dimensions["congress"].rows
-    return {r.natural_key: r.attributes.get("city", r.natural_key) for r in rows}
-
-
-def _loaded_cube(config: PipelineConfig) -> tuple[StarSchema, Cube]:
+def _loaded_cube(config: PipelineConfig) -> Cube:
     _require_file(Path(config.warehouse_dir) / "manifest.txt", "jobcube load")
-    schema = load_schema(config.warehouse_dir)
-    return schema, build_cube(schema)
+    return build_cube(load_schema(config.warehouse_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +253,7 @@ def _parse_filters(raw_filters: list[str], years: str | None) -> tuple:
 
 
 def cmd_query(config: PipelineConfig, args: argparse.Namespace) -> int:
-    _, cube = _loaded_cube(config)
+    cube = _loaded_cube(config)
     query = AggregateQuery(measure=args.measure,
                            group_by=_parse_group_by(args.group_by),
                            filters=_parse_filters(args.filter, args.years))
@@ -279,7 +273,7 @@ def cmd_report(config: PipelineConfig, args: argparse.Namespace) -> int:
     if not config.reports:
         _say("[report] no reports configured")
         return 0
-    _, cube = _loaded_cube(config)
+    cube = _loaded_cube(config)
     for spec in config.reports:
         table = run_report(cube, spec)
         target = spec.output or "(stdout)"
@@ -294,9 +288,9 @@ def cmd_bench(config: PipelineConfig, args: argparse.Namespace) -> int:
     clean = config.clean_path()
     _require_file(clean, "jobcube etl")
     records = read_records_csv(clean)
-    schema, cube = _loaded_cube(config)
+    cube = _loaded_cube(config)
     result = bench_mod.run_benchmark(records, cube, config.bench_config(),
-                                     congress_parent=_congress_city_map(schema))
+                                     congress_parent=cube.parents["congress"])
     for line in bench_mod.summary_lines(result):
         _say(f"[bench] {line}")
     path = bench_mod.write_bench_report(result, config.bench_output)

@@ -1,24 +1,41 @@
 """Multidimensional cube over the fact table, with roll-up, drill-down,
 slice, dice, and general aggregate queries.
 
-Cells are stored sparsely as coordinate tuples of member labels; an absent
-cell is zero. Cube objects are immutable: every operation returns a new cube
-and never mutates its input, so cubes are safe to share between readers.
+A cube stores its non-empty cells in coordinate form: `codes` holds one
+contiguous int64 array per axis, each entry the member's position in that
+axis's sorted `members`, and `measures` holds the total, seekers and
+directed counts in a (3, cells) int64 array. An absent cell is zero. The
+label-keyed `cells` dict is a derived, cached view for callers that want
+labels; no operation reads it.
 
-Aggregate queries run on cached numpy code arrays (one integer column per
-axis plus one column per measure); grouping and filtering become bincount
-passes over those columns. Sums stay well below 2**53, so float64 bincount
-weights are exact.
+Every operation is a numpy pass over those arrays. Roll-up remaps one axis
+through a parent-index array and regroups; slice and dice are boolean
+masks; aggregate masks, remaps and groups. Grouping counts densely with
+bincount when the key space is small next to the row count and sorts with
+np.unique otherwise, so memory follows the cell count, never the product of
+the axis sizes. Sums stay well below 2**53, so float64 bincount weights are
+exact.
+
+Cube objects are immutable: every operation returns a new cube and never
+mutates its input, so cubes are safe to share between readers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import BadLevel, BadQuery, EmptyMemberSet, UnknownMember
+from .errors import (
+    BadLevel,
+    BadQuery,
+    EmptyMemberSet,
+    UnknownMember,
+    UnresolvedDimensionValue,
+)
 from .records import DIMENSIONS
 from .warehouse import StarSchema
 
@@ -30,6 +47,10 @@ LEVELS: dict[str, tuple[str, ...]] = {
     "time": ("quarter", "year"),
     "congress": ("congress", "city"),
 }
+
+# Grouping counts into a dense slot array only while the key space is at
+# most this many slots per grouped row; beyond that it sorts the keys.
+_DENSE_SLOTS_PER_ROW = 4
 
 
 def level_path(dimension: str) -> tuple[str, ...]:
@@ -69,10 +90,15 @@ class ResultTable:
 @dataclass(frozen=True, eq=False)
 class Cube:
     axes: tuple[CubeAxis, ...]
-    cells: dict[tuple[str, ...], tuple[int, int, int]]
+    codes: np.ndarray           # (axes, cells) int64 member positions
+    measures: np.ndarray        # (3, cells) int64 total, seekers, directed
     # member -> parent one level up, per dimension that still has a level above
     parents: dict[str, dict[str, str]]
-    _arrays: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # cubes are shared between readers and cache their cells view
+        self.codes.flags.writeable = False
+        self.measures.flags.writeable = False
 
     def axis_index(self, dimension: str) -> int:
         for i, ax in enumerate(self.axes):
@@ -84,34 +110,75 @@ class Cube:
         return self.axes[self.axis_index(dimension)]
 
     def mass(self) -> tuple[int, int, int]:
-        t = s = d = 0
-        for mt, ms, md in self.cells.values():
-            t += mt
-            s += ms
-            d += md
-        return t, s, d
+        return tuple(int(v) for v in self.measures.sum(axis=1))
+
+    @cached_property
+    def cells(self) -> dict[tuple[str, ...], tuple[int, int, int]]:
+        """Label coordinates -> (total, seekers, directed), built on first use."""
+        labels = [np.array(ax.members, dtype=object)[col].tolist()
+                  for ax, col in zip(self.axes, self.codes)]
+        coords = zip(*labels) if labels else [()] * self.measures.shape[1]
+        return dict(zip(coords, map(tuple, self.measures.T.tolist())))
 
 
 def build_cube(schema: StarSchema) -> Cube:
     """Base-grain cube: Time at quarter level, Address at congress level."""
+    table = np.array([f.key() + f.measures() for f in schema.facts],
+                     dtype=np.int64).reshape(-1, len(DIMENSIONS) + len(MEASURES)).T
     axes = []
+    codes = np.empty((len(DIMENSIONS), table.shape[1]), dtype=np.int64)
     parents: dict[str, dict[str, str]] = {}
-    for dim in DIMENSIONS:
-        table = schema.dimensions[dim]
-        members = tuple(sorted(r.natural_key for r in table.rows))
+    for a, dim in enumerate(DIMENSIONS):
+        rows = schema.dimensions[dim].rows
+        members = tuple(sorted(r.natural_key for r in rows))
         axes.append(CubeAxis(dim, base_level(dim), members))
+        # surrogate id -> member position; -1 marks ids no row carries
+        lookup = np.full(max((r.surrogate_id for r in rows), default=0) + 1, -1,
+                         dtype=np.int64)
+        for r in rows:
+            lookup[r.surrogate_id] = bisect_left(members, r.natural_key)
+        ids = table[a]
+        if ids.size and (ids.min() < 0 or ids.max() >= lookup.size
+                         or (lookup[ids] < 0).any()):
+            raise UnresolvedDimensionValue(f"fact table: dangling {dim} id")
+        codes[a] = lookup[ids]
         if dim == "time":
-            parents[dim] = {r.natural_key: r.attributes["year"] for r in table.rows}
+            parents[dim] = {r.natural_key: r.attributes["year"] for r in rows}
         elif dim == "congress":
             parents[dim] = {r.natural_key: r.attributes.get("city", r.natural_key)
-                            for r in table.rows}
-    key_of = {dim: {r.surrogate_id: r.natural_key
-                    for r in schema.dimensions[dim].rows} for dim in DIMENSIONS}
-    cells = {
-        tuple(key_of[dim][sid] for dim, sid in zip(DIMENSIONS, f.key())): f.measures()
-        for f in schema.facts
-    }
-    return Cube(tuple(axes), cells, parents)
+                            for r in rows}
+    measures = np.ascontiguousarray(table[len(DIMENSIONS):])
+    return Cube(tuple(axes), codes, measures, parents)
+
+
+# ---------------------------------------------------------------------------
+# Grouping
+
+
+def _group(columns: list[np.ndarray], sizes: list[int],
+           weights: Iterable[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Group rows by their key columns (column i holds codes below sizes[i]).
+
+    Returns each distinct key's codes per column, in ascending key order, and
+    each weight column summed per key (float64, exact below 2**53). The
+    product of the sizes must fit in int64.
+    """
+    flat, slots = columns[0], sizes[0]
+    for col, size in zip(columns[1:], sizes[1:]):
+        flat = flat * size + col
+        slots *= size
+    if slots <= _DENSE_SLOTS_PER_ROW * len(flat):
+        keys = np.flatnonzero(np.bincount(flat, minlength=slots))
+        sums = [np.bincount(flat, weights=w, minlength=slots)[keys] for w in weights]
+    else:
+        keys, inverse = np.unique(flat, return_inverse=True)
+        sums = [np.bincount(inverse, weights=w, minlength=len(keys)) for w in weights]
+    key_columns = []
+    for size in reversed(sizes):
+        keys, pos = np.divmod(keys, size)
+        key_columns.append(pos)
+    key_columns.reverse()
+    return key_columns, sums
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +192,10 @@ def _level_distance(dimension: str, from_level: str, to_level: str) -> int:
     return path.index(to_level) - path.index(from_level)
 
 
+def _without(parents: dict[str, dict[str, str]], dimension: str) -> dict[str, dict[str, str]]:
+    return {d: p for d, p in parents.items() if d != dimension}
+
+
 def rollup(cube: Cube, dimension: str, to_level: str) -> Cube:
     """Regroup one axis at a coarser level; measure mass is conserved."""
     idx = cube.axis_index(dimension)
@@ -135,19 +206,15 @@ def rollup(cube: Cube, dimension: str, to_level: str) -> Cube:
     if parent is None:
         raise BadLevel(f"{dimension}: no level above {ax.level!r}")
 
-    cells: dict[tuple[str, ...], list[int]] = {}
-    for coord, (t, s, d) in cube.cells.items():
-        up = coord[:idx] + (parent[coord[idx]],) + coord[idx + 1:]
-        cell = cells.setdefault(up, [0, 0, 0])
-        cell[0] += t
-        cell[1] += s
-        cell[2] += d
-
     members = tuple(sorted({parent[m] for m in ax.members}))
+    up = np.array([bisect_left(members, parent[m]) for m in ax.members], dtype=np.int64)
+    columns = list(cube.codes)
+    columns[idx] = up[columns[idx]]
     axes = (cube.axes[:idx] + (CubeAxis(dimension, to_level, members),)
             + cube.axes[idx + 1:])
-    new_parents = {d_: p for d_, p in cube.parents.items() if d_ != dimension}
-    return Cube(axes, {k: tuple(v) for k, v in cells.items()}, new_parents)
+    key_columns, sums = _group(columns, [len(a.members) for a in axes], cube.measures)
+    return Cube(axes, np.array(key_columns), np.array(sums).astype(np.int64),
+                _without(cube.parents, dimension))
 
 
 def drilldown(cube: Cube, base: Cube, dimension: str, to_level: str) -> Cube:
@@ -172,14 +239,10 @@ def slice_cube(cube: Cube, dimension: str, member: str) -> Cube:
     idx = cube.axis_index(dimension)
     if member not in cube.axes[idx].members:
         raise UnknownMember(f"{dimension}: no member {member!r}")
-    cells = {
-        coord[:idx] + coord[idx + 1:]: measures
-        for coord, measures in cube.cells.items()
-        if coord[idx] == member
-    }
+    keep = cube.codes[idx] == bisect_left(cube.axes[idx].members, member)
+    codes = np.delete(cube.codes[:, keep], idx, axis=0)
     axes = cube.axes[:idx] + cube.axes[idx + 1:]
-    parents = {d_: p for d_, p in cube.parents.items() if d_ != dimension}
-    return Cube(axes, cells, parents)
+    return Cube(axes, codes, cube.measures[:, keep], _without(cube.parents, dimension))
 
 
 def dice(cube: Cube, filters: Iterable[tuple[str, Iterable[str]]]) -> Cube:
@@ -199,39 +262,53 @@ def dice(cube: Cube, filters: Iterable[tuple[str, Iterable[str]]]) -> Cube:
                 raise EmptyMemberSet(f"{dimension}: filters intersect to nothing")
         wanted[idx] = members
 
-    cells = {
-        coord: measures
-        for coord, measures in cube.cells.items()
-        if all(coord[i] in members for i, members in wanted.items())
-    }
-    axes = tuple(
-        CubeAxis(ax.dimension, ax.level, tuple(sorted(wanted[i])))
-        if i in wanted else ax
-        for i, ax in enumerate(cube.axes))
-    return Cube(axes, cells, dict(cube.parents))
+    axes = list(cube.axes)
+    codes = cube.codes.copy()
+    keep = np.ones(codes.shape[1], dtype=bool)
+    for idx, members in wanted.items():
+        ax = cube.axes[idx]
+        kept = tuple(sorted(members))
+        # old member position -> position among the kept members, -1 if dropped
+        remap = np.full(len(ax.members), -1, dtype=np.int64)
+        for pos, m in enumerate(kept):
+            remap[bisect_left(ax.members, m)] = pos
+        codes[idx] = remap[codes[idx]]
+        keep &= codes[idx] >= 0
+        axes[idx] = CubeAxis(ax.dimension, ax.level, kept)
+    return Cube(tuple(axes), codes[:, keep], cube.measures[:, keep], dict(cube.parents))
 
 
 # ---------------------------------------------------------------------------
 # Aggregate queries
 
 
-def _ensure_arrays(cube: Cube) -> dict:
-    cache = cube._arrays
-    if "codes" not in cache:
-        index = [{m: i for i, m in enumerate(ax.members)} for ax in cube.axes]
-        n = len(cube.cells)
-        codes = [np.empty(n, dtype=np.int64) for _ in cube.axes]
-        measures = {name: np.empty(n, dtype=np.int64) for name in MEASURES}
-        for row, (coord, (t, s, d)) in enumerate(cube.cells.items()):
-            for a, member in enumerate(coord):
-                codes[a][row] = index[a][member]
-            measures["total"][row] = t
-            measures["seekers"][row] = s
-            measures["directed"][row] = d
-        cache["index"] = index
-        cache["codes"] = codes
-        cache["measures"] = measures
-    return cache
+def normalize_query(query: AggregateQuery, levels: Mapping[str, str],
+                    ) -> tuple[list[tuple[str, str]], list[tuple[str, str, frozenset[str]]]]:
+    """Validate a query and spell out every level.
+
+    levels maps each queryable dimension to its current level, which an entry
+    without a level gets. Returns (group_by [(dim, level)], filters
+    [(dim, level, members)]).
+    """
+    if query.measure not in MEASURES:
+        raise BadQuery(f"unknown measure {query.measure!r}")
+
+    def resolve(dimension: str, level: str | None) -> tuple[str, str]:
+        if dimension not in levels:
+            raise BadQuery(f"no axis for dimension {dimension!r}")
+        if level is not None and level not in level_path(dimension):
+            raise BadLevel(f"{dimension}: unknown level {level!r}")
+        return dimension, level or levels[dimension]
+
+    group_by = [resolve(*((entry, None) if isinstance(entry, str) else entry))
+                for entry in query.group_by]
+    if len({d for d, _ in group_by}) != len(group_by):
+        raise BadQuery("duplicate group-by dimension")
+    filters = []
+    for entry in query.filters:
+        dimension, level, members = (entry[0], None, entry[1]) if len(entry) == 2 else entry
+        filters.append((*resolve(dimension, level), frozenset(members)))
+    return group_by, filters
 
 
 def _labels_at_level(cube: Cube, axis_idx: int, level: str) -> list[str]:
@@ -249,42 +326,16 @@ def _labels_at_level(cube: Cube, axis_idx: int, level: str) -> list[str]:
     return [parent[m] for m in labels]
 
 
-def _normalize_query(cube: Cube, query: AggregateQuery):
-    if query.measure not in MEASURES:
-        raise BadQuery(f"unknown measure {query.measure!r}")
-    group_by: list[tuple[str, str]] = []
-    for entry in query.group_by:
-        if isinstance(entry, str):
-            dimension, level = entry, None
-        else:
-            dimension, level = entry
-        ax = cube.axis(dimension)
-        group_by.append((dimension, level or ax.level))
-    if len({d for d, _ in group_by}) != len(group_by):
-        raise BadQuery("duplicate group-by dimension")
-    filters: list[tuple[str, str, frozenset[str]]] = []
-    for entry in query.filters:
-        if len(entry) == 2:
-            dimension, members = entry
-            level = cube.axis(dimension).level
-        else:
-            dimension, level, members = entry
-        filters.append((dimension, level, frozenset(members)))
-    return group_by, filters
-
-
 def aggregate(cube: Cube, query: AggregateQuery) -> ResultTable:
     """Filter, group, and sum one measure.
 
     Row order is sorted by group labels. With an empty group_by the result is
     a single grand-total row (zero when nothing matches).
     """
-    group_by, filters = _normalize_query(cube, query)
-    arrays = _ensure_arrays(cube)
-    codes, measures = arrays["codes"], arrays["measures"]
-    n = len(cube.cells)
+    group_by, filters = normalize_query(
+        query, {ax.dimension: ax.level for ax in cube.axes})
 
-    mask = np.ones(n, dtype=bool)
+    keep = np.ones(cube.codes.shape[1], dtype=bool)
     for dimension, level, members in filters:
         idx = cube.axis_index(dimension)
         if not members:
@@ -294,50 +345,28 @@ def aggregate(cube: Cube, query: AggregateQuery) -> ResultTable:
         if unknown:
             raise UnknownMember(f"{dimension}@{level}: no members {sorted(unknown)}")
         allowed = np.array([lab in members for lab in labels], dtype=bool)
-        if n:
-            mask &= allowed[codes[idx]]
-
-    group_sizes: list[int] = []
-    group_labels: list[list[str]] = []
-    combined = np.zeros(n, dtype=np.int64)
-    for dimension, level in group_by:
-        idx = cube.axis_index(dimension)
-        labels = _labels_at_level(cube, idx, level)
-        distinct = sorted(set(labels))
-        code_of = {lab: i for i, lab in enumerate(distinct)}
-        member_to_group = np.array([code_of[lab] for lab in labels], dtype=np.int64)
-        if n:
-            combined = combined * len(distinct) + member_to_group[codes[idx]]
-        group_sizes.append(len(distinct))
-        group_labels.append(distinct)
+        keep &= allowed[cube.codes[idx]]
+    values = cube.measures[MEASURES.index(query.measure)]
+    if filters:
+        values = values[keep]
 
     columns = tuple(
         (dimension if level == base_level(dimension) else f"{dimension}_{level}")
         for dimension, level in group_by) + (query.measure,)
-
-    slots = 1
-    for size in group_sizes:
-        slots *= size
-    values = measures[query.measure]
-    if n:
-        occupancy = np.bincount(combined[mask], minlength=slots)
-        sums = np.bincount(combined[mask],
-                           weights=values[mask].astype(np.float64),
-                           minlength=slots)
-    else:
-        occupancy = np.zeros(slots, dtype=np.int64)
-        sums = np.zeros(slots, dtype=np.float64)
-
-    rows: list[tuple] = []
     if not group_by:
-        rows.append((int(sums[0]),))
-    else:
-        for flat in np.nonzero(occupancy)[0]:
-            labels_out = []
-            rem = int(flat)
-            for size, labels in zip(reversed(group_sizes), reversed(group_labels)):
-                rem, pos = divmod(rem, size)
-                labels_out.append(labels[pos])
-            labels_out.reverse()
-            rows.append((*labels_out, int(sums[flat])))
-    return ResultTable(columns, tuple(rows))
+        return ResultTable(columns, ((int(values.sum()),),))
+
+    key_columns, group_labels = [], []
+    for dimension, level in group_by:
+        idx = cube.axis_index(dimension)
+        labels = _labels_at_level(cube, idx, level)
+        distinct = sorted(set(labels))
+        member_to_group = np.array([bisect_left(distinct, lab) for lab in labels],
+                                   dtype=np.int64)
+        codes = cube.codes[idx][keep] if filters else cube.codes[idx]
+        key_columns.append(member_to_group[codes])
+        group_labels.append(distinct)
+    groups, (sums,) = _group(key_columns, [len(g) for g in group_labels], [values])
+    label_columns = [[distinct[i] for i in col.tolist()]
+                     for distinct, col in zip(group_labels, groups)]
+    return ResultTable(columns, tuple(zip(*label_columns, sums.astype(np.int64).tolist())))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 QUARTERS = ("Q1", "Q2", "Q3", "Q4")
 
@@ -131,6 +131,3 @@ def read_records_csv(path: str | Path) -> list[CanonicalApplicant]:
             out.append(CanonicalApplicant(**vals))
         return out
 
-
-def iter_records_csv(path: str | Path) -> Iterator[CanonicalApplicant]:
-    yield from read_records_csv(path)

@@ -67,9 +67,6 @@ class DimensionTable:
     def id_map(self) -> dict[str, int]:
         return {r.natural_key: r.surrogate_id for r in self.rows}
 
-    def key_of(self, surrogate_id: int) -> str:
-        return self.rows[surrogate_id - 1].natural_key
-
     def __len__(self) -> int:
         return len(self.rows)
 

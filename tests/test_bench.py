@@ -10,7 +10,7 @@ from jobcube.bench import (
     write_bench_report,
 )
 from jobcube.cube import AggregateQuery, aggregate, build_cube
-from jobcube.errors import AnswerMismatch, ConfigError
+from jobcube.errors import AnswerMismatch, BadQuery, ConfigError
 from jobcube.warehouse import build_schema
 
 from oracle import (
@@ -65,6 +65,15 @@ class TestScanBaseline:
             "total", group_by=("city", "sector")), congress_parent=cities)
         labels = [row[:-1] for row in table.rows]
         assert labels == sorted(labels)
+
+    def test_duplicate_group_by_dimension_rejected(self, fixture):
+        records, cube, cities = fixture
+        for group_by in (("sector", "sector"), ("time", ("time", "year"))):
+            query = AggregateQuery("total", group_by=group_by)
+            with pytest.raises(BadQuery):
+                run_scan_query(records, query, congress_parent=cities)
+            with pytest.raises(BadQuery):
+                aggregate(cube, query)
 
 
 class TestBenchmark:

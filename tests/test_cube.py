@@ -1,10 +1,14 @@
 """Cube construction, algebra (rollup, drilldown, slice, dice), aggregation."""
 
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from jobcube import cube as cube_module
 from jobcube.cube import (
+    MEASURES,
     AggregateQuery,
     aggregate,
     build_cube,
@@ -250,3 +254,169 @@ class TestAggregate:
                 want = oracle_aggregate(records, measure, list(group_by),
                                         filters, cities)
                 assert got == want, query
+
+
+# ---------------------------------------------------------------------------
+# Navigation chains, empty cubes and both grouping strategies, each checked
+# cell by cell against the oracle over the matching records.
+
+def assert_matches_records(cube, records, cities):
+    """cells, mass() and per-axis aggregates equal the oracle over records."""
+    dims = [(axis.dimension, axis.level) for axis in cube.axes]
+    for pos, measure in enumerate(MEASURES):
+        got = {coord: triple[pos] for coord, triple in cube.cells.items()}
+        assert got == oracle_aggregate(records, measure, dims, [], cities)
+    assert cube.mass() == (len(records),
+                           sum(r.status == "seeker" for r in records),
+                           sum(r.status == "directed" for r in records))
+    for measure in MEASURES:
+        grand = aggregate(cube, AggregateQuery(measure))
+        assert table_as_dict(grand) == oracle_aggregate(records, measure, [], [], cities)
+        for dim in dims:
+            got = table_as_dict(aggregate(cube, AggregateQuery(measure, (dim,))))
+            assert got == oracle_aggregate(records, measure, [dim], [], cities)
+
+
+def pick(rnd, members, most=3):
+    return tuple(rnd.sample(members, rnd.randint(1, min(most, len(members)))))
+
+
+class TestNavigationChains:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rollup_of_dice(self, seed):
+        rnd = random.Random(seed)
+        records, cube, cities = build(700 + seed, 900)
+        sectors = pick(rnd, list(cube.axis("sector").members))
+        quarters = pick(rnd, list(cube.axis("time").members), 12)
+        diced = dice(cube, [("sector", sectors), ("time", quarters)])
+        assert diced.axis("sector").members == tuple(sorted(sectors))
+        kept = [r for r in records
+                if r.sector in sectors and f"{r.year}{r.quarter}" in quarters]
+        assert_matches_records(diced, kept, cities)
+        to_level = rnd.choice((("time", "year"), ("congress", "city")))
+        assert_matches_records(rollup(diced, *to_level), kept, cities)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_slice_of_rollup(self, seed):
+        rnd = random.Random(seed)
+        records, cube, cities = build(710 + seed, 900)
+        rolled = rollup(rollup(cube, "congress", "city"), "time", "year")
+        sector = rnd.choice(cube.axis("sector").members)
+        sliced = slice_cube(rolled, "sector", sector)
+        assert_matches_records(sliced, [r for r in records if r.sector == sector],
+                               cities)
+        year = rnd.choice(sliced.axis("time").members)
+        by_year = slice_cube(sliced, "time", year)
+        assert_matches_records(
+            by_year, [r for r in records if r.sector == sector and str(r.year) == year],
+            cities)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dice_of_slice(self, seed):
+        rnd = random.Random(seed)
+        records, cube, cities = build(720 + seed, 900)
+        city = rnd.choice(cube.axis("city").members)
+        sliced = slice_cube(cube, "city", city)
+        services = pick(rnd, list(sliced.axis("service").members))
+        edus = pick(rnd, list(sliced.axis("edulevel").members))
+        diced = dice(sliced, [("service", services), ("edulevel", edus)])
+        kept = [r for r in records if r.city == city
+                and r.service_status in services and r.education_level in edus]
+        assert_matches_records(diced, kept, cities)
+
+
+class TestEmptyCubes:
+    def assert_empty_but_answering(self, cube, cities):
+        assert_matches_records(cube, [], cities)
+        assert cube.cells == {}
+        for dimension, level in (("time", "year"), ("congress", "city")):
+            rolled = rollup(cube, dimension, level)
+            assert rolled.cells == {}
+            assert rolled.mass() == (0, 0, 0)
+        table = aggregate(cube, AggregateQuery("seekers", group_by=("sector",)))
+        assert table.rows == ()
+        assert aggregate(cube, AggregateQuery("total")).rows == ((0,),)
+
+    def test_dice_matching_no_cell(self):
+        # every record falls in 2000, yet the time axis spans every quarter
+        records = random_clean_records(31, 200, 2000, 2000)
+        cube = build_cube(build_schema(records, YEARS, make_hierarchy()))
+        cities = congress_city_map(records)
+        diced = dice(cube, [("time", ("2003Q1", "2004Q2"))])
+        assert diced.axis("time").members == ("2003Q1", "2004Q2")
+        self.assert_empty_but_answering(diced, cities)
+
+    def test_cube_over_zero_records(self):
+        cube = build_cube(build_schema([], YEARS, make_hierarchy()))
+        assert all(axis.members == () for axis in cube.axes if axis.dimension != "time")
+        assert len(cube.axis("time").members) == 28
+        self.assert_empty_but_answering(cube, {})
+        assert dice(cube, [("time", ("2001Q1",))]).cells == {}
+        assert slice_cube(cube, "time", "2001Q1").mass() == (0, 0, 0)
+
+
+class GroupingSpy:
+    """Records which strategy the grouping helper took and the bincount
+    slot arrays it asked for."""
+
+    def __init__(self, monkeypatch):
+        self.sorted = 0
+        self.minlengths = []
+        unique, bincount = np.unique, np.bincount
+
+        def spy_unique(*args, **kwargs):
+            self.sorted += 1
+            return unique(*args, **kwargs)
+
+        def spy_bincount(x, weights=None, minlength=0):
+            self.minlengths.append(minlength)
+            return bincount(x, weights=weights, minlength=minlength)
+
+        monkeypatch.setattr(np, "unique", spy_unique)
+        monkeypatch.setattr(np, "bincount", spy_bincount)
+
+
+class TestGroupingStrategies:
+    def test_aggregate_counts_densely(self, fixture, monkeypatch):
+        records, cube, cities = fixture
+        spy = GroupingSpy(monkeypatch)
+        table = aggregate(cube, AggregateQuery("seekers", ("sector", ("time", "year"))))
+        assert spy.sorted == 0
+        assert table_as_dict(table) == oracle_aggregate(
+            records, "seekers", [("sector", "sector"), ("time", "year")], [], cities)
+
+    def test_narrow_rollup_counts_densely(self, monkeypatch):
+        # one year, one service, one education level: few slots per cell
+        records = [replace(r, service_status="svc1", education_level="edu1")
+                   for r in random_clean_records(41, 1500, 2000, 2000)]
+        cube = build_cube(build_schema(records, (2000, 2000), make_hierarchy()))
+        spy = GroupingSpy(monkeypatch)
+        rolled = rollup(cube, "time", "year")
+        assert spy.sorted == 0
+        assert_matches_records(rolled, records, congress_city_map(records))
+
+    def test_wide_sparse_rollup_sorts(self, monkeypatch):
+        # 400 sectors over 300 records: the slot space dwarfs the cell count
+        rnd = random.Random(43)
+        records = [replace(r, sector=f"SEC-{rnd.randrange(400):03d}", status="directed")
+                   for r in random_clean_records(43, 300)]
+        cube = build_cube(build_schema(records, YEARS, make_hierarchy()))
+        slots = 1
+        for axis in cube.axes:
+            slots *= len(axis.members)
+        assert slots > 1000 * len(cube.cells)
+        spy = GroupingSpy(monkeypatch)
+        rolled = rollup(cube, "congress", "city")
+        assert spy.sorted == 1
+        assert max(spy.minlengths) <= len(cube.cells)
+        cities = congress_city_map(records)
+        assert_matches_records(rolled, records, cities)
+        assert_matches_records(rollup(rolled, "time", "year"), records, cities)
+
+    @pytest.mark.parametrize("slots_per_row", [0, 10 ** 9])
+    def test_both_strategies_agree_with_oracle(self, fixture, monkeypatch, slots_per_row):
+        # 0 forces the sort for every grouping, 10**9 the dense count
+        monkeypatch.setattr(cube_module, "_DENSE_SLOTS_PER_ROW", slots_per_row)
+        records, cube, cities = fixture
+        assert_matches_records(rollup(cube, "time", "year"), records, cities)
+        assert_matches_records(rollup(cube, "congress", "city"), records, cities)
