@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -563,8 +563,7 @@ def _make_copy(rng: Rng, config: GenConfig, donor: CanonicalApplicant,
     sector = (f"SEC-{rng.randrange(config.sectors) + 1:02d}"
               if rng.random() < config.directed_share else "")
     year, quarter = _previous_quarter(donor.year, donor.quarter)
-    return replace(
-        donor,
+    return donor._replace(
         district=district,
         congress=congress,
         city=CITY_NAMES[copy_city],
@@ -670,7 +669,7 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     truth = []
     for p in persons:
         congress = "UNKNOWN" if p.national_id in blanked_district_persons else p.congress
-        truth.append(project(replace(p, congress=congress),
+        truth.append(project(p._replace(congress=congress),
                              WAREHOUSE_REQUIRED_FIELDS))
     truth.sort(key=lambda r: r.national_id)
 

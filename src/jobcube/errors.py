@@ -41,6 +41,11 @@ class RaggedRow(JobcubeError):
         self.row_no = row_no
 
 
+class MalformedCsv(JobcubeError):
+    """CSV text breaks CSV syntax, or a record file does not match the
+    canonical record layout (header, column count, year)."""
+
+
 class MissingMandatoryField(JobcubeError):
     """Record lacks a source field mapped to a mandatory canonical field."""
 

@@ -8,7 +8,7 @@ sees filled, deduplicated records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -25,7 +25,6 @@ from .records import (
     WAREHOUSE_REQUIRED_FIELDS,
     CanonicalApplicant,
     quarter_index,
-    record_sort_key,
     project,
 )
 
@@ -183,8 +182,9 @@ def deduplicate(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
 
     Survivor under latest_application: greatest (year, quarter), ties to the
     lexicographically smallest city, then smallest source_id. first_seen is
-    the mirror image on (year, quarter). The full record value is the final
-    tie-break, which makes the result independent of input order.
+    the mirror image on (year, quarter). The record itself, compared as its
+    field tuple in ALL_FIELDS order, is the final tie-break, which makes the
+    result independent of input order.
     """
     policy.validate()
     report = PreprocessReport()
@@ -193,10 +193,8 @@ def deduplicate(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
 
     def rank(r: CanonicalApplicant) -> tuple:
         if latest:
-            return (-r.year, -_quarter_rank(r.quarter), r.city, r.source_id,
-                    record_sort_key(r))
-        return (r.year, _quarter_rank(r.quarter), r.city, r.source_id,
-                record_sort_key(r))
+            return (-r.year, -_quarter_rank(r.quarter), r.city, r.source_id, r)
+        return (r.year, _quarter_rank(r.quarter), r.city, r.source_id, r)
 
     kept = 0
     for r in records:
@@ -226,7 +224,7 @@ def fill_missing(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
             if getattr(r, name).strip() == "":
                 updates[name] = policy.fill_constants[name]
                 report.values_filled[name] = report.values_filled.get(name, 0) + 1
-        out.append(replace(r, **updates) if updates else r)
+        out.append(r._replace(**updates) if updates else r)
     return out, report
 
 
@@ -257,10 +255,10 @@ def generalize(records: Iterable[CanonicalApplicant], hierarchy: ConceptHierarch
             cache[value] = ancestor
         if ancestor is None:
             report.unknown_hierarchy_values += 1
-            out.append(replace(r, **{to_level: fill}))
+            out.append(r._replace(**{to_level: fill}))
         else:
             report.records_generalized += 1
-            out.append(replace(r, **{to_level: ancestor}))
+            out.append(r._replace(**{to_level: ancestor}))
     return out, report
 
 
@@ -309,7 +307,7 @@ def normalize_codes(records: Iterable[CanonicalApplicant],
             elif canonical != value:
                 updates[name] = canonical
                 report.values_normalized[name] = report.values_normalized.get(name, 0) + 1
-        out.append(replace(r, **updates) if updates else r)
+        out.append(r._replace(**updates) if updates else r)
     return out, report
 
 

@@ -1,15 +1,18 @@
 """Canonical applicant record: the unified schema every legacy source maps into.
 
-All attribute values are carried as text until warehouse load; `year` is the
+A record is an immutable `NamedTuple`: `record._replace(field=value)` makes a
+variant, and records order by their field tuple in `ALL_FIELDS` order. All
+attribute values are carried as text until warehouse load; `year` is the
 single typed exception because time ordering drives deduplication.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
+
+from .errors import MalformedCsv
 
 QUARTERS = ("Q1", "Q2", "Q3", "Q4")
 
@@ -17,8 +20,7 @@ STATUS_SEEKER = "seeker"
 STATUS_DIRECTED = "directed"
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalApplicant:
+class CanonicalApplicant(NamedTuple):
     national_id: str = ""
     name: str = ""
     sex: str = ""
@@ -37,7 +39,8 @@ class CanonicalApplicant:
     source_id: str = ""         # provenance, used as a dedup tie-break
 
 
-ALL_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(CanonicalApplicant))
+ALL_FIELDS: tuple[str, ...] = CanonicalApplicant._fields
+_YEAR = ALL_FIELDS.index("year")
 
 # Fields a cleaning policy may fill. Key fields are quarantined instead,
 # sector emptiness encodes seeker status, status is derived, and congress is
@@ -89,45 +92,65 @@ def dimension_value(record: CanonicalApplicant, dimension: str) -> str:
     return getattr(record, DIMENSION_FIELDS[dimension])
 
 
-def record_sort_key(record: CanonicalApplicant) -> tuple:
-    """Total order over records; ties between equal records only."""
-    return tuple(getattr(record, name) for name in ALL_FIELDS)
-
-
 def project(record: CanonicalApplicant, keep: frozenset[str] | set[str]) -> CanonicalApplicant:
     """Blank every field outside `keep` (year becomes 0)."""
-    updates = {}
-    for name in ALL_FIELDS:
-        if name in keep:
-            continue
-        updates[name] = 0 if name == "year" else ""
-    return replace(record, **updates) if updates else record
+    return CanonicalApplicant._make(
+        [value if name in keep else (0 if name == "year" else "")
+         for name, value in zip(ALL_FIELDS, record)])
 
 
 def write_records_csv(records: Iterable[CanonicalApplicant], path: str | Path) -> int:
-    """Write records as CSV (LF, header row). Returns the row count."""
+    """Write records as CSV (LF, header row). Returns the row count.
+
+    A writer ending lines in LF leaves a bare CR unquoted, and a reader then
+    splits the row there, so a record holding a CR is written fully quoted.
+    """
     n = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(ALL_FIELDS)
         for r in records:
-            writer.writerow([getattr(r, name) for name in ALL_FIELDS])
+            if "\r" in "".join(r[:_YEAR]) or "\r" in "".join(r[_YEAR + 1:]):
+                quote_all.writerow(r)
+            else:
+                writer.writerow(r)
             n += 1
     return n
 
 
 def read_records_csv(path: str | Path) -> list[CanonicalApplicant]:
+    """Read a file written by `write_records_csv`.
+
+    Fails closed: a wrong header, a row without exactly one value per field,
+    a year that is not an integer, a CSV syntax error or bytes that are not
+    UTF-8 raise MalformedCsv naming the file and the line.
+    """
+    width = len(ALL_FIELDS)
+    make = CanonicalApplicant._make
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return []
-        if tuple(header) != ALL_FIELDS:
-            raise ValueError(f"{path}: unexpected record columns {header}")
-        out = []
-        for row in reader:
-            vals = dict(zip(ALL_FIELDS, row))
-            vals["year"] = int(vals["year"]) if vals["year"] else 0
-            out.append(CanonicalApplicant(**vals))
-        return out
-
+        try:
+            header = next(reader, None)
+            if header is None:
+                return []
+            if tuple(header) != ALL_FIELDS:
+                raise MalformedCsv(f"{path}: line 1: unexpected record columns {header}")
+            out = []
+            for row in reader:
+                if len(row) != width:
+                    raise MalformedCsv(f"{path}: line {reader.line_num}: "
+                                       f"{len(row)} columns, expected {width}")
+                year = row[_YEAR]
+                try:
+                    row[_YEAR] = int(year) if year else 0
+                except ValueError:
+                    raise MalformedCsv(f"{path}: line {reader.line_num}: "
+                                       f"bad year {year!r}") from None
+                out.append(make(row))
+            return out
+        except csv.Error as exc:
+            raise MalformedCsv(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise MalformedCsv(f"{path}: not UTF-8 ({exc.reason}) after "
+                               f"{reader.line_num} good lines") from None

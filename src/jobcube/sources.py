@@ -24,6 +24,7 @@ from .errors import (
     ConfigError,
     DecodeError,
     InvalidFieldValue,
+    MalformedCsv,
     MalformedHeader,
     MissingMandatoryField,
     RaggedRow,
@@ -268,7 +269,11 @@ def parse_delimited(data: bytes | str, delimiter: str = ",", has_header: bool = 
             raise DecodeError(str(exc)) from exc
     else:
         text = data
-    rows = list(csv.reader(io.StringIO(text), delimiter=delimiter))
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise MalformedCsv(f"{source_id}: line {reader.line_num}: {exc}") from None
     if not rows:
         return []
     if has_header:

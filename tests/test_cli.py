@@ -1,5 +1,6 @@
 """Subcommand driver: stage wiring, exit codes, quarantine files."""
 
+import csv
 import subprocess
 import sys
 
@@ -33,6 +34,28 @@ def write_config(tmp_path, **overrides) -> str:
     path = tmp_path / "jobcube.yaml"
     path.write_text(yaml.safe_dump(config), encoding="utf-8")
     return str(path)
+
+
+def edit_record_csv(path, line_index, edit) -> None:
+    """Rewrite one row of a record CSV (0 is the header) through edit(row)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[line_index] = edit(rows[line_index])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+# (row index, edit, what the error must say after "<file>: ")
+RECORD_CSV_TAMPERS = [
+    pytest.param(2, lambda row: row[:15], "line 3: 15 columns, expected 16", id="15_columns"),
+    pytest.param(2, lambda row: row + ["extra"], "line 3: 17 columns, expected 16",
+                 id="17_columns"),
+    pytest.param(2, lambda row: row[:5], "line 3: 5 columns, expected 16", id="5_columns"),
+    pytest.param(2, lambda row: row[:13] + ["20x3"] + row[14:], "line 3: bad year '20x3'",
+                 id="bad_year"),
+    pytest.param(0, lambda row: row[1:] + row[:1], "line 1: unexpected record columns",
+                 id="wrong_header"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +160,16 @@ class TestExitCodes:
             encoding="utf-8")
         assert "misurata" in rejects
 
+    def test_stray_carriage_return_at_ingest(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["gen", "-c", cfg]) == 0
+        misurata = tmp_path / "data" / "misurata.csv"
+        with open(misurata, "a", encoding="utf-8", newline="") as fh:
+            fh.write("X1,BAD\rNAME,1,MIS-CG01-D01,MIS-CG01,SPC-001,JG-01,,QL-01,1,1,2003,1\n")
+        capsys.readouterr()
+        assert main(["ingest", "-c", cfg]) == 2
+        assert "error: misurata: line " in capsys.readouterr().err
+
     def test_blank_key_quarantined_at_etl(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["gen", "-c", cfg]) == 0
@@ -166,6 +199,30 @@ class TestExitCodes:
         assert main(["load", "-c", cfg]) == 1
         (tmp_path / "warehouse" / ".lock").unlink()
         assert main(["load", "-c", cfg]) == 0
+
+    @pytest.mark.parametrize("line_index, edit, reason", RECORD_CSV_TAMPERS)
+    def test_tampered_staging_is_data_error(self, tmp_path, capsys, line_index, edit,
+                                            reason):
+        cfg = write_config(tmp_path)
+        for command in ("gen", "ingest"):
+            assert main([command, "-c", cfg]) == 0
+        staging = tmp_path / "data" / "staging.csv"
+        edit_record_csv(staging, line_index, edit)
+        capsys.readouterr()
+        assert main(["etl", "-c", cfg]) == 2
+        assert f"error: {staging}: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "data" / "clean.csv").exists()
+
+    @pytest.mark.parametrize("command", ["load", "refresh", "bench"])
+    def test_tampered_clean_is_data_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        for stage in ("gen", "ingest", "etl", "load"):
+            assert main([stage, "-c", cfg]) == 0
+        clean = tmp_path / "data" / "clean.csv"
+        edit_record_csv(clean, 2, lambda row: row[:13] + ["20x3"] + row[14:])
+        capsys.readouterr()
+        assert main([command, "-c", cfg]) == 2
+        assert f"error: {clean}: line 3: bad year '20x3'" in capsys.readouterr().err
 
     def test_query_unknown_member_is_usage_error(self, pipeline):
         _, cfg = pipeline

@@ -387,7 +387,7 @@ class TestGroupingStrategies:
 
     def test_narrow_rollup_counts_densely(self, monkeypatch):
         # one year, one service, one education level: few slots per cell
-        records = [replace(r, service_status="svc1", education_level="edu1")
+        records = [r._replace(service_status="svc1", education_level="edu1")
                    for r in random_clean_records(41, 1500, 2000, 2000)]
         cube = build_cube(build_schema(records, (2000, 2000), make_hierarchy()))
         spy = GroupingSpy(monkeypatch)
@@ -398,7 +398,7 @@ class TestGroupingStrategies:
     def test_wide_sparse_rollup_sorts(self, monkeypatch):
         # 400 sectors over 300 records: the slot space dwarfs the cell count
         rnd = random.Random(43)
-        records = [replace(r, sector=f"SEC-{rnd.randrange(400):03d}", status="directed")
+        records = [r._replace(sector=f"SEC-{rnd.randrange(400):03d}", status="directed")
                    for r in random_clean_records(43, 300)]
         cube = build_cube(build_schema(records, YEARS, make_hierarchy()))
         slots = 1

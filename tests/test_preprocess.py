@@ -128,6 +128,18 @@ class TestDeduplicate:
         assert twice == once
         assert report.duplicates_removed == 0
 
+    @pytest.mark.parametrize("keep_rule", ["latest_application", "first_seen"])
+    def test_equal_rank_ties_break_on_field_tuple(self, keep_rule):
+        # sex precedes district in ALL_FIELDS; alphabetical field order would
+        # decide on district instead and keep the other record.
+        a = rec(sex="female", district="DZ99")
+        b = rec(sex="male", district="DA11")
+        policy = CleaningPolicy(keep_rule=keep_rule)
+        for batch in ([a, b], [b, a]):
+            out, report = deduplicate(batch, policy)
+            assert out == [a]
+            assert report.duplicates_removed == 1
+
     def test_first_seen_rule(self):
         first = rec(year=2001, sector="S1", status="directed")
         later = rec(year=2004)

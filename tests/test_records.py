@@ -1,0 +1,46 @@
+"""Record CSV files: what write_records_csv writes, read_records_csv reads back."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jobcube.errors import MalformedCsv
+from jobcube.records import (
+    ALL_FIELDS,
+    CanonicalApplicant,
+    read_records_csv,
+    write_records_csv,
+)
+
+# Text that stresses CSV quoting: delimiters, quotes, both line-break
+# characters, surrounding spaces, and the empty string.
+awkward_text = st.one_of(
+    st.just(""),
+    st.text(alphabet=st.sampled_from(list('ab ,"\n\r')), max_size=8),
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=8),
+)
+
+records = st.builds(
+    CanonicalApplicant,
+    **{name: st.integers(0, 9999) if name == "year" else awkward_text
+       for name in ALL_FIELDS},
+)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("records") / "records.csv"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(records, max_size=8))
+def test_csv_round_trip(csv_path, batch):
+    assert write_records_csv(batch, csv_path) == len(batch)
+    assert read_records_csv(csv_path) == batch
+
+
+def test_non_utf8_bytes_fail_closed(tmp_path):
+    path = tmp_path / "staging.csv"
+    path.write_bytes(",".join(ALL_FIELDS).encode("ascii") + b"\n\xff\n")
+    with pytest.raises(MalformedCsv, match="staging.csv: not UTF-8"):
+        read_records_csv(path)

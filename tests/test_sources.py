@@ -10,6 +10,8 @@ from jobcube.datagen import render_dbf, render_delimited, render_fixed_width
 from jobcube.errors import (
     ConfigError,
     InvalidFieldValue,
+    JobcubeError,
+    MalformedCsv,
     MalformedHeader,
     MissingMandatoryField,
     RaggedRow,
@@ -214,6 +216,20 @@ class TestDelimited:
 
     def test_empty_input(self):
         assert parse_delimited("") == []
+
+    def test_stray_carriage_return_names_source_and_line(self):
+        with pytest.raises(MalformedCsv) as err:
+            parse_delimited(b"a,b\n1,x\ry\n", source_id="misurata")
+        assert str(err.value).startswith("misurata: line 2: ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=64), st.booleans())
+def test_delimited_arbitrary_bytes_raise_only_jobcube_errors(data, has_header):
+    try:
+        parse_delimited(data, has_header=has_header, source_id="fuzz")
+    except JobcubeError:
+        pass
 
 
 delim_value = st.text(

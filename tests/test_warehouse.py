@@ -105,21 +105,21 @@ class TestFacts:
     def test_unresolved_member_rejected(self):
         records = random_clean_records(2, 50)
         dims = build_dimensions(records, YEARS)
-        alien = replace(records[0], sector="NEVER-SEEN", status="directed")
+        alien = records[0]._replace(sector="NEVER-SEEN", status="directed")
         with pytest.raises(UnresolvedDimensionValue):
             load_facts(records + [alien], dims)
 
     def test_year_outside_range_rejected(self):
         records = random_clean_records(3, 50)
         dims = build_dimensions(records, YEARS)
-        alien = replace(records[0], year=1999)
+        alien = records[0]._replace(year=1999)
         with pytest.raises(UnresolvedDimensionValue):
             load_facts(records + [alien], dims)
 
     def test_bad_status_rejected(self):
         records = random_clean_records(4, 10)
         dims = build_dimensions(records, YEARS)
-        bad = replace(records[0], status="waiting")
+        bad = records[0]._replace(status="waiting")
         with pytest.raises(InvalidFieldValue):
             load_facts([bad], dims)
 
