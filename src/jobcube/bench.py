@@ -8,7 +8,6 @@ aborts the run.
 
 from __future__ import annotations
 
-import csv
 import statistics
 import time
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from .records import (
     STATUS_SEEKER,
     CanonicalApplicant,
     dimension_value,
+    write_csv,
 )
 
 
@@ -165,14 +165,11 @@ def run_benchmark(records: Sequence[CanonicalApplicant], cube: Cube,
 def write_bench_report(result: BenchResult, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("query_id", "scan_median_s", "cube_median_s",
-                         "speedup", "answers_equal"))
-        for t in result.timings:
-            writer.writerow((t.query_id, f"{t.scan_median:.6f}",
-                             f"{t.cube_median:.6f}", f"{t.speedup:.2f}",
-                             str(t.answers_equal).lower()))
+    write_csv(path, ("query_id", "scan_median_s", "cube_median_s", "speedup",
+                     "answers_equal"),
+              ((t.query_id, f"{t.scan_median:.6f}", f"{t.cube_median:.6f}",
+                f"{t.speedup:.2f}", str(t.answers_equal).lower())
+               for t in result.timings))
     return path
 
 

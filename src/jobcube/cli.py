@@ -13,7 +13,6 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import time
@@ -25,7 +24,6 @@ from . import datagen
 from .config import PipelineConfig, load_codebooks, load_config, load_hierarchy, load_sources
 from .cube import AggregateQuery, Cube, ResultTable, aggregate, build_cube
 from .errors import (
-    AnswerMismatch,
     BadHierarchy,
     BadLevel,
     BadLevelPair,
@@ -39,7 +37,7 @@ from .errors import (
     UnknownMember,
 )
 from .preprocess import run_pipeline
-from .records import read_records_csv, write_records_csv
+from .records import read_records_csv, write_csv, write_records_csv
 from .reporting import render_text_table, run_report, write_result
 from .sources import ingest_sources
 from .warehouse import build_schema, check_integrity, load_schema, persist, refresh
@@ -88,9 +86,7 @@ def _print_table(table: ResultTable, format: str, stream) -> None:
     if format == "table":
         stream.write(render_text_table(table))
         return
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(table.columns)
-    writer.writerows(table.rows)
+    write_csv(stream, table.columns, table.rows)
 
 
 def _loaded_cube(config: PipelineConfig) -> Cube:
@@ -129,11 +125,8 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> int:
 
     rejects_path = Path(config.data_dir) / INGEST_REJECTS
     if report.rejects:
-        with open(rejects_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("source_id", "row_no", "reason"))
-            for reject in report.rejects:
-                writer.writerow((reject.source_id, reject.row_no, reject.reason))
+        write_csv(rejects_path, ("source_id", "row_no", "reason"),
+                  ((r.source_id, r.row_no, r.reason) for r in report.rejects))
         _say(f"[ingest] {len(report.rejects)} rejected rows -> {rejects_path}")
         return 2
     rejects_path.unlink(missing_ok=True)
@@ -279,8 +272,7 @@ def cmd_report(config: PipelineConfig, args: argparse.Namespace) -> int:
         target = spec.output or "(stdout)"
         _say(f"[report] {spec.kind}: {len(table.rows)} rows -> {target}")
         if not spec.output:
-            _print_table(table, "csv" if spec.format == "csv" else "table",
-                         sys.stdout)
+            _print_table(table, spec.format, sys.stdout)
     return 0
 
 
@@ -375,13 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except INVARIANT_ERRORS as exc:
         _say(f"error: {exc}")
         return 3
-    except AnswerMismatch as exc:
-        _say(f"error: {exc}")
-        return 2
-    except JobcubeError as exc:
-        _say(f"error: {exc}")
-        return 2
-    except OSError as exc:
+    except (JobcubeError, OSError) as exc:
         _say(f"error: {exc}")
         return 2
     _say(f"[{args.command}] done in {time.perf_counter() - started:.2f}s")

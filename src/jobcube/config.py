@@ -182,14 +182,17 @@ def _parse_years(raw, where: str, default: tuple[int, int]) -> tuple[int, int]:
     raise ConfigError(f"{where}: expected {{from, to}} or 'A:B', got {raw!r}")
 
 
+def _integer(raw, where: str) -> int:
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected an integer") from None
+
+
 def _int_counts(raw, where: str) -> dict[str, int] | None:
     if raw is None:
         return None
-    raw = _as_mapping(raw, where)
-    try:
-        return {str(k): int(v) for k, v in raw.items()}
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: values must be integers") from None
+    return {str(k): _integer(v, f"{where}.{k}") for k, v in _as_mapping(raw, where).items()}
 
 
 def _build_gen(raw: Mapping, seed: int, years: tuple[int, int],
@@ -209,10 +212,7 @@ def _build_gen(raw: Mapping, seed: int, years: tuple[int, int],
     for name in ("sectors", "congresses_per_city", "districts_per_congress",
                  "specialties", "job_groups", "moahels"):
         if name in raw:
-            try:
-                kwargs[name] = int(raw[name])
-            except (TypeError, ValueError):
-                raise ConfigError(f"{where}.{name}: expected an integer") from None
+            kwargs[name] = _integer(raw[name], f"{where}.{name}")
     for name in ("education_levels", "services"):
         if name in raw:
             values = raw[name]
@@ -257,10 +257,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     raw = _as_mapping(_read_yaml(path), where)
     _check_keys(raw, _TOP_KEYS, where)
 
-    try:
-        seed = int(raw.get("seed", PipelineConfig.seed))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: seed must be an integer") from None
+    seed = _integer(raw.get("seed", PipelineConfig.seed), f"{where}.seed")
     years = _parse_years(raw.get("years"), f"{where}.years", (2000, 2006))
     gen = _build_gen(_as_mapping(raw.get("gen"), f"{where}.gen"), seed, years,
                      f"{where}.gen")
@@ -292,8 +289,9 @@ def load_config(path: str | Path) -> PipelineConfig:
         keep_rule=str(etl.get("keep_rule", "latest_application")),
         reports=_build_reports(raw.get("reports"), years, f"{where}.reports"),
         bench_queries=tuple(bench_queries),
-        bench_repetitions=int(bench.get("repetitions", 10)),
-        bench_warmup=int(bench.get("warmup", 2)),
+        bench_repetitions=_integer(bench.get("repetitions", 10),
+                                   f"{where}.bench.repetitions"),
+        bench_warmup=_integer(bench.get("warmup", 2), f"{where}.bench.warmup"),
         bench_output=str(bench.get("output", DEFAULT_BENCH_OUTPUT)),
         sources_file=path_or_none("sources_file"),
         hierarchy_file=path_or_none("hierarchy_file"),

@@ -10,11 +10,12 @@ labels; no operation reads it.
 
 Every operation is a numpy pass over those arrays. Roll-up remaps one axis
 through a parent-index array and regroups; slice and dice are boolean
-masks; aggregate masks, remaps and groups. Grouping counts densely with
-bincount when the key space is small next to the row count and sorts with
-np.unique otherwise, so memory follows the cell count, never the product of
-the axis sizes. Sums stay well below 2**53, so float64 bincount weights are
-exact.
+masks; aggregate masks, remaps and groups. Grouping goes through
+`warehouse.group_rows`, the kernel that also groups records into facts: it
+counts densely with bincount when the key space is small next to the row
+count and sorts with np.unique otherwise, so memory follows the cell count,
+never the product of the axis sizes. Sums stay well below 2**53, so float64
+bincount weights are exact.
 
 Cube objects are immutable: every operation returns a new cube and never
 mutates its input, so cubes are safe to share between readers.
@@ -37,7 +38,7 @@ from .errors import (
     UnresolvedDimensionValue,
 )
 from .records import DIMENSIONS
-from .warehouse import StarSchema
+from .warehouse import KEYS, StarSchema, group_rows
 
 MEASURES = ("total", "seekers", "directed")
 
@@ -47,10 +48,6 @@ LEVELS: dict[str, tuple[str, ...]] = {
     "time": ("quarter", "year"),
     "congress": ("congress", "city"),
 }
-
-# Grouping counts into a dense slot array only while the key space is at
-# most this many slots per grouped row; beyond that it sorts the keys.
-_DENSE_SLOTS_PER_ROW = 4
 
 
 def level_path(dimension: str) -> tuple[str, ...]:
@@ -123,8 +120,7 @@ class Cube:
 
 def build_cube(schema: StarSchema) -> Cube:
     """Base-grain cube: Time at quarter level, Address at congress level."""
-    table = np.array([f.key() + f.measures() for f in schema.facts],
-                     dtype=np.int64).reshape(-1, len(DIMENSIONS) + len(MEASURES)).T
+    table = schema.facts.T
     axes = []
     codes = np.empty((len(DIMENSIONS), table.shape[1]), dtype=np.int64)
     parents: dict[str, dict[str, str]] = {}
@@ -147,38 +143,8 @@ def build_cube(schema: StarSchema) -> Cube:
         elif dim == "congress":
             parents[dim] = {r.natural_key: r.attributes.get("city", r.natural_key)
                             for r in rows}
-    measures = np.ascontiguousarray(table[len(DIMENSIONS):])
+    measures = np.ascontiguousarray(table[KEYS:])
     return Cube(tuple(axes), codes, measures, parents)
-
-
-# ---------------------------------------------------------------------------
-# Grouping
-
-
-def _group(columns: list[np.ndarray], sizes: list[int],
-           weights: Iterable[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Group rows by their key columns (column i holds codes below sizes[i]).
-
-    Returns each distinct key's codes per column, in ascending key order, and
-    each weight column summed per key (float64, exact below 2**53). The
-    product of the sizes must fit in int64.
-    """
-    flat, slots = columns[0], sizes[0]
-    for col, size in zip(columns[1:], sizes[1:]):
-        flat = flat * size + col
-        slots *= size
-    if slots <= _DENSE_SLOTS_PER_ROW * len(flat):
-        keys = np.flatnonzero(np.bincount(flat, minlength=slots))
-        sums = [np.bincount(flat, weights=w, minlength=slots)[keys] for w in weights]
-    else:
-        keys, inverse = np.unique(flat, return_inverse=True)
-        sums = [np.bincount(inverse, weights=w, minlength=len(keys)) for w in weights]
-    key_columns = []
-    for size in reversed(sizes):
-        keys, pos = np.divmod(keys, size)
-        key_columns.append(pos)
-    key_columns.reverse()
-    return key_columns, sums
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +178,7 @@ def rollup(cube: Cube, dimension: str, to_level: str) -> Cube:
     columns[idx] = up[columns[idx]]
     axes = (cube.axes[:idx] + (CubeAxis(dimension, to_level, members),)
             + cube.axes[idx + 1:])
-    key_columns, sums = _group(columns, [len(a.members) for a in axes], cube.measures)
+    key_columns, sums = group_rows(columns, [len(a.members) for a in axes], cube.measures)
     return Cube(axes, np.array(key_columns), np.array(sums).astype(np.int64),
                 _without(cube.parents, dimension))
 
@@ -366,7 +332,7 @@ def aggregate(cube: Cube, query: AggregateQuery) -> ResultTable:
         codes = cube.codes[idx][keep] if filters else cube.codes[idx]
         key_columns.append(member_to_group[codes])
         group_labels.append(distinct)
-    groups, (sums,) = _group(key_columns, [len(g) for g in group_labels], [values])
+    groups, (sums,) = group_rows(key_columns, [len(g) for g in group_labels], [values])
     label_columns = [[distinct[i] for i in col.tolist()]
                      for distinct, col in zip(group_labels, groups)]
     return ResultTable(columns, tuple(zip(*label_columns, sums.astype(np.int64).tolist())))

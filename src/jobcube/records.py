@@ -9,8 +9,10 @@ single typed exception because time ordering drives deduplication.
 from __future__ import annotations
 
 import csv
+import io
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .errors import MalformedCsv
 
@@ -99,24 +101,40 @@ def project(record: CanonicalApplicant, keep: frozenset[str] | set[str]) -> Cano
          for name, value in zip(ALL_FIELDS, record)])
 
 
-def write_records_csv(records: Iterable[CanonicalApplicant], path: str | Path) -> int:
-    """Write records as CSV (LF, header row). Returns the row count.
+def write_csv(target: str | Path | TextIO, header: Sequence,
+              rows: Iterable[Sequence]) -> int:
+    """Write a header row and rows as CSV with LF line ends. Returns the row
+    count (header excluded). target is a path or an open text stream.
 
     A writer ending lines in LF leaves a bare CR unquoted, and a reader then
-    splits the row there, so a record holding a CR is written fully quoted.
+    splits the row there, so a row holding a CR is written fully quoted and
+    every other row with minimal quoting. Rows are formatted 4096 at a time,
+    and only a chunk whose text holds a CR is written row by row.
     """
-    n = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        writer.writerow(ALL_FIELDS)
-        for r in records:
-            if "\r" in "".join(r[:_YEAR]) or "\r" in "".join(r[_YEAR + 1:]):
-                quote_all.writerow(r)
-            else:
-                writer.writerow(r)
-            n += 1
-    return n
+    if isinstance(target, (str, Path)):
+        with open(target, "w", newline="", encoding="utf-8") as fh:
+            return write_csv(fh, header, rows)
+    plain = csv.writer(target, lineterminator="\n")
+    quote_all = csv.writer(target, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    rows = iter(rows)
+    written, chunk = -1, [header]
+    while chunk:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(chunk)
+        if "\r" not in buf.getvalue():
+            target.write(buf.getvalue())
+        else:
+            for row in chunk:
+                cr = any(isinstance(v, str) and "\r" in v for v in row)
+                (quote_all if cr else plain).writerow(row)
+        written += len(chunk)
+        chunk = list(islice(rows, 4096))
+    return written
+
+
+def write_records_csv(records: Iterable[CanonicalApplicant], path: str | Path) -> int:
+    """Write records as CSV (LF, header row). Returns the row count."""
+    return write_csv(path, ALL_FIELDS, records)
 
 
 def read_records_csv(path: str | Path) -> list[CanonicalApplicant]:

@@ -8,13 +8,13 @@ run to run.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from .cube import AggregateQuery, Cube, ResultTable, aggregate
 from .errors import ConfigError
+from .records import write_csv
 
 REPORT_KINDS = ("seekers_by_sector", "seekers_vs_directed",
                 "edu_level_counts", "service_counts", "custom")
@@ -84,10 +84,7 @@ def write_result(table: ResultTable, path: str | Path, format: str = "csv") -> P
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(table.columns)
-            writer.writerows(table.rows)
+        write_csv(path, table.columns, table.rows)
     elif format == "table":
         path.write_text(render_text_table(table) + "\n", encoding="utf-8")
     else:

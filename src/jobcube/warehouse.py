@@ -1,5 +1,9 @@
 """Star schema: six dimension tables, one fact table of additive counts.
 
+The fact table is one read-only (rows, 9) int64 array in FACT_COLUMNS order,
+rows in ascending id order. load_facts groups records into it with
+`group_rows`, the kernel the cube's roll-up and aggregate also use.
+
 Surrogate ids are dense (1..N) and assigned in sorted natural-key order, so a
 rebuild from the same records is bit-identical. A refresh keeps existing ids
 stable and appends fresh ones, so after a refresh two warehouses can be
@@ -16,8 +20,12 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     CorruptManifest,
@@ -27,6 +35,7 @@ from .errors import (
 )
 from .preprocess import ConceptHierarchy
 from .records import (
+    DIMENSION_FIELDS,
     DIMENSIONS,
     QUARTERS,
     STATUS_DIRECTED,
@@ -34,6 +43,7 @@ from .records import (
     CanonicalApplicant,
     dimension_value,
     time_key,
+    write_csv,
 )
 
 DISPLAY_NAMES = {
@@ -50,6 +60,11 @@ MANIFEST_FILE = "manifest.txt"
 FACT_COLUMNS = ("city_id", "sector_id", "edulevel_id", "cong_id", "service_id",
                 "time_id", "total_applicants", "num_seekers", "num_directed")
 ATTR_COLUMNS = {"time": ("year", "quarter"), "congress": ("city",)}
+KEYS = len(DIMENSIONS)          # fact columns before the three measures
+
+# Grouping counts into a dense slot array only while the key space is at
+# most this many slots per grouped row; beyond that it sorts the keys.
+_DENSE_SLOTS_PER_ROW = 4
 
 
 @dataclass(frozen=True)
@@ -71,31 +86,14 @@ class DimensionTable:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class FactRow:
-    city_id: int
-    sector_id: int
-    edulevel_id: int
-    cong_id: int
-    service_id: int
-    time_id: int
-    total_applicants: int
-    num_seekers: int
-    num_directed: int
-
-    def key(self) -> tuple[int, int, int, int, int, int]:
-        return (self.city_id, self.sector_id, self.edulevel_id,
-                self.cong_id, self.service_id, self.time_id)
-
-    def measures(self) -> tuple[int, int, int]:
-        return (self.total_applicants, self.num_seekers, self.num_directed)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StarSchema:
     dimensions: dict[str, DimensionTable]   # keyed by short dimension name
-    facts: tuple[FactRow, ...]
+    facts: np.ndarray                       # (rows, 9) int64, FACT_COLUMNS order
     meta: dict[str, str]
+
+    def __post_init__(self) -> None:        # shared between readers
+        self.facts.flags.writeable = False
 
     def year_range(self) -> tuple[int, int]:
         lo, hi = self.meta["year_range"].split(":")
@@ -112,7 +110,22 @@ def _congress_parent(hierarchy: ConceptHierarchy | None, value: str) -> str:
     return value
 
 
-def build_dimensions(records: Iterable[CanonicalApplicant],
+def _observed(records: Sequence[CanonicalApplicant]) -> dict[str, set[str]]:
+    """Distinct record values per dimension other than time."""
+    return {dim: set(map(attrgetter(name), records)) for dim, name in DIMENSION_FIELDS.items()}
+
+
+def _appended(rows: tuple[DimensionRow, ...], values: set[str], dim: str,
+              hierarchy: ConceptHierarchy | None) -> tuple[DimensionRow, ...]:
+    """rows plus one row per value they lack, in sorted order, ids following on."""
+    known = {r.natural_key for r in rows}
+    return rows + tuple(
+        DimensionRow(len(rows) + i, key,
+                     {"city": _congress_parent(hierarchy, key)} if dim == "congress" else {})
+        for i, key in enumerate(sorted(values - known), 1))
+
+
+def build_dimensions(records: Sequence[CanonicalApplicant],
                      year_range: tuple[int, int],
                      hierarchy: ConceptHierarchy | None = None,
                      ) -> dict[str, DimensionTable]:
@@ -124,75 +137,90 @@ def build_dimensions(records: Iterable[CanonicalApplicant],
     year_from, year_to = year_range
     if year_from > year_to:
         raise EmptyYearRange(f"year range {year_from}:{year_to} is empty")
-
-    observed: dict[str, set[str]] = {d: set() for d in DIMENSIONS if d != "time"}
-    for r in records:
-        for dim in observed:
-            observed[dim].add(dimension_value(r, dim))
-
-    dims: dict[str, DimensionTable] = {}
-    for dim in DIMENSIONS:
-        if dim == "time":
-            rows = tuple(
-                DimensionRow(i + 1, time_key(year, q),
-                             {"year": str(year), "quarter": q})
-                for i, (year, q) in enumerate(
-                    (y, q) for y in range(year_from, year_to + 1) for q in QUARTERS))
-        elif dim == "congress":
-            rows = tuple(
-                DimensionRow(i + 1, key, {"city": _congress_parent(hierarchy, key)})
-                for i, key in enumerate(sorted(observed[dim])))
-        else:
-            rows = tuple(DimensionRow(i + 1, key)
-                         for i, key in enumerate(sorted(observed[dim])))
-        dims[dim] = DimensionTable(DISPLAY_NAMES[dim], rows)
+    dims = {dim: DimensionTable(DISPLAY_NAMES[dim], _appended((), values, dim, hierarchy))
+            for dim, values in _observed(records).items()}
+    quarters = [(y, q) for y in range(year_from, year_to + 1) for q in QUARTERS]
+    dims["time"] = DimensionTable(DISPLAY_NAMES["time"], tuple(
+        DimensionRow(i, time_key(y, q), {"year": str(y), "quarter": q})
+        for i, (y, q) in enumerate(quarters, 1)))
     return dims
 
 
-def load_facts(records: Iterable[CanonicalApplicant],
-               dims: Mapping[str, DimensionTable]) -> tuple[FactRow, ...]:
-    """Group records at the six-key grain and count the three measures."""
-    id_maps = {dim: dims[dim].id_map() for dim in DIMENSIONS}
-    cells: dict[tuple[int, ...], list[int]] = {}
-    for r in records:
-        key_ids = []
-        for dim in DIMENSIONS:
-            value = dimension_value(r, dim)
-            sid = id_maps[dim].get(value)
-            if sid is None:
+def group_rows(columns: list[np.ndarray], sizes: list[int],
+               weights: Iterable[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Group rows by their key columns (column i holds codes below sizes[i]).
+
+    Returns each distinct key's codes per column, in ascending key order, and
+    each weight column summed per key (float64, exact below 2**53). The
+    product of the sizes must fit in int64.
+    """
+    flat, slots = columns[0], sizes[0]
+    for col, size in zip(columns[1:], sizes[1:]):
+        flat = flat * size + col
+        slots *= size
+    if slots <= _DENSE_SLOTS_PER_ROW * len(flat):
+        keys = np.flatnonzero(np.bincount(flat, minlength=slots))
+        sums = [np.bincount(flat, weights=w, minlength=slots)[keys] for w in weights]
+    else:
+        keys, inverse = np.unique(flat, return_inverse=True)
+        sums = [np.bincount(inverse, weights=w, minlength=len(keys)) for w in weights]
+    key_columns = []
+    for size in reversed(sizes):
+        keys, pos = np.divmod(keys, size)
+        key_columns.append(pos)
+    key_columns.reverse()
+    return key_columns, sums
+
+
+def load_facts(records: Sequence[CanonicalApplicant],
+               dims: Mapping[str, DimensionTable]) -> np.ndarray:
+    """Group records at the six-key grain and count the three measures.
+
+    Returns the (rows, 9) int64 fact array. The first record holding a value
+    outside its dimension, or a status neither seeker nor directed, raises.
+    """
+    n = len(records)
+    columns, ids = [], []
+    for dim in DIMENSIONS:
+        # group on each id's rank among the sorted ids; -1: not a member
+        rows = sorted(dims[dim].rows, key=attrgetter("surrogate_id"))
+        rank = {r.natural_key: i for i, r in enumerate(rows)}
+        values = (map(time_key, map(attrgetter("year"), records),
+                      map(attrgetter("quarter"), records)) if dim == "time"
+                  else map(attrgetter(DIMENSION_FIELDS[dim]), records))
+        columns.append(np.fromiter(map(rank.get, values, repeat(-1)), np.int64, n))
+        ids.append(np.array([r.surrogate_id for r in rows], dtype=np.int64))
+    status = [r.status for r in records]
+    weights = [np.fromiter(map(s.__eq__, status), bool, n)
+               for s in (STATUS_SEEKER, STATUS_DIRECTED)]
+
+    bad = np.flatnonzero((np.array(columns) < 0).any(axis=0) | ~(weights[0] | weights[1]))
+    if bad.size:
+        r = records[bad[0]]
+        for dim, column in zip(DIMENSIONS, columns):
+            if column[bad[0]] < 0:
                 raise UnresolvedDimensionValue(
-                    f"{dims[dim].name}: value {value!r} not in dimension")
-            key_ids.append(sid)
-        if r.status == STATUS_SEEKER:
-            s, d = 1, 0
-        elif r.status == STATUS_DIRECTED:
-            s, d = 0, 1
-        else:
-            raise InvalidFieldValue(f"record {r.national_id!r}: bad status {r.status!r}")
-        cell = cells.setdefault(tuple(key_ids), [0, 0, 0])
-        cell[0] += 1
-        cell[1] += s
-        cell[2] += d
-    return tuple(FactRow(*key, *cells[key]) for key in sorted(cells))
+                    f"{dims[dim].name}: value {dimension_value(r, dim)!r} not in dimension")
+        raise InvalidFieldValue(f"record {r.national_id!r}: bad status {r.status!r}")
+
+    key_columns, sums = group_rows(columns, [len(i) for i in ids], weights)
+    seekers, directed = np.array(sums, dtype=np.int64)
+    return np.column_stack([*(i[k] for i, k in zip(ids, key_columns)),
+                            seekers + directed, seekers, directed])
 
 
-def _content_stamp(dims: Mapping[str, DimensionTable], facts: Sequence[FactRow],
-                   meta_core: Mapping[str, str]) -> str:
+def _stamped(dims: dict[str, DimensionTable], facts: np.ndarray,
+             meta_core: dict[str, str]) -> StarSchema:
+    """The schema with its meta completed by a load stamp hashed from content."""
     h = hashlib.sha256()
     for dim in DIMENSIONS:
         for row in dims[dim].rows:
             h.update(repr((dim, row.surrogate_id, row.natural_key,
                            sorted(row.attributes.items()))).encode())
-    for f in facts:
-        h.update(repr((f.key(), f.measures())).encode())
+    for row in facts.tolist():
+        h.update(repr((tuple(row[:KEYS]), tuple(row[KEYS:]))).encode())
     h.update(repr(sorted(meta_core.items())).encode())
-    return "content:" + h.hexdigest()[:16]
-
-
-def _finish_meta(dims, facts, meta_core: dict[str, str]) -> dict[str, str]:
-    meta = dict(meta_core)
-    meta["loaded"] = _content_stamp(dims, facts, meta_core)
-    return meta
+    return StarSchema(dims, facts, {**meta_core, "loaded": "content:" + h.hexdigest()[:16]})
 
 
 def build_schema(records: Sequence[CanonicalApplicant],
@@ -200,14 +228,11 @@ def build_schema(records: Sequence[CanonicalApplicant],
                  hierarchy: ConceptHierarchy | None = None,
                  source_note: str = "") -> StarSchema:
     dims = build_dimensions(records, year_range, hierarchy)
-    facts = load_facts(records, dims)
-    meta_core = {
-        "year_range": f"{year_range[0]}:{year_range[1]}",
-        "records": str(len(records)),
-    }
+    meta_core = {"year_range": f"{year_range[0]}:{year_range[1]}",
+                 "records": str(len(records))}
     if source_note:
         meta_core["sources"] = source_note
-    return StarSchema(dims, facts, _finish_meta(dims, facts, meta_core))
+    return _stamped(dims, load_facts(records, dims), meta_core)
 
 
 def refresh(schema: StarSchema, full_records: Sequence[CanonicalApplicant],
@@ -218,39 +243,17 @@ def refresh(schema: StarSchema, full_records: Sequence[CanonicalApplicant],
     appended after the current maximum. Fact cells are regrouped from scratch,
     which makes refresh(load(A), A∪B) logically equal to load(A∪B).
     """
-    year_range = schema.year_range()
-    observed: dict[str, set[str]] = {d: set() for d in DIMENSIONS if d != "time"}
-    for r in full_records:
-        for dim in observed:
-            observed[dim].add(dimension_value(r, dim))
-
-    dims: dict[str, DimensionTable] = {"time": schema.dimensions["time"]}
-    for dim, values in observed.items():
+    dims = {"time": schema.dimensions["time"]}
+    for dim, values in _observed(full_records).items():
         old = schema.dimensions[dim]
-        known = set(r.natural_key for r in old.rows)
-        new_rows = list(old.rows)
-        next_id = len(old.rows) + 1
-        for key in sorted(values - known):
-            attrs = {"city": _congress_parent(hierarchy, key)} if dim == "congress" else {}
-            new_rows.append(DimensionRow(next_id, key, attrs))
-            next_id += 1
-        dims[dim] = DimensionTable(old.name, tuple(new_rows))
-
-    facts = load_facts(full_records, dims)
+        dims[dim] = DimensionTable(old.name, _appended(old.rows, values, dim, hierarchy))
     meta_core = {k: v for k, v in schema.meta.items() if k != "loaded"}
     meta_core["records"] = str(len(full_records))
-    return StarSchema(dims, facts, _finish_meta(dims, facts, meta_core))
+    return _stamped(dims, load_facts(full_records, dims), meta_core)
 
 
 # ---------------------------------------------------------------------------
 # Persistence
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _sha256(path: Path) -> str:
@@ -266,17 +269,15 @@ def persist(schema: StarSchema, path: str | Path) -> Path:
         table = schema.dimensions[dim]
         attr_cols = ATTR_COLUMNS.get(dim, ())
         fpath = out / DIM_FILES[dim]
-        _write_csv(fpath, ("id", "key", *attr_cols),
-                   ((r.surrogate_id, r.natural_key,
-                     *(r.attributes.get(a, "") for a in attr_cols))
-                    for r in table.rows))
+        write_csv(fpath, ("id", "key", *attr_cols),
+                  ((r.surrogate_id, r.natural_key,
+                    *(r.attributes.get(a, "") for a in attr_cols))
+                   for r in table.rows))
         table_lines.append(
             f"table={DIM_FILES[dim][:-4]} rows={len(table.rows)} sha256={_sha256(fpath)}")
     fact_path = out / FACT_FILE
-    _write_csv(fact_path, FACT_COLUMNS,
-               ((*f.key(), *f.measures()) for f in schema.facts))
-    table_lines.append(
-        f"table=fact rows={len(schema.facts)} sha256={_sha256(fact_path)}")
+    write_csv(fact_path, FACT_COLUMNS, schema.facts.tolist())
+    table_lines.append(f"table=fact rows={len(schema.facts)} sha256={_sha256(fact_path)}")
 
     lines = table_lines + [f"{k}={schema.meta[k]}" for k in sorted(schema.meta)]
     manifest = out / MANIFEST_FILE
@@ -284,29 +285,44 @@ def persist(schema: StarSchema, path: str | Path) -> Path:
     return manifest
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise CorruptManifest(f"{path.name}: empty table file")
-    return rows[0], rows[1:]
+def _bad_row(fname: str, rows: list[list[str]], width: int, ints: int) -> CorruptManifest:
+    """The error naming the first row of the wrong width or a non-int64 id."""
+    for row_no, row in enumerate(rows, 1):
+        if len(row) != width:
+            return CorruptManifest(
+                f"{fname}: row {row_no}: {len(row)} columns, expected {width}")
+        try:
+            np.array(row[:ints], dtype=np.int64)
+        except (ValueError, OverflowError):
+            return CorruptManifest(f"{fname}: row {row_no}: not integers: {row[:ints]}")
+    return CorruptManifest(f"{fname}: not a table of integers")
 
 
 def load_schema(path: str | Path) -> StarSchema:
-    """Read a warehouse directory back, verifying checksums and row counts."""
+    """Read a warehouse directory back, verifying checksums and row counts.
+
+    Fails closed: anything unreadable, tampered or malformed raises
+    CorruptManifest naming the file, and the row where there is one.
+    """
     base = Path(path)
     manifest = base / MANIFEST_FILE
     if not manifest.is_file():
         raise CorruptManifest(f"missing {MANIFEST_FILE} in {base}")
+    try:
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise CorruptManifest(f"{MANIFEST_FILE}: not UTF-8") from None
     tables: dict[str, tuple[int, str]] = {}
     meta: dict[str, str] = {}
-    for line in manifest.read_text(encoding="utf-8").splitlines():
+    for line in lines:
         if not line.strip():
             continue
         if line.startswith("table="):
-            parts = dict(p.split("=", 1) for p in line.split())
-            tables[parts["table"]] = (int(parts["rows"]), parts["sha256"])
+            parts = dict(p.partition("=")[::2] for p in line.split())
+            try:
+                tables[parts["table"]] = (int(parts["rows"]), parts["sha256"])
+            except (KeyError, ValueError):
+                raise CorruptManifest(f"{MANIFEST_FILE}: bad table line {line!r}") from None
         else:
             k, _, v = line.partition("=")
             meta[k] = v
@@ -323,27 +339,47 @@ def load_schema(path: str | Path) -> StarSchema:
         want_rows, want_sha = tables[name]
         if _sha256(fpath) != want_sha:
             raise CorruptManifest(f"{fpath.name}: checksum mismatch")
-        header, rows = _read_csv(fpath)
+        try:
+            with open(fpath, "r", newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise CorruptManifest(f"{fpath.name}: not a CSV table ({exc})") from None
+        if not rows:
+            raise CorruptManifest(f"{fpath.name}: empty table file")
+        header, rows = rows[0], rows[1:]
         if len(rows) != want_rows:
             raise CorruptManifest(f"{fpath.name}: {len(rows)} rows, manifest says {want_rows}")
         return header, rows
 
     dims: dict[str, DimensionTable] = {}
     for dim in DIMENSIONS:
-        header, rows = checked(DIM_FILES[dim][:-4])
+        fname = DIM_FILES[dim]
+        header, rows = checked(fname[:-4])
         attr_cols = tuple(header[2:])
         if attr_cols != ATTR_COLUMNS.get(dim, ()):
-            raise CorruptManifest(f"{DIM_FILES[dim]}: unexpected columns {header}")
-        dims[dim] = DimensionTable(
-            DISPLAY_NAMES[dim],
-            tuple(DimensionRow(int(r[0]), r[1], dict(zip(attr_cols, r[2:])))
-                  for r in rows))
+            raise CorruptManifest(f"{fname}: unexpected columns {header}")
+        try:
+            table_rows = tuple(DimensionRow(int(r[0]), r[1], dict(zip(attr_cols, r[2:])))
+                               for r in rows if len(r) == len(header))
+        except ValueError:
+            table_rows = ()
+        if len(table_rows) != len(rows):
+            raise _bad_row(fname, rows, len(header), 1)
+        dims[dim] = DimensionTable(DISPLAY_NAMES[dim], table_rows)
 
     header, rows = checked("fact")
     if tuple(header) != FACT_COLUMNS:
         raise CorruptManifest(f"{FACT_FILE}: unexpected columns {header}")
-    facts = tuple(FactRow(*(int(v) for v in r)) for r in rows)
-    return StarSchema(dims, facts, meta)
+    try:
+        facts = np.array(rows, dtype=np.int64).reshape(len(rows), len(header))
+    except (ValueError, OverflowError):
+        raise _bad_row(FACT_FILE, rows, len(header), len(header)) from None
+    schema = StarSchema(dims, facts, meta)
+    try:
+        schema.year_range(), int(meta.get("records", 0))
+    except (KeyError, ValueError):
+        raise CorruptManifest(f"{MANIFEST_FILE}: bad year_range or records entry") from None
+    return schema
 
 
 # ---------------------------------------------------------------------------
@@ -367,23 +403,27 @@ def check_integrity(schema: StarSchema) -> list[str]:
         problems.append(
             f"Time: {len(schema.dimensions['time'])} rows, want {want_time}")
 
-    sizes = {dim: len(schema.dimensions[dim]) for dim in DIMENSIONS}
-    seen_keys: set[tuple[int, ...]] = set()
-    for f in schema.facts:
-        for dim, sid in zip(DIMENSIONS, f.key()):
-            if not 1 <= sid <= sizes[dim]:
-                problems.append(f"fact {f.key()}: dangling {dim} id {sid}")
-        if f.key() in seen_keys:
-            problems.append(f"fact {f.key()}: duplicate key tuple")
-        seen_keys.add(f.key())
-        if min(f.measures()) < 0:
-            problems.append(f"fact {f.key()}: negative measure")
-        if f.total_applicants != f.num_seekers + f.num_directed:
-            problems.append(
-                f"fact {f.key()}: total {f.total_applicants} != "
-                f"{f.num_seekers} + {f.num_directed}")
+    keys, measures = schema.facts[:, :KEYS], schema.facts[:, KEYS:]
+    sizes = np.array([len(schema.dimensions[dim]) for dim in DIMENSIONS])
+    dangling = (keys < 1) | (keys > sizes)
+    duplicate = np.ones(len(keys), dtype=bool)
+    duplicate[np.unique(keys, axis=0, return_index=True)[1]] = False
+    negative = (measures < 0).any(axis=1)
+    unbalanced = measures[:, 0] != measures[:, 1] + measures[:, 2]
+    for i in np.flatnonzero(dangling.any(axis=1) | duplicate | negative | unbalanced):
+        key = tuple(keys[i].tolist())
+        for dim, sid, bad in zip(DIMENSIONS, key, dangling[i]):
+            if bad:
+                problems.append(f"fact {key}: dangling {dim} id {sid}")
+        if duplicate[i]:
+            problems.append(f"fact {key}: duplicate key tuple")
+        if negative[i]:
+            problems.append(f"fact {key}: negative measure")
+        if unbalanced[i]:
+            total, seekers, directed = measures[i].tolist()
+            problems.append(f"fact {key}: total {total} != {seekers} + {directed}")
     if "records" in schema.meta:
-        total = sum(f.total_applicants for f in schema.facts)
+        total = int(measures[:, 0].sum())
         if total != int(schema.meta["records"]):
             problems.append(
                 f"fact totals sum to {total}, manifest records={schema.meta['records']}")
@@ -394,10 +434,8 @@ def fact_index(schema: StarSchema) -> dict[tuple[str, ...], tuple[int, int, int]
     """Facts re-keyed by natural keys, for id-independent comparison."""
     keys = {dim: {r.surrogate_id: r.natural_key for r in schema.dimensions[dim].rows}
             for dim in DIMENSIONS}
-    return {
-        tuple(keys[dim][sid] for dim, sid in zip(DIMENSIONS, f.key())): f.measures()
-        for f in schema.facts
-    }
+    return {tuple(keys[dim][sid] for dim, sid in zip(DIMENSIONS, row[:KEYS])):
+            tuple(row[KEYS:]) for row in schema.facts.tolist()}
 
 
 def logically_equal(a: StarSchema, b: StarSchema) -> bool:

@@ -1,6 +1,9 @@
 """Subcommand driver: stage wiring, exit codes, quarantine files."""
 
 import csv
+import hashlib
+import re
+import shutil
 import subprocess
 import sys
 
@@ -55,6 +58,49 @@ RECORD_CSV_TAMPERS = [
                  id="bad_year"),
     pytest.param(0, lambda row: row[1:] + row[:1], "line 1: unexpected record columns",
                  id="wrong_header"),
+]
+
+
+def retamper(warehouse, name, edit) -> None:
+    """Rewrite a warehouse file through edit(text) and, for a table file,
+    give the manifest its new checksum, so only the content is wrong."""
+    path = warehouse / name
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    if name == "manifest.txt":
+        return
+    manifest = warehouse / "manifest.txt"
+    table = name[:-4]
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest.write_text("".join(
+        re.sub(r"sha256=\w+", f"sha256={digest}", line)
+        if line.startswith(f"table={table} ") else line
+        for line in manifest.read_text(encoding="utf-8").splitlines(keepends=True)),
+        encoding="utf-8")
+
+
+def replace_line(index, edit):
+    """An edit(text) applying edit(line) to one line (0 is the header)."""
+    def apply(text):
+        lines = text.split("\n")
+        lines[index] = edit(lines[index])
+        return "\n".join(lines)
+    return apply
+
+
+# (file, edit of its text, what the error must say after "error: ")
+WAREHOUSE_TAMPERS = [
+    pytest.param("fact.csv", replace_line(2, lambda line: line[:-1] + "x"),
+                 "fact.csv: row 2: not integers", id="non_integer_fact"),
+    pytest.param("fact.csv", replace_line(3, lambda line: line.rsplit(",", 1)[0]),
+                 "fact.csv: row 3: 8 columns, expected 9", id="8_column_fact"),
+    pytest.param("dim_sector.csv", replace_line(1, lambda line: "one" + line[1:]),
+                 "dim_sector.csv: row 1: not integers", id="non_integer_dim_id"),
+    pytest.param("manifest.txt",
+                 lambda text: re.sub(r"(table=fact) rows=\d+", r"\1 rows=x9", text),
+                 "manifest.txt: bad table line 'table=fact rows=x9", id="rows_not_integer"),
+    pytest.param("manifest.txt", lambda text: re.sub(r"(table=fact rows=\d+) sha256=\w+",
+                                                     r"\1", text),
+                 "manifest.txt: bad table line 'table=fact rows=", id="no_sha256"),
 ]
 
 
@@ -223,6 +269,25 @@ class TestExitCodes:
         capsys.readouterr()
         assert main([command, "-c", cfg]) == 2
         assert f"error: {clean}: line 3: bad year '20x3'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, edit, reason", WAREHOUSE_TAMPERS)
+    def test_malformed_warehouse_fails_closed(self, pipeline, tmp_path, capsys, name,
+                                              edit, reason):
+        built, _ = pipeline
+        warehouse = tmp_path / "warehouse"
+        shutil.copytree(built / "warehouse", warehouse)
+        retamper(warehouse, name, edit)
+        cfg = write_config(tmp_path)
+        for command in ("validate", "query"):
+            capsys.readouterr()
+            assert main([command, "-c", cfg]) == 3, command
+            assert f"error: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["repetitions", "warmup"])
+    def test_non_integer_bench_setting(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, bench={key: "abc"})
+        assert main(["validate", "-c", cfg]) == 1
+        assert f"bench.{key}: expected an integer" in capsys.readouterr().err
 
     def test_query_unknown_member_is_usage_error(self, pipeline):
         _, cfg = pipeline

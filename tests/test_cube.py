@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jobcube import cube as cube_module
+from jobcube import warehouse as warehouse_module
 from jobcube.cube import (
     MEASURES,
     AggregateQuery,
@@ -416,7 +416,7 @@ class TestGroupingStrategies:
     @pytest.mark.parametrize("slots_per_row", [0, 10 ** 9])
     def test_both_strategies_agree_with_oracle(self, fixture, monkeypatch, slots_per_row):
         # 0 forces the sort for every grouping, 10**9 the dense count
-        monkeypatch.setattr(cube_module, "_DENSE_SLOTS_PER_ROW", slots_per_row)
+        monkeypatch.setattr(warehouse_module, "_DENSE_SLOTS_PER_ROW", slots_per_row)
         records, cube, cities = fixture
         assert_matches_records(rollup(cube, "time", "year"), records, cities)
         assert_matches_records(rollup(cube, "congress", "city"), records, cities)

@@ -1,5 +1,8 @@
 """Record CSV files: what write_records_csv writes, read_records_csv reads back."""
 
+import csv
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from jobcube.records import (
     ALL_FIELDS,
     CanonicalApplicant,
     read_records_csv,
+    write_csv,
     write_records_csv,
 )
 
@@ -44,3 +48,23 @@ def test_non_utf8_bytes_fail_closed(tmp_path):
     path.write_bytes(",".join(ALL_FIELDS).encode("ascii") + b"\n\xff\n")
     with pytest.raises(MalformedCsv, match="staging.csv: not UTF-8"):
         read_records_csv(path)
+
+
+def test_write_csv_quotes_only_rows_holding_a_cr(tmp_path):
+    # more rows than one formatting chunk, the CR row in the second chunk
+    rows = [(f"r{i}", i) for i in range(5000)]
+    rows[4500] = ("A\rB", 4500)
+    path = tmp_path / "table.csv"
+    assert write_csv(path, ("label", "n"), rows) == 5000
+    data = path.read_bytes()
+    assert data.startswith(b"label,n\nr0,0\nr1,1\n")
+    assert b'\nr4499,4499\n"A\rB","4500"\nr4501,4501\n' in data
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["label", "n"]] + [[a, str(b)] for a, b in rows]
+
+
+def test_write_csv_to_a_stream():
+    stream = io.StringIO()
+    assert write_csv(stream, ("a", "b"), []) == 0
+    assert write_csv(stream, ("a", "b"), iter([("x,y", 1)])) == 1
+    assert stream.getvalue() == 'a,b\na,b\n"x,y",1\n'

@@ -1,5 +1,7 @@
 """Decision-support report shapes and serialization."""
 
+import csv
+
 import pytest
 
 from jobcube.cube import AggregateQuery, ResultTable, aggregate, build_cube
@@ -136,3 +138,10 @@ class TestSerialization:
         run_report(cube, ReportSpec("seekers_by_sector", 2000, 2006,
                                     output=str(out)))
         assert out.read_text(encoding="utf-8").startswith("sector,seekers\n")
+
+
+def test_carriage_return_label_reads_back_as_one_row(tmp_path):
+    table = ResultTable(("sector", "seekers"), (("A\rB", 1), ("C", 2)))
+    path = write_result(table, tmp_path / "report.csv")
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["sector", "seekers"], ["A\rB", "1"], ["C", "2"]]

@@ -1,8 +1,10 @@
 """Star schema: dimension building, fact loading, persistence, refresh."""
 
+import hashlib
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from jobcube.errors import (
@@ -11,12 +13,11 @@ from jobcube.errors import (
     InvalidFieldValue,
     UnresolvedDimensionValue,
 )
-from jobcube.records import CanonicalApplicant, derive_status
+from jobcube.records import DIMENSIONS, CanonicalApplicant, derive_status
 from jobcube.warehouse import (
     DIM_FILES,
     DimensionRow,
     DimensionTable,
-    FactRow,
     StarSchema,
     build_dimensions,
     build_schema,
@@ -32,6 +33,18 @@ from jobcube.warehouse import (
 from oracle import make_hierarchy, random_clean_records
 
 YEARS = (2000, 2006)
+
+# sha256 of every file `persist` writes for the module's schema fixture
+PINNED_SHA256 = {
+    "dim_city.csv": "35104bfce7a2a82cffee1dd58ddd297dae118332291855fb9a828d5e46ce66ac",
+    "dim_congress.csv": "9adea70e05cde71a4bccdd8098f6c13119a338a04fb9f19278df875200dcbfd4",
+    "dim_edulevel.csv": "b88abe3ff1dfd5e7be1c7e453c4d457b93f94c9add77e8e89dc3dfc01b037394",
+    "dim_sector.csv": "f2754f2196784886d2171c379d94f71bb8fd701d1407d2f47cbd7adf242cfd51",
+    "dim_service.csv": "7dbf18f0aa70e29c7906e1bee45a8d29bc98c485f87c7a3f1112ca85a652c313",
+    "dim_time.csv": "65115512dd6188ddd4c1eda7ad08b93f2448b46dcd25c57a2e50abf3bd254928",
+    "fact.csv": "52e155bd163ed3fcece8ad396f5d18f38ce65e7a2eea4bf0c2c5882e752aeea2",
+    "manifest.txt": "681c52aa083ba4ddceebbff55aef546d1baffc9e2e3d5855c99d1d6189642da6",
+}
 
 
 @pytest.fixture(scope="module")
@@ -83,13 +96,18 @@ class TestDimensions:
 
 
 class TestFacts:
+    def test_one_read_only_int64_array(self, schema):
+        assert schema.facts.dtype == np.int64
+        assert schema.facts.shape == (len(schema.facts), 9)
+        assert not schema.facts.flags.writeable
+
     def test_grain_and_conservation(self, schema):
         records = random_clean_records(1, 2000)
-        keys = [f.key() for f in schema.facts]
+        keys = [tuple(row[:6]) for row in schema.facts.tolist()]
         assert len(keys) == len(set(keys))
-        assert sum(f.total_applicants for f in schema.facts) == len(records)
-        for f in schema.facts:
-            assert f.total_applicants == f.num_seekers + f.num_directed
+        assert sum(schema.facts[:, 6].tolist()) == len(records)
+        for total, seekers, directed in schema.facts[:, 6:].tolist():
+            assert total == seekers + directed
 
     def test_fact_reflects_records(self, schema):
         records = random_clean_records(1, 2000)
@@ -150,6 +168,22 @@ class TestPersistence:
                                make_hierarchy())
         assert rebuilt.meta["loaded"] == schema.meta["loaded"]
 
+    def test_pinned_bytes(self, tmp_path, schema):
+        persist(schema, tmp_path / "w")
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (tmp_path / "w").iterdir()}
+        assert digests == PINNED_SHA256
+
+    def test_carriage_return_label_round_trips(self, tmp_path):
+        records = random_clean_records(5, 200)
+        records[0] = records[0]._replace(sector="SEC\rX", status="directed")
+        schema = build_schema(records, YEARS, make_hierarchy())
+        persist(schema, tmp_path / "w")
+        loaded = load_schema(tmp_path / "w")
+        assert "SEC\rX" in {r.natural_key for r in loaded.dimensions["sector"].rows}
+        assert logically_equal(loaded, schema)
+        assert check_integrity(loaded) == []
+
     def test_tampered_table_detected(self, tmp_path, schema):
         persist(schema, tmp_path / "w")
         fact = tmp_path / "w" / "fact.csv"
@@ -171,21 +205,58 @@ class TestPersistence:
             load_schema(tmp_path / "w")
 
 
+def reference_fact_problems(schema):
+    """check_integrity's fact checks as a per-row loop, the reference for its masks."""
+    sizes = [len(schema.dimensions[dim]) for dim in DIMENSIONS]
+    problems, seen = [], set()
+    for row in schema.facts.tolist():
+        key, (total, seekers, directed) = tuple(row[:6]), row[6:]
+        for dim, sid, size in zip(DIMENSIONS, key, sizes):
+            if not 1 <= sid <= size:
+                problems.append(f"fact {key}: dangling {dim} id {sid}")
+        if key in seen:
+            problems.append(f"fact {key}: duplicate key tuple")
+        seen.add(key)
+        if min(total, seekers, directed) < 0:
+            problems.append(f"fact {key}: negative measure")
+        if total != seekers + directed:
+            problems.append(f"fact {key}: total {total} != {seekers} + {directed}")
+    return problems
+
+
 class TestIntegrity:
     def test_clean_schema_passes(self, schema):
         assert check_integrity(schema) == []
 
+    def test_fact_checks_match_row_loop(self, schema):
+        rnd = random.Random(11)
+        for trial in range(40):
+            facts = np.array(schema.facts)
+            for _ in range(rnd.randint(1, 6)):
+                i = rnd.randrange(len(facts))
+                kind = rnd.randrange(4)
+                if kind == 0:
+                    facts[i, rnd.randrange(6)] = rnd.choice([0, -1, 999])
+                elif kind == 1:
+                    facts = np.vstack((facts, facts[rnd.randrange(len(facts))]))
+                elif kind == 2:
+                    facts[i, 6 + rnd.randrange(3)] = -rnd.randint(1, 3)
+                else:
+                    facts[i, 6] += 1
+            broken = StarSchema(schema.dimensions, facts, schema.meta)
+            found = [p for p in check_integrity(broken) if p.startswith("fact (")]
+            assert found == reference_fact_problems(broken), trial
+
     def test_detects_dangling_foreign_key(self, schema):
-        bad_fact = replace(schema.facts[0], city_id=999)
-        broken = StarSchema(schema.dimensions, (*schema.facts[1:], bad_fact),
-                            schema.meta)
+        facts = np.vstack((schema.facts[1:], schema.facts[:1]))
+        facts[-1, 0] = 999                      # city_id
+        broken = StarSchema(schema.dimensions, facts, schema.meta)
         assert any("city" in issue for issue in check_integrity(broken))
 
     def test_detects_measure_mismatch(self, schema):
-        f = schema.facts[0]
-        bad_fact = replace(f, total_applicants=f.total_applicants + 1)
-        broken = StarSchema(schema.dimensions, (*schema.facts[1:], bad_fact),
-                            schema.meta)
+        facts = np.vstack((schema.facts[1:], schema.facts[:1]))
+        facts[-1, 6] += 1                       # total_applicants
+        broken = StarSchema(schema.dimensions, facts, schema.meta)
         assert check_integrity(broken) != []
 
     def test_detects_sparse_ids(self, schema):
@@ -199,7 +270,7 @@ class TestIntegrity:
 
     def test_detects_duplicate_fact_key(self, schema):
         broken = StarSchema(schema.dimensions,
-                            (*schema.facts, schema.facts[0]), schema.meta)
+                            np.vstack((schema.facts, schema.facts[:1])), schema.meta)
         assert any("duplicate" in issue for issue in check_integrity(broken))
 
 
@@ -234,5 +305,5 @@ class TestRefresh:
         schema = build_schema(records, YEARS, hierarchy)
         refreshed = refresh(schema, records, hierarchy)
         assert refreshed.dimensions == schema.dimensions
-        assert refreshed.facts == schema.facts
+        assert np.array_equal(refreshed.facts, schema.facts)
         assert refreshed.meta == schema.meta
