@@ -9,8 +9,6 @@ single typed exception because time ordering drives deduplication.
 from __future__ import annotations
 
 import csv
-import io
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
@@ -108,28 +106,22 @@ def write_csv(target: str | Path | TextIO, header: Sequence,
 
     A writer ending lines in LF leaves a bare CR unquoted, and a reader then
     splits the row there, so a row holding a CR is written fully quoted and
-    every other row with minimal quoting. Rows are formatted 4096 at a time,
-    and only a chunk whose text holds a CR is written row by row.
+    every other row with minimal quoting.
     """
     if isinstance(target, (str, Path)):
         with open(target, "w", newline="", encoding="utf-8") as fh:
             return write_csv(fh, header, rows)
     plain = csv.writer(target, lineterminator="\n")
     quote_all = csv.writer(target, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    rows = iter(rows)
-    written, chunk = -1, [header]
-    while chunk:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(chunk)
-        if "\r" not in buf.getvalue():
-            target.write(buf.getvalue())
+    plain.writerow(header)
+    n = 0
+    for row in rows:
+        if any("\r" in v for v in row if type(v) is str):
+            quote_all.writerow(row)
         else:
-            for row in chunk:
-                cr = any(isinstance(v, str) and "\r" in v for v in row)
-                (quote_all if cr else plain).writerow(row)
-        written += len(chunk)
-        chunk = list(islice(rows, 4096))
-    return written
+            plain.writerow(row)
+        n += 1
+    return n
 
 
 def write_records_csv(records: Iterable[CanonicalApplicant], path: str | Path) -> int:

@@ -21,7 +21,7 @@ import csv
 import hashlib
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, eq
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -191,7 +191,7 @@ def load_facts(records: Sequence[CanonicalApplicant],
         columns.append(np.fromiter(map(rank.get, values, repeat(-1)), np.int64, n))
         ids.append(np.array([r.surrogate_id for r in rows], dtype=np.int64))
     status = [r.status for r in records]
-    weights = [np.fromiter(map(s.__eq__, status), bool, n)
+    weights = [np.fromiter(map(eq, status, repeat(s)), bool, n)
                for s in (STATUS_SEEKER, STATUS_DIRECTED)]
 
     bad = np.flatnonzero((np.array(columns) < 0).any(axis=0) | ~(weights[0] | weights[1]))
@@ -356,7 +356,7 @@ def load_schema(path: str | Path) -> StarSchema:
         fname = DIM_FILES[dim]
         header, rows = checked(fname[:-4])
         attr_cols = tuple(header[2:])
-        if attr_cols != ATTR_COLUMNS.get(dim, ()):
+        if header[:2] != ["id", "key"] or attr_cols != ATTR_COLUMNS.get(dim, ()):
             raise CorruptManifest(f"{fname}: unexpected columns {header}")
         try:
             table_rows = tuple(DimensionRow(int(r[0]), r[1], dict(zip(attr_cols, r[2:])))

@@ -95,6 +95,10 @@ WAREHOUSE_TAMPERS = [
                  "fact.csv: row 3: 8 columns, expected 9", id="8_column_fact"),
     pytest.param("dim_sector.csv", replace_line(1, lambda line: "one" + line[1:]),
                  "dim_sector.csv: row 1: not integers", id="non_integer_dim_id"),
+    pytest.param("dim_city.csv", lambda text: re.sub(r",[^\n]*", "", text),
+                 "dim_city.csv: unexpected columns ['id']", id="id_only_dim"),
+    pytest.param("dim_city.csv", lambda text: re.sub(r"[^\n]", "", text),
+                 "dim_city.csv: unexpected columns []", id="blank_lines_dim"),
     pytest.param("manifest.txt",
                  lambda text: re.sub(r"(table=fact) rows=\d+", r"\1 rows=x9", text),
                  "manifest.txt: bad table line 'table=fact rows=x9", id="rows_not_integer"),

@@ -51,7 +51,6 @@ def test_non_utf8_bytes_fail_closed(tmp_path):
 
 
 def test_write_csv_quotes_only_rows_holding_a_cr(tmp_path):
-    # more rows than one formatting chunk, the CR row in the second chunk
     rows = [(f"r{i}", i) for i in range(5000)]
     rows[4500] = ("A\rB", 4500)
     path = tmp_path / "table.csv"

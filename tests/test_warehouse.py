@@ -141,6 +141,12 @@ class TestFacts:
         with pytest.raises(InvalidFieldValue):
             load_facts([bad], dims)
 
+    def test_non_text_status_rejected(self):
+        records = random_clean_records(4, 10)
+        dims = build_dimensions(records, YEARS)
+        with pytest.raises(InvalidFieldValue):
+            load_facts([records[0]._replace(status=1)], dims)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path, schema):
