@@ -157,8 +157,8 @@ _TOP_KEYS = {"seed", "data_dir", "warehouse_dir", "years", "gen", "etl",
              "codebooks_file", "staging_file", "clean_file"}
 _GEN_KEYS = {"counts", "target_bytes", "duplicate_rate", "blank_rate",
              "discrepancy_rate", "sectors", "congresses_per_city",
-             "districts_per_congress", "education_levels", "services",
-             "directed_share", "specialties", "job_groups", "moahels"}
+             "districts_per_congress", "directed_share", "specialties",
+             "job_groups", "moahels"}
 _ETL_KEYS = {"fill_constant", "keep_rule"}
 _BENCH_KEYS = {"repetitions", "warmup", "output", "queries"}
 _REPORT_KEYS = {"kind", "years", "city", "output", "format", "query"}
@@ -213,12 +213,6 @@ def _build_gen(raw: Mapping, seed: int, years: tuple[int, int],
                  "specialties", "job_groups", "moahels"):
         if name in raw:
             kwargs[name] = _integer(raw[name], f"{where}.{name}")
-    for name in ("education_levels", "services"):
-        if name in raw:
-            values = raw[name]
-            if not isinstance(values, Sequence) or isinstance(values, str):
-                raise ConfigError(f"{where}.{name}: expected a list")
-            kwargs[name] = tuple(str(v) for v in values)
     return GenConfig(**kwargs)
 
 

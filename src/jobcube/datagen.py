@@ -5,6 +5,11 @@ together with the ground-truth record set the pipeline should reconstruct
 and a manifest of every planted corruption (cross-city duplicate
 applications, blanked fields, variant code spellings).
 
+Each city is described once, by the SourceSpec that `build_source_specs`
+returns and `sources.yaml` carries to ingest. A city's file is written by
+running that spec's field map and codebooks backwards; the only wire field
+no mapping reads is Sirte's APPDATE.
+
 Determinism: a pinned xorshift64* generator seeded through one splitmix64
 step. State update x ^= x>>12; x ^= x<<25; x ^= x>>27; output is
 x * 0x2545F4914F6CDD1D mod 2**64. Same seed, same bytes, any platform.
@@ -25,6 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, FieldOverflow, UnsatisfiableSize
 from .records import (
+    ALL_FIELDS,
     QUARTERS,
     WAREHOUSE_REQUIRED_FIELDS,
     CanonicalApplicant,
@@ -111,8 +117,6 @@ class GenConfig:
     sectors: int = 12
     congresses_per_city: int = 4
     districts_per_congress: int = 3
-    education_levels: tuple[str, ...] = EDUCATION_LEVELS
-    services: tuple[str, ...] = SERVICES
     directed_share: float = 0.5
     specialties: int = 40
     job_groups: int = 9
@@ -129,8 +133,6 @@ class GenConfig:
                      "specialties", "job_groups", "moahels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if not self.education_levels or not self.services:
-            raise ConfigError("education_levels and services must be non-empty")
         if self.counts is not None and self.target_bytes is not None:
             raise ConfigError("give counts or target_bytes, not both")
         for given in (self.counts, self.target_bytes):
@@ -167,10 +169,6 @@ TRIPOLI_LAYOUT = (
     FieldDescriptor("APP_QTR", "C", 2, 106),
 )
 
-MISURATA_COLUMNS = ("nid", "full_name", "sex", "district", "mothamer", "specialty",
-                    "job_group", "sector", "moahel", "edu_level", "svc_status",
-                    "app_year", "app_qtr")
-
 SIRTE_LAYOUT = (
     FieldDescriptor("NID", "C", 12, 0),
     FieldDescriptor("NAME", "C", 20, 12),
@@ -187,10 +185,6 @@ SIRTE_LAYOUT = (
     FieldDescriptor("APPDATE", "D", 8, 84),
 )
 
-_EDU_BY_INDEX = {str(i + 1): level for i, level in enumerate(EDUCATION_LEVELS)}
-_EDU_BY_CODE = {f"E{i + 1}": level for i, level in enumerate(EDUCATION_LEVELS)}
-_SVC_BY_INDEX = {str(i + 1): svc for i, svc in enumerate(SERVICES)}
-_SVC_BY_CODE = {f"S{i + 1}": svc for i, svc in enumerate(SERVICES)}
 _QTR_BY_INDEX = {str(i + 1): q for i, q in enumerate(QUARTERS)}
 
 TRIPOLI_MAPPING = SchemaMapping(field_map={
@@ -210,11 +204,13 @@ MISURATA_MAPPING = SchemaMapping(
     },
     value_codebooks={
         "sex": {"1": "male", "2": "female"},
-        "education_level": dict(_EDU_BY_INDEX),
-        "service_status": dict(_SVC_BY_INDEX),
+        "education_level": {str(i + 1): v for i, v in enumerate(EDUCATION_LEVELS)},
+        "service_status": {str(i + 1): v for i, v in enumerate(SERVICES)},
         "quarter": dict(_QTR_BY_INDEX),
     },
 )
+
+MISURATA_COLUMNS = tuple(MISURATA_MAPPING.field_map.values())
 
 SIRTE_MAPPING = SchemaMapping(
     field_map={
@@ -225,8 +221,8 @@ SIRTE_MAPPING = SchemaMapping(
     },
     value_codebooks={
         "sex": {"M": "male", "F": "female"},
-        "education_level": dict(_EDU_BY_CODE),
-        "service_status": dict(_SVC_BY_CODE),
+        "education_level": {f"E{i + 1}": v for i, v in enumerate(EDUCATION_LEVELS)},
+        "service_status": {f"S{i + 1}": v for i, v in enumerate(SERVICES)},
         "quarter": dict(_QTR_BY_INDEX),
     },
 )
@@ -304,7 +300,7 @@ def build_hierarchy_tree(config: GenConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Format writers (round-trip partners of the parsers)
+# Format renderers (round-trip partners of the parsers)
 
 
 def _fit(value: str, fd: FieldDescriptor, where: str) -> str:
@@ -323,13 +319,6 @@ def render_fixed_width(rows: Iterable[Mapping[str, str]],
     return "".join(lines).encode("ascii")
 
 
-def write_fixed_width(rows: Iterable[Mapping[str, str]],
-                      layout: Sequence[FieldDescriptor], path: str | Path) -> Path:
-    path = Path(path)
-    path.write_bytes(render_fixed_width(rows, layout))
-    return path
-
-
 def render_delimited(rows: Iterable[Mapping[str, str]], columns: Sequence[str],
                      delimiter: str = ",") -> bytes:
     buf = io.StringIO()
@@ -338,13 +327,6 @@ def render_delimited(rows: Iterable[Mapping[str, str]], columns: Sequence[str],
     for row in rows:
         writer.writerow([row.get(c, "") for c in columns])
     return buf.getvalue().encode("utf-8")
-
-
-def write_delimited(rows: Iterable[Mapping[str, str]], columns: Sequence[str],
-                    path: str | Path, delimiter: str = ",") -> Path:
-    path = Path(path)
-    path.write_bytes(render_delimited(rows, columns, delimiter))
-    return path
 
 
 def render_dbf(rows: Sequence[Mapping[str, str]],
@@ -385,60 +367,31 @@ def render_dbf(rows: Sequence[Mapping[str, str]],
     return bytes(out)
 
 
-def write_dbf(rows: Sequence[Mapping[str, str]], layout: Sequence[FieldDescriptor],
-              path: str | Path,
-              last_update: tuple[int, int, int] = (80, 1, 1)) -> Path:
-    path = Path(path)
-    path.write_bytes(render_dbf(rows, layout, last_update))
-    return path
-
-
 # ---------------------------------------------------------------------------
-# Wire encoding of canonical records
+# Wire encoding of canonical records: the inverse of each source's mapping
 
-_SEX_TO_MIS = {"male": "1", "female": "2"}
-_SEX_TO_SIR = {"male": "M", "female": "F"}
-_EDU_TO_INDEX = {level: str(i + 1) for i, level in enumerate(EDUCATION_LEVELS)}
-_EDU_TO_CODE = {level: f"E{i + 1}" for i, level in enumerate(EDUCATION_LEVELS)}
-_SVC_TO_INDEX = {svc: str(i + 1) for i, svc in enumerate(SERVICES)}
-_SVC_TO_CODE = {svc: f"S{i + 1}" for i, svc in enumerate(SERVICES)}
-_QTR_TO_INDEX = {q: str(i + 1) for i, q in enumerate(QUARTERS)}
 _QTR_MONTH = {"Q1": "02", "Q2": "05", "Q3": "08", "Q4": "11"}
 
 
-def _to_wire(city_key: str, r: CanonicalApplicant) -> dict[str, str]:
-    if city_key == "tripoli":
-        return {
-            "ID_NO": r.national_id, "FULL_NAME": r.name, "SEX": r.sex,
-            "DISTRICT": r.district, "SPECIALTY": r.specialty,
-            "JOB_GROUP": r.job_group, "SECTOR": r.sector, "MOAHEL": r.moahel,
-            "EDU_LEVEL": r.education_level, "SVC_STATUS": r.service_status,
-            "APP_YEAR": str(r.year), "APP_QTR": r.quarter,
-        }
-    if city_key == "misurata":
-        return {
-            "nid": r.national_id, "full_name": r.name,
-            "sex": _SEX_TO_MIS[r.sex], "district": r.district,
-            "mothamer": r.congress, "specialty": r.specialty,
-            "job_group": r.job_group, "sector": r.sector, "moahel": r.moahel,
-            "edu_level": _EDU_TO_INDEX[r.education_level],
-            "svc_status": _SVC_TO_INDEX[r.service_status],
-            "app_year": str(r.year), "app_qtr": _QTR_TO_INDEX[r.quarter],
-        }
-    return {
-        "NID": r.national_id, "NAME": r.name, "SEX": _SEX_TO_SIR[r.sex],
-        "DISTRICT": r.district, "SPEC": r.specialty, "JOBGRP": r.job_group,
-        "SECTOR": r.sector, "MOAHEL": r.moahel,
-        "EDULVL": _EDU_TO_CODE[r.education_level],
-        "SERVICE": _SVC_TO_CODE[r.service_status],
-        "YEAR": str(r.year), "QTR": _QTR_TO_INDEX[r.quarter],
-        "APPDATE": f"{r.year}{_QTR_MONTH[r.quarter]}15",
-    }
-
-
-_FIELD_MAPS = {"tripoli": TRIPOLI_MAPPING.field_map,
-               "misurata": MISURATA_MAPPING.field_map,
-               "sirte": SIRTE_MAPPING.field_map}
+def _wire_dicts(spec: SourceSpec, entries: list) -> list[dict[str, str]]:
+    """Each record in the source's own field names and codes, with its planted
+    corruption laid over it, so that ingest maps it straight back."""
+    field_map = spec.mapping.field_map
+    encode = []
+    for canonical, wire_name in field_map.items():
+        book = spec.mapping.value_codebooks.get(canonical, {})
+        encode.append((wire_name, ALL_FIELDS.index(canonical),
+                       {value: code for code, value in book.items()}))
+    rows = []
+    for record, _, overlay in entries:
+        values = {wire_name: inverse[record[i]] if inverse else str(record[i])
+                  for wire_name, i, inverse in encode}
+        for canonical, planted in overlay.items():
+            values[field_map[canonical]] = planted
+        if spec.format == "dbf":    # the one wire field no mapping reads
+            values["APPDATE"] = f"{record.year}{_QTR_MONTH[record.quarter]}15"
+        rows.append(values)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -526,30 +479,32 @@ def _previous_quarter(year: int, quarter: str) -> tuple[int, str]:
     return year - 1, QUARTERS[3]
 
 
-def _make_person(rng: Rng, config: GenConfig, city_key: str, ordinal: int,
-                 ) -> CanonicalApplicant:
-    prefix = CITY_PREFIX[city_key]
-    congress = f"{prefix}-CG{rng.randrange(config.congresses_per_city) + 1:02d}"
+def _placement(rng: Rng, config: GenConfig, city_key: str) -> dict:
+    """Where one application is filed: congress, district and sector draws
+    in that order, with the fields that follow from them."""
+    congress = f"{CITY_PREFIX[city_key]}-CG{rng.randrange(config.congresses_per_city) + 1:02d}"
     district = f"{congress}-D{rng.randrange(config.districts_per_congress) + 1:02d}"
     sector = (f"SEC-{rng.randrange(config.sectors) + 1:02d}"
               if rng.random() < config.directed_share else "")
+    return {"district": district, "congress": congress, "city": CITY_NAMES[city_key],
+            "sector": sector, "status": derive_status(sector), "source_id": city_key}
+
+
+def _make_person(rng: Rng, config: GenConfig, city_key: str, ordinal: int,
+                 ) -> CanonicalApplicant:
+    placement = _placement(rng, config, city_key)
     return CanonicalApplicant(
         national_id=f"NID{ordinal:09d}",
         name=f"APPLICANT-{ordinal:07d}",
         sex=("male", "female")[rng.randrange(2)],
-        district=district,
-        congress=congress,
-        city=CITY_NAMES[city_key],
         specialty=f"SPC-{rng.randrange(config.specialties) + 1:03d}",
         job_group=f"JG-{rng.randrange(config.job_groups) + 1:02d}",
-        sector=sector,
         moahel=f"QL-{rng.randrange(config.moahels) + 1:02d}",
-        education_level=config.education_levels[rng.randrange(len(config.education_levels))],
-        service_status=config.services[rng.randrange(len(config.services))],
-        status=derive_status(sector),
+        education_level=EDUCATION_LEVELS[rng.randrange(len(EDUCATION_LEVELS))],
+        service_status=SERVICES[rng.randrange(len(SERVICES))],
         year=config.year_from + rng.randrange(config.year_to - config.year_from + 1),
         quarter=QUARTERS[rng.randrange(4)],
-        source_id=city_key,
+        **placement,
     )
 
 
@@ -557,23 +512,14 @@ def _make_copy(rng: Rng, config: GenConfig, donor: CanonicalApplicant,
                copy_city: str) -> CanonicalApplicant:
     """The same applicant filed in another city, strictly one quarter before
     the donor application so the keep-latest rule always removes the copy."""
-    prefix = CITY_PREFIX[copy_city]
-    congress = f"{prefix}-CG{rng.randrange(config.congresses_per_city) + 1:02d}"
-    district = f"{congress}-D{rng.randrange(config.districts_per_congress) + 1:02d}"
-    sector = (f"SEC-{rng.randrange(config.sectors) + 1:02d}"
-              if rng.random() < config.directed_share else "")
+    placement = _placement(rng, config, copy_city)
     year, quarter = _previous_quarter(donor.year, donor.quarter)
     return donor._replace(
-        district=district,
-        congress=congress,
-        city=CITY_NAMES[copy_city],
         specialty=f"SPC-{rng.randrange(config.specialties) + 1:03d}",
         job_group=f"JG-{rng.randrange(config.job_groups) + 1:02d}",
-        sector=sector,
-        status=derive_status(sector),
         year=year,
         quarter=quarter,
-        source_id=copy_city,
+        **placement,
     )
 
 
@@ -581,8 +527,6 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     """Emit the three source files plus truth set, sidecar configs, and the
     planted-corruption manifest. Byte-deterministic for a given config."""
     config.validate()
-    if len(set(config.education_levels)) != len(config.education_levels):
-        raise ConfigError("duplicate education levels")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = Rng(config.seed)
@@ -680,40 +624,24 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     return GenResult(out, truth, files, expect, duplicates, blanks, discrepancies)
 
 
-def _wire_dicts(city_key: str, entries: list) -> list[dict[str, str]]:
-    field_map = _FIELD_MAPS[city_key]
-    rows = []
-    for record, _, overlay in entries:
-        values = _to_wire(city_key, record)
-        for canonical_field, planted in overlay.items():
-            values[field_map[canonical_field]] = planted
-        rows.append(values)
-    return rows
-
-
 def _write_outputs(config: GenConfig, out: Path, wire: dict[str, list],
                    truth: list[CanonicalApplicant]) -> dict[str, Path]:
     import yaml
 
     files: dict[str, Path] = {}
     last_update = (max(0, config.year_to - 1900) & 0xFF, 12, 28)
-    for city_key in CITY_ORDER:
-        rows = _wire_dicts(city_key, wire[city_key])
-        path = out / CITY_FILES[city_key]
-        if city_key == "tripoli":
-            write_fixed_width(rows, TRIPOLI_LAYOUT, path)
-        elif city_key == "misurata":
-            write_delimited(rows, MISURATA_COLUMNS, path)
-        else:
-            write_dbf(rows, SIRTE_LAYOUT, path, last_update)
-        files[city_key] = path
-
-    truth_path = out / TRUTH_FILE
-    write_records_csv(truth, truth_path)
-    files["truth"] = truth_path
-
     specs = []
     for spec in build_source_specs():
+        rows = _wire_dicts(spec, wire[spec.source_id])
+        path = out / spec.path
+        if spec.format == "fixed_width":
+            path.write_bytes(render_fixed_width(rows, spec.layout))
+        elif spec.format == "delimited":
+            path.write_bytes(render_delimited(rows, MISURATA_COLUMNS, spec.delimiter))
+        else:
+            path.write_bytes(render_dbf(rows, SIRTE_LAYOUT, last_update))
+        files[spec.source_id] = path
+
         entry: dict = {
             "source_id": spec.source_id, "city": spec.city, "format": spec.format,
             "path": spec.path, "encoding": spec.encoding,
@@ -729,6 +657,10 @@ def _write_outputs(config: GenConfig, out: Path, wire: dict[str, list],
                 {"name": fd.name, "kind": fd.kind, "length": fd.length,
                  "offset": fd.offset} for fd in spec.layout]
         specs.append(entry)
+
+    truth_path = out / TRUTH_FILE
+    write_records_csv(truth, truth_path)
+    files["truth"] = truth_path
     (out / SOURCES_FILE).write_text(
         yaml.safe_dump({"sources": specs}, sort_keys=True), encoding="utf-8")
     files["sources"] = out / SOURCES_FILE

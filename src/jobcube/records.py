@@ -9,6 +9,7 @@ single typed exception because time ordering drives deduplication.
 from __future__ import annotations
 
 import csv
+import re
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
@@ -41,6 +42,7 @@ class CanonicalApplicant(NamedTuple):
 
 ALL_FIELDS: tuple[str, ...] = CanonicalApplicant._fields
 _YEAR = ALL_FIELDS.index("year")
+_YEAR_TEXT = re.compile(r"-?[0-9]+")
 
 # Fields a cleaning policy may fill. Key fields are quarantined instead,
 # sector emptiness encodes seeker status, status is derived, and congress is
@@ -78,6 +80,14 @@ def quarter_index(quarter: str) -> int:
     if quarter not in QUARTERS:
         raise ValueError(f"not a quarter: {quarter!r}")
     return int(quarter[1])
+
+
+def parse_year(text: str) -> int:
+    """ASCII `-?[0-9]+` as an int; ValueError otherwise. `int()` alone would
+    also take '2_003', '+2003', ' 2003' and non-ASCII digits."""
+    if not _YEAR_TEXT.fullmatch(text):
+        raise ValueError(f"not a year: {text!r}")
+    return int(text)
 
 
 def time_key(year: int, quarter: str) -> str:
@@ -133,8 +143,9 @@ def read_records_csv(path: str | Path) -> list[CanonicalApplicant]:
     """Read a file written by `write_records_csv`.
 
     Fails closed: a wrong header, a row without exactly one value per field,
-    a year that is not an integer, a CSV syntax error or bytes that are not
-    UTF-8 raise MalformedCsv naming the file and the line.
+    a year that `parse_year` refuses (an empty year reads as 0), a CSV syntax
+    error or bytes that are not UTF-8 raise MalformedCsv naming the file and
+    the line.
     """
     width = len(ALL_FIELDS)
     make = CanonicalApplicant._make
@@ -153,7 +164,7 @@ def read_records_csv(path: str | Path) -> list[CanonicalApplicant]:
                                        f"{len(row)} columns, expected {width}")
                 year = row[_YEAR]
                 try:
-                    row[_YEAR] = int(year) if year else 0
+                    row[_YEAR] = parse_year(year) if year else 0
                 except ValueError:
                     raise MalformedCsv(f"{path}: line {reader.line_num}: "
                                        f"bad year {year!r}") from None

@@ -32,7 +32,7 @@ from .errors import (
     TruncatedFile,
     UnsupportedFieldType,
 )
-from .records import CanonicalApplicant, derive_status
+from .records import CanonicalApplicant, derive_status, parse_year
 
 DBF_VERSION = 0x03
 DBF_LIVE_FLAG = 0x20
@@ -361,7 +361,7 @@ def map_to_canonical(record: RawRecord, mapping: SchemaMapping, source: SourceSp
 
     year_text = values.pop("year", "").strip()
     try:
-        year = int(year_text)
+        year = parse_year(year_text)
     except ValueError:
         raise InvalidFieldValue(f"{source.source_id}: bad year {year_text!r}") from None
     if values.get("quarter", "").strip() == "":

@@ -302,7 +302,8 @@ def load_schema(path: str | Path) -> StarSchema:
     """Read a warehouse directory back, verifying checksums and row counts.
 
     Fails closed: anything unreadable, tampered or malformed raises
-    CorruptManifest naming the file, and the row where there is one.
+    CorruptManifest naming the file, and the row where there is one. A
+    dimension row's id must be its row number, as `persist` writes them.
     """
     base = Path(path)
     manifest = base / MANIFEST_FILE
@@ -365,6 +366,10 @@ def load_schema(path: str | Path) -> StarSchema:
             table_rows = ()
         if len(table_rows) != len(rows):
             raise _bad_row(fname, rows, len(header), 1)
+        for row_no, row in enumerate(table_rows, 1):
+            if row.surrogate_id != row_no:
+                raise CorruptManifest(f"{fname}: row {row_no}: id {row.surrogate_id}, "
+                                      f"expected {row_no}")
         dims[dim] = DimensionTable(DISPLAY_NAMES[dim], table_rows)
 
     header, rows = checked("fact")

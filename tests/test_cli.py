@@ -56,6 +56,14 @@ RECORD_CSV_TAMPERS = [
     pytest.param(2, lambda row: row[:5], "line 3: 5 columns, expected 16", id="5_columns"),
     pytest.param(2, lambda row: row[:13] + ["20x3"] + row[14:], "line 3: bad year '20x3'",
                  id="bad_year"),
+    pytest.param(2, lambda row: row[:13] + ["2_003"] + row[14:], "line 3: bad year '2_003'",
+                 id="underscore_year"),
+    pytest.param(2, lambda row: row[:13] + ["\u0662\u0660\u0660\u0663"] + row[14:],
+                 "line 3: bad year '\u0662\u0660\u0660\u0663'", id="arabic_indic_year"),
+    pytest.param(2, lambda row: row[:13] + ["+2003"] + row[14:], "line 3: bad year '+2003'",
+                 id="plus_year"),
+    pytest.param(2, lambda row: row[:13] + [" 2003"] + row[14:], "line 3: bad year ' 2003'",
+                 id="padded_year"),
     pytest.param(0, lambda row: row[1:] + row[:1], "line 1: unexpected record columns",
                  id="wrong_header"),
 ]
@@ -95,6 +103,10 @@ WAREHOUSE_TAMPERS = [
                  "fact.csv: row 3: 8 columns, expected 9", id="8_column_fact"),
     pytest.param("dim_sector.csv", replace_line(1, lambda line: "one" + line[1:]),
                  "dim_sector.csv: row 1: not integers", id="non_integer_dim_id"),
+    pytest.param("dim_city.csv", replace_line(1, lambda line: "20000000" + line[1:]),
+                 "dim_city.csv: row 1: id 20000000, expected 1", id="huge_dim_id"),
+    pytest.param("dim_city.csv", replace_line(2, lambda line: "-1" + line[1:]),
+                 "dim_city.csv: row 2: id -1, expected 2", id="negative_dim_id"),
     pytest.param("dim_city.csv", lambda text: re.sub(r",[^\n]*", "", text),
                  "dim_city.csv: unexpected columns ['id']", id="id_only_dim"),
     pytest.param("dim_city.csv", lambda text: re.sub(r"[^\n]", "", text),
@@ -292,6 +304,15 @@ class TestExitCodes:
         cfg = write_config(tmp_path, bench={key: "abc"})
         assert main(["validate", "-c", cfg]) == 1
         assert f"bench.{key}: expected an integer" in capsys.readouterr().err
+
+    def test_removed_generator_knob_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, gen={"counts": dict(COUNTS),
+                                          "education_levels": ["primary", "tertiary"]})
+        proc = subprocess.run([sys.executable, "-m", "jobcube.cli", "gen", "-c", cfg],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "error: " in proc.stderr and "education_levels" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_query_unknown_member_is_usage_error(self, pipeline):
         _, cfg = pipeline

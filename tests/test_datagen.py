@@ -1,6 +1,8 @@
 """Synthetic source generator: determinism, planted-corruption accounting,
 format writers, byte-size targeting."""
 
+import hashlib
+
 import pytest
 
 from jobcube.datagen import (
@@ -63,6 +65,52 @@ class TestRng:
         assert len(set(picked)) == 30
 
 
+PINNED_COUNTS = {"tripoli": 300, "misurata": 200, "sirte": 120}
+PINNED_CONFIGS = {
+    "counts": GenConfig(seed=31, counts=PINNED_COUNTS),
+    "target_bytes": GenConfig(seed=19, target_bytes={
+        "tripoli": 60_000, "misurata": 40_000, "sirte": 20_000}),
+    "wide": GenConfig(seed=47, counts=PINNED_COUNTS, sectors=48,
+                      congresses_per_city=12),
+}
+_SHARED_SHA256 = {
+    "codebooks.yaml": "6856a801661f7090b7ea6e06e58ae7d9596c54d6758b96035b58949af153d8e0",
+    "sources.yaml": "83f421dc5db286d00883d1137125d55c07ecbfab00e8a4b1a8d2682ae915f1ca",
+}
+_DEFAULT_HIERARCHY_SHA256 = "60c4c7a2ffec5e6440f8558b4c6916bed03eef6857751c6a1d14d8de1a205b96"
+# sha256 of every file generate() writes, recorded before the wire encoder
+# was derived from the source specs; the generator's bytes must not move.
+PINNED_SHA256 = {
+    "counts": {
+        **_SHARED_SHA256,
+        "hierarchy.yaml": _DEFAULT_HIERARCHY_SHA256,
+        "gen_manifest.txt": "625a99acfb300f05676d597d004329876b4013cadada6eb30b349a0336eacdff",
+        "misurata.csv": "59bdf86336a9337e29983d8e22e39306a6143b146dae891f9bf5e46dccb24f9c",
+        "sirte.dbf": "9d1018c2cb0696d5da71d8cc6c4d51dc1c1faed2783a36e29665414f8e0d5676",
+        "tripoli.dat": "12af1ecc627cf8da7ee939612a45c469f60d2135cfaf4186ad76ad7dd76a5b4e",
+        "truth.csv": "95b80a1aba8094830f302b97332eb0960523cf8668df38ed9ac1fa3b1197ab0b",
+    },
+    "target_bytes": {
+        **_SHARED_SHA256,
+        "hierarchy.yaml": _DEFAULT_HIERARCHY_SHA256,
+        "gen_manifest.txt": "f77f69eb3edbfa9afe4728ad4bf6ed8b927370fccfbe4dc0e02afe430527848f",
+        "misurata.csv": "549fb08b6d04ad5dfbb2aa63534a52897214b2869e36d35b1947845d84252432",
+        "sirte.dbf": "8b4c79ee3ac3cd7c4845badceb0c4f70224ee8a45a21521d27facfeeb199e00d",
+        "tripoli.dat": "4d15acc567d98d844e4fb63aee1723cd08464ae671c23221e2d600542512af29",
+        "truth.csv": "7e1d2749bf1b835161f4f7944e547affd81e9411fe6d115b6add303b294009b2",
+    },
+    "wide": {
+        **_SHARED_SHA256,
+        "hierarchy.yaml": "cf5d50a6d008018330fd8635bc00f24d6633aa7b5abf9cd95d17ba6ae1c77e91",
+        "gen_manifest.txt": "daab06867bb73392bc5399fce16bf1926c0207582543f160ac6f82de6e4e34c5",
+        "misurata.csv": "33d5ef262a41a1894c5cb4993017d0db76ac1cf612bf3eff6d133b469a0d11d7",
+        "sirte.dbf": "2c37c432f5898c9be9f50af87f8dbcfe1984d888dfbf104c6acfe5b93aa710f0",
+        "tripoli.dat": "a3ee9bbe60bead0b3a83e7be53c3a43f68e65ab91bdb1858643e0489a2bad3d2",
+        "truth.csv": "d7277427fc24060d0a91474fbb4cf9387263c825033354c8d24d1ebcde5ca758",
+    },
+}
+
+
 class TestDeterminism:
     def test_same_seed_same_bytes(self, tmp_path):
         config = GenConfig(seed=777, counts={"tripoli": 80, "misurata": 60,
@@ -71,6 +119,13 @@ class TestDeterminism:
         b = generate(config, tmp_path / "b")
         for name, path in a.files.items():
             assert path.read_bytes() == b.files[name].read_bytes(), name
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+    def test_pinned_bytes(self, tmp_path, name):
+        generate(PINNED_CONFIGS[name], tmp_path)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir()}
+        assert digests == PINNED_SHA256[name]
 
     def test_different_seed_different_bytes(self, tmp_path):
         counts = {"tripoli": 80, "misurata": 60, "sirte": 40}

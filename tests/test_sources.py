@@ -307,6 +307,25 @@ class TestMapping:
                                   "SEC": "", "SX": ""}),
                 spec.mapping, spec)
 
+    @pytest.mark.parametrize("year", ["2_003", "\u0662\u0660\u0660\u0663", "+2003",
+                                      "20 03", "--2003", ""])
+    def test_year_must_be_ascii_digits(self, year):
+        spec = make_spec()
+        with pytest.raises(InvalidFieldValue, match="bad year"):
+            map_to_canonical(
+                RawRecord("src", {"NID": "N1", "YR": year, "QTR": "Q2",
+                                  "SEC": "", "SX": ""}),
+                spec.mapping, spec)
+
+    @pytest.mark.parametrize("year, want", [("2003", 2003), (" 2003  ", 2003),
+                                            ("-5", -5), ("02003", 2003)])
+    def test_padded_year_is_stripped(self, year, want):
+        spec = make_spec()
+        rec = map_to_canonical(
+            RawRecord("src", {"NID": "N1", "YR": year, "QTR": "Q2", "SEC": "", "SX": ""}),
+            spec.mapping, spec)
+        assert rec.year == want
+
     def test_empty_quarter(self):
         spec = make_spec()
         with pytest.raises(InvalidFieldValue):
