@@ -1,7 +1,10 @@
 """Row-scan versus cube timing harness.
 
 The baseline answers each query with a full pass over the canonical records,
-the way the pre-warehouse systems produced reports. Correctness comes first:
+the way the pre-warehouse systems produced reports. The query is resolved
+once, into one label getter per group-by and filter entry and one weight per
+status; the scan is still one Python pass per record, with no
+pre-aggregation and no numpy. Correctness comes first:
 every query's two answers are compared before any timing, and a mismatch
 aborts the run.
 """
@@ -12,7 +15,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .cube import (
     AggregateQuery,
@@ -25,25 +28,30 @@ from .cube import (
 from .errors import AnswerMismatch, BadLevel, ConfigError
 from .records import (
     DIMENSIONS,
+    MEMBER_GETTERS,
     STATUS_SEEKER,
     CanonicalApplicant,
-    dimension_value,
     write_csv,
 )
 
 
-def _record_label(record: CanonicalApplicant, dimension: str, level: str,
-                  congress_parent: Mapping[str, str] | None) -> str:
-    """The record's member label on a dimension at the requested level."""
+# measure -> (what a seeker adds, what any other record adds)
+_WEIGHTS = {"total": (1, 1), "seekers": (1, 0), "directed": (0, 1)}
+
+
+def _label_getter(dimension: str, level: str,
+                  congress_parent: Mapping[str, str] | None,
+                  ) -> Callable[[CanonicalApplicant], str]:
+    """One callable giving a record's member label on a dimension at a level."""
     if level == base_level(dimension):
-        return dimension_value(record, dimension)
-    if dimension == "time" and level == "year":
-        return str(record.year)
-    if dimension == "congress" and level == "city":
-        value = record.congress
+        return MEMBER_GETTERS[dimension]
+    if (dimension, level) == ("time", "year"):
+        return lambda r: str(r.year)
+    if (dimension, level) == ("congress", "city"):
         if congress_parent is None:
-            return value
-        return congress_parent.get(value, value)
+            return MEMBER_GETTERS["congress"]
+        parent = congress_parent.get
+        return lambda r: parent(r.congress, r.congress)
     raise BadLevel(f"{dimension}: unknown level {level!r}")
 
 
@@ -59,29 +67,31 @@ def run_scan_query(records: Sequence[CanonicalApplicant], query: AggregateQuery,
     """
     group_by, filters = normalize_query(
         query, {dimension: base_level(dimension) for dimension in DIMENSIONS})
-    measure = query.measure
-    groups: dict[tuple[str, ...], int] = {}
-    for r in records:
-        keep = True
-        for dimension, level, members in filters:
-            if _record_label(r, dimension, level, congress_parent) not in members:
-                keep = False
-                break
-        if not keep:
-            continue
-        if measure == "seekers":
-            value = 1 if r.status == STATUS_SEEKER else 0
-        elif measure == "directed":
-            value = 0 if r.status == STATUS_SEEKER else 1
-        else:
-            value = 1
-        key = tuple(_record_label(r, dimension, level, congress_parent)
-                    for dimension, level in group_by)
-        groups[key] = groups.get(key, 0) + value
+    tests = [(_label_getter(dimension, level, congress_parent), members)
+             for dimension, level, members in filters]
+    labels = [_label_getter(dimension, level, congress_parent)
+              for dimension, level in group_by]
+    # One group-by entry, the common case, groups on the bare label: building
+    # a tuple per record would cost about as much as the rest of the pass.
+    single = len(labels) == 1
+    key_of = labels[0] if single else (lambda r: tuple([label(r) for label in labels]))
+    if_seeker, otherwise = _WEIGHTS[query.measure]
 
+    groups: dict[str | tuple[str, ...], int] = {}
+    for r in records:
+        for member_of, members in tests:
+            if member_of(r) not in members:
+                break
+        else:
+            key = key_of(r)
+            groups[key] = groups.get(key, 0) + (
+                if_seeker if r.status == STATUS_SEEKER else otherwise)
+
+    if single:
+        groups = {(label,): n for label, n in groups.items()}
     columns = tuple(
         (dimension if level == base_level(dimension) else f"{dimension}_{level}")
-        for dimension, level in group_by) + (measure,)
+        for dimension, level in group_by) + (query.measure,)
     if not group_by:
         return ResultTable(columns, ((groups.get((), 0),),))
     rows = tuple((*key, groups[key]) for key in sorted(groups))

@@ -183,15 +183,15 @@ def cmd_refresh(config: PipelineConfig, args: argparse.Namespace) -> int:
     _require_file(clean, "jobcube etl")
     records = read_records_csv(clean)
     hierarchy = load_hierarchy(config.hierarchy_path())
-    schema = load_schema(config.warehouse_dir)
-    before = {dim: len(table) for dim, table in schema.dimensions.items()}
-    refreshed = refresh(schema, records, hierarchy)
-    issues = check_integrity(refreshed)
-    if issues:
-        for issue in issues:
-            _say(f"[refresh] invariant violation: {issue}")
-        return 3
-    with _locked(Path(config.warehouse_dir)):
+    with _locked(Path(config.warehouse_dir)):   # held from read to write
+        schema = load_schema(config.warehouse_dir)
+        before = {dim: len(table) for dim, table in schema.dimensions.items()}
+        refreshed = refresh(schema, records, hierarchy)
+        issues = check_integrity(refreshed)
+        if issues:
+            for issue in issues:
+                _say(f"[refresh] invariant violation: {issue}")
+            return 3
         manifest = persist(refreshed, config.warehouse_dir)
     for dim, table in sorted(refreshed.dimensions.items()):
         grown = len(table) - before[dim]

@@ -1,11 +1,11 @@
 """One YAML file drives the whole pipeline.
 
 Top-level keys: seed, data_dir, warehouse_dir, years, gen, etl, reports,
-bench, plus optional overrides for the sidecar files (sources_file,
-hierarchy_file, codebooks_file, staging_file, clean_file). Relative paths
-are taken as written, i.e. resolved against the working directory of the
-invoking process. Everything is validated up front; stages only check that
-their input files exist.
+bench. The sidecar files (sources.yaml, hierarchy.yaml, codebooks.yaml,
+staging.csv, clean.csv) live in data_dir. Relative paths are taken as
+written, i.e. resolved against the working directory of the invoking
+process. Everything is validated up front; stages only check that their
+input files exist.
 """
 
 from __future__ import annotations
@@ -106,11 +106,6 @@ class PipelineConfig:
     bench_repetitions: int = 10
     bench_warmup: int = 2
     bench_output: str = DEFAULT_BENCH_OUTPUT
-    sources_file: Path | None = None
-    hierarchy_file: Path | None = None
-    codebooks_file: Path | None = None
-    staging_file: Path | None = None
-    clean_file: Path | None = None
 
     def validate(self) -> None:
         if self.year_from > self.year_to:
@@ -135,26 +130,25 @@ class PipelineConfig:
         return BenchConfig(queries=queries, repetitions=self.bench_repetitions,
                            warmup=self.bench_warmup)
 
-    # sidecar paths default to files the generator writes into data_dir
+    # sidecar files: the generator and the pipeline stages write them into data_dir
     def sources_path(self) -> Path:
-        return self.sources_file or self.data_dir / "sources.yaml"
+        return self.data_dir / "sources.yaml"
 
     def hierarchy_path(self) -> Path:
-        return self.hierarchy_file or self.data_dir / "hierarchy.yaml"
+        return self.data_dir / "hierarchy.yaml"
 
     def codebooks_path(self) -> Path:
-        return self.codebooks_file or self.data_dir / "codebooks.yaml"
+        return self.data_dir / "codebooks.yaml"
 
     def staging_path(self) -> Path:
-        return self.staging_file or self.data_dir / "staging.csv"
+        return self.data_dir / "staging.csv"
 
     def clean_path(self) -> Path:
-        return self.clean_file or self.data_dir / "clean.csv"
+        return self.data_dir / "clean.csv"
 
 
 _TOP_KEYS = {"seed", "data_dir", "warehouse_dir", "years", "gen", "etl",
-             "reports", "bench", "sources_file", "hierarchy_file",
-             "codebooks_file", "staging_file", "clean_file"}
+             "reports", "bench"}
 _GEN_KEYS = {"counts", "target_bytes", "duplicate_rate", "blank_rate",
              "discrepancy_rate", "sectors", "congresses_per_city",
              "districts_per_congress", "directed_share", "specialties",
@@ -269,9 +263,6 @@ def load_config(path: str | Path) -> PipelineConfig:
                               parse_query({k: v for k, v in entry.items()
                                            if k != "id"}, entry_where)))
 
-    def path_or_none(key: str) -> Path | None:
-        return Path(str(raw[key])) if key in raw else None
-
     config = PipelineConfig(
         seed=seed,
         data_dir=Path(str(raw.get("data_dir", "data"))),
@@ -287,11 +278,6 @@ def load_config(path: str | Path) -> PipelineConfig:
                                    f"{where}.bench.repetitions"),
         bench_warmup=_integer(bench.get("warmup", 2), f"{where}.bench.warmup"),
         bench_output=str(bench.get("output", DEFAULT_BENCH_OUTPUT)),
-        sources_file=path_or_none("sources_file"),
-        hierarchy_file=path_or_none("hierarchy_file"),
-        codebooks_file=path_or_none("codebooks_file"),
-        staging_file=path_or_none("staging_file"),
-        clean_file=path_or_none("clean_file"),
     )
     config.validate()
     return config

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import re
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from .errors import MalformedCsv
 
@@ -52,16 +53,9 @@ NULLABLE_FIELDS: frozenset[str] = frozenset(
      "education_level", "service_status"}
 )
 
-# The six cube dimensions, in fixed axis order, with the record field backing
-# each one. Time is synthesized from (year, quarter).
+# The six cube dimensions, in fixed axis order; MEMBER_GETTERS (below) gives a
+# record's member on each.
 DIMENSIONS: tuple[str, ...] = ("city", "sector", "edulevel", "congress", "service", "time")
-DIMENSION_FIELDS: dict[str, str] = {
-    "city": "city",
-    "sector": "sector",
-    "edulevel": "education_level",
-    "congress": "congress",
-    "service": "service_status",
-}
 
 # What must survive projection: the six dimension attributes, status, and the
 # natural key (identity is needed for dedup idempotence and refresh).
@@ -95,11 +89,16 @@ def time_key(year: int, quarter: str) -> str:
     return f"{year}{quarter}"
 
 
-def dimension_value(record: CanonicalApplicant, dimension: str) -> str:
-    """The record's member on a cube dimension at base grain."""
-    if dimension == "time":
-        return time_key(record.year, record.quarter)
-    return getattr(record, DIMENSION_FIELDS[dimension])
+# A record's member on each cube dimension at base grain: the backing field,
+# and for time the (year, quarter) pair as a time_key.
+MEMBER_GETTERS: dict[str, Callable[[CanonicalApplicant], str]] = {
+    "city": attrgetter("city"),
+    "sector": attrgetter("sector"),
+    "edulevel": attrgetter("education_level"),
+    "congress": attrgetter("congress"),
+    "service": attrgetter("service_status"),
+    "time": lambda r: time_key(r.year, r.quarter),
+}
 
 
 def project(record: CanonicalApplicant, keep: frozenset[str] | set[str]) -> CanonicalApplicant:

@@ -35,13 +35,12 @@ from .errors import (
 )
 from .preprocess import ConceptHierarchy
 from .records import (
-    DIMENSION_FIELDS,
     DIMENSIONS,
+    MEMBER_GETTERS,
     QUARTERS,
     STATUS_DIRECTED,
     STATUS_SEEKER,
     CanonicalApplicant,
-    dimension_value,
     time_key,
     write_csv,
 )
@@ -112,7 +111,7 @@ def _congress_parent(hierarchy: ConceptHierarchy | None, value: str) -> str:
 
 def _observed(records: Sequence[CanonicalApplicant]) -> dict[str, set[str]]:
     """Distinct record values per dimension other than time."""
-    return {dim: set(map(attrgetter(name), records)) for dim, name in DIMENSION_FIELDS.items()}
+    return {dim: set(map(MEMBER_GETTERS[dim], records)) for dim in DIMENSIONS if dim != "time"}
 
 
 def _appended(rows: tuple[DimensionRow, ...], values: set[str], dim: str,
@@ -185,9 +184,7 @@ def load_facts(records: Sequence[CanonicalApplicant],
         # group on each id's rank among the sorted ids; -1: not a member
         rows = sorted(dims[dim].rows, key=attrgetter("surrogate_id"))
         rank = {r.natural_key: i for i, r in enumerate(rows)}
-        values = (map(time_key, map(attrgetter("year"), records),
-                      map(attrgetter("quarter"), records)) if dim == "time"
-                  else map(attrgetter(DIMENSION_FIELDS[dim]), records))
+        values = map(MEMBER_GETTERS[dim], records)
         columns.append(np.fromiter(map(rank.get, values, repeat(-1)), np.int64, n))
         ids.append(np.array([r.surrogate_id for r in rows], dtype=np.int64))
     status = [r.status for r in records]
@@ -200,7 +197,7 @@ def load_facts(records: Sequence[CanonicalApplicant],
         for dim, column in zip(DIMENSIONS, columns):
             if column[bad[0]] < 0:
                 raise UnresolvedDimensionValue(
-                    f"{dims[dim].name}: value {dimension_value(r, dim)!r} not in dimension")
+                    f"{dims[dim].name}: value {MEMBER_GETTERS[dim](r)!r} not in dimension")
         raise InvalidFieldValue(f"record {r.national_id!r}: bad status {r.status!r}")
 
     key_columns, sums = group_rows(columns, [len(i) for i in ids], weights)
@@ -217,8 +214,8 @@ def _stamped(dims: dict[str, DimensionTable], facts: np.ndarray,
         for row in dims[dim].rows:
             h.update(repr((dim, row.surrogate_id, row.natural_key,
                            sorted(row.attributes.items()))).encode())
-    for row in facts.tolist():
-        h.update(repr((tuple(row[:KEYS]), tuple(row[KEYS:]))).encode())
+    row_repr = "((%d, %d, %d, %d, %d, %d), (%d, %d, %d))"     # repr((keys, measures))
+    h.update(((row_repr * len(facts)) % tuple(facts.ravel().tolist())).encode())
     h.update(repr(sorted(meta_core.items())).encode())
     return StarSchema(dims, facts, {**meta_core, "loaded": "content:" + h.hexdigest()[:16]})
 

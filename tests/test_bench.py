@@ -30,6 +30,38 @@ QUERIES = (
 )
 
 
+# Every (dimension, level) pair the scan resolves, with members to filter on.
+LEVEL_MEMBERS = {
+    ("city", "city"): ("CityA", "CityC"),
+    ("sector", "sector"): ("", "SEC-B"),
+    ("edulevel", "edulevel"): ("edu2",),
+    ("congress", "congress"): ("CGA1", "UNKNOWN"),
+    ("congress", "city"): ("CityB", "UNKNOWN"),
+    ("service", "service"): ("svc1", "svc4"),
+    ("time", "quarter"): ("2001Q1", "2003Q4", "2006Q2"),
+    ("time", "year"): ("2002", "2005"),
+}
+NOTHING = (("city", "city", ("NOT-A-CITY",)),)
+
+
+def matrix_cases():
+    """(group_by, filters) pairs covering each level as a grouping and as a
+    filter, two-level groupings, and a filter that matches nothing."""
+    pairs = list(LEVEL_MEMBERS)
+    cases = [((), ())]
+    for i, pair in enumerate(pairs):
+        other = next(p for p in pairs[i + 1:] + pairs if p[0] != pair[0])
+        cases.append(((pair,), ()))
+        cases.append(((other,), ((*pair, LEVEL_MEMBERS[pair]),)))
+        cases.append(((pair, other), ()))
+    cases.append(((("congress", "congress"),),
+                  (("congress", "city", LEVEL_MEMBERS["congress", "city"]),)))
+    cases.append(((("time", "quarter"),), (("time", "year", ("2004",)),)))
+    cases.append(((), NOTHING))
+    cases.append(((("time", "year"), ("congress", "city")), NOTHING))
+    return cases
+
+
 @pytest.fixture(scope="module")
 def fixture():
     records = random_clean_records(77, 1800)
@@ -65,6 +97,20 @@ class TestScanBaseline:
             "total", group_by=("city", "sector")), congress_parent=cities)
         labels = [row[:-1] for row in table.rows]
         assert labels == sorted(labels)
+
+    @pytest.mark.parametrize("with_parent", [True, False])
+    @pytest.mark.parametrize("measure", ["total", "seekers", "directed"])
+    def test_matrix_matches_oracle(self, fixture, measure, with_parent):
+        records, _, cities = fixture
+        parent = cities if with_parent else None
+        for group_by, filters in matrix_cases():
+            query = AggregateQuery(measure, group_by=group_by, filters=filters)
+            scanned = run_scan_query(records, query, congress_parent=parent)
+            want = oracle_aggregate(records, measure, list(group_by), list(filters),
+                                    parent or {})
+            assert table_as_dict(scanned) == want, (group_by, filters)
+            assert [row[:-1] for row in scanned.rows] == sorted(want), (group_by, filters)
+            assert all(type(row[-1]) is int for row in scanned.rows)
 
     def test_duplicate_group_by_dimension_rejected(self, fixture):
         records, cube, cities = fixture

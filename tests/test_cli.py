@@ -10,7 +10,9 @@ import sys
 import pytest
 import yaml
 
+from jobcube import cli
 from jobcube.cli import main
+from jobcube.warehouse import load_schema
 
 COUNTS = {"tripoli": 120, "misurata": 80, "sirte": 50}
 
@@ -197,10 +199,14 @@ class TestHappyPath:
 
 
 class TestExitCodes:
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)     # an accepted config would gen into ./data
         path = tmp_path / "bad.yaml"
-        path.write_text("sede: 12\n", encoding="utf-8")
-        assert main(["gen", "-c", str(path)]) == 1
+        for text in ("sede: 12\n", "sources_file: s.yaml\n",
+                     "hierarchy_file: h.yaml\n", "codebooks_file: c.yaml\n",
+                     "staging_file: s.csv\n", "clean_file: c.csv\n"):
+            path.write_text(text, encoding="utf-8")
+            assert main(["gen", "-c", str(path)]) == 1, text
 
     def test_missing_config(self, tmp_path):
         assert main(["gen", "-c", str(tmp_path / "none.yaml")]) == 1
@@ -261,6 +267,22 @@ class TestExitCodes:
         assert main(["load", "-c", cfg]) == 1
         (tmp_path / "warehouse" / ".lock").unlink()
         assert main(["load", "-c", cfg]) == 0
+
+    def test_refresh_reads_the_warehouse_under_the_lock(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        for command in ("gen", "ingest", "etl", "load"):
+            assert main([command, "-c", cfg]) == 0
+        lock = tmp_path / "warehouse" / ".lock"
+        locked_at_read = []
+
+        def spy(path):
+            locked_at_read.append(lock.exists())
+            return load_schema(path)
+
+        monkeypatch.setattr(cli, "load_schema", spy)
+        assert main(["refresh", "-c", cfg]) == 0
+        assert locked_at_read == [True]
+        assert not lock.exists()
 
     @pytest.mark.parametrize("line_index, edit, reason", RECORD_CSV_TAMPERS)
     def test_tampered_staging_is_data_error(self, tmp_path, capsys, line_index, edit,
