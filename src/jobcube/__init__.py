@@ -42,11 +42,11 @@ from .sources import (
     SchemaMapping,
     SourceSpec,
     ingest_sources,
-    map_to_canonical,
     parse_dbf,
     parse_delimited,
     parse_fixed_width,
     read_dbf,
+    record_mapper,
 )
 from .warehouse import (
     StarSchema,
@@ -97,7 +97,6 @@ __all__ = [
     "ingest_sources",
     "load_schema",
     "logically_equal",
-    "map_to_canonical",
     "normalize_codes",
     "parse_dbf",
     "parse_delimited",
@@ -105,6 +104,7 @@ __all__ = [
     "persist",
     "read_dbf",
     "read_records_csv",
+    "record_mapper",
     "refresh",
     "rollup",
     "run_benchmark",

@@ -39,7 +39,7 @@ from .errors import (
 from .preprocess import run_pipeline
 from .records import read_records_csv, write_csv, write_records_csv
 from .reporting import render_text_table, run_report, write_result
-from .sources import ingest_sources
+from .sources import RejectedRow, ingest_sources
 from .warehouse import build_schema, check_integrity, load_schema, persist, refresh
 
 USAGE_ERRORS = (ConfigError, BadPolicy, BadHierarchy, BadLevelPair, BadQuery,
@@ -125,8 +125,7 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> int:
 
     rejects_path = Path(config.data_dir) / INGEST_REJECTS
     if report.rejects:
-        write_csv(rejects_path, ("source_id", "row_no", "reason"),
-                  ((r.source_id, r.row_no, r.reason) for r in report.rejects))
+        write_csv(rejects_path, RejectedRow._fields, report.rejects)
         _say(f"[ingest] {len(report.rejects)} rejected rows -> {rejects_path}")
         return 2
     rejects_path.unlink(missing_ok=True)

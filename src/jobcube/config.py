@@ -303,12 +303,7 @@ def load_sources(path: str | Path) -> list[SourceSpec]:
                 raise ConfigError(f"{entry_where}: missing {required!r}")
         field_map = {str(k): str(v) for k, v in
                      _as_mapping(entry["field_map"], f"{entry_where}.field_map").items()}
-        codebooks = {
-            str(field_name): {str(code): str(value) for code, value in
-                              _as_mapping(book, f"{entry_where}.value_codebooks").items()}
-            for field_name, book in
-            _as_mapping(entry.get("value_codebooks"),
-                        f"{entry_where}.value_codebooks").items()}
+        codebooks = _codebooks(entry.get("value_codebooks"), f"{entry_where}.value_codebooks")
         layout = []
         for j, fd in enumerate(entry.get("layout") or []):
             fd = _as_mapping(fd, f"{entry_where}.layout[{j}]")
@@ -322,12 +317,11 @@ def load_sources(path: str | Path) -> list[SourceSpec]:
             except (KeyError, TypeError, ValueError):
                 raise ConfigError(
                     f"{entry_where}.layout[{j}]: needs name, kind, length") from None
-        mapping = SchemaMapping(field_map=field_map, value_codebooks=codebooks)
-        mapping.require_mandatory()
         spec = SourceSpec(
             source_id=str(entry["source_id"]), city=str(entry["city"]),
             format=str(entry["format"]), path=str(entry["path"]),
-            mapping=mapping, encoding=str(entry.get("encoding", "ascii")),
+            mapping=SchemaMapping(field_map=field_map, value_codebooks=codebooks),
+            encoding=str(entry.get("encoding", "ascii")),
             delimiter=str(entry.get("delimiter", ",")), layout=tuple(layout))
         spec.validate()
         specs.append(spec)
@@ -344,16 +338,15 @@ def load_hierarchy(path: str | Path) -> ConceptHierarchy:
     if not isinstance(levels, Sequence) or isinstance(levels, str) or not levels:
         raise ConfigError(f"{where}: 'levels' must be a list of level names")
     tree = _as_mapping(raw.get("tree"), f"{where}.tree")
-    hierarchy = ConceptHierarchy.from_tree([str(lv) for lv in levels], tree)
-    hierarchy.validate()
-    return hierarchy
+    return ConceptHierarchy.from_tree([str(lv) for lv in levels], tree)
+
+
+def _codebooks(raw, where: str) -> dict[str, dict[str, str]]:
+    """{field: {code: value}} as text, from a YAML mapping of mappings."""
+    return {str(name): {str(code): str(value) for code, value in
+                        _as_mapping(book, f"{where}.{name}").items()}
+            for name, book in _as_mapping(raw, where).items()}
 
 
 def load_codebooks(path: str | Path) -> dict[str, dict[str, str]]:
-    where = str(path)
-    raw = _as_mapping(_read_yaml(path), where)
-    books = {}
-    for field_name, book in raw.items():
-        books[str(field_name)] = {str(k): str(v) for k, v in
-                                  _as_mapping(book, f"{where}.{field_name}").items()}
-    return books
+    return _codebooks(_read_yaml(path), str(path))

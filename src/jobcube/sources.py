@@ -9,6 +9,9 @@ Formats:
 
 Parsers are pure functions over bytes; nothing here touches the filesystem
 except :func:`ingest_sources`, which drives the full read-and-map pass.
+
+:func:`record_mapper` resolves each source's field map and codebooks once into
+one row function. A key naming no mappable canonical field is a ConfigError.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ import csv
 import io
 import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import (
     ConfigError,
@@ -32,7 +36,7 @@ from .errors import (
     TruncatedFile,
     UnsupportedFieldType,
 )
-from .records import CanonicalApplicant, derive_status, parse_year
+from .records import ALL_FIELDS, CanonicalApplicant, derive_status, parse_year
 
 DBF_VERSION = 0x03
 DBF_LIVE_FLAG = 0x20
@@ -41,8 +45,12 @@ DBF_TERMINATOR = 0x0D
 DBF_EOF = 0x1A
 FIELD_KINDS = frozenset("CND")  # character, numeric, date
 
-# Canonical fields every source must map (city is fixed per source).
+# Canonical fields every source must map, and those no source may map: city
+# and source id come from the spec, status derives from sector.
 MANDATORY_MAPPED = ("national_id", "year", "quarter")
+FIXED_FIELDS = frozenset({"city", "status", "source_id"})
+
+_STATUS, _YEAR, _QUARTER, _SECTOR = map(ALL_FIELDS.index, ("status", "year", "quarter", "sector"))
 
 
 @dataclass(frozen=True)
@@ -80,10 +88,16 @@ class SchemaMapping:
     field_map: dict[str, str]
     value_codebooks: dict[str, dict[str, str]] = field(default_factory=dict)
 
-    def require_mandatory(self) -> None:
+    def require_mandatory(self, where: str = "mapping") -> None:
         missing = [f for f in MANDATORY_MAPPED if f not in self.field_map]
         if missing:
-            raise ConfigError(f"mapping lacks mandatory canonical fields: {missing}")
+            raise ConfigError(f"{where}: lacks mandatory canonical fields: {missing}")
+        for name in self.field_map:
+            if name not in ALL_FIELDS or name in FIXED_FIELDS:
+                raise ConfigError(f"{where}: field_map key {name!r} is not a mappable field")
+        for name in self.value_codebooks:
+            if name not in self.field_map:
+                raise ConfigError(f"{where}: value_codebooks key {name!r} is not mapped")
 
 
 @dataclass(frozen=True)
@@ -104,7 +118,7 @@ class SourceSpec:
             raise ConfigError(f"{self.source_id}: fixed_width source needs a layout")
         if self.format == "delimited" and len(self.delimiter) != 1:
             raise ConfigError(f"{self.source_id}: delimiter must be one character")
-        self.mapping.require_mandatory()
+        self.mapping.require_mandatory(self.source_id)
 
 
 def validate_layout(layout: Iterable[FieldDescriptor]) -> None:
@@ -304,12 +318,10 @@ class SourceCounters:
         self.untranslatable[field_name] = self.untranslatable.get(field_name, 0) + 1
 
 
-@dataclass(frozen=True)
-class RejectedRow:
+class RejectedRow(NamedTuple):
     source_id: str
     row_no: int
     reason: str
-    values: dict[str, str]
 
 
 @dataclass
@@ -335,57 +347,52 @@ class IngestReport:
         return lines
 
 
-def map_to_canonical(record: RawRecord, mapping: SchemaMapping, source: SourceSpec,
-                     counters: SourceCounters | None = None) -> CanonicalApplicant:
-    """Apply the field map and per-source codebooks; derive status and city.
+def record_mapper(spec: SourceSpec, counters: SourceCounters | None = None,
+                  ) -> Callable[[RawRecord], CanonicalApplicant]:
+    """A validated spec's row function: field map and codebooks applied (an
+    untranslated code passes through and is counted), city and source id
+    fixed, status derived. It raises MissingMandatoryField for a row lacking a
+    mapped field, InvalidFieldValue for a bad year or a blank quarter."""
+    sid = spec.source_id
+    field_map = spec.mapping.field_map
+    mapped = [name for name in ALL_FIELDS if name in field_map]
+    # The text of unmapped fields, city, source id, then the mapped fields' wire
+    # values (three or more: a tuple), reordered into ALL_FIELDS positions.
+    fixed = ("", spec.city, sid)
+    pick = itemgetter(*(field_map[name] for name in mapped))
+    slots = {"city": 1, "source_id": 2} | {name: i for i, name in enumerate(mapped, 3)}
+    arrange = itemgetter(*(slots.get(name, 0) for name in ALL_FIELDS))
+    coded = tuple((ALL_FIELDS.index(name), name, book)
+                  for name, book in spec.mapping.value_codebooks.items())
+    count = (counters or SourceCounters()).count_untranslatable
+    make = CanonicalApplicant._make
 
-    Raises MissingMandatoryField when a mapped source field is absent from the
-    row, InvalidFieldValue when year/quarter cannot be carried into the
-    canonical record.
-    """
-    values: dict[str, str] = {}
-    for canonical, src_field in mapping.field_map.items():
-        if src_field not in record.values:
+    def to_record(raw: RawRecord) -> CanonicalApplicant:
+        try:
+            picked = pick(raw.values)
+        except KeyError:
+            canonical, wire = next(pair for pair in field_map.items()
+                                   if pair[1] not in raw.values)
             raise MissingMandatoryField(
-                f"{source.source_id}: row lacks field {src_field!r} (for {canonical})")
-        values[canonical] = record.values[src_field]
+                f"{sid}: row lacks field {wire!r} (for {canonical})") from None
+        row = list(arrange(fixed + picked))
+        for pos, name, book in coded:
+            code = row[pos]
+            if code and code in book:
+                row[pos] = book[code]
+            elif code:
+                count(name)
+        year_text = row[_YEAR].strip()
+        try:
+            row[_YEAR] = parse_year(year_text)
+        except ValueError:
+            raise InvalidFieldValue(f"{sid}: bad year {year_text!r}") from None
+        if not row[_QUARTER].strip():
+            raise InvalidFieldValue(f"{sid}: empty quarter")
+        row[_STATUS] = derive_status(row[_SECTOR])
+        return make(row)
 
-    for field_name, book in mapping.value_codebooks.items():
-        raw = values.get(field_name, "")
-        if raw == "":
-            continue
-        if raw in book:
-            values[field_name] = book[raw]
-        elif counters is not None:
-            counters.count_untranslatable(field_name)
-
-    year_text = values.pop("year", "").strip()
-    try:
-        year = parse_year(year_text)
-    except ValueError:
-        raise InvalidFieldValue(f"{source.source_id}: bad year {year_text!r}") from None
-    if values.get("quarter", "").strip() == "":
-        raise InvalidFieldValue(f"{source.source_id}: empty quarter")
-
-    sector = values.get("sector", "")
-    return CanonicalApplicant(
-        national_id=values.get("national_id", ""),
-        name=values.get("name", ""),
-        sex=values.get("sex", ""),
-        district=values.get("district", ""),
-        congress=values.get("congress", ""),
-        city=source.city,
-        specialty=values.get("specialty", ""),
-        job_group=values.get("job_group", ""),
-        sector=sector,
-        moahel=values.get("moahel", ""),
-        education_level=values.get("education_level", ""),
-        service_status=values.get("service_status", ""),
-        status=derive_status(sector),
-        year=year,
-        quarter=values.get("quarter", ""),
-        source_id=source.source_id,
-    )
+    return to_record
 
 
 def parse_source(data: bytes, spec: SourceSpec,
@@ -420,15 +427,15 @@ def ingest_sources(specs: Iterable[SourceSpec], base_dir: str | Path,
         data = (base / spec.path).read_bytes()
         rows = parse_source(data, spec, report)
         counters = report.counters(spec.source_id)
+        to_record = record_mapper(spec, counters)
+        before = len(out)
         for row_no, raw in enumerate(rows, start=1):
-            counters.records_read += 1
             try:
-                rec = map_to_canonical(raw, spec.mapping, spec, counters)
+                out.append(to_record(raw))
             except (MissingMandatoryField, InvalidFieldValue) as exc:
-                counters.records_rejected += 1
-                report.rejects.append(RejectedRow(spec.source_id, row_no,
-                                                  str(exc), dict(raw.values)))
-            else:
-                counters.records_ok += 1
-                out.append(rec)
+                report.rejects.append(RejectedRow(spec.source_id, row_no, str(exc)))
+        ok = len(out) - before
+        counters.records_read += len(rows)
+        counters.records_ok += ok
+        counters.records_rejected += len(rows) - ok
     return out, report

@@ -1,5 +1,6 @@
 """Subcommand driver: stage wiring, exit codes, quarantine files."""
 
+import copy
 import csv
 import hashlib
 import re
@@ -207,6 +208,28 @@ class TestExitCodes:
                      "staging_file: s.csv\n", "clean_file: c.csv\n"):
             path.write_text(text, encoding="utf-8")
             assert main(["gen", "-c", str(path)]) == 1, text
+
+    def test_unknown_sources_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["gen", "-c", cfg]) == 0
+        path = tmp_path / "data" / "sources.yaml"
+        generated = yaml.safe_load(path.read_text(encoding="utf-8"))
+        assert generated["sources"][0]["city"] == "Tripoli"     # maps no congress
+        edits = {
+            "setor": lambda src: src["field_map"].update(
+                setor=src["field_map"].pop("sector")),
+            "status": lambda src: src["field_map"].update(status="SECTOR"),
+            "congress": lambda src: src.update(value_codebooks={"congress": {"1": "C1"}}),
+        }
+        for key, edit in edits.items():
+            raw = copy.deepcopy(generated)
+            edit(raw["sources"][0])
+            path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+            capsys.readouterr()
+            assert main(["ingest", "-c", cfg]) == 1, key
+            err = capsys.readouterr().err
+            assert "error: tripoli: " in err and repr(key) in err, err
+            assert "Traceback" not in err
 
     def test_missing_config(self, tmp_path):
         assert main(["gen", "-c", str(tmp_path / "none.yaml")]) == 1

@@ -1,12 +1,14 @@
 """Legacy format parsers and the canonical schema mapping."""
 
+import hashlib
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jobcube.datagen import render_dbf, render_delimited, render_fixed_width
+from jobcube.config import load_sources
+from jobcube.datagen import generate, render_dbf, render_delimited, render_fixed_width
 from jobcube.errors import (
     ConfigError,
     InvalidFieldValue,
@@ -19,19 +21,31 @@ from jobcube.errors import (
     TruncatedFile,
     UnsupportedFieldType,
 )
+from jobcube.records import (
+    ALL_FIELDS,
+    CanonicalApplicant,
+    derive_status,
+    parse_year,
+    write_records_csv,
+)
 from jobcube.sources import (
+    FIXED_FIELDS,
+    MANDATORY_MAPPED,
     FieldDescriptor,
     RawRecord,
     SchemaMapping,
     SourceCounters,
     SourceSpec,
-    map_to_canonical,
+    ingest_sources,
     parse_dbf,
     parse_delimited,
     parse_fixed_width,
     read_dbf,
+    record_mapper,
     validate_layout,
 )
+
+from test_datagen import PINNED_CONFIGS
 
 
 def build_frozen_dbf() -> bytes:
@@ -256,10 +270,9 @@ def make_spec(value_codebooks=None) -> SourceSpec:
 class TestMapping:
     def test_maps_fields_and_fixes_city(self):
         spec = make_spec()
-        rec = map_to_canonical(
+        rec = record_mapper(spec)(
             RawRecord("src", {"NID": "N1", "YR": "2003", "QTR": "Q2",
-                              "SEC": "S9", "SX": "male"}),
-            spec.mapping, spec)
+                              "SEC": "S9", "SX": "male"}))
         assert (rec.national_id, rec.year, rec.quarter) == ("N1", 2003, "Q2")
         assert rec.city == "CityX"
         assert rec.source_id == "src"
@@ -267,76 +280,205 @@ class TestMapping:
     def test_status_follows_sector(self):
         spec = make_spec()
         base = {"NID": "N1", "YR": "2003", "QTR": "Q2", "SX": "male"}
-        directed = map_to_canonical(RawRecord("src", base | {"SEC": "S9"}),
-                                    spec.mapping, spec)
-        seeker = map_to_canonical(RawRecord("src", base | {"SEC": ""}),
-                                  spec.mapping, spec)
+        directed = record_mapper(spec)(RawRecord("src", base | {"SEC": "S9"}))
+        seeker = record_mapper(spec)(RawRecord("src", base | {"SEC": ""}))
         assert directed.status == "directed"
         assert seeker.status == "seeker"
 
     def test_codebook_translates_exact_codes(self):
         spec = make_spec({"sex": {"1": "male", "2": "female"}})
         counters = SourceCounters()
-        rec = map_to_canonical(
+        rec = record_mapper(spec, counters)(
             RawRecord("src", {"NID": "N1", "YR": "2003", "QTR": "Q2",
-                              "SEC": "", "SX": "2"}),
-            spec.mapping, spec, counters)
+                              "SEC": "", "SX": "2"}))
         assert rec.sex == "female"
         assert counters.untranslatable == {}
 
     def test_untranslatable_code_passes_through_and_counts(self):
         spec = make_spec({"sex": {"1": "male"}})
         counters = SourceCounters()
-        rec = map_to_canonical(
+        rec = record_mapper(spec, counters)(
             RawRecord("src", {"NID": "N1", "YR": "2003", "QTR": "Q2",
-                              "SEC": "", "SX": "Male"}),
-            spec.mapping, spec, counters)
+                              "SEC": "", "SX": "Male"}))
         assert rec.sex == "Male"
         assert counters.untranslatable == {"sex": 1}
+
+    def test_blank_code_is_neither_translated_nor_counted(self):
+        spec = make_spec({"sex": {"": "male"}})
+        counters = SourceCounters()
+        rec = record_mapper(spec, counters)(
+            RawRecord("src", {"NID": "N1", "YR": "2003", "QTR": "Q2",
+                              "SEC": "", "SX": ""}))
+        assert rec.sex == ""
+        assert counters.untranslatable == {}
 
     def test_missing_mapped_field(self):
         spec = make_spec()
         with pytest.raises(MissingMandatoryField):
-            map_to_canonical(RawRecord("src", {"NID": "N1"}), spec.mapping, spec)
+            record_mapper(spec)(RawRecord("src", {"NID": "N1"}))
 
     def test_bad_year(self):
         spec = make_spec()
         with pytest.raises(InvalidFieldValue):
-            map_to_canonical(
+            record_mapper(spec)(
                 RawRecord("src", {"NID": "N1", "YR": "MMIV", "QTR": "Q2",
-                                  "SEC": "", "SX": ""}),
-                spec.mapping, spec)
+                                  "SEC": "", "SX": ""}))
 
     @pytest.mark.parametrize("year", ["2_003", "\u0662\u0660\u0660\u0663", "+2003",
                                       "20 03", "--2003", ""])
     def test_year_must_be_ascii_digits(self, year):
         spec = make_spec()
         with pytest.raises(InvalidFieldValue, match="bad year"):
-            map_to_canonical(
+            record_mapper(spec)(
                 RawRecord("src", {"NID": "N1", "YR": year, "QTR": "Q2",
-                                  "SEC": "", "SX": ""}),
-                spec.mapping, spec)
+                                  "SEC": "", "SX": ""}))
 
     @pytest.mark.parametrize("year, want", [("2003", 2003), (" 2003  ", 2003),
                                             ("-5", -5), ("02003", 2003)])
     def test_padded_year_is_stripped(self, year, want):
         spec = make_spec()
-        rec = map_to_canonical(
-            RawRecord("src", {"NID": "N1", "YR": year, "QTR": "Q2", "SEC": "", "SX": ""}),
-            spec.mapping, spec)
+        rec = record_mapper(spec)(
+            RawRecord("src", {"NID": "N1", "YR": year, "QTR": "Q2", "SEC": "", "SX": ""}))
         assert rec.year == want
 
     def test_empty_quarter(self):
         spec = make_spec()
         with pytest.raises(InvalidFieldValue):
-            map_to_canonical(
+            record_mapper(spec)(
                 RawRecord("src", {"NID": "N1", "YR": "2004", "QTR": " ",
-                                  "SEC": "", "SX": ""}),
-                spec.mapping, spec)
+                                  "SEC": "", "SX": ""}))
 
     def test_mapping_must_cover_mandatory_fields(self):
         with pytest.raises(ConfigError):
             SchemaMapping(field_map={"national_id": "NID"}).require_mandatory()
+
+    @pytest.mark.parametrize("field_map, codebooks, key", [
+        pytest.param({"setor": "SEC"}, {}, "setor", id="misspelt_field"),
+        pytest.param({"status": "SEC"}, {}, "status", id="derived_status"),
+        pytest.param({"city": "TOWN"}, {}, "city", id="fixed_city"),
+        pytest.param({"source_id": "SRC"}, {}, "source_id", id="fixed_source_id"),
+        pytest.param({}, {"sector": {"1": "S1"}}, "sector", id="codebook_on_unmapped"),
+    ])
+    def test_unknown_mapping_keys_fail_closed(self, field_map, codebooks, key):
+        mapping = SchemaMapping(
+            field_map={"national_id": "NID", "year": "YR", "quarter": "QTR"} | field_map,
+            value_codebooks=codebooks)
+        spec = SourceSpec("src", "CityX", "delimited", "x.csv", mapping)
+        with pytest.raises(ConfigError, match=f"^src: .*'{key}'"):
+            spec.validate()
+
+
+def reference_map_to_canonical(record, mapping, source, counters=None):
+    """The per-row mapper that record_mapper replaced, kept as the reference
+    the row function must agree with."""
+    values: dict[str, str] = {}
+    for canonical, src_field in mapping.field_map.items():
+        if src_field not in record.values:
+            raise MissingMandatoryField(
+                f"{source.source_id}: row lacks field {src_field!r} (for {canonical})")
+        values[canonical] = record.values[src_field]
+
+    for field_name, book in mapping.value_codebooks.items():
+        raw = values.get(field_name, "")
+        if raw == "":
+            continue
+        if raw in book:
+            values[field_name] = book[raw]
+        elif counters is not None:
+            counters.count_untranslatable(field_name)
+
+    year_text = values.pop("year", "").strip()
+    try:
+        year = parse_year(year_text)
+    except ValueError:
+        raise InvalidFieldValue(f"{source.source_id}: bad year {year_text!r}") from None
+    if values.get("quarter", "").strip() == "":
+        raise InvalidFieldValue(f"{source.source_id}: empty quarter")
+
+    sector = values.get("sector", "")
+    return CanonicalApplicant(
+        national_id=values.get("national_id", ""),
+        name=values.get("name", ""),
+        sex=values.get("sex", ""),
+        district=values.get("district", ""),
+        congress=values.get("congress", ""),
+        city=source.city,
+        specialty=values.get("specialty", ""),
+        job_group=values.get("job_group", ""),
+        sector=sector,
+        moahel=values.get("moahel", ""),
+        education_level=values.get("education_level", ""),
+        service_status=values.get("service_status", ""),
+        status=derive_status(sector),
+        year=year,
+        quarter=values.get("quarter", ""),
+        source_id=source.source_id,
+    )
+
+
+MAPPABLE = tuple(f for f in ALL_FIELDS if f not in FIXED_FIELDS)
+# Few wire names, so canonical fields often share one; a row lacks at most one.
+WIRES = ("A", "B", "C", "D", "E", "F")
+# Padded, signed and invalid years, blank quarters, codes and non-codes.
+TEXTS = ("", " ", "2003", " 2003 ", "2004", "-5", "0", "+2003", "20x3", "\u0662\u0660",
+         "1", "2", "x", "Q2", " Q3")
+
+
+@st.composite
+def specs(draw) -> SourceSpec:
+    extra = draw(st.lists(st.sampled_from(
+        [f for f in MAPPABLE if f not in MANDATORY_MAPPED]), unique=True))
+    names = draw(st.permutations(list(MANDATORY_MAPPED) + extra))
+    field_map = {name: draw(st.sampled_from(WIRES)) for name in names}
+    coded = draw(st.lists(st.sampled_from(names), unique=True))
+    books = {name: draw(st.dictionaries(st.sampled_from(("", "1", "2", "x", "2003")),
+                                        st.sampled_from(TEXTS), max_size=3))
+             for name in coded}
+    return SourceSpec("src", "CityX", "delimited", "x.csv",
+                      SchemaMapping(field_map=field_map, value_codebooks=books))
+
+
+rows = st.lists(st.dictionaries(st.sampled_from(WIRES), st.sampled_from(TEXTS),
+                                min_size=len(WIRES) - 1), max_size=8)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except JobcubeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs(), rows)
+def test_record_mapper_matches_reference(spec, values):
+    spec.validate()
+    want, got = SourceCounters(), SourceCounters()
+    to_record = record_mapper(spec, got)
+    for row in values:
+        raw = RawRecord("src", row)
+        assert outcome(to_record, raw) == outcome(
+            reference_map_to_canonical, raw, spec.mapping, spec, want)
+    assert list(got.untranslatable.items()) == list(want.untranslatable.items())
+
+
+# sha256 of staging.csv and the ingest summary for each pinned generator
+# config, recorded before each source's mapping was resolved into one row
+# function; ingest's output must not move.
+PINNED_STAGING = {
+    "counts": ("247712cfc0bd9d474fdfa424714179b89dbd45ca613b4bf7e410c6ecf32bb67c", [
+        "misurata: read=211 ok=211 rejected=0 deleted=0 untranslatable_codes=19",
+        "sirte: read=130 ok=130 rejected=0 deleted=0 untranslatable_codes=14",
+        "tripoli: read=310 ok=310 rejected=0 deleted=0 untranslatable_codes=0"]),
+    "target_bytes": ("a78e5b42bf0c6fa1bb81ff4b0f2f5c36831783bb448cccfd6d99dc9d8c0a3aff", [
+        "misurata: read=437 ok=437 rejected=0 deleted=0 untranslatable_codes=43",
+        "sirte: read=210 ok=210 rejected=0 deleted=0 untranslatable_codes=18",
+        "tripoli: read=553 ok=553 rejected=0 deleted=0 untranslatable_codes=0"]),
+    "wide": ("f7008abe0cb77d1adfcea5bff5e1846c2a91e49645c123afcdefc387704bd583", [
+        "misurata: read=211 ok=211 rejected=0 deleted=0 untranslatable_codes=27",
+        "sirte: read=134 ok=134 rejected=0 deleted=0 untranslatable_codes=13",
+        "tripoli: read=306 ok=306 rejected=0 deleted=0 untranslatable_codes=0"]),
+}
 
 
 class TestIngest:
@@ -357,3 +499,24 @@ class TestIngest:
         assert sum(report.per_source["misurata"].untranslatable.values()) == planted["misurata"]
         assert sum(report.per_source["sirte"].untranslatable.values()) == planted["sirte"]
         assert report.per_source["tripoli"].untranslatable == {}
+
+    def test_counters_and_rejects_per_source(self, tmp_path):
+        (tmp_path / "x.csv").write_text(
+            "NID,YR,QTR,SEC,SX\nN1,2003,Q2,,1\nN2,20x3,Q2,,1\nN3,2004, ,,7\n"
+            "N4,2005,Q1,S9,2\n", encoding="utf-8")
+        records, report = ingest_sources([make_spec({"sex": {"1": "male"}})], tmp_path)
+        assert [r.national_id for r in records] == ["N1", "N4"]
+        counters = report.per_source["src"]
+        assert (counters.records_read, counters.records_ok,
+                counters.records_rejected) == (4, 2, 2)
+        assert counters.untranslatable == {"sex": 2}      # "7" on a rejected row too
+        assert [(r.source_id, r.row_no, r.reason) for r in report.rejects] == [
+            ("src", 2, "src: bad year '20x3'"), ("src", 3, "src: empty quarter")]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+    def test_pinned_staging_bytes(self, tmp_path, name):
+        generate(PINNED_CONFIGS[name], tmp_path)
+        records, report = ingest_sources(load_sources(tmp_path / "sources.yaml"), tmp_path)
+        write_records_csv(records, tmp_path / "staging.csv")
+        digest = hashlib.sha256((tmp_path / "staging.csv").read_bytes()).hexdigest()
+        assert (digest, report.summary_lines()) == PINNED_STAGING[name]
