@@ -8,7 +8,8 @@ applications, blanked fields, variant code spellings).
 Each city is described once, by the SourceSpec that `build_source_specs`
 returns and `sources.yaml` carries to ingest. A city's file is written by
 running that spec's field map and codebooks backwards; the only wire field
-no mapping reads is Sirte's APPDATE.
+no mapping reads is Sirte's APPDATE. The bytes come from the `sources`
+writers, the partners of the readers ingest uses.
 
 Determinism: a pinned xorshift64* generator seeded through one splitmix64
 step. State update x ^= x>>12; x ^= x<<25; x ^= x>>27; output is
@@ -22,13 +23,11 @@ and variant spellings always differ from the canonical value after trimming.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
-from .errors import ConfigError, FieldOverflow, UnsatisfiableSize
+from .errors import ConfigError, UnsatisfiableSize
 from .records import (
     ALL_FIELDS,
     QUARTERS,
@@ -39,10 +38,16 @@ from .records import (
     quarter_index,
     write_records_csv,
 )
-from .sources import FieldDescriptor, SchemaMapping, SourceSpec
+from .sources import (
+    FieldDescriptor,
+    SchemaMapping,
+    SourceSpec,
+    render_dbf,
+    render_delimited,
+    render_fixed_width,
+)
 
 MASK64 = (1 << 64) - 1
-DBF_VERSION_BYTE = 0x03
 
 EDUCATION_LEVELS = ("primary", "preparatory", "secondary",
                     "diploma", "university", "postgraduate")
@@ -300,74 +305,6 @@ def build_hierarchy_tree(config: GenConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Format renderers (round-trip partners of the parsers)
-
-
-def _fit(value: str, fd: FieldDescriptor, where: str) -> str:
-    if len(value) > fd.length:
-        raise FieldOverflow(f"{where}: {fd.name}={value!r} exceeds {fd.length} bytes")
-    return value.ljust(fd.length) if fd.kind == "C" else value.rjust(fd.length)
-
-
-def render_fixed_width(rows: Iterable[Mapping[str, str]],
-                       layout: Sequence[FieldDescriptor]) -> bytes:
-    lines = []
-    for i, row in enumerate(rows):
-        lines.append("".join(_fit(row.get(fd.name, ""), fd, f"row {i}")
-                             for fd in layout))
-        lines.append("\n")
-    return "".join(lines).encode("ascii")
-
-
-def render_delimited(rows: Iterable[Mapping[str, str]], columns: Sequence[str],
-                     delimiter: str = ",") -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row.get(c, "") for c in columns])
-    return buf.getvalue().encode("utf-8")
-
-
-def render_dbf(rows: Sequence[Mapping[str, str]],
-               layout: Sequence[FieldDescriptor],
-               last_update: tuple[int, int, int] = (80, 1, 1)) -> bytes:
-    """dBASE III bytes: 32-byte header, 32-byte descriptors, 0x0D, records,
-    0x1A. Header arithmetic (counts and lengths) is what parsers verify."""
-    for fd in layout:
-        if len(fd.name) > 10:
-            raise ConfigError(f"field name {fd.name!r} exceeds 10 bytes")
-        if not 1 <= fd.length <= 255:
-            raise ConfigError(f"field {fd.name!r}: bad length {fd.length}")
-        if fd.kind not in "CND":
-            raise ConfigError(f"field {fd.name!r}: bad kind {fd.kind!r}")
-
-    record_len = 1 + sum(fd.length for fd in layout)
-    header_len = 32 + 32 * len(layout) + 1
-    out = bytearray()
-    out.append(DBF_VERSION_BYTE)
-    out.extend(bytes(b & 0xFF for b in last_update))
-    out.extend(len(rows).to_bytes(4, "little"))
-    out.extend(header_len.to_bytes(2, "little"))
-    out.extend(record_len.to_bytes(2, "little"))
-    out.extend(b"\x00" * 20)
-    for fd in layout:
-        desc = bytearray(32)
-        desc[0:len(fd.name)] = fd.name.encode("ascii")
-        desc[11] = ord(fd.kind)
-        desc[16] = fd.length
-        desc[17] = fd.decimals
-        out.extend(desc)
-    out.append(0x0D)
-    for i, row in enumerate(rows):
-        out.append(0x20)
-        for fd in layout:
-            out.extend(_fit(row.get(fd.name, ""), fd, f"record {i}").encode("ascii"))
-    out.append(0x1A)
-    return bytes(out)
-
-
-# ---------------------------------------------------------------------------
 # Wire encoding of canonical records: the inverse of each source's mapping
 
 _QTR_MONTH = {"Q1": "02", "Q2": "05", "Q3": "08", "Q4": "11"}
@@ -407,34 +344,29 @@ def _misurata_row_width(config: GenConfig) -> float:
     return sum(widths.values()) + len(MISURATA_COLUMNS) - 1 + 1
 
 
-def _city_row_width(config: GenConfig, city_key: str) -> float:
-    if city_key == "tripoli":
-        return sum(fd.length for fd in TRIPOLI_LAYOUT) + 1
-    if city_key == "misurata":
-        return _misurata_row_width(config)
-    return 1 + sum(fd.length for fd in SIRTE_LAYOUT)
-
-
-def _city_overhead(config: GenConfig, city_key: str) -> int:
-    if city_key == "misurata":
-        return len(",".join(MISURATA_COLUMNS)) + 1
-    if city_key == "sirte":
-        return 32 + 32 * len(SIRTE_LAYOUT) + 1 + 1   # header + terminator + EOF
-    return 0
+def _render(config: GenConfig, spec: SourceSpec, rows: Sequence[dict[str, str]]) -> bytes:
+    """A city's file: its wire rows in the spec's format."""
+    if spec.format == "fixed_width":
+        return render_fixed_width(rows, spec.layout)
+    if spec.format == "delimited":
+        return render_delimited(rows, MISURATA_COLUMNS, spec.delimiter)
+    return render_dbf(rows, SIRTE_LAYOUT, (max(0, config.year_to - 1900) & 0xFF, 12, 28))
 
 
 def _persons_from_targets(config: GenConfig) -> dict[str, int]:
     """Back out person counts from byte targets, correcting for the extra
     rows duplicate copies will add to each file."""
     base: dict[str, float] = {}
-    for city_key in CITY_ORDER:
-        target = config.target_bytes[city_key]
-        width = _city_row_width(config, city_key)
-        overhead = _city_overhead(config, city_key)
+    for spec in build_source_specs():
+        target = config.target_bytes[spec.source_id]
+        # the writer's own framing; a delimited row's width is an estimate
+        overhead = len(_render(config, spec, []))
+        width = (_misurata_row_width(config) if spec.format == "delimited"
+                 else len(_render(config, spec, [{}])) - overhead)
         if target < overhead + width:
             raise UnsatisfiableSize(
-                f"{city_key}: {target} bytes cannot hold one {width:.0f}-byte record")
-        base[city_key] = (target - overhead) / width
+                f"{spec.source_id}: {target} bytes cannot hold one {width:.0f}-byte record")
+        base[spec.source_id] = (target - overhead) / width
     counts: dict[str, int] = {}
     total = sum(base.values())
     for city_key in CITY_ORDER:
@@ -629,17 +561,10 @@ def _write_outputs(config: GenConfig, out: Path, wire: dict[str, list],
     import yaml
 
     files: dict[str, Path] = {}
-    last_update = (max(0, config.year_to - 1900) & 0xFF, 12, 28)
     specs = []
     for spec in build_source_specs():
-        rows = _wire_dicts(spec, wire[spec.source_id])
         path = out / spec.path
-        if spec.format == "fixed_width":
-            path.write_bytes(render_fixed_width(rows, spec.layout))
-        elif spec.format == "delimited":
-            path.write_bytes(render_delimited(rows, MISURATA_COLUMNS, spec.delimiter))
-        else:
-            path.write_bytes(render_dbf(rows, SIRTE_LAYOUT, last_update))
+        path.write_bytes(_render(config, spec, _wire_dicts(spec, wire[spec.source_id])))
         files[spec.source_id] = path
 
         entry: dict = {

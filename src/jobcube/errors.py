@@ -24,10 +24,6 @@ class UnsupportedFieldType(JobcubeError):
 class ShortLine(JobcubeError):
     """Fixed-width line is shorter than the layout extent."""
 
-    def __init__(self, line_no: int, got: int, need: int):
-        super().__init__(f"line {line_no}: {got} bytes, layout needs {need}")
-        self.line_no = line_no
-
 
 class DecodeError(JobcubeError):
     """Raw bytes do not decode under the source's declared encoding."""
@@ -35,10 +31,6 @@ class DecodeError(JobcubeError):
 
 class RaggedRow(JobcubeError):
     """Delimited row has a different field count than the header/first row."""
-
-    def __init__(self, row_no: int, got: int, want: int):
-        super().__init__(f"row {row_no}: {got} fields, expected {want}")
-        self.row_no = row_no
 
 
 class MalformedCsv(JobcubeError):

@@ -1,13 +1,16 @@
-"""Readers for three legacy personnel-file formats, plus the schema mapping
-that unifies them into :class:`~jobcube.records.CanonicalApplicant`.
-
-Formats:
+"""Readers and writers for three legacy personnel-file formats, plus the
+schema mapping that unifies them into :class:`~jobcube.records.CanonicalApplicant`.
 
 * dBASE III table files (version byte 0x03, field types C/N/D)
 * fixed-width flat files described by a column layout
 * delimiter-separated text with a header row
 
-Parsers are pure functions over bytes; nothing here touches the filesystem
+In both fixed-position formats a field is the byte slice [offset,
+offset+length) of its line or record body, decoded on its own and padded with
+spaces: C fields left-aligned and right-stripped, N and D fields right-aligned
+and stripped on both sides.
+
+Codecs are pure functions over bytes; nothing here touches the filesystem
 except :func:`ingest_sources`, which drives the full read-and-map pass.
 
 :func:`record_mapper` resolves each source's field map and codebooks once into
@@ -19,14 +22,15 @@ from __future__ import annotations
 import csv
 import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ConfigError,
     DecodeError,
+    FieldOverflow,
     InvalidFieldValue,
     MalformedCsv,
     MalformedHeader,
@@ -38,12 +42,20 @@ from .errors import (
 )
 from .records import ALL_FIELDS, CanonicalApplicant, derive_status, parse_year
 
+# The padding rule of both fixed-position formats, per field kind: the
+# %-format flag that aligns a written value, and the strip that undoes it.
+_PADDING = {"C": ("-", str.rstrip), "N": ("", str.strip), "D": ("", str.strip)}
+FIELD_KINDS = frozenset(_PADDING)  # character, numeric, date
+
 DBF_VERSION = 0x03
 DBF_LIVE_FLAG = 0x20
 DBF_DELETED_FLAG = 0x2A
 DBF_TERMINATOR = 0x0D
 DBF_EOF = 0x1A
-FIELD_KINDS = frozenset("CND")  # character, numeric, date
+# Table header: version, last update (yy, mm, dd), record count, header length,
+# record length. Field descriptor: name (NUL-padded), type, length, decimals.
+_DBF_HEADER = struct.Struct("<4BIHH20x")
+_DBF_FIELD = struct.Struct("<11sB4xBB14x")
 
 # Canonical fields every source must map, and those no source may map: city
 # and source id come from the spec, status derives from sector.
@@ -68,8 +80,7 @@ class FieldDescriptor:
     decimals: int = 0
 
 
-@dataclass(frozen=True)
-class RawRecord:
+class RawRecord(NamedTuple):
     """A parsed source row: text field values keyed by source field name."""
 
     source_id: str
@@ -143,6 +154,90 @@ def validate_layout(layout: Iterable[FieldDescriptor]) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Fixed-position fields: fixed-width lines, and dBASE record bodies below
+
+
+def _field_reader(layout: Sequence[FieldDescriptor], encoding: str, where: str,
+                  ) -> Callable[[bytes, int, int], dict[str, str]]:
+    """read(buf, pos, row_no): each field's bytes at pos + [offset, offset+length),
+    decoded and unpadded; a DecodeError names `where`, the row and the field."""
+    fmt, end = "", 0
+    for fd in layout:
+        fmt += f"{fd.offset - end}x{fd.length}s"
+        end = fd.offset + fd.length
+    unpack = struct.Struct(fmt).unpack_from
+    names = [fd.name for fd in layout]
+    strips = [_PADDING[fd.kind][1] for fd in layout]
+
+    def read(buf: bytes, pos: int, row_no: int) -> dict[str, str]:
+        chunks = unpack(buf, pos)
+        try:
+            return {name: strip(chunk.decode(encoding), " ")
+                    for name, strip, chunk in zip(names, strips, chunks)}
+        except UnicodeDecodeError as exc:
+            # the first chunk equal to the failing one is the one that failed
+            name = names[chunks.index(exc.object)]
+            raise DecodeError(f"{where} {row_no}: field {name!r}: {exc}") from None
+
+    return read
+
+
+def _row_writer(layout: Sequence[FieldDescriptor], where: str, head: str = "",
+                tail: str = "") -> Callable[[Iterable[Mapping[str, str]]], str]:
+    """write(rows): per row, `head`, each field padded at its offset (gaps are
+    spaces, a missing field blank), `tail`; a FieldOverflow names `where`."""
+    fmt, end = head, 0
+    for fd in layout:
+        fmt += " " * (fd.offset - end) + f"%{_PADDING[fd.kind][0]}{fd.length}s"
+        end = fd.offset + fd.length
+    fmt += tail
+    width = len(fmt % (("",) * len(layout)))
+    names = [fd.name for fd in layout]
+
+    def write(rows: Iterable[Mapping[str, str]]) -> str:
+        out = []
+        for i, row in enumerate(rows):
+            values = tuple([row.get(name, "") for name in names])
+            out.append(fmt % values)
+            if len(out[-1]) != width:
+                fd, value = next((fd, value) for fd, value in zip(layout, values)
+                                 if len(value) > fd.length)
+                raise FieldOverflow(f"{where} {i}: {fd.name}={value!r} exceeds {fd.length} bytes")
+        return "".join(out)
+
+    return write
+
+
+def parse_fixed_width(data: bytes | str, layout: Iterable[FieldDescriptor], *,
+                      encoding: str = "ascii", source_id: str = "") -> list[RawRecord]:
+    """One record per line, fields read by the fixed-position rule (a str is
+    encoded first). Lines shorter than the layout extent are an error; longer
+    lines keep their tail bytes unread."""
+    layout = tuple(layout)
+    validate_layout(layout)
+    if isinstance(data, str):
+        data = data.encode(encoding)
+    extent = layout[-1].offset + layout[-1].length
+    read = _field_reader(layout, encoding, f"{source_id}: line")
+    lines = data.removesuffix(b"\n").split(b"\n") if data else []
+    records: list[RawRecord] = []
+    for line_no, line in enumerate(lines, start=1):
+        if len(line) < extent:
+            raise ShortLine(f"{source_id}: line {line_no}: {len(line)} bytes, "
+                            f"layout needs {extent}")
+        records.append(RawRecord(source_id, read(line, 0, line_no)))
+    return records
+
+
+def render_fixed_width(rows: Iterable[Mapping[str, str]],
+                       layout: Sequence[FieldDescriptor]) -> bytes:
+    """One line per row, each field at its layout offset."""
+    layout = tuple(layout)
+    validate_layout(layout)
+    return _row_writer(layout, "row", tail="\n")(rows).encode("ascii")
+
+
+# ---------------------------------------------------------------------------
 # dBASE III
 
 
@@ -159,115 +254,86 @@ class DbfFile:
     deleted: int
 
 
-def read_dbf(data: bytes, *, encoding: str = "ascii", source_id: str = "") -> DbfFile:
-    if len(data) < 32:
-        raise TruncatedFile(f"{len(data)} bytes is too short for a table header")
-    version = data[0]
-    if version != DBF_VERSION:
-        raise MalformedHeader(f"unsupported version byte 0x{version:02x}")
-    record_count = struct.unpack_from("<I", data, 4)[0]
-    header_len = struct.unpack_from("<H", data, 8)[0]
-    record_len = struct.unpack_from("<H", data, 10)[0]
-    if header_len < 33 or (header_len - 33) % 32 != 0:
-        raise MalformedHeader(f"header length {header_len} is not 32 + 32*n + 1")
-    if len(data) < header_len:
-        raise TruncatedFile(f"header claims {header_len} bytes, file has {len(data)}")
-    if data[header_len - 1] != DBF_TERMINATOR:
-        raise MalformedHeader("field descriptor array lacks the 0x0D terminator")
+def _dbf_lengths(fields: Sequence[FieldDescriptor]) -> tuple[int, int]:
+    """(header + descriptors + terminator, deletion flag + field bytes)."""
+    return (_DBF_HEADER.size + _DBF_FIELD.size * len(fields) + 1,
+            1 + sum(fd.length for fd in fields))
 
-    n_fields = (header_len - 33) // 32
+
+def read_dbf(data: bytes, *, encoding: str = "ascii", source_id: str = "") -> DbfFile:
+    if len(data) < _DBF_HEADER.size:
+        raise TruncatedFile(f"{source_id}: {len(data)} bytes is too short for a table header")
+    version, yy, mm, dd, record_count, header_len, record_len = _DBF_HEADER.unpack_from(data)
+    if version != DBF_VERSION:
+        raise MalformedHeader(f"{source_id}: unsupported version byte 0x{version:02x}")
+    n_fields, rest = divmod(header_len - _DBF_HEADER.size - 1, _DBF_FIELD.size)
+    if n_fields < 0 or rest:
+        raise MalformedHeader(f"{source_id}: header length {header_len} is not 32 + 32*n + 1")
+    if len(data) < header_len:
+        raise TruncatedFile(f"{source_id}: header claims {header_len} bytes, file has {len(data)}")
+    if data[header_len - 1] != DBF_TERMINATOR:
+        raise MalformedHeader(f"{source_id}: field descriptor array lacks the 0x0D terminator")
+
     fields: list[FieldDescriptor] = []
     body_pos = 0
-    for i in range(n_fields):
-        base = 32 + 32 * i
-        raw_name = data[base:base + 11].split(b"\x00", 1)[0]
+    descriptors = _DBF_FIELD.iter_unpack(data[_DBF_HEADER.size:header_len - 1])
+    for i, (raw_name, kind, length, decimals) in enumerate(descriptors):
+        raw_name = raw_name.split(b"\x00", 1)[0]
         try:
             name = raw_name.decode("ascii")
         except UnicodeDecodeError as exc:
-            raise MalformedHeader(f"field {i}: undecodable name {raw_name!r}") from exc
+            raise MalformedHeader(f"{source_id}: field {i}: undecodable name {raw_name!r}") from exc
         if not name:
-            raise MalformedHeader(f"field {i}: empty name")
-        kind = chr(data[base + 11])
-        if kind not in FIELD_KINDS:
-            raise UnsupportedFieldType(f"field {name!r}: type {kind!r}")
-        length = data[base + 16]
+            raise MalformedHeader(f"{source_id}: field {i}: empty name")
+        if chr(kind) not in FIELD_KINDS:
+            raise UnsupportedFieldType(f"{source_id}: field {name!r}: type {chr(kind)!r}")
         if length < 1:
-            raise MalformedHeader(f"field {name!r}: zero length")
-        fields.append(FieldDescriptor(name=name, kind=kind, length=length,
-                                      offset=body_pos, decimals=data[base + 17]))
+            raise MalformedHeader(f"{source_id}: field {name!r}: zero length")
+        fields.append(FieldDescriptor(name, chr(kind), length, body_pos, decimals))
         body_pos += length
 
-    if record_len != 1 + body_pos:
+    if record_len != _dbf_lengths(fields)[1]:
         raise MalformedHeader(
-            f"record length {record_len} != 1 + sum of field lengths {body_pos}")
+            f"{source_id}: record length {record_len} != 1 + sum of field lengths {body_pos}")
     need = header_len + record_count * record_len
     if len(data) < need:
-        raise TruncatedFile(f"{record_count} records need {need} bytes, file has {len(data)}")
+        raise TruncatedFile(
+            f"{source_id}: {record_count} records need {need} bytes, file has {len(data)}")
 
-    records: list[RawRecord] = []
-    deleted = 0
-    pos = header_len
-    for _ in range(record_count):
-        flag = data[pos]
-        body = data[pos + 1:pos + record_len]
-        pos += record_len
-        if flag == DBF_DELETED_FLAG:
-            deleted += 1
-            continue
-        values: dict[str, str] = {}
-        for fd in fields:
-            chunk = body[fd.offset:fd.offset + fd.length]
-            try:
-                text = chunk.decode(encoding)
-            except UnicodeDecodeError as exc:
-                raise DecodeError(f"field {fd.name!r}: {exc}") from exc
-            # character data is right-padded; numerics/dates may be left-padded
-            values[fd.name] = text.rstrip(" ") if fd.kind == "C" else text.strip(" ")
-        records.append(RawRecord(source_id=source_id, values=values))
+    read = _field_reader(fields, encoding, f"{source_id}: record")
+    records = [RawRecord(source_id, read(data, pos + 1, record_no))
+               for record_no, pos in enumerate(range(header_len, need, record_len), start=1)
+               if data[pos] != DBF_DELETED_FLAG]
 
-    return DbfFile(last_update=(data[1], data[2], data[3]),
-                   record_count=record_count, header_len=header_len,
-                   record_len=record_len, fields=tuple(fields),
-                   records=tuple(records), deleted=deleted)
+    return DbfFile((yy, mm, dd), record_count, header_len, record_len, tuple(fields),
+                   tuple(records), record_count - len(records))
 
 
 def parse_dbf(data: bytes, *, encoding: str = "ascii", source_id: str = "") -> list[RawRecord]:
     return list(read_dbf(data, encoding=encoding, source_id=source_id).records)
 
 
-# ---------------------------------------------------------------------------
-# Fixed width
-
-
-def parse_fixed_width(data: bytes | str, layout: Iterable[FieldDescriptor], *,
-                      encoding: str = "ascii", source_id: str = "") -> list[RawRecord]:
-    """One record per line; fields are byte slices [offset, offset+length).
-
-    Lines shorter than the layout extent are an error; longer lines keep
-    their tail bytes unread.
-    """
-    layout = tuple(layout)
-    validate_layout(layout)
-    if isinstance(data, bytes):
-        try:
-            text = data.decode(encoding)
-        except UnicodeDecodeError as exc:
-            raise DecodeError(str(exc)) from exc
-    else:
-        text = data
-    extent = max(fd.offset + fd.length for fd in layout)
-
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    records: list[RawRecord] = []
-    for line_no, line in enumerate(lines, start=1):
-        if len(line) < extent:
-            raise ShortLine(line_no, len(line), extent)
-        values = {fd.name: line[fd.offset:fd.offset + fd.length].rstrip(" ")
-                  for fd in layout}
-        records.append(RawRecord(source_id=source_id, values=values))
-    return records
+def render_dbf(rows: Sequence[Mapping[str, str]],
+               layout: Sequence[FieldDescriptor],
+               last_update: tuple[int, int, int] = (80, 1, 1)) -> bytes:
+    """dBASE III bytes: header, field descriptors, terminator, live records,
+    EOF marker. The fields lie back to back whatever their layout offsets."""
+    fields, body_pos = [], 0
+    for fd in layout:
+        fields.append(replace(fd, offset=body_pos))
+        body_pos += fd.length
+    validate_layout(fields)
+    for fd in fields:
+        if len(fd.name) > 10 or fd.length > 255:
+            raise ConfigError(f"field {fd.name!r} (length {fd.length}): dBASE allows "
+                              f"names of up to 10 bytes and lengths up to 255")
+    header_len, record_len = _dbf_lengths(fields)
+    head = _DBF_HEADER.pack(DBF_VERSION, *(b & 0xFF for b in last_update),
+                            len(rows), header_len, record_len)
+    descriptors = b"".join(_DBF_FIELD.pack(fd.name.encode("ascii"), ord(fd.kind),
+                                           fd.length, fd.decimals) for fd in fields)
+    body = _row_writer(fields, "record", head=chr(DBF_LIVE_FLAG))(rows).encode("ascii")
+    return b"".join((head, descriptors, bytes([DBF_TERMINATOR]), body, bytes([DBF_EOF])))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +346,7 @@ def parse_delimited(data: bytes | str, delimiter: str = ",", has_header: bool = 
         try:
             text = data.decode(encoding)
         except UnicodeDecodeError as exc:
-            raise DecodeError(str(exc)) from exc
+            raise DecodeError(f"{source_id}: {exc}") from exc
     else:
         text = data
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
@@ -297,9 +363,20 @@ def parse_delimited(data: bytes | str, delimiter: str = ",", has_header: bool = 
     records: list[RawRecord] = []
     for row_no, row in enumerate(data_rows, start=first_no):
         if len(row) != len(names):
-            raise RaggedRow(row_no, len(row), len(names))
-        records.append(RawRecord(source_id=source_id, values=dict(zip(names, row))))
+            raise RaggedRow(f"{source_id}: row {row_no}: {len(row)} fields, "
+                            f"expected {len(names)}")
+        records.append(RawRecord(source_id, dict(zip(names, row))))
     return records
+
+
+def render_delimited(rows: Iterable[Mapping[str, str]], columns: Sequence[str],
+                     delimiter: str = ",") -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([row.get(c, "") for c in columns])
+    return buf.getvalue().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

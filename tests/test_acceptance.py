@@ -24,9 +24,6 @@ from jobcube.datagen import (
     GenConfig,
     generate,
     read_gen_manifest,
-    render_dbf,
-    render_delimited,
-    render_fixed_width,
 )
 from jobcube.preprocess import deduplicate
 from jobcube.sources import (
@@ -34,6 +31,9 @@ from jobcube.sources import (
     parse_delimited,
     parse_fixed_width,
     read_dbf,
+    render_dbf,
+    render_delimited,
+    render_fixed_width,
 )
 from jobcube.warehouse import (
     DIMENSIONS,

@@ -261,6 +261,27 @@ class TestExitCodes:
         assert main(["ingest", "-c", cfg]) == 2
         assert "error: misurata: line " in capsys.readouterr().err
 
+    # A Tripoli line is 108 bytes and a newline; cut_line keeps 50 bytes of line 6.
+    @pytest.mark.parametrize("name, tamper, message", [
+        pytest.param("tripoli.dat", lambda data: data[:5 * 109 + 50] + data[6 * 109 - 1:],
+                     "error: tripoli: line 6: 50 bytes, layout needs 108\n", id="cut_line"),
+        pytest.param("sirte.dbf", lambda data: data[:-500], "error: sirte: ",
+                     id="truncated_dbf"),
+        pytest.param("tripoli.dat", lambda data: data[:300] + b"\xff" + data[301:],
+                     "error: tripoli: line 3: field 'EDU_LEVEL': 'ascii' codec can't "
+                     "decode byte 0xff", id="undecodable_byte"),
+    ])
+    def test_unreadable_source_is_named(self, tmp_path, capsys, name, tamper, message):
+        cfg = write_config(tmp_path)
+        assert main(["gen", "-c", cfg]) == 0
+        path = tmp_path / "data" / name
+        path.write_bytes(tamper(path.read_bytes()))
+        capsys.readouterr()
+        assert main(["ingest", "-c", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Traceback" not in err
+
     def test_blank_key_quarantined_at_etl(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["gen", "-c", cfg]) == 0

@@ -12,11 +12,10 @@ from jobcube.datagen import (
     Rng,
     generate,
     read_gen_manifest,
-    render_dbf,
-    render_fixed_width,
 )
 from jobcube.errors import ConfigError, FieldOverflow, UnsatisfiableSize
 from jobcube.records import read_records_csv
+from jobcube.sources import render_dbf, render_fixed_width
 from jobcube.warehouse import build_schema, check_integrity
 
 from conftest import SMALL_COUNTS, run_etl

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jobcube.config import load_sources
-from jobcube.datagen import generate, render_dbf, render_delimited, render_fixed_width
+from jobcube.datagen import generate
 from jobcube.errors import (
     ConfigError,
+    DecodeError,
     InvalidFieldValue,
     JobcubeError,
     MalformedCsv,
@@ -42,6 +43,9 @@ from jobcube.sources import (
     parse_fixed_width,
     read_dbf,
     record_mapper,
+    render_dbf,
+    render_delimited,
+    render_fixed_width,
     validate_layout,
 )
 
@@ -203,6 +207,69 @@ def test_fixed_width_round_trip(pairs):
     rows = [{"A": a, "B": b} for a, b in pairs]
     parsed = parse_fixed_width(render_fixed_width(rows, layout), layout)
     assert [r.values for r in parsed] == rows
+
+
+@st.composite
+def fixed_position_rows(draw):
+    """A layout of C/N/D fields with gaps between them, and rows whose values
+    are often shorter than their field and carry no padding the rule strips."""
+    layout, offset = [], 0
+    for i in range(draw(st.integers(1, 5))):
+        offset += draw(st.integers(0, 3))
+        fd = FieldDescriptor(f"F{i}", draw(st.sampled_from("CND")), draw(st.integers(1, 6)),
+                             offset)
+        layout.append(fd)
+        offset += fd.length
+    unpad = {"C": lambda s: s.rstrip(" "), "N": lambda s: s.strip(" "),
+             "D": lambda s: s.strip(" ")}
+    rows = draw(st.lists(st.fixed_dictionaries({
+        fd.name: st.text(alphabet="aZ9- ", max_size=fd.length).map(unpad[fd.kind])
+        for fd in layout}), max_size=8))
+    return tuple(layout), rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(fixed_position_rows())
+def test_fixed_width_round_trip_any_layout(case):
+    layout, rows = case
+    parsed = parse_fixed_width(render_fixed_width(rows, layout), layout)
+    assert [r.values for r in parsed] == rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(fixed_position_rows())
+def test_dbf_round_trip_any_layout(case):
+    """dBASE packs the fields whatever their offsets, and reads each one by
+    the same rule as a fixed-width line."""
+    layout, rows = case
+    parsed = parse_dbf(render_dbf(rows, layout))
+    assert [r.values for r in parsed] == rows
+    assert parsed == parse_fixed_width(render_fixed_width(rows, layout), layout)
+
+
+class TestFixedPositionFields:
+    def test_fields_are_byte_slices(self):
+        layout = (FieldDescriptor("A", "C", 4, 0), FieldDescriptor("B", "C", 3, 4))
+        [rec] = parse_fixed_width(b"Jo\xc3\xa9ABC", layout, encoding="utf-8")
+        assert rec.values == {"A": "Joé", "B": "ABC"}
+
+    def test_fixed_width_decode_error_names_source_line_and_field(self):
+        layout = (FieldDescriptor("A", "C", 3, 0), FieldDescriptor("B", "C", 3, 3))
+        with pytest.raises(DecodeError) as err:
+            parse_fixed_width(b"abcxyz\nabcx\xffz\n", layout, source_id="tripoli")
+        assert str(err.value).startswith("tripoli: line 2: field 'B': 'ascii' codec ")
+
+    def test_dbf_decode_error_names_source_record_and_field(self):
+        layout = (FieldDescriptor("A", "C", 2), FieldDescriptor("B", "C", 2))
+        blob = render_dbf([{"A": "ok", "B": "ok"}, {"A": "ok", "B": "zz"}], layout)
+        with pytest.raises(DecodeError) as err:
+            parse_dbf(blob.replace(b"zz", b"z\xff"), source_id="sirte")
+        assert str(err.value).startswith("sirte: record 2: field 'B': 'ascii' codec ")
+
+    def test_writer_validates_its_layout(self):
+        overlapping = (FieldDescriptor("A", "C", 3, 0), FieldDescriptor("B", "C", 3, 2))
+        with pytest.raises(ConfigError):
+            render_fixed_width([], overlapping)
 
 
 class TestDelimited:
