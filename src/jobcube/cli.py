@@ -280,7 +280,7 @@ def cmd_bench(config: PipelineConfig, args: argparse.Namespace) -> int:
     _require_file(clean, "jobcube etl")
     records = read_records_csv(clean)
     cube = _loaded_cube(config)
-    result = bench_mod.run_benchmark(records, cube, config.bench_config(),
+    result = bench_mod.run_benchmark(records, cube, config.bench,
                                      congress_parent=cube.parents["congress"])
     for line in bench_mod.summary_lines(result):
         _say(f"[bench] {line}")

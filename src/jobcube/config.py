@@ -1,11 +1,12 @@
 """One YAML file drives the whole pipeline.
 
 Top-level keys: seed, data_dir, warehouse_dir, years, gen, etl, reports,
-bench. The sidecar files (sources.yaml, hierarchy.yaml, codebooks.yaml,
-staging.csv, clean.csv) live in data_dir. Relative paths are taken as
-written, i.e. resolved against the working directory of the invoking
-process. Everything is validated up front; stages only check that their
-input files exist.
+bench. Each setting lives in one dataclass (seed and years in GenConfig),
+whose default a missing key takes. The sidecar files (sources.yaml,
+hierarchy.yaml, codebooks.yaml, staging.csv, clean.csv) live in data_dir.
+Relative paths are taken as written, i.e. resolved against the working
+directory of the invoking process. Everything is validated up front;
+stages only check that their input files exist.
 """
 
 from __future__ import annotations
@@ -18,14 +19,16 @@ import yaml
 
 from .bench import BenchConfig
 from .cube import AggregateQuery, MEASURES
-from .datagen import GenConfig
+from .datagen import CODEBOOKS_FILE, HIERARCHY_FILE, SOURCES_FILE, GenConfig
 from .errors import ConfigError
-from .preprocess import CleaningPolicy, ConceptHierarchy
+from .preprocess import DEFAULT_FILL, CleaningPolicy, ConceptHierarchy
 from .records import NULLABLE_FIELDS
 from .reporting import ReportSpec
 from .sources import FieldDescriptor, SchemaMapping, SourceSpec
 
-DEFAULT_BENCH_OUTPUT = "reports/bench_report.csv"
+DEFAULT_BENCH_QUERIES = (
+    ("seekers_by_sector", AggregateQuery(measure="seekers", group_by=("sector",))),
+)
 
 
 def _read_yaml(path: str | Path):
@@ -59,7 +62,7 @@ def parse_query(raw: Mapping, where: str = "query") -> AggregateQuery:
     level?, members}]} -> AggregateQuery."""
     raw = _as_mapping(raw, where)
     _check_keys(raw, {"measure", "group_by", "filters"}, where)
-    measure = str(raw.get("measure", "total"))
+    measure = str(raw.get("measure", AggregateQuery.measure))
     if measure not in MEASURES:
         raise ConfigError(f"{where}: unknown measure {measure!r}")
     group_by = []
@@ -93,52 +96,41 @@ def parse_query(raw: Mapping, where: str = "query") -> AggregateQuery:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    seed: int = 20060814
     data_dir: Path = Path("data")
     warehouse_dir: Path = Path("warehouse")
-    year_from: int = 2000
-    year_to: int = 2006
     gen: GenConfig = field(default_factory=GenConfig)
-    fill_constant: str = "UNKNOWN"
-    keep_rule: str = "latest_application"
+    fill_constant: str = DEFAULT_FILL
+    keep_rule: str = CleaningPolicy.keep_rule
     reports: tuple[ReportSpec, ...] = ()
-    bench_queries: tuple[tuple[str, AggregateQuery], ...] = ()
-    bench_repetitions: int = 10
-    bench_warmup: int = 2
-    bench_output: str = DEFAULT_BENCH_OUTPUT
+    bench: BenchConfig = field(default_factory=lambda: BenchConfig(DEFAULT_BENCH_QUERIES))
+    bench_output: str = "reports/bench_report.csv"
+
+    # the year range is the generator's
+    year_from = property(lambda self: self.gen.year_from)
+    year_to = property(lambda self: self.gen.year_to)
 
     def validate(self) -> None:
-        if self.year_from > self.year_to:
-            raise ConfigError(f"empty year range {self.year_from}:{self.year_to}")
+        self.gen.validate()
         if not self.fill_constant:
             raise ConfigError("fill_constant must be non-empty")
-        self.gen.validate()
         self.policy().validate()
         for spec in self.reports:
             spec.validate()
-        self.bench_config().validate()
+        self.bench.validate()
 
     def policy(self) -> CleaningPolicy:
         fills = {name: self.fill_constant for name in sorted(NULLABLE_FIELDS)}
         return CleaningPolicy(fill_constants=fills, keep_rule=self.keep_rule)
 
-    def bench_config(self) -> BenchConfig:
-        queries = self.bench_queries or (
-            ("seekers_by_sector",
-             AggregateQuery(measure="seekers", group_by=("sector",))),
-        )
-        return BenchConfig(queries=queries, repetitions=self.bench_repetitions,
-                           warmup=self.bench_warmup)
-
     # sidecar files: the generator and the pipeline stages write them into data_dir
     def sources_path(self) -> Path:
-        return self.data_dir / "sources.yaml"
+        return self.data_dir / SOURCES_FILE
 
     def hierarchy_path(self) -> Path:
-        return self.data_dir / "hierarchy.yaml"
+        return self.data_dir / HIERARCHY_FILE
 
     def codebooks_path(self) -> Path:
-        return self.data_dir / "codebooks.yaml"
+        return self.data_dir / CODEBOOKS_FILE
 
     def staging_path(self) -> Path:
         return self.data_dir / "staging.csv"
@@ -150,9 +142,7 @@ class PipelineConfig:
 _TOP_KEYS = {"seed", "data_dir", "warehouse_dir", "years", "gen", "etl",
              "reports", "bench"}
 _GEN_KEYS = {"counts", "target_bytes", "duplicate_rate", "blank_rate",
-             "discrepancy_rate", "sectors", "congresses_per_city",
-             "districts_per_congress", "directed_share", "specialties",
-             "job_groups", "moahels"}
+             "discrepancy_rate", "sectors", "congresses_per_city"}
 _ETL_KEYS = {"fill_constant", "keep_rule"}
 _BENCH_KEYS = {"repetitions", "warmup", "output", "queries"}
 _REPORT_KEYS = {"kind", "years", "city", "output", "format", "query"}
@@ -193,18 +183,15 @@ def _build_gen(raw: Mapping, seed: int, years: tuple[int, int],
                where: str) -> GenConfig:
     _check_keys(raw, _GEN_KEYS, where)
     kwargs: dict = {"seed": seed, "year_from": years[0], "year_to": years[1]}
-    kwargs["counts"] = _int_counts(raw.get("counts"), f"{where}.counts")
-    kwargs["target_bytes"] = _int_counts(raw.get("target_bytes"),
-                                         f"{where}.target_bytes")
-    for name in ("duplicate_rate", "blank_rate", "discrepancy_rate",
-                 "directed_share"):
+    for name in ("counts", "target_bytes"):
+        kwargs[name] = _int_counts(raw.get(name), f"{where}.{name}")
+    for name in ("duplicate_rate", "blank_rate", "discrepancy_rate"):
         if name in raw:
             try:
                 kwargs[name] = float(raw[name])
             except (TypeError, ValueError):
                 raise ConfigError(f"{where}.{name}: expected a number") from None
-    for name in ("sectors", "congresses_per_city", "districts_per_congress",
-                 "specialties", "job_groups", "moahels"):
+    for name in ("sectors", "congresses_per_city"):
         if name in raw:
             kwargs[name] = _integer(raw[name], f"{where}.{name}")
     return GenConfig(**kwargs)
@@ -235,8 +222,8 @@ def _build_reports(raw, years: tuple[int, int], where: str,
             query = parse_query(entry["query"], f"{entry_where}.query")
         specs.append(ReportSpec(
             kind=str(entry["kind"]), year_from=y_from, year_to=y_to,
-            city_filter=city_filter, output=str(entry.get("output", "")),
-            format=str(entry.get("format", "csv")), query=query))
+            city_filter=city_filter, output=str(entry.get("output", ReportSpec.output)),
+            format=str(entry.get("format", ReportSpec.format)), query=query))
     return tuple(specs)
 
 
@@ -245,8 +232,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     raw = _as_mapping(_read_yaml(path), where)
     _check_keys(raw, _TOP_KEYS, where)
 
-    seed = _integer(raw.get("seed", PipelineConfig.seed), f"{where}.seed")
-    years = _parse_years(raw.get("years"), f"{where}.years", (2000, 2006))
+    seed = _integer(raw.get("seed", GenConfig.seed), f"{where}.seed")
+    years = _parse_years(raw.get("years"), f"{where}.years",
+                         (GenConfig.year_from, GenConfig.year_to))
     gen = _build_gen(_as_mapping(raw.get("gen"), f"{where}.gen"), seed, years,
                      f"{where}.gen")
     etl = _as_mapping(raw.get("etl"), f"{where}.etl")
@@ -264,20 +252,16 @@ def load_config(path: str | Path) -> PipelineConfig:
                                            if k != "id"}, entry_where)))
 
     config = PipelineConfig(
-        seed=seed,
-        data_dir=Path(str(raw.get("data_dir", "data"))),
-        warehouse_dir=Path(str(raw.get("warehouse_dir", "warehouse"))),
-        year_from=years[0],
-        year_to=years[1],
+        data_dir=Path(str(raw.get("data_dir", PipelineConfig.data_dir))),
+        warehouse_dir=Path(str(raw.get("warehouse_dir", PipelineConfig.warehouse_dir))),
         gen=gen,
-        fill_constant=str(etl.get("fill_constant", "UNKNOWN")),
-        keep_rule=str(etl.get("keep_rule", "latest_application")),
+        fill_constant=str(etl.get("fill_constant", PipelineConfig.fill_constant)),
+        keep_rule=str(etl.get("keep_rule", PipelineConfig.keep_rule)),
         reports=_build_reports(raw.get("reports"), years, f"{where}.reports"),
-        bench_queries=tuple(bench_queries),
-        bench_repetitions=_integer(bench.get("repetitions", 10),
-                                   f"{where}.bench.repetitions"),
-        bench_warmup=_integer(bench.get("warmup", 2), f"{where}.bench.warmup"),
-        bench_output=str(bench.get("output", DEFAULT_BENCH_OUTPUT)),
+        bench=BenchConfig(tuple(bench_queries) or DEFAULT_BENCH_QUERIES,
+                          **{name: _integer(bench[name], f"{where}.bench.{name}")
+                             for name in ("repetitions", "warmup") if name in bench}),
+        bench_output=str(bench.get("output", PipelineConfig.bench_output)),
     )
     config.validate()
     return config
@@ -312,8 +296,8 @@ def load_sources(path: str | Path) -> list[SourceSpec]:
             try:
                 layout.append(FieldDescriptor(
                     name=str(fd["name"]), kind=str(fd["kind"]),
-                    length=int(fd["length"]), offset=int(fd.get("offset", 0)),
-                    decimals=int(fd.get("decimals", 0))))
+                    length=int(fd["length"]), offset=int(fd.get("offset", FieldDescriptor.offset)),
+                    decimals=int(fd.get("decimals", FieldDescriptor.decimals))))
             except (KeyError, TypeError, ValueError):
                 raise ConfigError(
                     f"{entry_where}.layout[{j}]: needs name, kind, length") from None
@@ -321,8 +305,8 @@ def load_sources(path: str | Path) -> list[SourceSpec]:
             source_id=str(entry["source_id"]), city=str(entry["city"]),
             format=str(entry["format"]), path=str(entry["path"]),
             mapping=SchemaMapping(field_map=field_map, value_codebooks=codebooks),
-            encoding=str(entry.get("encoding", "ascii")),
-            delimiter=str(entry.get("delimiter", ",")), layout=tuple(layout))
+            encoding=str(entry.get("encoding", SourceSpec.encoding)),
+            delimiter=str(entry.get("delimiter", SourceSpec.delimiter)), layout=tuple(layout))
         spec.validate()
         specs.append(spec)
     if not specs:

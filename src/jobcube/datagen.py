@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ConfigError, UnsatisfiableSize
+from .preprocess import DEFAULT_FILL
 from .records import (
     ALL_FIELDS,
     QUARTERS,
@@ -52,6 +53,14 @@ MASK64 = (1 << 64) - 1
 EDUCATION_LEVELS = ("primary", "preparatory", "secondary",
                     "diploma", "university", "postgraduate")
 SERVICES = ("completed", "exempt", "deferred", "pending")
+
+# The population shape no config sets: districts per congress, the share of
+# applications directed to a sector, and three code-table sizes.
+DISTRICTS_PER_CONGRESS = 3
+DIRECTED_SHARE = 0.5
+SPECIALTIES = 40
+JOB_GROUPS = 9
+MOAHELS = 8
 
 TRUTH_FILE = "truth.csv"
 GEN_MANIFEST_FILE = "gen_manifest.txt"
@@ -89,9 +98,6 @@ class Rng:
             if v < limit:
                 return v % n
 
-    def choice(self, seq: Sequence):
-        return seq[self.randrange(len(seq))]
-
     def random(self) -> float:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
@@ -121,21 +127,15 @@ class GenConfig:
     year_to: int = 2006
     sectors: int = 12
     congresses_per_city: int = 4
-    districts_per_congress: int = 3
-    directed_share: float = 0.5
-    specialties: int = 40
-    job_groups: int = 9
-    moahels: int = 8
 
     def validate(self) -> None:
-        for name in ("duplicate_rate", "blank_rate", "discrepancy_rate", "directed_share"):
+        for name in ("duplicate_rate", "blank_rate", "discrepancy_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0,1], got {v}")
         if self.year_from > self.year_to:
             raise ConfigError(f"empty year range {self.year_from}:{self.year_to}")
-        for name in ("sectors", "congresses_per_city", "districts_per_congress",
-                     "specialties", "job_groups", "moahels"):
+        for name in ("sectors", "congresses_per_city"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.counts is not None and self.target_bytes is not None:
@@ -299,7 +299,7 @@ def build_hierarchy_tree(config: GenConfig) -> dict:
         for i in range(1, config.congresses_per_city + 1):
             cg = f"{prefix}-CG{i:02d}"
             congresses[cg] = [f"{cg}-D{j:02d}"
-                              for j in range(1, config.districts_per_congress + 1)]
+                              for j in range(1, DISTRICTS_PER_CONGRESS + 1)]
         tree[CITY_NAMES[city_key]] = congresses
     return tree
 
@@ -335,10 +335,10 @@ def _wire_dicts(spec: SourceSpec, entries: list) -> list[dict[str, str]]:
 # Sizing
 
 
-def _misurata_row_width(config: GenConfig) -> float:
+def _misurata_row_width() -> float:
     widths = {
         "nid": 12, "full_name": 17, "sex": 1, "district": 12, "mothamer": 8,
-        "specialty": 7, "job_group": 5, "sector": 6 * config.directed_share,
+        "specialty": 7, "job_group": 5, "sector": 6 * DIRECTED_SHARE,
         "moahel": 5, "edu_level": 1, "svc_status": 1, "app_year": 4, "app_qtr": 1,
     }
     return sum(widths.values()) + len(MISURATA_COLUMNS) - 1 + 1
@@ -361,7 +361,7 @@ def _persons_from_targets(config: GenConfig) -> dict[str, int]:
         target = config.target_bytes[spec.source_id]
         # the writer's own framing; a delimited row's width is an estimate
         overhead = len(_render(config, spec, []))
-        width = (_misurata_row_width(config) if spec.format == "delimited"
+        width = (_misurata_row_width() if spec.format == "delimited"
                  else len(_render(config, spec, [{}])) - overhead)
         if target < overhead + width:
             raise UnsatisfiableSize(
@@ -415,9 +415,9 @@ def _placement(rng: Rng, config: GenConfig, city_key: str) -> dict:
     """Where one application is filed: congress, district and sector draws
     in that order, with the fields that follow from them."""
     congress = f"{CITY_PREFIX[city_key]}-CG{rng.randrange(config.congresses_per_city) + 1:02d}"
-    district = f"{congress}-D{rng.randrange(config.districts_per_congress) + 1:02d}"
+    district = f"{congress}-D{rng.randrange(DISTRICTS_PER_CONGRESS) + 1:02d}"
     sector = (f"SEC-{rng.randrange(config.sectors) + 1:02d}"
-              if rng.random() < config.directed_share else "")
+              if rng.random() < DIRECTED_SHARE else "")
     return {"district": district, "congress": congress, "city": CITY_NAMES[city_key],
             "sector": sector, "status": derive_status(sector), "source_id": city_key}
 
@@ -429,9 +429,9 @@ def _make_person(rng: Rng, config: GenConfig, city_key: str, ordinal: int,
         national_id=f"NID{ordinal:09d}",
         name=f"APPLICANT-{ordinal:07d}",
         sex=("male", "female")[rng.randrange(2)],
-        specialty=f"SPC-{rng.randrange(config.specialties) + 1:03d}",
-        job_group=f"JG-{rng.randrange(config.job_groups) + 1:02d}",
-        moahel=f"QL-{rng.randrange(config.moahels) + 1:02d}",
+        specialty=f"SPC-{rng.randrange(SPECIALTIES) + 1:03d}",
+        job_group=f"JG-{rng.randrange(JOB_GROUPS) + 1:02d}",
+        moahel=f"QL-{rng.randrange(MOAHELS) + 1:02d}",
         education_level=EDUCATION_LEVELS[rng.randrange(len(EDUCATION_LEVELS))],
         service_status=SERVICES[rng.randrange(len(SERVICES))],
         year=config.year_from + rng.randrange(config.year_to - config.year_from + 1),
@@ -447,8 +447,8 @@ def _make_copy(rng: Rng, config: GenConfig, donor: CanonicalApplicant,
     placement = _placement(rng, config, copy_city)
     year, quarter = _previous_quarter(donor.year, donor.quarter)
     return donor._replace(
-        specialty=f"SPC-{rng.randrange(config.specialties) + 1:03d}",
-        job_group=f"JG-{rng.randrange(config.job_groups) + 1:02d}",
+        specialty=f"SPC-{rng.randrange(SPECIALTIES) + 1:03d}",
+        job_group=f"JG-{rng.randrange(JOB_GROUPS) + 1:02d}",
         year=year,
         quarter=quarter,
         **placement,
@@ -544,7 +544,7 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     # Truth: what the pipeline should hand the warehouse, sorted by key.
     truth = []
     for p in persons:
-        congress = "UNKNOWN" if p.national_id in blanked_district_persons else p.congress
+        congress = DEFAULT_FILL if p.national_id in blanked_district_persons else p.congress
         truth.append(project(p._replace(congress=congress),
                              WAREHOUSE_REQUIRED_FIELDS))
     truth.sort(key=lambda r: r.national_id)

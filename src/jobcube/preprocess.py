@@ -107,23 +107,19 @@ class ConceptHierarchy:
 
 @dataclass(frozen=True)
 class CleaningPolicy:
-    """Fill constants for nullable fields plus the duplicate-survivor rule."""
+    """Fill constants for nullable fields plus the duplicate-survivor rule.
+    Records are deduplicated on national_id, which is never filled."""
 
     fill_constants: dict[str, str] = field(
         default_factory=lambda: {f: DEFAULT_FILL for f in sorted(NULLABLE_FIELDS)})
-    dedup_key: str = "national_id"
     keep_rule: str = "latest_application"   # or "first_seen"
 
     def validate(self) -> None:
         if self.keep_rule not in ("latest_application", "first_seen"):
             raise BadPolicy(f"unknown keep_rule {self.keep_rule!r}")
-        if self.dedup_key not in ALL_FIELDS:
-            raise BadPolicy(f"unknown dedup_key {self.dedup_key!r}")
         bad = set(self.fill_constants) - NULLABLE_FIELDS
         if bad:
             raise BadPolicy(f"fill constants for non-fillable fields: {sorted(bad)}")
-        if self.dedup_key in self.fill_constants:
-            raise BadPolicy("the dedup key must never be filled")
 
 
 @dataclass
@@ -142,20 +138,6 @@ class PreprocessReport:
 
     def normalized_total(self) -> int:
         return sum(self.values_normalized.values())
-
-    def merge(self, other: "PreprocessReport") -> None:
-        self.duplicates_removed += other.duplicates_removed
-        for k, v in other.values_filled.items():
-            self.values_filled[k] = self.values_filled.get(k, 0) + v
-        for k, v in other.values_normalized.items():
-            self.values_normalized[k] = self.values_normalized.get(k, 0) + v
-        self.values_unmatched += other.values_unmatched
-        self.records_generalized += other.records_generalized
-        self.unknown_hierarchy_values += other.unknown_hierarchy_values
-        for name in other.fields_dropped:
-            if name not in self.fields_dropped:
-                self.fields_dropped.append(name)
-        self.rejected.extend(other.rejected)
 
     def summary_lines(self) -> list[str]:
         return [
@@ -177,8 +159,8 @@ def _quarter_rank(quarter: str) -> int:
 
 def deduplicate(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
                 ) -> tuple[list[CanonicalApplicant], PreprocessReport]:
-    """Keep one record per key. Records with a blank key are quarantined into
-    the report, never silently dropped.
+    """Keep one record per national_id. Records with a blank national_id are
+    quarantined into the report, never silently dropped.
 
     Survivor under latest_application: greatest (year, quarter), ties to the
     lexicographically smallest city, then smallest source_id. first_seen is
@@ -198,7 +180,7 @@ def deduplicate(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
 
     kept = 0
     for r in records:
-        key = getattr(r, policy.dedup_key).strip()
+        key = r.national_id.strip()
         if key == "":
             report.rejected.append(r)
             continue
@@ -332,23 +314,23 @@ def run_pipeline(records: Iterable[CanonicalApplicant], *,
                  codebooks: Mapping[str, Mapping[str, str]],
                  policy: CleaningPolicy,
                  hierarchy: ConceptHierarchy,
-                 from_level: str = "district",
-                 to_level: str = "congress",
-                 keep_fields: Iterable[str] = WAREHOUSE_REQUIRED_FIELDS,
                  ) -> tuple[list[CanonicalApplicant], PreprocessReport]:
-    """The full fixed-order pass: normalize, fill, dedup, generalize, reduce."""
-    keep = frozenset(keep_fields)
-    combined = PreprocessReport()
-    recs, rep = normalize_codes(records, codebooks)
-    combined.merge(rep)
-    recs, rep = fill_missing(recs, policy)
-    combined.merge(rep)
-    recs, rep = deduplicate(recs, policy)
-    combined.merge(rep)
-    fill = (policy.fill_constants.get(to_level)
-            or policy.fill_constants.get(from_level) or DEFAULT_FILL)
-    recs, rep = generalize(recs, hierarchy, from_level, to_level, fill=fill)
-    combined.merge(rep)
-    recs = dimension_reduce(recs, keep)
-    combined.fields_dropped = [f for f in ALL_FIELDS if f not in keep]
-    return recs, combined
+    """The full fixed-order pass: normalize, fill, dedup, generalize district
+    to congress, and reduce to WAREHOUSE_REQUIRED_FIELDS.
+
+    A district with no congress gets the district fill (or DEFAULT_FILL).
+    """
+    recs, normalized = normalize_codes(records, codebooks)
+    recs, filled = fill_missing(recs, policy)
+    recs, deduped = deduplicate(recs, policy)
+    fill = policy.fill_constants.get("district") or DEFAULT_FILL
+    recs, generalized = generalize(recs, hierarchy, "district", "congress", fill=fill)
+    recs = dimension_reduce(recs, WAREHOUSE_REQUIRED_FIELDS)
+    return recs, PreprocessReport(
+        duplicates_removed=deduped.duplicates_removed, rejected=deduped.rejected,
+        values_filled=filled.values_filled,
+        values_normalized=normalized.values_normalized,
+        values_unmatched=normalized.values_unmatched,
+        records_generalized=generalized.records_generalized,
+        unknown_hierarchy_values=generalized.unknown_hierarchy_values,
+        fields_dropped=[f for f in ALL_FIELDS if f not in WAREHOUSE_REQUIRED_FIELDS])

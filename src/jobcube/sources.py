@@ -129,6 +129,10 @@ class SourceSpec:
             raise ConfigError(f"{self.source_id}: fixed_width source needs a layout")
         if self.format == "delimited" and len(self.delimiter) != 1:
             raise ConfigError(f"{self.source_id}: delimiter must be one character")
+        try:
+            "".encode(self.encoding)    # refuses unknown names and non-text codecs (hex)
+        except LookupError:
+            raise ConfigError(f"{self.source_id}: unknown encoding {self.encoding!r}") from None
         self.mapping.require_mandatory(self.source_id)
 
 
@@ -183,9 +187,10 @@ def _field_reader(layout: Sequence[FieldDescriptor], encoding: str, where: str,
 
 
 def _row_writer(layout: Sequence[FieldDescriptor], where: str, head: str = "",
-                tail: str = "") -> Callable[[Iterable[Mapping[str, str]]], str]:
-    """write(rows): per row, `head`, each field padded at its offset (gaps are
-    spaces, a missing field blank), `tail`; a FieldOverflow names `where`."""
+                tail: str = "") -> Callable[[Iterable[Mapping[str, str]]], bytes]:
+    """write(rows): ASCII bytes of, per row, `head`, each field padded at its
+    offset (gaps are spaces, a missing field blank), `tail`. A FieldOverflow
+    or a non-ASCII InvalidFieldValue names `where`, the row and the field."""
     fmt, end = head, 0
     for fd in layout:
         fmt += " " * (fd.offset - end) + f"%{_PADDING[fd.kind][0]}{fd.length}s"
@@ -194,7 +199,7 @@ def _row_writer(layout: Sequence[FieldDescriptor], where: str, head: str = "",
     width = len(fmt % (("",) * len(layout)))
     names = [fd.name for fd in layout]
 
-    def write(rows: Iterable[Mapping[str, str]]) -> str:
+    def write(rows: Iterable[Mapping[str, str]]) -> bytes:
         out = []
         for i, row in enumerate(rows):
             values = tuple([row.get(name, "") for name in names])
@@ -203,7 +208,14 @@ def _row_writer(layout: Sequence[FieldDescriptor], where: str, head: str = "",
                 fd, value = next((fd, value) for fd, value in zip(layout, values)
                                  if len(value) > fd.length)
                 raise FieldOverflow(f"{where} {i}: {fd.name}={value!r} exceeds {fd.length} bytes")
-        return "".join(out)
+        try:
+            return "".join(out).encode("ascii")
+        except UnicodeEncodeError as exc:   # head, gaps and tail are ASCII; a field is not
+            i, pos = divmod(exc.start, width)
+            fd = next(fd for fd in layout if pos < len(head) + fd.offset + fd.length)
+            start = len(head) + fd.offset
+            value = _PADDING[fd.kind][1](out[i][start:start + fd.length], " ")
+            raise InvalidFieldValue(f"{where} {i}: {fd.name}={value!r} is not ASCII") from None
 
     return write
 
@@ -234,7 +246,7 @@ def render_fixed_width(rows: Iterable[Mapping[str, str]],
     """One line per row, each field at its layout offset."""
     layout = tuple(layout)
     validate_layout(layout)
-    return _row_writer(layout, "row", tail="\n")(rows).encode("ascii")
+    return _row_writer(layout, "row", tail="\n")(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +344,7 @@ def render_dbf(rows: Sequence[Mapping[str, str]],
                             len(rows), header_len, record_len)
     descriptors = b"".join(_DBF_FIELD.pack(fd.name.encode("ascii"), ord(fd.kind),
                                            fd.length, fd.decimals) for fd in fields)
-    body = _row_writer(fields, "record", head=chr(DBF_LIVE_FLAG))(rows).encode("ascii")
+    body = _row_writer(fields, "record", head=chr(DBF_LIVE_FLAG))(rows)
     return b"".join((head, descriptors, bytes([DBF_TERMINATOR]), body, bytes([DBF_EOF])))
 
 

@@ -222,13 +222,10 @@ def _stamped(dims: dict[str, DimensionTable], facts: np.ndarray,
 
 def build_schema(records: Sequence[CanonicalApplicant],
                  year_range: tuple[int, int],
-                 hierarchy: ConceptHierarchy | None = None,
-                 source_note: str = "") -> StarSchema:
+                 hierarchy: ConceptHierarchy | None = None) -> StarSchema:
     dims = build_dimensions(records, year_range, hierarchy)
     meta_core = {"year_range": f"{year_range[0]}:{year_range[1]}",
                  "records": str(len(records))}
-    if source_note:
-        meta_core["sources"] = source_note
     return _stamped(dims, load_facts(records, dims), meta_core)
 
 

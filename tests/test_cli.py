@@ -205,7 +205,10 @@ class TestExitCodes:
         path = tmp_path / "bad.yaml"
         for text in ("sede: 12\n", "sources_file: s.yaml\n",
                      "hierarchy_file: h.yaml\n", "codebooks_file: c.yaml\n",
-                     "staging_file: s.csv\n", "clean_file: c.csv\n"):
+                     "staging_file: s.csv\n", "clean_file: c.csv\n",
+                     "gen:\n  districts_per_congress: 3\n",
+                     "gen:\n  directed_share: 0.5\n", "gen:\n  specialties: 40\n",
+                     "gen:\n  job_groups: 9\n", "gen:\n  moahels: 8\n"):
             path.write_text(text, encoding="utf-8")
             assert main(["gen", "-c", str(path)]) == 1, text
 
@@ -220,6 +223,8 @@ class TestExitCodes:
                 setor=src["field_map"].pop("sector")),
             "status": lambda src: src["field_map"].update(status="SECTOR"),
             "congress": lambda src: src.update(value_codebooks={"congress": {"1": "C1"}}),
+            "nope": lambda src: src.update(encoding="nope"),
+            "rot13": lambda src: src.update(encoding="rot13"),
         }
         for key, edit in edits.items():
             raw = copy.deepcopy(generated)

@@ -266,6 +266,14 @@ class TestFixedPositionFields:
             parse_dbf(blob.replace(b"zz", b"z\xff"), source_id="sirte")
         assert str(err.value).startswith("sirte: record 2: field 'B': 'ascii' codec ")
 
+    @pytest.mark.parametrize("render, where", [(render_fixed_width, "row"),
+                                               (render_dbf, "record")])
+    def test_writer_rejects_non_ascii_naming_row_and_field(self, render, where):
+        layout = (FieldDescriptor("A", "C", 4, 0), FieldDescriptor("B", "N", 5, 4))
+        with pytest.raises(InvalidFieldValue) as err:
+            render([{"A": "ok", "B": "1"}, {"A": "ok", "B": "Joé"}], layout)
+        assert str(err.value) == f"{where} 1: B='Joé' is not ASCII"
+
     def test_writer_validates_its_layout(self):
         overlapping = (FieldDescriptor("A", "C", 3, 0), FieldDescriptor("B", "C", 3, 2))
         with pytest.raises(ConfigError):
