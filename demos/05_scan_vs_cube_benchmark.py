@@ -37,10 +37,9 @@ schema = build_schema(cleaned, (2000, 2006), hierarchy)
 cube = build_cube(schema)
 print(f"{len(cleaned)} cleaned records, {len(schema.facts)} fact rows")
 
-# The congress -> city map lets the scan answer city-level groupings
-# without consulting the warehouse.
-parents = {row.natural_key: row.attributes.get("city", row.natural_key)
-           for row in schema.dimensions["congress"].rows}
+# The congress -> city map lets the scan answer city-level groupings; the
+# cube's congress axis carries it, read from the warehouse's dimension rows.
+parents = cube.axis("congress").parent
 
 config = BenchConfig(
     queries=(

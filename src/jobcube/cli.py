@@ -35,6 +35,7 @@ from .errors import (
     EmptyYearRange,
     JobcubeError,
     UnknownMember,
+    UnsatisfiableSize,
 )
 from .preprocess import run_pipeline
 from .records import read_records_csv, write_csv, write_records_csv
@@ -43,7 +44,8 @@ from .sources import RejectedRow, ingest_sources
 from .warehouse import build_schema, check_integrity, load_schema, persist, refresh
 
 USAGE_ERRORS = (ConfigError, BadPolicy, BadHierarchy, BadLevelPair, BadQuery,
-                BadLevel, UnknownMember, EmptyMemberSet, EmptyYearRange)
+                BadLevel, UnknownMember, EmptyMemberSet, EmptyYearRange,
+                UnsatisfiableSize)
 INVARIANT_ERRORS = (CorruptManifest,)
 
 INGEST_REJECTS = "ingest_rejects.csv"
@@ -281,7 +283,7 @@ def cmd_bench(config: PipelineConfig, args: argparse.Namespace) -> int:
     records = read_records_csv(clean)
     cube = _loaded_cube(config)
     result = bench_mod.run_benchmark(records, cube, config.bench,
-                                     congress_parent=cube.parents["congress"])
+                                     congress_parent=cube.axis("congress").parent)
     for line in bench_mod.summary_lines(result):
         _say(f"[bench] {line}")
     path = bench_mod.write_bench_report(result, config.bench_output)

@@ -8,9 +8,11 @@ directed counts in a (3, cells) int64 array. An absent cell is zero. The
 label-keyed `cells` dict is a derived, cached view for callers that want
 labels; no operation reads it.
 
-Every operation is a numpy pass over those arrays. Roll-up remaps one axis
-through a parent-index array and regroups; slice and dice are boolean
-masks; aggregate masks, remaps and groups. Grouping goes through
+Every operation is a numpy pass over those arrays through two axis
+functions: `_to_level` lifts an axis through the parent map it carries
+(`CubeAxis.parent`), and `_selected` turns a member set into a per-member
+mask. Roll-up lifts and regroups; slice and dice select; aggregate selects
+on lifted filter axes, then lifts and groups. Grouping goes through
 `warehouse.group_rows`, the kernel that also groups records into facts: it
 counts densely with bincount when the key space is small next to the row
 count and sorts with np.unique otherwise, so memory follows the cell count,
@@ -24,9 +26,10 @@ mutates its input, so cubes are safe to share between readers.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import compress
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,7 +46,8 @@ from .warehouse import KEYS, StarSchema, group_rows
 MEASURES = ("total", "seekers", "directed")
 
 # Hierarchy levels per dimension, base level first. Flat dimensions have a
-# single level named after the dimension itself.
+# single level named after the dimension itself. A hierarchy has at most two
+# levels: an axis's parent map reaches the one level above its own.
 LEVELS: dict[str, tuple[str, ...]] = {
     "time": ("quarter", "year"),
     "congress": ("congress", "city"),
@@ -63,6 +67,8 @@ class CubeAxis:
     dimension: str
     level: str
     members: tuple[str, ...]    # distinct, sorted
+    # member -> parent one level up; None once no level is above
+    parent: Mapping[str, str] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -89,8 +95,6 @@ class Cube:
     axes: tuple[CubeAxis, ...]
     codes: np.ndarray           # (axes, cells) int64 member positions
     measures: np.ndarray        # (3, cells) int64 total, seekers, directed
-    # member -> parent one level up, per dimension that still has a level above
-    parents: dict[str, dict[str, str]]
 
     def __post_init__(self) -> None:
         # cubes are shared between readers and cache their cells view
@@ -123,11 +127,13 @@ def build_cube(schema: StarSchema) -> Cube:
     table = schema.facts.T
     axes = []
     codes = np.empty((len(DIMENSIONS), table.shape[1]), dtype=np.int64)
-    parents: dict[str, dict[str, str]] = {}
     for a, dim in enumerate(DIMENSIONS):
         rows = schema.dimensions[dim].rows
         members = tuple(sorted(r.natural_key for r in rows))
-        axes.append(CubeAxis(dim, base_level(dim), members))
+        path = level_path(dim)
+        # a dimension row carries its parent as the attribute named after that level
+        parent = {r.natural_key: r.attributes[path[1]] for r in rows} if path[1:] else None
+        axes.append(CubeAxis(dim, path[0], members, parent))
         # surrogate id -> member position; -1 marks ids no row carries
         lookup = np.full(max((r.surrogate_id for r in rows), default=0) + 1, -1,
                          dtype=np.int64)
@@ -138,17 +144,12 @@ def build_cube(schema: StarSchema) -> Cube:
                          or (lookup[ids] < 0).any()):
             raise UnresolvedDimensionValue(f"fact table: dangling {dim} id")
         codes[a] = lookup[ids]
-        if dim == "time":
-            parents[dim] = {r.natural_key: r.attributes["year"] for r in rows}
-        elif dim == "congress":
-            parents[dim] = {r.natural_key: r.attributes.get("city", r.natural_key)
-                            for r in rows}
     measures = np.ascontiguousarray(table[KEYS:])
-    return Cube(tuple(axes), codes, measures, parents)
+    return Cube(tuple(axes), codes, measures)
 
 
 # ---------------------------------------------------------------------------
-# Cube algebra
+# Axis functions
 
 
 def _level_distance(dimension: str, from_level: str, to_level: str) -> int:
@@ -158,8 +159,35 @@ def _level_distance(dimension: str, from_level: str, to_level: str) -> int:
     return path.index(to_level) - path.index(from_level)
 
 
-def _without(parents: dict[str, dict[str, str]], dimension: str) -> dict[str, dict[str, str]]:
-    return {d: p for d, p in parents.items() if d != dimension}
+def _to_level(cube: Cube, idx: int, level: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """The axis's sorted distinct members at `level`, and each current
+    member's position among them (the identity at the axis's own level)."""
+    ax = cube.axes[idx]
+    steps = _level_distance(ax.dimension, ax.level, level)
+    if steps == 0:
+        return ax.members, np.arange(len(ax.members), dtype=np.int64)
+    if steps < 0:
+        raise BadLevel(f"{ax.dimension}: {level!r} is below the cube grain {ax.level!r}")
+    if ax.parent is None:
+        raise BadLevel(f"{ax.dimension}: cannot reach level {level!r} from {ax.level!r}")
+    labels = [ax.parent[m] for m in ax.members]
+    members = tuple(sorted(set(labels)))
+    position = {m: i for i, m in enumerate(members)}
+    return members, np.array([position[lab] for lab in labels], dtype=np.int64)
+
+
+def _selected(members: Sequence[str], wanted: frozenset[str], where: str) -> np.ndarray:
+    """Per-member mask of `wanted`, which must be a non-empty subset of members."""
+    if not wanted:
+        raise EmptyMemberSet(f"{where}: empty member set")
+    unknown = wanted.difference(members)
+    if unknown:
+        raise UnknownMember(f"{where}: no members {sorted(unknown)}")
+    return np.fromiter((m in wanted for m in members), dtype=bool, count=len(members))
+
+
+# ---------------------------------------------------------------------------
+# Cube algebra
 
 
 def rollup(cube: Cube, dimension: str, to_level: str) -> Cube:
@@ -168,19 +196,13 @@ def rollup(cube: Cube, dimension: str, to_level: str) -> Cube:
     ax = cube.axes[idx]
     if _level_distance(dimension, ax.level, to_level) < 1:
         raise BadLevel(f"{dimension}: {to_level!r} is not above {ax.level!r}")
-    parent = cube.parents.get(dimension)
-    if parent is None:
-        raise BadLevel(f"{dimension}: no level above {ax.level!r}")
-
-    members = tuple(sorted({parent[m] for m in ax.members}))
-    up = np.array([bisect_left(members, parent[m]) for m in ax.members], dtype=np.int64)
+    members, up = _to_level(cube, idx, to_level)
     columns = list(cube.codes)
     columns[idx] = up[columns[idx]]
     axes = (cube.axes[:idx] + (CubeAxis(dimension, to_level, members),)
             + cube.axes[idx + 1:])
     key_columns, sums = group_rows(columns, [len(a.members) for a in axes], cube.measures)
-    return Cube(axes, np.array(key_columns), np.array(sums).astype(np.int64),
-                _without(cube.parents, dimension))
+    return Cube(axes, np.array(key_columns), np.array(sums).astype(np.int64))
 
 
 def drilldown(cube: Cube, base: Cube, dimension: str, to_level: str) -> Cube:
@@ -203,45 +225,35 @@ def drilldown(cube: Cube, base: Cube, dimension: str, to_level: str) -> Cube:
 def slice_cube(cube: Cube, dimension: str, member: str) -> Cube:
     """Fix one dimension to a single member and drop that axis."""
     idx = cube.axis_index(dimension)
-    if member not in cube.axes[idx].members:
-        raise UnknownMember(f"{dimension}: no member {member!r}")
-    keep = cube.codes[idx] == bisect_left(cube.axes[idx].members, member)
+    keep = _selected(cube.axes[idx].members, frozenset((member,)), dimension)
+    keep = keep[cube.codes[idx]]
     codes = np.delete(cube.codes[:, keep], idx, axis=0)
-    axes = cube.axes[:idx] + cube.axes[idx + 1:]
-    return Cube(axes, codes, cube.measures[:, keep], _without(cube.parents, dimension))
+    return Cube(cube.axes[:idx] + cube.axes[idx + 1:], codes, cube.measures[:, keep])
 
 
 def dice(cube: Cube, filters: Iterable[tuple[str, Iterable[str]]]) -> Cube:
     """Restrict axes to member sets; the axes all survive."""
-    wanted: dict[int, frozenset[str]] = {}
+    masks: dict[int, np.ndarray] = {}
     for dimension, members in filters:
         idx = cube.axis_index(dimension)
-        members = frozenset(members)
-        if not members:
-            raise EmptyMemberSet(f"{dimension}: empty member set")
-        unknown = members - set(cube.axes[idx].members)
-        if unknown:
-            raise UnknownMember(f"{dimension}: no members {sorted(unknown)}")
-        if idx in wanted:
-            members = wanted[idx] & members
-            if not members:
+        mask = _selected(cube.axes[idx].members, frozenset(members), dimension)
+        if idx in masks:
+            mask &= masks[idx]
+            if not mask.any():
                 raise EmptyMemberSet(f"{dimension}: filters intersect to nothing")
-        wanted[idx] = members
+        masks[idx] = mask
 
     axes = list(cube.axes)
     codes = cube.codes.copy()
     keep = np.ones(codes.shape[1], dtype=bool)
-    for idx, members in wanted.items():
+    for idx, mask in masks.items():
         ax = cube.axes[idx]
-        kept = tuple(sorted(members))
-        # old member position -> position among the kept members, -1 if dropped
-        remap = np.full(len(ax.members), -1, dtype=np.int64)
-        for pos, m in enumerate(kept):
-            remap[bisect_left(ax.members, m)] = pos
-        codes[idx] = remap[codes[idx]]
-        keep &= codes[idx] >= 0
-        axes[idx] = CubeAxis(ax.dimension, ax.level, kept)
-    return Cube(tuple(axes), codes[:, keep], cube.measures[:, keep], dict(cube.parents))
+        keep &= mask[codes[idx]]
+        # a kept member's position among the kept; keep drops the other cells
+        codes[idx] = (np.cumsum(mask) - 1)[codes[idx]]
+        axes[idx] = CubeAxis(ax.dimension, ax.level, tuple(compress(ax.members, mask)),
+                             ax.parent)
+    return Cube(tuple(axes), codes[:, keep], cube.measures[:, keep])
 
 
 # ---------------------------------------------------------------------------
@@ -277,21 +289,6 @@ def normalize_query(query: AggregateQuery, levels: Mapping[str, str],
     return group_by, filters
 
 
-def _labels_at_level(cube: Cube, axis_idx: int, level: str) -> list[str]:
-    """Per-member label at the requested level (identity at the axis level)."""
-    ax = cube.axes[axis_idx]
-    steps = _level_distance(ax.dimension, ax.level, level)
-    if steps < 0:
-        raise BadLevel(f"{ax.dimension}: {level!r} is below the cube grain {ax.level!r}")
-    labels = list(ax.members)
-    if steps == 0:
-        return labels
-    parent = cube.parents.get(ax.dimension)
-    if parent is None or steps > 1:
-        raise BadLevel(f"{ax.dimension}: cannot reach level {level!r} from {ax.level!r}")
-    return [parent[m] for m in labels]
-
-
 def aggregate(cube: Cube, query: AggregateQuery) -> ResultTable:
     """Filter, group, and sum one measure.
 
@@ -304,14 +301,8 @@ def aggregate(cube: Cube, query: AggregateQuery) -> ResultTable:
     keep = np.ones(cube.codes.shape[1], dtype=bool)
     for dimension, level, members in filters:
         idx = cube.axis_index(dimension)
-        if not members:
-            raise EmptyMemberSet(f"{dimension}: empty member set")
-        labels = _labels_at_level(cube, idx, level)
-        unknown = members - set(labels)
-        if unknown:
-            raise UnknownMember(f"{dimension}@{level}: no members {sorted(unknown)}")
-        allowed = np.array([lab in members for lab in labels], dtype=bool)
-        keep &= allowed[cube.codes[idx]]
+        labels, up = _to_level(cube, idx, level)
+        keep &= _selected(labels, members, f"{dimension}@{level}")[up][cube.codes[idx]]
     values = cube.measures[MEASURES.index(query.measure)]
     if filters:
         values = values[keep]
@@ -325,14 +316,11 @@ def aggregate(cube: Cube, query: AggregateQuery) -> ResultTable:
     key_columns, group_labels = [], []
     for dimension, level in group_by:
         idx = cube.axis_index(dimension)
-        labels = _labels_at_level(cube, idx, level)
-        distinct = sorted(set(labels))
-        member_to_group = np.array([bisect_left(distinct, lab) for lab in labels],
-                                   dtype=np.int64)
+        labels, up = _to_level(cube, idx, level)
         codes = cube.codes[idx][keep] if filters else cube.codes[idx]
-        key_columns.append(member_to_group[codes])
-        group_labels.append(distinct)
+        key_columns.append(up[codes])
+        group_labels.append(labels)
     groups, (sums,) = group_rows(key_columns, [len(g) for g in group_labels], [values])
-    label_columns = [[distinct[i] for i in col.tolist()]
-                     for distinct, col in zip(group_labels, groups)]
+    label_columns = [[labels[i] for i in col.tolist()]
+                     for labels, col in zip(group_labels, groups)]
     return ResultTable(columns, tuple(zip(*label_columns, sums.astype(np.int64).tolist())))

@@ -133,6 +133,12 @@ class SourceSpec:
             "".encode(self.encoding)    # refuses unknown names and non-text codecs (hex)
         except LookupError:
             raise ConfigError(f"{self.source_id}: unknown encoding {self.encoding!r}") from None
+        # fixed-position formats frame by byte, so padding and digits must be ASCII bytes
+        ascii_text = "".join(map(chr, range(128)))
+        if (self.format != "delimited"
+                and ascii_text.encode(self.encoding, "replace") != ascii_text.encode()):
+            raise ConfigError(f"{self.source_id}: a {self.format} source needs an "
+                              f"ASCII-compatible encoding, not {self.encoding!r}")
         self.mapping.require_mandatory(self.source_id)
 
 

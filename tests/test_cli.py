@@ -225,6 +225,9 @@ class TestExitCodes:
             "congress": lambda src: src.update(value_codebooks={"congress": {"1": "C1"}}),
             "nope": lambda src: src.update(encoding="nope"),
             "rot13": lambda src: src.update(encoding="rot13"),
+            # fixed-width framing needs ASCII bytes; these codecs change them
+            "utf-16": lambda src: src.update(encoding="utf-16"),
+            "cp037": lambda src: src.update(encoding="cp037"),
         }
         for key, edit in edits.items():
             raw = copy.deepcopy(generated)
@@ -235,6 +238,23 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "error: tripoli: " in err and repr(key) in err, err
             assert "Traceback" not in err
+
+    def test_ascii_compatible_encoding_still_ingests(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["gen", "-c", cfg]) == 0
+        path = tmp_path / "data" / "sources.yaml"
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw["sources"][0]["encoding"] = "latin-1"     # Tripoli's fixed-width file
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        assert main(["ingest", "-c", cfg]) == 0
+
+    def test_unsatisfiable_byte_target_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, gen={
+            "target_bytes": {"tripoli": 10, "misurata": 10, "sirte": 10}})
+        capsys.readouterr()
+        assert main(["gen", "-c", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "error: tripoli: 10 bytes cannot hold one" in err, err
 
     def test_missing_config(self, tmp_path):
         assert main(["gen", "-c", str(tmp_path / "none.yaml")]) == 1

@@ -211,6 +211,31 @@ class TestAggregate:
                                 [("time", "year", ("2003", "2004"))], cities)
         assert table_as_dict(table) == want
 
+    def test_year_filter_with_quarter_group_by(self, fixture):
+        records, cube, cities = fixture
+        filters = [("time", "year", ("2001", "2005"))]
+        table = aggregate(cube, AggregateQuery(
+            "seekers", group_by=("time",), filters=tuple(filters)))
+        want = oracle_aggregate(records, "seekers", [("time", "quarter")], filters, cities)
+        assert table_as_dict(table) == want
+
+    def test_city_group_by_on_diced_cube(self, fixture):
+        # dice keeps the congress axis's parent map
+        records, cube, cities = fixture
+        congresses = cube.axis("congress").members[::3]
+        diced = dice(cube, [("congress", congresses)])
+        table = aggregate(diced, AggregateQuery("total", group_by=(("congress", "city"),)))
+        kept = [r for r in records if r.congress in congresses]
+        want = oracle_aggregate(kept, "total", [("congress", "city")], [], cities)
+        assert table_as_dict(table) == want
+
+    def test_congress_group_by_after_rollup_to_city(self, fixture):
+        _, cube, _ = fixture
+        rolled = rollup(cube, "congress", "city")
+        assert rolled.axis("congress").parent is None
+        with pytest.raises(BadLevel):
+            aggregate(rolled, AggregateQuery("total", group_by=(("congress", "congress"),)))
+
     def test_bad_queries(self, fixture):
         _, cube, _ = fixture
         with pytest.raises(BadQuery):
