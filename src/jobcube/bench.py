@@ -2,9 +2,10 @@
 
 The baseline answers each query with a full pass over the canonical records,
 the way the pre-warehouse systems produced reports. The query is resolved
-once, into one label getter per group-by and filter entry and one weight per
-status; the scan is still one Python pass per record, with no
-pre-aggregation and no numpy. Correctness comes first:
+once, into one label getter per filter entry, one key over the record fields
+the group-by reads and one weight per status; group labels are made once per
+key. The scan is still one Python pass per record, with no pre-aggregation
+and no numpy. Correctness comes first:
 every query's two answers are compared before any timing, and a mismatch
 aborts the run.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -28,6 +30,7 @@ from .cube import (
 from .errors import AnswerMismatch, BadLevel, ConfigError
 from .records import (
     DIMENSIONS,
+    MEMBER_FIELDS,
     MEMBER_GETTERS,
     STATUS_SEEKER,
     CanonicalApplicant,
@@ -48,9 +51,7 @@ def _label_getter(dimension: str, level: str,
     if (dimension, level) == ("time", "year"):
         return lambda r: str(r.year)
     if (dimension, level) == ("congress", "city"):
-        if congress_parent is None:
-            return MEMBER_GETTERS["congress"]
-        parent = congress_parent.get
+        parent = (congress_parent or {}).get
         return lambda r: parent(r.congress, r.congress)
     raise BadLevel(f"{dimension}: unknown level {level!r}")
 
@@ -69,26 +70,31 @@ def run_scan_query(records: Sequence[CanonicalApplicant], query: AggregateQuery,
         query, {dimension: base_level(dimension) for dimension in DIMENSIONS})
     tests = [(_label_getter(dimension, level, congress_parent), members)
              for dimension, level, members in filters]
-    labels = [_label_getter(dimension, level, congress_parent)
-              for dimension, level in group_by]
-    # One group-by entry, the common case, groups on the bare label: building
-    # a tuple per record would cost about as much as the rest of the pass.
-    single = len(labels) == 1
-    key_of = labels[0] if single else (lambda r: tuple([label(r) for label in labels]))
+    # Group on the raw fields the group-by reads, one C call per record (a bare
+    # value for one field, else a tuple); labels are made once per group.
+    fields = [name for dimension, _ in group_by for name in MEMBER_FIELDS[dimension]]
+    key_of = attrgetter(*fields) if fields else (lambda r: ())
     if_seeker, otherwise = _WEIGHTS[query.measure]
 
-    groups: dict[str | tuple[str, ...], int] = {}
+    raw_groups: dict[object, int] = {}
     for r in records:
         for member_of, members in tests:
             if member_of(r) not in members:
                 break
         else:
             key = key_of(r)
-            groups[key] = groups.get(key, 0) + (
+            raw_groups[key] = raw_groups.get(key, 0) + (
                 if_seeker if r.status == STATUS_SEEKER else otherwise)
 
-    if single:
-        groups = {(label,): n for label, n in groups.items()}
+    labels = [_label_getter(dimension, level, congress_parent)
+              for dimension, level in group_by]
+    groups: dict[tuple[str, ...], int] = {}
+    for raw, n in raw_groups.items():
+        record = CanonicalApplicant()._replace(
+            **dict(zip(fields, (raw,) if len(fields) == 1 else raw)))
+        key = tuple([label(record) for label in labels])
+        groups[key] = groups.get(key, 0) + n
+
     columns = tuple(
         (dimension if level == base_level(dimension) else f"{dimension}_{level}")
         for dimension, level in group_by) + (query.measure,)

@@ -41,7 +41,7 @@ from .preprocess import run_pipeline
 from .records import read_records_csv, write_csv, write_records_csv
 from .reporting import render_text_table, run_report, write_result
 from .sources import RejectedRow, ingest_sources
-from .warehouse import build_schema, check_integrity, load_schema, persist, refresh
+from .warehouse import StarSchema, build_schema, check_integrity, load_schema, persist, refresh
 
 USAGE_ERRORS = (ConfigError, BadPolicy, BadHierarchy, BadLevelPair, BadQuery,
                 BadLevel, UnknownMember, EmptyMemberSet, EmptyYearRange,
@@ -54,11 +54,6 @@ ETL_REJECTS = "rejects.csv"
 
 def _say(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _fail_usage(message: str) -> int:
-    _say(f"error: {message}")
-    return 1
 
 
 @contextmanager
@@ -77,6 +72,14 @@ def _locked(warehouse_dir: Path):
         yield
     finally:
         lock.unlink(missing_ok=True)
+
+
+def _violations(schema: StarSchema, prefix: str) -> bool:
+    """Print each integrity violation after prefix; True if there was one."""
+    issues = check_integrity(schema)
+    for issue in issues:
+        _say(f"{prefix} {issue}")
+    return bool(issues)
 
 
 def _require_file(path: Path, hint: str) -> None:
@@ -164,10 +167,7 @@ def cmd_load(config: PipelineConfig, args: argparse.Namespace) -> int:
     records = read_records_csv(clean)
     hierarchy = load_hierarchy(config.hierarchy_path())
     schema = build_schema(records, (config.year_from, config.year_to), hierarchy)
-    issues = check_integrity(schema)
-    if issues:
-        for issue in issues:
-            _say(f"[load] invariant violation: {issue}")
+    if _violations(schema, "[load] invariant violation:"):
         return 3
     with _locked(Path(config.warehouse_dir)):
         manifest = persist(schema, config.warehouse_dir)
@@ -188,10 +188,7 @@ def cmd_refresh(config: PipelineConfig, args: argparse.Namespace) -> int:
         schema = load_schema(config.warehouse_dir)
         before = {dim: len(table) for dim, table in schema.dimensions.items()}
         refreshed = refresh(schema, records, hierarchy)
-        issues = check_integrity(refreshed)
-        if issues:
-            for issue in issues:
-                _say(f"[refresh] invariant violation: {issue}")
+        if _violations(refreshed, "[refresh] invariant violation:"):
             return 3
         manifest = persist(refreshed, config.warehouse_dir)
     for dim, table in sorted(refreshed.dimensions.items()):
@@ -203,20 +200,14 @@ def cmd_refresh(config: PipelineConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _dimension_level(text: str) -> tuple[str, ...]:
+    """'dim' -> ('dim',) and 'dim:level' -> ('dim', 'level'), trimmed."""
+    return tuple(part.strip() for part in text.split(":", 1))
+
+
 def _parse_group_by(raw: str | None) -> tuple:
-    if not raw:
-        return ()
-    entries = []
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if ":" in item:
-            dim, _, level = item.partition(":")
-            entries.append((dim.strip(), level.strip()))
-        else:
-            entries.append(item)
-    return tuple(entries)
+    entries = [_dimension_level(item) for item in (raw or "").split(",") if item.strip()]
+    return tuple(entry if len(entry) == 2 else entry[0] for entry in entries)
 
 
 def _parse_filters(raw_filters: list[str], years: str | None) -> tuple:
@@ -238,11 +229,7 @@ def _parse_filters(raw_filters: list[str], years: str | None) -> tuple:
         members = tuple(m for m in (s.strip() for s in members_raw.split(",")) if m)
         if not members:
             raise ConfigError(f"--filter: no members in {raw!r}")
-        if ":" in target:
-            dim, _, level = target.partition(":")
-            filters.append((dim.strip(), level.strip(), members))
-        else:
-            filters.append((target.strip(), members))
+        filters.append((*_dimension_level(target), members))
     return tuple(filters)
 
 
@@ -294,10 +281,7 @@ def cmd_bench(config: PipelineConfig, args: argparse.Namespace) -> int:
 def cmd_validate(config: PipelineConfig, args: argparse.Namespace) -> int:
     _require_file(Path(config.warehouse_dir) / "manifest.txt", "jobcube load")
     schema = load_schema(config.warehouse_dir)
-    issues = check_integrity(schema)
-    if issues:
-        for issue in issues:
-            _say(f"[validate] violation: {issue}")
+    if _violations(schema, "[validate] violation:"):
         return 3
     total_rows = sum(len(t) for t in schema.dimensions.values())
     _say(f"[validate] warehouse ok: {len(schema.dimensions)} dimension tables "
@@ -358,13 +342,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        return _fail_usage(str(exc))
-    try:
-        code = _COMMANDS[args.command](config, args)
+        code = _COMMANDS[args.command](load_config(args.config), args)
     except USAGE_ERRORS as exc:
-        return _fail_usage(str(exc))
+        _say(f"error: {exc}")
+        return 1
     except INVARIANT_ERRORS as exc:
         _say(f"error: {exc}")
         return 3

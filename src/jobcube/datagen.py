@@ -28,14 +28,13 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ConfigError, UnsatisfiableSize
-from .preprocess import DEFAULT_FILL
+from .preprocess import DEFAULT_FILL, dimension_reduce
 from .records import (
     ALL_FIELDS,
     QUARTERS,
     WAREHOUSE_REQUIRED_FIELDS,
     CanonicalApplicant,
     derive_status,
-    project,
     quarter_index,
     write_records_csv,
 )
@@ -542,11 +541,9 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     expect.normalized = dict(sorted(expect.normalized.items()))
 
     # Truth: what the pipeline should hand the warehouse, sorted by key.
-    truth = []
-    for p in persons:
-        congress = DEFAULT_FILL if p.national_id in blanked_district_persons else p.congress
-        truth.append(project(p._replace(congress=congress),
-                             WAREHOUSE_REQUIRED_FIELDS))
+    truth = dimension_reduce(
+        (p._replace(congress=DEFAULT_FILL) if p.national_id in blanked_district_persons else p
+         for p in persons), WAREHOUSE_REQUIRED_FIELDS)
     truth.sort(key=lambda r: r.national_id)
 
     files = _write_outputs(config, out, wire, truth)

@@ -4,12 +4,18 @@ Stage order is fixed: normalize_codes, fill_missing, deduplicate, generalize,
 dimension_reduce. Code normalization must run before deduplication so that
 variant spellings cannot hide duplicate keys; generalization runs late so it
 sees filled, deduplicated records.
+
+Each rule is compiled once into a row function: `_cleaner` normalizes and
+fills, `_finisher` generalizes and projects. run_pipeline makes one pass with
+each around deduplicate, the only step that needs every record; the public
+steps loop over the same row functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     BadHierarchy,
@@ -25,7 +31,6 @@ from .records import (
     WAREHOUSE_REQUIRED_FIELDS,
     CanonicalApplicant,
     quarter_index,
-    project,
 )
 
 DEFAULT_FILL = "UNKNOWN"
@@ -54,26 +59,21 @@ class ConceptHierarchy:
             if not value or not parent:
                 raise BadHierarchy(f"empty value in entry ({level!r}, {value!r}) -> {parent!r}")
 
-    def level_index(self, level: str) -> int:
-        try:
-            return self.levels.index(level)
-        except ValueError:
-            raise BadLevelPair(f"unknown level {level!r}; have {self.levels}") from None
-
-    def parent(self, level: str, value: str) -> str | None:
-        return self.parent_of.get((level, value))
-
-    def ancestor(self, value: str, from_level: str, to_level: str) -> str | None:
-        """Walk value up from from_level to to_level; None if a link is missing."""
-        lo, hi = self.level_index(from_level), self.level_index(to_level)
+    def ancestors(self, from_level: str, to_level: str) -> dict[str, str]:
+        """Each from_level value with a full path up to to_level, mapped to
+        its to_level ancestor."""
+        for level in (from_level, to_level):
+            if level not in self.levels:
+                raise BadLevelPair(f"unknown level {level!r}; have {self.levels}")
+        lo, hi = self.levels.index(from_level), self.levels.index(to_level)
         if lo >= hi:
             raise BadLevelPair(f"{from_level!r} is not below {to_level!r}")
-        current: str | None = value
-        for i in range(lo, hi):
-            if current is None:
-                return None
-            current = self.parent_of.get((self.levels[i], current))
-        return current
+        out = {value: parent for (level, value), parent in self.parent_of.items()
+               if level == from_level}
+        for up in self.levels[lo + 1:hi]:
+            out = {value: self.parent_of[up, above] for value, above in out.items()
+                   if (up, above) in self.parent_of}
+        return out
 
     @classmethod
     def from_tree(cls, levels: Sequence[str], tree: Mapping) -> "ConceptHierarchy":
@@ -157,19 +157,98 @@ def _quarter_rank(quarter: str) -> int:
     return quarter_index(quarter) if quarter in QUARTERS else 0
 
 
-def deduplicate(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
-                ) -> tuple[list[CanonicalApplicant], PreprocessReport]:
-    """Keep one record per national_id. Records with a blank national_id are
-    quarantined into the report, never silently dropped.
+def _compile_codebooks(codebooks: Mapping[str, Mapping[str, str]],
+                       ) -> dict[str, dict[str, str]]:
+    """Fold variants per field: trimmed, casefolded variant -> canonical.
 
-    Survivor under latest_application: greatest (year, quarter), ties to the
-    lexicographically smallest city, then smallest source_id. first_seen is
-    the mirror image on (year, quarter). The record itself, compared as its
-    field tuple in ALL_FIELDS order, is the final tie-break, which makes the
-    result independent of input order.
+    Every canonical value maps to itself so a second pass is a no-op.
     """
+    compiled: dict[str, dict[str, str]] = {}
+    for field_name, book in codebooks.items():
+        if field_name not in ALL_FIELDS:
+            raise ConfigError(f"codebook for unknown field {field_name!r}")
+        if not isinstance(CanonicalApplicant._field_defaults[field_name], str):
+            raise ConfigError(f"codebook for non-text field {field_name!r}")
+        lookup: dict[str, str] = {}
+        for variant, canonical in book.items():
+            for key in (variant.strip().casefold(), canonical.strip().casefold()):
+                if lookup.get(key, canonical) != canonical:
+                    raise ConfigError(
+                        f"{field_name}: {key!r} maps to both {lookup[key]!r} and {canonical!r}")
+                lookup[key] = canonical
+        compiled[field_name] = lookup
+    return compiled
+
+
+def _cleaner(compiled: Mapping[str, Mapping[str, str]], fill_constants: Mapping[str, str],
+             report: PreprocessReport) -> Callable[[CanonicalApplicant], CanonicalApplicant]:
+    """The row function before dedup: per coded or fillable field, by name,
+    the codebook rewrite and then the fill, counted into report. A record
+    with nothing to change is returned as it is."""
+    steps = [(ALL_FIELDS.index(name), name, compiled.get(name), fill_constants.get(name))
+             for name in sorted(compiled.keys() | fill_constants.keys())]
+    normalized, filled = report.values_normalized, report.values_filled
+    make = CanonicalApplicant._make
+
+    def clean(r: CanonicalApplicant) -> CanonicalApplicant:
+        values = None
+        for i, name, lookup, fill in steps:
+            value = r[i]
+            if lookup is not None and value != "":
+                canonical = lookup.get(value.strip().casefold())
+                if canonical is None:
+                    report.values_unmatched += 1
+                elif canonical != value:
+                    normalized[name] = normalized.get(name, 0) + 1
+                    if values is None:
+                        values = list(r)
+                    values[i] = value = canonical
+            if fill is not None and value.strip() == "":
+                filled[name] = filled.get(name, 0) + 1
+                if values is None:
+                    values = list(r)
+                values[i] = fill
+        return r if values is None else make(values)
+    return clean
+
+
+def _finisher(keep: Iterable[str], report: PreprocessReport | None = None,
+              lift: tuple[ConceptHierarchy, str, str, str] | None = None,
+              ) -> Callable[[CanonicalApplicant], CanonicalApplicant]:
+    """The row function after dedup: the lift (hierarchy, from_level,
+    to_level, fill), counted into report, then the projection onto keep
+    (other fields blank, year 0), in one _make per record."""
+    keep = frozenset(keep)
+    # slots past the record's own: the lifted value, a blank text, a blank year
+    n = len(ALL_FIELDS)
+    slots = [i if name in keep else n + 1 + (name == "year")
+             for i, name in enumerate(ALL_FIELDS)]
+    make = CanonicalApplicant._make
+    if lift is None:
+        pick = itemgetter(*slots)
+        return lambda r: make(pick(r + (None, "", 0)))
+    hierarchy, from_level, to_level, fill = lift
+    ancestors = hierarchy.ancestors(from_level, to_level)
+    if from_level not in ALL_FIELDS or to_level not in ALL_FIELDS:
+        raise BadLevelPair(f"levels must name record fields: {from_level!r}, {to_level!r}")
+    source = ALL_FIELDS.index(from_level)
+    slots[ALL_FIELDS.index(to_level)] = n
+    pick = itemgetter(*slots)
+
+    def finish(r: CanonicalApplicant) -> CanonicalApplicant:
+        ancestor = ancestors.get(r[source])
+        if ancestor is None:
+            report.unknown_hierarchy_values += 1
+            ancestor = fill
+        else:
+            report.records_generalized += 1
+        return make(pick(r + (ancestor, "", 0)))
+    return finish
+
+
+def _deduplicate(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
+                 report: PreprocessReport) -> list[CanonicalApplicant]:
     policy.validate()
-    report = PreprocessReport()
     groups: dict[str, CanonicalApplicant] = {}
     latest = policy.keep_rule == "latest_application"
 
@@ -190,7 +269,35 @@ def deduplicate(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
             groups[key] = r
     out = [groups[k] for k in sorted(groups)]
     report.duplicates_removed = kept - len(out)
-    return out, report
+    return out
+
+
+def deduplicate(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
+                ) -> tuple[list[CanonicalApplicant], PreprocessReport]:
+    """Keep one record per national_id. Records with a blank national_id are
+    quarantined into the report, never silently dropped.
+
+    Survivor under latest_application: greatest (year, quarter), ties to the
+    lexicographically smallest city, then smallest source_id. first_seen is
+    the mirror image on (year, quarter). The record itself, compared as its
+    field tuple in ALL_FIELDS order, is the final tie-break, which makes the
+    result independent of input order.
+    """
+    report = PreprocessReport()
+    return _deduplicate(records, policy, report), report
+
+
+def normalize_codes(records: Iterable[CanonicalApplicant],
+                    codebooks: Mapping[str, Mapping[str, str]],
+                    ) -> tuple[list[CanonicalApplicant], PreprocessReport]:
+    """Rewrite variant spellings to canonical codes.
+
+    Matching is exact after trimming and case-folding. Unmatched non-empty
+    values pass through unchanged and are counted.
+    """
+    report = PreprocessReport()
+    clean = _cleaner(_compile_codebooks(codebooks), {}, report)
+    return [clean(r) for r in records], report
 
 
 def fill_missing(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
@@ -198,16 +305,8 @@ def fill_missing(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
     """Replace blank nullable values with the policy's constants."""
     policy.validate()
     report = PreprocessReport()
-    fields_sorted = sorted(policy.fill_constants)
-    out: list[CanonicalApplicant] = []
-    for r in records:
-        updates: dict[str, str] = {}
-        for name in fields_sorted:
-            if getattr(r, name).strip() == "":
-                updates[name] = policy.fill_constants[name]
-                report.values_filled[name] = report.values_filled.get(name, 0) + 1
-        out.append(r._replace(**updates) if updates else r)
-    return out, report
+    clean = _cleaner({}, policy.fill_constants, report)
+    return [clean(r) for r in records], report
 
 
 def generalize(records: Iterable[CanonicalApplicant], hierarchy: ConceptHierarchy,
@@ -219,83 +318,14 @@ def generalize(records: Iterable[CanonicalApplicant], hierarchy: ConceptHierarch
     Values with no path through the hierarchy get the fill constant and are
     counted as unknown.
     """
-    lo = hierarchy.level_index(from_level)
-    hi = hierarchy.level_index(to_level)
-    if lo >= hi:
-        raise BadLevelPair(f"{from_level!r} must be strictly below {to_level!r}")
-    if from_level not in ALL_FIELDS or to_level not in ALL_FIELDS:
-        raise BadLevelPair(f"levels must name record fields: {from_level!r}, {to_level!r}")
     report = PreprocessReport()
-    out: list[CanonicalApplicant] = []
-    cache: dict[str, str | None] = {}
-    for r in records:
-        value = getattr(r, from_level)
-        if value in cache:
-            ancestor = cache[value]
-        else:
-            ancestor = hierarchy.ancestor(value, from_level, to_level)
-            cache[value] = ancestor
-        if ancestor is None:
-            report.unknown_hierarchy_values += 1
-            out.append(r._replace(**{to_level: fill}))
-        else:
-            report.records_generalized += 1
-            out.append(r._replace(**{to_level: ancestor}))
-    return out, report
-
-
-def _compile_codebooks(codebooks: Mapping[str, Mapping[str, str]],
-                       ) -> dict[str, dict[str, str]]:
-    """Fold variants per field: trimmed, casefolded variant -> canonical.
-
-    Every canonical value maps to itself so a second pass is a no-op.
-    """
-    compiled: dict[str, dict[str, str]] = {}
-    for field_name, book in codebooks.items():
-        if field_name not in ALL_FIELDS:
-            raise ConfigError(f"codebook for unknown field {field_name!r}")
-        lookup: dict[str, str] = {}
-        for variant, canonical in book.items():
-            for key in (variant.strip().casefold(), canonical.strip().casefold()):
-                if lookup.get(key, canonical) != canonical:
-                    raise ConfigError(
-                        f"{field_name}: {key!r} maps to both {lookup[key]!r} and {canonical!r}")
-                lookup[key] = canonical
-        compiled[field_name] = lookup
-    return compiled
-
-
-def normalize_codes(records: Iterable[CanonicalApplicant],
-                    codebooks: Mapping[str, Mapping[str, str]],
-                    ) -> tuple[list[CanonicalApplicant], PreprocessReport]:
-    """Rewrite variant spellings to canonical codes.
-
-    Matching is exact after trimming and case-folding. Unmatched non-empty
-    values pass through unchanged and are counted.
-    """
-    compiled = _compile_codebooks(codebooks)
-    report = PreprocessReport()
-    fields_sorted = sorted(compiled)
-    out: list[CanonicalApplicant] = []
-    for r in records:
-        updates: dict[str, str] = {}
-        for name in fields_sorted:
-            value = getattr(r, name)
-            if value == "":
-                continue
-            canonical = compiled[name].get(value.strip().casefold())
-            if canonical is None:
-                report.values_unmatched += 1
-            elif canonical != value:
-                updates[name] = canonical
-                report.values_normalized[name] = report.values_normalized.get(name, 0) + 1
-        out.append(r._replace(**updates) if updates else r)
-    return out, report
+    finish = _finisher(ALL_FIELDS, report, (hierarchy, from_level, to_level, fill))
+    return [finish(r) for r in records], report
 
 
 def dimension_reduce(records: Iterable[CanonicalApplicant],
                      keep_fields: Iterable[str]) -> list[CanonicalApplicant]:
-    """Project records onto keep_fields (other fields blanked).
+    """Project records onto keep_fields (other fields blanked, year 0).
 
     keep_fields must cover everything the warehouse needs: the six dimension
     attributes, status, and the record identity.
@@ -307,7 +337,8 @@ def dimension_reduce(records: Iterable[CanonicalApplicant],
     missing = WAREHOUSE_REQUIRED_FIELDS - keep
     if missing:
         raise MissingRequiredField(f"keep_fields must include {sorted(missing)}")
-    return [project(r, keep) for r in records]
+    finish = _finisher(keep)
+    return [finish(r) for r in records]
 
 
 def run_pipeline(records: Iterable[CanonicalApplicant], *,
@@ -315,22 +346,16 @@ def run_pipeline(records: Iterable[CanonicalApplicant], *,
                  policy: CleaningPolicy,
                  hierarchy: ConceptHierarchy,
                  ) -> tuple[list[CanonicalApplicant], PreprocessReport]:
-    """The full fixed-order pass: normalize, fill, dedup, generalize district
-    to congress, and reduce to WAREHOUSE_REQUIRED_FIELDS.
-
-    A district with no congress gets the district fill (or DEFAULT_FILL).
-    """
-    recs, normalized = normalize_codes(records, codebooks)
-    recs, filled = fill_missing(recs, policy)
-    recs, deduped = deduplicate(recs, policy)
-    fill = policy.fill_constants.get("district") or DEFAULT_FILL
-    recs, generalized = generalize(recs, hierarchy, "district", "congress", fill=fill)
-    recs = dimension_reduce(recs, WAREHOUSE_REQUIRED_FIELDS)
-    return recs, PreprocessReport(
-        duplicates_removed=deduped.duplicates_removed, rejected=deduped.rejected,
-        values_filled=filled.values_filled,
-        values_normalized=normalized.values_normalized,
-        values_unmatched=normalized.values_unmatched,
-        records_generalized=generalized.records_generalized,
-        unknown_hierarchy_values=generalized.unknown_hierarchy_values,
+    """The fixed-order ETL, counted into one report: one row pass normalizing
+    and filling, deduplicate, and one row pass generalizing district to
+    congress and reducing to WAREHOUSE_REQUIRED_FIELDS. A district with no
+    congress gets the district fill (or DEFAULT_FILL)."""
+    report = PreprocessReport(
         fields_dropped=[f for f in ALL_FIELDS if f not in WAREHOUSE_REQUIRED_FIELDS])
+    compiled = _compile_codebooks(codebooks)
+    policy.validate()
+    clean = _cleaner(compiled, policy.fill_constants, report)
+    deduped = _deduplicate(map(clean, records), policy, report)
+    fill = policy.fill_constants.get("district") or DEFAULT_FILL
+    finish = _finisher(WAREHOUSE_REQUIRED_FIELDS, report, (hierarchy, "district", "congress", fill))
+    return [finish(r) for r in deduped], report

@@ -89,23 +89,16 @@ def time_key(year: int, quarter: str) -> str:
     return f"{year}{quarter}"
 
 
-# A record's member on each cube dimension at base grain: the backing field,
-# and for time the (year, quarter) pair as a time_key.
+# The fields each cube dimension's member is read from, and the member at base
+# grain: the backing field, and for time the (year, quarter) pair as a time_key.
+MEMBER_FIELDS: dict[str, tuple[str, ...]] = {
+    "city": ("city",), "sector": ("sector",), "edulevel": ("education_level",),
+    "congress": ("congress",), "service": ("service_status",), "time": ("year", "quarter"),
+}
 MEMBER_GETTERS: dict[str, Callable[[CanonicalApplicant], str]] = {
-    "city": attrgetter("city"),
-    "sector": attrgetter("sector"),
-    "edulevel": attrgetter("education_level"),
-    "congress": attrgetter("congress"),
-    "service": attrgetter("service_status"),
+    **{dimension: attrgetter(*names) for dimension, names in MEMBER_FIELDS.items()},
     "time": lambda r: time_key(r.year, r.quarter),
 }
-
-
-def project(record: CanonicalApplicant, keep: frozenset[str] | set[str]) -> CanonicalApplicant:
-    """Blank every field outside `keep` (year becomes 0)."""
-    return CanonicalApplicant._make(
-        [value if name in keep else (0 if name == "year" else "")
-         for name, value in zip(ALL_FIELDS, record)])
 
 
 def write_csv(target: str | Path | TextIO, header: Sequence,

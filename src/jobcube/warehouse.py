@@ -102,11 +102,7 @@ class StarSchema:
 def _congress_parent(hierarchy: ConceptHierarchy | None, value: str) -> str:
     """Parent city of a congress; values outside the hierarchy are their own
     parent so they survive a city-level roll-up as themselves."""
-    if hierarchy is not None and "congress" in hierarchy.levels:
-        parent = hierarchy.parent("congress", value)
-        if parent is not None:
-            return parent
-    return value
+    return value if hierarchy is None else hierarchy.parent_of.get(("congress", value), value)
 
 
 def _observed(records: Sequence[CanonicalApplicant]) -> dict[str, set[str]]:

@@ -256,6 +256,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: tripoli: 10 bytes cannot hold one" in err, err
 
+    def test_unknown_keep_rule_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, etl={"keep_rule": "newest"})
+        capsys.readouterr()
+        assert main(["gen", "-c", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "error: unknown keep_rule 'newest'" in err and "Traceback" not in err, err
+
+    def test_codebook_for_year_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["gen", "-c", cfg]) == 0
+        assert main(["ingest", "-c", cfg]) == 0
+        path = tmp_path / "data" / "codebooks.yaml"
+        books = yaml.safe_load(path.read_text(encoding="utf-8"))
+        books["year"] = {"2003": "2004"}
+        path.write_text(yaml.safe_dump(books), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["etl", "-c", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "error: codebook for non-text field 'year'" in err, err
+        assert not (tmp_path / "data" / "clean.csv").exists()
+
     def test_missing_config(self, tmp_path):
         assert main(["gen", "-c", str(tmp_path / "none.yaml")]) == 1
 

@@ -1,10 +1,10 @@
 """Cleaning stages: dedup, fill, normalize, generalize, reduce."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jobcube.errors import (
@@ -15,8 +15,10 @@ from jobcube.errors import (
     MissingRequiredField,
 )
 from jobcube.preprocess import (
+    DEFAULT_FILL,
     CleaningPolicy,
     ConceptHierarchy,
+    PreprocessReport,
     deduplicate,
     dimension_reduce,
     fill_missing,
@@ -24,7 +26,7 @@ from jobcube.preprocess import (
     normalize_codes,
     run_pipeline,
 )
-from jobcube.records import CanonicalApplicant, WAREHOUSE_REQUIRED_FIELDS
+from jobcube.records import ALL_FIELDS, CanonicalApplicant, WAREHOUSE_REQUIRED_FIELDS
 
 from oracle import TREE, make_hierarchy
 
@@ -45,17 +47,17 @@ class TestHierarchy:
     def test_from_tree_and_ancestor(self):
         h = make_hierarchy()
         assert h.levels == ("district", "congress", "city")
-        assert h.ancestor("DA12", "district", "congress") == "CGA1"
-        assert h.ancestor("DA12", "district", "city") == "CityA"
-        assert h.ancestor("CGB2", "congress", "city") == "CityB"
-        assert h.ancestor("nowhere", "district", "city") is None
+        assert h.ancestors("district", "congress")["DA12"] == "CGA1"
+        assert h.ancestors("district", "city")["DA12"] == "CityA"
+        assert h.ancestors("congress", "city")["CGB2"] == "CityB"
+        assert "nowhere" not in h.ancestors("district", "city")
 
     def test_level_order_enforced(self):
         h = make_hierarchy()
         with pytest.raises(BadLevelPair):
-            h.ancestor("CityA", "city", "district")
+            h.ancestors("city", "district")
         with pytest.raises(BadLevelPair):
-            h.ancestor("DA11", "district", "district")
+            h.ancestors("district", "district")
 
     def test_two_parent_conflict(self):
         tree = {"CityA": {"CG1": ["D1"]}, "CityB": {"CG1": ["D2"]}}
@@ -223,6 +225,11 @@ class TestNormalizeCodes:
         with pytest.raises(ConfigError):
             normalize_codes([rec()], {"shoe_size": {"9": "nine"}})
 
+    def test_non_text_field_rejected(self):
+        # year is the one integer field; a codebook cannot fold it
+        with pytest.raises(ConfigError, match="non-text field 'year'"):
+            normalize_codes([rec()], {"year": {"2003": "2004"}})
+
 
 class TestGeneralize:
     def test_writes_ancestor_into_target_field(self):
@@ -306,9 +313,73 @@ class TestPipeline:
         assert report.values_filled == {"district": 1}
         assert report.unknown_hierarchy_values == 1
 
+    def test_policy_checked_before_any_record(self):
+        with pytest.raises(BadPolicy):
+            run_pipeline([rec()], codebooks={}, hierarchy=make_hierarchy(),
+                         policy=CleaningPolicy(fill_constants={"zodiac": "X"}))
+
     def test_dropped_fields_reported(self):
         h = make_hierarchy()
         _, report = run_pipeline([rec()], codebooks={}, policy=POLICY,
                                  hierarchy=h)
         assert "name" in report.fields_dropped
         assert "national_id" not in report.fields_dropped
+
+
+# Values that exercise every rule before dedup: codebook variants in case and
+# padding, whitespace-only and empty values, unmatched codes, blank and padded
+# national ids, and districts the hierarchy does not know.
+PIPELINE_BOOKS = {"sex": {"M": "male", "F": "female"},
+                  "education_level": {"e1": "edu1", "E2": "edu2"},
+                  "city": {"city a": "CityA"}}
+staged_records = st.lists(st.builds(
+    CanonicalApplicant,
+    national_id=st.sampled_from(["N1", "N2", "N3", " N1", "", "  "]),
+    name=st.sampled_from(["SOMEONE", "", " "]),
+    sex=st.sampled_from(["male", "MALE", " m ", "f", "", "  ", "yes"]),
+    district=st.sampled_from(["DA11", "DA12", "DB21", "DX99", "", "  "]),
+    congress=st.sampled_from(["", "CGA1"]),
+    city=st.sampled_from(["CityA", "City A ", "CityB"]),
+    specialty=st.sampled_from(["SP1", ""]),
+    sector=st.sampled_from(["", "S1"]),
+    education_level=st.sampled_from(["edu1", " E1", "e2", "\t", "", "edu9"]),
+    service_status=st.sampled_from(["svc1", " "]),
+    year=st.sampled_from([2001, 2002]),
+    quarter=st.sampled_from(["Q1", "Q3", "Q9"]),
+    source_id=st.sampled_from(["a", "b"]),
+), max_size=25)
+
+
+def stepwise(records, policy, hierarchy):
+    """The five public steps one after another, and their counters in one report."""
+    normalized, norm = normalize_codes(records, PIPELINE_BOOKS)
+    filled, fill = fill_missing(normalized, policy)
+    deduped, dedup = deduplicate(filled, policy)
+    district_fill = policy.fill_constants.get("district") or DEFAULT_FILL
+    lifted, gen = generalize(deduped, hierarchy, "district", "congress", fill=district_fill)
+    return dimension_reduce(lifted, WAREHOUSE_REQUIRED_FIELDS), PreprocessReport(
+        duplicates_removed=dedup.duplicates_removed, rejected=dedup.rejected,
+        values_filled=fill.values_filled, values_normalized=norm.values_normalized,
+        values_unmatched=norm.values_unmatched,
+        records_generalized=gen.records_generalized,
+        unknown_hierarchy_values=gen.unknown_hierarchy_values,
+        fields_dropped=[f for f in ALL_FIELDS if f not in WAREHOUSE_REQUIRED_FIELDS])
+
+
+@pytest.mark.parametrize("keep_rule", ["latest_application", "first_seen"])
+@settings(max_examples=60, deadline=None)
+@given(records=staged_records, district_fill=st.sampled_from(["UNKNOWN", "N/A"]))
+@example(records=[rec(sex="  ")], district_fill="UNKNOWN")   # unmatched, then filled
+def test_run_pipeline_equals_the_steps(keep_rule, records, district_fill):
+    fills = dict(CleaningPolicy().fill_constants, district=district_fill)
+    policy = CleaningPolicy(fill_constants=fills, keep_rule=keep_rule)
+    hierarchy = make_hierarchy()
+    out, report = run_pipeline(records, codebooks=PIPELINE_BOOKS, policy=policy,
+                               hierarchy=hierarchy)
+    want, want_report = stepwise(records, policy, hierarchy)
+    assert out == want
+    assert [type(r) for r in out] == [CanonicalApplicant] * len(want)
+    for f in fields(PreprocessReport):
+        assert getattr(report, f.name) == getattr(want_report, f.name), f.name
+    if records == [rec(sex="  ")]:
+        assert (report.values_unmatched, report.values_filled) == (1, {"sex": 1})
