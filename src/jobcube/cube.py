@@ -11,16 +11,21 @@ labels; no operation reads it.
 Every operation is a numpy pass over those arrays through two axis
 functions: `_to_level` lifts an axis through the parent map it carries
 (`CubeAxis.parent`), and `_selected` turns a member set into a per-member
-mask. Roll-up lifts and regroups; slice and dice select; aggregate selects
-on lifted filter axes, then lifts and groups. Grouping goes through
+mask. Roll-up and aggregate regroup cells through `_cuboid`, and slice and
+dice select. Grouping goes through
 `warehouse.group_rows`, the kernel that also groups records into facts: it
 counts densely with bincount when the key space is small next to the row
 count and sorts with np.unique otherwise, so memory follows the cell count,
 never the product of the axis sizes. Sums stay well below 2**53, so float64
 bincount weights are exact.
 
-Cube objects are immutable: every operation returns a new cube and never
-mutates its input, so cubes are safe to share between readers.
+Each cube memoises the cuboids built from it, keyed by their (dimension,
+level) pairs in axis order, so a warm aggregate reads only the few cells of
+the cuboid over the axes it touches. An axis is absent or at one of at most
+two levels, so one cube holds at most 3 * 3 * 2**4 = 144 cuboids and the
+memo needs no eviction. Cube objects are immutable: every operation returns
+a new or memoised cube and never mutates its input, and the memo only gains
+equal values, so cubes are safe to share between readers.
 """
 
 from __future__ import annotations
@@ -95,6 +100,7 @@ class Cube:
     axes: tuple[CubeAxis, ...]
     codes: np.ndarray           # (axes, cells) int64 member positions
     measures: np.ndarray        # (3, cells) int64 total, seekers, directed
+    _cuboids: dict = field(default_factory=dict, init=False, repr=False)  # see _cuboid
 
     def __post_init__(self) -> None:
         # cubes are shared between readers and cache their cells view
@@ -190,19 +196,30 @@ def _selected(members: Sequence[str], wanted: frozenset[str], where: str) -> np.
 # Cube algebra
 
 
+def _cuboid(cube: Cube, pairs: tuple[tuple[str, str], ...]) -> Cube:
+    """The cube grouped onto `pairs`, (dimension, level) in axis order; a lifted
+    axis is at the top of its hierarchy, so it takes no parent map along."""
+    if pairs not in cube._cuboids:
+        axes, columns = [], []
+        for dimension, level in pairs:
+            idx = cube.axis_index(dimension)
+            members, up = _to_level(cube, idx, level)
+            ax = cube.axes[idx]
+            axes.append(ax if level == ax.level else CubeAxis(dimension, level, members))
+            columns.append(up[cube.codes[idx]])
+        key_columns, sums = group_rows(columns, [len(a.members) for a in axes], cube.measures)
+        cube._cuboids[pairs] = Cube(tuple(axes), np.array(key_columns), np.array(sums, np.int64))
+    return cube._cuboids[pairs]
+
+
 def rollup(cube: Cube, dimension: str, to_level: str) -> Cube:
-    """Regroup one axis at a coarser level; measure mass is conserved."""
-    idx = cube.axis_index(dimension)
-    ax = cube.axes[idx]
+    """Regroup one axis at a coarser level; measure mass is conserved. The
+    result is memoised: repeating a roll-up on one cube returns the same cube."""
+    ax = cube.axis(dimension)
     if _level_distance(dimension, ax.level, to_level) < 1:
         raise BadLevel(f"{dimension}: {to_level!r} is not above {ax.level!r}")
-    members, up = _to_level(cube, idx, to_level)
-    columns = list(cube.codes)
-    columns[idx] = up[columns[idx]]
-    axes = (cube.axes[:idx] + (CubeAxis(dimension, to_level, members),)
-            + cube.axes[idx + 1:])
-    key_columns, sums = group_rows(columns, [len(a.members) for a in axes], cube.measures)
-    return Cube(axes, np.array(key_columns), np.array(sums).astype(np.int64))
+    return _cuboid(cube, tuple((a.dimension, to_level if a is ax else a.level)
+                               for a in cube.axes))
 
 
 def drilldown(cube: Cube, base: Cube, dimension: str, to_level: str) -> Cube:
@@ -293,10 +310,17 @@ def aggregate(cube: Cube, query: AggregateQuery) -> ResultTable:
     """Filter, group, and sum one measure.
 
     Row order is sorted by group labels. With an empty group_by the result is
-    a single grand-total row (zero when nothing matches).
+    a single grand-total row (zero when nothing matches). It is answered from
+    the memoised cuboid over only the dimensions the query groups or filters on.
     """
     group_by, filters = normalize_query(
         query, {ax.dimension: ax.level for ax in cube.axes})
+    # finest level last, so it wins where a dimension is grouped and filtered
+    finest = dict(sorted((entry[:2] for entry in group_by + filters),
+                         key=lambda pair: -level_path(pair[0]).index(pair[1])))
+    if finest:
+        cube = _cuboid(cube, tuple((ax.dimension, finest[ax.dimension])
+                                   for ax in cube.axes if ax.dimension in finest))
 
     keep = np.ones(cube.codes.shape[1], dtype=bool)
     for dimension, level, members in filters:

@@ -169,6 +169,8 @@ def _compile_codebooks(codebooks: Mapping[str, Mapping[str, str]],
             raise ConfigError(f"codebook for unknown field {field_name!r}")
         if not isinstance(CanonicalApplicant._field_defaults[field_name], str):
             raise ConfigError(f"codebook for non-text field {field_name!r}")
+        if field_name == "status":     # ingest derives it from sector
+            raise ConfigError(f"codebook for derived field {field_name!r}")
         lookup: dict[str, str] = {}
         for variant, canonical in book.items():
             for key in (variant.strip().casefold(), canonical.strip().casefold()):

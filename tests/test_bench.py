@@ -134,6 +134,7 @@ class TestBenchmark:
             assert timing.answers_equal
             assert timing.scan_median > 0
             assert timing.cube_median > 0
+            assert timing.cube_first > 0
             assert timing.speedup == pytest.approx(
                 timing.scan_median / timing.cube_median, rel=1e-6)
 
@@ -157,7 +158,10 @@ class TestBenchmark:
         assert first[0] == "headline"
         assert float(first[1]) > 0
         assert first[4] == "true"
-        assert summary_lines(result)
+        assert len(first) == 5
+        (line,) = summary_lines(result)
+        assert line.startswith("headline: scan median ")
+        assert line.endswith(f"first call {result.timings[0].cube_first * 1000:.2f} ms")
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

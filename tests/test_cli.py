@@ -263,19 +263,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: unknown keep_rule 'newest'" in err and "Traceback" not in err, err
 
-    def test_codebook_for_year_is_config_error(self, tmp_path, capsys):
+    @staticmethod
+    def etl_with_codebook(tmp_path, capsys, field_name, book) -> str:
+        """etl's stderr after adding a codebook for field_name to a tour."""
         cfg = write_config(tmp_path)
         assert main(["gen", "-c", cfg]) == 0
         assert main(["ingest", "-c", cfg]) == 0
         path = tmp_path / "data" / "codebooks.yaml"
         books = yaml.safe_load(path.read_text(encoding="utf-8"))
-        books["year"] = {"2003": "2004"}
+        books[field_name] = book
         path.write_text(yaml.safe_dump(books), encoding="utf-8")
         capsys.readouterr()
         assert main(["etl", "-c", cfg]) == 1
-        err = capsys.readouterr().err
-        assert "error: codebook for non-text field 'year'" in err, err
         assert not (tmp_path / "data" / "clean.csv").exists()
+        return capsys.readouterr().err
+
+    def test_codebook_for_year_is_config_error(self, tmp_path, capsys):
+        err = self.etl_with_codebook(tmp_path, capsys, "year", {"2003": "2004"})
+        assert "error: codebook for non-text field 'year'" in err, err
+
+    def test_codebook_for_status_is_config_error(self, tmp_path, capsys):
+        # status derives from sector; a codebook would load seekers as directed
+        err = self.etl_with_codebook(tmp_path, capsys, "status", {"seeker": "directed"})
+        assert "error: codebook for derived field 'status'" in err, err
 
     def test_missing_config(self, tmp_path):
         assert main(["gen", "-c", str(tmp_path / "none.yaml")]) == 1

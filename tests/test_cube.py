@@ -1,5 +1,6 @@
 """Cube construction, algebra (rollup, drilldown, slice, dice), aggregation."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -252,33 +253,48 @@ class TestAggregate:
 
     def test_seeded_battery_matches_oracle(self):
         rnd = random.Random(5150)
-        levels = {"city": ("city",), "sector": ("sector",),
-                  "edulevel": ("edulevel",), "service": ("service",),
-                  "congress": ("congress", "city"),
-                  "time": ("quarter", "year")}
         for seed in range(8):
             records, cube, cities = build(400 + seed, rnd.randint(100, 1500))
-            label_universe = {}
-            for dim, choices in levels.items():
-                for level in choices:
-                    label_universe[(dim, level)] = sorted(
-                        {record_label(r, dim, level, cities) for r in records})
-            for _ in range(25):
-                measure = rnd.choice(("total", "seekers", "directed"))
-                group_dims = rnd.sample(sorted(levels), rnd.randint(0, 3))
-                group_by = tuple((d, rnd.choice(levels[d])) for d in group_dims)
-                filters = []
-                for d in rnd.sample(sorted(levels), rnd.randint(0, 2)):
-                    level = rnd.choice(levels[d])
-                    universe = label_universe[(d, level)]
-                    members = tuple(rnd.sample(universe,
-                                               rnd.randint(1, min(3, len(universe)))))
-                    filters.append((d, level, members))
-                query = AggregateQuery(measure, group_by, tuple(filters))
-                got = table_as_dict(aggregate(cube, query))
-                want = oracle_aggregate(records, measure, list(group_by),
-                                        filters, cities)
-                assert got == want, query
+            queries = seeded_queries(rnd, records, cities, LEVEL_CHOICES)
+            assert_battery(cube, records, cities, queries)
+
+
+LEVEL_CHOICES = {"city": ("city",), "sector": ("sector",),
+                 "edulevel": ("edulevel",), "service": ("service",),
+                 "congress": ("congress", "city"),
+                 "time": ("quarter", "year")}
+
+
+def seeded_queries(rnd, records, cities, levels, count=25):
+    """count random queries over levels {dim: its levels}; filters name
+    members the records carry."""
+    label_universe = {}
+    for dim, choices in levels.items():
+        for level in choices:
+            label_universe[(dim, level)] = sorted(
+                {record_label(r, dim, level, cities) for r in records})
+    queries = []
+    for _ in range(count):
+        measure = rnd.choice(("total", "seekers", "directed"))
+        group_dims = rnd.sample(sorted(levels), rnd.randint(0, 3))
+        group_by = tuple((d, rnd.choice(levels[d])) for d in group_dims)
+        filters = []
+        for d in rnd.sample(sorted(levels), rnd.randint(0, 2)):
+            level = rnd.choice(levels[d])
+            universe = label_universe[(d, level)]
+            members = tuple(rnd.sample(universe,
+                                       rnd.randint(1, min(3, len(universe)))))
+            filters.append((d, level, members))
+        queries.append(AggregateQuery(measure, group_by, tuple(filters)))
+    return queries
+
+
+def assert_battery(cube, records, cities, queries):
+    for query in queries:
+        got = table_as_dict(aggregate(cube, query))
+        want = oracle_aggregate(records, query.measure, list(query.group_by),
+                                list(query.filters), cities)
+        assert got == want, query
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +455,95 @@ class TestGroupingStrategies:
         assert_matches_records(rollup(rolled, "time", "year"), records, cities)
 
     @pytest.mark.parametrize("slots_per_row", [0, 10 ** 9])
-    def test_both_strategies_agree_with_oracle(self, fixture, monkeypatch, slots_per_row):
-        # 0 forces the sort for every grouping, 10**9 the dense count
+    def test_both_strategies_agree_with_oracle(self, monkeypatch, slots_per_row):
+        # 0 forces the sort for every grouping, 10**9 the dense count; a fresh
+        # cube, so no cuboid comes from a memo filled under the other strategy
         monkeypatch.setattr(warehouse_module, "_DENSE_SLOTS_PER_ROW", slots_per_row)
-        records, cube, cities = fixture
-        assert_matches_records(rollup(cube, "time", "year"), records, cities)
-        assert_matches_records(rollup(cube, "congress", "city"), records, cities)
+        records, cube, cities = build(21, 2500)
+        for dim, level in (("time", "year"), ("congress", "city")):
+            rolled = rollup(cube, dim, level)
+            assert rolled.mass() == cube.mass()
+            assert_matches_records(rolled, records, cities)
+        assert_matches_records(cube, records, cities)
+
+
+# ---------------------------------------------------------------------------
+# The cuboid memo: a warm cube answers and fails exactly as a cold one.
+
+def error_of(cube, query):
+    try:
+        aggregate(cube, query)
+    except Exception as exc:   # the test compares whatever was raised
+        return type(exc), str(exc)
+    return None
+
+
+class TestCuboidMemo:
+    def test_battery_cold_then_warm_and_on_derived_cubes(self):
+        rnd = random.Random(6160)
+        records, cube, cities = build(460, 1200)
+        queries = seeded_queries(rnd, records, cities, LEVEL_CHOICES, 40)
+        assert_battery(cube, records, cities, queries)
+        built = dict(cube._cuboids)
+        assert built
+        assert_battery(cube, records, cities, queries)
+        assert cube._cuboids == built       # the warm pass built nothing new
+
+        for dim, level in (("time", "year"), ("congress", "city")):
+            levels = {**LEVEL_CHOICES, dim: (level,)}
+            rolled = rollup(cube, dim, level)
+            assert rolled is rollup(cube, dim, level)
+            assert_battery(rolled, records, cities,
+                           seeded_queries(rnd, records, cities, levels))
+        sectors = ("SEC-A", "SEC-C", "")
+        kept = [r for r in records if r.sector in sectors]
+        assert_battery(dice(cube, [("sector", sectors)]), kept, cities,
+                       seeded_queries(rnd, kept, cities, LEVEL_CHOICES))
+        in_city = [r for r in records if r.city == "CityB"]
+        sliced_levels = {d: v for d, v in LEVEL_CHOICES.items() if d != "city"}
+        assert_battery(slice_cube(cube, "city", "CityB"), in_city, cities,
+                       seeded_queries(rnd, in_city, cities, sliced_levels))
+
+    def test_errors_equal_on_cold_and_warm_memo(self):
+        _, base, _ = build(461, 600)
+        bad = [
+            AggregateQuery("total", (("congress", "congress"),)),
+            AggregateQuery("total", (("congress", "city"),),
+                           (("congress", "congress", ("CGA1",)),)),
+            AggregateQuery("total", ("sector",), (("sector", ("NOPE",)),)),
+            AggregateQuery("total", ("time",), (("time", "year", ("1999",)),)),
+            AggregateQuery("total", ("edulevel",), (("sector", ()),)),
+            AggregateQuery("total", ("sector", ("sector", "sector"))),
+        ]
+        warmers = [AggregateQuery("total", (("congress", "city"),)),
+                   AggregateQuery("total", ("sector",)),
+                   AggregateQuery("total", ("time",)),
+                   AggregateQuery("total", ("edulevel", "sector"))]
+        cube = rollup(base, "congress", "city")
+        cold = [error_of(cube, query) for query in bad]
+        assert [kind for kind, _ in cold] == [BadLevel, BadLevel, UnknownMember,
+                                              UnknownMember, EmptyMemberSet, BadQuery]
+        for query in warmers:
+            aggregate(cube, query)
+        assert len(cube._cuboids) == len(warmers)
+        assert [error_of(cube, query) for query in bad] == cold
+
+    def test_key_space_bounded_and_read_only(self):
+        records, cube, cities = build(462, 500)
+        choices = [(None, *levels) for levels in LEVEL_CHOICES.values()]
+        for picked in itertools.product(*choices):
+            group_by = tuple((d, level) for d, level in zip(LEVEL_CHOICES, picked)
+                             if level is not None)
+            got = table_as_dict(aggregate(cube, AggregateQuery("directed", group_by)))
+            assert got == oracle_aggregate(records, "directed", list(group_by), [],
+                                           cities)
+        for dim, level in (("time", "year"), ("congress", "city")):
+            assert rollup(cube, dim, level).mass() == cube.mass()
+        # 3 * 3 * 2**4 keys, less the empty one, which the base cube answers;
+        # a roll-up's key is one of them
+        assert len(cube._cuboids) == 143
+        for c in (cube, *cube._cuboids.values()):
+            for array in (c.codes, c.measures):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[..., :1] = 0

@@ -230,6 +230,11 @@ class TestNormalizeCodes:
         with pytest.raises(ConfigError, match="non-text field 'year'"):
             normalize_codes([rec()], {"year": {"2003": "2004"}})
 
+    def test_derived_status_field_rejected(self):
+        # status follows from sector; a codebook would contradict that rule
+        with pytest.raises(ConfigError, match="derived field 'status'"):
+            normalize_codes([rec()], {"status": {"seeker": "directed"}})
+
 
 class TestGeneralize:
     def test_writes_ancestor_into_target_field(self):
