@@ -2,12 +2,14 @@
 | bench | validate.
 
 One YAML config drives everything; flags only pick the subcommand, the
-config path, and query parameters. Stages hand artifacts to each other as
-files: gen writes the raw sources plus sidecar configs into data_dir,
-ingest writes staging.csv, etl writes clean.csv, load/refresh maintain the
-warehouse directory. Exit codes: 0 success, 1 usage or config error,
-2 data error (quarantine files written where applicable), 3 warehouse
-invariant violation.
+config path, and query parameters, which `config.parse_query` reads in the
+same grammar as a config's bench queries and custom reports. Stages hand
+artifacts to each other as files: gen writes the raw sources plus sidecar
+configs into data_dir, ingest writes staging.csv, etl writes clean.csv,
+load/refresh maintain the warehouse directory. Exit codes: 0 success, and
+otherwise the `exit_code` of the JobcubeError raised: 1 usage or config
+error, 2 data error (quarantine files written where applicable) or OSError,
+3 warehouse invariant violation.
 """
 
 from __future__ import annotations
@@ -21,32 +23,15 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import datagen
-from .config import PipelineConfig, load_codebooks, load_config, load_hierarchy, load_sources
-from .cube import AggregateQuery, Cube, ResultTable, aggregate, build_cube
-from .errors import (
-    BadHierarchy,
-    BadLevel,
-    BadLevelPair,
-    BadPolicy,
-    BadQuery,
-    ConfigError,
-    CorruptManifest,
-    EmptyMemberSet,
-    EmptyYearRange,
-    JobcubeError,
-    UnknownMember,
-    UnsatisfiableSize,
-)
+from .config import (PipelineConfig, load_codebooks, load_config, load_hierarchy,
+                     load_sources, parse_query)
+from .cube import MEASURES, Cube, ResultTable, aggregate, build_cube
+from .errors import ConfigError, JobcubeError
 from .preprocess import run_pipeline
 from .records import read_records_csv, write_csv, write_records_csv
 from .reporting import render_text_table, run_report, write_result
 from .sources import RejectedRow, ingest_sources
 from .warehouse import StarSchema, build_schema, check_integrity, load_schema, persist, refresh
-
-USAGE_ERRORS = (ConfigError, BadPolicy, BadHierarchy, BadLevelPair, BadQuery,
-                BadLevel, UnknownMember, EmptyMemberSet, EmptyYearRange,
-                UnsatisfiableSize)
-INVARIANT_ERRORS = (CorruptManifest,)
 
 INGEST_REJECTS = "ingest_rejects.csv"
 ETL_REJECTS = "rejects.csv"
@@ -200,44 +185,14 @@ def cmd_refresh(config: PipelineConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _dimension_level(text: str) -> tuple[str, ...]:
-    """'dim' -> ('dim',) and 'dim:level' -> ('dim', 'level'), trimmed."""
-    return tuple(part.strip() for part in text.split(":", 1))
-
-
-def _parse_group_by(raw: str | None) -> tuple:
-    entries = [_dimension_level(item) for item in (raw or "").split(",") if item.strip()]
-    return tuple(entry if len(entry) == 2 else entry[0] for entry in entries)
-
-
-def _parse_filters(raw_filters: list[str], years: str | None) -> tuple:
-    filters = []
-    if years:
-        lo, sep, hi = years.partition(":")
-        try:
-            lo_year, hi_year = int(lo), int(hi if sep else lo)
-        except ValueError:
-            raise ConfigError(f"--years: bad range {years!r}") from None
-        if lo_year > hi_year:
-            raise ConfigError(f"--years: empty range {years!r}")
-        members = tuple(str(y) for y in range(lo_year, hi_year + 1))
-        filters.append(("time", "year", members))
-    for raw in raw_filters:
-        target, eq, members_raw = raw.partition("=")
-        if not eq or not members_raw:
-            raise ConfigError(f"--filter: expected dim[:level]=m1,m2 got {raw!r}")
-        members = tuple(m for m in (s.strip() for s in members_raw.split(",")) if m)
-        if not members:
-            raise ConfigError(f"--filter: no members in {raw!r}")
-        filters.append((*_dimension_level(target), members))
-    return tuple(filters)
+# parse_query's name for each query key, in its errors
+_QUERY_FLAGS = {"measure": "--measure", "group_by": "--group-by",
+                "filters": "--filter", "years": "--years"}
 
 
 def cmd_query(config: PipelineConfig, args: argparse.Namespace) -> int:
+    query = parse_query(args.measure, args.group_by, args.filter, args.years, _QUERY_FLAGS)
     cube = _loaded_cube(config)
-    query = AggregateQuery(measure=args.measure,
-                           group_by=_parse_group_by(args.group_by),
-                           filters=_parse_filters(args.filter, args.years))
     started = time.perf_counter()
     table = aggregate(cube, query)
     elapsed = time.perf_counter() - started
@@ -321,8 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command("load", "build the star schema and persist the warehouse")
     command("refresh", "fold the current clean records into an existing warehouse")
     query = command("query", "run one aggregate query against the cube")
-    query.add_argument("--measure", default="total",
-                       choices=("total", "seekers", "directed"))
+    query.add_argument("--measure", default="total", choices=MEASURES)
     query.add_argument("--group-by", default="",
                        help="comma list of dimensions, dim or dim:level")
     query.add_argument("--years", default=None, help="year filter, e.g. 2000:2006")
@@ -343,15 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code = _COMMANDS[args.command](load_config(args.config), args)
-    except USAGE_ERRORS as exc:
-        _say(f"error: {exc}")
-        return 1
-    except INVARIANT_ERRORS as exc:
-        _say(f"error: {exc}")
-        return 3
     except (JobcubeError, OSError) as exc:
         _say(f"error: {exc}")
-        return 2
+        return getattr(exc, "exit_code", 2)     # an OSError is a data error
     _say(f"[{args.command}] done in {time.perf_counter() - started:.2f}s")
     return code
 

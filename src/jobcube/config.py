@@ -5,7 +5,10 @@ bench. Each setting lives in one dataclass (seed and years in GenConfig),
 whose default a missing key takes. The sidecar files (sources.yaml,
 hierarchy.yaml, codebooks.yaml, staging.csv, clean.csv) live in data_dir.
 Relative paths are taken as written, i.e. resolved against the working
-directory of the invoking process. Everything is validated up front;
+directory of the invoking process. Query text has one grammar, parse_query's,
+shared by the `jobcube query` flags, bench queries and custom reports. Each
+value is read through one check per shape, so a malformed file ends in a
+ConfigError naming the file and key path. Everything is validated up front;
 stages only check that their input files exist.
 """
 
@@ -13,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import yaml
 
 from .bench import BenchConfig
 from .cube import AggregateQuery, MEASURES
 from .datagen import CODEBOOKS_FILE, HIERARCHY_FILE, SOURCES_FILE, GenConfig
-from .errors import ConfigError
+from .errors import BadHierarchy, ConfigError
 from .preprocess import DEFAULT_FILL, CleaningPolicy, ConceptHierarchy
 from .records import NULLABLE_FIELDS
 from .reporting import ReportSpec
@@ -43,55 +46,108 @@ def _read_yaml(path: str | Path):
         raise ConfigError(f"{p}: not valid YAML: {exc}") from exc
 
 
-def _check_keys(mapping: Mapping, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(map(str, unknown))}")
-
-
-def _as_mapping(value, where: str) -> dict:
+def _as_mapping(value, where: str, keys: set[str] | None = None) -> dict:
+    """value as a dict, {} for None; given keys, any other key is refused."""
     if value is None:
         return {}
     if not isinstance(value, Mapping):
         raise ConfigError(f"{where}: expected a mapping, got {type(value).__name__}")
+    unknown = set(value) - keys if keys is not None else ()
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(map(str, unknown))}")
     return dict(value)
 
 
-def parse_query(raw: Mapping, where: str = "query") -> AggregateQuery:
-    """{measure, group_by: [dim | {dimension, level}], filters: [{dimension,
-    level?, members}]} -> AggregateQuery."""
-    raw = _as_mapping(raw, where)
-    _check_keys(raw, {"measure", "group_by", "filters"}, where)
-    measure = str(raw.get("measure", AggregateQuery.measure))
+def _require(mapping: Mapping, names: tuple[str, ...], where: str) -> None:
+    missing = [name for name in names if name not in mapping]
+    if missing:
+        raise ConfigError(f"{where}: missing {', '.join(map(repr, missing))}")
+
+
+def _as_list(value, where: str) -> list:
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _integer(raw, where: str) -> int:
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ConfigError(f"{where}: expected an integer, got {raw!r}")
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected an integer, got {raw!r}") from None
+
+
+def _rate(raw, where: str) -> float:
+    if isinstance(raw, bool):
+        raise ConfigError(f"{where}: expected a number, got {raw!r}")
+    try:
+        return float(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
+
+
+def _text(value, where: str, form: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected {form}, got {value!r}")
+    return value
+
+
+def _year_range(text, where: str) -> tuple[int, int]:
+    """'A' or 'A:B' -> (A, B), a non-empty range of years."""
+    lo, sep, hi = _text(text, where, "'A' or 'A:B'").partition(":")
+    try:
+        lo_year, hi_year = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise ConfigError(f"{where}: bad range {text!r}") from None
+    if lo_year > hi_year:
+        raise ConfigError(f"{where}: empty range {text!r}")
+    return lo_year, hi_year
+
+
+def _dimension_level(text: str) -> tuple[str, ...]:
+    """'dim' -> ('dim',) and 'dim:level' -> ('dim', 'level'), trimmed."""
+    return tuple(part.strip() for part in text.split(":", 1))
+
+
+def parse_query(measure, group_by, filters, years,
+                where: Mapping[str, str]) -> AggregateQuery:
+    """The one query grammar, from `jobcube query` flags or a YAML entry.
+
+    group_by is "dim[:level],..."; each filter is "dim[:level]=m1,m2"; years,
+    "A" or "A:B", filters time:year. where names each of the four keys
+    (measure, group_by, filters, years) in error messages.
+    """
     if measure not in MEASURES:
-        raise ConfigError(f"{where}: unknown measure {measure!r}")
-    group_by = []
-    for entry in raw.get("group_by") or []:
-        if isinstance(entry, Mapping):
-            _check_keys(entry, {"dimension", "level"}, f"{where}.group_by")
-            if "dimension" not in entry:
-                raise ConfigError(f"{where}.group_by: entry needs a dimension")
-            if "level" in entry:
-                group_by.append((str(entry["dimension"]), str(entry["level"])))
-            else:
-                group_by.append(str(entry["dimension"]))
-        else:
-            group_by.append(str(entry))
-    filters = []
-    for entry in raw.get("filters") or []:
-        entry = _as_mapping(entry, f"{where}.filters")
-        _check_keys(entry, {"dimension", "level", "members"}, f"{where}.filters")
-        if "dimension" not in entry or "members" not in entry:
-            raise ConfigError(f"{where}.filters: entry needs dimension and members")
-        members = entry["members"]
-        if not isinstance(members, Sequence) or isinstance(members, str):
-            raise ConfigError(f"{where}.filters: members must be a list")
-        members = tuple(str(m) for m in members)
-        if "level" in entry:
-            filters.append((str(entry["dimension"]), str(entry["level"]), members))
-        else:
-            filters.append((str(entry["dimension"]), members))
-    return AggregateQuery(measure, tuple(group_by), tuple(filters))
+        raise ConfigError(f"{where['measure']}: unknown measure {measure!r}")
+    text = _text("" if group_by is None else group_by, where["group_by"], "'dim[:level],...'")
+    entries = [_dimension_level(item) for item in text.split(",") if item.strip()]
+    query_filters = []
+    if years is not None:
+        lo, hi = _year_range(years, where["years"])
+        query_filters.append(("time", "year", tuple(str(y) for y in range(lo, hi + 1))))
+    for raw in filters:
+        target, eq, members = _text(raw, where["filters"], "'dim[:level]=m1,m2'").partition("=")
+        members = tuple(m.strip() for m in members.split(",") if m.strip())
+        if not eq or not members:
+            raise ConfigError(f"{where['filters']}: expected 'dim[:level]=m1,m2', got {raw!r}")
+        query_filters.append((*_dimension_level(target), members))
+    return AggregateQuery(measure, tuple(e if len(e) == 2 else e[0] for e in entries),
+                          tuple(query_filters))
+
+
+_QUERY_KEYS = {"measure", "group_by", "filters", "years"}
+
+
+def _yaml_query(raw, where: str) -> AggregateQuery:
+    """A query mapping: parse_query's four keys, each written as in the flags."""
+    raw = _as_mapping(raw, where, _QUERY_KEYS)
+    return parse_query(raw.get("measure", AggregateQuery.measure), raw.get("group_by"),
+                       _as_list(raw.get("filters"), f"{where}.filters"), raw.get("years"),
+                       {key: f"{where}.{key}" for key in _QUERY_KEYS})
 
 
 @dataclass(frozen=True)
@@ -149,48 +205,26 @@ _REPORT_KEYS = {"kind", "years", "city", "output", "format", "query"}
 
 
 def _parse_years(raw, where: str, default: tuple[int, int]) -> tuple[int, int]:
+    """{from, to} or the query grammar's 'A' / 'A:B'; None takes the default."""
     if raw is None:
         return default
     if isinstance(raw, Mapping):
-        _check_keys(raw, {"from", "to"}, where)
-        try:
-            return int(raw["from"]), int(raw["to"])
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError(f"{where}: need integer 'from' and 'to'") from None
-    if isinstance(raw, str) and raw.count(":") == 1:
-        lo, _, hi = raw.partition(":")
-        try:
-            return int(lo), int(hi)
-        except ValueError:
-            raise ConfigError(f"{where}: bad year range {raw!r}") from None
-    raise ConfigError(f"{where}: expected {{from, to}} or 'A:B', got {raw!r}")
-
-
-def _integer(raw, where: str) -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected an integer") from None
-
-
-def _int_counts(raw, where: str) -> dict[str, int] | None:
-    if raw is None:
-        return None
-    return {str(k): _integer(v, f"{where}.{k}") for k, v in _as_mapping(raw, where).items()}
+        raw = _as_mapping(raw, where, {"from", "to"})
+        _require(raw, ("from", "to"), where)
+        return _integer(raw["from"], f"{where}.from"), _integer(raw["to"], f"{where}.to")
+    return _year_range(raw, where)
 
 
 def _build_gen(raw: Mapping, seed: int, years: tuple[int, int],
                where: str) -> GenConfig:
-    _check_keys(raw, _GEN_KEYS, where)
     kwargs: dict = {"seed": seed, "year_from": years[0], "year_to": years[1]}
-    for name in ("counts", "target_bytes"):
-        kwargs[name] = _int_counts(raw.get(name), f"{where}.{name}")
+    for name in ("counts", "target_bytes"):     # per city; None is the default
+        if raw.get(name) is not None:
+            kwargs[name] = {str(k): _integer(v, f"{where}.{name}.{k}")
+                            for k, v in _as_mapping(raw[name], f"{where}.{name}").items()}
     for name in ("duplicate_rate", "blank_rate", "discrepancy_rate"):
         if name in raw:
-            try:
-                kwargs[name] = float(raw[name])
-            except (TypeError, ValueError):
-                raise ConfigError(f"{where}.{name}: expected a number") from None
+            kwargs[name] = _rate(raw[name], f"{where}.{name}")
     for name in ("sectors", "congresses_per_city"):
         if name in raw:
             kwargs[name] = _integer(raw[name], f"{where}.{name}")
@@ -199,57 +233,41 @@ def _build_gen(raw: Mapping, seed: int, years: tuple[int, int],
 
 def _build_reports(raw, years: tuple[int, int], where: str,
                    ) -> tuple[ReportSpec, ...]:
-    if raw is None:
-        return ()
-    if not isinstance(raw, Sequence) or isinstance(raw, str):
-        raise ConfigError(f"{where}: expected a list of report entries")
     specs = []
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(_as_list(raw, where)):
         entry_where = f"{where}[{i}]"
-        entry = _as_mapping(entry, entry_where)
-        _check_keys(entry, _REPORT_KEYS, entry_where)
-        if "kind" not in entry:
-            raise ConfigError(f"{entry_where}: report needs a kind")
+        entry = _as_mapping(entry, entry_where, _REPORT_KEYS)
+        _require(entry, ("kind",), entry_where)
         y_from, y_to = _parse_years(entry.get("years"), f"{entry_where}.years",
                                     years)
         city = entry.get("city")
-        city_filter = None
-        if city is not None:
-            members = [city] if isinstance(city, str) else list(city)
-            city_filter = frozenset(str(m) for m in members)
-        query = None
-        if "query" in entry:
-            query = parse_query(entry["query"], f"{entry_where}.query")
+        cities = [city] if isinstance(city, str) else _as_list(city, f"{entry_where}.city")
+        query = _yaml_query(entry["query"], f"{entry_where}.query") if "query" in entry else None
         specs.append(ReportSpec(
             kind=str(entry["kind"]), year_from=y_from, year_to=y_to,
-            city_filter=city_filter, output=str(entry.get("output", ReportSpec.output)),
+            city_filter=frozenset(map(str, cities)) or None,
+            output=str(entry.get("output", ReportSpec.output)),
             format=str(entry.get("format", ReportSpec.format)), query=query))
     return tuple(specs)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     where = str(path)
-    raw = _as_mapping(_read_yaml(path), where)
-    _check_keys(raw, _TOP_KEYS, where)
+    raw = _as_mapping(_read_yaml(path), where, _TOP_KEYS)
 
     seed = _integer(raw.get("seed", GenConfig.seed), f"{where}.seed")
     years = _parse_years(raw.get("years"), f"{where}.years",
                          (GenConfig.year_from, GenConfig.year_to))
-    gen = _build_gen(_as_mapping(raw.get("gen"), f"{where}.gen"), seed, years,
+    gen = _build_gen(_as_mapping(raw.get("gen"), f"{where}.gen", _GEN_KEYS), seed, years,
                      f"{where}.gen")
-    etl = _as_mapping(raw.get("etl"), f"{where}.etl")
-    _check_keys(etl, _ETL_KEYS, f"{where}.etl")
-    bench = _as_mapping(raw.get("bench"), f"{where}.bench")
-    _check_keys(bench, _BENCH_KEYS, f"{where}.bench")
+    etl = _as_mapping(raw.get("etl"), f"{where}.etl", _ETL_KEYS)
+    bench = _as_mapping(raw.get("bench"), f"{where}.bench", _BENCH_KEYS)
     bench_queries = []
-    for i, entry in enumerate(bench.get("queries") or []):
+    for i, entry in enumerate(_as_list(bench.get("queries"), f"{where}.bench.queries")):
         entry_where = f"{where}.bench.queries[{i}]"
         entry = _as_mapping(entry, entry_where)
-        if "id" not in entry:
-            raise ConfigError(f"{entry_where}: query needs an id")
-        bench_queries.append((str(entry["id"]),
-                              parse_query({k: v for k, v in entry.items()
-                                           if k != "id"}, entry_where)))
+        _require(entry, ("id",), entry_where)
+        bench_queries.append((str(entry.pop("id")), _yaml_query(entry, entry_where)))
 
     config = PipelineConfig(
         data_dir=Path(str(raw.get("data_dir", PipelineConfig.data_dir))),
@@ -270,37 +288,25 @@ def load_config(path: str | Path) -> PipelineConfig:
 def load_sources(path: str | Path) -> list[SourceSpec]:
     """Source catalog from YAML: formats, layouts, field maps, codebooks."""
     where = str(path)
-    raw = _as_mapping(_read_yaml(path), where)
-    _check_keys(raw, {"sources"}, where)
-    entries = raw.get("sources")
-    if not isinstance(entries, Sequence) or isinstance(entries, str):
-        raise ConfigError(f"{where}: 'sources' must be a list")
+    raw = _as_mapping(_read_yaml(path), where, {"sources"})
     specs = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(_as_list(raw.get("sources"), f"{where}.sources")):
         entry_where = f"{where}.sources[{i}]"
-        entry = _as_mapping(entry, entry_where)
-        _check_keys(entry, {"source_id", "city", "format", "path", "encoding",
-                            "delimiter", "field_map", "value_codebooks",
-                            "layout"}, entry_where)
-        for required in ("source_id", "city", "format", "path", "field_map"):
-            if required not in entry:
-                raise ConfigError(f"{entry_where}: missing {required!r}")
+        entry = _as_mapping(entry, entry_where, {
+            "source_id", "city", "format", "path", "encoding", "delimiter", "field_map",
+            "value_codebooks", "layout"})
+        _require(entry, ("source_id", "city", "format", "path", "field_map"), entry_where)
         field_map = {str(k): str(v) for k, v in
                      _as_mapping(entry["field_map"], f"{entry_where}.field_map").items()}
         codebooks = _codebooks(entry.get("value_codebooks"), f"{entry_where}.value_codebooks")
         layout = []
-        for j, fd in enumerate(entry.get("layout") or []):
-            fd = _as_mapping(fd, f"{entry_where}.layout[{j}]")
-            _check_keys(fd, {"name", "kind", "length", "offset", "decimals"},
-                        f"{entry_where}.layout[{j}]")
-            try:
-                layout.append(FieldDescriptor(
-                    name=str(fd["name"]), kind=str(fd["kind"]),
-                    length=int(fd["length"]), offset=int(fd.get("offset", FieldDescriptor.offset)),
-                    decimals=int(fd.get("decimals", FieldDescriptor.decimals))))
-            except (KeyError, TypeError, ValueError):
-                raise ConfigError(
-                    f"{entry_where}.layout[{j}]: needs name, kind, length") from None
+        for j, fd in enumerate(_as_list(entry.get("layout"), f"{entry_where}.layout")):
+            fd_where = f"{entry_where}.layout[{j}]"
+            fd = _as_mapping(fd, fd_where, {"name", "kind", "length", "offset", "decimals"})
+            _require(fd, ("name", "kind", "length"), fd_where)
+            sizes = {name: _integer(fd[name], f"{fd_where}.{name}")
+                     for name in ("length", "offset", "decimals") if name in fd}
+            layout.append(FieldDescriptor(name=str(fd["name"]), kind=str(fd["kind"]), **sizes))
         spec = SourceSpec(
             source_id=str(entry["source_id"]), city=str(entry["city"]),
             format=str(entry["format"]), path=str(entry["path"]),
@@ -316,13 +322,13 @@ def load_sources(path: str | Path) -> list[SourceSpec]:
 
 def load_hierarchy(path: str | Path) -> ConceptHierarchy:
     where = str(path)
-    raw = _as_mapping(_read_yaml(path), where)
-    _check_keys(raw, {"levels", "tree"}, where)
-    levels = raw.get("levels")
-    if not isinstance(levels, Sequence) or isinstance(levels, str) or not levels:
-        raise ConfigError(f"{where}: 'levels' must be a list of level names")
+    raw = _as_mapping(_read_yaml(path), where, {"levels", "tree"})
+    levels = [str(lv) for lv in _as_list(raw.get("levels"), f"{where}.levels")]
     tree = _as_mapping(raw.get("tree"), f"{where}.tree")
-    return ConceptHierarchy.from_tree([str(lv) for lv in levels], tree)
+    try:
+        return ConceptHierarchy.from_tree(levels, tree)
+    except BadHierarchy as exc:
+        raise BadHierarchy(f"{where}: {exc}") from None
 
 
 def _codebooks(raw, where: str) -> dict[str, dict[str, str]]:

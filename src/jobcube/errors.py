@@ -4,7 +4,9 @@ from __future__ import annotations
 
 
 class JobcubeError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors. exit_code is the command line's exit
+    status: 1 usage or config error, 2 data error, 3 invariant violation."""
+    exit_code = 2
 
 
 # --- source parsing ---------------------------------------------------------
@@ -50,6 +52,7 @@ class InvalidFieldValue(JobcubeError):
 
 class BadLevelPair(JobcubeError):
     """from_level is not strictly below to_level in the concept hierarchy."""
+    exit_code = 1
 
 
 class MissingRequiredField(JobcubeError):
@@ -58,16 +61,19 @@ class MissingRequiredField(JobcubeError):
 
 class BadHierarchy(JobcubeError):
     """Concept hierarchy violates its tree/forest invariants."""
+    exit_code = 1
 
 
 class BadPolicy(JobcubeError):
     """Cleaning policy fills a forbidden field or misses a nullable one."""
+    exit_code = 1
 
 
 # --- warehouse --------------------------------------------------------------
 
 class EmptyYearRange(JobcubeError):
     """Configured year range is empty (year_from > year_to)."""
+    exit_code = 1
 
 
 class UnresolvedDimensionValue(JobcubeError):
@@ -76,24 +82,29 @@ class UnresolvedDimensionValue(JobcubeError):
 
 class CorruptManifest(JobcubeError):
     """Persisted warehouse fails its manifest checksum/row-count check."""
+    exit_code = 3
 
 
 # --- cube -------------------------------------------------------------------
 
 class BadLevel(JobcubeError):
     """Requested hierarchy level is not reachable from the cube's level."""
+    exit_code = 1
 
 
 class UnknownMember(JobcubeError):
     """Member is not on the named axis."""
+    exit_code = 1
 
 
 class EmptyMemberSet(JobcubeError):
     """Dice filter carries an empty member set."""
+    exit_code = 1
 
 
 class BadQuery(JobcubeError):
     """Aggregate query references unknown dimensions, levels or measures."""
+    exit_code = 1
 
 
 # --- generation / benchmark -------------------------------------------------
@@ -104,6 +115,7 @@ class FieldOverflow(JobcubeError):
 
 class UnsatisfiableSize(JobcubeError):
     """Target byte size is too small to hold even one record."""
+    exit_code = 1
 
 
 class AnswerMismatch(JobcubeError):
@@ -112,3 +124,4 @@ class AnswerMismatch(JobcubeError):
 
 class ConfigError(JobcubeError):
     """Pipeline config file is missing, malformed or references absent files."""
+    exit_code = 1

@@ -85,8 +85,16 @@ class ConceptHierarchy:
         parent_of: dict[tuple[str, str], str] = {}
 
         def walk(parent_value: str, node, level_idx: int) -> None:
-            # level_idx is the level of node's entries
+            # level_idx is the level of node's entries; below 0 there is none
+            if level_idx < 0:
+                if node not in ([], {}):
+                    raise BadHierarchy(f"{parent_value!r}: nested deeper than the levels "
+                                       f"{levels}, got {node!r}")
+                return
             child_level = levels[level_idx]
+            if not isinstance(node, (Mapping, list)):
+                raise BadHierarchy(f"{parent_value!r}: expected a list or mapping of "
+                                   f"{child_level!r} values, got {node!r}")
             children = node.keys() if isinstance(node, Mapping) else node
             for child in children:
                 key = (child_level, str(child))

@@ -7,12 +7,16 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
 from jobcube import cli
 from jobcube.cli import main
+from jobcube.config import load_config
+from jobcube.cube import aggregate
+from jobcube.errors import JobcubeError
 from jobcube.warehouse import load_schema
 
 COUNTS = {"tripoli": 120, "misurata": 80, "sirte": 50}
@@ -188,6 +192,38 @@ class TestHappyPath:
             encoding="utf-8").splitlines()
         assert lines[0].startswith("query_id,")
         assert lines[1].split(",")[-1] == "true"
+
+    def test_yaml_queries_match_the_flags(self, pipeline, tmp_path, monkeypatch):
+        """A bench query and a custom report in the config are the query the
+        same `jobcube query` flags make, and the report writes the same bytes."""
+        _, cfg = pipeline
+        asked = []
+        monkeypatch.setattr(cli, "aggregate",
+                            lambda cube, query: asked.append(query) or aggregate(cube, query))
+        flagged = tmp_path / "flags.csv"
+        assert main(["query", "-c", cfg, "--measure", "directed", "--group-by", "congress:city",
+                     "--filter", "time:year=2003,2004", "--years", "2002:2005",
+                     "--output", str(flagged)]) == 0
+
+        query = {"measure": "directed", "group_by": "congress:city",
+                 "filters": ["time:year=2003,2004"], "years": "2002:2005"}
+        raw = yaml.safe_load(Path(cfg).read_text(encoding="utf-8"))
+        raw["reports"] = [{"kind": "custom", "output": str(tmp_path / "custom.csv"),
+                           "query": query}]
+        raw["bench"] = {"repetitions": 1, "warmup": 0,
+                        "output": str(tmp_path / "bench_report.csv"),
+                        "queries": [{"id": "lifted_2003_2004", **query}]}
+        path = tmp_path / "yaml_queries.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        config = load_config(path)
+        assert config.bench.queries == (("lifted_2003_2004", asked[0]),)
+        assert config.reports[0].query == asked[0]
+
+        assert main(["report", "-c", str(path)]) == 0
+        assert (tmp_path / "custom.csv").read_bytes() == flagged.read_bytes()
+        assert main(["bench", "-c", str(path)]) == 0
+        bench_rows = (tmp_path / "bench_report.csv").read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[0] for row in bench_rows[1:]] == ["lifted_2003_2004"]
 
     def test_refresh_unchanged_input_is_stable(self, pipeline):
         tmp_path, cfg = pipeline
@@ -439,6 +475,90 @@ class TestExitCodes:
     def test_query_unknown_member_is_usage_error(self, pipeline):
         _, cfg = pipeline
         assert main(["query", "-c", cfg, "--filter", "city=Atlantis"]) == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--years", "2006:2000"], "error: --years: empty range '2006:2000'"),
+        (["--years", "x"], "error: --years: bad range 'x'"),
+        (["--filter", "city="], "error: --filter: expected 'dim[:level]=m1,m2', got 'city='"),
+        (["--filter", "city"], "error: --filter: expected 'dim[:level]=m1,m2', got 'city'"),
+    ])
+    def test_malformed_query_flag_is_usage_error(self, pipeline, capsys, flags, message):
+        _, cfg = pipeline
+        capsys.readouterr()
+        assert main(["query", "-c", cfg, *flags]) == 1
+        assert capsys.readouterr().err.startswith(message + "\n")
+
+    # (config overrides, the error after the file name: key path and reason)
+    @pytest.mark.parametrize("overrides, message", [
+        pytest.param({"bench": {"queries": 5}}, "bench.queries: expected a list, got int",
+                     id="bench_queries_int"),
+        pytest.param({"reports": [{"kind": "service_counts", "city": 5}]},
+                     "reports[0].city: expected a list, got int", id="report_city_int"),
+        pytest.param({"bench": {"repetitions": 2.7}},
+                     "bench.repetitions: expected an integer, got 2.7", id="repetitions_float"),
+        pytest.param({"seed": True}, "seed: expected an integer, got True", id="seed_bool"),
+        pytest.param({"gen": {"counts": dict(COUNTS), "duplicate_rate": True}},
+                     "gen.duplicate_rate: expected a number, got True", id="rate_bool"),
+    ])
+    def test_malformed_config_value_is_config_error(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path, **overrides)
+        capsys.readouterr()
+        assert main(["validate", "-c", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}.{message}\n"), err
+        assert "Traceback" not in err
+
+    # (sidecar file, edit of its document, stage that reads it, the error after the path)
+    @pytest.mark.parametrize("name, edit, stage, message", [
+        pytest.param("sources.yaml", lambda doc: doc["sources"][0].update(layout=5), "ingest",
+                     ".sources[0].layout: expected a list, got int", id="layout_int"),
+        pytest.param("hierarchy.yaml", lambda doc: doc.update(tree={"Tripoli": 5}), "etl",
+                     ": 'Tripoli': expected a list or mapping of 'congress' values, got 5",
+                     id="tree_leaf_int"),
+        pytest.param("hierarchy.yaml",
+                     lambda doc: doc.update(tree={"Tripoli": {"CG1": {"D1": {"X": 1}}}}), "etl",
+                     ": 'D1': nested deeper than the levels ('district', 'congress', 'city')",
+                     id="tree_too_deep"),
+    ])
+    def test_malformed_sidecar_value_is_config_error(self, tmp_path, capsys, name, edit,
+                                                     stage, message):
+        cfg = write_config(tmp_path)
+        for command in ("gen", "ingest"):
+            assert main([command, "-c", cfg]) == 0
+        path = tmp_path / "data" / name
+        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main([stage, "-c", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}{message}" in err, err
+        assert "Traceback" not in err
+
+
+# Every error class and the exit code the command line returns for it; a new
+# class cannot land without a line here.
+EXIT_CODES = {
+    "JobcubeError": 2, "MalformedHeader": 2, "TruncatedFile": 2, "UnsupportedFieldType": 2,
+    "ShortLine": 2, "DecodeError": 2, "RaggedRow": 2, "MalformedCsv": 2,
+    "MissingMandatoryField": 2, "InvalidFieldValue": 2, "MissingRequiredField": 2,
+    "UnresolvedDimensionValue": 2, "FieldOverflow": 2, "AnswerMismatch": 2,
+    "ConfigError": 1, "BadPolicy": 1, "BadHierarchy": 1, "BadLevelPair": 1, "BadQuery": 1,
+    "BadLevel": 1, "UnknownMember": 1, "EmptyMemberSet": 1, "EmptyYearRange": 1,
+    "UnsatisfiableSize": 1,
+    "CorruptManifest": 3,
+}
+
+
+def test_every_error_class_declares_its_exit_code():
+    def family(cls):
+        yield cls
+        for sub in cls.__subclasses__():
+            yield from family(sub)
+
+    declared = {cls.__name__: cls.exit_code for cls in family(JobcubeError)
+                if cls.__module__.startswith("jobcube")}
+    assert declared == EXIT_CODES
 
 
 def test_console_script_help():

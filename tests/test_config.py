@@ -1,12 +1,18 @@
-"""Pipeline config files: the shipped profiles and the defaults of an empty file."""
+"""Pipeline config files: the shipped profiles, the defaults of an empty file,
+the one query grammar, and loaders that fail closed on any malformed value."""
 
+import copy
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jobcube.config import load_config
+from jobcube.config import (load_codebooks, load_config, load_hierarchy, load_sources,
+                            parse_query)
 from jobcube.cube import AggregateQuery
+from jobcube.errors import ConfigError, JobcubeError
 from jobcube.records import NULLABLE_FIELDS
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
@@ -47,3 +53,143 @@ def test_empty_config_takes_the_defaults(tmp_path):
         ("seekers_by_sector", AggregateQuery(measure="seekers", group_by=("sector",))),)
     assert (config.bench.repetitions, config.bench.warmup) == (10, 2)
     assert config.bench_output == "reports/bench_report.csv"
+
+
+YAML_WHERE = {key: f"q.{key}" for key in ("measure", "group_by", "filters", "years")}
+
+
+class TestQueryGrammar:
+    def test_flag_text_to_query(self):
+        query = parse_query("seekers", "congress:city, sector", ["city=Tripoli, Sirte",
+                                                                 "time:year=2003"],
+                            "2001:2004", YAML_WHERE)
+        assert query == AggregateQuery(
+            "seekers", (("congress", "city"), "sector"),
+            (("time", "year", ("2001", "2002", "2003", "2004")),
+             ("city", ("Tripoli", "Sirte")), ("time", "year", ("2003",))))
+        assert parse_query("total", "", [], "2005", YAML_WHERE) == AggregateQuery(
+            "total", (), (("time", "year", ("2005",)),))
+
+    @pytest.mark.parametrize("args, message", [
+        (("count", None, [], None), "q.measure: unknown measure 'count'"),
+        (("total", ["sector"], [], None), "q.group_by: expected 'dim[:level],...', got"),
+        (("total", None, ["city="], None), "q.filters: expected 'dim[:level]=m1,m2', got 'city='"),
+        (("total", None, ["city"], None), "q.filters: expected 'dim[:level]=m1,m2', got 'city'"),
+        (("total", None, ["city=,"], None), "q.filters: expected 'dim[:level]=m1,m2', got"),
+        (("total", None, [{"dimension": "city", "members": ["Sirte"]}], None),
+         "q.filters: expected 'dim[:level]=m1,m2', got {'dimension'"),
+        (("total", None, [], "x"), "q.years: bad range 'x'"),
+        (("total", None, [], "2006:2000"), "q.years: empty range '2006:2000'"),
+        (("total", None, [], 2003), "q.years: expected 'A' or 'A:B', got 2003"),
+    ])
+    def test_malformed_query_names_its_key(self, args, message):
+        with pytest.raises(ConfigError) as info:
+            parse_query(*args, YAML_WHERE)
+        assert str(info.value).startswith(message), info.value
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"id": "q", "group_by": [{"dimension": "congress", "level": "city"}]},
+         "bench.queries[0].group_by"),
+        ({"id": "q", "filters": [{"dimension": "city", "members": ["Sirte"]}]},
+         "bench.queries[0].filters"),
+        ({"id": "q", "filters": "city=Sirte"}, "bench.queries[0].filters"),
+        ({"id": "q", "members": ["Sirte"]}, "bench.queries[0]: unknown keys ['members']"),
+        ({"group_by": "sector"}, "bench.queries[0]: missing 'id'"),
+    ])
+    def test_mapping_form_is_refused(self, tmp_path, entry, key):
+        path = tmp_path / "old.yaml"
+        path.write_text(yaml.safe_dump({"bench": {"queries": [entry]}}), encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}.{key}"), info.value
+
+    def test_top_level_years_string_uses_the_query_year_range(self, tmp_path):
+        path = tmp_path / "years.yaml"
+        for text, years in (("2003", (2003, 2003)), ("2001:2004", (2001, 2004))):
+            path.write_text(yaml.safe_dump({"years": text}), encoding="utf-8")
+            config = load_config(path)
+            assert (config.year_from, config.year_to) == years
+        path.write_text(yaml.safe_dump({"years": "2006:2000"}), encoding="utf-8")
+        with pytest.raises(ConfigError, match="years: empty range '2006:2000'"):
+            load_config(path)
+
+
+# A valid config that exercises every reader: both year forms, a city list, a
+# custom report and a bench query in the flag grammar.
+VALID_CONFIG = {
+    "seed": 7, "data_dir": "data", "warehouse_dir": "warehouse",
+    "years": {"from": 2000, "to": 2006},
+    "gen": {"counts": {"tripoli": 9, "misurata": 6, "sirte": 3}, "duplicate_rate": 0.05,
+            "blank_rate": 0.03, "discrepancy_rate": 0.1, "sectors": 12,
+            "congresses_per_city": 4},
+    "etl": {"fill_constant": "UNKNOWN", "keep_rule": "latest_application"},
+    "reports": [
+        {"kind": "service_counts", "years": "2001:2003", "city": ["Tripoli", "Sirte"],
+         "output": "reports/service_counts.csv", "format": "table"},
+        {"kind": "custom", "city": "Sirte", "output": "reports/custom.csv",
+         "query": {"measure": "seekers", "group_by": "congress:city",
+                   "filters": ["time:year=2003,2004"], "years": "2003"}},
+    ],
+    "bench": {"repetitions": 3, "warmup": 1, "output": "reports/bench.csv",
+              "queries": [{"id": "lifted", "group_by": "congress:city,sector",
+                           "filters": ["city=Tripoli"], "years": "2000:2002"}]},
+}
+
+LOADERS = {"jobcube.yaml": load_config, "sources.yaml": load_sources,
+           "hierarchy.yaml": load_hierarchy, "codebooks.yaml": load_codebooks}
+
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=10)
+
+
+def nested(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3)
+
+
+# Any YAML value, nested up to two levels.
+YAML_VALUES = SCALARS | nested(SCALARS | nested(SCALARS))
+
+
+def key_paths(node, path=()):
+    """The path of every value inside a YAML document, containers included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from key_paths(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def valid_documents(gen_small, tmp_path_factory):
+    """One valid document per loader, and a directory to write variants into."""
+    docs = {name: yaml.safe_load((gen_small.out_dir / name).read_text(encoding="utf-8"))
+            for name in ("sources.yaml", "hierarchy.yaml", "codebooks.yaml")}
+    docs["jobcube.yaml"] = VALID_CONFIG
+    work = tmp_path_factory.mktemp("fail_closed")
+    for name, doc in docs.items():
+        (work / name).write_text(yaml.safe_dump(doc), encoding="utf-8")
+        LOADERS[name](work / name)          # each starts out valid
+    return docs, work
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loaders_fail_closed(valid_documents, name, data):
+    """Any one value swapped for any YAML value loads or raises a JobcubeError."""
+    docs, work = valid_documents
+    doc = copy.deepcopy(docs[name])
+    *parents, last = data.draw(st.sampled_from(list(key_paths(doc))), label="path")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = data.draw(YAML_VALUES, label="value")
+    path = work / name
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    try:
+        LOADERS[name](path)
+    except JobcubeError:
+        pass
