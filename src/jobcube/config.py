@@ -21,7 +21,7 @@ from typing import Mapping
 import yaml
 
 from .bench import BenchConfig
-from .cube import AggregateQuery, MEASURES
+from .cube import AggregateQuery, MEASURES, YearSpan
 from .datagen import CODEBOOKS_FILE, HIERARCHY_FILE, SOURCES_FILE, GenConfig
 from .errors import BadHierarchy, ConfigError
 from .preprocess import DEFAULT_FILL, CleaningPolicy, ConceptHierarchy
@@ -96,6 +96,12 @@ def _text(value, where: str, form: str) -> str:
     return value
 
 
+def _texts(mapping: Mapping, where: str, **defaults) -> dict[str, str]:
+    """Each key named in defaults as text, the default standing in for a missing key."""
+    return {key: _text(mapping.get(key, default), f"{where}.{key}", "text")
+            for key, default in defaults.items()}
+
+
 def _year_range(text, where: str) -> tuple[int, int]:
     """'A' or 'A:B' -> (A, B), a non-empty range of years."""
     lo, sep, hi = _text(text, where, "'A' or 'A:B'").partition(":")
@@ -128,7 +134,7 @@ def parse_query(measure, group_by, filters, years,
     query_filters = []
     if years is not None:
         lo, hi = _year_range(years, where["years"])
-        query_filters.append(("time", "year", tuple(str(y) for y in range(lo, hi + 1))))
+        query_filters.append(("time", "year", YearSpan(lo, hi)))
     for raw in filters:
         target, eq, members = _text(raw, where["filters"], "'dim[:level]=m1,m2'").partition("=")
         members = tuple(m.strip() for m in members.split(",") if m.strip())
@@ -244,10 +250,9 @@ def _build_reports(raw, years: tuple[int, int], where: str,
         cities = [city] if isinstance(city, str) else _as_list(city, f"{entry_where}.city")
         query = _yaml_query(entry["query"], f"{entry_where}.query") if "query" in entry else None
         specs.append(ReportSpec(
-            kind=str(entry["kind"]), year_from=y_from, year_to=y_to,
-            city_filter=frozenset(map(str, cities)) or None,
-            output=str(entry.get("output", ReportSpec.output)),
-            format=str(entry.get("format", ReportSpec.format)), query=query))
+            year_from=y_from, year_to=y_to, city_filter=frozenset(map(str, cities)) or None,
+            query=query, **_texts(entry, entry_where, kind=None, output=ReportSpec.output,
+                                  format=ReportSpec.format)))
     return tuple(specs)
 
 
@@ -260,7 +265,8 @@ def load_config(path: str | Path) -> PipelineConfig:
                          (GenConfig.year_from, GenConfig.year_to))
     gen = _build_gen(_as_mapping(raw.get("gen"), f"{where}.gen", _GEN_KEYS), seed, years,
                      f"{where}.gen")
-    etl = _as_mapping(raw.get("etl"), f"{where}.etl", _ETL_KEYS)
+    etl = _texts(_as_mapping(raw.get("etl"), f"{where}.etl", _ETL_KEYS), f"{where}.etl",
+                 fill_constant=PipelineConfig.fill_constant, keep_rule=PipelineConfig.keep_rule)
     bench = _as_mapping(raw.get("bench"), f"{where}.bench", _BENCH_KEYS)
     bench_queries = []
     for i, entry in enumerate(_as_list(bench.get("queries"), f"{where}.bench.queries")):
@@ -269,17 +275,16 @@ def load_config(path: str | Path) -> PipelineConfig:
         _require(entry, ("id",), entry_where)
         bench_queries.append((str(entry.pop("id")), _yaml_query(entry, entry_where)))
 
+    dirs = _texts(raw, where, data_dir=str(PipelineConfig.data_dir),
+                  warehouse_dir=str(PipelineConfig.warehouse_dir))
     config = PipelineConfig(
-        data_dir=Path(str(raw.get("data_dir", PipelineConfig.data_dir))),
-        warehouse_dir=Path(str(raw.get("warehouse_dir", PipelineConfig.warehouse_dir))),
-        gen=gen,
-        fill_constant=str(etl.get("fill_constant", PipelineConfig.fill_constant)),
-        keep_rule=str(etl.get("keep_rule", PipelineConfig.keep_rule)),
+        data_dir=Path(dirs["data_dir"]), warehouse_dir=Path(dirs["warehouse_dir"]),
+        gen=gen, **etl,
         reports=_build_reports(raw.get("reports"), years, f"{where}.reports"),
         bench=BenchConfig(tuple(bench_queries) or DEFAULT_BENCH_QUERIES,
                           **{name: _integer(bench[name], f"{where}.bench.{name}")
                              for name in ("repetitions", "warmup") if name in bench}),
-        bench_output=str(bench.get("output", PipelineConfig.bench_output)),
+        bench_output=_texts(bench, f"{where}.bench", output=PipelineConfig.bench_output)["output"],
     )
     config.validate()
     return config
@@ -296,7 +301,7 @@ def load_sources(path: str | Path) -> list[SourceSpec]:
             "source_id", "city", "format", "path", "encoding", "delimiter", "field_map",
             "value_codebooks", "layout"})
         _require(entry, ("source_id", "city", "format", "path", "field_map"), entry_where)
-        field_map = {str(k): str(v) for k, v in
+        field_map = {str(k): _text(v, f"{entry_where}.field_map.{k}", "text") for k, v in
                      _as_mapping(entry["field_map"], f"{entry_where}.field_map").items()}
         codebooks = _codebooks(entry.get("value_codebooks"), f"{entry_where}.value_codebooks")
         layout = []
@@ -306,13 +311,13 @@ def load_sources(path: str | Path) -> list[SourceSpec]:
             _require(fd, ("name", "kind", "length"), fd_where)
             sizes = {name: _integer(fd[name], f"{fd_where}.{name}")
                      for name in ("length", "offset", "decimals") if name in fd}
-            layout.append(FieldDescriptor(name=str(fd["name"]), kind=str(fd["kind"]), **sizes))
+            layout.append(FieldDescriptor(**_texts(fd, fd_where, name=None, kind=None), **sizes))
         spec = SourceSpec(
             source_id=str(entry["source_id"]), city=str(entry["city"]),
-            format=str(entry["format"]), path=str(entry["path"]),
             mapping=SchemaMapping(field_map=field_map, value_codebooks=codebooks),
-            encoding=str(entry.get("encoding", SourceSpec.encoding)),
-            delimiter=str(entry.get("delimiter", SourceSpec.delimiter)), layout=tuple(layout))
+            layout=tuple(layout), **_texts(entry, entry_where, format=None, path=None,
+                                           encoding=SourceSpec.encoding,
+                                           delimiter=SourceSpec.delimiter))
         spec.validate()
         specs.append(spec)
     if not specs:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -49,6 +49,7 @@ from .records import DIMENSIONS
 from .warehouse import KEYS, StarSchema, group_rows
 
 MEASURES = ("total", "seekers", "directed")
+_LISTED = 10                # unknown members an UnknownMember error names
 
 # Hierarchy levels per dimension, base level first. Flat dimensions have a
 # single level named after the dimension itself. A hierarchy has at most two
@@ -87,6 +88,27 @@ class AggregateQuery:
     measure: str = "total"
     group_by: tuple = ()
     filters: tuple = ()
+
+
+@dataclass(frozen=True)
+class YearSpan:
+    """The time:year members lo..hi as text, never listed: membership and size
+    are arithmetic, so a wide span costs nothing until it meets an axis."""
+
+    lo: int
+    hi: int
+
+    def __len__(self) -> int:
+        return max(0, self.hi - self.lo + 1)
+
+    def __iter__(self):
+        return map(str, range(self.lo, self.hi + 1))
+
+    def __contains__(self, member: str) -> bool:
+        try:
+            return self.lo <= int(member) <= self.hi and str(int(member)) == member
+        except ValueError:
+            return False
 
 
 @dataclass(frozen=True)
@@ -182,14 +204,19 @@ def _to_level(cube: Cube, idx: int, level: str) -> tuple[tuple[str, ...], np.nda
     return members, np.array([position[lab] for lab in labels], dtype=np.int64)
 
 
-def _selected(members: Sequence[str], wanted: frozenset[str], where: str) -> np.ndarray:
-    """Per-member mask of `wanted`, which must be a non-empty subset of members."""
+def _selected(members: Sequence[str], wanted: frozenset[str] | YearSpan,
+              where: str) -> np.ndarray:
+    """Per-member mask of `wanted`, which must be a non-empty subset of members.
+    The error names at most _LISTED of the others, and then how many there are."""
     if not wanted:
         raise EmptyMemberSet(f"{where}: empty member set")
-    unknown = wanted.difference(members)
-    if unknown:
-        raise UnknownMember(f"{where}: no members {sorted(unknown)}")
-    return np.fromiter((m in wanted for m in members), dtype=bool, count=len(members))
+    mask = np.fromiter((m in wanted for m in members), dtype=bool, count=len(members))
+    if missing := len(wanted) - np.count_nonzero(mask):
+        ordered = wanted if isinstance(wanted, YearSpan) else sorted(wanted)
+        listed = list(islice((m for m in ordered if m not in members), _LISTED))
+        raise UnknownMember(f"{where}: no members {listed}"
+                            + (f" ({missing} in all)" if missing > _LISTED else ""))
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +329,8 @@ def normalize_query(query: AggregateQuery, levels: Mapping[str, str],
     filters = []
     for entry in query.filters:
         dimension, level, members = (entry[0], None, entry[1]) if len(entry) == 2 else entry
-        filters.append((*resolve(dimension, level), frozenset(members)))
+        members = members if isinstance(members, YearSpan) else frozenset(members)
+        filters.append((*resolve(dimension, level), members))
     return group_by, filters
 
 

@@ -4,12 +4,18 @@ A record is an immutable `NamedTuple`: `record._replace(field=value)` makes a
 variant, and records order by their field tuple in `ALL_FIELDS` order. All
 attribute values are carried as text until warehouse load; `year` is the
 single typed exception because time ordering drives deduplication.
+
+`read_records_csv` gives equal values of a field one shared `str` object
+(all but the near-unique `national_id` and `name`) and parses each distinct
+year text once, so later passes over the records touch a few hot objects.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import re
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
@@ -43,6 +49,8 @@ class CanonicalApplicant(NamedTuple):
 
 ALL_FIELDS: tuple[str, ...] = CanonicalApplicant._fields
 _YEAR = ALL_FIELDS.index("year")
+_SHARED = ALL_FIELDS.index("sex")      # fields from here on repeat across rows
+_CHUNK_ROWS = 512                      # rows write_csv renders per CR check
 _YEAR_TEXT = re.compile(r"-?[0-9]+")
 
 # Fields a cleaning policy may fill. Key fields are quarantined instead,
@@ -108,7 +116,8 @@ def write_csv(target: str | Path | TextIO, header: Sequence,
 
     A writer ending lines in LF leaves a bare CR unquoted, and a reader then
     splits the row there, so a row holding a CR is written fully quoted and
-    every other row with minimal quoting.
+    every other row with minimal quoting. Rows are rendered in chunks; only a
+    chunk whose text holds a CR is checked row by row.
     """
     if isinstance(target, (str, Path)):
         with open(target, "w", newline="", encoding="utf-8") as fh:
@@ -116,13 +125,17 @@ def write_csv(target: str | Path | TextIO, header: Sequence,
     plain = csv.writer(target, lineterminator="\n")
     quote_all = csv.writer(target, lineterminator="\n", quoting=csv.QUOTE_ALL)
     plain.writerow(header)
-    n = 0
-    for row in rows:
-        if any("\r" in v for v in row if type(v) is str):
-            quote_all.writerow(row)
+    rows, n = iter(rows), 0
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(chunk)
+        if "\r" not in buffer.getvalue():
+            target.write(buffer.getvalue())
         else:
-            plain.writerow(row)
-        n += 1
+            for row in chunk:
+                has_cr = any("\r" in v for v in row if type(v) is str)
+                (quote_all if has_cr else plain).writerow(row)
+        n += len(chunk)
     return n
 
 
@@ -132,7 +145,7 @@ def write_records_csv(records: Iterable[CanonicalApplicant], path: str | Path) -
 
 
 def read_records_csv(path: str | Path) -> list[CanonicalApplicant]:
-    """Read a file written by `write_records_csv`.
+    """Read a file written by `write_records_csv`, sharing equal values.
 
     Fails closed: a wrong header, a row without exactly one value per field,
     a year that `parse_year` refuses (an empty year reads as 0), a CSV syntax
@@ -141,6 +154,8 @@ def read_records_csv(path: str | Path) -> list[CanonicalApplicant]:
     """
     width = len(ALL_FIELDS)
     make = CanonicalApplicant._make
+    share = {}.setdefault
+    years = {"": 0}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -155,11 +170,15 @@ def read_records_csv(path: str | Path) -> list[CanonicalApplicant]:
                     raise MalformedCsv(f"{path}: line {reader.line_num}: "
                                        f"{len(row)} columns, expected {width}")
                 year = row[_YEAR]
-                try:
-                    row[_YEAR] = parse_year(year) if year else 0
-                except ValueError:
-                    raise MalformedCsv(f"{path}: line {reader.line_num}: "
-                                       f"bad year {year!r}") from None
+                if year not in years:
+                    try:
+                        years[year] = parse_year(year)
+                    except ValueError:
+                        raise MalformedCsv(f"{path}: line {reader.line_num}: "
+                                           f"bad year {year!r}") from None
+                repeated = row[_SHARED:]
+                row[_SHARED:] = map(share, repeated, repeated)
+                row[_YEAR] = years[year]
                 out.append(make(row))
             return out
         except csv.Error as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .cube import AggregateQuery, Cube, ResultTable, aggregate
+from .cube import AggregateQuery, Cube, ResultTable, YearSpan, aggregate
 from .errors import ConfigError
 from .records import write_csv
 
@@ -42,8 +42,7 @@ class ReportSpec:
 
 
 def _base_filters(spec: ReportSpec) -> tuple:
-    years = frozenset(str(y) for y in range(spec.year_from, spec.year_to + 1))
-    filters: list = [("time", "year", years)]
+    filters: list = [("time", "year", YearSpan(spec.year_from, spec.year_to))]
     if spec.city_filter:
         filters.append(("city", frozenset(spec.city_filter)))
     return tuple(filters)

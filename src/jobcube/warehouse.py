@@ -2,7 +2,9 @@
 
 The fact table is one read-only (rows, 9) int64 array in FACT_COLUMNS order,
 rows in ascending id order. load_facts groups records into it with
-`group_rows`, the kernel the cube's roll-up and aggregate also use.
+`group_rows`, the kernel the cube's roll-up and aggregate also use. A build is a
+refresh of the empty warehouse; either reads each record's members once, into
+lists that give both the new dimension members and the fact codes.
 
 Surrogate ids are dense (1..N) and assigned in sorted natural-key order, so a
 rebuild from the same records is bit-identical. A refresh keeps existing ids
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter, eq
@@ -105,9 +108,12 @@ def _congress_parent(hierarchy: ConceptHierarchy | None, value: str) -> str:
     return value if hierarchy is None else hierarchy.parent_of.get(("congress", value), value)
 
 
-def _observed(records: Sequence[CanonicalApplicant]) -> dict[str, set[str]]:
-    """Distinct record values per dimension other than time."""
-    return {dim: set(map(MEMBER_GETTERS[dim], records)) for dim in DIMENSIONS if dim != "time"}
+def _member_lists(records: Sequence[CanonicalApplicant]) -> dict[str, list]:
+    """Each record's member on every dimension, and its status, one list per
+    key: the observed members and the fact codes both come from these."""
+    lists = {dim: list(map(MEMBER_GETTERS[dim], records)) for dim in DIMENSIONS}
+    lists["status"] = list(map(attrgetter("status"), records))
+    return lists
 
 
 def _appended(rows: tuple[DimensionRow, ...], values: set[str], dim: str,
@@ -124,21 +130,13 @@ def build_dimensions(records: Sequence[CanonicalApplicant],
                      year_range: tuple[int, int],
                      hierarchy: ConceptHierarchy | None = None,
                      ) -> dict[str, DimensionTable]:
-    """Distinct observed values per dimension, ids in sorted-key order.
+    """Distinct observed values per dimension, ids in sorted-key order: the
+    dimensions of `build_schema` over the records, which must load.
 
     Time is exhaustive over the year range (years x 4 quarters) regardless of
     what the records cover.
     """
-    year_from, year_to = year_range
-    if year_from > year_to:
-        raise EmptyYearRange(f"year range {year_from}:{year_to} is empty")
-    dims = {dim: DimensionTable(DISPLAY_NAMES[dim], _appended((), values, dim, hierarchy))
-            for dim, values in _observed(records).items()}
-    quarters = [(y, q) for y in range(year_from, year_to + 1) for q in QUARTERS]
-    dims["time"] = DimensionTable(DISPLAY_NAMES["time"], tuple(
-        DimensionRow(i, time_key(y, q), {"year": str(y), "quarter": q})
-        for i, (y, q) in enumerate(quarters, 1)))
-    return dims
+    return build_schema(records, year_range, hierarchy).dimensions
 
 
 def group_rows(columns: list[np.ndarray], sizes: list[int],
@@ -174,16 +172,20 @@ def load_facts(records: Sequence[CanonicalApplicant],
     Returns the (rows, 9) int64 fact array. The first record holding a value
     outside its dimension, or a status neither seeker nor directed, raises.
     """
+    return _facts(records, _member_lists(records), dims)
+
+
+def _facts(records: Sequence[CanonicalApplicant], members: Mapping[str, list],
+           dims: Mapping[str, DimensionTable]) -> np.ndarray:
     n = len(records)
     columns, ids = [], []
     for dim in DIMENSIONS:
         # group on each id's rank among the sorted ids; -1: not a member
         rows = sorted(dims[dim].rows, key=attrgetter("surrogate_id"))
         rank = {r.natural_key: i for i, r in enumerate(rows)}
-        values = map(MEMBER_GETTERS[dim], records)
-        columns.append(np.fromiter(map(rank.get, values, repeat(-1)), np.int64, n))
+        columns.append(np.fromiter(map(rank.get, members[dim], repeat(-1)), np.int64, n))
         ids.append(np.array([r.surrogate_id for r in rows], dtype=np.int64))
-    status = [r.status for r in records]
+    status = members["status"]
     weights = [np.fromiter(map(eq, status, repeat(s)), bool, n)
                for s in (STATUS_SEEKER, STATUS_DIRECTED)]
 
@@ -193,7 +195,7 @@ def load_facts(records: Sequence[CanonicalApplicant],
         for dim, column in zip(DIMENSIONS, columns):
             if column[bad[0]] < 0:
                 raise UnresolvedDimensionValue(
-                    f"{dims[dim].name}: value {MEMBER_GETTERS[dim](r)!r} not in dimension")
+                    f"{dims[dim].name}: value {members[dim][bad[0]]!r} not in dimension")
         raise InvalidFieldValue(f"record {r.national_id!r}: bad status {r.status!r}")
 
     key_columns, sums = group_rows(columns, [len(i) for i in ids], weights)
@@ -219,10 +221,18 @@ def _stamped(dims: dict[str, DimensionTable], facts: np.ndarray,
 def build_schema(records: Sequence[CanonicalApplicant],
                  year_range: tuple[int, int],
                  hierarchy: ConceptHierarchy | None = None) -> StarSchema:
-    dims = build_dimensions(records, year_range, hierarchy)
-    meta_core = {"year_range": f"{year_range[0]}:{year_range[1]}",
-                 "records": str(len(records))}
-    return _stamped(dims, load_facts(records, dims), meta_core)
+    """A refresh of the empty warehouse, whose time is exhaustive over year_range."""
+    year_from, year_to = year_range
+    if year_from > year_to:
+        raise EmptyYearRange(f"year range {year_from}:{year_to} is empty")
+    quarters = [(y, q) for y in range(year_from, year_to + 1) for q in QUARTERS]
+    dims = {dim: DimensionTable(DISPLAY_NAMES[dim], ()) for dim in DIMENSIONS}
+    dims["time"] = DimensionTable(DISPLAY_NAMES["time"], tuple(
+        DimensionRow(i, time_key(y, q), {"year": str(y), "quarter": q})
+        for i, (y, q) in enumerate(quarters, 1)))
+    empty = StarSchema(dims, np.empty((0, KEYS + 3), np.int64),
+                       {"year_range": f"{year_from}:{year_to}"})
+    return refresh(empty, records, hierarchy)
 
 
 def refresh(schema: StarSchema, full_records: Sequence[CanonicalApplicant],
@@ -233,13 +243,13 @@ def refresh(schema: StarSchema, full_records: Sequence[CanonicalApplicant],
     appended after the current maximum. Fact cells are regrouped from scratch,
     which makes refresh(load(A), A∪B) logically equal to load(A∪B).
     """
-    dims = {"time": schema.dimensions["time"]}
-    for dim, values in _observed(full_records).items():
-        old = schema.dimensions[dim]
-        dims[dim] = DimensionTable(old.name, _appended(old.rows, values, dim, hierarchy))
+    members = _member_lists(full_records)
+    dims = {dim: table if dim == "time" else DimensionTable(
+                table.name, _appended(table.rows, set(members[dim]), dim, hierarchy))
+            for dim, table in schema.dimensions.items()}
     meta_core = {k: v for k, v in schema.meta.items() if k != "loaded"}
     meta_core["records"] = str(len(full_records))
-    return _stamped(dims, load_facts(full_records, dims), meta_core)
+    return _stamped(dims, _facts(full_records, members, dims), meta_core)
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +338,11 @@ def load_schema(path: str | Path) -> StarSchema:
         if not fpath.is_file():
             raise CorruptManifest(f"missing table file {fpath.name}")
         want_rows, want_sha = tables[name]
-        if _sha256(fpath) != want_sha:
+        data = fpath.read_bytes()       # read once: the bytes verified are the bytes parsed
+        if hashlib.sha256(data).hexdigest() != want_sha:
             raise CorruptManifest(f"{fpath.name}: checksum mismatch")
         try:
-            with open(fpath, "r", newline="", encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))
+            rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
         except (csv.Error, UnicodeDecodeError) as exc:
             raise CorruptManifest(f"{fpath.name}: not a CSV table ({exc})") from None
         if not rows:

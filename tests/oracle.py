@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from jobcube.errors import InvalidFieldValue, UnresolvedDimensionValue
 from jobcube.preprocess import ConceptHierarchy
 from jobcube.records import QUARTERS, CanonicalApplicant, derive_status
 
@@ -111,6 +112,26 @@ def oracle_aggregate(records, measure: str,
         key = tuple(record_label(r, dim, level, congress_city)
                     for dim, level in group_by)
         out[key] = out.get(key, 0) + measure_of(r, measure)
+    return out
+
+
+def oracle_facts(records, year_range: tuple[int, int]):
+    """The fact table over records as `fact_index` keys it: natural keys ->
+    (total, seekers, directed), counted one record at a time. The first record
+    whose time falls outside year_range or whose status is neither seeker nor
+    directed is returned instead, as the error loading it must raise."""
+    lo, hi = year_range
+    out: dict[tuple, tuple[int, int, int]] = {}
+    for r in records:
+        time = f"{r.year}{r.quarter}"
+        if not (lo <= r.year <= hi and r.quarter in QUARTERS):
+            return UnresolvedDimensionValue(f"Time: value {time!r} not in dimension")
+        if r.status not in ("seeker", "directed"):
+            return InvalidFieldValue(f"record {r.national_id!r}: bad status {r.status!r}")
+        key = (r.city, r.sector, r.education_level, r.congress, r.service_status, time)
+        total, seekers, directed = out.get(key, (0, 0, 0))
+        out[key] = (total + 1, seekers + (r.status == "seeker"),
+                    directed + (r.status == "directed"))
     return out
 
 

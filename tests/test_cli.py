@@ -476,6 +476,15 @@ class TestExitCodes:
         _, cfg = pipeline
         assert main(["query", "-c", cfg, "--filter", "city=Atlantis"]) == 1
 
+    def test_wide_year_range_names_a_few_missing_years(self, pipeline, capsys):
+        """The range is matched against the time axis, never listed member by member."""
+        _, cfg = pipeline
+        capsys.readouterr()
+        assert main(["query", "-c", cfg, "--years", "0:2000000"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: time@year: no members ['0', '1', '2', '3', '4', '5', '6', '7', "
+                       "'8', '9'] (1999994 in all)\n")
+
     @pytest.mark.parametrize("flags, message", [
         (["--years", "2006:2000"], "error: --years: empty range '2006:2000'"),
         (["--years", "x"], "error: --years: bad range 'x'"),
@@ -499,6 +508,16 @@ class TestExitCodes:
         pytest.param({"seed": True}, "seed: expected an integer, got True", id="seed_bool"),
         pytest.param({"gen": {"counts": dict(COUNTS), "duplicate_rate": True}},
                      "gen.duplicate_rate: expected a number, got True", id="rate_bool"),
+        pytest.param({"bench": {"output": ["a", "b"]}},
+                     "bench.output: expected text, got ['a', 'b']", id="bench_output_list"),
+        pytest.param({"data_dir": {"x": 1}}, "data_dir: expected text, got {'x': 1}",
+                     id="data_dir_mapping"),
+        pytest.param({"reports": [{"kind": "service_counts", "output": True}]},
+                     "reports[0].output: expected text, got True", id="report_output_bool"),
+        pytest.param({"reports": [{"kind": ["custom"]}]},
+                     "reports[0].kind: expected text, got ['custom']", id="report_kind_list"),
+        pytest.param({"etl": {"fill_constant": 0}}, "etl.fill_constant: expected text, got 0",
+                     id="fill_constant_int"),
     ])
     def test_malformed_config_value_is_config_error(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path, **overrides)
@@ -512,6 +531,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("name, edit, stage, message", [
         pytest.param("sources.yaml", lambda doc: doc["sources"][0].update(layout=5), "ingest",
                      ".sources[0].layout: expected a list, got int", id="layout_int"),
+        pytest.param("sources.yaml", lambda doc: doc["sources"][0].update(path=5), "ingest",
+                     ".sources[0].path: expected text, got 5", id="path_int"),
+        pytest.param("sources.yaml", lambda doc: doc["sources"][1].update(encoding=None),
+                     "ingest", ".sources[1].encoding: expected text, got None", id="encoding_none"),
+        pytest.param("sources.yaml", lambda doc: doc["sources"][0]["field_map"].update(sector=7),
+                     "ingest", ".sources[0].field_map.sector: expected text, got 7",
+                     id="field_name_int"),
         pytest.param("hierarchy.yaml", lambda doc: doc.update(tree={"Tripoli": 5}), "etl",
                      ": 'Tripoli': expected a list or mapping of 'congress' values, got 5",
                      id="tree_leaf_int"),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from jobcube.config import (load_codebooks, load_config, load_hierarchy, load_sources,
                             parse_query)
-from jobcube.cube import AggregateQuery
+from jobcube.cube import AggregateQuery, YearSpan
 from jobcube.errors import ConfigError, JobcubeError
 from jobcube.records import NULLABLE_FIELDS
 
@@ -65,10 +65,11 @@ class TestQueryGrammar:
                             "2001:2004", YAML_WHERE)
         assert query == AggregateQuery(
             "seekers", (("congress", "city"), "sector"),
-            (("time", "year", ("2001", "2002", "2003", "2004")),
+            (("time", "year", YearSpan(2001, 2004)),
              ("city", ("Tripoli", "Sirte")), ("time", "year", ("2003",))))
+        assert tuple(query.filters[0][2]) == ("2001", "2002", "2003", "2004")
         assert parse_query("total", "", [], "2005", YAML_WHERE) == AggregateQuery(
-            "total", (), (("time", "year", ("2005",)),))
+            "total", (), (("time", "year", YearSpan(2005, 2005)),))
 
     @pytest.mark.parametrize("args, message", [
         (("count", None, [], None), "q.measure: unknown measure 'count'"),
@@ -175,21 +176,46 @@ def valid_documents(gen_small, tmp_path_factory):
     return docs, work
 
 
+def must_be_text(name: str, path: tuple) -> bool:
+    """Whether the value at path is read as text (a path, label or name)."""
+    if name == "jobcube.yaml":
+        return path in {("data_dir",), ("warehouse_dir",), ("etl", "fill_constant"),
+                        ("etl", "keep_rule"), ("bench", "output")} or (
+            len(path) == 3 and path[0] == "reports" and path[2] in {"kind", "output", "format"})
+    if name == "sources.yaml":
+        return (len(path) == 3 and path[2] in {"format", "path", "encoding", "delimiter"}
+                or len(path) == 4 and path[2] == "field_map"
+                or len(path) == 5 and path[2] == "layout" and path[4] in {"name", "kind"})
+    return False
+
+
+def key_path_text(path: tuple) -> str:
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+
+
 @pytest.mark.parametrize("name", sorted(LOADERS))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_loaders_fail_closed(valid_documents, name, data):
-    """Any one value swapped for any YAML value loads or raises a JobcubeError."""
+    """Any one value swapped for any YAML value loads or raises a JobcubeError;
+    where the value must be text and is not, the error names its key path."""
     docs, work = valid_documents
     doc = copy.deepcopy(docs[name])
-    *parents, last = data.draw(st.sampled_from(list(key_paths(doc))), label="path")
+    paths = list(key_paths(doc))
+    text_paths = [p for p in paths if must_be_text(name, p)] or paths
+    key_path = data.draw(st.sampled_from(paths) | st.sampled_from(text_paths), label="path")
+    *parents, last = key_path
     node = doc
     for key in parents:
         node = node[key]
-    node[last] = data.draw(YAML_VALUES, label="value")
+    node[last] = value = data.draw(YAML_VALUES, label="value")
     path = work / name
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    refused = must_be_text(name, key_path) and not isinstance(value, str)
     try:
         LOADERS[name](path)
-    except JobcubeError:
-        pass
+    except JobcubeError as exc:
+        if refused:
+            assert str(exc).startswith(f"{path}{key_path_text(key_path)}: expected text"), exc
+    else:
+        assert not refused, f"{key_path_text(key_path)}: loaded {value!r}"

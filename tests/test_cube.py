@@ -11,6 +11,7 @@ from jobcube import warehouse as warehouse_module
 from jobcube.cube import (
     MEASURES,
     AggregateQuery,
+    YearSpan,
     aggregate,
     build_cube,
     dice,
@@ -219,6 +220,29 @@ class TestAggregate:
             "seekers", group_by=("time",), filters=tuple(filters)))
         want = oracle_aggregate(records, "seekers", [("time", "quarter")], filters, cities)
         assert table_as_dict(table) == want
+
+    def test_year_span_selects_its_listed_years(self, fixture):
+        _, cube, _ = fixture
+        span = YearSpan(2001, 2003)
+        assert list(span) == ["2001", "2002", "2003"] and len(span) == 3
+        for text in ("2000", "02001", "+2001", " 2001", "2001Q1", "\u0662\u0660\u0660\u0662", ""):
+            assert text not in span
+        listed = AggregateQuery("seekers", ("sector",), (("time", "year", tuple(span)),))
+        assert aggregate(cube, listed) == aggregate(
+            cube, AggregateQuery("seekers", ("sector",), (("time", "year", span),)))
+
+    @pytest.mark.parametrize("span, message", [
+        (YearSpan(1990, 2003), "['1990', '1991', '1992', '1993', '1994', '1995', '1996', "
+                               "'1997', '1998', '1999']"),
+        (YearSpan(0, 2_000_000), "['0', '1', '2', '3', '4', '5', '6', '7', '8', '9'] "
+                                     "(1999994 in all)"),
+        (("2003", "x", "1999"), "['1999', 'x']"),
+    ])
+    def test_unknown_members_are_named_up_to_ten(self, fixture, span, message):
+        _, cube, _ = fixture
+        with pytest.raises(UnknownMember) as info:
+            aggregate(cube, AggregateQuery("total", (), (("time", "year", span),)))
+        assert str(info.value) == f"time@year: no members {message}"
 
     def test_city_group_by_on_diced_cube(self, fixture):
         # dice keeps the congress axis's parent map

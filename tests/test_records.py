@@ -11,6 +11,7 @@ from jobcube.errors import MalformedCsv
 from jobcube.records import (
     ALL_FIELDS,
     CanonicalApplicant,
+    parse_year,
     read_records_csv,
     write_csv,
     write_records_csv,
@@ -41,6 +42,35 @@ def csv_path(tmp_path_factory):
 def test_csv_round_trip(csv_path, batch):
     assert write_records_csv(batch, csv_path) == len(batch)
     assert read_records_csv(csv_path) == batch
+
+
+def reference_read(path):
+    """The reader without value sharing: one new str per cell, each year parsed."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return [CanonicalApplicant._make([*row[:13], parse_year(row[13]) if row[13] else 0,
+                                      *row[14:]]) for row in rows]
+
+
+# Few distinct values, so rows repeat them; the year may be written empty.
+repeating_records = st.builds(
+    CanonicalApplicant,
+    **{name: st.sampled_from(["", "2003", "-7"]) if name == "year"
+       else st.sampled_from(["", "a,b", 'q"t', "x\ry", "Tripoli"]) for name in ALL_FIELDS},
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(repeating_records, max_size=12))
+def test_read_shares_equal_values(csv_path, batch):
+    write_records_csv(batch, csv_path)
+    got = read_records_csv(csv_path)
+    assert got == reference_read(csv_path)
+    for name in ALL_FIELDS[2:]:             # national_id and name are not shared
+        first = {}
+        for record in got:
+            value = getattr(record, name)
+            assert first.setdefault(value, value) is value, name
 
 
 def test_non_utf8_bytes_fail_closed(tmp_path):

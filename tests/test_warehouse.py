@@ -1,8 +1,11 @@
 """Star schema: dimension building, fact loading, persistence, refresh."""
 
+import builtins
 import hashlib
+import io
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from jobcube.warehouse import (
     refresh,
 )
 
-from oracle import make_hierarchy, random_clean_records
+from oracle import make_hierarchy, oracle_facts, random_clean_records
 
 YEARS = (2000, 2006)
 
@@ -110,15 +113,33 @@ class TestFacts:
             assert total == seekers + directed
 
     def test_fact_reflects_records(self, schema):
-        records = random_clean_records(1, 2000)
-        want = {}
-        for r in records:
-            key = (r.city, r.sector, r.education_level, r.congress,
-                   r.service_status, f"{r.year}{r.quarter}")
-            t, s, d = want.get(key, (0, 0, 0))
-            want[key] = (t + 1, s + (r.status == "seeker"),
-                         d + (r.status == "directed"))
-        assert fact_index(schema) == want
+        assert fact_index(schema) == oracle_facts(random_clean_records(1, 2000), YEARS)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_build_and_refresh_match_the_oracle(self, seed):
+        """Seeded records with new members, times outside the range and bad
+        statuses: counts, or the error naming the first bad record."""
+        rnd = random.Random(seed)
+        hierarchy = make_hierarchy()
+        records = random_clean_records(300 + seed, rnd.randint(20, 400))
+        base = build_schema(records[:rnd.randint(1, len(records) - 1)], YEARS, hierarchy)
+        for _ in range(rnd.randint(0, 4)):
+            i = rnd.randrange(len(records))
+            records[i] = records[i]._replace(**rnd.choice([
+                {"sector": "SEC-NEW", "city": "CityNew", "congress": "CG-NEW"},
+                {"year": rnd.choice((YEARS[0] - 1, YEARS[1] + 1))},
+                {"quarter": "Q5"},
+                {"status": rnd.choice(("waiting", "", "Seeker"))},
+            ]))
+        want = oracle_facts(records, YEARS)
+        for load in (lambda: build_schema(records, YEARS, hierarchy),
+                     lambda: refresh(base, records, hierarchy)):
+            if isinstance(want, dict):
+                assert fact_index(load()) == want
+            else:
+                with pytest.raises(type(want)) as info:
+                    load()
+                assert str(info.value) == str(want)
 
     def test_unresolved_member_rejected(self):
         records = random_clean_records(2, 50)
@@ -189,6 +210,25 @@ class TestPersistence:
         assert "SEC\rX" in {r.natural_key for r in loaded.dimensions["sector"].rows}
         assert logically_equal(loaded, schema)
         assert check_integrity(loaded) == []
+
+    def test_load_reads_each_table_once(self, tmp_path, schema, monkeypatch):
+        """The bytes hashed are the bytes parsed: one open per table file."""
+        persist(schema, tmp_path / "w")
+        opened = []
+        for module, name in ((io, "open"), (builtins, "open")):
+            real = getattr(module, name)
+
+            def counting(file, *args, real=real, **kwargs):
+                opened.append(Path(file).name)
+                return real(file, *args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        assert logically_equal(load_schema(tmp_path / "w"), schema)
+        assert sorted(opened) == sorted(["manifest.txt", "fact.csv", *DIM_FILES.values()])
+        monkeypatch.undo()
+        fact = tmp_path / "w" / "fact.csv"
+        fact.write_bytes(fact.read_bytes() + b"1,1,1,1,1,1,1,1,0\n")
+        with pytest.raises(CorruptManifest, match="fact.csv: checksum mismatch"):
+            load_schema(tmp_path / "w")
 
     def test_tampered_table_detected(self, tmp_path, schema):
         persist(schema, tmp_path / "w")
