@@ -46,10 +46,11 @@ def test_csv_round_trip(csv_path, batch):
 
 def reference_read(path):
     """The reader without value sharing: one new str per cell, each year parsed."""
+    year = ALL_FIELDS.index("year")
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))[1:]
-    return [CanonicalApplicant._make([*row[:13], parse_year(row[13]) if row[13] else 0,
-                                      *row[14:]]) for row in rows]
+    return [CanonicalApplicant._make([*row[:year], parse_year(row[year]) if row[year] else 0,
+                                      *row[year + 1:]]) for row in rows]
 
 
 # Few distinct values, so rows repeat them; the year may be written empty.
