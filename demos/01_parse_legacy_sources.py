@@ -33,7 +33,8 @@ print(f"\nsirte.dbf: {count} records, header {header_len} B, "
 
 dbf = read_dbf(blob, source_id="sirte")
 print("fields:", ", ".join(f"{f.name}({f.kind}{f.length})" for f in dbf.fields))
-print("first record:", dbf.records[0].values)
+# A parsed row is its values in the file's column order; the names come once.
+print("first record:", dict(zip((f.name for f in dbf.fields), dbf.rows[0])))
 
 # The fixed-width file has no header at all; the layout lives in the
 # sources config that ships next to the data.
@@ -44,9 +45,11 @@ print(f"\ntripoli.dat line 0 ({len(line)} bytes):")
 for fd in layout[:4]:
     print(f"  {fd.name:<10} [{fd.offset:>3}:{fd.offset + fd.length:>3}] "
           f"= {line[fd.offset:fd.offset + fd.length].decode()!r}")
-rows = parse_fixed_width(gen.files["tripoli"].read_bytes(), layout,
-                         source_id="tripoli")
-print(f"parsed {len(rows)} rows")
+columns, rows = parse_fixed_width(gen.files["tripoli"].read_bytes(), layout,
+                                  source_id="tripoli")
+print(f"parsed {len(rows)} rows of {len(columns)} columns; row 0:")
+for name, value in zip(columns, rows[0]):
+    print(f"  {name:<10} {value!r}")
 
 # Misurata ships coded values (sex 1/2, education 1..6). The source spec
 # carries codebooks, and ingest translates while mapping each row onto the

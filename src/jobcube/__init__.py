@@ -38,8 +38,6 @@ from .reporting import ReportSpec, run_report
 from .sources import (
     FieldDescriptor,
     IngestReport,
-    RawRecord,
-    SchemaMapping,
     SourceSpec,
     ingest_sources,
     parse_dbf,
@@ -47,6 +45,7 @@ from .sources import (
     parse_fixed_width,
     read_dbf,
     record_mapper,
+    row_mapper,
 )
 from .warehouse import (
     StarSchema,
@@ -76,11 +75,9 @@ __all__ = [
     "JobcubeError",
     "PreprocessReport",
     "QueryTiming",
-    "RawRecord",
     "ReportSpec",
     "ResultTable",
     "Rng",
-    "SchemaMapping",
     "SourceSpec",
     "StarSchema",
     "aggregate",
@@ -107,6 +104,7 @@ __all__ = [
     "record_mapper",
     "refresh",
     "rollup",
+    "row_mapper",
     "run_benchmark",
     "run_pipeline",
     "run_report",

@@ -25,13 +25,14 @@ from . import bench as bench_mod
 from . import datagen
 from .config import (PipelineConfig, load_codebooks, load_config, load_hierarchy,
                      load_sources, parse_query)
-from .cube import MEASURES, Cube, ResultTable, aggregate, build_cube
+from .cube import MEASURES, Cube, aggregate, build_cube
 from .errors import ConfigError, JobcubeError
 from .preprocess import run_pipeline
 from .records import read_records_csv, write_csv, write_records_csv
-from .reporting import render_text_table, run_report, write_result
+from .reporting import run_report, write_result
 from .sources import RejectedRow, ingest_sources
-from .warehouse import StarSchema, build_schema, check_integrity, load_schema, persist, refresh
+from .warehouse import (MANIFEST_FILE, StarSchema, build_schema, check_integrity, load_schema,
+                        persist, refresh)
 
 INGEST_REJECTS = "ingest_rejects.csv"
 ETL_REJECTS = "rejects.csv"
@@ -72,15 +73,8 @@ def _require_file(path: Path, hint: str) -> None:
         raise ConfigError(f"{path}: not found; run `{hint}` first")
 
 
-def _print_table(table: ResultTable, format: str, stream) -> None:
-    if format == "table":
-        stream.write(render_text_table(table))
-        return
-    write_csv(stream, table.columns, table.rows)
-
-
 def _loaded_cube(config: PipelineConfig) -> Cube:
-    _require_file(Path(config.warehouse_dir) / "manifest.txt", "jobcube load")
+    _require_file(Path(config.warehouse_dir) / MANIFEST_FILE, "jobcube load")
     return build_cube(load_schema(config.warehouse_dir))
 
 
@@ -164,7 +158,7 @@ def cmd_load(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_refresh(config: PipelineConfig, args: argparse.Namespace) -> int:
-    _require_file(Path(config.warehouse_dir) / "manifest.txt", "jobcube load")
+    _require_file(Path(config.warehouse_dir) / MANIFEST_FILE, "jobcube load")
     clean = config.clean_path()
     _require_file(clean, "jobcube etl")
     records = read_records_csv(clean)
@@ -196,11 +190,9 @@ def cmd_query(config: PipelineConfig, args: argparse.Namespace) -> int:
     started = time.perf_counter()
     table = aggregate(cube, query)
     elapsed = time.perf_counter() - started
+    write_result(table, args.output or sys.stdout, args.format)
     if args.output:
-        write_result(table, args.output, args.format)
         _say(f"[query] {len(table.rows)} rows -> {args.output}")
-    else:
-        _print_table(table, args.format, sys.stdout)
     _say(f"[query] answered in {elapsed * 1000:.2f} ms")
     return 0
 
@@ -215,7 +207,7 @@ def cmd_report(config: PipelineConfig, args: argparse.Namespace) -> int:
         target = spec.output or "(stdout)"
         _say(f"[report] {spec.kind}: {len(table.rows)} rows -> {target}")
         if not spec.output:
-            _print_table(table, spec.format, sys.stdout)
+            write_result(table, sys.stdout, spec.format)
     return 0
 
 
@@ -234,7 +226,7 @@ def cmd_bench(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_validate(config: PipelineConfig, args: argparse.Namespace) -> int:
-    _require_file(Path(config.warehouse_dir) / "manifest.txt", "jobcube load")
+    _require_file(Path(config.warehouse_dir) / MANIFEST_FILE, "jobcube load")
     schema = load_schema(config.warehouse_dir)
     if _violations(schema, "[validate] violation:"):
         return 3

@@ -27,7 +27,7 @@ from .errors import BadHierarchy, ConfigError
 from .preprocess import DEFAULT_FILL, CleaningPolicy, ConceptHierarchy
 from .records import NULLABLE_FIELDS
 from .reporting import ReportSpec
-from .sources import FieldDescriptor, SchemaMapping, SourceSpec
+from .sources import FieldDescriptor, SourceSpec
 
 DEFAULT_BENCH_QUERIES = (
     ("seekers_by_sector", AggregateQuery(measure="seekers", group_by=("sector",))),
@@ -314,10 +314,9 @@ def load_sources(path: str | Path) -> list[SourceSpec]:
             layout.append(FieldDescriptor(**_texts(fd, fd_where, name=None, kind=None), **sizes))
         spec = SourceSpec(
             source_id=str(entry["source_id"]), city=str(entry["city"]),
-            mapping=SchemaMapping(field_map=field_map, value_codebooks=codebooks),
-            layout=tuple(layout), **_texts(entry, entry_where, format=None, path=None,
-                                           encoding=SourceSpec.encoding,
-                                           delimiter=SourceSpec.delimiter))
+            field_map=field_map, value_codebooks=codebooks, layout=tuple(layout),
+            **_texts(entry, entry_where, format=None, path=None,
+                     encoding=SourceSpec.encoding, delimiter=SourceSpec.delimiter))
         spec.validate()
         specs.append(spec)
     if not specs:

@@ -5,11 +5,13 @@ together with the ground-truth record set the pipeline should reconstruct
 and a manifest of every planted corruption (cross-city duplicate
 applications, blanked fields, variant code spellings).
 
-Each city is described once, by the SourceSpec that `build_source_specs`
-returns and `sources.yaml` carries to ingest. A city's file is written by
-running that spec's field map and codebooks backwards; the only wire field
-no mapping reads is Sirte's APPDATE. The bytes come from the `sources`
-writers, the partners of the readers ingest uses.
+Each city is described once, by its entry in `CITY_SPECS`, the SourceSpec
+that `sources.yaml` carries to ingest. A city's file is written row by row:
+`sources.row_mapper`, the inverse of ingest's `record_mapper`, turns each
+record into a row in the file's column order, and this module adds only what
+is its own: the planted corruption laid over the record, and Sirte's APPDATE,
+the one column no mapping reads. The bytes come from the `sources` writers,
+the partners of the readers ingest uses.
 
 Determinism: a pinned xorshift64* generator seeded through one splitmix64
 step. State update x ^= x>>12; x ^= x<<25; x ^= x>>27; output is
@@ -30,7 +32,6 @@ from typing import Sequence
 from .errors import ConfigError, UnsatisfiableSize
 from .preprocess import DEFAULT_FILL, dimension_reduce
 from .records import (
-    ALL_FIELDS,
     QUARTERS,
     WAREHOUSE_REQUIRED_FIELDS,
     CanonicalApplicant,
@@ -40,11 +41,11 @@ from .records import (
 )
 from .sources import (
     FieldDescriptor,
-    SchemaMapping,
     SourceSpec,
     render_dbf,
     render_delimited,
     render_fixed_width,
+    row_mapper,
 )
 
 MASK64 = (1 << 64) - 1
@@ -151,28 +152,73 @@ class GenConfig:
 
 
 # ---------------------------------------------------------------------------
-# City catalog: formats, layouts, schema mappings, wire encodings
+# City catalog: one source spec per city, and the dBASE file's own layout
 
 CITY_ORDER = ("tripoli", "misurata", "sirte")
-CITY_NAMES = {"tripoli": "Tripoli", "misurata": "Misurata", "sirte": "Sirte"}
 CITY_PREFIX = {"tripoli": "TRI", "misurata": "MIS", "sirte": "SIR"}
-CITY_FILES = {"tripoli": "tripoli.dat", "misurata": "misurata.csv", "sirte": "sirte.dbf"}
 
-TRIPOLI_LAYOUT = (
-    FieldDescriptor("ID_NO", "C", 12, 0),
-    FieldDescriptor("FULL_NAME", "C", 20, 12),
-    FieldDescriptor("SEX", "C", 6, 32),
-    FieldDescriptor("DISTRICT", "C", 14, 38),
-    FieldDescriptor("SPECIALTY", "C", 8, 52),
-    FieldDescriptor("JOB_GROUP", "C", 6, 60),
-    FieldDescriptor("SECTOR", "C", 8, 66),
-    FieldDescriptor("MOAHEL", "C", 6, 74),
-    FieldDescriptor("EDU_LEVEL", "C", 12, 80),
-    FieldDescriptor("SVC_STATUS", "C", 10, 92),
-    FieldDescriptor("APP_YEAR", "N", 4, 102),
-    FieldDescriptor("APP_QTR", "C", 2, 106),
+_QTR_BY_INDEX = {str(i + 1): q for i, q in enumerate(QUARTERS)}
+
+CITY_SPECS = (
+    SourceSpec(
+        "tripoli", "Tripoli", "fixed_width", "tripoli.dat",
+        field_map={
+            "national_id": "ID_NO", "name": "FULL_NAME", "sex": "SEX",
+            "district": "DISTRICT", "specialty": "SPECIALTY", "job_group": "JOB_GROUP",
+            "sector": "SECTOR", "moahel": "MOAHEL", "education_level": "EDU_LEVEL",
+            "service_status": "SVC_STATUS", "year": "APP_YEAR", "quarter": "APP_QTR",
+        },
+        layout=(
+            FieldDescriptor("ID_NO", "C", 12, 0),
+            FieldDescriptor("FULL_NAME", "C", 20, 12),
+            FieldDescriptor("SEX", "C", 6, 32),
+            FieldDescriptor("DISTRICT", "C", 14, 38),
+            FieldDescriptor("SPECIALTY", "C", 8, 52),
+            FieldDescriptor("JOB_GROUP", "C", 6, 60),
+            FieldDescriptor("SECTOR", "C", 8, 66),
+            FieldDescriptor("MOAHEL", "C", 6, 74),
+            FieldDescriptor("EDU_LEVEL", "C", 12, 80),
+            FieldDescriptor("SVC_STATUS", "C", 10, 92),
+            FieldDescriptor("APP_YEAR", "N", 4, 102),
+            FieldDescriptor("APP_QTR", "C", 2, 106),
+        ),
+    ),
+    SourceSpec(
+        "misurata", "Misurata", "delimited", "misurata.csv",
+        field_map={
+            "national_id": "nid", "name": "full_name", "sex": "sex",
+            "district": "district", "congress": "mothamer", "specialty": "specialty",
+            "job_group": "job_group", "sector": "sector", "moahel": "moahel",
+            "education_level": "edu_level", "service_status": "svc_status",
+            "year": "app_year", "quarter": "app_qtr",
+        },
+        value_codebooks={
+            "sex": {"1": "male", "2": "female"},
+            "education_level": {str(i + 1): v for i, v in enumerate(EDUCATION_LEVELS)},
+            "service_status": {str(i + 1): v for i, v in enumerate(SERVICES)},
+            "quarter": dict(_QTR_BY_INDEX),
+        },
+        encoding="utf-8",
+    ),
+    SourceSpec(
+        "sirte", "Sirte", "dbf", "sirte.dbf",
+        field_map={
+            "national_id": "NID", "name": "NAME", "sex": "SEX",
+            "district": "DISTRICT", "specialty": "SPEC", "job_group": "JOBGRP",
+            "sector": "SECTOR", "moahel": "MOAHEL", "education_level": "EDULVL",
+            "service_status": "SERVICE", "year": "YEAR", "quarter": "QTR",
+        },
+        value_codebooks={
+            "sex": {"M": "male", "F": "female"},
+            "education_level": {f"E{i + 1}": v for i, v in enumerate(EDUCATION_LEVELS)},
+            "service_status": {f"S{i + 1}": v for i, v in enumerate(SERVICES)},
+            "quarter": dict(_QTR_BY_INDEX),
+        },
+    ),
 )
+CITY_NAMES = {spec.source_id: spec.city for spec in CITY_SPECS}
 
+# A dBASE file describes itself, so its spec has no layout; the writer's is here.
 SIRTE_LAYOUT = (
     FieldDescriptor("NID", "C", 12, 0),
     FieldDescriptor("NAME", "C", 20, 12),
@@ -187,48 +233,6 @@ SIRTE_LAYOUT = (
     FieldDescriptor("YEAR", "N", 4, 79),
     FieldDescriptor("QTR", "N", 1, 83),
     FieldDescriptor("APPDATE", "D", 8, 84),
-)
-
-_QTR_BY_INDEX = {str(i + 1): q for i, q in enumerate(QUARTERS)}
-
-TRIPOLI_MAPPING = SchemaMapping(field_map={
-    "national_id": "ID_NO", "name": "FULL_NAME", "sex": "SEX",
-    "district": "DISTRICT", "specialty": "SPECIALTY", "job_group": "JOB_GROUP",
-    "sector": "SECTOR", "moahel": "MOAHEL", "education_level": "EDU_LEVEL",
-    "service_status": "SVC_STATUS", "year": "APP_YEAR", "quarter": "APP_QTR",
-})
-
-MISURATA_MAPPING = SchemaMapping(
-    field_map={
-        "national_id": "nid", "name": "full_name", "sex": "sex",
-        "district": "district", "congress": "mothamer", "specialty": "specialty",
-        "job_group": "job_group", "sector": "sector", "moahel": "moahel",
-        "education_level": "edu_level", "service_status": "svc_status",
-        "year": "app_year", "quarter": "app_qtr",
-    },
-    value_codebooks={
-        "sex": {"1": "male", "2": "female"},
-        "education_level": {str(i + 1): v for i, v in enumerate(EDUCATION_LEVELS)},
-        "service_status": {str(i + 1): v for i, v in enumerate(SERVICES)},
-        "quarter": dict(_QTR_BY_INDEX),
-    },
-)
-
-MISURATA_COLUMNS = tuple(MISURATA_MAPPING.field_map.values())
-
-SIRTE_MAPPING = SchemaMapping(
-    field_map={
-        "national_id": "NID", "name": "NAME", "sex": "SEX",
-        "district": "DISTRICT", "specialty": "SPEC", "job_group": "JOBGRP",
-        "sector": "SECTOR", "moahel": "MOAHEL", "education_level": "EDULVL",
-        "service_status": "SERVICE", "year": "YEAR", "quarter": "QTR",
-    },
-    value_codebooks={
-        "sex": {"M": "male", "F": "female"},
-        "education_level": {f"E{i + 1}": v for i, v in enumerate(EDUCATION_LEVELS)},
-        "service_status": {f"S{i + 1}": v for i, v in enumerate(SERVICES)},
-        "quarter": dict(_QTR_BY_INDEX),
-    },
 )
 
 # Variant spellings plantable as entry discrepancies, keyed by canonical
@@ -278,17 +282,6 @@ def normalize_codebooks() -> dict[str, dict[str, str]]:
     return {name: dict(sorted(book.items())) for name, book in sorted(books.items())}
 
 
-def build_source_specs() -> list[SourceSpec]:
-    return [
-        SourceSpec("tripoli", CITY_NAMES["tripoli"], "fixed_width",
-                   CITY_FILES["tripoli"], TRIPOLI_MAPPING, layout=TRIPOLI_LAYOUT),
-        SourceSpec("misurata", CITY_NAMES["misurata"], "delimited",
-                   CITY_FILES["misurata"], MISURATA_MAPPING, encoding="utf-8"),
-        SourceSpec("sirte", CITY_NAMES["sirte"], "dbf",
-                   CITY_FILES["sirte"], SIRTE_MAPPING),
-    ]
-
-
 def build_hierarchy_tree(config: GenConfig) -> dict:
     """{city: {congress: [districts]}} covering every generated address."""
     tree: dict = {}
@@ -304,34 +297,31 @@ def build_hierarchy_tree(config: GenConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Wire encoding of canonical records: the inverse of each source's mapping
+# Wire rows and sizing
 
 _QTR_MONTH = {"Q1": "02", "Q2": "05", "Q3": "08", "Q4": "11"}
 
 
-def _wire_dicts(spec: SourceSpec, entries: list) -> list[dict[str, str]]:
-    """Each record in the source's own field names and codes, with its planted
-    corruption laid over it, so that ingest maps it straight back."""
-    field_map = spec.mapping.field_map
-    encode = []
-    for canonical, wire_name in field_map.items():
-        book = spec.mapping.value_codebooks.get(canonical, {})
-        encode.append((wire_name, ALL_FIELDS.index(canonical),
-                       {value: code for code, value in book.items()}))
-    rows = []
-    for record, _, overlay in entries:
-        values = {wire_name: inverse[record[i]] if inverse else str(record[i])
-                  for wire_name, i, inverse in encode}
-        for canonical, planted in overlay.items():
-            values[field_map[canonical]] = planted
-        if spec.format == "dbf":    # the one wire field no mapping reads
-            values["APPDATE"] = f"{record.year}{_QTR_MONTH[record.quarter]}15"
-        rows.append(values)
+def _columns(spec: SourceSpec) -> tuple[str, ...]:
+    """A city file's column names, in file order."""
+    if spec.format == "delimited":
+        return tuple(spec.field_map.values())
+    return tuple(fd.name for fd in (SIRTE_LAYOUT if spec.format == "dbf" else spec.layout))
+
+
+def _wire_rows(spec: SourceSpec, entries: list) -> list[list[str]]:
+    """Each record as a row of the city's file, with its planted corruption
+    laid over it, so that ingest maps it straight back. No planted value is
+    one the codebooks translate, so they pass through them as they stand."""
+    columns = _columns(spec)
+    to_row = row_mapper(spec, columns)
+    rows = [to_row(record._replace(**overlay) if overlay else record)
+            for record, _, overlay in entries]
+    if spec.format == "dbf":    # the one column no mapping reads
+        appdate = columns.index("APPDATE")
+        for row, (record, _, _) in zip(rows, entries):
+            row[appdate] = f"{record.year}{_QTR_MONTH[record.quarter]}15"
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Sizing
 
 
 def _misurata_row_width() -> float:
@@ -340,15 +330,15 @@ def _misurata_row_width() -> float:
         "specialty": 7, "job_group": 5, "sector": 6 * DIRECTED_SHARE,
         "moahel": 5, "edu_level": 1, "svc_status": 1, "app_year": 4, "app_qtr": 1,
     }
-    return sum(widths.values()) + len(MISURATA_COLUMNS) - 1 + 1
+    return sum(widths.values()) + len(widths)   # a delimiter after each value, or a newline
 
 
-def _render(config: GenConfig, spec: SourceSpec, rows: Sequence[dict[str, str]]) -> bytes:
+def _render(config: GenConfig, spec: SourceSpec, rows: Sequence[Sequence[str]]) -> bytes:
     """A city's file: its wire rows in the spec's format."""
     if spec.format == "fixed_width":
         return render_fixed_width(rows, spec.layout)
     if spec.format == "delimited":
-        return render_delimited(rows, MISURATA_COLUMNS, spec.delimiter)
+        return render_delimited(rows, _columns(spec), spec.delimiter)
     return render_dbf(rows, SIRTE_LAYOUT, (max(0, config.year_to - 1900) & 0xFF, 12, 28))
 
 
@@ -356,12 +346,12 @@ def _persons_from_targets(config: GenConfig) -> dict[str, int]:
     """Back out person counts from byte targets, correcting for the extra
     rows duplicate copies will add to each file."""
     base: dict[str, float] = {}
-    for spec in build_source_specs():
+    for spec in CITY_SPECS:
         target = config.target_bytes[spec.source_id]
         # the writer's own framing; a delimited row's width is an estimate
         overhead = len(_render(config, spec, []))
         width = (_misurata_row_width() if spec.format == "delimited"
-                 else len(_render(config, spec, [{}])) - overhead)
+                 else len(_render(config, spec, [("",) * len(_columns(spec))])) - overhead)
         if target < overhead + width:
             raise UnsatisfiableSize(
                 f"{spec.source_id}: {target} bytes cannot hold one {width:.0f}-byte record")
@@ -559,19 +549,18 @@ def _write_outputs(config: GenConfig, out: Path, wire: dict[str, list],
 
     files: dict[str, Path] = {}
     specs = []
-    for spec in build_source_specs():
+    for spec in CITY_SPECS:
         path = out / spec.path
-        path.write_bytes(_render(config, spec, _wire_dicts(spec, wire[spec.source_id])))
+        path.write_bytes(_render(config, spec, _wire_rows(spec, wire[spec.source_id])))
         files[spec.source_id] = path
 
         entry: dict = {
             "source_id": spec.source_id, "city": spec.city, "format": spec.format,
             "path": spec.path, "encoding": spec.encoding,
-            "field_map": dict(spec.mapping.field_map),
+            "field_map": dict(spec.field_map),
         }
-        if spec.mapping.value_codebooks:
-            entry["value_codebooks"] = {k: dict(v) for k, v in
-                                        spec.mapping.value_codebooks.items()}
+        if spec.value_codebooks:
+            entry["value_codebooks"] = {k: dict(v) for k, v in spec.value_codebooks.items()}
         if spec.format == "delimited":
             entry["delimiter"] = spec.delimiter
         if spec.layout:

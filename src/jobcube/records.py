@@ -110,7 +110,7 @@ MEMBER_GETTERS: dict[str, Callable[[CanonicalApplicant], str]] = {
 
 
 def write_csv(target: str | Path | TextIO, header: Sequence,
-              rows: Iterable[Sequence]) -> int:
+              rows: Iterable[Sequence], delimiter: str = ",") -> int:
     """Write a header row and rows as CSV with LF line ends. Returns the row
     count (header excluded). target is a path or an open text stream.
 
@@ -121,14 +121,15 @@ def write_csv(target: str | Path | TextIO, header: Sequence,
     """
     if isinstance(target, (str, Path)):
         with open(target, "w", newline="", encoding="utf-8") as fh:
-            return write_csv(fh, header, rows)
-    plain = csv.writer(target, lineterminator="\n")
-    quote_all = csv.writer(target, lineterminator="\n", quoting=csv.QUOTE_ALL)
+            return write_csv(fh, header, rows, delimiter)
+    plain = csv.writer(target, delimiter=delimiter, lineterminator="\n")
+    quote_all = csv.writer(target, delimiter=delimiter, lineterminator="\n",
+                           quoting=csv.QUOTE_ALL)
     plain.writerow(header)
     rows, n = iter(rows), 0
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows(chunk)
+        csv.writer(buffer, delimiter=delimiter, lineterminator="\n").writerows(chunk)
         if "\r" not in buffer.getvalue():
             target.write(buffer.getvalue())
         else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from .cube import AggregateQuery, Cube, ResultTable, YearSpan, aggregate
 from .errors import ConfigError
@@ -79,16 +79,22 @@ def run_report(cube: Cube, spec: ReportSpec) -> ResultTable:
     return table
 
 
-def write_result(table: ResultTable, path: str | Path, format: str = "csv") -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if format == "csv":
-        write_csv(path, table.columns, table.rows)
-    elif format == "table":
-        path.write_text(render_text_table(table) + "\n", encoding="utf-8")
-    else:
+def write_result(table: ResultTable, target: str | Path | TextIO,
+                 format: str = "csv") -> Path | TextIO:
+    """Write the table as CSV or as a text table to a path, making its parent
+    directories, or to an open text stream. Returns the target, a path as a Path."""
+    if format not in ("csv", "table"):
         raise ConfigError(f"unknown output format {format!r}")
-    return path
+    if isinstance(target, (str, Path)):
+        target = Path(target)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        with open(target, "w", newline="", encoding="utf-8") as fh:
+            write_result(table, fh, format)
+    elif format == "csv":
+        write_csv(target, table.columns, table.rows)
+    else:
+        target.write(render_text_table(table) + "\n")
+    return target
 
 
 def render_text_table(table: ResultTable) -> str:

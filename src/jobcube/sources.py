@@ -1,9 +1,14 @@
 """Readers and writers for three legacy personnel-file formats, plus the
-schema mapping that unifies them into :class:`~jobcube.records.CanonicalApplicant`.
+mapping in both directions between their rows and
+:class:`~jobcube.records.CanonicalApplicant`.
 
 * dBASE III table files (version byte 0x03, field types C/N/D)
 * fixed-width flat files described by a column layout
 * delimiter-separated text with a header row
+
+A row is its text values in the file's own column order. Each reader returns
+the file's column names once and its rows as value sequences; each writer
+takes rows in the column order of its layout or header.
 
 In both fixed-position formats a field is the byte slice [offset,
 offset+length) of its line or record body, decoded on its own and padded with
@@ -13,8 +18,11 @@ and stripped on both sides.
 Codecs are pure functions over bytes; nothing here touches the filesystem
 except :func:`ingest_sources`, which drives the full read-and-map pass.
 
-:func:`record_mapper` resolves each source's field map and codebooks once into
-one row function. A key naming no mappable canonical field is a ConfigError.
+A :class:`SourceSpec` holds a source's field map and codebooks, as
+`sources.yaml` spells them; a key naming no mappable canonical field is a
+ConfigError. :func:`record_mapper` resolves them once per file, against the
+file's columns, into one row function; :func:`row_mapper`, its inverse, turns
+a record into a row in a given column order.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     ConfigError,
@@ -40,7 +48,7 @@ from .errors import (
     TruncatedFile,
     UnsupportedFieldType,
 )
-from .records import ALL_FIELDS, CanonicalApplicant, derive_status, parse_year
+from .records import ALL_FIELDS, CanonicalApplicant, derive_status, parse_year, write_csv
 
 # The padding rule of both fixed-position formats, per field kind: the
 # %-format flag that aligns a written value, and the strip that undoes it.
@@ -64,6 +72,10 @@ FIXED_FIELDS = frozenset({"city", "status", "source_id"})
 
 _STATUS, _YEAR, _QUARTER, _SECTOR = map(ALL_FIELDS.index, ("status", "year", "quarter", "sector"))
 
+# A parsed file: its column names in file order, and each row's text values
+# in that order.
+Parsed = tuple[tuple[str, ...], list[Sequence[str]]]
+
 
 @dataclass(frozen=True)
 class FieldDescriptor:
@@ -80,44 +92,21 @@ class FieldDescriptor:
     decimals: int = 0
 
 
-class RawRecord(NamedTuple):
-    """A parsed source row: text field values keyed by source field name."""
-
-    source_id: str
-    values: dict[str, str]
-
-
 @dataclass(frozen=True)
-class SchemaMapping:
-    """How one source's fields become canonical fields.
+class SourceSpec:
+    """One source file and how its columns become canonical fields.
 
-    field_map: canonical field -> source field name.
+    field_map: canonical field -> source column name.
     value_codebooks: canonical field -> {source code -> canonical code};
     lookups are exact, untranslated codes pass through and are counted.
     """
 
-    field_map: dict[str, str]
-    value_codebooks: dict[str, dict[str, str]] = field(default_factory=dict)
-
-    def require_mandatory(self, where: str = "mapping") -> None:
-        missing = [f for f in MANDATORY_MAPPED if f not in self.field_map]
-        if missing:
-            raise ConfigError(f"{where}: lacks mandatory canonical fields: {missing}")
-        for name in self.field_map:
-            if name not in ALL_FIELDS or name in FIXED_FIELDS:
-                raise ConfigError(f"{where}: field_map key {name!r} is not a mappable field")
-        for name in self.value_codebooks:
-            if name not in self.field_map:
-                raise ConfigError(f"{where}: value_codebooks key {name!r} is not mapped")
-
-
-@dataclass(frozen=True)
-class SourceSpec:
     source_id: str
     city: str
     format: str                     # 'dbf' | 'fixed_width' | 'delimited'
     path: str
-    mapping: SchemaMapping
+    field_map: dict[str, str]
+    value_codebooks: dict[str, dict[str, str]] = field(default_factory=dict)
     encoding: str = "ascii"
     delimiter: str = ","
     layout: tuple[FieldDescriptor, ...] = ()
@@ -139,7 +128,16 @@ class SourceSpec:
                 and ascii_text.encode(self.encoding, "replace") != ascii_text.encode()):
             raise ConfigError(f"{self.source_id}: a {self.format} source needs an "
                               f"ASCII-compatible encoding, not {self.encoding!r}")
-        self.mapping.require_mandatory(self.source_id)
+        missing = [f for f in MANDATORY_MAPPED if f not in self.field_map]
+        if missing:
+            raise ConfigError(f"{self.source_id}: lacks mandatory canonical fields: {missing}")
+        for name in self.field_map:
+            if name not in ALL_FIELDS or name in FIXED_FIELDS:
+                raise ConfigError(f"{self.source_id}: field_map key {name!r} is not a "
+                                  f"mappable field")
+        for name in self.value_codebooks:
+            if name not in self.field_map:
+                raise ConfigError(f"{self.source_id}: value_codebooks key {name!r} is not mapped")
 
 
 def validate_layout(layout: Iterable[FieldDescriptor]) -> None:
@@ -168,7 +166,7 @@ def validate_layout(layout: Iterable[FieldDescriptor]) -> None:
 
 
 def _field_reader(layout: Sequence[FieldDescriptor], encoding: str, where: str,
-                  ) -> Callable[[bytes, int, int], dict[str, str]]:
+                  ) -> Callable[[bytes, int, int], tuple[str, ...]]:
     """read(buf, pos, row_no): each field's bytes at pos + [offset, offset+length),
     decoded and unpadded; a DecodeError names `where`, the row and the field."""
     fmt, end = "", 0
@@ -176,59 +174,66 @@ def _field_reader(layout: Sequence[FieldDescriptor], encoding: str, where: str,
         fmt += f"{fd.offset - end}x{fd.length}s"
         end = fd.offset + fd.length
     unpack = struct.Struct(fmt).unpack_from
-    names = [fd.name for fd in layout]
     strips = [_PADDING[fd.kind][1] for fd in layout]
 
-    def read(buf: bytes, pos: int, row_no: int) -> dict[str, str]:
+    def read(buf: bytes, pos: int, row_no: int) -> tuple[str, ...]:
         chunks = unpack(buf, pos)
         try:
-            return {name: strip(chunk.decode(encoding), " ")
-                    for name, strip, chunk in zip(names, strips, chunks)}
+            return tuple([strip(chunk.decode(encoding), " ")
+                          for strip, chunk in zip(strips, chunks)])
         except UnicodeDecodeError as exc:
             # the first chunk equal to the failing one is the one that failed
-            name = names[chunks.index(exc.object)]
+            name = layout[chunks.index(exc.object)].name
             raise DecodeError(f"{where} {row_no}: field {name!r}: {exc}") from None
 
     return read
 
 
 def _row_writer(layout: Sequence[FieldDescriptor], where: str, head: str = "",
-                tail: str = "") -> Callable[[Iterable[Mapping[str, str]]], bytes]:
-    """write(rows): ASCII bytes of, per row, `head`, each field padded at its
-    offset (gaps are spaces, a missing field blank), `tail`. A FieldOverflow
-    or a non-ASCII InvalidFieldValue names `where`, the row and the field."""
+                tail: str = "") -> Callable[[Iterable[Sequence[str]]], bytes]:
+    """write(rows): ASCII bytes of, per row in layout order, `head`, each field
+    padded at its offset (gaps are spaces), `tail`. A FieldOverflow, a
+    non-ASCII value or, where `tail` ends a line, a value holding a line
+    break raises naming `where`, the row and the field."""
     fmt, end = head, 0
     for fd in layout:
         fmt += " " * (fd.offset - end) + f"%{_PADDING[fd.kind][0]}{fd.length}s"
         end = fd.offset + fd.length
     fmt += tail
     width = len(fmt % (("",) * len(layout)))
-    names = [fd.name for fd in layout]
 
-    def write(rows: Iterable[Mapping[str, str]]) -> bytes:
+    def field_at(line: str, pos: int) -> tuple[FieldDescriptor, str]:
+        """The field at character pos of a rendered line, and its value."""
+        fd = next(fd for fd in layout if pos < len(head) + fd.offset + fd.length)
+        start = len(head) + fd.offset
+        return fd, _PADDING[fd.kind][1](line[start:start + fd.length], " ")
+
+    def write(rows: Iterable[Sequence[str]]) -> bytes:
         out = []
-        for i, row in enumerate(rows):
-            values = tuple([row.get(name, "") for name in names])
-            out.append(fmt % values)
+        for i, values in enumerate(rows):
+            out.append(fmt % tuple(values))
             if len(out[-1]) != width:
                 fd, value = next((fd, value) for fd, value in zip(layout, values)
                                  if len(value) > fd.length)
                 raise FieldOverflow(f"{where} {i}: {fd.name}={value!r} exceeds {fd.length} bytes")
+        text = "".join(out)
+        if "\n" in tail and text.count("\n") != len(out):   # a reader would split the line
+            i = next(i for i, line in enumerate(out) if "\n" in line[:-1])
+            fd, value = field_at(out[i], out[i].index("\n"))
+            raise InvalidFieldValue(f"{where} {i}: {fd.name}={value!r} holds a line break")
         try:
-            return "".join(out).encode("ascii")
+            return text.encode("ascii")
         except UnicodeEncodeError as exc:   # head, gaps and tail are ASCII; a field is not
             i, pos = divmod(exc.start, width)
-            fd = next(fd for fd in layout if pos < len(head) + fd.offset + fd.length)
-            start = len(head) + fd.offset
-            value = _PADDING[fd.kind][1](out[i][start:start + fd.length], " ")
+            fd, value = field_at(out[i], pos)
             raise InvalidFieldValue(f"{where} {i}: {fd.name}={value!r} is not ASCII") from None
 
     return write
 
 
 def parse_fixed_width(data: bytes | str, layout: Iterable[FieldDescriptor], *,
-                      encoding: str = "ascii", source_id: str = "") -> list[RawRecord]:
-    """One record per line, fields read by the fixed-position rule (a str is
+                      encoding: str = "ascii", source_id: str = "") -> Parsed:
+    """One row per line, fields read by the fixed-position rule (a str is
     encoded first). Lines shorter than the layout extent are an error; longer
     lines keep their tail bytes unread."""
     layout = tuple(layout)
@@ -238,16 +243,16 @@ def parse_fixed_width(data: bytes | str, layout: Iterable[FieldDescriptor], *,
     extent = layout[-1].offset + layout[-1].length
     read = _field_reader(layout, encoding, f"{source_id}: line")
     lines = data.removesuffix(b"\n").split(b"\n") if data else []
-    records: list[RawRecord] = []
+    rows = []
     for line_no, line in enumerate(lines, start=1):
         if len(line) < extent:
             raise ShortLine(f"{source_id}: line {line_no}: {len(line)} bytes, "
                             f"layout needs {extent}")
-        records.append(RawRecord(source_id, read(line, 0, line_no)))
-    return records
+        rows.append(read(line, 0, line_no))
+    return tuple(fd.name for fd in layout), rows
 
 
-def render_fixed_width(rows: Iterable[Mapping[str, str]],
+def render_fixed_width(rows: Iterable[Sequence[str]],
                        layout: Sequence[FieldDescriptor]) -> bytes:
     """One line per row, each field at its layout offset."""
     layout = tuple(layout)
@@ -261,14 +266,15 @@ def render_fixed_width(rows: Iterable[Mapping[str, str]],
 
 @dataclass(frozen=True)
 class DbfFile:
-    """A fully decoded table file, header facts included."""
+    """A fully decoded table file, header facts included; its rows are the
+    live records, in field order."""
 
     last_update: tuple[int, int, int]   # (yy, mm, dd) as stored
     record_count: int
     header_len: int
     record_len: int
     fields: tuple[FieldDescriptor, ...]
-    records: tuple[RawRecord, ...]
+    rows: list[tuple[str, ...]]
     deleted: int
 
 
@@ -319,19 +325,20 @@ def read_dbf(data: bytes, *, encoding: str = "ascii", source_id: str = "") -> Db
             f"{source_id}: {record_count} records need {need} bytes, file has {len(data)}")
 
     read = _field_reader(fields, encoding, f"{source_id}: record")
-    records = [RawRecord(source_id, read(data, pos + 1, record_no))
-               for record_no, pos in enumerate(range(header_len, need, record_len), start=1)
-               if data[pos] != DBF_DELETED_FLAG]
+    rows = [read(data, pos + 1, record_no)
+            for record_no, pos in enumerate(range(header_len, need, record_len), start=1)
+            if data[pos] != DBF_DELETED_FLAG]
 
     return DbfFile((yy, mm, dd), record_count, header_len, record_len, tuple(fields),
-                   tuple(records), record_count - len(records))
+                   rows, record_count - len(rows))
 
 
-def parse_dbf(data: bytes, *, encoding: str = "ascii", source_id: str = "") -> list[RawRecord]:
-    return list(read_dbf(data, encoding=encoding, source_id=source_id).records)
+def parse_dbf(data: bytes, *, encoding: str = "ascii", source_id: str = "") -> Parsed:
+    table = read_dbf(data, encoding=encoding, source_id=source_id)
+    return tuple(fd.name for fd in table.fields), table.rows
 
 
-def render_dbf(rows: Sequence[Mapping[str, str]],
+def render_dbf(rows: Sequence[Sequence[str]],
                layout: Sequence[FieldDescriptor],
                last_update: tuple[int, int, int] = (80, 1, 1)) -> bytes:
     """dBASE III bytes: header, field descriptors, terminator, live records,
@@ -359,7 +366,9 @@ def render_dbf(rows: Sequence[Mapping[str, str]],
 
 
 def parse_delimited(data: bytes | str, delimiter: str = ",", has_header: bool = True, *,
-                    encoding: str = "utf-8", source_id: str = "") -> list[RawRecord]:
+                    encoding: str = "utf-8", source_id: str = "") -> Parsed:
+    """Without a header the columns are named f0, f1, ...; a header that
+    repeats a name keeps both columns."""
     if isinstance(data, bytes):
         try:
             text = data.decode(encoding)
@@ -373,32 +382,29 @@ def parse_delimited(data: bytes | str, delimiter: str = ",", has_header: bool = 
     except csv.Error as exc:
         raise MalformedCsv(f"{source_id}: line {reader.line_num}: {exc}") from None
     if not rows:
-        return []
+        return (), []
     if has_header:
-        names, data_rows, first_no = rows[0], rows[1:], 2
+        names, first_no = tuple(rows.pop(0)), 2
     else:
-        names, data_rows, first_no = [f"f{i}" for i in range(len(rows[0]))], rows, 1
-    records: list[RawRecord] = []
-    for row_no, row in enumerate(data_rows, start=first_no):
+        names, first_no = tuple(f"f{i}" for i in range(len(rows[0]))), 1
+    for row_no, row in enumerate(rows, start=first_no):
         if len(row) != len(names):
             raise RaggedRow(f"{source_id}: row {row_no}: {len(row)} fields, "
                             f"expected {len(names)}")
-        records.append(RawRecord(source_id, dict(zip(names, row))))
-    return records
+    return names, rows
 
 
-def render_delimited(rows: Iterable[Mapping[str, str]], columns: Sequence[str],
+def render_delimited(rows: Iterable[Sequence[str]], columns: Sequence[str],
                      delimiter: str = ",") -> bytes:
+    """A header row of the columns, then the rows in that order, by the
+    quoting rule of `records.write_csv`."""
     buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row.get(c, "") for c in columns])
+    write_csv(buf, columns, rows, delimiter)
     return buf.getvalue().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
-# Mapping into the canonical record
+# Mapping between rows and canonical records
 
 
 @dataclass
@@ -442,35 +448,39 @@ class IngestReport:
         return lines
 
 
-def record_mapper(spec: SourceSpec, counters: SourceCounters | None = None,
-                  ) -> Callable[[RawRecord], CanonicalApplicant]:
-    """A validated spec's row function: field map and codebooks applied (an
-    untranslated code passes through and is counted), city and source id
-    fixed, status derived. It raises MissingMandatoryField for a row lacking a
-    mapped field, InvalidFieldValue for a bad year or a blank quarter."""
+def record_mapper(spec: SourceSpec, columns: Sequence[str],
+                  counters: SourceCounters | None = None,
+                  ) -> Callable[[Sequence[str]], CanonicalApplicant]:
+    """A validated spec's row function for a file with these columns: field
+    map and codebooks applied (an untranslated code passes through and is
+    counted), city and source id fixed, status derived. A column named twice
+    is read from its last place. It raises MissingMandatoryField for every row
+    if the file lacks a mapped column, InvalidFieldValue for a bad year or a
+    blank quarter."""
     sid = spec.source_id
-    field_map = spec.mapping.field_map
-    mapped = [name for name in ALL_FIELDS if name in field_map]
-    # The text of unmapped fields, city, source id, then the mapped fields' wire
-    # values (three or more: a tuple), reordered into ALL_FIELDS positions.
+    place = {name: i for i, name in enumerate(columns)}
+    lacking = [(canonical, wire) for canonical, wire in spec.field_map.items()
+               if wire not in place]
+    if lacking:
+        canonical, wire = lacking[0]
+
+        def reject(values: Sequence[str]) -> CanonicalApplicant:
+            raise MissingMandatoryField(f"{sid}: row lacks field {wire!r} (for {canonical})")
+
+        return reject
+    # The text of unmapped fields, city and source id, then the row's values,
+    # picked into ALL_FIELDS positions.
     fixed = ("", spec.city, sid)
-    pick = itemgetter(*(field_map[name] for name in mapped))
-    slots = {"city": 1, "source_id": 2} | {name: i for i, name in enumerate(mapped, 3)}
+    slots = {"city": 1, "source_id": 2} | {name: 3 + place[wire]
+                                           for name, wire in spec.field_map.items()}
     arrange = itemgetter(*(slots.get(name, 0) for name in ALL_FIELDS))
     coded = tuple((ALL_FIELDS.index(name), name, book)
-                  for name, book in spec.mapping.value_codebooks.items())
+                  for name, book in spec.value_codebooks.items())
     count = (counters or SourceCounters()).count_untranslatable
     make = CanonicalApplicant._make
 
-    def to_record(raw: RawRecord) -> CanonicalApplicant:
-        try:
-            picked = pick(raw.values)
-        except KeyError:
-            canonical, wire = next(pair for pair in field_map.items()
-                                   if pair[1] not in raw.values)
-            raise MissingMandatoryField(
-                f"{sid}: row lacks field {wire!r} (for {canonical})") from None
-        row = list(arrange(fixed + picked))
+    def to_record(values: Sequence[str]) -> CanonicalApplicant:
+        row = list(arrange((*fixed, *values)))
         for pos, name, book in coded:
             code = row[pos]
             if code and code in book:
@@ -490,14 +500,36 @@ def record_mapper(spec: SourceSpec, counters: SourceCounters | None = None,
     return to_record
 
 
-def parse_source(data: bytes, spec: SourceSpec,
-                 report: IngestReport | None = None) -> list[RawRecord]:
+def row_mapper(spec: SourceSpec, columns: Sequence[str],
+               ) -> Callable[[CanonicalApplicant], list[str]]:
+    """The inverse of record_mapper: a record as a row in `columns` order.
+    Each mapped value is written as text through its codebook run backwards
+    (a value the book lacks passes through, as an untranslated code does
+    forwards); a column the field map does not name is blank. Where canonical
+    fields share a column, the last in map order fills it."""
+    named = {wire: canonical for canonical, wire in spec.field_map.items()}
+    blank = len(ALL_FIELDS)         # the position of the "" after a record's fields
+    take = [ALL_FIELDS.index(named[c]) if c in named else blank for c in columns]
+    coded = [(i, {value: code for code, value in spec.value_codebooks[named[c]].items()})
+             for i, c in enumerate(columns) if named.get(c) in spec.value_codebooks]
+
+    def to_row(record: CanonicalApplicant) -> list[str]:
+        values = (*record, "")
+        row = [str(values[j]) for j in take]
+        for i, book in coded:
+            row[i] = book.get(row[i], row[i])
+        return row
+
+    return to_row
+
+
+def parse_source(data: bytes, spec: SourceSpec, report: IngestReport | None = None) -> Parsed:
     """Dispatch on the spec's format; counts deleted rows when applicable."""
     if spec.format == "dbf":
         table = read_dbf(data, encoding=spec.encoding, source_id=spec.source_id)
         if report is not None:
             report.counters(spec.source_id).deleted_skipped += table.deleted
-        return list(table.records)
+        return tuple(fd.name for fd in table.fields), table.rows
     if spec.format == "fixed_width":
         return parse_fixed_width(data, spec.layout, encoding=spec.encoding,
                                  source_id=spec.source_id)
@@ -520,13 +552,13 @@ def ingest_sources(specs: Iterable[SourceSpec], base_dir: str | Path,
     for spec in specs:
         spec.validate()
         data = (base / spec.path).read_bytes()
-        rows = parse_source(data, spec, report)
+        columns, rows = parse_source(data, spec, report)
         counters = report.counters(spec.source_id)
-        to_record = record_mapper(spec, counters)
+        to_record = record_mapper(spec, columns, counters)
         before = len(out)
-        for row_no, raw in enumerate(rows, start=1):
+        for row_no, values in enumerate(rows, start=1):
             try:
-                out.append(to_record(raw))
+                out.append(to_record(values))
             except (MissingMandatoryField, InvalidFieldValue) as exc:
                 report.rejects.append(RejectedRow(spec.source_id, row_no, str(exc)))
         ok = len(out) - before

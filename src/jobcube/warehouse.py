@@ -1,10 +1,10 @@
 """Star schema: six dimension tables, one fact table of additive counts.
 
 The fact table is one read-only (rows, 9) int64 array in FACT_COLUMNS order,
-rows in ascending id order. load_facts groups records into it with
-`group_rows`, the kernel the cube's roll-up and aggregate also use. A build is a
-refresh of the empty warehouse; either reads each record's members once, into
-lists that give both the new dimension members and the fact codes.
+rows in ascending id order. A build is a refresh of the empty warehouse;
+either reads each record's members once, into lists that give both the new
+dimension members and the fact codes, and groups the codes into facts with
+`group_rows`, the kernel the cube's roll-up and aggregate also use.
 
 Surrogate ids are dense (1..N) and assigned in sorted natural-key order, so a
 rebuild from the same records is bit-identical. A refresh keeps existing ids
@@ -81,9 +81,6 @@ class DimensionTable:
     name: str                       # display name, e.g. "EducationLevel"
     rows: tuple[DimensionRow, ...]
 
-    def id_map(self) -> dict[str, int]:
-        return {r.natural_key: r.surrogate_id for r in self.rows}
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -126,19 +123,6 @@ def _appended(rows: tuple[DimensionRow, ...], values: set[str], dim: str,
         for i, key in enumerate(sorted(values - known), 1))
 
 
-def build_dimensions(records: Sequence[CanonicalApplicant],
-                     year_range: tuple[int, int],
-                     hierarchy: ConceptHierarchy | None = None,
-                     ) -> dict[str, DimensionTable]:
-    """Distinct observed values per dimension, ids in sorted-key order: the
-    dimensions of `build_schema` over the records, which must load.
-
-    Time is exhaustive over the year range (years x 4 quarters) regardless of
-    what the records cover.
-    """
-    return build_schema(records, year_range, hierarchy).dimensions
-
-
 def group_rows(columns: list[np.ndarray], sizes: list[int],
                weights: Iterable[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Group rows by their key columns (column i holds codes below sizes[i]).
@@ -165,18 +149,13 @@ def group_rows(columns: list[np.ndarray], sizes: list[int],
     return key_columns, sums
 
 
-def load_facts(records: Sequence[CanonicalApplicant],
-               dims: Mapping[str, DimensionTable]) -> np.ndarray:
+def _facts(records: Sequence[CanonicalApplicant], members: Mapping[str, list],
+           dims: Mapping[str, DimensionTable]) -> np.ndarray:
     """Group records at the six-key grain and count the three measures.
 
     Returns the (rows, 9) int64 fact array. The first record holding a value
     outside its dimension, or a status neither seeker nor directed, raises.
     """
-    return _facts(records, _member_lists(records), dims)
-
-
-def _facts(records: Sequence[CanonicalApplicant], members: Mapping[str, list],
-           dims: Mapping[str, DimensionTable]) -> np.ndarray:
     n = len(records)
     columns, ids = [], []
     for dim in DIMENSIONS:

@@ -244,25 +244,25 @@ def test_5_format_round_trips(capsys):
                                    ("GRP", "C", 3), ("YEAR", "N", 4)):
             layout.append(FieldDescriptor(name, kind, length, offset))
             offset += length
-        rows = [{"ID": f"R{i:05d}",
-                 "NAME": f"NM{rnd.randrange(10**8):08d}",
-                 "GRP": rnd.choice(("A", "BB", "CCC")),
-                 "YEAR": str(rnd.randrange(1980, 2020))} for i in range(n)]
+        rows = [(f"R{i:05d}",
+                 f"NM{rnd.randrange(10**8):08d}",
+                 rnd.choice(("A", "BB", "CCC")),
+                 str(rnd.randrange(1980, 2020))) for i in range(n)]
 
         parsed = parse_fixed_width(render_fixed_width(rows, layout), layout)
-        assert [r.values for r in parsed] == rows
+        assert parsed == (("ID", "NAME", "GRP", "YEAR"), rows)
 
         columns = ("id", "name", "note", "year")
-        drows = [{"id": f"D{i}",
-                  "name": f"N,{i}" if i % 97 == 0 else f"N{i}",
-                  "note": "" if i % 3 else "checked",
-                  "year": str(2000 + i % 7)} for i in range(n)]
+        drows = [[f"D{i}",
+                  f"N,{i}" if i % 97 == 0 else f"N{i}",
+                  "" if i % 3 else "checked",
+                  str(2000 + i % 7)] for i in range(n)]
         parsed = parse_delimited(render_delimited(drows, columns))
-        assert [r.values for r in parsed] == drows
+        assert parsed == (columns, drows)
 
         blob = render_dbf(rows, layout, last_update=(95, 6, 30))
         dbf = read_dbf(blob)
-        assert [r.values for r in dbf.records] == rows
+        assert dbf.rows == rows
         assert dbf.record_count == n and dbf.deleted == 0
         record_len = 1 + sum(fd.length for fd in layout)
         header_len = 32 + 32 * len(layout) + 1
@@ -287,9 +287,9 @@ def test_6_refresh_matches_rebuild(capsys):
             refreshed = refresh(base, shuffled, hierarchy)
             assert logically_equal(refreshed, target)
             for dim in DIMENSIONS:
-                old_ids = base.dimensions[dim].id_map()
-                new_ids = refreshed.dimensions[dim].id_map()
-                assert all(new_ids[key] == sid for key, sid in old_ids.items())
+                new_ids = {r.natural_key: r.surrogate_id for r in refreshed.dimensions[dim].rows}
+                assert all(new_ids[r.natural_key] == r.surrogate_id
+                           for r in base.dimensions[dim].rows)
 
 
 def test_7_benchmark_speedup_at_scale(capsys, tmp_path):

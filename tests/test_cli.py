@@ -171,12 +171,15 @@ class TestHappyPath:
         header = capsys.readouterr().out.splitlines()[0]
         assert header == "congress_city,total"
 
-    def test_query_table_format(self, pipeline, capsys):
+    def test_query_table_format(self, pipeline, capsys, tmp_path):
+        """stdout carries the bytes --output writes, final newline included."""
         _, cfg = pipeline
-        assert main(["query", "-c", cfg, "--group-by", "service",
-                     "--format", "table"]) == 0
+        query = ["query", "-c", cfg, "--group-by", "service", "--format", "table"]
+        assert main(query) == 0
         out = capsys.readouterr().out
         assert "service" in out.splitlines()[0]
+        assert main(query + ["--output", str(tmp_path / "q.txt")]) == 0
+        assert out.encode("utf-8") == (tmp_path / "q.txt").read_bytes()
 
     def test_report_writes_configured_outputs(self, pipeline):
         tmp_path, cfg = pipeline

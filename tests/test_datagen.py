@@ -203,12 +203,12 @@ class TestWriters:
     def test_fixed_width_overflow(self):
         layout = (FieldDescriptor("A", "C", 3, 0),)
         with pytest.raises(FieldOverflow):
-            render_fixed_width([{"A": "WIDE"}], layout)
+            render_fixed_width([("WIDE",)], layout)
 
     def test_dbf_overflow(self):
         layout = (FieldDescriptor("A", "C", 3),)
         with pytest.raises(FieldOverflow):
-            render_dbf([{"A": "WIDE"}], layout)
+            render_dbf([("WIDE",)], layout)
 
     def test_dbf_rejects_long_field_names(self):
         with pytest.raises(ConfigError):
@@ -216,7 +216,7 @@ class TestWriters:
 
     def test_numeric_fields_right_justified(self):
         layout = (FieldDescriptor("N", "N", 5, 0),)
-        assert render_fixed_width([{"N": "42"}], layout) == b"   42\n"
+        assert render_fixed_width([("42",)], layout) == b"   42\n"
 
 
 class TestSizing:

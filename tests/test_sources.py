@@ -33,19 +33,19 @@ from jobcube.sources import (
     FIXED_FIELDS,
     MANDATORY_MAPPED,
     FieldDescriptor,
-    RawRecord,
-    SchemaMapping,
     SourceCounters,
     SourceSpec,
     ingest_sources,
     parse_dbf,
     parse_delimited,
     parse_fixed_width,
+    parse_source,
     read_dbf,
     record_mapper,
     render_dbf,
     render_delimited,
     render_fixed_width,
+    row_mapper,
     validate_layout,
 )
 
@@ -80,15 +80,15 @@ class TestDbf:
     def test_frozen_fixture_skips_deleted(self):
         table = read_dbf(build_frozen_dbf(), source_id="t")
         assert table.deleted == 1
-        assert len(table.records) == 1
-        assert table.records[0] == RawRecord("t", {"ID": "A001", "CITY": "Tripoli"})
+        assert table.rows == [("A001", "Tripoli")]
+        assert parse_dbf(build_frozen_dbf(), source_id="t") == (("ID", "CITY"), table.rows)
 
     def test_character_fields_keep_leading_spaces(self):
         data = bytearray(build_frozen_dbf())
         body = 97 + 1          # first record body
         data[body:body + 4] = b" A1 "
-        [rec] = parse_dbf(bytes(data))
-        assert rec.values["ID"] == " A1"
+        _, [row] = parse_dbf(bytes(data))
+        assert row[0] == " A1"
 
     def test_bad_version_byte(self):
         data = bytearray(build_frozen_dbf())
@@ -132,14 +132,14 @@ class TestDbf:
         data = bytearray(build_frozen_dbf())
         data[97 + 13] = ord("?")        # only 0x2A means deleted
         table = read_dbf(bytes(data))
-        assert len(table.records) == 2
+        assert len(table.rows) == 2
         assert table.deleted == 0
 
     def test_zero_record_file(self):
         layout = (FieldDescriptor("A", "C", 3),)
         table = read_dbf(render_dbf([], layout))
         assert table.record_count == 0
-        assert table.records == ()
+        assert table.rows == []
         assert table.header_len == 32 + 32 + 1
         assert table.record_len == 4
 
@@ -153,10 +153,9 @@ dbf_value = st.text(alphabet="ABCXYZ123", min_size=0, max_size=6)
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(dbf_value, st.integers(0, 9999)), max_size=20))
 def test_dbf_round_trip(rows_src):
-    rows = [{"CODE": code, "QTY": str(qty), "WHEN": "20040515"}
-            for code, qty in rows_src]
+    rows = [(code, str(qty), "20040515") for code, qty in rows_src]
     parsed = parse_dbf(render_dbf(rows, DBF_LAYOUT), source_id="x")
-    assert [r.values for r in parsed] == rows
+    assert parsed == (("CODE", "QTY", "WHEN"), rows)
 
 
 class TestFixedWidth:
@@ -165,9 +164,8 @@ class TestFixedWidth:
 
     def test_parses_and_strips_padding(self):
         text = "ab  ccc   2004\nx   y     1999\n"
-        records = parse_fixed_width(text, self.LAYOUT, source_id="s")
-        assert records[0].values == {"A": "ab", "B": "ccc", "Y": "2004"}
-        assert records[1].values == {"A": "x", "B": "y", "Y": "1999"}
+        assert parse_fixed_width(text, self.LAYOUT, source_id="s") == (
+            ("A", "B", "Y"), [("ab", "ccc", "2004"), ("x", "y", "1999")])
 
     def test_short_line_reports_position(self):
         with pytest.raises(ShortLine) as err:
@@ -175,14 +173,14 @@ class TestFixedWidth:
         assert "line 2" in str(err.value)
 
     def test_longer_lines_keep_tail_unread(self):
-        [rec] = parse_fixed_width("ab  ccc   2004TRAILING\n", self.LAYOUT)
-        assert rec.values["Y"] == "2004"
+        _, [row] = parse_fixed_width("ab  ccc   2004TRAILING\n", self.LAYOUT)
+        assert row[2] == "2004"
 
     def test_missing_final_newline_ok(self):
-        assert len(parse_fixed_width("ab  ccc   2004", self.LAYOUT)) == 1
+        assert len(parse_fixed_width("ab  ccc   2004", self.LAYOUT)[1]) == 1
 
     def test_empty_input(self):
-        assert parse_fixed_width("", self.LAYOUT) == []
+        assert parse_fixed_width("", self.LAYOUT) == (("A", "B", "Y"), [])
 
     def test_layout_validation(self):
         with pytest.raises(ConfigError):
@@ -204,9 +202,8 @@ fw_value = st.text(alphabet="abcXYZ09-", min_size=0, max_size=6)
 @given(st.lists(st.tuples(fw_value, fw_value), max_size=20))
 def test_fixed_width_round_trip(pairs):
     layout = (FieldDescriptor("A", "C", 6, 0), FieldDescriptor("B", "C", 6, 6))
-    rows = [{"A": a, "B": b} for a, b in pairs]
-    parsed = parse_fixed_width(render_fixed_width(rows, layout), layout)
-    assert [r.values for r in parsed] == rows
+    parsed = parse_fixed_width(render_fixed_width(pairs, layout), layout)
+    assert parsed == (("A", "B"), pairs)
 
 
 @st.composite
@@ -222,9 +219,9 @@ def fixed_position_rows(draw):
         offset += fd.length
     unpad = {"C": lambda s: s.rstrip(" "), "N": lambda s: s.strip(" "),
              "D": lambda s: s.strip(" ")}
-    rows = draw(st.lists(st.fixed_dictionaries({
-        fd.name: st.text(alphabet="aZ9- ", max_size=fd.length).map(unpad[fd.kind])
-        for fd in layout}), max_size=8))
+    rows = draw(st.lists(st.tuples(*(
+        st.text(alphabet="aZ9- ", max_size=fd.length).map(unpad[fd.kind])
+        for fd in layout)), max_size=8))
     return tuple(layout), rows
 
 
@@ -233,7 +230,7 @@ def fixed_position_rows(draw):
 def test_fixed_width_round_trip_any_layout(case):
     layout, rows = case
     parsed = parse_fixed_width(render_fixed_width(rows, layout), layout)
-    assert [r.values for r in parsed] == rows
+    assert parsed == (tuple(fd.name for fd in layout), rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,15 +240,15 @@ def test_dbf_round_trip_any_layout(case):
     the same rule as a fixed-width line."""
     layout, rows = case
     parsed = parse_dbf(render_dbf(rows, layout))
-    assert [r.values for r in parsed] == rows
+    assert parsed[1] == rows
     assert parsed == parse_fixed_width(render_fixed_width(rows, layout), layout)
 
 
 class TestFixedPositionFields:
     def test_fields_are_byte_slices(self):
         layout = (FieldDescriptor("A", "C", 4, 0), FieldDescriptor("B", "C", 3, 4))
-        [rec] = parse_fixed_width(b"Jo\xc3\xa9ABC", layout, encoding="utf-8")
-        assert rec.values == {"A": "Joé", "B": "ABC"}
+        _, [row] = parse_fixed_width(b"Jo\xc3\xa9ABC", layout, encoding="utf-8")
+        assert row == ("Joé", "ABC")
 
     def test_fixed_width_decode_error_names_source_line_and_field(self):
         layout = (FieldDescriptor("A", "C", 3, 0), FieldDescriptor("B", "C", 3, 3))
@@ -261,7 +258,7 @@ class TestFixedPositionFields:
 
     def test_dbf_decode_error_names_source_record_and_field(self):
         layout = (FieldDescriptor("A", "C", 2), FieldDescriptor("B", "C", 2))
-        blob = render_dbf([{"A": "ok", "B": "ok"}, {"A": "ok", "B": "zz"}], layout)
+        blob = render_dbf([("ok", "ok"), ("ok", "zz")], layout)
         with pytest.raises(DecodeError) as err:
             parse_dbf(blob.replace(b"zz", b"z\xff"), source_id="sirte")
         assert str(err.value).startswith("sirte: record 2: field 'B': 'ascii' codec ")
@@ -271,8 +268,21 @@ class TestFixedPositionFields:
     def test_writer_rejects_non_ascii_naming_row_and_field(self, render, where):
         layout = (FieldDescriptor("A", "C", 4, 0), FieldDescriptor("B", "N", 5, 4))
         with pytest.raises(InvalidFieldValue) as err:
-            render([{"A": "ok", "B": "1"}, {"A": "ok", "B": "Joé"}], layout)
+            render([("ok", "1"), ("ok", "Joé")], layout)
         assert str(err.value) == f"{where} 1: B='Joé' is not ASCII"
+
+    def test_fixed_width_writer_rejects_line_break_naming_row_and_field(self):
+        # the reader splits lines at LF, so the value would end its line early
+        layout = (FieldDescriptor("A", "C", 4, 0), FieldDescriptor("B", "N", 5, 4))
+        with pytest.raises(InvalidFieldValue) as err:
+            render_fixed_width([("ok", "1"), ("a\nb", "2")], layout)
+        assert str(err.value) == "row 1: A='a\\nb' holds a line break"
+
+    def test_dbf_writer_keeps_line_break(self):
+        # records are framed by length, so a line break is plain data
+        layout = (FieldDescriptor("A", "C", 4, 0), FieldDescriptor("B", "N", 5, 4))
+        rows = [("a\nb", "2")]
+        assert parse_dbf(render_dbf(rows, layout)) == (("A", "B"), rows)
 
     def test_writer_validates_its_layout(self):
         overlapping = (FieldDescriptor("A", "C", 3, 0), FieldDescriptor("B", "C", 3, 2))
@@ -282,13 +292,12 @@ class TestFixedPositionFields:
 
 class TestDelimited:
     def test_header_names_columns(self):
-        records = parse_delimited("a,b\n1,2\n3,4\n", source_id="d")
-        assert [r.values for r in records] == [{"a": "1", "b": "2"},
-                                               {"a": "3", "b": "4"}]
+        assert parse_delimited("a,b\n1,2\n3,4\n", source_id="d") == (
+            ("a", "b"), [["1", "2"], ["3", "4"]])
 
     def test_no_header_generates_names(self):
-        [rec] = parse_delimited("1,2,3\n", has_header=False)
-        assert rec.values == {"f0": "1", "f1": "2", "f2": "3"}
+        assert parse_delimited("1,2,3\n", has_header=False) == (
+            ("f0", "f1", "f2"), [["1", "2", "3"]])
 
     def test_ragged_row(self):
         with pytest.raises(RaggedRow) as err:
@@ -296,20 +305,26 @@ class TestDelimited:
         assert "row 3" in str(err.value)
 
     def test_quoted_values_with_delimiter(self):
-        [rec] = parse_delimited('a,b\n"x,y",2\n')
-        assert rec.values == {"a": "x,y", "b": "2"}
+        _, [row] = parse_delimited('a,b\n"x,y",2\n')
+        assert row == ["x,y", "2"]
 
     def test_values_kept_verbatim(self):
-        [rec] = parse_delimited("a,b\n x ,2\n")
-        assert rec.values["a"] == " x "
+        _, [row] = parse_delimited("a,b\n x ,2\n")
+        assert row[0] == " x "
 
     def test_empty_input(self):
-        assert parse_delimited("") == []
+        assert parse_delimited("") == ((), [])
 
     def test_stray_carriage_return_names_source_and_line(self):
         with pytest.raises(MalformedCsv) as err:
             parse_delimited(b"a,b\n1,x\ry\n", source_id="misurata")
         assert str(err.value).startswith("misurata: line 2: ")
+
+    def test_writer_quotes_a_row_holding_a_carriage_return(self):
+        # unquoted, the CR would end the record for a reader
+        blob = render_delimited([("x\ry", "2"), ("z", "3")], ("c1", "c2"))
+        assert blob == b'c1,c2\n"x\ry","2"\nz,3\n'
+        assert parse_delimited(blob) == (("c1", "c2"), [["x\ry", "2"], ["z", "3"]])
 
 
 @settings(max_examples=200, deadline=None)
@@ -322,110 +337,113 @@ def test_delimited_arbitrary_bytes_raise_only_jobcube_errors(data, has_header):
 
 
 delim_value = st.text(
-    alphabet=st.characters(codec="utf-8", exclude_characters="\r\n\x00"),
-    min_size=0, max_size=8)
+    alphabet=st.characters(codec="utf-8", exclude_characters="\x00")
+    | st.sampled_from("\r\n"), min_size=0, max_size=8)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(delim_value, delim_value), max_size=20))
-def test_delimited_round_trip(pairs):
-    rows = [{"c1": a, "c2": b} for a, b in pairs]
-    parsed = parse_delimited(render_delimited(rows, ("c1", "c2")))
-    assert [r.values for r in parsed] == rows
+@given(st.lists(st.lists(delim_value, min_size=2, max_size=2), max_size=20))
+def test_delimited_round_trip(rows):
+    assert parse_delimited(render_delimited(rows, ("c1", "c2"))) == (("c1", "c2"), rows)
 
 
 def make_spec(value_codebooks=None) -> SourceSpec:
-    mapping = SchemaMapping(
-        field_map={"national_id": "NID", "year": "YR", "quarter": "QTR",
-                   "sector": "SEC", "sex": "SX"},
-        value_codebooks=value_codebooks or {})
-    return SourceSpec("src", "CityX", "delimited", "x.csv", mapping)
+    return SourceSpec("src", "CityX", "delimited", "x.csv",
+                      field_map={"national_id": "NID", "year": "YR", "quarter": "QTR",
+                                 "sector": "SEC", "sex": "SX"},
+                      value_codebooks=value_codebooks or {})
+
+
+COLUMNS = ("NID", "YR", "QTR", "SEC", "SX")
+
+
+def map_row(spec, row, counters=None):
+    """The record one row of a file with COLUMNS maps to."""
+    return record_mapper(spec, COLUMNS, counters)(row)
 
 
 class TestMapping:
     def test_maps_fields_and_fixes_city(self):
         spec = make_spec()
-        rec = record_mapper(spec)(
-            RawRecord("src", {"NID": "N1", "YR": "2003", "QTR": "Q2",
-                              "SEC": "S9", "SX": "male"}))
+        rec = map_row(spec, ("N1", "2003", "Q2", "S9", "male"))
         assert (rec.national_id, rec.year, rec.quarter) == ("N1", 2003, "Q2")
         assert rec.city == "CityX"
         assert rec.source_id == "src"
 
+    def test_picks_by_position_in_any_column_order(self):
+        spec = make_spec()
+        to_record = record_mapper(spec, ("SX", "EXTRA", "QTR", "NID", "SEC", "YR"))
+        assert to_record(("male", "x", "Q2", "N1", "S9", "2003")) == map_row(
+            spec, ("N1", "2003", "Q2", "S9", "male"))
+
+    def test_repeated_column_reads_the_last(self):
+        # as a header read into a dict would
+        to_record = record_mapper(make_spec(), COLUMNS + ("SX",))
+        assert to_record(("N1", "2003", "Q2", "", "male", "female")).sex == "female"
+
     def test_status_follows_sector(self):
         spec = make_spec()
-        base = {"NID": "N1", "YR": "2003", "QTR": "Q2", "SX": "male"}
-        directed = record_mapper(spec)(RawRecord("src", base | {"SEC": "S9"}))
-        seeker = record_mapper(spec)(RawRecord("src", base | {"SEC": ""}))
+        directed = map_row(spec, ("N1", "2003", "Q2", "S9", "male"))
+        seeker = map_row(spec, ("N1", "2003", "Q2", "", "male"))
         assert directed.status == "directed"
         assert seeker.status == "seeker"
 
     def test_codebook_translates_exact_codes(self):
         spec = make_spec({"sex": {"1": "male", "2": "female"}})
         counters = SourceCounters()
-        rec = record_mapper(spec, counters)(
-            RawRecord("src", {"NID": "N1", "YR": "2003", "QTR": "Q2",
-                              "SEC": "", "SX": "2"}))
+        rec = map_row(spec, ("N1", "2003", "Q2", "", "2"), counters)
         assert rec.sex == "female"
         assert counters.untranslatable == {}
 
     def test_untranslatable_code_passes_through_and_counts(self):
         spec = make_spec({"sex": {"1": "male"}})
         counters = SourceCounters()
-        rec = record_mapper(spec, counters)(
-            RawRecord("src", {"NID": "N1", "YR": "2003", "QTR": "Q2",
-                              "SEC": "", "SX": "Male"}))
+        rec = map_row(spec, ("N1", "2003", "Q2", "", "Male"), counters)
         assert rec.sex == "Male"
         assert counters.untranslatable == {"sex": 1}
 
     def test_blank_code_is_neither_translated_nor_counted(self):
         spec = make_spec({"sex": {"": "male"}})
         counters = SourceCounters()
-        rec = record_mapper(spec, counters)(
-            RawRecord("src", {"NID": "N1", "YR": "2003", "QTR": "Q2",
-                              "SEC": "", "SX": ""}))
+        rec = map_row(spec, ("N1", "2003", "Q2", "", ""), counters)
         assert rec.sex == ""
         assert counters.untranslatable == {}
 
     def test_missing_mapped_field(self):
-        spec = make_spec()
-        with pytest.raises(MissingMandatoryField):
-            record_mapper(spec)(RawRecord("src", {"NID": "N1"}))
+        # every row is rejected, naming the first missing column in map order
+        to_record = record_mapper(make_spec(), ("NID", "SEC"))
+        for row in (("N1", ""), ("N2", "S9")):
+            with pytest.raises(MissingMandatoryField) as err:
+                to_record(row)
+            assert str(err.value) == "src: row lacks field 'YR' (for year)"
 
     def test_bad_year(self):
         spec = make_spec()
         with pytest.raises(InvalidFieldValue):
-            record_mapper(spec)(
-                RawRecord("src", {"NID": "N1", "YR": "MMIV", "QTR": "Q2",
-                                  "SEC": "", "SX": ""}))
+            map_row(spec, ("N1", "MMIV", "Q2", "", ""))
 
-    @pytest.mark.parametrize("year", ["2_003", "\u0662\u0660\u0660\u0663", "+2003",
+    @pytest.mark.parametrize("year", ["2_003", "\\u0662\\u0660\\u0660\\u0663", "+2003",
                                       "20 03", "--2003", ""])
     def test_year_must_be_ascii_digits(self, year):
         spec = make_spec()
         with pytest.raises(InvalidFieldValue, match="bad year"):
-            record_mapper(spec)(
-                RawRecord("src", {"NID": "N1", "YR": year, "QTR": "Q2",
-                                  "SEC": "", "SX": ""}))
+            map_row(spec, ("N1", year, "Q2", "", ""))
 
     @pytest.mark.parametrize("year, want", [("2003", 2003), (" 2003  ", 2003),
                                             ("-5", -5), ("02003", 2003)])
     def test_padded_year_is_stripped(self, year, want):
         spec = make_spec()
-        rec = record_mapper(spec)(
-            RawRecord("src", {"NID": "N1", "YR": year, "QTR": "Q2", "SEC": "", "SX": ""}))
-        assert rec.year == want
+        assert map_row(spec, ("N1", year, "Q2", "", "")).year == want
 
     def test_empty_quarter(self):
         spec = make_spec()
         with pytest.raises(InvalidFieldValue):
-            record_mapper(spec)(
-                RawRecord("src", {"NID": "N1", "YR": "2004", "QTR": " ",
-                                  "SEC": "", "SX": ""}))
+            map_row(spec, ("N1", "2004", " ", "", ""))
 
     def test_mapping_must_cover_mandatory_fields(self):
-        with pytest.raises(ConfigError):
-            SchemaMapping(field_map={"national_id": "NID"}).require_mandatory()
+        spec = SourceSpec("src", "CityX", "delimited", "x.csv", {"national_id": "NID"})
+        with pytest.raises(ConfigError, match="^src: lacks mandatory canonical fields"):
+            spec.validate()
 
     @pytest.mark.parametrize("field_map, codebooks, key", [
         pytest.param({"setor": "SEC"}, {}, "setor", id="misspelt_field"),
@@ -435,67 +453,104 @@ class TestMapping:
         pytest.param({}, {"sector": {"1": "S1"}}, "sector", id="codebook_on_unmapped"),
     ])
     def test_unknown_mapping_keys_fail_closed(self, field_map, codebooks, key):
-        mapping = SchemaMapping(
+        spec = SourceSpec(
+            "src", "CityX", "delimited", "x.csv",
             field_map={"national_id": "NID", "year": "YR", "quarter": "QTR"} | field_map,
             value_codebooks=codebooks)
-        spec = SourceSpec("src", "CityX", "delimited", "x.csv", mapping)
         with pytest.raises(ConfigError, match=f"^src: .*'{key}'"):
             spec.validate()
 
 
-def reference_map_to_canonical(record, mapping, source, counters=None):
+class TestRowMapper:
+    def test_writes_codes_in_column_order_and_blanks_the_rest(self):
+        spec = make_spec({"sex": {"1": "male", "2": "female"}})
+        record = map_row(spec, ("N1", "2003", "Q2", "S9", "2"))
+        to_row = row_mapper(spec, ("SX", "EXTRA", "YR", "NID", "QTR", "SEC"))
+        assert to_row(record) == ["2", "", "2003", "N1", "Q2", "S9"]
+
+    def test_value_outside_the_codebook_passes_through(self):
+        spec = make_spec({"sex": {"1": "male"}})
+        record = map_row(spec, ("N1", "2003", "Q2", "", "Male"))
+        assert row_mapper(spec, COLUMNS)(record) == ["N1", "2003", "Q2", "", "Male"]
+
+    def test_shared_column_takes_the_last_mapped_field(self):
+        spec = SourceSpec("src", "CityX", "delimited", "x.csv",
+                          field_map={"national_id": "NID", "name": "NID",
+                                     "year": "YR", "quarter": "QTR"})
+        record = CanonicalApplicant(national_id="N1", name="Ann", year=2003, quarter="Q2")
+        assert row_mapper(spec, ("NID", "YR", "QTR"))(record) == ["Ann", "2003", "Q2"]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+    def test_inverts_record_mapper_on_generated_files(self, tmp_path, name):
+        """Every row of every generated file maps to a record that the inverse
+        writes back as that row, less the columns no mapping reads, and that
+        row maps back to the same record."""
+        generate(PINNED_CONFIGS[name], tmp_path)
+        for spec in load_sources(tmp_path / "sources.yaml"):
+            columns, rows = parse_source((tmp_path / spec.path).read_bytes(), spec)
+            to_record, to_row = record_mapper(spec, columns), row_mapper(spec, columns)
+            read = set(spec.field_map.values())
+            for row in rows:
+                record = to_record(row)
+                back = to_row(record)
+                assert back == [v if c in read else "" for c, v in zip(columns, row)]
+                assert to_record(back) == record
+
+
+def reference_map_to_canonical(values, source, counters=None):
     """The per-row mapper that record_mapper replaced, kept as the reference
-    the row function must agree with."""
-    values: dict[str, str] = {}
-    for canonical, src_field in mapping.field_map.items():
-        if src_field not in record.values:
+    the row function must agree with; values maps each column name to its
+    text."""
+    picked: dict[str, str] = {}
+    for canonical, src_field in source.field_map.items():
+        if src_field not in values:
             raise MissingMandatoryField(
                 f"{source.source_id}: row lacks field {src_field!r} (for {canonical})")
-        values[canonical] = record.values[src_field]
+        picked[canonical] = values[src_field]
 
-    for field_name, book in mapping.value_codebooks.items():
-        raw = values.get(field_name, "")
+    for field_name, book in source.value_codebooks.items():
+        raw = picked.get(field_name, "")
         if raw == "":
             continue
         if raw in book:
-            values[field_name] = book[raw]
+            picked[field_name] = book[raw]
         elif counters is not None:
             counters.count_untranslatable(field_name)
 
-    year_text = values.pop("year", "").strip()
+    year_text = picked.pop("year", "").strip()
     try:
         year = parse_year(year_text)
     except ValueError:
         raise InvalidFieldValue(f"{source.source_id}: bad year {year_text!r}") from None
-    if values.get("quarter", "").strip() == "":
+    if picked.get("quarter", "").strip() == "":
         raise InvalidFieldValue(f"{source.source_id}: empty quarter")
 
-    sector = values.get("sector", "")
+    sector = picked.get("sector", "")
     return CanonicalApplicant(
-        national_id=values.get("national_id", ""),
-        name=values.get("name", ""),
-        sex=values.get("sex", ""),
-        district=values.get("district", ""),
-        congress=values.get("congress", ""),
+        national_id=picked.get("national_id", ""),
+        name=picked.get("name", ""),
+        sex=picked.get("sex", ""),
+        district=picked.get("district", ""),
+        congress=picked.get("congress", ""),
         city=source.city,
-        specialty=values.get("specialty", ""),
-        job_group=values.get("job_group", ""),
+        specialty=picked.get("specialty", ""),
+        job_group=picked.get("job_group", ""),
         sector=sector,
-        moahel=values.get("moahel", ""),
-        education_level=values.get("education_level", ""),
-        service_status=values.get("service_status", ""),
+        moahel=picked.get("moahel", ""),
+        education_level=picked.get("education_level", ""),
+        service_status=picked.get("service_status", ""),
         status=derive_status(sector),
         year=year,
-        quarter=values.get("quarter", ""),
+        quarter=picked.get("quarter", ""),
         source_id=source.source_id,
     )
 
 
 MAPPABLE = tuple(f for f in ALL_FIELDS if f not in FIXED_FIELDS)
-# Few wire names, so canonical fields often share one; a row lacks at most one.
+# Few wire names, so canonical fields often share one column.
 WIRES = ("A", "B", "C", "D", "E", "F")
 # Padded, signed and invalid years, blank quarters, codes and non-codes.
-TEXTS = ("", " ", "2003", " 2003 ", "2004", "-5", "0", "+2003", "20x3", "\u0662\u0660",
+TEXTS = ("", " ", "2003", " 2003 ", "2004", "-5", "0", "+2003", "20x3", "\\u0662\\u0660",
          "1", "2", "x", "Q2", " Q3")
 
 
@@ -509,12 +564,17 @@ def specs(draw) -> SourceSpec:
     books = {name: draw(st.dictionaries(st.sampled_from(("", "1", "2", "x", "2003")),
                                         st.sampled_from(TEXTS), max_size=3))
              for name in coded}
-    return SourceSpec("src", "CityX", "delimited", "x.csv",
-                      SchemaMapping(field_map=field_map, value_codebooks=books))
+    return SourceSpec("src", "CityX", "delimited", "x.csv", field_map, books)
 
 
-rows = st.lists(st.dictionaries(st.sampled_from(WIRES), st.sampled_from(TEXTS),
-                                min_size=len(WIRES) - 1), max_size=8)
+@st.composite
+def tables(draw) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
+    """A file's columns, the wire names in any order with one perhaps missing
+    and some repeated, and its rows."""
+    names = draw(st.permutations(WIRES))[draw(st.integers(0, 1)):]
+    columns = draw(st.permutations(names + draw(st.lists(st.sampled_from(names), max_size=2))))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(TEXTS)] * len(columns)), max_size=8))
+    return tuple(columns), rows
 
 
 def outcome(call, *args):
@@ -525,15 +585,15 @@ def outcome(call, *args):
 
 
 @settings(max_examples=60, deadline=None)
-@given(specs(), rows)
-def test_record_mapper_matches_reference(spec, values):
+@given(specs(), tables())
+def test_record_mapper_matches_reference(spec, table):
     spec.validate()
+    columns, rows = table
     want, got = SourceCounters(), SourceCounters()
-    to_record = record_mapper(spec, got)
-    for row in values:
-        raw = RawRecord("src", row)
-        assert outcome(to_record, raw) == outcome(
-            reference_map_to_canonical, raw, spec.mapping, spec, want)
+    to_record = record_mapper(spec, columns, got)
+    for row in rows:
+        assert outcome(to_record, row) == outcome(
+            reference_map_to_canonical, dict(zip(columns, row)), spec, want)
     assert list(got.untranslatable.items()) == list(want.untranslatable.items())
 
 
@@ -587,6 +647,18 @@ class TestIngest:
         assert counters.untranslatable == {"sex": 2}      # "7" on a rejected row too
         assert [(r.source_id, r.row_no, r.reason) for r in report.rejects] == [
             ("src", 2, "src: bad year '20x3'"), ("src", 3, "src: empty quarter")]
+
+    def test_missing_column_rejects_every_row(self, tmp_path):
+        (tmp_path / "x.csv").write_text("NID,YR,SEC,SX\nN1,2003,,1\nN2,20x3,,7\n",
+                                        encoding="utf-8")
+        records, report = ingest_sources([make_spec({"sex": {"1": "male"}})], tmp_path)
+        assert records == []
+        counters = report.per_source["src"]
+        assert (counters.records_read, counters.records_ok,
+                counters.records_rejected, counters.untranslatable) == (2, 0, 2, {})
+        assert [(r.row_no, r.reason) for r in report.rejects] == [
+            (1, "src: row lacks field 'QTR' (for quarter)"),
+            (2, "src: row lacks field 'QTR' (for quarter)")]
 
     @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
     def test_pinned_staging_bytes(self, tmp_path, name):
