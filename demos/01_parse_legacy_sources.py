@@ -16,7 +16,8 @@ from jobcube.config import load_sources
 from jobcube.datagen import GenConfig, generate
 from jobcube.sources import ingest_sources, parse_fixed_width, read_dbf
 
-out_dir = Path(tempfile.mkdtemp(prefix="jobcube_demo_"))
+workspace = tempfile.TemporaryDirectory(prefix="jobcube_demo_")    # removed at the end, or at exit on an error
+out_dir = Path(workspace.name)
 gen = generate(GenConfig(seed=7, counts={"tripoli": 60, "misurata": 40,
                                          "sirte": 25}), out_dir)
 print(f"wrote {len(gen.files)} source files under {out_dir}")
@@ -62,3 +63,5 @@ print(f"\nstaged {len(staged)} canonical records; first:")
 first = staged[0]
 print(f"  {first.national_id} {first.city} {first.year}{first.quarter} "
       f"education={first.education_level!r} status={first.status!r}")
+
+workspace.cleanup()

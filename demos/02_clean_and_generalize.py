@@ -17,7 +17,8 @@ from jobcube.preprocess import CleaningPolicy, run_pipeline
 from jobcube.records import NULLABLE_FIELDS
 from jobcube.sources import ingest_sources
 
-out_dir = Path(tempfile.mkdtemp(prefix="jobcube_demo_"))
+workspace = tempfile.TemporaryDirectory(prefix="jobcube_demo_")    # removed at the end, or at exit on an error
+out_dir = Path(workspace.name)
 gen = generate(GenConfig(seed=23, counts={"tripoli": 300, "misurata": 200,
                                           "sirte": 120}), out_dir)
 staged, _ = ingest_sources(load_sources(out_dir / "sources.yaml"), out_dir)
@@ -65,3 +66,5 @@ sample = cleaned[0]
 print(f"\nsample cleaned record: {sample.national_id} {sample.city} "
       f"congress={sample.congress} sector={sample.sector!r} "
       f"status={sample.status}")
+
+workspace.cleanup()

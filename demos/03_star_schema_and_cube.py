@@ -28,7 +28,8 @@ from jobcube.reporting import render_text_table
 from jobcube.sources import ingest_sources
 from jobcube.warehouse import build_schema, check_integrity, load_schema, persist
 
-out_dir = Path(tempfile.mkdtemp(prefix="jobcube_demo_"))
+workspace = tempfile.TemporaryDirectory(prefix="jobcube_demo_")    # removed at the end, or at exit on an error
+out_dir = Path(workspace.name)
 gen = generate(GenConfig(seed=31, counts={"tripoli": 500, "misurata": 350,
                                           "sirte": 200}), out_dir)
 staged, _ = ingest_sources(load_sources(out_dir / "sources.yaml"), out_dir)
@@ -84,3 +85,5 @@ table = aggregate(by_year, AggregateQuery(
     filters=(("time", "year", ("2004", "2005", "2006")),)))
 print("\napplicants by city and year, 2004-2006:")
 print(render_text_table(table))
+
+workspace.cleanup()

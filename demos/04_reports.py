@@ -20,7 +20,8 @@ from jobcube.reporting import ReportSpec, render_text_table, run_report, write_r
 from jobcube.sources import ingest_sources
 from jobcube.warehouse import build_schema
 
-out_dir = Path(tempfile.mkdtemp(prefix="jobcube_demo_"))
+workspace = tempfile.TemporaryDirectory(prefix="jobcube_demo_")    # removed at the end, or at exit on an error
+out_dir = Path(workspace.name)
 gen = generate(GenConfig(seed=47, counts={"tripoli": 400, "misurata": 300,
                                           "sirte": 150}), out_dir)
 staged, _ = ingest_sources(load_sources(out_dir / "sources.yaml"), out_dir)
@@ -57,3 +58,5 @@ path = write_result(table, out_dir / "seekers_by_sector.csv", "csv")
 lines = path.read_text(encoding="utf-8").splitlines()
 print(f"\nwrote {path}; first lines:")
 print("\n".join(lines[:3]))
+
+workspace.cleanup()

@@ -23,7 +23,8 @@ from jobcube.records import NULLABLE_FIELDS
 from jobcube.sources import ingest_sources
 from jobcube.warehouse import build_schema
 
-out_dir = Path(tempfile.mkdtemp(prefix="jobcube_demo_"))
+workspace = tempfile.TemporaryDirectory(prefix="jobcube_demo_")    # removed at the end, or at exit on an error
+out_dir = Path(workspace.name)
 gen = generate(GenConfig(seed=59, counts={"tripoli": 6000, "misurata": 4000,
                                           "sirte": 2500}), out_dir)
 staged, _ = ingest_sources(load_sources(out_dir / "sources.yaml"), out_dir)
@@ -61,3 +62,5 @@ for line in summary_lines(result):
 path = write_bench_report(result, out_dir / "bench_report.csv")
 print(f"\nwrote {path}:")
 print(path.read_text(encoding="utf-8"), end="")
+
+workspace.cleanup()

@@ -26,6 +26,7 @@ from .cube import (
     aggregate,
     base_level,
     normalize_query,
+    result_columns,
 )
 from .errors import AnswerMismatch, BadLevel, ConfigError
 from .records import (
@@ -95,9 +96,7 @@ def run_scan_query(records: Sequence[CanonicalApplicant], query: AggregateQuery,
         key = tuple([label(record) for label in labels])
         groups[key] = groups.get(key, 0) + n
 
-    columns = tuple(
-        (dimension if level == base_level(dimension) else f"{dimension}_{level}")
-        for dimension, level in group_by) + (query.measure,)
+    columns = result_columns(group_by, query.measure)
     if not group_by:
         return ResultTable(columns, ((groups.get((), 0),),))
     rows = tuple((*key, groups[key]) for key in sorted(groups))
@@ -106,11 +105,13 @@ def run_scan_query(records: Sequence[CanonicalApplicant], query: AggregateQuery,
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """The queries to time and how often; checked when made."""
+
     queries: tuple[tuple[str, AggregateQuery], ...]     # (query id, query)
     repetitions: int = 10
     warmup: int = 2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.warmup < 0:
@@ -152,7 +153,6 @@ def run_benchmark(records: Sequence[CanonicalApplicant], cube: Cube,
     Raises AnswerMismatch if any query's scan and cube answers differ; a
     benchmark of wrong answers is worthless.
     """
-    config.validate()
     timings = []
     for query_id, query in config.queries:
         scan_answer = run_scan_query(records, query, congress_parent)

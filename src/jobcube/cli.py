@@ -15,7 +15,7 @@ error, 2 data error (quarantine files written where applicable) or OSError,
 from __future__ import annotations
 
 import argparse
-import os
+import fcntl
 import sys
 import time
 from contextlib import contextmanager
@@ -44,20 +44,16 @@ def _say(message: str) -> None:
 
 @contextmanager
 def _locked(warehouse_dir: Path):
-    """Advisory lock: one process per warehouse directory."""
+    """One process per warehouse: an exclusive flock on its .lock file, which the
+    kernel drops when the holder dies. The file stays: unlinking races an opener."""
     warehouse_dir.mkdir(parents=True, exist_ok=True)
     lock = warehouse_dir / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ConfigError(f"{lock}: warehouse is locked by another process "
-                          "(remove the file if that process is gone)") from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-        os.close(fd)
+    with open(lock, "ab") as handle:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(f"{lock}: warehouse is locked by another process") from None
         yield
-    finally:
-        lock.unlink(missing_ok=True)
 
 
 def _violations(schema: StarSchema, prefix: str) -> bool:

@@ -8,8 +8,8 @@ Relative paths are taken as written, i.e. resolved against the working
 directory of the invoking process. Query text has one grammar, parse_query's,
 shared by the `jobcube query` flags, bench queries and custom reports. Each
 value is read through one check per shape, so a malformed file ends in a
-ConfigError naming the file and key path. Everything is validated up front;
-stages only check that their input files exist.
+ConfigError naming the file and key path. Each config object checks itself
+when it is made; stages only check that their input files exist.
 """
 
 from __future__ import annotations
@@ -158,6 +158,8 @@ def _yaml_query(raw, where: str) -> AggregateQuery:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The pipeline's settings, checked when made, as each nested config is."""
+
     data_dir: Path = Path("data")
     warehouse_dir: Path = Path("warehouse")
     gen: GenConfig = field(default_factory=GenConfig)
@@ -171,14 +173,10 @@ class PipelineConfig:
     year_from = property(lambda self: self.gen.year_from)
     year_to = property(lambda self: self.gen.year_to)
 
-    def validate(self) -> None:
-        self.gen.validate()
+    def __post_init__(self) -> None:
         if not self.fill_constant:
             raise ConfigError("fill_constant must be non-empty")
-        self.policy().validate()
-        for spec in self.reports:
-            spec.validate()
-        self.bench.validate()
+        self.policy()           # a CleaningPolicy checks keep_rule
 
     def policy(self) -> CleaningPolicy:
         fills = {name: self.fill_constant for name in sorted(NULLABLE_FIELDS)}
@@ -277,7 +275,7 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     dirs = _texts(raw, where, data_dir=str(PipelineConfig.data_dir),
                   warehouse_dir=str(PipelineConfig.warehouse_dir))
-    config = PipelineConfig(
+    return PipelineConfig(
         data_dir=Path(dirs["data_dir"]), warehouse_dir=Path(dirs["warehouse_dir"]),
         gen=gen, **etl,
         reports=_build_reports(raw.get("reports"), years, f"{where}.reports"),
@@ -286,8 +284,6 @@ def load_config(path: str | Path) -> PipelineConfig:
                              for name in ("repetitions", "warmup") if name in bench}),
         bench_output=_texts(bench, f"{where}.bench", output=PipelineConfig.bench_output)["output"],
     )
-    config.validate()
-    return config
 
 
 def load_sources(path: str | Path) -> list[SourceSpec]:
@@ -312,13 +308,11 @@ def load_sources(path: str | Path) -> list[SourceSpec]:
             sizes = {name: _integer(fd[name], f"{fd_where}.{name}")
                      for name in ("length", "offset", "decimals") if name in fd}
             layout.append(FieldDescriptor(**_texts(fd, fd_where, name=None, kind=None), **sizes))
-        spec = SourceSpec(
+        specs.append(SourceSpec(
             source_id=str(entry["source_id"]), city=str(entry["city"]),
             field_map=field_map, value_codebooks=codebooks, layout=tuple(layout),
             **_texts(entry, entry_where, format=None, path=None,
-                     encoding=SourceSpec.encoding, delimiter=SourceSpec.delimiter))
-        spec.validate()
-        specs.append(spec)
+                     encoding=SourceSpec.encoding, delimiter=SourceSpec.delimiter)))
     if not specs:
         raise ConfigError(f"{where}: no sources defined")
     return specs

@@ -68,6 +68,12 @@ def base_level(dimension: str) -> str:
     return level_path(dimension)[0]
 
 
+def result_columns(group_by: Iterable[tuple[str, str]], measure: str) -> tuple[str, ...]:
+    """Each grouped dimension, as dim_level off its base level, then the measure."""
+    return tuple(dimension if level == base_level(dimension) else f"{dimension}_{level}"
+                 for dimension, level in group_by) + (measure,)
+
+
 @dataclass(frozen=True)
 class CubeAxis:
     dimension: str
@@ -359,9 +365,7 @@ def aggregate(cube: Cube, query: AggregateQuery) -> ResultTable:
     if filters:
         values = values[keep]
 
-    columns = tuple(
-        (dimension if level == base_level(dimension) else f"{dimension}_{level}")
-        for dimension, level in group_by) + (query.measure,)
+    columns = result_columns(group_by, query.measure)
     if not group_by:
         return ResultTable(columns, ((int(values.sum()),),))
 

@@ -117,6 +117,8 @@ class Rng:
 
 @dataclass(frozen=True)
 class GenConfig:
+    """The generator's settings, checked when made (ConfigError if invalid)."""
+
     seed: int = 20060814
     counts: dict[str, int] | None = None            # persons per city
     target_bytes: dict[str, int] | None = None      # file size goals per city
@@ -128,7 +130,7 @@ class GenConfig:
     sectors: int = 12
     congresses_per_city: int = 4
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("duplicate_rate", "blank_rate", "discrepancy_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -142,8 +144,7 @@ class GenConfig:
             raise ConfigError("give counts or target_bytes, not both")
         for given in (self.counts, self.target_bytes):
             if given is not None:
-                unknown = set(given) - set(CITY_ORDER)
-                if unknown:
+                if unknown := set(given) - set(CITY_ORDER):
                     raise ConfigError(f"unknown cities: {sorted(unknown)}")
                 if set(given) != set(CITY_ORDER):
                     raise ConfigError(f"need entries for all of {CITY_ORDER}")
@@ -447,7 +448,6 @@ def _make_copy(rng: Rng, config: GenConfig, donor: CanonicalApplicant,
 def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     """Emit the three source files plus truth set, sidecar configs, and the
     planted-corruption manifest. Byte-deterministic for a given config."""
-    config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = Rng(config.seed)

@@ -38,7 +38,7 @@ DEFAULT_FILL = "UNKNOWN"
 
 @dataclass(frozen=True)
 class ConceptHierarchy:
-    """Child-to-parent maps over ordered levels, lowest level first.
+    """Child-to-parent maps over ordered levels, lowest first; checked when made.
 
     parent_of is keyed by (level, value) and yields the value one level up;
     because every edge climbs exactly one level, chains cannot cycle.
@@ -47,7 +47,7 @@ class ConceptHierarchy:
     levels: tuple[str, ...]
     parent_of: dict[tuple[str, str], str]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.levels) < 2:
             raise BadHierarchy("need at least two levels")
         if len(set(self.levels)) != len(self.levels):
@@ -108,25 +108,22 @@ class ConceptHierarchy:
         top = len(levels) - 1
         for value, sub in tree.items():
             walk(str(value), sub, top - 1)
-        h = cls(levels=levels, parent_of=parent_of)
-        h.validate()
-        return h
+        return cls(levels=levels, parent_of=parent_of)
 
 
 @dataclass(frozen=True)
 class CleaningPolicy:
-    """Fill constants for nullable fields plus the duplicate-survivor rule.
-    Records are deduplicated on national_id, which is never filled."""
+    """Fill constants for nullable fields plus the duplicate-survivor rule, checked
+    when made. Records are deduplicated on national_id, which is never filled."""
 
     fill_constants: dict[str, str] = field(
         default_factory=lambda: {f: DEFAULT_FILL for f in sorted(NULLABLE_FIELDS)})
     keep_rule: str = "latest_application"   # or "first_seen"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.keep_rule not in ("latest_application", "first_seen"):
             raise BadPolicy(f"unknown keep_rule {self.keep_rule!r}")
-        bad = set(self.fill_constants) - NULLABLE_FIELDS
-        if bad:
+        if bad := set(self.fill_constants) - NULLABLE_FIELDS:
             raise BadPolicy(f"fill constants for non-fillable fields: {sorted(bad)}")
 
 
@@ -258,7 +255,6 @@ def _finisher(keep: Iterable[str], report: PreprocessReport | None = None,
 
 def _deduplicate(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
                  report: PreprocessReport) -> list[CanonicalApplicant]:
-    policy.validate()
     groups: dict[str, CanonicalApplicant] = {}
     latest = policy.keep_rule == "latest_application"
 
@@ -313,7 +309,6 @@ def normalize_codes(records: Iterable[CanonicalApplicant],
 def fill_missing(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
                  ) -> tuple[list[CanonicalApplicant], PreprocessReport]:
     """Replace blank nullable values with the policy's constants."""
-    policy.validate()
     report = PreprocessReport()
     clean = _cleaner({}, policy.fill_constants, report)
     return [clean(r) for r in records], report
@@ -363,7 +358,6 @@ def run_pipeline(records: Iterable[CanonicalApplicant], *,
     report = PreprocessReport(
         fields_dropped=[f for f in ALL_FIELDS if f not in WAREHOUSE_REQUIRED_FIELDS])
     compiled = _compile_codebooks(codebooks)
-    policy.validate()
     clean = _cleaner(compiled, policy.fill_constants, report)
     deduped = _deduplicate(map(clean, records), policy, report)
     fill = policy.fill_constants.get("district") or DEFAULT_FILL

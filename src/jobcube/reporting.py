@@ -22,6 +22,8 @@ REPORT_KINDS = ("seekers_by_sector", "seekers_vs_directed",
 
 @dataclass(frozen=True)
 class ReportSpec:
+    """One report: its kind, year range and where it goes; checked when made."""
+
     kind: str
     year_from: int
     year_to: int
@@ -30,7 +32,7 @@ class ReportSpec:
     format: str = "csv"         # csv | table
     query: AggregateQuery | None = None     # kind=custom only
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in REPORT_KINDS:
             raise ConfigError(f"unknown report kind {self.kind!r}")
         if self.year_from > self.year_to:
@@ -62,7 +64,6 @@ def _joined_by_sector(cube: Cube, filters: tuple) -> ResultTable:
 
 def run_report(cube: Cube, spec: ReportSpec) -> ResultTable:
     """Evaluate the report and, when an output path is set, serialize it."""
-    spec.validate()
     filters = _base_filters(spec)
     if spec.kind == "seekers_by_sector":
         table = aggregate(cube, AggregateQuery("seekers", ("sector",), filters))

@@ -94,7 +94,7 @@ class FieldDescriptor:
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """One source file and how its columns become canonical fields.
+    """One source file and how its columns become canonical fields, checked when made.
 
     field_map: canonical field -> source column name.
     value_codebooks: canonical field -> {source code -> canonical code};
@@ -111,7 +111,7 @@ class SourceSpec:
     delimiter: str = ","
     layout: tuple[FieldDescriptor, ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.format not in ("dbf", "fixed_width", "delimited"):
             raise ConfigError(f"{self.source_id}: unknown format {self.format!r}")
         if self.format == "fixed_width" and not self.layout:
@@ -128,8 +128,7 @@ class SourceSpec:
                 and ascii_text.encode(self.encoding, "replace") != ascii_text.encode()):
             raise ConfigError(f"{self.source_id}: a {self.format} source needs an "
                               f"ASCII-compatible encoding, not {self.encoding!r}")
-        missing = [f for f in MANDATORY_MAPPED if f not in self.field_map]
-        if missing:
+        if missing := [f for f in MANDATORY_MAPPED if f not in self.field_map]:
             raise ConfigError(f"{self.source_id}: lacks mandatory canonical fields: {missing}")
         for name in self.field_map:
             if name not in ALL_FIELDS or name in FIXED_FIELDS:
@@ -451,7 +450,7 @@ class IngestReport:
 def record_mapper(spec: SourceSpec, columns: Sequence[str],
                   counters: SourceCounters | None = None,
                   ) -> Callable[[Sequence[str]], CanonicalApplicant]:
-    """A validated spec's row function for a file with these columns: field
+    """A spec's row function for a file with these columns: field
     map and codebooks applied (an untranslated code passes through and is
     counted), city and source id fixed, status derived. A column named twice
     is read from its last place. It raises MissingMandatoryField for every row
@@ -533,10 +532,8 @@ def parse_source(data: bytes, spec: SourceSpec, report: IngestReport | None = No
     if spec.format == "fixed_width":
         return parse_fixed_width(data, spec.layout, encoding=spec.encoding,
                                  source_id=spec.source_id)
-    if spec.format == "delimited":
-        return parse_delimited(data, spec.delimiter, True, encoding=spec.encoding,
-                               source_id=spec.source_id)
-    raise ConfigError(f"{spec.source_id}: unknown format {spec.format!r}")
+    return parse_delimited(data, spec.delimiter, True, encoding=spec.encoding,
+                           source_id=spec.source_id)
 
 
 def ingest_sources(specs: Iterable[SourceSpec], base_dir: str | Path,
@@ -550,7 +547,6 @@ def ingest_sources(specs: Iterable[SourceSpec], base_dir: str | Path,
     report = IngestReport()
     out: list[CanonicalApplicant] = []
     for spec in specs:
-        spec.validate()
         data = (base / spec.path).read_bytes()
         columns, rows = parse_source(data, spec, report)
         counters = report.counters(spec.source_id)

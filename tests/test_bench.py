@@ -165,8 +165,8 @@ class TestBenchmark:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            BenchConfig(queries=(), repetitions=3).validate()
+            BenchConfig(queries=(), repetitions=3)
         with pytest.raises(ConfigError):
-            BenchConfig(queries=(("q", QUERIES[0]),), repetitions=0).validate()
+            BenchConfig(queries=(("q", QUERIES[0]),), repetitions=0)
         with pytest.raises(ConfigError):
-            BenchConfig(queries=(("q", QUERIES[0]),), warmup=-1).validate()
+            BenchConfig(queries=(("q", QUERIES[0]),), warmup=-1)

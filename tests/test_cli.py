@@ -2,9 +2,11 @@
 
 import copy
 import csv
+import fcntl
 import hashlib
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -397,14 +399,17 @@ class TestExitCodes:
         fact.write_bytes(fact.read_bytes() + b"9,9,9,9,9,9,1,1,0\n")
         assert main(["validate", "-c", cfg]) == 3
 
-    def test_warehouse_lock_blocks_load(self, tmp_path):
+    def test_warehouse_lock_blocks_load(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         for command in ("gen", "ingest", "etl"):
             assert main([command, "-c", cfg]) == 0
         (tmp_path / "warehouse").mkdir()
-        (tmp_path / "warehouse" / ".lock").write_text("12345\n")
-        assert main(["load", "-c", cfg]) == 1
-        (tmp_path / "warehouse" / ".lock").unlink()
+        lock = tmp_path / "warehouse" / ".lock"
+        with open(lock, "ab") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            capsys.readouterr()
+            assert main(["load", "-c", cfg]) == 1
+            assert f"error: {lock}: warehouse is locked" in capsys.readouterr().err
         assert main(["load", "-c", cfg]) == 0
 
     def test_refresh_reads_the_warehouse_under_the_lock(self, tmp_path, monkeypatch):
@@ -412,16 +417,40 @@ class TestExitCodes:
         for command in ("gen", "ingest", "etl", "load"):
             assert main([command, "-c", cfg]) == 0
         lock = tmp_path / "warehouse" / ".lock"
+
+        def held() -> bool:
+            """Whether another descriptor holds the lock, probed without waiting."""
+            with open(lock, "ab") as probe:
+                try:
+                    fcntl.flock(probe, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except BlockingIOError:
+                    return True
+            return False
+
         locked_at_read = []
 
         def spy(path):
-            locked_at_read.append(lock.exists())
+            locked_at_read.append(held())
             return load_schema(path)
 
         monkeypatch.setattr(cli, "load_schema", spy)
         assert main(["refresh", "-c", cfg]) == 0
         assert locked_at_read == [True]
-        assert not lock.exists()
+        assert not held()
+
+    def test_lock_of_a_killed_holder_does_not_block_load(self, tmp_path):
+        cfg = write_config(tmp_path)
+        for command in ("gen", "ingest", "etl"):
+            assert main([command, "-c", cfg]) == 0
+        holder = ("import os, signal, sys\n"
+                  "from pathlib import Path\n"
+                  "from jobcube.cli import _locked\n"
+                  "with _locked(Path(sys.argv[1])):\n"
+                  "    os.kill(os.getpid(), signal.SIGKILL)\n")
+        proc = subprocess.run([sys.executable, "-c", holder, str(tmp_path / "warehouse")])
+        assert proc.returncode == -signal.SIGKILL
+        assert (tmp_path / "warehouse" / ".lock").exists()
+        assert main(["load", "-c", cfg]) == 0
 
     @pytest.mark.parametrize("line_index, edit, reason", RECORD_CSV_TAMPERS)
     def test_tampered_staging_is_data_error(self, tmp_path, capsys, line_index, edit,

@@ -2,6 +2,8 @@
 the one query grammar, and loaders that fail closed on any malformed value."""
 
 import copy
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -9,11 +11,16 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jobcube.config import (load_codebooks, load_config, load_hierarchy, load_sources,
-                            parse_query)
+from jobcube.bench import BenchConfig
+from jobcube.config import (DEFAULT_BENCH_QUERIES, PipelineConfig, load_codebooks, load_config,
+                            load_hierarchy, load_sources, parse_query)
 from jobcube.cube import AggregateQuery, YearSpan
-from jobcube.errors import ConfigError, JobcubeError
+from jobcube.datagen import GenConfig
+from jobcube.errors import BadHierarchy, BadPolicy, ConfigError, JobcubeError
+from jobcube.preprocess import CleaningPolicy, ConceptHierarchy
 from jobcube.records import NULLABLE_FIELDS
+from jobcube.reporting import ReportSpec
+from jobcube.sources import SourceSpec
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
@@ -53,6 +60,41 @@ def test_empty_config_takes_the_defaults(tmp_path):
         ("seekers_by_sector", AggregateQuery(measure="seekers", group_by=("sector",))),)
     assert (config.bench.repetitions, config.bench.warmup) == (10, 2)
     assert config.bench_output == "reports/bench_report.csv"
+
+
+# (a valid object, one bad field value, the error class and message it raises)
+INVALID_FIELDS = [
+    pytest.param(GenConfig(), {"duplicate_rate": 1.5}, ConfigError,
+                 "duplicate_rate must lie in [0,1], got 1.5", id="GenConfig"),
+    pytest.param(BenchConfig(DEFAULT_BENCH_QUERIES), {"repetitions": 0}, ConfigError,
+                 "repetitions must be >= 1", id="BenchConfig"),
+    pytest.param(ReportSpec("seekers_by_sector", 2000, 2006), {"kind": "pie_chart"},
+                 ConfigError, "unknown report kind 'pie_chart'", id="ReportSpec"),
+    pytest.param(SourceSpec("src", "CityX", "delimited", "x.csv",
+                            {"national_id": "NID", "year": "YR", "quarter": "QTR"}),
+                 {"format": "xml"}, ConfigError, "src: unknown format 'xml'", id="SourceSpec"),
+    pytest.param(ConceptHierarchy(("district", "congress"), {("district", "D1"): "CG1"}),
+                 {"levels": ("solo",)}, BadHierarchy, "need at least two levels",
+                 id="ConceptHierarchy"),
+    pytest.param(CleaningPolicy(), {"keep_rule": "newest"}, BadPolicy,
+                 "unknown keep_rule 'newest'", id="CleaningPolicy"),
+    pytest.param(PipelineConfig(), {"fill_constant": ""}, ConfigError,
+                 "fill_constant must be non-empty", id="PipelineConfig"),
+    pytest.param(PipelineConfig(), {"keep_rule": "newest"}, BadPolicy,
+                 "unknown keep_rule 'newest'", id="PipelineConfig_keep_rule"),
+]
+
+
+@pytest.mark.parametrize("make", ["constructor", "replace"])
+@pytest.mark.parametrize("valid, bad, error, message", INVALID_FIELDS)
+def test_config_objects_refuse_bad_values(valid, bad, error, message, make):
+    """A config object checks itself when made, by its constructor or by replace."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+        if make == "constructor":
+            type(valid)(**{f.name: getattr(valid, f.name) for f in fields(valid)} | bad)
+        else:
+            replace(valid, **bad)
+    assert type(caught.value) is error
 
 
 YAML_WHERE = {key: f"q.{key}" for key in ("measure", "group_by", "filters", "years")}

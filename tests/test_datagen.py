@@ -237,10 +237,10 @@ class TestSizing:
         with pytest.raises(ConfigError):
             GenConfig(counts={"tripoli": 1, "misurata": 1, "sirte": 1},
                       target_bytes={"tripoli": 10 ** 6, "misurata": 10 ** 6,
-                                    "sirte": 10 ** 6}).validate()
+                                    "sirte": 10 ** 6})
 
     def test_rates_validated(self):
         with pytest.raises(ConfigError):
-            GenConfig(duplicate_rate=1.5).validate()
+            GenConfig(duplicate_rate=1.5)
         with pytest.raises(ConfigError):
-            GenConfig(year_from=2006, year_to=2000).validate()
+            GenConfig(year_from=2006, year_to=2000)

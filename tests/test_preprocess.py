@@ -66,20 +66,20 @@ class TestHierarchy:
 
     def test_needs_two_levels(self):
         with pytest.raises(BadHierarchy):
-            ConceptHierarchy(levels=("solo",), parent_of={}).validate()
+            ConceptHierarchy(levels=("solo",), parent_of={})
 
 
 class TestPolicy:
     def test_defaults_are_valid(self):
-        POLICY.validate()
+        CleaningPolicy()
 
     def test_unknown_keep_rule(self):
         with pytest.raises(BadPolicy):
-            CleaningPolicy(keep_rule="newest").validate()
+            CleaningPolicy(keep_rule="newest")
 
     def test_non_fillable_field(self):
         with pytest.raises(BadPolicy):
-            CleaningPolicy(fill_constants={"national_id": "X"}).validate()
+            CleaningPolicy(fill_constants={"national_id": "X"})
 
 
 class TestDeduplicate:

@@ -33,15 +33,15 @@ def fixture():
 class TestSpecs:
     def test_known_kinds_only(self):
         with pytest.raises(ConfigError):
-            ReportSpec("pie_chart", 2000, 2006).validate()
+            ReportSpec("pie_chart", 2000, 2006)
 
     def test_year_range_checked(self):
         with pytest.raises(ConfigError):
-            ReportSpec("service_counts", 2006, 2000).validate()
+            ReportSpec("service_counts", 2006, 2000)
 
     def test_custom_needs_query(self):
         with pytest.raises(ConfigError):
-            ReportSpec("custom", 2000, 2006).validate()
+            ReportSpec("custom", 2000, 2006)
 
 
 class TestKinds:

@@ -441,9 +441,8 @@ class TestMapping:
             map_row(spec, ("N1", "2004", " ", "", ""))
 
     def test_mapping_must_cover_mandatory_fields(self):
-        spec = SourceSpec("src", "CityX", "delimited", "x.csv", {"national_id": "NID"})
         with pytest.raises(ConfigError, match="^src: lacks mandatory canonical fields"):
-            spec.validate()
+            SourceSpec("src", "CityX", "delimited", "x.csv", {"national_id": "NID"})
 
     @pytest.mark.parametrize("field_map, codebooks, key", [
         pytest.param({"setor": "SEC"}, {}, "setor", id="misspelt_field"),
@@ -453,12 +452,11 @@ class TestMapping:
         pytest.param({}, {"sector": {"1": "S1"}}, "sector", id="codebook_on_unmapped"),
     ])
     def test_unknown_mapping_keys_fail_closed(self, field_map, codebooks, key):
-        spec = SourceSpec(
-            "src", "CityX", "delimited", "x.csv",
-            field_map={"national_id": "NID", "year": "YR", "quarter": "QTR"} | field_map,
-            value_codebooks=codebooks)
         with pytest.raises(ConfigError, match=f"^src: .*'{key}'"):
-            spec.validate()
+            SourceSpec(
+                "src", "CityX", "delimited", "x.csv",
+                field_map={"national_id": "NID", "year": "YR", "quarter": "QTR"} | field_map,
+                value_codebooks=codebooks)
 
 
 class TestRowMapper:
@@ -587,7 +585,6 @@ def outcome(call, *args):
 @settings(max_examples=60, deadline=None)
 @given(specs(), tables())
 def test_record_mapper_matches_reference(spec, table):
-    spec.validate()
     columns, rows = table
     want, got = SourceCounters(), SourceCounters()
     to_record = record_mapper(spec, columns, got)
