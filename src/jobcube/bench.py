@@ -69,7 +69,7 @@ def run_scan_query(records: Sequence[CanonicalApplicant], query: AggregateQuery,
     """
     group_by, filters = normalize_query(
         query, {dimension: base_level(dimension) for dimension in DIMENSIONS})
-    tests = [(_label_getter(dimension, level, congress_parent), frozenset(members))
+    tests = [(_label_getter(dimension, level, congress_parent), members)
              for dimension, level, members in filters]
     # Group on the raw fields the group-by reads, one C call per record (a bare
     # value for one field, else a tuple); labels are made once per group.

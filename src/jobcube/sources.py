@@ -116,6 +116,8 @@ class SourceSpec:
             raise ConfigError(f"{self.source_id}: unknown format {self.format!r}")
         if self.format == "fixed_width" and not self.layout:
             raise ConfigError(f"{self.source_id}: fixed_width source needs a layout")
+        if self.layout:
+            validate_layout(self.layout, f"{self.source_id}: ")
         if self.format == "delimited" and len(self.delimiter) != 1:
             raise ConfigError(f"{self.source_id}: delimiter must be one character")
         try:
@@ -139,25 +141,25 @@ class SourceSpec:
                 raise ConfigError(f"{self.source_id}: value_codebooks key {name!r} is not mapped")
 
 
-def validate_layout(layout: Iterable[FieldDescriptor]) -> None:
-    """Reject layouts with overlapping, unordered, or unnamed columns."""
+def validate_layout(layout: Iterable[FieldDescriptor], where: str = "") -> None:
+    """Reject a layout with overlapping, unordered or unnamed columns, naming `where` first."""
     seen: set[str] = set()
     pos = 0
     for fd in layout:
         if not fd.name:
-            raise ConfigError("layout field with empty name")
+            raise ConfigError(f"{where}layout field with empty name")
         if fd.name in seen:
-            raise ConfigError(f"duplicate layout field {fd.name!r}")
+            raise ConfigError(f"{where}duplicate layout field {fd.name!r}")
         seen.add(fd.name)
         if fd.kind not in FIELD_KINDS:
-            raise ConfigError(f"{fd.name}: unsupported field kind {fd.kind!r}")
+            raise ConfigError(f"{where}{fd.name}: unsupported field kind {fd.kind!r}")
         if fd.length < 1:
-            raise ConfigError(f"{fd.name}: field length must be >= 1")
+            raise ConfigError(f"{where}{fd.name}: field length must be >= 1")
         if fd.offset < pos:
-            raise ConfigError(f"{fd.name}: offset {fd.offset} overlaps previous field")
+            raise ConfigError(f"{where}{fd.name}: offset {fd.offset} overlaps previous field")
         pos = fd.offset + fd.length
     if not seen:
-        raise ConfigError("empty layout")
+        raise ConfigError(f"{where}empty layout")
 
 
 # ---------------------------------------------------------------------------

@@ -235,28 +235,27 @@ def refresh(schema: StarSchema, full_records: Sequence[CanonicalApplicant],
 # Persistence
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def persist(schema: StarSchema, path: str | Path) -> Path:
-    """Write the table files and manifest; returns the manifest path."""
+    """Write the table files and manifest; returns the manifest path. Each
+    table is rendered once, and the bytes hashed are the bytes written."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     table_lines = []
-    for dim in DIMENSIONS:
-        table = schema.dimensions[dim]
-        attr_cols = ATTR_COLUMNS.get(dim, ())
-        fpath = out / DIM_FILES[dim]
-        write_csv(fpath, ("id", "key", *attr_cols),
-                  ((r.surrogate_id, r.natural_key,
-                    *(r.attributes.get(a, "") for a in attr_cols))
-                   for r in table.rows))
+
+    def write(fname: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+        text = io.StringIO()
+        n = write_csv(text, header, rows)
+        data = text.getvalue().encode("utf-8")
+        (out / fname).write_bytes(data)
         table_lines.append(
-            f"table={DIM_FILES[dim][:-4]} rows={len(table.rows)} sha256={_sha256(fpath)}")
-    fact_path = out / FACT_FILE
-    write_csv(fact_path, FACT_COLUMNS, schema.facts.tolist())
-    table_lines.append(f"table=fact rows={len(schema.facts)} sha256={_sha256(fact_path)}")
+            f"table={fname[:-4]} rows={n} sha256={hashlib.sha256(data).hexdigest()}")
+
+    for dim in DIMENSIONS:
+        attr_cols = ATTR_COLUMNS.get(dim, ())
+        write(DIM_FILES[dim], ("id", "key", *attr_cols),
+              ((r.surrogate_id, r.natural_key, *(r.attributes.get(a, "") for a in attr_cols))
+               for r in schema.dimensions[dim].rows))
+    write(FACT_FILE, FACT_COLUMNS, schema.facts.tolist())
 
     lines = table_lines + [f"{k}={schema.meta[k]}" for k in sorted(schema.meta)]
     manifest = out / MANIFEST_FILE

@@ -9,7 +9,7 @@ from jobcube.bench import (
     summary_lines,
     write_bench_report,
 )
-from jobcube.cube import AggregateQuery, aggregate, build_cube
+from jobcube.cube import AggregateQuery, YearSpan, aggregate, build_cube
 from jobcube.errors import AnswerMismatch, BadQuery, ConfigError
 from jobcube.warehouse import build_schema
 
@@ -111,6 +111,24 @@ class TestScanBaseline:
             assert table_as_dict(scanned) == want, (group_by, filters)
             assert [row[:-1] for row in scanned.rows] == sorted(want), (group_by, filters)
             assert all(type(row[-1]) is int for row in scanned.rows)
+
+    def test_year_span_is_never_listed(self, fixture, monkeypatch):
+        """A year span filters by arithmetic, as the cube does: listing one
+        string per year of a wide span took seconds and hundreds of MB."""
+        records, cube, cities = fixture
+
+        def refuse(span):
+            raise AssertionError(f"{span} listed")
+        monkeypatch.setattr(YearSpan, "__iter__", refuse)
+
+        def query(*filters):
+            return AggregateQuery("total", group_by=("city",), filters=filters)
+        some = query(("time", "year", YearSpan(2002, 2004)))
+        assert (table_as_dict(run_scan_query(records, some, congress_parent=cities))
+                == table_as_dict(aggregate(cube, some)))
+        wide = query(("time", "year", YearSpan(0, 5_000_000)))
+        assert (table_as_dict(run_scan_query(records, wide, congress_parent=cities))
+                == table_as_dict(aggregate(cube, query())))
 
     def test_duplicate_group_by_dimension_rejected(self, fixture):
         records, cube, cities = fixture

@@ -20,7 +20,7 @@ from jobcube.errors import BadHierarchy, BadPolicy, ConfigError, JobcubeError
 from jobcube.preprocess import CleaningPolicy, ConceptHierarchy
 from jobcube.records import NULLABLE_FIELDS
 from jobcube.reporting import ReportSpec
-from jobcube.sources import SourceSpec
+from jobcube.sources import FieldDescriptor, SourceSpec
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
@@ -62,6 +62,11 @@ def test_empty_config_takes_the_defaults(tmp_path):
     assert config.bench_output == "reports/bench_report.csv"
 
 
+FIXED_SPEC = SourceSpec("fw", "CityX", "fixed_width", "x.dat",
+                        {"national_id": "NID", "year": "YR", "quarter": "QTR"},
+                        layout=(FieldDescriptor("NID", "C", 10), FieldDescriptor("YR", "N", 4, 10),
+                                FieldDescriptor("QTR", "C", 1, 14)))
+
 # (a valid object, one bad field value, the error class and message it raises)
 INVALID_FIELDS = [
     pytest.param(GenConfig(), {"duplicate_rate": 1.5}, ConfigError,
@@ -73,6 +78,14 @@ INVALID_FIELDS = [
     pytest.param(SourceSpec("src", "CityX", "delimited", "x.csv",
                             {"national_id": "NID", "year": "YR", "quarter": "QTR"}),
                  {"format": "xml"}, ConfigError, "src: unknown format 'xml'", id="SourceSpec"),
+    pytest.param(FIXED_SPEC, {"layout": (FieldDescriptor("NID", "Q", 10),)}, ConfigError,
+                 "fw: NID: unsupported field kind 'Q'", id="SourceSpec_layout_kind"),
+    pytest.param(FIXED_SPEC, {"layout": (FieldDescriptor("NID", "C", 10),
+                                         FieldDescriptor("YR", "N", 4, 8))},
+                 ConfigError, "fw: YR: offset 8 overlaps previous field",
+                 id="SourceSpec_layout_overlap"),
+    pytest.param(FIXED_SPEC, {"layout": (FieldDescriptor("NID", "C", 0),)}, ConfigError,
+                 "fw: NID: field length must be >= 1", id="SourceSpec_layout_length"),
     pytest.param(ConceptHierarchy(("district", "congress"), {("district", "D1"): "CG1"}),
                  {"levels": ("solo",)}, BadHierarchy, "need at least two levels",
                  id="ConceptHierarchy"),

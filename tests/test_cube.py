@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest

@@ -1,7 +1,7 @@
 """Cleaning stages: dedup, fill, normalize, generalize, reduce."""
 
 import random
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +28,7 @@ from jobcube.preprocess import (
 )
 from jobcube.records import ALL_FIELDS, CanonicalApplicant, WAREHOUSE_REQUIRED_FIELDS
 
-from oracle import TREE, make_hierarchy
+from oracle import make_hierarchy
 
 POLICY = CleaningPolicy()
 

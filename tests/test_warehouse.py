@@ -16,10 +16,9 @@ from jobcube.errors import (
     InvalidFieldValue,
     UnresolvedDimensionValue,
 )
-from jobcube.records import DIMENSIONS, CanonicalApplicant, derive_status
+from jobcube.records import DIMENSIONS
 from jobcube.warehouse import (
     DIM_FILES,
-    DimensionRow,
     DimensionTable,
     StarSchema,
     build_schema,
@@ -46,6 +45,19 @@ PINNED_SHA256 = {
     "fact.csv": "52e155bd163ed3fcece8ad396f5d18f38ce65e7a2eea4bf0c2c5882e752aeea2",
     "manifest.txt": "681c52aa083ba4ddceebbff55aef546d1baffc9e2e3d5855c99d1d6189642da6",
 }
+
+
+def count_opens(monkeypatch) -> list[str]:
+    """The names of the files opened from now on, through `open` or `io.open`."""
+    opened = []
+    for module, name in ((io, "open"), (builtins, "open")):
+        real = getattr(module, name)
+
+        def counting(file, *args, real=real, **kwargs):
+            opened.append(Path(file).name)
+            return real(file, *args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return opened
 
 
 @pytest.fixture(scope="module")
@@ -202,14 +214,7 @@ class TestPersistence:
     def test_load_reads_each_table_once(self, tmp_path, schema, monkeypatch):
         """The bytes hashed are the bytes parsed: one open per table file."""
         persist(schema, tmp_path / "w")
-        opened = []
-        for module, name in ((io, "open"), (builtins, "open")):
-            real = getattr(module, name)
-
-            def counting(file, *args, real=real, **kwargs):
-                opened.append(Path(file).name)
-                return real(file, *args, **kwargs)
-            monkeypatch.setattr(module, name, counting)
+        opened = count_opens(monkeypatch)
         assert logically_equal(load_schema(tmp_path / "w"), schema)
         assert sorted(opened) == sorted(["manifest.txt", "fact.csv", *DIM_FILES.values()])
         monkeypatch.undo()
@@ -217,6 +222,14 @@ class TestPersistence:
         fact.write_bytes(fact.read_bytes() + b"1,1,1,1,1,1,1,1,0\n")
         with pytest.raises(CorruptManifest, match="fact.csv: checksum mismatch"):
             load_schema(tmp_path / "w")
+
+    def test_persist_writes_each_table_once(self, tmp_path, schema, monkeypatch):
+        """The bytes hashed are the bytes written: one open per file, none read back."""
+        opened = count_opens(monkeypatch)
+        persist(schema, tmp_path / "w")
+        monkeypatch.undo()
+        assert sorted(opened) == sorted(["manifest.txt", "fact.csv", *DIM_FILES.values()])
+        assert logically_equal(load_schema(tmp_path / "w"), schema)
 
     def test_tampered_table_detected(self, tmp_path, schema):
         persist(schema, tmp_path / "w")
