@@ -4,8 +4,8 @@ Star schema, data cube, and the four OLAP moves
 
 Loads cleaned records into one fact table ringed by six dimension tables,
 persists the warehouse, then works the cube: roll congress up to city and
-quarters up to years, drill back down, slice out one city, dice a few
-sectors against a band of years.
+quarters up to years, drill one axis back down, slice out one city, dice
+a few sectors against a band of years.
 """
 
 import tempfile
@@ -71,6 +71,14 @@ print(f"roll-up congress->city: {len(cube.axis('congress').members)} -> "
 
 back = drilldown(by_year, cube, "time", "quarter")
 print(f"drill-down restores quarter cells: {back.cells == cube.cells}")
+
+# A drill-down reads the base cube's memoised cuboids, so it moves one axis
+# of a roll-up on several: time goes back to quarters, congress stays at city.
+by_quarter = drilldown(by_city, cube, "time", "quarter")
+print(f"drill-down time on the two-axis roll-up: time at "
+      f"{by_quarter.axis('time').level}, congress still at "
+      f"{by_quarter.axis('congress').level}; the memoised congress->city roll-up: "
+      f"{by_quarter is rollup(cube, 'congress', 'city')}")
 
 tripoli = slice_cube(cube, "city", "Tripoli")
 print(f"slice city=Tripoli: mass {tripoli.mass()[0]} of {total}")

@@ -2,7 +2,8 @@
 
 The baseline answers each query with a full pass over the canonical records,
 the way the pre-warehouse systems produced reports. The query is resolved
-once, into one label getter per filter entry, one key over the record fields
+once, into one label getter per filter entry (a year span becomes an int
+range on the year field), one key over the record fields
 the group-by reads and one weight per status; group labels are made once per
 key. The scan is still one Python pass per record, with no pre-aggregation
 and no numpy. Correctness comes first:
@@ -23,6 +24,7 @@ from .cube import (
     AggregateQuery,
     Cube,
     ResultTable,
+    YearSpan,
     aggregate,
     base_level,
     normalize_query,
@@ -69,7 +71,10 @@ def run_scan_query(records: Sequence[CanonicalApplicant], query: AggregateQuery,
     """
     group_by, filters = normalize_query(
         query, {dimension: base_level(dimension) for dimension in DIMENSIONS})
-    tests = [(_label_getter(dimension, level, congress_parent), members)
+    # a year span is tested as an int range on the year field, never parsed per record
+    tests = [(attrgetter("year"), range(members.lo, members.hi + 1))
+             if isinstance(members, YearSpan) and (dimension, level) == ("time", "year")
+             else (_label_getter(dimension, level, congress_parent), members)
              for dimension, level, members in filters]
     # Group on the raw fields the group-by reads, one C call per record (a bare
     # value for one field, else a tuple); labels are made once per group.

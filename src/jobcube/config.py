@@ -247,10 +247,13 @@ def _build_reports(raw, years: tuple[int, int], where: str,
         city = entry.get("city")
         cities = [city] if isinstance(city, str) else _as_list(city, f"{entry_where}.city")
         query = _yaml_query(entry["query"], f"{entry_where}.query") if "query" in entry else None
-        specs.append(ReportSpec(
-            year_from=y_from, year_to=y_to, city_filter=frozenset(map(str, cities)) or None,
-            query=query, **_texts(entry, entry_where, kind=None, output=ReportSpec.output,
-                                  format=ReportSpec.format)))
+        texts = _texts(entry, entry_where, kind=None, output=ReportSpec.output,
+                       format=ReportSpec.format)
+        try:
+            specs.append(ReportSpec(year_from=y_from, year_to=y_to, query=query, **texts,
+                                    city_filter=frozenset(map(str, cities)) or None))
+        except ConfigError as exc:
+            raise ConfigError(f"{entry_where}: {exc}") from None
     return tuple(specs)
 
 

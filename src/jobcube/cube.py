@@ -11,13 +11,11 @@ labels; no operation reads it.
 Every operation is a numpy pass over those arrays through two axis
 functions: `_to_level` lifts an axis through the parent map it carries
 (`CubeAxis.parent`), and `_selected` turns a member set into a per-member
-mask. Roll-up and aggregate regroup cells through `_cuboid`, and slice and
-dice select. Grouping goes through
-`warehouse.group_rows`, the kernel that also groups records into facts: it
-counts densely with bincount when the key space is small next to the row
-count and sorts with np.unique otherwise, so memory follows the cell count,
-never the product of the axis sizes. Sums stay well below 2**53, so float64
-bincount weights are exact.
+mask. Roll-up, drill-down and aggregate regroup cells through `_cuboid`
+(a drill-down reads the base cube's), and dice selects; a slice is a
+one-member dice with the axis dropped. Grouping goes through
+`warehouse.group_rows`, the kernel that also groups records into facts, so
+memory follows the cell count, never the product of the axis sizes.
 
 Each cube memoises the cuboids built from it, keyed by their (dimension,
 level) pairs in axis order, so a warm aggregate reads only the few cells of
@@ -31,7 +29,7 @@ equal values, so cubes are safe to share between readers.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress, islice
 from typing import Iterable, Mapping, Sequence
@@ -256,29 +254,41 @@ def rollup(cube: Cube, dimension: str, to_level: str) -> Cube:
 
 
 def drilldown(cube: Cube, base: Cube, dimension: str, to_level: str) -> Cube:
-    """Finer view of one axis, re-aggregated from the retained base cube.
+    """`cube` with one axis back at a finer level: the cuboid of `base` at
+    `cube`'s levels, `dimension` at `to_level`, read from base's memo.
 
-    drilldown(rollup(c, d, L), base=c, d, base_level) == c.
+    `cube` must be a roll-up of `base` on any number of axes: base's axes,
+    each holding base's members lifted to its level, and base's mass. A slice
+    or a dice is not, and raises BadQuery naming the axis.
+    drilldown(rollup(c, d, L), c, d, base_level) is c.
     """
     current = cube.axis(dimension).level
     base_lvl = base.axis(dimension).level
     if _level_distance(dimension, to_level, current) < 1:
         raise BadLevel(f"{dimension}: {to_level!r} is not below {current!r}")
-    steps_up = _level_distance(dimension, base_lvl, to_level)
-    if steps_up < 0:
+    if _level_distance(dimension, base_lvl, to_level) < 0:
         raise BadLevel(f"{dimension}: {to_level!r} is below the base grain {base_lvl!r}")
-    if steps_up == 0:
-        return base
-    return rollup(base, dimension, to_level)
+    axes = {ax.dimension: ax for ax in cube.axes}
+    for idx, b in enumerate(base.axes):
+        ax = axes.get(b.dimension)
+        if ax is None or _to_level(base, idx, ax.level)[0] != ax.members:
+            raise BadQuery(f"{b.dimension}: {'sliced away' if ax is None else 'diced'}, "
+                           "so the cube is not a roll-up of the base cube")
+    if cube.mass() != base.mass():      # a dice that a later roll-up hid
+        lifted = [b.dimension for b in base.axes if axes[b.dimension].level != b.level]
+        raise BadQuery(f"{', '.join(lifted)}: diced below the cube's level, "
+                       "so the cube is not a roll-up of the base cube")
+    pairs = tuple((ax.dimension, to_level if ax.dimension == dimension else ax.level)
+                  for ax in cube.axes)
+    return base if pairs == tuple((b.dimension, b.level) for b in base.axes) else _cuboid(base, pairs)
 
 
 def slice_cube(cube: Cube, dimension: str, member: str) -> Cube:
-    """Fix one dimension to a single member and drop that axis."""
+    """Fix one dimension to a single member and drop that axis: a one-member dice."""
+    diced = dice(cube, [(dimension, (member,))])
     idx = cube.axis_index(dimension)
-    keep = _selected(cube.axes[idx].members, frozenset((member,)), dimension)
-    keep = keep[cube.codes[idx]]
-    codes = np.delete(cube.codes[:, keep], idx, axis=0)
-    return Cube(cube.axes[:idx] + cube.axes[idx + 1:], codes, cube.measures[:, keep])
+    return Cube(diced.axes[:idx] + diced.axes[idx + 1:], np.delete(diced.codes, idx, axis=0),
+                diced.measures)
 
 
 def dice(cube: Cube, filters: Iterable[tuple[str, Iterable[str]]]) -> Cube:
@@ -293,17 +303,15 @@ def dice(cube: Cube, filters: Iterable[tuple[str, Iterable[str]]]) -> Cube:
                 raise EmptyMemberSet(f"{dimension}: filters intersect to nothing")
         masks[idx] = mask
 
-    axes = list(cube.axes)
-    codes = cube.codes.copy()
-    keep = np.ones(codes.shape[1], dtype=bool)
+    keep = np.ones(cube.codes.shape[1], dtype=bool)
     for idx, mask in masks.items():
-        ax = cube.axes[idx]
-        keep &= mask[codes[idx]]
-        # a kept member's position among the kept; keep drops the other cells
-        codes[idx] = (np.cumsum(mask) - 1)[codes[idx]]
-        axes[idx] = CubeAxis(ax.dimension, ax.level, tuple(compress(ax.members, mask)),
-                             ax.parent)
-    return Cube(tuple(axes), codes[:, keep], cube.measures[:, keep])
+        keep &= mask[cube.codes[idx]]
+    # np.compress takes the kept columns several times faster than cube.codes[:, keep]
+    axes, codes = list(cube.axes), np.compress(keep, cube.codes, axis=1)
+    for idx, mask in masks.items():
+        codes[idx] = (np.cumsum(mask) - 1)[codes[idx]]    # position among the kept
+        axes[idx] = replace(axes[idx], members=tuple(compress(axes[idx].members, mask)))
+    return Cube(tuple(axes), codes, np.compress(keep, cube.measures, axis=1))
 
 
 # ---------------------------------------------------------------------------

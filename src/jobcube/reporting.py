@@ -1,23 +1,33 @@
 """Decision-support reports over a built cube.
 
-Each report kind expands to a fixed aggregate query template; reporting adds
-no arithmetic of its own. Serialization is pinned (comma, LF, header row,
+Each report kind is a template of aggregate queries, one per measure over
+one group-by, and a custom report is its spec's own query. Every query runs
+under the spec's year and city filters; reporting adds no arithmetic of its
+own. Serialization is pinned (comma, LF, header row,
 minimal quoting) so a report over the same warehouse is byte-identical
 run to run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Sequence, TextIO
 
 from .cube import AggregateQuery, Cube, ResultTable, YearSpan, aggregate
 from .errors import ConfigError
 from .records import write_csv
 
-REPORT_KINDS = ("seekers_by_sector", "seekers_vs_directed",
-                "edu_level_counts", "service_counts", "custom")
+# Each report kind is a template: one query per measure, all over one group-by.
+# A custom report's one query is its spec's own.
+_TEMPLATES: dict[str, tuple[AggregateQuery, ...]] = {
+    "seekers_by_sector": (AggregateQuery("seekers", ("sector",)),),
+    "seekers_vs_directed": (AggregateQuery("seekers", ("sector",)),
+                            AggregateQuery("directed", ("sector",))),
+    "edu_level_counts": (AggregateQuery("total", ("edulevel",)),),
+    "service_counts": (AggregateQuery("total", ("service",)),),
+    "custom": (),
+}
 
 
 @dataclass(frozen=True)
@@ -33,14 +43,15 @@ class ReportSpec:
     query: AggregateQuery | None = None     # kind=custom only
 
     def __post_init__(self) -> None:
-        if self.kind not in REPORT_KINDS:
+        if self.kind not in _TEMPLATES:
             raise ConfigError(f"unknown report kind {self.kind!r}")
         if self.year_from > self.year_to:
             raise ConfigError(f"empty report year range {self.year_from}:{self.year_to}")
         if self.format not in ("csv", "table"):
             raise ConfigError(f"unknown report format {self.format!r}")
-        if self.kind == "custom" and self.query is None:
-            raise ConfigError("custom report needs a query")
+        if (self.kind == "custom") != (self.query is not None):
+            raise ConfigError("custom report needs a query" if self.kind == "custom" else
+                              f"a {self.kind} report takes no query; only a custom report does")
 
 
 def _base_filters(spec: ReportSpec) -> tuple:
@@ -50,31 +61,19 @@ def _base_filters(spec: ReportSpec) -> tuple:
     return tuple(filters)
 
 
-def _joined_by_sector(cube: Cube, filters: tuple) -> ResultTable:
-    seekers = aggregate(cube, AggregateQuery("seekers", ("sector",), filters))
-    directed = aggregate(cube, AggregateQuery("directed", ("sector",), filters))
-    by_sector: dict[str, list[int]] = {}
-    for sector, value in seekers.rows:
-        by_sector.setdefault(sector, [0, 0])[0] = value
-    for sector, value in directed.rows:
-        by_sector.setdefault(sector, [0, 0])[1] = value
-    rows = tuple((sector, *by_sector[sector]) for sector in sorted(by_sector))
-    return ResultTable(("sector", "seekers", "directed"), rows)
-
-
 def run_report(cube: Cube, spec: ReportSpec) -> ResultTable:
-    """Evaluate the report and, when an output path is set, serialize it."""
+    """Evaluate the report and, when an output path is set, serialize it.
+
+    Each query runs with the spec's year and city filters appended. The
+    queries of one template read one memoised cuboid under one mask, so
+    their rows hold the same groups in the same order and zip into one table.
+    """
     filters = _base_filters(spec)
-    if spec.kind == "seekers_by_sector":
-        table = aggregate(cube, AggregateQuery("seekers", ("sector",), filters))
-    elif spec.kind == "seekers_vs_directed":
-        table = _joined_by_sector(cube, filters)
-    elif spec.kind == "edu_level_counts":
-        table = aggregate(cube, AggregateQuery("total", ("edulevel",), filters))
-    elif spec.kind == "service_counts":
-        table = aggregate(cube, AggregateQuery("total", ("service",), filters))
-    else:
-        table = aggregate(cube, spec.query)
+    tables = [aggregate(cube, replace(query, filters=query.filters + filters))
+              for query in _TEMPLATES[spec.kind] or (spec.query,)]
+    table = ResultTable(tables[0].columns[:-1] + tuple(t.columns[-1] for t in tables),
+                        tuple((*rows[0][:-1], *(row[-1] for row in rows))
+                              for rows in zip(*(t.rows for t in tables))))
     if spec.output:
         write_result(table, spec.output, spec.format)
     return table
@@ -101,19 +100,11 @@ def write_result(table: ResultTable, target: str | Path | TextIO,
 def render_text_table(table: ResultTable) -> str:
     """Fixed-width terminal rendering: labels left, numbers right."""
     cells = [[str(v) for v in row] for row in table.rows]
-    widths = [len(c) for c in table.columns]
-    for row in cells:
-        for i, text in enumerate(row):
-            widths[i] = max(widths[i], len(text))
+    widths = [max(map(len, column)) for column in zip(table.columns, *cells)]
+    rule = ["-" * w for w in widths]
 
-    def fmt(parts: Iterable[str], row=None) -> str:
-        out = []
-        for i, text in enumerate(parts):
-            numeric = row is not None and isinstance(row[i], (int, float))
-            out.append(text.rjust(widths[i]) if numeric else text.ljust(widths[i]))
-        return "  ".join(out).rstrip()
+    def fmt(texts: Sequence[str], values: Sequence) -> str:
+        return "  ".join(text.rjust(w) if isinstance(v, (int, float)) else text.ljust(w)
+                         for text, w, v in zip(texts, widths, values)).rstrip()
 
-    lines = [fmt(table.columns), fmt("-" * w for w in widths)]
-    for raw, row in zip(table.rows, cells):
-        lines.append(fmt(row, raw))
-    return "\n".join(lines)
+    return "\n".join(map(fmt, [table.columns, rule, *cells], [table.columns, rule, *table.rows]))

@@ -130,6 +130,19 @@ class TestScanBaseline:
         assert (table_as_dict(run_scan_query(records, wide, congress_parent=cities))
                 == table_as_dict(aggregate(cube, query())))
 
+    def test_year_span_is_tested_as_an_int_range(self, fixture, monkeypatch):
+        """The scan tests a record's int year against the span's range; parsing
+        str(year) back through YearSpan.__contains__ doubled the scan time."""
+        records, cube, cities = fixture
+        query = AggregateQuery("seekers", group_by=("sector",),
+                               filters=(("time", "year", YearSpan(2001, 2004)),))
+        want = aggregate(cube, query)
+
+        def refuse(span, member):
+            raise AssertionError(f"{member!r} tested against {span}")
+        monkeypatch.setattr(YearSpan, "__contains__", refuse)
+        assert run_scan_query(records, query, congress_parent=cities) == want
+
     def test_duplicate_group_by_dimension_rejected(self, fixture):
         records, cube, cities = fixture
         for group_by in (("sector", "sector"), ("time", ("time", "year"))):

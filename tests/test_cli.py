@@ -297,6 +297,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: tripoli: 10 bytes cannot hold one" in err, err
 
+    def test_query_on_a_fixed_report_kind_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, reports=[{"kind": "service_counts",
+                                               "query": {"group_by": "sector"}}])
+        capsys.readouterr()
+        assert main(["report", "-c", cfg]) == 1
+        err = capsys.readouterr().err
+        assert (f"error: {cfg}.reports[0]: a service_counts report takes no query; only a "
+                "custom report does\n") in err and "Traceback" not in err, err
+
     def test_unknown_keep_rule_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, etl={"keep_rule": "newest"})
         capsys.readouterr()

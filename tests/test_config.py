@@ -75,6 +75,9 @@ INVALID_FIELDS = [
                  "repetitions must be >= 1", id="BenchConfig"),
     pytest.param(ReportSpec("seekers_by_sector", 2000, 2006), {"kind": "pie_chart"},
                  ConfigError, "unknown report kind 'pie_chart'", id="ReportSpec"),
+    pytest.param(ReportSpec("seekers_by_sector", 2000, 2006), {"query": AggregateQuery()},
+                 ConfigError, "a seekers_by_sector report takes no query; only a custom "
+                 "report does", id="ReportSpec_query"),
     pytest.param(SourceSpec("src", "CityX", "delimited", "x.csv",
                             {"national_id": "NID", "year": "YR", "quarter": "QTR"}),
                  {"format": "xml"}, ConfigError, "src: unknown format 'xml'", id="SourceSpec"),

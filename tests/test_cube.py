@@ -12,6 +12,7 @@ from jobcube.cube import (
     AggregateQuery,
     YearSpan,
     aggregate,
+    base_level,
     build_cube,
     dice,
     drilldown,
@@ -123,6 +124,34 @@ class TestDrilldown:
             drilldown(year_cube, cube, "time", "year")
         with pytest.raises(BadLevel):
             drilldown(cube, cube, "time", "quarter")
+
+    def test_drills_one_axis_of_a_two_axis_rollup(self, fixture):
+        records, cube, cities = fixture
+        by_city = rollup(cube, "congress", "city")
+        both = rollup(rollup(cube, "time", "year"), "congress", "city")
+        back = drilldown(both, cube, "time", "quarter")
+        assert back is by_city      # the base cube's memoised cuboid
+        assert back.axis("congress").level == "city"
+        assert_matches_records(back, records, cities)
+        assert drilldown(both, cube, "congress", "congress") is rollup(cube, "time", "year")
+
+    def test_refuses_a_diced_or_sliced_rollup(self, fixture):
+        _, cube, cities = fixture
+        by_year = rollup(cube, "time", "year")
+        city = cube.axis("city").members[0]
+        # one congress of each city: every city stays, most cells go
+        one_each = tuple({cities[c]: c for c in cube.axis("congress").members}.values())
+        cases = [
+            (dice(by_year, [("city", (city,))]), "time", "city: diced"),
+            (dice(by_year, [("time", ("2003",))]), "time", "time: diced"),
+            (slice_cube(by_year, "city", city), "time", "city: sliced away"),
+            (rollup(dice(cube, [("congress", one_each)]), "congress", "city"), "congress",
+             "congress: diced below the cube's level"),
+        ]
+        for derived, dimension, reason in cases:
+            with pytest.raises(BadQuery, match=f"^{reason}, so the cube is not a roll-up "
+                                               "of the base cube$"):
+                drilldown(derived, cube, dimension, base_level(dimension))
 
 
 class TestSlice:

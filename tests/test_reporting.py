@@ -1,6 +1,7 @@
 """Decision-support report shapes and serialization."""
 
 import csv
+from dataclasses import replace
 
 import pytest
 
@@ -106,6 +107,16 @@ class TestKinds:
         query = AggregateQuery("directed", group_by=(("time", "year"),))
         spec = ReportSpec("custom", 2000, 2006, query=query)
         assert run_report(cube, spec).rows == aggregate(cube, query).rows
+
+    def test_custom_honours_city_and_years(self, fixture):
+        _, cube, _ = fixture
+        query = AggregateQuery("seekers", (("congress", "city"),), (("sector", ("", "SEC-A")),))
+        spec = ReportSpec("custom", 2002, 2003, city_filter=frozenset({"CityB"}), query=query)
+        filtered = replace(query, filters=query.filters + (("time", "year", ("2002", "2003")),
+                                                           ("city", ("CityB",))))
+        table = run_report(cube, spec)
+        assert table == aggregate(cube, filtered)
+        assert [row[0] for row in table.rows] == ["CityB"]
 
 
 class TestSerialization:
