@@ -188,14 +188,12 @@ def run_benchmark(records: Sequence[CanonicalApplicant], cube: Cube,
 
 
 def write_bench_report(result: BenchResult, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     write_csv(path, ("query_id", "scan_median_s", "cube_median_s", "speedup",
                      "answers_equal"),
               ((t.query_id, f"{t.scan_median:.6f}", f"{t.cube_median:.6f}",
                 f"{t.speedup:.2f}", str(t.answers_equal).lower())
                for t in result.timings))
-    return path
+    return Path(path)
 
 
 def summary_lines(result: BenchResult) -> list[str]:

@@ -28,7 +28,7 @@ from .config import (PipelineConfig, load_codebooks, load_config, load_hierarchy
 from .cube import MEASURES, Cube, aggregate, build_cube
 from .errors import ConfigError, JobcubeError
 from .preprocess import run_pipeline
-from .records import read_records_csv, write_csv, write_records_csv
+from .records import ALL_FIELDS, read_records_csv, write_csv, write_records_csv
 from .reporting import run_report, write_result
 from .sources import RejectedRow, ingest_sources
 from .warehouse import (MANIFEST_FILE, StarSchema, build_schema, check_integrity, load_schema,
@@ -69,6 +69,17 @@ def _require_file(path: Path, hint: str) -> None:
         raise ConfigError(f"{path}: not found; run `{hint}` first")
 
 
+def _rejects(stage: str, path: Path, header: tuple, rows: list, what: str) -> int:
+    """Write the rejected rows to path, say so and return 2; with none, remove
+    a stale file from an earlier run and return 0."""
+    if rows:
+        write_csv(path, header, rows)
+        _say(f"[{stage}] {len(rows)} {what} -> {path}")
+        return 2
+    path.unlink(missing_ok=True)
+    return 0
+
+
 def _loaded_cube(config: PipelineConfig) -> Cube:
     _require_file(Path(config.warehouse_dir) / MANIFEST_FILE, "jobcube load")
     return build_cube(load_schema(config.warehouse_dir))
@@ -102,14 +113,8 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> int:
     staging = config.staging_path()
     written = write_records_csv(records, staging)
     _say(f"[ingest] staged {written} records -> {staging}")
-
-    rejects_path = Path(config.data_dir) / INGEST_REJECTS
-    if report.rejects:
-        write_csv(rejects_path, RejectedRow._fields, report.rejects)
-        _say(f"[ingest] {len(report.rejects)} rejected rows -> {rejects_path}")
-        return 2
-    rejects_path.unlink(missing_ok=True)
-    return 0
+    return _rejects("ingest", Path(config.data_dir) / INGEST_REJECTS, RejectedRow._fields,
+                    report.rejects, "rejected rows")
 
 
 def cmd_etl(config: PipelineConfig, args: argparse.Namespace) -> int:
@@ -126,14 +131,8 @@ def cmd_etl(config: PipelineConfig, args: argparse.Namespace) -> int:
     clean = config.clean_path()
     written = write_records_csv(cleaned, clean)
     _say(f"[etl] {len(records)} in, {written} out -> {clean}")
-
-    rejects_path = Path(config.data_dir) / ETL_REJECTS
-    if report.rejected:
-        write_records_csv(report.rejected, rejects_path)
-        _say(f"[etl] {len(report.rejected)} quarantined records -> {rejects_path}")
-        return 2
-    rejects_path.unlink(missing_ok=True)
-    return 0
+    return _rejects("etl", Path(config.data_dir) / ETL_REJECTS, ALL_FIELDS,
+                    report.rejected, "quarantined records")
 
 
 def cmd_load(config: PipelineConfig, args: argparse.Namespace) -> int:

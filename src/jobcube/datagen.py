@@ -37,6 +37,7 @@ from .records import (
     CanonicalApplicant,
     derive_status,
     quarter_index,
+    replacing,
     write_records_csv,
 )
 from .sources import (
@@ -449,7 +450,6 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     """Emit the three source files plus truth set, sidecar configs, and the
     planted-corruption manifest. Byte-deterministic for a given config."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rng = Rng(config.seed)
 
     if config.target_bytes is not None:
@@ -551,7 +551,8 @@ def _write_outputs(config: GenConfig, out: Path, wire: dict[str, list],
     specs = []
     for spec in CITY_SPECS:
         path = out / spec.path
-        path.write_bytes(_render(config, spec, _wire_rows(spec, wire[spec.source_id])))
+        with replacing(path, binary=True) as fh:
+            fh.write(_render(config, spec, _wire_rows(spec, wire[spec.source_id])))
         files[spec.source_id] = path
 
         entry: dict = {
@@ -569,22 +570,16 @@ def _write_outputs(config: GenConfig, out: Path, wire: dict[str, list],
                  "offset": fd.offset} for fd in spec.layout]
         specs.append(entry)
 
-    truth_path = out / TRUTH_FILE
-    write_records_csv(truth, truth_path)
-    files["truth"] = truth_path
-    (out / SOURCES_FILE).write_text(
-        yaml.safe_dump({"sources": specs}, sort_keys=True), encoding="utf-8")
-    files["sources"] = out / SOURCES_FILE
-
+    files["truth"] = out / TRUTH_FILE
+    write_records_csv(truth, files["truth"])
     hierarchy = {"levels": ["district", "congress", "city"],
                  "tree": build_hierarchy_tree(config)}
-    (out / HIERARCHY_FILE).write_text(
-        yaml.safe_dump(hierarchy, sort_keys=True), encoding="utf-8")
-    files["hierarchy"] = out / HIERARCHY_FILE
-
-    (out / CODEBOOKS_FILE).write_text(
-        yaml.safe_dump(normalize_codebooks(), sort_keys=True), encoding="utf-8")
-    files["codebooks"] = out / CODEBOOKS_FILE
+    for key, name, document in (("sources", SOURCES_FILE, {"sources": specs}),
+                                ("hierarchy", HIERARCHY_FILE, hierarchy),
+                                ("codebooks", CODEBOOKS_FILE, normalize_codebooks())):
+        with replacing(out / name) as fh:
+            yaml.safe_dump(document, fh, sort_keys=True)
+        files[key] = out / name
     return files
 
 
@@ -618,7 +613,8 @@ def _write_gen_manifest(path: Path, config: GenConfig, expect: GenExpectations,
     lines.append("[discrepancies]")
     lines.extend(f"{nid} city={city} field={field_name} value={value}"
                  for city, nid, field_name, value in discrepancies)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_gen_manifest(path: str | Path) -> dict:

@@ -8,17 +8,22 @@ single typed exception because time ordering drives deduplication.
 `read_records_csv` gives equal values of a field one shared `str` object
 (all but the near-unique `national_id` and `name`) and parses each distinct
 year text once, so later passes over the records touch a few hot objects.
+
+Every file jobcube writes goes through `replacing`: a temp file beside the
+target, renamed over it when whole, so a crash leaves the old file or the new.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 import re
+from contextlib import contextmanager
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import MalformedCsv
 
@@ -109,10 +114,28 @@ MEMBER_GETTERS: dict[str, Callable[[CanonicalApplicant], str]] = {
 }
 
 
+@contextmanager
+def replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Open `.<name>.<pid>.tmp` beside path for writing (UTF-8 text without
+    newline translation, or binary), making the parent directories. A block
+    that ends normally renames it over path; one that raises deletes it."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(target: str | Path | TextIO, header: Sequence,
               rows: Iterable[Sequence], delimiter: str = ",") -> int:
     """Write a header row and rows as CSV with LF line ends. Returns the row
-    count (header excluded). target is a path or an open text stream.
+    count (header excluded). target is an open text stream, or a path that is
+    replaced whole (see `replacing`).
 
     A writer ending lines in LF leaves a bare CR unquoted, and a reader then
     splits the row there, so a row holding a CR is written fully quoted and
@@ -120,7 +143,7 @@ def write_csv(target: str | Path | TextIO, header: Sequence,
     chunk whose text holds a CR is checked row by row.
     """
     if isinstance(target, (str, Path)):
-        with open(target, "w", newline="", encoding="utf-8") as fh:
+        with replacing(target) as fh:
             return write_csv(fh, header, rows, delimiter)
     plain = csv.writer(target, delimiter=delimiter, lineterminator="\n")
     quote_all = csv.writer(target, delimiter=delimiter, lineterminator="\n",

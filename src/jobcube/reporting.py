@@ -16,7 +16,7 @@ from typing import Sequence, TextIO
 
 from .cube import AggregateQuery, Cube, ResultTable, YearSpan, aggregate
 from .errors import ConfigError
-from .records import write_csv
+from .records import replacing, write_csv
 
 # Each report kind is a template: one query per measure, all over one group-by.
 # A custom report's one query is its spec's own.
@@ -81,14 +81,13 @@ def run_report(cube: Cube, spec: ReportSpec) -> ResultTable:
 
 def write_result(table: ResultTable, target: str | Path | TextIO,
                  format: str = "csv") -> Path | TextIO:
-    """Write the table as CSV or as a text table to a path, making its parent
-    directories, or to an open text stream. Returns the target, a path as a Path."""
+    """Write the table as CSV or as a text table to an open text stream, or to
+    a path, which is replaced whole. Returns the target, a path as a Path."""
     if format not in ("csv", "table"):
         raise ConfigError(f"unknown output format {format!r}")
     if isinstance(target, (str, Path)):
         target = Path(target)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with open(target, "w", newline="", encoding="utf-8") as fh:
+        with replacing(target) as fh:
             write_result(table, fh, format)
     elif format == "csv":
         write_csv(target, table.columns, table.rows)

@@ -12,7 +12,9 @@ stable and appends fresh ones, so after a refresh two warehouses can be
 logically equal (same keys, same measures) without sharing id assignments;
 fact_index/logically_equal compare on natural keys for that reason.
 
-Persistence is one CSV per table plus a checksummed manifest. The load stamp
+Persistence is one CSV per table plus a checksummed manifest, each replaced
+whole, the manifest last: a persist cut short between tables leaves the old
+manifest beside new tables, whose checksums then fail at load. The load stamp
 is derived from table content, not the clock, so identical inputs persist to
 byte-identical directories.
 """
@@ -44,6 +46,7 @@ from .records import (
     STATUS_DIRECTED,
     STATUS_SEEKER,
     CanonicalApplicant,
+    replacing,
     time_key,
     write_csv,
 )
@@ -239,14 +242,14 @@ def persist(schema: StarSchema, path: str | Path) -> Path:
     """Write the table files and manifest; returns the manifest path. Each
     table is rendered once, and the bytes hashed are the bytes written."""
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
     table_lines = []
 
     def write(fname: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         text = io.StringIO()
         n = write_csv(text, header, rows)
         data = text.getvalue().encode("utf-8")
-        (out / fname).write_bytes(data)
+        with replacing(out / fname, binary=True) as fh:
+            fh.write(data)
         table_lines.append(
             f"table={fname[:-4]} rows={n} sha256={hashlib.sha256(data).hexdigest()}")
 
@@ -259,7 +262,8 @@ def persist(schema: StarSchema, path: str | Path) -> Path:
 
     lines = table_lines + [f"{k}={schema.meta[k]}" for k in sorted(schema.meta)]
     manifest = out / MANIFEST_FILE
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replacing(manifest) as fh:
+        fh.write("\n".join(lines) + "\n")
     return manifest
 
 

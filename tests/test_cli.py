@@ -408,6 +408,35 @@ class TestExitCodes:
         fact.write_bytes(fact.read_bytes() + b"9,9,9,9,9,9,1,1,0\n")
         assert main(["validate", "-c", cfg]) == 3
 
+    def test_a_failed_etl_leaves_clean_csv_whole(self, tmp_path, monkeypatch):
+        """A crash while etl writes clean.csv leaves the last run's file, so the
+        next load writes the warehouse it wrote before."""
+        cfg = str(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
+        monkeypatch.chdir(tmp_path)
+        for command in ("gen", "ingest", "etl", "load"):
+            assert main([command, "-c", cfg]) == 0, command
+        clean = tmp_path / "data" / "clean.csv"
+        clean_bytes = clean.read_bytes()
+        warehouse = {p.name: p.read_bytes() for p in (tmp_path / "warehouse").iterdir()}
+        real = cli.run_pipeline
+
+        def crashing(*args, **kwargs):
+            cleaned, report = real(*args, **kwargs)
+
+            def rows():
+                yield from cleaned[:1000]
+                raise RuntimeError("etl crashed mid-write")
+            return rows(), report
+        monkeypatch.setattr(cli, "run_pipeline", crashing)
+        with pytest.raises(RuntimeError, match="mid-write"):
+            main(["etl", "-c", cfg])
+        monkeypatch.setattr(cli, "run_pipeline", real)
+        assert clean.read_bytes() == clean_bytes
+        assert not list((tmp_path / "data").glob(".*.tmp"))
+        shutil.rmtree(tmp_path / "warehouse")
+        assert main(["load", "-c", cfg]) == 0
+        assert {p.name: p.read_bytes() for p in (tmp_path / "warehouse").iterdir()} == warehouse
+
     def test_warehouse_lock_blocks_load(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         for command in ("gen", "ingest", "etl"):

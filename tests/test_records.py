@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jobcube.cube import ResultTable
 from jobcube.errors import MalformedCsv
 from jobcube.records import (
     ALL_FIELDS,
@@ -16,6 +17,7 @@ from jobcube.records import (
     write_csv,
     write_records_csv,
 )
+from jobcube.reporting import write_result
 
 # Text that stresses CSV quoting: delimiters, quotes, both line-break
 # characters, surrounding spaces, and the empty string.
@@ -98,3 +100,40 @@ def test_write_csv_to_a_stream():
     assert write_csv(stream, ("a", "b"), []) == 0
     assert write_csv(stream, ("a", "b"), iter([("x,y", 1)])) == 1
     assert stream.getvalue() == 'a,b\na,b\n"x,y",1\n'
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("write failed")
+
+
+def failing(rows, at=1000):
+    """rows, raising in place of row `at`."""
+    for i, row in enumerate(rows):
+        if i == at:
+            raise RuntimeError("write failed")
+        yield row
+
+
+# Each writes 1,800 records to a path and fails at row 1,000.
+FAILING_WRITES = [
+    pytest.param(lambda path, rows: write_csv(path, ALL_FIELDS, failing(rows)), id="write_csv"),
+    pytest.param(lambda path, rows: write_records_csv(failing(rows), path),
+                 id="write_records_csv"),
+    pytest.param(lambda path, rows: write_result(
+        ResultTable(ALL_FIELDS, tuple(r._replace(name=Unprintable()) if i == 1000 else r
+                                      for i, r in enumerate(rows))), path, "csv"),
+                 id="write_result"),
+]
+
+
+@pytest.mark.parametrize("write", FAILING_WRITES)
+def test_a_failed_write_leaves_the_old_file_whole(tmp_path, write):
+    path = tmp_path / "clean.csv"
+    old = [CanonicalApplicant(national_id=f"N{i:05d}", year=2000 + i % 7) for i in range(1800)]
+    write_records_csv(old, path)
+    old_bytes = path.read_bytes()
+    with pytest.raises(RuntimeError, match="write failed"):
+        write(path, [r._replace(name="new") for r in old])
+    assert path.read_bytes() == old_bytes
+    assert [p.name for p in tmp_path.iterdir()] == ["clean.csv"]     # no .*.tmp left

@@ -4,6 +4,7 @@ import builtins
 import hashlib
 import io
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -224,11 +225,13 @@ class TestPersistence:
             load_schema(tmp_path / "w")
 
     def test_persist_writes_each_table_once(self, tmp_path, schema, monkeypatch):
-        """The bytes hashed are the bytes written: one open per file, none read back."""
+        """The bytes hashed are the bytes written: one open per file, none read back.
+        Each file is opened as its `.<name>.<pid>.tmp` and renamed over the name."""
         opened = count_opens(monkeypatch)
         persist(schema, tmp_path / "w")
         monkeypatch.undo()
-        assert sorted(opened) == sorted(["manifest.txt", "fact.csv", *DIM_FILES.values()])
+        targets = [re.fullmatch(r"\.(.+)\.[0-9]+\.tmp", name)[1] for name in opened]
+        assert sorted(targets) == sorted(["manifest.txt", "fact.csv", *DIM_FILES.values()])
         assert logically_equal(load_schema(tmp_path / "w"), schema)
 
     def test_tampered_table_detected(self, tmp_path, schema):
