@@ -269,16 +269,15 @@ def drilldown(cube: Cube, base: Cube, dimension: str, to_level: str) -> Cube:
     if _level_distance(dimension, base_lvl, to_level) < 0:
         raise BadLevel(f"{dimension}: {to_level!r} is below the base grain {base_lvl!r}")
     axes = {ax.dimension: ax for ax in cube.axes}
-    if base._cuboids.get(tuple((d, ax.level) for d, ax in axes.items())) is not cube:
-        for idx, b in enumerate(base.axes):     # a memoised roll-up passes as is
-            ax = axes.get(b.dimension)
-            if ax is None or _to_level(base, idx, ax.level)[0] != ax.members:
-                raise BadQuery(f"{b.dimension}: {'sliced away' if ax is None else 'diced'}, "
-                               "so the cube is not a roll-up of the base cube")
-        if cube.mass() != base.mass():      # a dice that a later roll-up hid
-            lifted = [b.dimension for b in base.axes if axes[b.dimension].level != b.level]
-            raise BadQuery(f"{', '.join(lifted)}: diced below the cube's level, "
+    for idx, b in enumerate(base.axes):
+        ax = axes.get(b.dimension)
+        if ax is None or _to_level(base, idx, ax.level)[0] != ax.members:
+            raise BadQuery(f"{b.dimension}: {'sliced away' if ax is None else 'diced'}, "
                            "so the cube is not a roll-up of the base cube")
+    if cube.mass() != base.mass():      # a dice that a later roll-up hid
+        lifted = [b.dimension for b in base.axes if axes[b.dimension].level != b.level]
+        raise BadQuery(f"{', '.join(lifted)}: diced below the cube's level, "
+                       "so the cube is not a roll-up of the base cube")
     pairs = tuple((ax.dimension, to_level if ax.dimension == dimension else ax.level)
                   for ax in cube.axes)
     return base if pairs == tuple((b.dimension, b.level) for b in base.axes) else _cuboid(base, pairs)

@@ -11,6 +11,7 @@ year text once, so later passes over the records touch a few hot objects.
 
 Every file jobcube writes goes through `replacing`: a temp file beside the
 target, renamed over it when whole, so a crash leaves the old file or the new.
+A device or FIFO path such as /dev/null cannot be replaced and is written in place.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import io
 import os
 import re
+import shutil
 from contextlib import contextmanager
 from itertools import islice
 from operator import attrgetter
@@ -118,17 +120,30 @@ MEMBER_GETTERS: dict[str, Callable[[CanonicalApplicant], str]] = {
 def replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """Open `.<name>.<pid>.tmp` beside path for writing (UTF-8 text without
     newline translation, or binary), making the parent directories. A block
-    that ends normally renames it over path; one that raises deletes it."""
-    path = Path(path)
+    that ends normally renames it over path, through a symlink and keeping the
+    mode of a file it replaces; one that raises deletes it. A path that exists
+    but is no regular file (/dev/null, /dev/stdout, a FIFO) is written in place."""
+    path, real = Path(path), Path(path).resolve()
+    if path.exists() and not real.is_file():
+        with _open(path, binary) as fh:
+            yield fh
+        return
+    path = real
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") if binary else open(tmp, "w", newline="", encoding="utf-8") as fh:
+        with _open(tmp, binary) as fh:
             yield fh
+        if path.exists():
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _open(path: Path, binary: bool) -> IO:
+    return open(path, "wb") if binary else open(path, "w", newline="", encoding="utf-8")
 
 
 def write_csv(target: str | Path | TextIO, header: Sequence,

@@ -4,6 +4,7 @@ import copy
 import csv
 import fcntl
 import hashlib
+import os
 import re
 import shutil
 import signal
@@ -182,6 +183,15 @@ class TestHappyPath:
         assert "service" in out.splitlines()[0]
         assert main(query + ["--output", str(tmp_path / "q.txt")]) == 0
         assert out.encode("utf-8") == (tmp_path / "q.txt").read_bytes()
+
+    def test_query_output_to_dev_stdout_writes_the_pipe(self, pipeline):
+        """/dev/stdout on a pipe is written in place, as stdout itself would be."""
+        _, cfg = pipeline
+        query = [sys.executable, "-m", "jobcube.cli", "query", "-c", cfg, "--group-by", "sector"]
+        printed = subprocess.run(query, capture_output=True, check=True).stdout
+        proc = subprocess.run(query + ["--output", "/dev/stdout"], capture_output=True)
+        assert (proc.returncode, proc.stdout) == (0, printed)
+        assert os.path.islink("/dev/stdout") or not os.path.isfile("/dev/stdout")
 
     def test_report_writes_configured_outputs(self, pipeline):
         tmp_path, cfg = pipeline

@@ -10,7 +10,6 @@ from jobcube import warehouse as warehouse_module
 from jobcube.cube import (
     MEASURES,
     AggregateQuery,
-    Cube,
     YearSpan,
     aggregate,
     base_level,
@@ -135,15 +134,6 @@ class TestDrilldown:
         assert back.axis("congress").level == "city"
         assert_matches_records(back, records, cities)
         assert drilldown(both, cube, "congress", "congress") is rollup(cube, "time", "year")
-
-    def test_a_memoised_rollup_is_not_checked_again(self, fixture, monkeypatch):
-        _, cube, _ = fixture
-        by_year = rollup(cube, "time", "year")
-
-        def unsummed(self):
-            raise AssertionError("a memoised roll-up needs no mass check")
-        monkeypatch.setattr(Cube, "mass", unsummed)
-        assert drilldown(by_year, cube, "time", "quarter") is cube
 
     def test_refuses_a_diced_or_sliced_rollup(self, fixture):
         _, cube, cities = fixture

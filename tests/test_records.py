@@ -2,6 +2,8 @@
 
 import csv
 import io
+import os
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -137,3 +139,27 @@ def test_a_failed_write_leaves_the_old_file_whole(tmp_path, write):
         write(path, [r._replace(name="new") for r in old])
     assert path.read_bytes() == old_bytes
     assert [p.name for p in tmp_path.iterdir()] == ["clean.csv"]     # no .*.tmp left
+
+
+def test_a_device_is_written_in_place(tmp_path):
+    """/dev/null, named or behind a symlink, stays a device with no temp file beside it."""
+    link = tmp_path / "out.csv"
+    link.symlink_to(os.devnull)
+    for target in (os.devnull, link):
+        write_result(ResultTable(("a",), (("1",),)), target, "csv")
+    assert stat.S_ISCHR(os.lstat(os.devnull).st_mode)
+    assert link.is_symlink()
+    assert not [n for n in os.listdir(os.path.dirname(os.devnull)) if n.endswith(".tmp")]
+
+
+def test_a_write_through_a_symlink_replaces_the_file_it_names(tmp_path):
+    real = tmp_path / "real.csv"
+    write_csv(real, ("a",), [("old",)])
+    real.chmod(0o640)
+    link = tmp_path / "clean.csv"
+    link.symlink_to(real.name)
+    write_csv(link, ("a",), [("new",)])
+    assert link.is_symlink() and link.resolve() == real
+    assert real.read_text(encoding="utf-8") == "a\nnew\n"
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.csv", "real.csv"]
