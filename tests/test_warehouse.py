@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jobcube.errors import (
     CorruptManifest,
@@ -17,9 +19,11 @@ from jobcube.errors import (
     InvalidFieldValue,
     UnresolvedDimensionValue,
 )
-from jobcube.records import DIMENSIONS
+from jobcube import warehouse
+from jobcube.records import DIMENSIONS, write_csv
 from jobcube.warehouse import (
     DIM_FILES,
+    FACT_COLUMNS,
     DimensionTable,
     StarSchema,
     build_schema,
@@ -234,6 +238,19 @@ class TestPersistence:
         assert sorted(targets) == sorted(["manifest.txt", "fact.csv", *DIM_FILES.values()])
         assert logically_equal(load_schema(tmp_path / "w"), schema)
 
+    def test_fact_bytes_are_write_csv_bytes(self, tmp_path, schema):
+        """The one-pass fact rendering writes what write_csv writes, measures
+        past 2**31 and a 19-digit value (which loads through the csv path) included."""
+        facts = schema.facts.copy()
+        facts[:, 6:] += 2**40
+        facts[-1, 6] = 2**62
+        big = replace(schema, facts=facts)
+        persist(big, tmp_path / "w")
+        text = io.StringIO()
+        write_csv(text, FACT_COLUMNS, facts.tolist())
+        assert (tmp_path / "w" / "fact.csv").read_bytes() == text.getvalue().encode()
+        assert np.array_equal(load_schema(tmp_path / "w").facts, facts)
+
     def test_tampered_table_detected(self, tmp_path, schema):
         persist(schema, tmp_path / "w")
         fact = tmp_path / "w" / "fact.csv"
@@ -253,6 +270,148 @@ class TestPersistence:
         manifest.write_text("nonsense\n", encoding="utf-8")
         with pytest.raises(CorruptManifest):
             load_schema(tmp_path / "w")
+
+
+def restamp_fact(directory: Path, data: bytes) -> None:
+    """Write data as fact.csv and give the manifest its row count (lines after
+    the header, as the csv module splits them) and checksum, so that only the
+    parser can find a fault."""
+    (directory / "fact.csv").write_bytes(data)
+    rows = len(data.splitlines()) - 1
+    manifest = directory / "manifest.txt"
+    manifest.write_text(re.sub(
+        r"table=fact rows=\d+ sha256=\w+",
+        f"table=fact rows={rows} sha256={hashlib.sha256(data).hexdigest()}",
+        manifest.read_text(encoding="utf-8")), encoding="utf-8")
+
+
+def load_both_ways(directory: Path):
+    """load_schema's facts, or its CorruptManifest message, as it runs and
+    with the bulk fact parse switched off, so the csv path reads every file."""
+    outcomes = []
+    for bulk in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not bulk:
+                patch.setattr(warehouse, "_fact_array", lambda data, rows: None)
+            try:
+                outcomes.append(load_schema(directory).facts)
+            except CorruptManifest as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+def edit_rows(edit):
+    """An edit of fact.csv's bytes applying edit(rows) to its lines after the header."""
+    def apply(data: bytes) -> bytes:
+        header, *rows = data.split(b"\n")
+        return b"\n".join([header, *edit(rows[:-1]), b""])
+    return apply
+
+
+def set_field(row: int, column: int, value: bytes):
+    def edit(rows):
+        fields = rows[row].split(b",")
+        fields[column] = value
+        rows[row] = b",".join(fields)
+        return rows
+    return edit_rows(edit)
+
+
+def widths_cancel(rows):
+    rows[0] = rows[0].rsplit(b",", 1)[0]
+    rows[1] += b",7"
+    return rows
+
+
+def nineteen_digits(facts):
+    facts = facts.copy()
+    facts[0, 6] = 1234567890123456789
+    return facts
+
+
+def unchanged(facts):
+    return facts
+
+
+# (edit of fact.csv's bytes, then how its error must begin, or a function
+# from the written facts to the facts it must load as)
+FACT_FAULTS = [
+    pytest.param(set_field(0, 6, b"1234567890123456789"), nineteen_digits,
+                 id="nineteen_digits"),
+    pytest.param(set_field(0, 6, b"9223372036854775808"), "fact.csv: row 1: not integers",
+                 id="int64_overflow"),
+    pytest.param(edit_rows(lambda rows: [rows[0], rows[1] + b",", *rows[2:]]),
+                 "fact.csv: row 2: 10 columns, expected 9", id="trailing_comma"),
+    pytest.param(set_field(1, 3, b""), "fact.csv: row 2: not integers", id="empty_field"),
+    pytest.param(edit_rows(widths_cancel), "fact.csv: row 1: 8 columns, expected 9",
+                 id="widths_cancel"),
+    pytest.param(edit_rows(lambda rows: [rows[0], b"", *rows[1:]]),
+                 "fact.csv: row 2: 0 columns, expected 9", id="blank_line"),
+    pytest.param(set_field(0, 0, b"+1"), unchanged, id="plus_sign"),
+    pytest.param(set_field(0, 0, b'"1"'), unchanged, id="quoted"),
+    pytest.param(lambda data: data.replace(b"\n", b"\r\n"), unchanged, id="crlf"),
+    pytest.param(lambda data: data[:-1], unchanged, id="no_final_newline"),
+    pytest.param(lambda data: data.split(b"\n", 1)[0] + b"\n", lambda facts: facts[:0],
+                 id="header_only"),
+]
+
+
+class TestFactParse:
+    """The bulk fact parse takes only plain files and gives what the csv path gives."""
+
+    def test_written_file_takes_the_bulk_parse(self, tmp_path, schema):
+        persist(schema, tmp_path / "w")
+        data = (tmp_path / "w" / "fact.csv").read_bytes()
+        fast = warehouse._fact_array(data, len(schema.facts))
+        assert fast.dtype == np.int64 and np.array_equal(fast, schema.facts)
+        bulk, csv_path = load_both_ways(tmp_path / "w")
+        assert np.array_equal(bulk, schema.facts) and np.array_equal(csv_path, schema.facts)
+
+    @pytest.mark.parametrize("edit, expected", FACT_FAULTS)
+    def test_fault_gives_what_the_csv_path_gives(self, tmp_path, schema, edit, expected):
+        persist(schema, tmp_path / "w")
+        data = edit((tmp_path / "w" / "fact.csv").read_bytes())
+        restamp_fact(tmp_path / "w", data)
+        assert warehouse._fact_array(data, len(data.splitlines()) - 1) is None
+        bulk, csv_path = load_both_ways(tmp_path / "w")
+        if isinstance(expected, str):
+            assert bulk == csv_path and bulk.startswith(expected)
+        else:
+            assert np.array_equal(bulk, csv_path)
+            assert bulk.dtype == np.int64 and np.array_equal(bulk, expected(schema.facts))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                              st.integers(0, 10**6), st.sampled_from(b"0123456789,\n\r\" +-x")),
+                    min_size=1, max_size=4))
+    def test_mutated_fact_gives_what_the_csv_path_gives(self, mutated_fact_dir, mutations):
+        directory, header, data = mutated_fact_dir
+        body = bytearray(data)
+        for op, at, byte in mutations:
+            at %= len(body) + 1
+            if op == "insert":
+                body.insert(at, byte)
+            elif at < len(body):
+                if op == "replace":
+                    body[at] = byte
+                else:
+                    del body[at]
+        restamp_fact(directory, header + body)
+        bulk, csv_path = load_both_ways(directory)
+        if isinstance(bulk, str):
+            assert bulk == csv_path
+        else:
+            assert bulk.dtype == np.int64 and np.array_equal(bulk, csv_path)
+
+
+@pytest.fixture(scope="module")
+def mutated_fact_dir(tmp_path_factory, schema):
+    """A persisted warehouse, and the header and first five rows of its
+    fact.csv, which the mutation test rewrites."""
+    directory = tmp_path_factory.mktemp("mutated_fact")
+    persist(schema, directory)
+    header, *rows = (directory / "fact.csv").read_bytes().splitlines(keepends=True)
+    return directory, header, b"".join(rows[:5])
 
 
 def reference_fact_problems(schema):
