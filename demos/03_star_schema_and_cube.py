@@ -26,7 +26,7 @@ from jobcube.preprocess import CleaningPolicy, run_pipeline
 from jobcube.records import NULLABLE_FIELDS
 from jobcube.reporting import render_text_table
 from jobcube.sources import ingest_sources
-from jobcube.warehouse import build_schema, check_integrity, load_schema, persist
+from jobcube.warehouse import DISPLAY_NAMES, build_schema, check_integrity, load_schema, persist
 
 workspace = tempfile.TemporaryDirectory(prefix="jobcube_demo_")    # removed at the end, or at exit on an error
 out_dir = Path(workspace.name)
@@ -45,7 +45,7 @@ cleaned, _ = run_pipeline(
 schema = build_schema(cleaned, (2000, 2006), hierarchy)
 print(f"fact table: {len(schema.facts)} rows at the six-key grain")
 for name, table in schema.dimensions.items():
-    print(f"  dim {table.name:<15} {len(table.rows):>3} members")
+    print(f"  dim {DISPLAY_NAMES[name]:<15} {len(table.rows):>3} members")
 assert check_integrity(schema) == []
 
 warehouse_dir = out_dir / "warehouse"

@@ -40,10 +40,14 @@ def _read_yaml(path: str | Path):
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{p}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not UTF-8: byte {exc.start} ({exc.reason})") from exc
     try:
         return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{p}: not valid YAML: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"{p}: not valid YAML: nested too deeply") from None
 
 
 def _as_mapping(value, where: str, keys: set[str] | None = None) -> dict:

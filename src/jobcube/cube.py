@@ -2,11 +2,11 @@
 slice, dice, and general aggregate queries.
 
 A cube stores its non-empty cells in coordinate form: `codes` holds one
-contiguous int64 array per axis, each entry the member's position in that
-axis's sorted `members`, and `measures` holds the total, seekers and
-directed counts in a (3, cells) int64 array. An absent cell is zero. The
-label-keyed `cells` dict is a derived, cached view for callers that want
-labels; no operation reads it.
+contiguous int64 array per axis, each entry the position in the axis's
+sorted `members` of the dimension row a fact id names (row id - 1), and
+`measures` holds the total, seekers and directed counts in a (3, cells)
+int64 array. An absent cell is zero. The label-keyed `cells` dict is a
+derived, cached view for callers that want labels; no operation reads it.
 
 Every operation is a numpy pass over those arrays through two axis
 functions: `_to_level` lifts an axis through the parent map it carries
@@ -166,16 +166,12 @@ def build_cube(schema: StarSchema) -> Cube:
         # a dimension row carries its parent as the attribute named after that level
         parent = {r.natural_key: r.attributes[path[1]] for r in rows} if path[1:] else None
         axes.append(CubeAxis(dim, path[0], members, parent))
-        # surrogate id -> member position; -1 marks ids no row carries
-        lookup = np.full(max((r.surrogate_id for r in rows), default=0) + 1, -1,
-                         dtype=np.int64)
-        for r in rows:
-            lookup[r.surrogate_id] = bisect_left(members, r.natural_key)
+        # each row's member position, read at its id - 1
+        position = np.array([bisect_left(members, r.natural_key) for r in rows], dtype=np.int64)
         ids = table[a]
-        if ids.size and (ids.min() < 0 or ids.max() >= lookup.size
-                         or (lookup[ids] < 0).any()):
+        if ids.size and (ids.min() < 1 or ids.max() > len(rows)):
             raise UnresolvedDimensionValue(f"fact table: dangling {dim} id")
-        codes[a] = lookup[ids]
+        codes[a] = position[ids - 1]
     measures = np.ascontiguousarray(table[KEYS:])
     return Cube(tuple(axes), codes, measures)
 
@@ -239,7 +235,7 @@ def _cuboid(cube: Cube, pairs: tuple[tuple[str, str], ...]) -> Cube:
             axes.append(ax if level == ax.level else CubeAxis(dimension, level, members))
             columns.append(up[cube.codes[idx]])
         key_columns, sums = group_rows(columns, [len(a.members) for a in axes], cube.measures)
-        cube._cuboids[pairs] = Cube(tuple(axes), np.array(key_columns), np.array(sums, np.int64))
+        cube._cuboids[pairs] = Cube(tuple(axes), np.array(key_columns), np.array(sums))
     return cube._cuboids[pairs]
 
 
@@ -387,4 +383,4 @@ def aggregate(cube: Cube, query: AggregateQuery) -> ResultTable:
     groups, (sums,) = group_rows(key_columns, [len(g) for g in group_labels], [values])
     label_columns = [[labels[i] for i in col.tolist()]
                      for labels, col in zip(group_labels, groups)]
-    return ResultTable(columns, tuple(zip(*label_columns, sums.astype(np.int64).tolist())))
+    return ResultTable(columns, tuple(zip(*label_columns, sums.tolist())))

@@ -6,11 +6,11 @@ either reads each record's members once, into lists that give both the new
 dimension members and the fact codes, and groups the codes into facts with
 `group_rows`, the kernel the cube's roll-up and aggregate also use.
 
-Surrogate ids are dense (1..N) and assigned in sorted natural-key order, so a
-rebuild from the same records is bit-identical. A refresh keeps existing ids
-stable and appends fresh ones, so after a refresh two warehouses can be
-logically equal (same keys, same measures) without sharing id assignments;
-fact_index/logically_equal compare on natural keys for that reason.
+A dimension row's surrogate id is its 1-based position in its table, which
+`load_schema` enforces and `check_integrity` checks. A build adds members in
+sorted natural-key order, so a rebuild is bit-identical. A refresh appends
+unseen members after the existing rows, so two logically equal warehouses may
+differ in ids; fact_index/logically_equal compare on natural keys for that.
 
 Persistence is one CSV per table plus a checksummed manifest, each replaced
 whole, the manifest last: a persist cut short between tables leaves the old
@@ -79,14 +79,13 @@ _DENSE_SLOTS_PER_ROW = 4
 
 @dataclass(frozen=True)
 class DimensionRow:
-    surrogate_id: int
+    surrogate_id: int               # the row's 1-based position in its table
     natural_key: str
     attributes: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class DimensionTable:
-    name: str                       # display name, e.g. "EducationLevel"
     rows: tuple[DimensionRow, ...]
 
     def __len__(self) -> int:
@@ -95,6 +94,8 @@ class DimensionTable:
 
 @dataclass(frozen=True, eq=False)
 class StarSchema:
+    """A fact holds each member as the id of its dimension row: row index + 1."""
+
     dimensions: dict[str, DimensionTable]   # keyed by short dimension name
     facts: np.ndarray                       # (rows, 9) int64, FACT_COLUMNS order
     meta: dict[str, str]
@@ -139,8 +140,8 @@ def group_rows(columns: list[np.ndarray], sizes: list[int],
     """Group rows by their key columns (column i holds codes below sizes[i]).
 
     Returns each distinct key's codes per column, in ascending key order, and
-    each weight column summed per key (float64, exact below 2**53). The
-    product of the sizes must fit in int64.
+    each weight column summed per key as int64 (summed in float64, so exact
+    below 2**53). The product of the sizes must fit in int64.
     """
     flat, slots = columns[0], sizes[0]
     for col, size in zip(columns[1:], sizes[1:]):
@@ -157,7 +158,7 @@ def group_rows(columns: list[np.ndarray], sizes: list[int],
         keys, pos = np.divmod(keys, size)
         key_columns.append(pos)
     key_columns.reverse()
-    return key_columns, sums
+    return key_columns, [s.astype(np.int64) for s in sums]
 
 
 def _facts(records: Sequence[CanonicalApplicant], members: Mapping[str, list],
@@ -168,13 +169,11 @@ def _facts(records: Sequence[CanonicalApplicant], members: Mapping[str, list],
     outside its dimension, or a status neither seeker nor directed, raises.
     """
     n = len(records)
-    columns, ids = [], []
+    columns = []
     for dim in DIMENSIONS:
-        # group on each id's rank among the sorted ids; -1: not a member
-        rows = sorted(dims[dim].rows, key=attrgetter("surrogate_id"))
-        rank = {r.natural_key: i for i, r in enumerate(rows)}
-        columns.append(np.fromiter(map(rank.get, members[dim], repeat(-1)), np.int64, n))
-        ids.append(np.array([r.surrogate_id for r in rows], dtype=np.int64))
+        # group on each member's row index, its id - 1; -1: not a member
+        index = {r.natural_key: i for i, r in enumerate(dims[dim].rows)}
+        columns.append(np.fromiter(map(index.get, members[dim], repeat(-1)), np.int64, n))
     status = members["status"]
     weights = [np.fromiter(map(eq, status, repeat(s)), bool, n)
                for s in (STATUS_SEEKER, STATUS_DIRECTED)]
@@ -185,13 +184,12 @@ def _facts(records: Sequence[CanonicalApplicant], members: Mapping[str, list],
         for dim, column in zip(DIMENSIONS, columns):
             if column[bad[0]] < 0:
                 raise UnresolvedDimensionValue(
-                    f"{dims[dim].name}: value {members[dim][bad[0]]!r} not in dimension")
+                    f"{DISPLAY_NAMES[dim]}: value {members[dim][bad[0]]!r} not in dimension")
         raise InvalidFieldValue(f"record {r.national_id!r}: bad status {r.status!r}")
 
-    key_columns, sums = group_rows(columns, [len(i) for i in ids], weights)
-    seekers, directed = np.array(sums, dtype=np.int64)
-    return np.column_stack([*(i[k] for i, k in zip(ids, key_columns)),
-                            seekers + directed, seekers, directed])
+    key_columns, (seekers, directed) = group_rows(
+        columns, [len(dims[dim]) for dim in DIMENSIONS], weights)
+    return np.column_stack([*(k + 1 for k in key_columns), seekers + directed, seekers, directed])
 
 
 def _stamped(dims: dict[str, DimensionTable], facts: np.ndarray,
@@ -216,8 +214,8 @@ def build_schema(records: Sequence[CanonicalApplicant],
     if year_from > year_to:
         raise EmptyYearRange(f"year range {year_from}:{year_to} is empty")
     quarters = [(y, q) for y in range(year_from, year_to + 1) for q in QUARTERS]
-    dims = {dim: DimensionTable(DISPLAY_NAMES[dim], ()) for dim in DIMENSIONS}
-    dims["time"] = DimensionTable(DISPLAY_NAMES["time"], tuple(
+    dims = {dim: DimensionTable(()) for dim in DIMENSIONS}
+    dims["time"] = DimensionTable(tuple(
         DimensionRow(i, time_key(y, q), {"year": str(y), "quarter": q})
         for i, (y, q) in enumerate(quarters, 1)))
     empty = StarSchema(dims, np.empty((0, KEYS + 3), np.int64),
@@ -229,13 +227,13 @@ def refresh(schema: StarSchema, full_records: Sequence[CanonicalApplicant],
             hierarchy: ConceptHierarchy | None = None) -> StarSchema:
     """Recompute the warehouse over the full (re-deduplicated) record set.
 
-    Existing surrogate ids stay put; unseen dimension values get fresh ids
-    appended after the current maximum. Fact cells are regrouped from scratch,
-    which makes refresh(load(A), A∪B) logically equal to load(A∪B).
+    Existing rows keep their positions, so their ids; unseen dimension values
+    are appended after them in sorted order. Fact cells are regrouped from
+    scratch, which makes refresh(load(A), A∪B) logically equal to load(A∪B).
     """
     members = _member_lists(full_records)
     dims = {dim: table if dim == "time" else DimensionTable(
-                table.name, _appended(table.rows, set(members[dim]), dim, hierarchy))
+                _appended(table.rows, set(members[dim]), dim, hierarchy))
             for dim, table in schema.dimensions.items()}
     meta_core = {k: v for k, v in schema.meta.items() if k != "loaded"}
     meta_core["records"] = str(len(full_records))
@@ -382,7 +380,7 @@ def load_schema(path: str | Path) -> StarSchema:
             if row.surrogate_id != row_no:
                 raise CorruptManifest(f"{fname}: row {row_no}: id {row.surrogate_id}, "
                                       f"expected {row_no}")
-        dims[dim] = DimensionTable(DISPLAY_NAMES[dim], table_rows)
+        dims[dim] = DimensionTable(table_rows)
 
     header, rows = checked("fact", _fact_array)
     if tuple(header) != FACT_COLUMNS:
@@ -407,13 +405,13 @@ def check_integrity(schema: StarSchema) -> list[str]:
     """Invariant scan; returns human-readable violations (empty = healthy)."""
     problems: list[str] = []
     for dim in DIMENSIONS:
-        table = schema.dimensions[dim]
-        ids = [r.surrogate_id for r in table.rows]
+        rows = schema.dimensions[dim].rows
+        ids = [r.surrogate_id for r in rows]
         if ids != list(range(1, len(ids) + 1)):
-            problems.append(f"{table.name}: surrogate ids not dense 1..{len(ids)}")
-        keys = [r.natural_key for r in table.rows]
+            problems.append(f"{DISPLAY_NAMES[dim]}: surrogate ids not dense 1..{len(ids)}")
+        keys = [r.natural_key for r in rows]
         if len(set(keys)) != len(keys):
-            problems.append(f"{table.name}: duplicate natural keys")
+            problems.append(f"{DISPLAY_NAMES[dim]}: duplicate natural keys")
     lo, hi = schema.year_range()
     want_time = (hi - lo + 1) * 4
     if len(schema.dimensions["time"]) != want_time:
@@ -448,10 +446,9 @@ def check_integrity(schema: StarSchema) -> list[str]:
 
 
 def fact_index(schema: StarSchema) -> dict[tuple[str, ...], tuple[int, int, int]]:
-    """Facts re-keyed by natural keys, for id-independent comparison."""
-    keys = {dim: {r.surrogate_id: r.natural_key for r in schema.dimensions[dim].rows}
-            for dim in DIMENSIONS}
-    return {tuple(keys[dim][sid] for dim, sid in zip(DIMENSIONS, row[:KEYS])):
+    """Facts re-keyed by natural keys, for id-independent comparison; ids must be in range."""
+    keys = [[r.natural_key for r in schema.dimensions[dim].rows] for dim in DIMENSIONS]
+    return {tuple(k[sid - 1] for k, sid in zip(keys, row[:KEYS])):
             tuple(row[KEYS:]) for row in schema.facts.tolist()}
 
 

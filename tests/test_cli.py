@@ -5,6 +5,7 @@ import csv
 import fcntl
 import hashlib
 import os
+import random
 import re
 import shutil
 import signal
@@ -640,6 +641,92 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {path}{message}" in err, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, stage", [("jobcube.yaml", "validate"),
+                                             ("sources.yaml", "ingest"),
+                                             ("codebooks.yaml", "etl"),
+                                             ("hierarchy.yaml", "etl")])
+    def test_config_file_with_a_non_utf8_byte_is_config_error(self, tmp_path, capsys, name,
+                                                              stage):
+        cfg = write_config(tmp_path)
+        path = Path(cfg)
+        if name != "jobcube.yaml":
+            for command in ("gen", "ingest"):
+                assert main([command, "-c", cfg]) == 0
+            path = tmp_path / "data" / name
+        data = path.read_bytes()
+        path.write_bytes(data[:20] + b"\xff" + data[20:])
+        capsys.readouterr()
+        assert main([stage, "-c", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8: byte 20 "), err
+        assert "Traceback" not in err
+
+    def test_deeply_nested_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "jobcube.yaml"
+        path.write_text("seed: " + "[" * 5000 + "]" * 5000 + "\n", encoding="utf-8")
+        assert main(["validate", "-c", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid YAML: nested too deeply"), err
+        assert "Traceback" not in err
+
+
+# Each hand-off file of a tour and the subcommands that read it next; the
+# config itself goes only to commands that write nothing, so a mutated path
+# in it cannot lead to a write outside the tour.
+HANDOFF_READERS = {
+    "data/tripoli.dat": ("ingest",), "data/misurata.csv": ("ingest",),
+    "data/sirte.dbf": ("ingest",), "data/sources.yaml": ("ingest",),
+    "data/staging.csv": ("etl",), "data/codebooks.yaml": ("etl",),
+    "data/clean.csv": ("load",), "data/hierarchy.yaml": ("load",),
+    **{f"warehouse/{name}": ("validate", "query") for name in (
+        "manifest.txt", "fact.csv", "dim_city.csv", "dim_congress.csv", "dim_edulevel.csv",
+        "dim_sector.csv", "dim_service.csv", "dim_time.csv")},
+    "jobcube.yaml": ("validate", "query"),
+}
+CASES_PER_FILE = 12
+
+
+def mutated(rnd, data: bytes) -> bytes:
+    """data with one seeded fault: a flipped byte, a cut, an inserted byte or
+    a deleted run."""
+    at = rnd.randrange(len(data))
+    kind = rnd.randrange(4)
+    if kind == 0:
+        return data[:at] + bytes([data[at] ^ rnd.randrange(1, 256)]) + data[at + 1:]
+    if kind == 1:
+        return data[:at]
+    if kind == 2:
+        return data[:at] + bytes([rnd.randrange(256)]) + data[at:]
+    return data[:at] + data[at + rnd.randint(1, 16):]
+
+
+def test_mutated_handoff_files_fail_closed(tmp_path, capsys):
+    """Seeded faults in every file one stage hands the next: the reading
+    command returns an exit code in 0-3, and a failure says why on stderr."""
+    tour = tmp_path / "tour"
+    tour.mkdir()
+    cfg = write_config(tour, years={"from": 2000, "to": 2002},
+                       gen={"counts": {"tripoli": 30, "misurata": 20, "sirte": 10}})
+    for command in ("gen", "ingest", "etl", "load"):
+        assert main([command, "-c", cfg]) == 0, command
+    snapshot = tmp_path / "snapshot"
+    shutil.copytree(tour, snapshot)
+    rnd = random.Random(2021)
+    for name, commands in HANDOFF_READERS.items():
+        original = (snapshot / name).read_bytes()
+        for case in range(CASES_PER_FILE):
+            (tour / name).write_bytes(mutated(rnd, original))
+            command = rnd.choice(commands)
+            argv = [command, "-c", cfg] + (["--group-by", "sector"] if command == "query" else [])
+            capsys.readouterr()
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert type(code) is int and 0 <= code <= 3, (name, case, code)
+            if code:
+                assert re.search(r"^(error: |\[\w+\] )", err, re.M), (name, case, err)
+            shutil.rmtree(tour)
+            shutil.copytree(snapshot, tour)
 
 
 # Every error class and the exit code the command line returns for it; a new

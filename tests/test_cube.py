@@ -24,13 +24,23 @@ from jobcube.errors import (
     BadQuery,
     EmptyMemberSet,
     UnknownMember,
+    UnresolvedDimensionValue,
 )
-from jobcube.warehouse import build_schema
+from jobcube.records import DIMENSIONS
+from jobcube.warehouse import (
+    StarSchema,
+    build_schema,
+    fact_index,
+    load_schema,
+    persist,
+    refresh,
+)
 
 from oracle import (
     congress_city_map,
     make_hierarchy,
     oracle_aggregate,
+    oracle_facts,
     random_clean_records,
     record_label,
     table_as_dict,
@@ -70,6 +80,39 @@ class TestBuild:
         assert cube.mass() == (len(records),
                                sum(r.status == "seeker" for r in records),
                                sum(r.status == "directed" for r in records))
+
+
+class TestFactIds:
+    """A fact's id on an axis is its member's dimension row index + 1."""
+
+    @pytest.mark.parametrize("axis, dim", enumerate(DIMENSIONS))
+    def test_id_outside_the_table_is_refused(self, axis, dim):
+        schema = build_schema(random_clean_records(41, 200), YEARS, make_hierarchy())
+        for bad in (0, len(schema.dimensions[dim]) + 1):
+            facts = schema.facts.copy()
+            facts[0, axis] = bad
+            with pytest.raises(UnresolvedDimensionValue) as info:
+                build_cube(StarSchema(schema.dimensions, facts, schema.meta))
+            assert str(info.value) == f"fact table: dangling {dim} id", bad
+
+    def test_refreshed_warehouse_matches_the_oracle(self, tmp_path):
+        """Members the refresh appends sort before the old ones, so id order
+        is not member order on any dimension but time, which is exhaustive."""
+        hierarchy = make_hierarchy()
+        records = random_clean_records(61, 1500)
+        old = [r for r in records if r.city != "CityA" and r.sector > "SEC-B"
+               and r.education_level > "edu3" and r.service_status > "svc2"]
+        refreshed = refresh(build_schema(old, YEARS, hierarchy), records, hierarchy)
+        for dim in DIMENSIONS:
+            keys = [r.natural_key for r in refreshed.dimensions[dim].rows]
+            assert (keys == sorted(keys)) == (dim == "time"), dim
+        persist(refreshed, tmp_path)
+        cities = congress_city_map(records)
+        rnd = random.Random(61)
+        for schema in (refreshed, load_schema(tmp_path)):
+            assert fact_index(schema) == oracle_facts(records, YEARS)
+            queries = seeded_queries(rnd, records, cities, LEVEL_CHOICES)
+            assert_battery(build_cube(schema), records, cities, queries)
 
 
 class TestRollup:

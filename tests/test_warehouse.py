@@ -470,8 +470,7 @@ class TestIntegrity:
 
     def test_detects_sparse_ids(self, schema):
         rows = schema.dimensions["sector"].rows
-        gappy = DimensionTable("Sector", (*rows[:-1],
-                                          replace(rows[-1], surrogate_id=99)))
+        gappy = DimensionTable((*rows[:-1], replace(rows[-1], surrogate_id=99)))
         broken = StarSchema({**schema.dimensions, "sector": gappy},
                             schema.facts, schema.meta)
         assert any("Sector" in issue and "dense" in issue
