@@ -45,8 +45,7 @@ from .records import (
 _WEIGHTS = {"total": (1, 1), "seekers": (1, 0), "directed": (0, 1)}
 
 
-def _label_getter(dimension: str, level: str,
-                  congress_parent: Mapping[str, str] | None,
+def _label_getter(dimension: str, level: str, congress_parent: Mapping[str, str],
                   ) -> Callable[[CanonicalApplicant], str]:
     """One callable giving a record's member label on a dimension at a level."""
     if level == base_level(dimension):
@@ -54,20 +53,20 @@ def _label_getter(dimension: str, level: str,
     if (dimension, level) == ("time", "year"):
         return lambda r: str(r.year)
     if (dimension, level) == ("congress", "city"):
-        parent = (congress_parent or {}).get
+        parent = congress_parent.get
         return lambda r: parent(r.congress, r.congress)
     raise BadLevel(f"{dimension}: unknown level {level!r}")
 
 
 def run_scan_query(records: Sequence[CanonicalApplicant], query: AggregateQuery,
-                   congress_parent: Mapping[str, str] | None = None,
-                   ) -> ResultTable:
+                   congress_parent: Mapping[str, str]) -> ResultTable:
     """Answer the query by scanning every record; no pre-aggregation.
 
-    congress_parent carries the warehouse's congress-to-city assignment so a
-    city-level grouping agrees with the cube; without it a congress is its
-    own city-level ancestor. Membership of filter values is not validated
-    here: a member nothing matches simply contributes nothing.
+    congress_parent is the warehouse's congress-to-city assignment, the
+    cube's `cube.axis("congress").parent`, so a city-level grouping agrees
+    with the cube; a congress it lacks is its own city. Membership of filter
+    values is not validated here: a member nothing matches simply
+    contributes nothing.
     """
     group_by, filters = normalize_query(
         query, {dimension: base_level(dimension) for dimension in DIMENSIONS})
@@ -132,7 +131,6 @@ class QueryTiming:
     cube_median: float
     speedup: float              # scan_median / cube_median
     cube_first: float           # the first cube call, which may build a cuboid
-    answers_equal: bool
 
 
 @dataclass(frozen=True)
@@ -150,10 +148,10 @@ def _time_repeated(fn, repetitions: int) -> list[float]:
 
 
 def run_benchmark(records: Sequence[CanonicalApplicant], cube: Cube,
-                  config: BenchConfig,
-                  congress_parent: Mapping[str, str] | None = None,
+                  config: BenchConfig, congress_parent: Mapping[str, str],
                   ) -> BenchResult:
-    """Time each query both ways after verifying the answers agree.
+    """Time each query both ways after verifying the answers agree, with
+    congress_parent as for run_scan_query.
 
     Raises AnswerMismatch if any query's scan and cube answers differ; a
     benchmark of wrong answers is worthless.
@@ -182,16 +180,16 @@ def run_benchmark(records: Sequence[CanonicalApplicant], cube: Cube,
             cube_median=cube_median,
             speedup=scan_median / max(cube_median, 1e-9),
             cube_first=cube_first,
-            answers_equal=True,
         ))
     return BenchResult(tuple(timings))
 
 
 def write_bench_report(result: BenchResult, path: str | Path) -> Path:
+    """One row per query; answers_equal is always true, as a mismatch aborts the run."""
     write_csv(path, ("query_id", "scan_median_s", "cube_median_s", "speedup",
                      "answers_equal"),
               ((t.query_id, f"{t.scan_median:.6f}", f"{t.cube_median:.6f}",
-                f"{t.speedup:.2f}", str(t.answers_equal).lower())
+                f"{t.speedup:.2f}", "true")
                for t in result.timings))
     return Path(path)
 

@@ -6,10 +6,11 @@ config path, and query parameters, which `config.parse_query` reads in the
 same grammar as a config's bench queries and custom reports. Stages hand
 artifacts to each other as files: gen writes the raw sources plus sidecar
 configs into data_dir, ingest writes staging.csv, etl writes clean.csv,
-load/refresh maintain the warehouse directory. Exit codes: 0 success, and
-otherwise the `exit_code` of the JobcubeError raised: 1 usage or config
-error, 2 data error (quarantine files written where applicable) or OSError,
-3 warehouse invariant violation.
+load/refresh maintain the warehouse directory. Exit codes: 0 success (or
+--help), 1 for a flag or subcommand argparse refuses, and otherwise the
+`exit_code` of the JobcubeError raised: 1 usage or config error, 2 data
+error (quarantine files written where applicable) or OSError, 3 warehouse
+invariant violation.
 """
 
 from __future__ import annotations
@@ -279,8 +280,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:           # argparse has printed the help, or a usage error
+        return 1 if exc.code else 0
     started = time.perf_counter()
     try:
         code = _COMMANDS[args.command](load_config(args.config), args)

@@ -449,12 +449,11 @@ class IngestReport:
         return lines
 
 
-def record_mapper(spec: SourceSpec, columns: Sequence[str],
-                  counters: SourceCounters | None = None,
+def record_mapper(spec: SourceSpec, columns: Sequence[str], counters: SourceCounters,
                   ) -> Callable[[Sequence[str]], CanonicalApplicant]:
-    """A spec's row function for a file with these columns: field
-    map and codebooks applied (an untranslated code passes through and is
-    counted), city and source id fixed, status derived. A column named twice
+    """A spec's row function for a file with these columns: field map and
+    codebooks applied (an untranslated code passes through and is counted in
+    counters), city and source id fixed, status derived. A column named twice
     is read from its last place. It raises MissingMandatoryField for every row
     if the file lacks a mapped column, InvalidFieldValue for a bad year or a
     blank quarter."""
@@ -477,7 +476,7 @@ def record_mapper(spec: SourceSpec, columns: Sequence[str],
     arrange = itemgetter(*(slots.get(name, 0) for name in ALL_FIELDS))
     coded = tuple((ALL_FIELDS.index(name), name, book)
                   for name, book in spec.value_codebooks.items())
-    count = (counters or SourceCounters()).count_untranslatable
+    count = counters.count_untranslatable
     make = CanonicalApplicant._make
 
     def to_record(values: Sequence[str]) -> CanonicalApplicant:
@@ -524,12 +523,11 @@ def row_mapper(spec: SourceSpec, columns: Sequence[str],
     return to_row
 
 
-def parse_source(data: bytes, spec: SourceSpec, report: IngestReport | None = None) -> Parsed:
-    """Dispatch on the spec's format; counts deleted rows when applicable."""
+def parse_source(data: bytes, spec: SourceSpec, report: IngestReport) -> Parsed:
+    """Dispatch on the spec's format; a dbf's deleted rows are counted in report."""
     if spec.format == "dbf":
         table = read_dbf(data, encoding=spec.encoding, source_id=spec.source_id)
-        if report is not None:
-            report.counters(spec.source_id).deleted_skipped += table.deleted
+        report.counters(spec.source_id).deleted_skipped += table.deleted
         return tuple(fd.name for fd in table.fields), table.rows
     if spec.format == "fixed_width":
         return parse_fixed_width(data, spec.layout, encoding=spec.encoding,

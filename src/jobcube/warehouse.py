@@ -108,12 +108,6 @@ class StarSchema:
         return int(lo), int(hi)
 
 
-def _congress_parent(hierarchy: ConceptHierarchy | None, value: str) -> str:
-    """Parent city of a congress; values outside the hierarchy are their own
-    parent so they survive a city-level roll-up as themselves."""
-    return value if hierarchy is None else hierarchy.parent_of.get(("congress", value), value)
-
-
 def _member_lists(records: Sequence[CanonicalApplicant]) -> dict[str, list]:
     """Each record's member on every dimension, and its status, one list per
     key: the observed members and the fact codes both come from these. Each
@@ -126,12 +120,14 @@ def _member_lists(records: Sequence[CanonicalApplicant]) -> dict[str, list]:
 
 
 def _appended(rows: tuple[DimensionRow, ...], values: set[str], dim: str,
-              hierarchy: ConceptHierarchy | None) -> tuple[DimensionRow, ...]:
-    """rows plus one row per value they lack, in sorted order, ids following on."""
+              hierarchy: ConceptHierarchy) -> tuple[DimensionRow, ...]:
+    """rows plus one row per value they lack, in sorted order, ids following on.
+    A congress outside the hierarchy is its own city, so it survives a
+    city-level roll-up as itself."""
     known = {r.natural_key for r in rows}
     return rows + tuple(
-        DimensionRow(len(rows) + i, key,
-                     {"city": _congress_parent(hierarchy, key)} if dim == "congress" else {})
+        DimensionRow(len(rows) + i, key, {"city": hierarchy.parent_of.get(("congress", key), key)}
+                     if dim == "congress" else {})
         for i, key in enumerate(sorted(values - known), 1))
 
 
@@ -208,7 +204,7 @@ def _stamped(dims: dict[str, DimensionTable], facts: np.ndarray,
 
 def build_schema(records: Sequence[CanonicalApplicant],
                  year_range: tuple[int, int],
-                 hierarchy: ConceptHierarchy | None = None) -> StarSchema:
+                 hierarchy: ConceptHierarchy) -> StarSchema:
     """A refresh of the empty warehouse, whose time is exhaustive over year_range."""
     year_from, year_to = year_range
     if year_from > year_to:
@@ -224,7 +220,7 @@ def build_schema(records: Sequence[CanonicalApplicant],
 
 
 def refresh(schema: StarSchema, full_records: Sequence[CanonicalApplicant],
-            hierarchy: ConceptHierarchy | None = None) -> StarSchema:
+            hierarchy: ConceptHierarchy) -> StarSchema:
     """Recompute the warehouse over the full (re-deduplicated) record set.
 
     Existing rows keep their positions, so their ids; unseen dimension values
@@ -274,17 +270,16 @@ def persist(schema: StarSchema, path: str | Path) -> Path:
     return manifest
 
 
-def _bad_row(fname: str, rows: list[list[str]], width: int, ints: int) -> CorruptManifest:
-    """The error naming the first row of the wrong width or a non-int64 id."""
-    for row_no, row in enumerate(rows, 1):
-        if len(row) != width:
-            return CorruptManifest(
-                f"{fname}: row {row_no}: {len(row)} columns, expected {width}")
-        try:
-            np.array(row[:ints], dtype=np.int64)
-        except (ValueError, OverflowError):
-            return CorruptManifest(f"{fname}: row {row_no}: not integers: {row[:ints]}")
-    return CorruptManifest(f"{fname}: not a table of integers")
+def _parsed_row(fname: str, row_no: int, row: list[str], width: int, ints: int,
+                parse: Callable[[list[str]], object]) -> object:
+    """The row's first `ints` fields through parse, once its width is checked;
+    a wrong width, or a ValueError or OverflowError of parse, raises naming the row."""
+    if len(row) != width:
+        raise CorruptManifest(f"{fname}: row {row_no}: {len(row)} columns, expected {width}")
+    try:
+        return parse(row[:ints])
+    except (ValueError, OverflowError):
+        raise CorruptManifest(f"{fname}: row {row_no}: not integers: {row[:ints]}") from None
 
 
 def _fact_array(data: bytes, rows: int) -> np.ndarray | None:
@@ -310,8 +305,9 @@ def load_schema(path: str | Path) -> StarSchema:
     """Read a warehouse directory back, verifying checksums and row counts.
 
     Fails closed: anything unreadable, tampered or malformed raises
-    CorruptManifest naming the file, and the row where there is one. A
-    dimension row's id must be its row number, as `persist` writes them.
+    CorruptManifest naming the file, and the first faulty row in file order
+    where there is one. A dimension row's id must be its row number, and its
+    key must not repeat an earlier row's, as `persist` writes them.
     """
     base = Path(path)
     manifest = base / MANIFEST_FILE
@@ -369,27 +365,24 @@ def load_schema(path: str | Path) -> StarSchema:
         attr_cols = tuple(header[2:])
         if header[:2] != ["id", "key"] or attr_cols != ATTR_COLUMNS.get(dim, ()):
             raise CorruptManifest(f"{fname}: unexpected columns {header}")
-        try:
-            table_rows = tuple(DimensionRow(int(r[0]), r[1], dict(zip(attr_cols, r[2:])))
-                               for r in rows if len(r) == len(header))
-        except ValueError:
-            table_rows = ()
-        if len(table_rows) != len(rows):
-            raise _bad_row(fname, rows, len(header), 1)
-        for row_no, row in enumerate(table_rows, 1):
-            if row.surrogate_id != row_no:
-                raise CorruptManifest(f"{fname}: row {row_no}: id {row.surrogate_id}, "
-                                      f"expected {row_no}")
-        dims[dim] = DimensionTable(table_rows)
+        table_rows, first_row = [], {}      # first_row: each key's first row number
+        for row_no, row in enumerate(rows, 1):
+            row_id = _parsed_row(fname, row_no, row, len(header), 1, lambda f: int(f[0]))
+            if row_id != row_no:
+                raise CorruptManifest(f"{fname}: row {row_no}: id {row_id}, expected {row_no}")
+            if (first := first_row.setdefault(row[1], row_no)) != row_no:
+                raise CorruptManifest(f"{fname}: row {row_no}: key {row[1]!r} repeats row {first}")
+            table_rows.append(DimensionRow(row_no, row[1], dict(zip(attr_cols, row[2:]))))
+        dims[dim] = DimensionTable(tuple(table_rows))
 
     header, rows = checked("fact", _fact_array)
     if tuple(header) != FACT_COLUMNS:
         raise CorruptManifest(f"{FACT_FILE}: unexpected columns {header}")
-    try:
-        facts = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(header))
-    except (ValueError, OverflowError):
-        raise _bad_row(FACT_FILE, rows, len(header), len(header)) from None
-    schema = StarSchema(dims, facts, meta)
+    width = len(FACT_COLUMNS)
+    if isinstance(rows, list):          # the bulk guard refused the file
+        rows = [_parsed_row(FACT_FILE, row_no, row, width, width,
+                            lambda f: np.array(f, np.int64)) for row_no, row in enumerate(rows, 1)]
+    schema = StarSchema(dims, np.asarray(rows, np.int64).reshape(len(rows), width), meta)
     try:
         schema.year_range(), int(meta.get("records", 0))
     except (KeyError, ValueError):

@@ -161,9 +161,10 @@ def test_2_measure_conservation(capsys):
                     assert total == seekers + directed
 
 
-def test_3_warehouse_structure(capsys, clean_small, tmp_path):
+def test_3_warehouse_structure(capsys, gen_small, clean_small, tmp_path):
     with criterion(capsys, 3, "time grain, six education levels, star shape"):
-        schema = build_schema(clean_small, YEARS)
+        hierarchy = load_hierarchy(gen_small.out_dir / "hierarchy.yaml")
+        schema = build_schema(clean_small, YEARS, hierarchy)
         persist(schema, tmp_path)
         loaded = load_schema(tmp_path)
         assert logically_equal(loaded, schema)
@@ -316,8 +317,7 @@ def test_7_benchmark_speedup_at_scale(capsys, tmp_path):
         result = run_benchmark(cleaned, cube, config, congress_parent=parents)
         elapsed = time.monotonic() - started
 
-        timing = result.timings[0]
-        assert timing.answers_equal
+        timing = result.timings[0]      # run_benchmark raises if the answers differ
         assert timing.speedup >= 10.0, timing.speedup
         assert elapsed < 300.0, elapsed
 

@@ -118,6 +118,14 @@ WAREHOUSE_TAMPERS = [
                  "dim_city.csv: row 1: id 20000000, expected 1", id="huge_dim_id"),
     pytest.param("dim_city.csv", replace_line(2, lambda line: "-1" + line[1:]),
                  "dim_city.csv: row 2: id -1, expected 2", id="negative_dim_id"),
+    pytest.param("dim_sector.csv", replace_line(3, lambda line: "3,SEC-01"),
+                 "dim_sector.csv: row 3: key 'SEC-01' repeats row 2", id="repeated_key"),
+    pytest.param("dim_congress.csv", replace_line(3, lambda line: "3,MIS-CG01,Misurata"),
+                 "dim_congress.csv: row 3: key 'MIS-CG01' repeats row 1",
+                 id="repeated_attributed_key"),
+    pytest.param("dim_city.csv",
+                 lambda text: text.replace("\n2,", "\n-1,").replace("\n3,", "\nx,"),
+                 "dim_city.csv: row 2: id -1, expected 2", id="first_of_two_faults"),
     pytest.param("dim_city.csv", lambda text: re.sub(r",[^\n]*", "", text),
                  "dim_city.csv: unexpected columns ['id']", id="id_only_dim"),
     pytest.param("dim_city.csv", lambda text: re.sub(r"[^\n]", "", text),
@@ -552,6 +560,17 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "error: " in proc.stderr and "education_levels" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [["query", "--measure", "bogus"],
+                                      ["query", "--format", "html"], [], ["frobnicate"]])
+    def test_bad_flag_or_subcommand_is_usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["query", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: jobcube")
 
     def test_query_unknown_member_is_usage_error(self, pipeline):
         _, cfg = pipeline

@@ -5,6 +5,7 @@ import hashlib
 
 import pytest
 
+from jobcube.config import load_hierarchy
 from jobcube.datagen import (
     CITY_ORDER,
     FieldDescriptor,
@@ -194,7 +195,8 @@ class TestPlantedTruth:
         assert report.duplicates_removed == 0
         assert report.values_filled == {}
         assert report.values_normalized == {}
-        schema = build_schema(cleaned, (config.year_from, config.year_to))
+        schema = build_schema(cleaned, (config.year_from, config.year_to),
+                              load_hierarchy(tmp_path / "hierarchy.yaml"))
         assert check_integrity(schema) == []
         assert sum(schema.facts[:, 6].tolist()) == 130
 

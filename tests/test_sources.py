@@ -33,6 +33,7 @@ from jobcube.sources import (
     FIXED_FIELDS,
     MANDATORY_MAPPED,
     FieldDescriptor,
+    IngestReport,
     SourceCounters,
     SourceSpec,
     ingest_sources,
@@ -359,7 +360,7 @@ COLUMNS = ("NID", "YR", "QTR", "SEC", "SX")
 
 def map_row(spec, row, counters=None):
     """The record one row of a file with COLUMNS maps to."""
-    return record_mapper(spec, COLUMNS, counters)(row)
+    return record_mapper(spec, COLUMNS, counters or SourceCounters())(row)
 
 
 class TestMapping:
@@ -372,13 +373,14 @@ class TestMapping:
 
     def test_picks_by_position_in_any_column_order(self):
         spec = make_spec()
-        to_record = record_mapper(spec, ("SX", "EXTRA", "QTR", "NID", "SEC", "YR"))
+        to_record = record_mapper(spec, ("SX", "EXTRA", "QTR", "NID", "SEC", "YR"),
+                                  SourceCounters())
         assert to_record(("male", "x", "Q2", "N1", "S9", "2003")) == map_row(
             spec, ("N1", "2003", "Q2", "S9", "male"))
 
     def test_repeated_column_reads_the_last(self):
         # as a header read into a dict would
-        to_record = record_mapper(make_spec(), COLUMNS + ("SX",))
+        to_record = record_mapper(make_spec(), COLUMNS + ("SX",), SourceCounters())
         assert to_record(("N1", "2003", "Q2", "", "male", "female")).sex == "female"
 
     def test_status_follows_sector(self):
@@ -411,7 +413,7 @@ class TestMapping:
 
     def test_missing_mapped_field(self):
         # every row is rejected, naming the first missing column in map order
-        to_record = record_mapper(make_spec(), ("NID", "SEC"))
+        to_record = record_mapper(make_spec(), ("NID", "SEC"), SourceCounters())
         for row in (("N1", ""), ("N2", "S9")):
             with pytest.raises(MissingMandatoryField) as err:
                 to_record(row)
@@ -484,9 +486,11 @@ class TestRowMapper:
         writes back as that row, less the columns no mapping reads, and that
         row maps back to the same record."""
         generate(PINNED_CONFIGS[name], tmp_path)
+        report = IngestReport()
         for spec in load_sources(tmp_path / "sources.yaml"):
-            columns, rows = parse_source((tmp_path / spec.path).read_bytes(), spec)
-            to_record, to_row = record_mapper(spec, columns), row_mapper(spec, columns)
+            columns, rows = parse_source((tmp_path / spec.path).read_bytes(), spec, report)
+            to_record = record_mapper(spec, columns, report.counters(spec.source_id))
+            to_row = row_mapper(spec, columns)
             read = set(spec.field_map.values())
             for row in rows:
                 record = to_record(row)

@@ -110,7 +110,7 @@ class TestDimensions:
 
     def test_empty_year_range(self):
         with pytest.raises(EmptyYearRange):
-            build_schema([], (2005, 2004))
+            build_schema([], (2005, 2004), make_hierarchy())
 
 
 class TestFacts:
@@ -160,18 +160,18 @@ class TestFacts:
         records = random_clean_records(3, 50)
         alien = records[0]._replace(year=1999)
         with pytest.raises(UnresolvedDimensionValue):
-            build_schema(records + [alien], YEARS)
+            build_schema(records + [alien], YEARS, make_hierarchy())
 
     def test_bad_status_rejected(self):
         records = random_clean_records(4, 10)
         bad = records[0]._replace(status="waiting")
         with pytest.raises(InvalidFieldValue):
-            build_schema([bad], YEARS)
+            build_schema([bad], YEARS, make_hierarchy())
 
     def test_non_text_status_rejected(self):
         records = random_clean_records(4, 10)
         with pytest.raises(InvalidFieldValue):
-            build_schema([records[0]._replace(status=1)], YEARS)
+            build_schema([records[0]._replace(status=1)], YEARS, make_hierarchy())
 
 
 class TestPersistence:
