@@ -6,11 +6,12 @@ config path, and query parameters, which `config.parse_query` reads in the
 same grammar as a config's bench queries and custom reports. Stages hand
 artifacts to each other as files: gen writes the raw sources plus sidecar
 configs into data_dir, ingest writes staging.csv, etl writes clean.csv,
-load/refresh maintain the warehouse directory. Exit codes: 0 success (or
---help), 1 for a flag or subcommand argparse refuses, and otherwise the
-`exit_code` of the JobcubeError raised: 1 usage or config error, 2 data
-error (quarantine files written where applicable) or OSError, 3 warehouse
-invariant violation.
+load/refresh maintain the warehouse directory, and every command that reads
+it does so through `_warehouse`, which refuses what `validate` refuses. Exit
+codes: 0 success (or --help), 1 for a flag or subcommand argparse refuses,
+and otherwise the `exit_code` of the JobcubeError raised: 1 usage or config
+error, 2 data error (quarantine files written where applicable) or OSError,
+3 a warehouse that fails a check of `load_schema` or `check_integrity`.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable
 
 from . import bench as bench_mod
 from . import datagen
 from .config import (PipelineConfig, load_codebooks, load_config, load_hierarchy,
                      load_sources, parse_query)
-from .cube import MEASURES, Cube, aggregate, build_cube
-from .errors import ConfigError, JobcubeError
+from .cube import MEASURES, aggregate, build_cube
+from .errors import ConfigError, CorruptManifest, JobcubeError
 from .preprocess import run_pipeline
 from .records import ALL_FIELDS, read_records_csv, write_csv, write_records_csv
 from .reporting import run_report, write_result
@@ -57,14 +59,6 @@ def _locked(warehouse_dir: Path):
         yield
 
 
-def _violations(schema: StarSchema, prefix: str) -> bool:
-    """Print each integrity violation after prefix; True if there was one."""
-    issues = check_integrity(schema)
-    for issue in issues:
-        _say(f"{prefix} {issue}")
-    return bool(issues)
-
-
 def _require_file(path: Path, hint: str) -> None:
     if not path.exists():
         raise ConfigError(f"{path}: not found; run `{hint}` first")
@@ -81,9 +75,19 @@ def _rejects(stage: str, path: Path, header: tuple, rows: list, what: str) -> in
     return 0
 
 
-def _loaded_cube(config: PipelineConfig) -> Cube:
-    _require_file(Path(config.warehouse_dir) / MANIFEST_FILE, "jobcube load")
-    return build_cube(load_schema(config.warehouse_dir))
+def _warehouse(config: PipelineConfig, stage: str) -> StarSchema:
+    """The warehouse `load_schema` reads, refused (exit 3) if `check_integrity`
+    finds a violation; each is printed as `[stage] violation: ...`."""
+    base = Path(config.warehouse_dir)
+    _require_file(base / MANIFEST_FILE, "jobcube load")
+    schema = load_schema(base)
+    issues = check_integrity(schema)
+    for issue in issues:
+        _say(f"[{stage}] violation: {issue}")
+    if issues:
+        raise CorruptManifest(f"{base}: {len(issues)} invariant violation(s); "
+                              "`jobcube load` rebuilds the warehouse")
+    return schema
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +146,6 @@ def cmd_load(config: PipelineConfig, args: argparse.Namespace) -> int:
     records = read_records_csv(clean)
     hierarchy = load_hierarchy(config.hierarchy_path())
     schema = build_schema(records, (config.year_from, config.year_to), hierarchy)
-    if _violations(schema, "[load] invariant violation:"):
-        return 3
     with _locked(Path(config.warehouse_dir)):
         manifest = persist(schema, config.warehouse_dir)
     for dim, table in sorted(schema.dimensions.items()):
@@ -160,11 +162,9 @@ def cmd_refresh(config: PipelineConfig, args: argparse.Namespace) -> int:
     records = read_records_csv(clean)
     hierarchy = load_hierarchy(config.hierarchy_path())
     with _locked(Path(config.warehouse_dir)):   # held from read to write
-        schema = load_schema(config.warehouse_dir)
+        schema = _warehouse(config, "refresh")
         before = {dim: len(table) for dim, table in schema.dimensions.items()}
         refreshed = refresh(schema, records, hierarchy)
-        if _violations(refreshed, "[refresh] invariant violation:"):
-            return 3
         manifest = persist(refreshed, config.warehouse_dir)
     for dim, table in sorted(refreshed.dimensions.items()):
         grown = len(table) - before[dim]
@@ -182,7 +182,7 @@ _QUERY_FLAGS = {"measure": "--measure", "group_by": "--group-by",
 
 def cmd_query(config: PipelineConfig, args: argparse.Namespace) -> int:
     query = parse_query(args.measure, args.group_by, args.filter, args.years, _QUERY_FLAGS)
-    cube = _loaded_cube(config)
+    cube = build_cube(_warehouse(config, "query"))
     started = time.perf_counter()
     table = aggregate(cube, query)
     elapsed = time.perf_counter() - started
@@ -197,7 +197,7 @@ def cmd_report(config: PipelineConfig, args: argparse.Namespace) -> int:
     if not config.reports:
         _say("[report] no reports configured")
         return 0
-    cube = _loaded_cube(config)
+    cube = build_cube(_warehouse(config, "report"))
     for spec in config.reports:
         table = run_report(cube, spec)
         target = spec.output or "(stdout)"
@@ -211,7 +211,7 @@ def cmd_bench(config: PipelineConfig, args: argparse.Namespace) -> int:
     clean = config.clean_path()
     _require_file(clean, "jobcube etl")
     records = read_records_csv(clean)
-    cube = _loaded_cube(config)
+    cube = build_cube(_warehouse(config, "bench"))
     result = bench_mod.run_benchmark(records, cube, config.bench,
                                      congress_parent=cube.axis("congress").parent)
     for line in bench_mod.summary_lines(result):
@@ -222,27 +222,11 @@ def cmd_bench(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_validate(config: PipelineConfig, args: argparse.Namespace) -> int:
-    _require_file(Path(config.warehouse_dir) / MANIFEST_FILE, "jobcube load")
-    schema = load_schema(config.warehouse_dir)
-    if _violations(schema, "[validate] violation:"):
-        return 3
+    schema = _warehouse(config, "validate")
     total_rows = sum(len(t) for t in schema.dimensions.values())
     _say(f"[validate] warehouse ok: {len(schema.dimensions)} dimension tables "
          f"({total_rows} rows), {len(schema.facts)} fact rows")
     return 0
-
-
-_COMMANDS = {
-    "gen": cmd_gen,
-    "ingest": cmd_ingest,
-    "etl": cmd_etl,
-    "load": cmd_load,
-    "refresh": cmd_refresh,
-    "query": cmd_query,
-    "report": cmd_report,
-    "bench": cmd_bench,
-    "validate": cmd_validate,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -252,18 +236,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "ingest, clean, load a star schema, query the cube.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+    def command(name: str, help_text: str, handler: Callable[..., int]) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("-c", "--config", default="jobcube.yaml",
                        help="pipeline config file (default: %(default)s)")
+        p.set_defaults(run=handler)
         return p
 
-    command("gen", "generate the three synthetic city sources")
-    command("ingest", "parse all sources into canonical staging records")
-    command("etl", "clean, deduplicate, generalize, and reduce staged records")
-    command("load", "build the star schema and persist the warehouse")
-    command("refresh", "fold the current clean records into an existing warehouse")
-    query = command("query", "run one aggregate query against the cube")
+    command("gen", "generate the three synthetic city sources", cmd_gen)
+    command("ingest", "parse all sources into canonical staging records", cmd_ingest)
+    command("etl", "clean, deduplicate, generalize, and reduce staged records", cmd_etl)
+    command("load", "build the star schema and persist the warehouse", cmd_load)
+    command("refresh", "fold the current clean records into an existing warehouse", cmd_refresh)
+    query = command("query", "run one aggregate query against the cube", cmd_query)
     query.add_argument("--measure", default="total", choices=MEASURES)
     query.add_argument("--group-by", default="",
                        help="comma list of dimensions, dim or dim:level")
@@ -273,9 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="restrict a dimension to members (repeatable)")
     query.add_argument("--format", default="csv", choices=("csv", "table"))
     query.add_argument("--output", default="", help="write result to this file")
-    command("report", "run every report configured in the pipeline config")
-    command("bench", "time configured queries, cube versus full record scan")
-    command("validate", "check warehouse invariants; exit 3 on violation")
+    command("report", "run every report configured in the pipeline config", cmd_report)
+    command("bench", "time configured queries, cube versus full record scan", cmd_bench)
+    command("validate", "check warehouse invariants; exit 3 on violation", cmd_validate)
     return parser
 
 
@@ -286,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code else 0
     started = time.perf_counter()
     try:
-        code = _COMMANDS[args.command](load_config(args.config), args)
+        code = args.run(load_config(args.config), args)
     except (JobcubeError, OSError) as exc:
         _say(f"error: {exc}")
         return getattr(exc, "exit_code", 2)     # an OSError is a data error

@@ -81,7 +81,7 @@ class UnresolvedDimensionValue(JobcubeError):
 
 
 class CorruptManifest(JobcubeError):
-    """Persisted warehouse fails its manifest checksum/row-count check."""
+    """Persisted warehouse fails a check on reading: checksums, layout or invariants."""
     exit_code = 3
 
 

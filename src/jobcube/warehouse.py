@@ -395,7 +395,9 @@ def load_schema(path: str | Path) -> StarSchema:
 
 
 def check_integrity(schema: StarSchema) -> list[str]:
-    """Invariant scan; returns human-readable violations (empty = healthy)."""
+    """Invariant scan; returns human-readable violations (empty = healthy).
+    The command line refuses a warehouse it reads back with any; a schema
+    `build_schema` or `refresh` returns from a healthy one has none."""
     problems: list[str] = []
     for dim in DIMENSIONS:
         rows = schema.dimensions[dim].rows

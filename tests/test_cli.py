@@ -139,6 +139,35 @@ WAREHOUSE_TAMPERS = [
 ]
 
 
+def repeat_row_1(text):
+    """fact.csv with row 2 a copy of row 1."""
+    lines = text.split("\n")
+    lines[2] = lines[1]
+    return "\n".join(lines)
+
+
+def fact_measures(edit):
+    """An edit(text) of fact.csv giving row 1 the measures edit(total, seekers, directed)."""
+    def apply(line):
+        fields = line.split(",")
+        return ",".join(fields[:6] + [str(m) for m in edit(*map(int, fields[6:]))])
+    return replace_line(1, apply)
+
+
+# (edit of fact.csv's text, keeping its row count; what the violation says, a regex)
+FACT_FAULTS = [
+    pytest.param(repeat_row_1, r"fact \(.*\): duplicate key tuple", id="repeated_key"),
+    pytest.param(replace_line(1, lambda line: "99" + line[line.index(","):]),
+                 r"fact \(99, .*\): dangling city id 99", id="dangling_id"),
+    pytest.param(fact_measures(lambda t, s, d: (t, s + 1, d)),
+                 r"fact \(.*\): total \d+ != \d+ \+ \d+", id="unbalanced"),
+    pytest.param(fact_measures(lambda t, s, d: (t, t + 1, -1)),
+                 r"fact \(.*\): negative measure", id="negative_measure"),
+    pytest.param(fact_measures(lambda t, s, d: (t + 1, s + 1, d)),
+                 r"fact totals sum to \d+, manifest records=\d+", id="totals_not_records"),
+]
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """gen -> ingest -> etl -> load, once, in its own directory."""
@@ -365,6 +394,18 @@ class TestExitCodes:
         assert main(["load", "-c", cfg]) == 1
         assert main(["validate", "-c", cfg]) == 1
 
+    def test_refresh_without_a_warehouse_creates_none(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["refresh", "-c", cfg]) == 1
+        manifest = tmp_path / "warehouse" / "manifest.txt"
+        assert f"error: {manifest}: not found; run `jobcube load` first" in capsys.readouterr().err
+        assert not (tmp_path / "warehouse").exists()
+
+    def test_report_with_no_reports_reads_no_warehouse(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, reports=[])
+        assert main(["report", "-c", cfg]) == 0
+        assert "[report] no reports configured" in capsys.readouterr().err
+
     def test_bad_year_row_quarantined_at_ingest(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["gen", "-c", cfg]) == 0
@@ -545,6 +586,31 @@ class TestExitCodes:
             capsys.readouterr()
             assert main([command, "-c", cfg]) == 3, command
             assert f"error: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "query", "report", "bench", "refresh"])
+    @pytest.mark.parametrize("edit, violation", FACT_FAULTS)
+    def test_warehouse_failing_an_invariant_is_refused(self, pipeline, tmp_path, capsys,
+                                                       command, edit, violation):
+        """Every command that reads the warehouse refuses one that check_integrity
+        faults, with validate's violation lines, and writes nothing."""
+        built, _ = pipeline
+        for name in ("data", "warehouse"):
+            shutil.copytree(built / name, tmp_path / name)
+        warehouse = tmp_path / "warehouse"
+        retamper(warehouse, "fact.csv", edit)
+        before = {p.name: p.read_bytes() for p in warehouse.iterdir()}
+        cfg = write_config(tmp_path)
+        argv = [command, "-c", cfg]
+        if command == "query":
+            argv += ["--output", str(tmp_path / "reports" / "query.csv")]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert re.search(rf"^\[{command}\] violation: {violation}$", err, re.M), err
+        found = len(re.findall(rf"^\[{command}\] violation: ", err, re.M))
+        assert f"error: {warehouse}: {found} invariant violation(s)" in err
+        assert not (tmp_path / "reports").exists()
+        assert {p.name: p.read_bytes() for p in warehouse.iterdir()} == before
 
     @pytest.mark.parametrize("key", ["repetitions", "warmup"])
     def test_non_integer_bench_setting(self, tmp_path, capsys, key):

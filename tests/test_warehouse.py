@@ -506,6 +506,7 @@ class TestRefresh:
             rebuilt = build_schema(records, YEARS, hierarchy)
             assert logically_equal(refreshed, rebuilt)
             assert check_integrity(refreshed) == []
+            assert check_integrity(rebuilt) == []
 
     def test_noop_refresh_identical(self):
         hierarchy = make_hierarchy()
