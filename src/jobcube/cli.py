@@ -64,6 +64,12 @@ def _require_file(path: Path, hint: str) -> None:
         raise ConfigError(f"{path}: not found; run `{hint}` first")
 
 
+def _clean_records(config: PipelineConfig) -> list:
+    """The records `jobcube etl` wrote to clean.csv, for load, refresh and bench."""
+    _require_file(config.clean_path(), "jobcube etl")
+    return read_records_csv(config.clean_path())
+
+
 def _rejects(stage: str, path: Path, header: tuple, rows: list, what: str) -> int:
     """Write the rejected rows to path, say so and return 2; with none, remove
     a stale file from an earlier run and return 0."""
@@ -141,9 +147,7 @@ def cmd_etl(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_load(config: PipelineConfig, args: argparse.Namespace) -> int:
-    clean = config.clean_path()
-    _require_file(clean, "jobcube etl")
-    records = read_records_csv(clean)
+    records = _clean_records(config)
     hierarchy = load_hierarchy(config.hierarchy_path())
     schema = build_schema(records, (config.year_from, config.year_to), hierarchy)
     with _locked(Path(config.warehouse_dir)):
@@ -157,9 +161,7 @@ def cmd_load(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 def cmd_refresh(config: PipelineConfig, args: argparse.Namespace) -> int:
     _require_file(Path(config.warehouse_dir) / MANIFEST_FILE, "jobcube load")
-    clean = config.clean_path()
-    _require_file(clean, "jobcube etl")
-    records = read_records_csv(clean)
+    records = _clean_records(config)
     hierarchy = load_hierarchy(config.hierarchy_path())
     with _locked(Path(config.warehouse_dir)):   # held from read to write
         schema = _warehouse(config, "refresh")
@@ -208,9 +210,7 @@ def cmd_report(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_bench(config: PipelineConfig, args: argparse.Namespace) -> int:
-    clean = config.clean_path()
-    _require_file(clean, "jobcube etl")
-    records = read_records_csv(clean)
+    records = _clean_records(config)
     cube = build_cube(_warehouse(config, "bench"))
     result = bench_mod.run_benchmark(records, cube, config.bench,
                                      congress_parent=cube.axis("congress").parent)

@@ -125,7 +125,8 @@ def oracle_facts(records, year_range: tuple[int, int]):
     for r in records:
         time = f"{r.year}{r.quarter}"
         if not (lo <= r.year <= hi and r.quarter in QUARTERS):
-            return UnresolvedDimensionValue(f"Time: value {time!r} not in dimension")
+            return UnresolvedDimensionValue(
+                f"Time: value {time!r} of record {r.national_id!r} not in dimension")
         if r.status not in ("seeker", "directed"):
             return InvalidFieldValue(f"record {r.national_id!r}: bad status {r.status!r}")
         key = (r.city, r.sector, r.education_level, r.congress, r.service_status, time)

@@ -80,6 +80,17 @@ RECORD_CSV_TAMPERS = [
 ]
 
 
+# (edit of one clean.csv row, and the error line load and refresh then print,
+# from the edited row)
+UNLOADABLE_RECORDS = [
+    pytest.param(lambda row: row[:13] + ["2010"] + row[14:],
+                 lambda row: f"error: Time: value '2010{row[14]}' of record {row[0]!r} "
+                             "not in dimension", id="year_out_of_range"),
+    pytest.param(lambda row: row[:12] + ["waiting"] + row[13:],
+                 lambda row: f"error: record {row[0]!r}: bad status 'waiting'", id="bad_status"),
+]
+
+
 def retamper(warehouse, name, edit) -> None:
     """Rewrite a warehouse file through edit(text) and, for a table file,
     give the manifest its new checksum, so only the content is wrong."""
@@ -573,6 +584,30 @@ class TestExitCodes:
         capsys.readouterr()
         assert main([command, "-c", cfg]) == 2
         assert f"error: {clean}: line 3: bad year '20x3'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", UNLOADABLE_RECORDS)
+    def test_unloadable_record_is_named(self, pipeline, tmp_path, capsys, edit, message):
+        """A clean.csv record whose time or status the warehouse cannot take fails
+        load and refresh (exit 2) with an error naming it; load creates no
+        warehouse, and refresh moves no byte of the one it reads."""
+        built, _ = pipeline
+        shutil.copytree(built / "data", tmp_path / "data")
+        clean = tmp_path / "data" / "clean.csv"
+        edit_record_csv(clean, 5, edit)
+        with open(clean, newline="", encoding="utf-8") as fh:
+            line = message(list(csv.reader(fh))[5])
+        cfg = write_config(tmp_path)
+        warehouse = tmp_path / "warehouse"
+        capsys.readouterr()
+        assert main(["load", "-c", cfg]) == 2
+        assert line in capsys.readouterr().err.splitlines()
+        assert not warehouse.exists()
+
+        shutil.copytree(built / "warehouse", warehouse)
+        before = {p.name: p.read_bytes() for p in warehouse.iterdir()}
+        assert main(["refresh", "-c", cfg]) == 2
+        assert line in capsys.readouterr().err.splitlines()
+        assert {p.name: p.read_bytes() for p in warehouse.iterdir()} == before
 
     @pytest.mark.parametrize("name, edit, reason", WAREHOUSE_TAMPERS)
     def test_malformed_warehouse_fails_closed(self, pipeline, tmp_path, capsys, name,
