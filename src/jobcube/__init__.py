@@ -16,12 +16,13 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "bench": "BenchConfig BenchResult QueryTiming run_benchmark run_scan_query write_bench_report",
+    "bench": "BenchResult QueryTiming run_benchmark run_scan_query write_bench_report",
+    "config": "BenchConfig CleaningPolicy GenConfig",
     "cube": "AggregateQuery Cube CubeAxis ResultTable aggregate build_cube dice drilldown rollup "
             "slice_cube",
-    "datagen": "GenConfig GenResult Rng generate",
+    "datagen": "GenResult Rng generate",
     "errors": "JobcubeError",
-    "preprocess": "CleaningPolicy ConceptHierarchy PreprocessReport deduplicate dimension_reduce "
+    "preprocess": "ConceptHierarchy PreprocessReport deduplicate dimension_reduce "
                   "fill_missing generalize normalize_codes run_pipeline",
     "records": "CanonicalApplicant read_records_csv write_records_csv",
     "reporting": "ReportSpec run_report",

@@ -30,7 +30,8 @@ from .cube import (
     normalize_query,
     result_columns,
 )
-from .errors import AnswerMismatch, BadLevel, ConfigError
+from .config import BenchConfig
+from .errors import AnswerMismatch, BadLevel
 from .records import (
     DIMENSIONS,
     MEMBER_FIELDS,
@@ -105,23 +106,6 @@ def run_scan_query(records: Sequence[CanonicalApplicant], query: AggregateQuery,
         return ResultTable(columns, ((groups.get((), 0),),))
     rows = tuple((*key, groups[key]) for key in sorted(groups))
     return ResultTable(columns, rows)
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    """The queries to time and how often; checked when made."""
-
-    queries: tuple[tuple[str, AggregateQuery], ...]     # (query id, query)
-    repetitions: int = 10
-    warmup: int = 2
-
-    def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
-        if self.warmup < 0:
-            raise ConfigError("warmup must be >= 0")
-        if not self.queries:
-            raise ConfigError("no queries to benchmark")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ codes: 0 success (or --help), 1 for a flag or subcommand argparse refuses,
 and otherwise the `exit_code` of the JobcubeError raised: 1 usage or config
 error, 2 data error (quarantine files written where applicable) or OSError,
 3 a warehouse that fails a check of `load_schema` or `check_integrity`.
+gen, ingest, etl and bench import their stage module when they run, so
+the other commands load no module they do not call.
 """
 
 from __future__ import annotations
@@ -24,16 +26,12 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 
-from . import bench as bench_mod
-from . import datagen
-from .config import (PipelineConfig, load_codebooks, load_config, load_hierarchy,
+from .config import (CITY_ORDER, PipelineConfig, load_codebooks, load_config, load_hierarchy,
                      load_sources, parse_query)
 from .cube import MEASURES, aggregate, build_cube
 from .errors import ConfigError, CorruptManifest, JobcubeError
-from .preprocess import run_pipeline
 from .records import ALL_FIELDS, read_records_csv, write_csv, write_records_csv
 from .reporting import run_report, write_result
-from .sources import RejectedRow, ingest_sources
 from .warehouse import (MANIFEST_FILE, StarSchema, build_schema, check_integrity, load_schema,
                         persist, refresh)
 
@@ -101,12 +99,13 @@ def _warehouse(config: PipelineConfig, stage: str) -> StarSchema:
 
 
 def cmd_gen(config: PipelineConfig, args: argparse.Namespace) -> int:
-    result = datagen.generate(config.gen, config.data_dir)
+    from .datagen import generate
+    result = generate(config.gen, config.data_dir)
     _say(f"[gen] persons={result.expect.persons} wire_rows={result.expect.wire_rows} "
          f"duplicates={result.expect.duplicates} "
          f"blanks={sum(result.expect.filled.values())} "
          f"discrepancies={sum(result.expect.normalized.values())}")
-    for city in datagen.CITY_ORDER:
+    for city in CITY_ORDER:
         path = result.files[city]
         _say(f"[gen] {path} ({path.stat().st_size} bytes)")
     _say(f"[gen] truth={result.files['truth']}")
@@ -114,6 +113,7 @@ def cmd_gen(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> int:
+    from .sources import RejectedRow, ingest_sources
     specs = load_sources(config.sources_path())
     for spec in specs:
         _require_file(Path(config.data_dir) / spec.path, "jobcube gen")
@@ -129,6 +129,7 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_etl(config: PipelineConfig, args: argparse.Namespace) -> int:
+    from .preprocess import run_pipeline
     staging = config.staging_path()
     _require_file(staging, "jobcube ingest")
     records = read_records_csv(staging)
@@ -210,13 +211,14 @@ def cmd_report(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_bench(config: PipelineConfig, args: argparse.Namespace) -> int:
+    from .bench import run_benchmark, summary_lines, write_bench_report
     records = _clean_records(config)
     cube = build_cube(_warehouse(config, "bench"))
-    result = bench_mod.run_benchmark(records, cube, config.bench,
-                                     congress_parent=cube.axis("congress").parent)
-    for line in bench_mod.summary_lines(result):
+    result = run_benchmark(records, cube, config.bench,
+                           congress_parent=cube.axis("congress").parent)
+    for line in summary_lines(result):
         _say(f"[bench] {line}")
-    path = bench_mod.write_bench_report(result, config.bench_output)
+    path = write_bench_report(result, config.bench_output)
     _say(f"[bench] report -> {path}")
     return 0
 

@@ -9,26 +9,34 @@ directory of the invoking process. Query text has one grammar, parse_query's,
 shared by the `jobcube query` flags, bench queries and custom reports. Each
 value is read through one check per shape, so a malformed file ends in a
 ConfigError naming the file and key path. Each config object checks itself
-when it is made; stages only check that their input files exist.
+when it is made; stages only check that their input files exist. The stages'
+settings objects are defined here, and this module imports no stage until
+load_sources or load_hierarchy runs, so a query process loads no stage code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import yaml
 
-from .bench import BenchConfig
 from .cube import AggregateQuery, MEASURES, YearSpan
-from .datagen import CODEBOOKS_FILE, HIERARCHY_FILE, SOURCES_FILE, GenConfig
-from .errors import BadHierarchy, ConfigError
-from .preprocess import DEFAULT_FILL, CleaningPolicy, ConceptHierarchy
+from .errors import BadHierarchy, BadPolicy, ConfigError
 from .records import NULLABLE_FIELDS
 from .reporting import ReportSpec
-from .sources import FieldDescriptor, SourceSpec
 
+if TYPE_CHECKING:
+    from .preprocess import ConceptHierarchy
+    from .sources import SourceSpec
+
+# the sidecar files gen writes into data_dir for ingest, etl, load and refresh
+SOURCES_FILE = "sources.yaml"
+HIERARCHY_FILE = "hierarchy.yaml"
+CODEBOOKS_FILE = "codebooks.yaml"
+CITY_ORDER = ("tripoli", "misurata", "sirte")     # the generated cities, in file order
+DEFAULT_FILL = "UNKNOWN"                           # the constant a blank field is filled with
 DEFAULT_BENCH_QUERIES = (
     ("seekers_by_sector", AggregateQuery(measure="seekers", group_by=("sector",))),
 )
@@ -158,6 +166,76 @@ def _yaml_query(raw, where: str) -> AggregateQuery:
     return parse_query(raw.get("measure", AggregateQuery.measure), raw.get("group_by"),
                        _as_list(raw.get("filters"), f"{where}.filters"), raw.get("years"),
                        {key: f"{where}.{key}" for key in _QUERY_KEYS})
+
+
+@dataclass(frozen=True)
+class GenConfig:
+    """The generator's settings, checked when made (ConfigError if invalid)."""
+
+    seed: int = 20060814
+    counts: dict[str, int] | None = None            # persons per city
+    target_bytes: dict[str, int] | None = None      # file size goals per city
+    duplicate_rate: float = 0.05
+    blank_rate: float = 0.03
+    discrepancy_rate: float = 0.10
+    year_from: int = 2000
+    year_to: int = 2006
+    sectors: int = 12
+    congresses_per_city: int = 4
+
+    def __post_init__(self) -> None:
+        for name in ("duplicate_rate", "blank_rate", "discrepancy_rate"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ConfigError(f"{name} must lie in [0,1], got {v}")
+        if self.year_from > self.year_to:
+            raise ConfigError(f"empty year range {self.year_from}:{self.year_to}")
+        for name in ("sectors", "congresses_per_city"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.counts is not None and self.target_bytes is not None:
+            raise ConfigError("give counts or target_bytes, not both")
+        for given in (self.counts, self.target_bytes):
+            if given is not None:
+                if unknown := set(given) - set(CITY_ORDER):
+                    raise ConfigError(f"unknown cities: {sorted(unknown)}")
+                if set(given) != set(CITY_ORDER):
+                    raise ConfigError(f"need entries for all of {CITY_ORDER}")
+                if min(given.values()) < 1:
+                    raise ConfigError("per-city values must be >= 1")
+
+
+@dataclass(frozen=True)
+class CleaningPolicy:
+    """Fill constants for nullable fields plus the duplicate-survivor rule, checked
+    when made. Records are deduplicated on national_id, which is never filled."""
+
+    fill_constants: dict[str, str] = field(
+        default_factory=lambda: {f: DEFAULT_FILL for f in sorted(NULLABLE_FIELDS)})
+    keep_rule: str = "latest_application"   # or "first_seen"
+
+    def __post_init__(self) -> None:
+        if self.keep_rule not in ("latest_application", "first_seen"):
+            raise BadPolicy(f"unknown keep_rule {self.keep_rule!r}")
+        if bad := set(self.fill_constants) - NULLABLE_FIELDS:
+            raise BadPolicy(f"fill constants for non-fillable fields: {sorted(bad)}")
+
+
+@dataclass(frozen=True)
+class BenchConfig:
+    """The queries to time and how often; checked when made."""
+
+    queries: tuple[tuple[str, AggregateQuery], ...]     # (query id, query)
+    repetitions: int = 10
+    warmup: int = 2
+
+    def __post_init__(self) -> None:
+        if self.repetitions < 1:
+            raise ConfigError("repetitions must be >= 1")
+        if self.warmup < 0:
+            raise ConfigError("warmup must be >= 0")
+        if not self.queries:
+            raise ConfigError("no queries to benchmark")
 
 
 @dataclass(frozen=True)
@@ -295,6 +373,7 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 def load_sources(path: str | Path) -> list[SourceSpec]:
     """Source catalog from YAML: formats, layouts, field maps, codebooks."""
+    from .sources import FieldDescriptor, SourceSpec
     where = str(path)
     raw = _as_mapping(_read_yaml(path), where, {"sources"})
     specs = []
@@ -326,6 +405,7 @@ def load_sources(path: str | Path) -> list[SourceSpec]:
 
 
 def load_hierarchy(path: str | Path) -> ConceptHierarchy:
+    from .preprocess import ConceptHierarchy
     where = str(path)
     raw = _as_mapping(_read_yaml(path), where, {"levels", "tree"})
     levels = [str(lv) for lv in _as_list(raw.get("levels"), f"{where}.levels")]

@@ -255,7 +255,8 @@ def drilldown(cube: Cube, base: Cube, dimension: str, to_level: str) -> Cube:
 
     `cube` must be a roll-up of `base` on any number of axes: base's axes,
     each holding base's members lifted to its level, and base's mass. A slice
-    or a dice is not, and raises BadQuery naming the axis.
+    or a dice is not, and raises BadQuery naming the axis; a cuboid of base over
+    all its axes, found in base's memo, is one without that proof.
     drilldown(rollup(c, d, L), c, d, base_level) is c.
     """
     current = cube.axis(dimension).level
@@ -264,16 +265,18 @@ def drilldown(cube: Cube, base: Cube, dimension: str, to_level: str) -> Cube:
         raise BadLevel(f"{dimension}: {to_level!r} is not below {current!r}")
     if _level_distance(dimension, base_lvl, to_level) < 0:
         raise BadLevel(f"{dimension}: {to_level!r} is below the base grain {base_lvl!r}")
-    axes = {ax.dimension: ax for ax in cube.axes}
-    for idx, b in enumerate(base.axes):
-        ax = axes.get(b.dimension)
-        if ax is None or _to_level(base, idx, ax.level)[0] != ax.members:
-            raise BadQuery(f"{b.dimension}: {'sliced away' if ax is None else 'diced'}, "
+    own = tuple((ax.dimension, ax.level) for ax in cube.axes)
+    if base._cuboids.get(own) is not cube or len(own) != len(base.axes):
+        axes = {ax.dimension: ax for ax in cube.axes}
+        for idx, b in enumerate(base.axes):
+            ax = axes.get(b.dimension)
+            if ax is None or _to_level(base, idx, ax.level)[0] != ax.members:
+                raise BadQuery(f"{b.dimension}: {'sliced away' if ax is None else 'diced'}, "
+                               "so the cube is not a roll-up of the base cube")
+        if cube.mass() != base.mass():      # a dice that a later roll-up hid
+            lifted = [b.dimension for b in base.axes if axes[b.dimension].level != b.level]
+            raise BadQuery(f"{', '.join(lifted)}: diced below the cube's level, "
                            "so the cube is not a roll-up of the base cube")
-    if cube.mass() != base.mass():      # a dice that a later roll-up hid
-        lifted = [b.dimension for b in base.axes if axes[b.dimension].level != b.level]
-        raise BadQuery(f"{', '.join(lifted)}: diced below the cube's level, "
-                       "so the cube is not a roll-up of the base cube")
     pairs = tuple((ax.dimension, to_level if ax.dimension == dimension else ax.level)
                   for ax in cube.axes)
     return base if pairs == tuple((b.dimension, b.level) for b in base.axes) else _cuboid(base, pairs)

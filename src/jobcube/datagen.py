@@ -29,8 +29,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ConfigError, UnsatisfiableSize
-from .preprocess import DEFAULT_FILL, dimension_reduce
+from .config import (CITY_ORDER, CODEBOOKS_FILE, DEFAULT_FILL, HIERARCHY_FILE, SOURCES_FILE,
+                     GenConfig)
+from .errors import UnsatisfiableSize
+from .preprocess import dimension_reduce
 from .records import (
     QUARTERS,
     WAREHOUSE_REQUIRED_FIELDS,
@@ -65,9 +67,6 @@ MOAHELS = 8
 
 TRUTH_FILE = "truth.csv"
 GEN_MANIFEST_FILE = "gen_manifest.txt"
-SOURCES_FILE = "sources.yaml"
-HIERARCHY_FILE = "hierarchy.yaml"
-CODEBOOKS_FILE = "codebooks.yaml"
 
 
 class Rng:
@@ -116,47 +115,9 @@ class Rng:
         return idx[:k]
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    """The generator's settings, checked when made (ConfigError if invalid)."""
-
-    seed: int = 20060814
-    counts: dict[str, int] | None = None            # persons per city
-    target_bytes: dict[str, int] | None = None      # file size goals per city
-    duplicate_rate: float = 0.05
-    blank_rate: float = 0.03
-    discrepancy_rate: float = 0.10
-    year_from: int = 2000
-    year_to: int = 2006
-    sectors: int = 12
-    congresses_per_city: int = 4
-
-    def __post_init__(self) -> None:
-        for name in ("duplicate_rate", "blank_rate", "discrepancy_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must lie in [0,1], got {v}")
-        if self.year_from > self.year_to:
-            raise ConfigError(f"empty year range {self.year_from}:{self.year_to}")
-        for name in ("sectors", "congresses_per_city"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.counts is not None and self.target_bytes is not None:
-            raise ConfigError("give counts or target_bytes, not both")
-        for given in (self.counts, self.target_bytes):
-            if given is not None:
-                if unknown := set(given) - set(CITY_ORDER):
-                    raise ConfigError(f"unknown cities: {sorted(unknown)}")
-                if set(given) != set(CITY_ORDER):
-                    raise ConfigError(f"need entries for all of {CITY_ORDER}")
-                if min(given.values()) < 1:
-                    raise ConfigError("per-city values must be >= 1")
-
-
 # ---------------------------------------------------------------------------
 # City catalog: one source spec per city, and the dBASE file's own layout
 
-CITY_ORDER = ("tripoli", "misurata", "sirte")
 CITY_PREFIX = {"tripoli": "TRI", "misurata": "MIS", "sirte": "SIR"}
 
 _QTR_BY_INDEX = {str(i + 1): q for i, q in enumerate(QUARTERS)}

@@ -17,23 +17,20 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .config import DEFAULT_FILL, CleaningPolicy
 from .errors import (
     BadHierarchy,
     BadLevelPair,
-    BadPolicy,
     ConfigError,
     MissingRequiredField,
 )
 from .records import (
     ALL_FIELDS,
-    NULLABLE_FIELDS,
     QUARTERS,
     WAREHOUSE_REQUIRED_FIELDS,
     CanonicalApplicant,
     quarter_index,
 )
-
-DEFAULT_FILL = "UNKNOWN"
 
 
 @dataclass(frozen=True)
@@ -109,22 +106,6 @@ class ConceptHierarchy:
         for value, sub in tree.items():
             walk(str(value), sub, top - 1)
         return cls(levels=levels, parent_of=parent_of)
-
-
-@dataclass(frozen=True)
-class CleaningPolicy:
-    """Fill constants for nullable fields plus the duplicate-survivor rule, checked
-    when made. Records are deduplicated on national_id, which is never filled."""
-
-    fill_constants: dict[str, str] = field(
-        default_factory=lambda: {f: DEFAULT_FILL for f in sorted(NULLABLE_FIELDS)})
-    keep_rule: str = "latest_application"   # or "first_seen"
-
-    def __post_init__(self) -> None:
-        if self.keep_rule not in ("latest_application", "first_seen"):
-            raise BadPolicy(f"unknown keep_rule {self.keep_rule!r}")
-        if bad := set(self.fill_constants) - NULLABLE_FIELDS:
-            raise BadPolicy(f"fill constants for non-fillable fields: {sorted(bad)}")
 
 
 @dataclass

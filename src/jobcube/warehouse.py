@@ -32,7 +32,7 @@ from functools import cache
 from itertools import repeat
 from operator import attrgetter, eq
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .errors import (
     InvalidFieldValue,
     UnresolvedDimensionValue,
 )
-from .preprocess import ConceptHierarchy
 from .records import (
     DIMENSIONS,
     MEMBER_GETTERS,
@@ -54,6 +53,9 @@ from .records import (
     time_key,
     write_csv,
 )
+
+if TYPE_CHECKING:
+    from .preprocess import ConceptHierarchy
 
 DISPLAY_NAMES = {
     "city": "City",
@@ -393,16 +395,20 @@ def check_integrity(schema: StarSchema) -> list[str]:
         problems.append(
             f"Time: {len(schema.dimensions['time'])} rows, want {want_time}")
 
-    keys, measures = schema.facts[:, :KEYS], schema.facts[:, KEYS:]
-    sizes = np.array([len(schema.dimensions[dim]) for dim in DIMENSIONS])
-    dangling = (keys < 1) | (keys > sizes)
-    duplicate = np.ones(len(keys), dtype=bool)
-    duplicate[np.unique(keys, axis=0, return_index=True)[1]] = False
-    negative = (measures < 0).any(axis=1)
-    unbalanced = measures[:, 0] != measures[:, 1] + measures[:, 2]
-    for i in np.flatnonzero(dangling.any(axis=1) | duplicate | negative | unbalanced):
-        key = tuple(keys[i].tolist())
-        for dim, sid, bad in zip(DIMENSIONS, key, dangling[i]):
+    keys, measures = np.split(schema.facts.T.copy(), [KEYS])     # contiguous columns
+    sizes = [len(schema.dimensions[dim]) for dim in DIMENSIONS]
+    dangling = (keys < 1) | (keys > np.array(sizes)[:, None])
+    try:    # every id in range and the key space within int64: one packed key a row
+        first = np.unique(np.ravel_multi_index(keys - 1, sizes), return_index=True)[1]
+    except ValueError:
+        first = np.unique(keys.T, axis=0, return_index=True)[1]
+    duplicate = np.ones(keys.shape[1], dtype=bool)
+    duplicate[first] = False
+    negative = (measures < 0).any(axis=0)
+    unbalanced = measures[0] != measures[1] + measures[2]
+    for i in np.flatnonzero(dangling.any(axis=0) | duplicate | negative | unbalanced):
+        key = tuple(keys[:, i].tolist())
+        for dim, sid, bad in zip(DIMENSIONS, key, dangling[:, i]):
             if bad:
                 problems.append(f"fact {key}: dangling {dim} id {sid}")
         if duplicate[i]:
@@ -410,10 +416,10 @@ def check_integrity(schema: StarSchema) -> list[str]:
         if negative[i]:
             problems.append(f"fact {key}: negative measure")
         if unbalanced[i]:
-            total, seekers, directed = measures[i].tolist()
+            total, seekers, directed = measures[:, i].tolist()
             problems.append(f"fact {key}: total {total} != {seekers} + {directed}")
     if "records" in schema.meta:
-        total = int(measures[:, 0].sum())
+        total = int(measures[0].sum())
         if total != int(schema.meta["records"]):
             problems.append(
                 f"fact totals sum to {total}, manifest records={schema.meta['records']}")

@@ -4,7 +4,8 @@
 canonical records, written from first principles with no cube, no numpy,
 and no shared helpers, so cube answers can be checked against it exactly.
 The factories build already-cleaned record sets with a known address
-hierarchy for property-style checks.
+hierarchy for property-style checks. `oracle_integrity` is check_integrity's
+problem list, found one row at a time with a set of the key tuples seen.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import random
 
 from jobcube.errors import InvalidFieldValue, UnresolvedDimensionValue
 from jobcube.preprocess import ConceptHierarchy
-from jobcube.records import QUARTERS, CanonicalApplicant, derive_status
+from jobcube.records import DIMENSIONS, QUARTERS, CanonicalApplicant, derive_status
+from jobcube.warehouse import DISPLAY_NAMES
 
 EDU_LEVELS = ("edu1", "edu2", "edu3", "edu4", "edu5", "edu6")
 SERVICES = ("svc1", "svc2", "svc3", "svc4")
@@ -139,3 +141,45 @@ def oracle_facts(records, year_range: tuple[int, int]):
 def table_as_dict(table) -> dict[tuple, int]:
     """ResultTable rows -> {label tuple: value}."""
     return {tuple(row[:-1]): row[-1] for row in table.rows}
+
+
+def oracle_fact_problems(schema) -> list[str]:
+    """check_integrity's fact checks as a per-row loop: a row repeats a key
+    tuple when an earlier row has it."""
+    sizes = [len(schema.dimensions[dim]) for dim in DIMENSIONS]
+    problems, seen = [], set()
+    for row in schema.facts.tolist():
+        key, (total, seekers, directed) = tuple(row[:6]), row[6:]
+        for dim, sid, size in zip(DIMENSIONS, key, sizes):
+            if not 1 <= sid <= size:
+                problems.append(f"fact {key}: dangling {dim} id {sid}")
+        if key in seen:
+            problems.append(f"fact {key}: duplicate key tuple")
+        seen.add(key)
+        if min(total, seekers, directed) < 0:
+            problems.append(f"fact {key}: negative measure")
+        if total != seekers + directed:
+            problems.append(f"fact {key}: total {total} != {seekers} + {directed}")
+    return problems
+
+
+def oracle_integrity(schema) -> list[str]:
+    """Every problem check_integrity reports, in its order: each dimension's
+    ids and keys, the time dimension's size, the facts, the manifest total."""
+    problems = []
+    for dim in DIMENSIONS:
+        rows = schema.dimensions[dim].rows
+        if [r.surrogate_id for r in rows] != list(range(1, len(rows) + 1)):
+            problems.append(f"{DISPLAY_NAMES[dim]}: surrogate ids not dense 1..{len(rows)}")
+        if len({r.natural_key for r in rows}) != len(rows):
+            problems.append(f"{DISPLAY_NAMES[dim]}: duplicate natural keys")
+    lo, hi = map(int, schema.meta["year_range"].split(":"))
+    if len(schema.dimensions["time"]) != (hi - lo + 1) * 4:
+        problems.append(f"Time: {len(schema.dimensions['time'])} rows, want {(hi - lo + 1) * 4}")
+    problems += oracle_fact_problems(schema)
+    if "records" in schema.meta:
+        total = sum(row[6] for row in schema.facts.tolist())
+        if total != int(schema.meta["records"]):
+            problems.append(
+                f"fact totals sum to {total}, manifest records={schema.meta['records']}")
+    return problems

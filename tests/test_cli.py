@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from jobcube import cli
+from jobcube import cli, preprocess
 from jobcube.cli import main
 from jobcube.config import load_config
 from jobcube.cube import aggregate
@@ -489,7 +489,7 @@ class TestExitCodes:
         clean = tmp_path / "data" / "clean.csv"
         clean_bytes = clean.read_bytes()
         warehouse = {p.name: p.read_bytes() for p in (tmp_path / "warehouse").iterdir()}
-        real = cli.run_pipeline
+        real = preprocess.run_pipeline
 
         def crashing(*args, **kwargs):
             cleaned, report = real(*args, **kwargs)
@@ -498,10 +498,10 @@ class TestExitCodes:
                 yield from cleaned[:1000]
                 raise RuntimeError("etl crashed mid-write")
             return rows(), report
-        monkeypatch.setattr(cli, "run_pipeline", crashing)
+        monkeypatch.setattr(preprocess, "run_pipeline", crashing)
         with pytest.raises(RuntimeError, match="mid-write"):
             main(["etl", "-c", cfg])
-        monkeypatch.setattr(cli, "run_pipeline", real)
+        monkeypatch.setattr(preprocess, "run_pipeline", real)
         assert clean.read_bytes() == clean_bytes
         assert not list((tmp_path / "data").glob(".*.tmp"))
         shutil.rmtree(tmp_path / "warehouse")

@@ -10,6 +10,7 @@ from jobcube import warehouse as warehouse_module
 from jobcube.cube import (
     MEASURES,
     AggregateQuery,
+    Cube,
     YearSpan,
     aggregate,
     base_level,
@@ -195,6 +196,25 @@ class TestDrilldown:
             with pytest.raises(BadQuery, match=f"^{reason}, so the cube is not a roll-up "
                                                "of the base cube$"):
                 drilldown(derived, cube, dimension, base_level(dimension))
+
+    def test_a_rollup_in_the_base_memo_skips_the_proof(self, monkeypatch):
+        _, cube, _ = build(22, 800)
+        by_year = rollup(cube, "time", "year")
+        twice = rollup(by_year, "congress", "city")     # in by_year's memo, not the base's
+        aggregate(cube, AggregateQuery("total", (("time", "year"), "sector")))
+        partial = cube._cuboids[tuple((ax.dimension, "year" if ax.dimension == "time" else
+                                       ax.level) for ax in cube.axes
+                                      if ax.dimension in ("sector", "time"))]
+        proofs = []
+        real_mass = Cube.mass
+        monkeypatch.setattr(Cube, "mass", lambda c: proofs.append(c) or real_mass(c))
+        assert drilldown(by_year, cube, "time", "quarter") is cube
+        assert proofs == []
+        assert drilldown(twice, cube, "time", "quarter") is rollup(cube, "congress", "city")
+        assert proofs == [twice, cube]
+        # an aggregate's cuboid lacks axes, so base's memo holding it proves nothing
+        with pytest.raises(BadQuery, match="^city: sliced away, so the cube is not a roll-up"):
+            drilldown(partial, cube, "time", "quarter")
 
 
 class TestSlice:

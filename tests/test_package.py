@@ -1,12 +1,15 @@
-"""The package surface: one export table, each module loaded on first use."""
+"""The package surface: one export table, each module loaded on first use,
+and a `jobcube query` process that loads no stage module it does not run."""
 
 import subprocess
 import sys
 from importlib import import_module
 
 import pytest
+import yaml
 
 import jobcube
+from jobcube.cli import main
 
 EXPORTS = """
     AggregateQuery BenchConfig BenchResult CanonicalApplicant CleaningPolicy ConceptHierarchy
@@ -58,3 +61,31 @@ def test_importing_one_module_loads_only_its_imports():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.split() == ["jobcube", "jobcube.errors", "jobcube.records"]
+
+
+# modules a query never runs: the gen, ingest, etl and bench stages, and bench's statistics
+NOT_FOR_A_QUERY = {"jobcube.datagen", "jobcube.sources", "jobcube.bench",
+                   "jobcube.preprocess", "statistics"}
+
+
+def test_a_cold_query_answers_without_the_stage_modules(tmp_path, capsys):
+    cfg = tmp_path / "jobcube.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "data_dir": str(tmp_path / "data"), "warehouse_dir": str(tmp_path / "warehouse"),
+        "gen": {"counts": {"tripoli": 60, "misurata": 40, "sirte": 20}}}), encoding="utf-8")
+    query = ["query", "-c", str(cfg), "--measure", "seekers", "--group-by", "sector",
+             "--years", "2001:2004"]
+    for command in ("gen", "ingest", "etl", "load"):
+        assert main([command, "-c", str(cfg)]) == 0, command
+    capsys.readouterr()
+    assert main(query) == 0
+    answer = capsys.readouterr().out
+    assert answer.startswith("sector,seekers\n") and answer.count("\n") > 2
+    # -X importtime names on stderr every module the process imports
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "jobcube.cli", *query],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, answer)
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"jobcube.config", "jobcube.cube", "jobcube.warehouse"} <= imported
+    assert imported.isdisjoint(NOT_FOR_A_QUERY), sorted(imported & NOT_FOR_A_QUERY)

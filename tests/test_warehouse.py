@@ -3,6 +3,7 @@
 import builtins
 import hashlib
 import io
+import math
 import random
 import re
 from dataclasses import replace
@@ -24,6 +25,7 @@ from jobcube.records import DIMENSIONS, write_csv
 from jobcube.warehouse import (
     DIM_FILES,
     FACT_COLUMNS,
+    DimensionRow,
     DimensionTable,
     StarSchema,
     build_schema,
@@ -35,7 +37,8 @@ from jobcube.warehouse import (
     refresh,
 )
 
-from oracle import make_hierarchy, oracle_facts, random_clean_records
+from oracle import (make_hierarchy, oracle_fact_problems, oracle_facts, oracle_integrity,
+                    random_clean_records)
 
 YEARS = (2000, 2006)
 
@@ -414,25 +417,6 @@ def mutated_fact_dir(tmp_path_factory, schema):
     return directory, header, b"".join(rows[:5])
 
 
-def reference_fact_problems(schema):
-    """check_integrity's fact checks as a per-row loop, the reference for its masks."""
-    sizes = [len(schema.dimensions[dim]) for dim in DIMENSIONS]
-    problems, seen = [], set()
-    for row in schema.facts.tolist():
-        key, (total, seekers, directed) = tuple(row[:6]), row[6:]
-        for dim, sid, size in zip(DIMENSIONS, key, sizes):
-            if not 1 <= sid <= size:
-                problems.append(f"fact {key}: dangling {dim} id {sid}")
-        if key in seen:
-            problems.append(f"fact {key}: duplicate key tuple")
-        seen.add(key)
-        if min(total, seekers, directed) < 0:
-            problems.append(f"fact {key}: negative measure")
-        if total != seekers + directed:
-            problems.append(f"fact {key}: total {total} != {seekers} + {directed}")
-    return problems
-
-
 class TestIntegrity:
     def test_clean_schema_passes(self, schema):
         assert check_integrity(schema) == []
@@ -454,7 +438,7 @@ class TestIntegrity:
                     facts[i, 6] += 1
             broken = StarSchema(schema.dimensions, facts, schema.meta)
             found = [p for p in check_integrity(broken) if p.startswith("fact (")]
-            assert found == reference_fact_problems(broken), trial
+            assert found == oracle_fact_problems(broken), trial
 
     def test_detects_dangling_foreign_key(self, schema):
         facts = np.vstack((schema.facts[1:], schema.facts[:1]))
@@ -480,6 +464,66 @@ class TestIntegrity:
         broken = StarSchema(schema.dimensions,
                             np.vstack((schema.facts, schema.facts[:1])), schema.meta)
         assert any("duplicate" in issue for issue in check_integrity(broken))
+
+
+# dimension sizes in DIMENSIONS order; the last two put the radix product of
+# the six sizes at and past 2**63, where ids no longer pack into one int64
+KEY_SPACES = [
+    pytest.param((3, 7, 6, 5, 4, 28), id="small"),
+    pytest.param((2**10,) * 5 + (2**12,), id="product_2**62"),
+    pytest.param((2**10,) * 5 + (2**13,), id="product_2**63"),
+    pytest.param((2**11,) * 6, id="product_2**66"),
+]
+
+
+def seeded_facts(rnd: random.Random, sizes) -> np.ndarray:
+    """Fact rows over ids drawn below sizes, in random or id order, with
+    repeated key tuples next to and far from their first row, and at times a
+    dangling id (0, -1 or one past the table) or a broken measure."""
+    rows = []
+    for _ in range(rnd.randint(0, 60)):
+        seekers, directed = rnd.randint(0, 5), rnd.randint(0, 5)
+        rows.append([rnd.randint(1, size) for size in sizes] + [seekers + directed, seekers,
+                                                                directed])
+    if rnd.random() < 0.5:
+        rows.sort()
+    for _ in range(rnd.randint(0, 4) if rows else 0):
+        i = rnd.randrange(len(rows))
+        at = i + 1 if rnd.random() < 0.5 else rnd.randrange(len(rows) + 1)
+        rows.insert(at, list(rows[i]))
+    for _ in range(rnd.randint(0, 2) if rows and rnd.random() < 0.3 else 0):
+        column = rnd.randrange(6)
+        rows[rnd.randrange(len(rows))][column] = rnd.choice([0, -1, sizes[column] + 1])
+    if rows and rnd.random() < 0.2:
+        rows[rnd.randrange(len(rows))][6 + rnd.randrange(3)] -= rnd.randint(1, 3)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 9)
+
+
+class TestDuplicateKeys:
+    """check_integrity's problem list on fact tables of every shape equals the
+    row-at-a-time oracle's, on packed keys and on the row-wise fallback."""
+
+    @pytest.mark.parametrize("sizes", KEY_SPACES)
+    def test_matches_the_oracle(self, monkeypatch, sizes):
+        dims = {dim: DimensionTable(tuple(DimensionRow(i, f"{dim}-{i}")
+                                          for i in range(1, size + 1)))
+                for dim, size in zip(DIMENSIONS, sizes)}
+        rowwise = []
+        real_unique = np.unique
+
+        def spy(array, *args, **kwargs):
+            rowwise.append(kwargs.get("axis") == 0)
+            return real_unique(array, *args, **kwargs)
+        monkeypatch.setattr(np, "unique", spy)
+        rnd = random.Random(sum(sizes))
+        for trial in range(40):
+            facts = seeded_facts(rnd, sizes)
+            records = int(facts[:, 6].sum()) + (trial % 5 == 0)
+            schema = StarSchema(dims, facts, {"year_range": "2000:2006", "records": str(records)})
+            rowwise.clear()
+            assert check_integrity(schema) == oracle_integrity(schema), trial
+            in_range = ((facts[:, :6] >= 1) & (facts[:, :6] <= sizes)).all()
+            assert rowwise == [not in_range or math.prod(sizes) >= 2**63], trial
 
 
 class TestRefresh:
