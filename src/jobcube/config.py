@@ -24,7 +24,7 @@ import yaml
 
 from .cube import AggregateQuery, MEASURES, YearSpan
 from .errors import BadHierarchy, BadPolicy, ConfigError
-from .records import NULLABLE_FIELDS
+from .records import NULLABLE_FIELDS, parse_int
 from .reporting import ReportSpec
 
 if TYPE_CHECKING:
@@ -88,7 +88,7 @@ def _integer(raw, where: str) -> int:
     if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
         raise ConfigError(f"{where}: expected an integer, got {raw!r}")
     try:
-        return int(raw)
+        return parse_int(raw) if isinstance(raw, str) else int(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: expected an integer, got {raw!r}") from None
 
@@ -115,10 +115,10 @@ def _texts(mapping: Mapping, where: str, **defaults) -> dict[str, str]:
 
 
 def _year_range(text, where: str) -> tuple[int, int]:
-    """'A' or 'A:B' -> (A, B), a non-empty range of years."""
+    """'A' or 'A:B' -> (A, B), a non-empty range of years, each read by parse_int."""
     lo, sep, hi = _text(text, where, "'A' or 'A:B'").partition(":")
     try:
-        lo_year, hi_year = int(lo), int(hi if sep else lo)
+        lo_year, hi_year = parse_int(lo), parse_int(hi if sep else lo)
     except ValueError:
         raise ConfigError(f"{where}: bad range {text!r}") from None
     if lo_year > hi_year:

@@ -32,7 +32,7 @@ class DecodeError(JobcubeError):
 
 
 class RaggedRow(JobcubeError):
-    """Delimited row has a different field count than the header/first row."""
+    """A row's field count differs from its header, first row or layout."""
 
 
 class MalformedCsv(JobcubeError):

@@ -58,7 +58,7 @@ ALL_FIELDS: tuple[str, ...] = CanonicalApplicant._fields
 _YEAR = ALL_FIELDS.index("year")
 _SHARED = ALL_FIELDS.index("sex")      # fields from here on repeat across rows
 _CHUNK_ROWS = 512                      # rows write_csv renders per CR check
-_YEAR_TEXT = re.compile(r"-?[0-9]+")
+_INT_TEXT = re.compile(r"-?[0-9]+")
 
 # Fields a cleaning policy may fill. Key fields are quarantined instead,
 # sector emptiness encodes seeker status, status is derived, and congress is
@@ -91,11 +91,12 @@ def quarter_index(quarter: str) -> int:
     return int(quarter[1])
 
 
-def parse_year(text: str) -> int:
-    """ASCII `-?[0-9]+` as an int; ValueError otherwise. `int()` alone would
-    also take '2_003', '+2003', ' 2003' and non-ASCII digits."""
-    if not _YEAR_TEXT.fullmatch(text):
-        raise ValueError(f"not a year: {text!r}")
+def parse_int(text: str) -> int:
+    """ASCII `-?[0-9]+` as an int, else ValueError: integer text in records,
+    configs and queries. `int()` would also take '2_003', '+2003', ' 2003'
+    and non-ASCII digits."""
+    if not _INT_TEXT.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
     return int(text)
 
 
@@ -187,7 +188,7 @@ def read_records_csv(path: str | Path) -> list[CanonicalApplicant]:
     """Read a file written by `write_records_csv`, sharing equal values.
 
     Fails closed: a wrong header, a row without exactly one value per field,
-    a year that `parse_year` refuses (an empty year reads as 0), a CSV syntax
+    a year that `parse_int` refuses (an empty year reads as 0), a CSV syntax
     error or bytes that are not UTF-8 raise MalformedCsv naming the file and
     the line.
     """
@@ -211,7 +212,7 @@ def read_records_csv(path: str | Path) -> list[CanonicalApplicant]:
                 year = row[_YEAR]
                 if year not in years:
                     try:
-                        years[year] = parse_year(year)
+                        years[year] = parse_int(year)
                     except ValueError:
                         raise MalformedCsv(f"{path}: line {reader.line_num}: "
                                            f"bad year {year!r}") from None

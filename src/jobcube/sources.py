@@ -13,7 +13,8 @@ takes rows in the column order of its layout or header.
 In both fixed-position formats a field is the byte slice [offset,
 offset+length) of its line or record body, decoded on its own and padded with
 spaces: C fields left-aligned and right-stripped, N and D fields right-aligned
-and stripped on both sides.
+and stripped on both sides. Both writers render a file in one `%` pass and
+check its text once; only a failing text is scanned for its first bad value.
 
 Codecs are pure functions over bytes; nothing here touches the filesystem
 except :func:`ingest_sources`, which drives the full read-and-map pass.
@@ -31,6 +32,7 @@ import csv
 import io
 import struct
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -48,7 +50,7 @@ from .errors import (
     TruncatedFile,
     UnsupportedFieldType,
 )
-from .records import ALL_FIELDS, CanonicalApplicant, derive_status, parse_year, write_csv
+from .records import ALL_FIELDS, CanonicalApplicant, derive_status, parse_int, write_csv
 
 # The padding rule of both fixed-position formats, per field kind: the
 # %-format flag that aligns a written value, and the strip that undoes it.
@@ -193,54 +195,47 @@ def _field_reader(layout: Sequence[FieldDescriptor], encoding: str, where: str,
 def _row_writer(layout: Sequence[FieldDescriptor], where: str, head: str = "",
                 tail: str = "") -> Callable[[Iterable[Sequence[str]]], bytes]:
     """write(rows): ASCII bytes of, per row in layout order, `head`, each field
-    padded at its offset (gaps are spaces), `tail`. A FieldOverflow, a
-    non-ASCII value or, where `tail` ends a line, a value holding a line
-    break raises naming `where`, the row and the field."""
+    padded at its offset (gaps are spaces), `tail`, in one `%` pass after a
+    RaggedRow check. The text is checked once (width, ASCII and, where `tail`
+    ends a line, one line break a row); if it fails, the first bad value by
+    row, then field, raises naming `where`, the row and the field: too long
+    (FieldOverflow), else not ASCII or holding a line break (InvalidFieldValue)."""
     fmt, end = head, 0
     for fd in layout:
         fmt += " " * (fd.offset - end) + f"%{_PADDING[fd.kind][0]}{fd.length}s"
         end = fd.offset + fd.length
     fmt += tail
-    width = len(fmt % (("",) * len(layout)))
-
-    def field_at(line: str, pos: int) -> tuple[FieldDescriptor, str]:
-        """The field at character pos of a rendered line, and its value."""
-        fd = next(fd for fd in layout if pos < len(head) + fd.offset + fd.length)
-        start = len(head) + fd.offset
-        return fd, _PADDING[fd.kind][1](line[start:start + fd.length], " ")
+    width, lines = len(fmt % (("",) * len(layout))), "\n" in tail
 
     def write(rows: Iterable[Sequence[str]]) -> bytes:
-        out = []
-        for i, values in enumerate(rows):
-            out.append(fmt % tuple(values))
-            if len(out[-1]) != width:
-                fd, value = next((fd, value) for fd, value in zip(layout, values)
-                                 if len(value) > fd.length)
-                raise FieldOverflow(f"{where} {i}: {fd.name}={value!r} exceeds {fd.length} bytes")
-        text = "".join(out)
-        if "\n" in tail and text.count("\n") != len(out):   # a reader would split the line
-            i = next(i for i, line in enumerate(out) if "\n" in line[:-1])
-            fd, value = field_at(out[i], out[i].index("\n"))
-            raise InvalidFieldValue(f"{where} {i}: {fd.name}={value!r} holds a line break")
-        try:
-            return text.encode("ascii")
-        except UnicodeEncodeError as exc:   # head, gaps and tail are ASCII; a field is not
-            i, pos = divmod(exc.start, width)
-            fd, value = field_at(out[i], pos)
-            raise InvalidFieldValue(f"{where} {i}: {fd.name}={value!r} is not ASCII") from None
+        rows = list(rows)
+        if not set(map(len, rows)) <= {len(layout)}:
+            i, values = next((i, v) for i, v in enumerate(rows) if len(v) != len(layout))
+            raise RaggedRow(f"{where} {i}: {len(values)} values, layout has {len(layout)}")
+        text = (fmt * len(rows)) % tuple(chain.from_iterable(rows))
+        if (len(text) != width * len(rows) or not text.isascii()
+                or lines and text.count("\n") != len(rows)):
+            for i, values in enumerate(rows):
+                for fd, value in zip(layout, values):
+                    bad = f"{where} {i}: {fd.name}={value!r}"
+                    if len(value) > fd.length:
+                        raise FieldOverflow(f"{bad} exceeds {fd.length} bytes")
+                    if not value.isascii():
+                        raise InvalidFieldValue(f"{bad} is not ASCII")
+                    if lines and "\n" in value:    # a reader would split the line
+                        raise InvalidFieldValue(f"{bad} holds a line break")
+        return text.encode("ascii")
 
     return write
 
 
-def parse_fixed_width(data: bytes | str, layout: Iterable[FieldDescriptor], *,
+def parse_fixed_width(data: bytes, layout: Iterable[FieldDescriptor], *,
                       encoding: str = "ascii", source_id: str = "") -> Parsed:
-    """One row per line, fields read by the fixed-position rule (a str is
-    encoded first). Lines shorter than the layout extent are an error; longer
-    lines keep their tail bytes unread."""
+    """One row per line, fields read by the fixed-position rule. Lines shorter
+    than the layout extent are an error; longer lines keep their tail bytes
+    unread."""
     layout = tuple(layout)
     validate_layout(layout)
-    if isinstance(data, str):
-        data = data.encode(encoding)
     extent = layout[-1].offset + layout[-1].length
     read = _field_reader(layout, encoding, f"{source_id}: line")
     lines = data.removesuffix(b"\n").split(b"\n") if data else []
@@ -366,17 +361,14 @@ def render_dbf(rows: Sequence[Sequence[str]],
 # Delimited
 
 
-def parse_delimited(data: bytes | str, delimiter: str = ",", has_header: bool = True, *,
+def parse_delimited(data: bytes, delimiter: str = ",", has_header: bool = True, *,
                     encoding: str = "utf-8", source_id: str = "") -> Parsed:
     """Without a header the columns are named f0, f1, ...; a header that
     repeats a name keeps both columns."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode(encoding)
-        except UnicodeDecodeError as exc:
-            raise DecodeError(f"{source_id}: {exc}") from exc
-    else:
-        text = data
+    try:
+        text = data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"{source_id}: {exc}") from exc
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     try:
         rows = list(reader)
@@ -489,7 +481,7 @@ def record_mapper(spec: SourceSpec, columns: Sequence[str], counters: SourceCoun
                 count(name)
         year_text = row[_YEAR].strip()
         try:
-            row[_YEAR] = parse_year(year_text)
+            row[_YEAR] = parse_int(year_text)
         except ValueError:
             raise InvalidFieldValue(f"{sid}: bad year {year_text!r}") from None
         if not row[_QUARTER].strip():

@@ -6,13 +6,15 @@ and no shared helpers, so cube answers can be checked against it exactly.
 The factories build already-cleaned record sets with a known address
 hierarchy for property-style checks. `oracle_integrity` is check_integrity's
 problem list, found one row at a time with a set of the key tuples seen.
+`oracle_row_writer` renders fixed-position rows one at a time, checking each
+kind of bad value in a pass of its own.
 """
 
 from __future__ import annotations
 
 import random
 
-from jobcube.errors import InvalidFieldValue, UnresolvedDimensionValue
+from jobcube.errors import FieldOverflow, InvalidFieldValue, UnresolvedDimensionValue
 from jobcube.preprocess import ConceptHierarchy
 from jobcube.records import DIMENSIONS, QUARTERS, CanonicalApplicant, derive_status
 from jobcube.warehouse import DISPLAY_NAMES
@@ -183,3 +185,46 @@ def oracle_integrity(schema) -> list[str]:
             problems.append(
                 f"fact totals sum to {total}, manifest records={schema.meta['records']}")
     return problems
+
+
+def oracle_row_writer(layout, where: str, head: str = "", tail: str = ""):
+    """The fixed-position writer row by row: a length check on each rendered
+    row, then a scan of the whole text for a line break (where `tail` ends a
+    line), then an ASCII encode. A bad value is found again in its rendered
+    row and named by its row and field; a row of the wrong arity raises the
+    TypeError of `%`."""
+    flags = {"C": "-", "N": "", "D": ""}
+    fmt, end = head, 0
+    for fd in layout:
+        fmt += " " * (fd.offset - end) + f"%{flags[fd.kind]}{fd.length}s"
+        end = fd.offset + fd.length
+    fmt += tail
+    width = len(fmt % (("",) * len(layout)))
+
+    def field_at(line: str, pos: int):
+        fd = next(fd for fd in layout if pos < len(head) + fd.offset + fd.length)
+        start = len(head) + fd.offset
+        text = line[start:start + fd.length]
+        return fd, text.rstrip(" ") if fd.kind == "C" else text.strip(" ")
+
+    def write(rows) -> bytes:
+        out = []
+        for i, values in enumerate(rows):
+            out.append(fmt % tuple(values))
+            if len(out[-1]) != width:
+                fd, value = next((fd, value) for fd, value in zip(layout, values)
+                                 if len(value) > fd.length)
+                raise FieldOverflow(f"{where} {i}: {fd.name}={value!r} exceeds {fd.length} bytes")
+        text = "".join(out)
+        if "\n" in tail and text.count("\n") != len(out):
+            i = next(i for i, line in enumerate(out) if "\n" in line[:-1])
+            fd, value = field_at(out[i], out[i].index("\n"))
+            raise InvalidFieldValue(f"{where} {i}: {fd.name}={value!r} holds a line break")
+        try:
+            return text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            i, pos = divmod(exc.start, width)
+            fd, value = field_at(out[i], pos)
+            raise InvalidFieldValue(f"{where} {i}: {fd.name}={value!r} is not ASCII") from None
+
+    return write

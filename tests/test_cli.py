@@ -691,6 +691,12 @@ class TestExitCodes:
         (["--years", "x"], "error: --years: bad range 'x'"),
         (["--filter", "city="], "error: --filter: expected 'dim[:level]=m1,m2', got 'city='"),
         (["--filter", "city"], "error: --filter: expected 'dim[:level]=m1,m2', got 'city'"),
+        # integer text follows the record-file rule: ASCII digits, an optional '-'
+        (["--years", "2_001:2004"], "error: --years: bad range '2_001:2004'"),
+        (["--years", " 2001"], "error: --years: bad range ' 2001'"),
+        (["--years", "+2001:2004"], "error: --years: bad range '+2001:2004'"),
+        (["--years", "\u0662\u0660\u0660\u0661:2004"],
+         "error: --years: bad range '\u0662\u0660\u0660\u0661:2004'"),
     ])
     def test_malformed_query_flag_is_usage_error(self, pipeline, capsys, flags, message):
         _, cfg = pipeline
@@ -707,6 +713,11 @@ class TestExitCodes:
         pytest.param({"bench": {"repetitions": 2.7}},
                      "bench.repetitions: expected an integer, got 2.7", id="repetitions_float"),
         pytest.param({"seed": True}, "seed: expected an integer, got True", id="seed_bool"),
+        pytest.param({"gen": {"counts": dict(COUNTS), "sectors": "1_2"}},
+                     "gen.sectors: expected an integer, got '1_2'", id="sectors_underscore"),
+        pytest.param({"gen": {"counts": dict(COUNTS), "sectors": "\u0661\u0662"}},
+                     "gen.sectors: expected an integer, got '\u0661\u0662'",
+                     id="sectors_arabic_indic"),
         pytest.param({"gen": {"counts": dict(COUNTS), "duplicate_rate": True}},
                      "gen.duplicate_rate: expected a number, got True", id="rate_bool"),
         pytest.param({"bench": {"output": ["a", "b"]}},

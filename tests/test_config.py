@@ -173,6 +173,16 @@ class TestQueryGrammar:
             load_config(path)
 
 
+@pytest.mark.parametrize("sectors", [12, "12"])
+def test_integer_text_reads_as_its_value(tmp_path, sectors):
+    """Text of ASCII digits is an integer in the config as in a record file."""
+    path = tmp_path / "sectors.yaml"
+    doc = {"gen": {"sectors": sectors}, "years": {"from": "2001", "to": 2004}}
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    config = load_config(path)
+    assert (config.gen.sectors, config.year_from, config.year_to) == (12, 2001, 2004)
+
+
 # A valid config that exercises every reader: both year forms, a city list, a
 # custom report and a bench query in the flag grammar.
 VALID_CONFIG = {

@@ -14,7 +14,7 @@ from jobcube.errors import MalformedCsv
 from jobcube.records import (
     ALL_FIELDS,
     CanonicalApplicant,
-    parse_year,
+    parse_int,
     read_records_csv,
     write_csv,
     write_records_csv,
@@ -53,7 +53,7 @@ def reference_read(path):
     year = ALL_FIELDS.index("year")
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))[1:]
-    return [CanonicalApplicant._make([*row[:year], parse_year(row[year]) if row[year] else 0,
+    return [CanonicalApplicant._make([*row[:year], parse_int(row[year]) if row[year] else 0,
                                       *row[year + 1:]]) for row in rows]
 
 

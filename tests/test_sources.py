@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from jobcube.records import (
     ALL_FIELDS,
     CanonicalApplicant,
     derive_status,
-    parse_year,
+    parse_int,
     write_records_csv,
 )
 from jobcube.sources import (
@@ -50,6 +51,7 @@ from jobcube.sources import (
     validate_layout,
 )
 
+from oracle import oracle_row_writer
 from test_datagen import PINNED_CONFIGS
 
 
@@ -164,24 +166,24 @@ class TestFixedWidth:
               FieldDescriptor("Y", "N", 4, 10))
 
     def test_parses_and_strips_padding(self):
-        text = "ab  ccc   2004\nx   y     1999\n"
+        text = b"ab  ccc   2004\nx   y     1999\n"
         assert parse_fixed_width(text, self.LAYOUT, source_id="s") == (
             ("A", "B", "Y"), [("ab", "ccc", "2004"), ("x", "y", "1999")])
 
     def test_short_line_reports_position(self):
         with pytest.raises(ShortLine) as err:
-            parse_fixed_width("ab  ccc   2004\nshort\n", self.LAYOUT)
+            parse_fixed_width(b"ab  ccc   2004\nshort\n", self.LAYOUT)
         assert "line 2" in str(err.value)
 
     def test_longer_lines_keep_tail_unread(self):
-        _, [row] = parse_fixed_width("ab  ccc   2004TRAILING\n", self.LAYOUT)
+        _, [row] = parse_fixed_width(b"ab  ccc   2004TRAILING\n", self.LAYOUT)
         assert row[2] == "2004"
 
     def test_missing_final_newline_ok(self):
-        assert len(parse_fixed_width("ab  ccc   2004", self.LAYOUT)[1]) == 1
+        assert len(parse_fixed_width(b"ab  ccc   2004", self.LAYOUT)[1]) == 1
 
     def test_empty_input(self):
-        assert parse_fixed_width("", self.LAYOUT) == (("A", "B", "Y"), [])
+        assert parse_fixed_width(b"", self.LAYOUT) == (("A", "B", "Y"), [])
 
     def test_layout_validation(self):
         with pytest.raises(ConfigError):
@@ -291,30 +293,99 @@ class TestFixedPositionFields:
             render_fixed_width([], overlapping)
 
 
+# A small layout with a gap: C and N fields, each read back by its padding rule.
+WRITER_LAYOUT = (FieldDescriptor("NAME", "C", 4, 0), FieldDescriptor("NUM", "N", 3, 6),
+                 FieldDescriptor("CODE", "C", 2, 9))
+DBF_BODY = 32 + 32 * len(WRITER_LAYOUT) + 1     # a table's bytes before its first record
+
+# (writer under test, the reference writer on the same layout, whether a row
+# ends a line): the fixed-width lines, and the dBASE record bodies, whose
+# fields lie back to back behind a live flag.
+WRITERS = {
+    "line_tail": (lambda rows: render_fixed_width(rows, WRITER_LAYOUT),
+                  oracle_row_writer(WRITER_LAYOUT, "row", tail="\n"), True),
+    "no_tail": (lambda rows: render_dbf(rows, WRITER_LAYOUT)[DBF_BODY:-1],
+                oracle_row_writer([replace(fd, offset=pos) for fd, pos in
+                                   zip(WRITER_LAYOUT, (0, 4, 7))], "record", head=" "), False),
+}
+
+
+def outcome(write, rows):
+    """The bytes write returns for rows, or the class and text of what it raises."""
+    try:
+        return write(rows)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_row_writer_matches_the_row_by_row_reference(writer, data):
+    """Clean rows render to the reference's bytes. With bad values planted in up
+    to two rows, the writer raises what the reference raises for the rows up
+    to the first bad one: the reference checks each kind of fault in a pass
+    of its own, so on two faults of different kinds it may name the later."""
+    write, reference, line_tail = WRITERS[writer]
+    alphabet = "aZ9-" if line_tail else "aZ9-\n"     # a dBASE value may hold a line break
+    rows = data.draw(st.lists(st.tuples(*(st.text(alphabet, max_size=fd.length)
+                                          for fd in WRITER_LAYOUT)).map(list), min_size=1,
+                              max_size=6), label="rows")
+    faulty = sorted(data.draw(st.sets(st.integers(0, len(rows) - 1), max_size=2), label="faulty"))
+    kinds = ["too_long", "non_ascii", "line_break"] if line_tail else ["too_long", "non_ascii"]
+    for i in faulty:
+        field = data.draw(st.integers(0, len(WRITER_LAYOUT) - 1), label="field")
+        kind = data.draw(st.sampled_from(kinds), label="kind")
+        value, length = rows[i][field], WRITER_LAYOUT[field].length
+        if kind == "too_long":
+            rows[i][field] = value + "Z" * (length + 1 - len(value))
+        else:
+            at = data.draw(st.integers(0, min(len(value), length - 1)), label="at")
+            bad = "é" if kind == "non_ascii" else "\n"
+            rows[i][field] = value[:at] + bad + value[at:length - 1]
+    expected = outcome(reference, rows[:faulty[0] + 1] if faulty else rows)
+    assert outcome(write, rows) == expected
+    assert isinstance(expected, bytes) != bool(faulty)
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+@pytest.mark.parametrize("rows, row_no, count", [
+    ([("ab", "1", "c"), ("ab", "1")], 1, 2),
+    ([("ab", "1", "c"), ("ab", "1", "c", "d")], 1, 4),
+    ([("ab", "1"), ("ab", "1", "c", "d")], 0, 2),     # flattened, the values still add up
+])
+def test_row_writer_refuses_a_row_of_the_wrong_arity(writer, rows, row_no, count):
+    write, _, _ = WRITERS[writer]
+    where = "row" if writer == "line_tail" else "record"
+    with pytest.raises(RaggedRow) as err:
+        write(rows)
+    assert str(err.value) == f"{where} {row_no}: {count} values, layout has 3"
+
+
 class TestDelimited:
     def test_header_names_columns(self):
-        assert parse_delimited("a,b\n1,2\n3,4\n", source_id="d") == (
+        assert parse_delimited(b"a,b\n1,2\n3,4\n", source_id="d") == (
             ("a", "b"), [["1", "2"], ["3", "4"]])
 
     def test_no_header_generates_names(self):
-        assert parse_delimited("1,2,3\n", has_header=False) == (
+        assert parse_delimited(b"1,2,3\n", has_header=False) == (
             ("f0", "f1", "f2"), [["1", "2", "3"]])
 
     def test_ragged_row(self):
         with pytest.raises(RaggedRow) as err:
-            parse_delimited("a,b\n1,2\n1,2,3\n")
+            parse_delimited(b"a,b\n1,2\n1,2,3\n")
         assert "row 3" in str(err.value)
 
     def test_quoted_values_with_delimiter(self):
-        _, [row] = parse_delimited('a,b\n"x,y",2\n')
+        _, [row] = parse_delimited(b'a,b\n"x,y",2\n')
         assert row == ["x,y", "2"]
 
     def test_values_kept_verbatim(self):
-        _, [row] = parse_delimited("a,b\n x ,2\n")
+        _, [row] = parse_delimited(b"a,b\n x ,2\n")
         assert row[0] == " x "
 
     def test_empty_input(self):
-        assert parse_delimited("") == ((), [])
+        assert parse_delimited(b"") == ((), [])
 
     def test_stray_carriage_return_names_source_and_line(self):
         with pytest.raises(MalformedCsv) as err:
@@ -521,7 +592,7 @@ def reference_map_to_canonical(values, source, counters=None):
 
     year_text = picked.pop("year", "").strip()
     try:
-        year = parse_year(year_text)
+        year = parse_int(year_text)
     except ValueError:
         raise InvalidFieldValue(f"{source.source_id}: bad year {year_text!r}") from None
     if picked.get("quarter", "").strip() == "":
