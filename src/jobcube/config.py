@@ -8,7 +8,9 @@ Relative paths are taken as written, i.e. resolved against the working
 directory of the invoking process. Query text has one grammar, parse_query's,
 shared by the `jobcube query` flags, bench queries and custom reports. Each
 value is read through one check per shape, so a malformed file ends in a
-ConfigError naming the file and key path. Each config object checks itself
+ConfigError naming the file and key path; an unquoted YAML number is an
+integer only as ASCII digits, the rule record years follow, and YAML 1.1's
+other integer forms reach the checks as text. Each config object checks itself
 when it is made; stages only check that their input files exist. The stages'
 settings objects are defined here, and this module imports no stage until
 load_sources or load_hierarchy runs, so a query process loads no stage code.
@@ -16,6 +18,7 @@ load_sources or load_hierarchy runs, so a query process loads no stage code.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
@@ -37,9 +40,35 @@ HIERARCHY_FILE = "hierarchy.yaml"
 CODEBOOKS_FILE = "codebooks.yaml"
 CITY_ORDER = ("tripoli", "misurata", "sirte")     # the generated cities, in file order
 DEFAULT_FILL = "UNKNOWN"                           # the constant a blank field is filled with
+MAX_CODES = 10 ** 6         # the most values gen draws a sector, a city's congress or a year from
 DEFAULT_BENCH_QUERIES = (
     ("seekers_by_sector", AggregateQuery(measure="seekers", group_by=("sector",))),
 )
+
+
+_INT_TAG = "tag:yaml.org,2002:int"
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader whose only integers are ASCII `-?[0-9]+`, read by parse_int,
+    the record-year rule, so 010 is 10. YAML 1.1's other forms (0x4, 0o7, 1_2,
+    base-60 1:00, +3) stay text for the key's own check to refuse."""
+
+    yaml_implicit_resolvers = {
+        first: [(tag, regexp) for tag, regexp in resolvers if tag != _INT_TAG]
+        for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()}
+
+    def construct_int(self, node) -> int:
+        text = self.construct_scalar(node)
+        try:
+            return parse_int(text)
+        except ValueError:
+            raise yaml.constructor.ConstructorError(
+                None, None, f"not an integer: {text!r}", node.start_mark) from None
+
+
+_Loader.add_implicit_resolver(_INT_TAG, re.compile(r"-?[0-9]+\Z"), list("-0123456789"))
+_Loader.add_constructor(_INT_TAG, _Loader.construct_int)
 
 
 def _read_yaml(path: str | Path):
@@ -51,7 +80,7 @@ def _read_yaml(path: str | Path):
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{p}: not UTF-8: byte {exc.start} ({exc.reason})") from exc
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{p}: not valid YAML: {exc}") from exc
     except RecursionError:
@@ -190,9 +219,14 @@ class GenConfig:
                 raise ConfigError(f"{name} must lie in [0,1], got {v}")
         if self.year_from > self.year_to:
             raise ConfigError(f"empty year range {self.year_from}:{self.year_to}")
+        if self.year_to - self.year_from >= MAX_CODES:
+            raise ConfigError(f"year range {self.year_from}:{self.year_to} spans more than "
+                              f"{MAX_CODES} years")
         for name in ("sectors", "congresses_per_city"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+            if getattr(self, name) > MAX_CODES:
+                raise ConfigError(f"{name} must be <= {MAX_CODES}")
         if self.counts is not None and self.target_bytes is not None:
             raise ConfigError("give counts or target_bytes, not both")
         for given in (self.counts, self.target_bytes):

@@ -6,16 +6,21 @@ and a manifest of every planted corruption (cross-city duplicate
 applications, blanked fields, variant code spellings).
 
 Each city is described once, by its entry in `CITY_SPECS`, the SourceSpec
-that `sources.yaml` carries to ingest. A city's file is written row by row:
-`sources.row_mapper`, the inverse of ingest's `record_mapper`, turns each
-record into a row in the file's column order, and this module adds only what
-is its own: the planted corruption laid over the record, and Sirte's APPDATE,
+that `sources.yaml` carries to ingest. A city's file is written by column:
+`sources.row_mapper`, the inverse of ingest's `record_mapper`, turns the
+records into rows in the file's column order, and this module adds only what
+is its own: the planted corruption laid over a record, and Sirte's APPDATE,
 the one column no mapping reads. The bytes come from the `sources` writers,
 the partners of the readers ingest uses.
 
-Determinism: a pinned xorshift64* generator seeded through one splitmix64
+Determinism: one pinned xorshift64* stream seeded through one splitmix64
 step. State update x ^= x>>12; x ^= x<<25; x ^= x>>27; output is
-x * 0x2545F4914F6CDD1D mod 2**64. Same seed, same bytes, any platform.
+x * 0x2545F4914F6CDD1D mod 2**64. The step is linear over GF(2), so `Rng`
+draws the stream in numpy blocks: lanes start at their places through a
+jump-ahead matrix and step side by side, giving the draws of the one stream
+in its order. Every operation is exact uint64 math, so the same seed gives
+the same bytes on any platform and numpy version. Persons and copies are
+built by column from a block of draws (see `_draw_tables`).
 
 Planted corruption is bookkept so downstream cleaning counters are exactly
 predictable: duplicate copies always lose the keep-latest rule (they are
@@ -25,19 +30,26 @@ and variant spellings always differ from the canonical value after trimming.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .config import (CITY_ORDER, CODEBOOKS_FILE, DEFAULT_FILL, HIERARCHY_FILE, SOURCES_FILE,
                      GenConfig)
 from .errors import UnsatisfiableSize
 from .preprocess import dimension_reduce
 from .records import (
+    ALL_FIELDS,
     QUARTERS,
+    STATUS_DIRECTED,
+    STATUS_SEEKER,
     WAREHOUSE_REQUIRED_FIELDS,
     CanonicalApplicant,
-    derive_status,
+    bulk,
     quarter_index,
     replacing,
     write_records_csv,
@@ -70,9 +82,18 @@ GEN_MANIFEST_FILE = "gen_manifest.txt"
 
 
 class Rng:
-    """xorshift64*, seeded via one splitmix64 scramble. Pure integer math."""
+    """xorshift64*, seeded via one splitmix64 scramble, served from blocks.
 
-    __slots__ = ("state",)
+    A block is LANES * STEPS consecutive states of the one stream: lane j
+    starts STEPS * j steps on (a jump-ahead matrix over GF(2)) and takes the
+    three shift-xors STEPS times, so each lane fills its own stretch. Column
+    code reads the next draws as an array with `block` and serves them with
+    `skip`; the scalar methods serve one draw at a time. `state` is the
+    xorshift state after the last draw served, as if stepped one by one;
+    setting it restarts the stream there."""
+
+    LANES = 256
+    STEPS = 64
 
     def __init__(self, seed: int):
         z = (seed + 0x9E3779B97F4A7C15) & MASK64
@@ -81,38 +102,146 @@ class Rng:
         z ^= z >> 31
         self.state = z or 0x9E3779B97F4A7C15
 
+    @property
+    def state(self) -> int:
+        return int(self._raw[self._pos - 1]) if self._pos else self._head
+
+    @state.setter
+    def state(self, x: int) -> None:
+        self._head = x                  # the state before _raw[0]
+        self._raw = np.empty(0, np.uint64)
+        self._pos = 0                   # draws of _raw served
+        self._outs: list[int] = []      # the next outputs as ints, last first, for scalar draws
+        jumps = _jumps(self.LANES, self.STEPS)
+        starts = np.array([x], np.uint64)
+        for jump in jumps[:-1]:         # lane j starts j * STEPS steps on
+            starts = np.concatenate((starts, _apply(jump, starts)))
+        self._starts = starts
+
+    def _fill(self) -> np.ndarray:
+        """The next LANES * STEPS raw states, lane after lane."""
+        x, t = self._starts.copy(), np.empty(self.LANES, np.uint64)
+        states = np.empty((self.STEPS, self.LANES), np.uint64)
+        for row in states:
+            np.right_shift(x, _S12, out=t)
+            x ^= t
+            np.left_shift(x, _S25, out=t)
+            x ^= t
+            np.right_shift(x, _S27, out=t)
+            x ^= t
+            row[:] = x
+        self._starts = _apply(_jumps(self.LANES, self.STEPS)[-1], self._starts)
+        return states.T.ravel()
+
+    def _ensure(self, n: int) -> None:
+        """At least n unserved draws, the served ones dropped."""
+        head, rest = self.state, [self._raw[self._pos:]]
+        have = len(rest[0])
+        while have < n:
+            rest.append(self._fill())
+            have += len(rest[-1])
+        self._head, self._raw, self._pos = head, np.concatenate(rest), 0
+
+    def block(self, n: int) -> np.ndarray:
+        """The next n outputs as uint64, not yet served (see skip)."""
+        if len(self._raw) - self._pos < n:
+            self._ensure(n)
+        return self._raw[self._pos:self._pos + n] * _MULTIPLIER
+
+    def skip(self, n: int) -> None:
+        """Serve n draws, as n calls of next_u64 would."""
+        if len(self._raw) - self._pos < n:
+            self._ensure(n)
+        self._pos += n
+        self._outs = []
+
     def next_u64(self) -> int:
-        x = self.state
-        x ^= x >> 12
-        x ^= (x << 25) & MASK64
-        x ^= x >> 27
-        self.state = x
-        return (x * 0x2545F4914F6CDD1D) & MASK64
+        if not self._outs:
+            self._outs = self.block(_SCALAR_DRAWS).tolist()[::-1]
+        self._pos += 1
+        return self._outs.pop()
 
     def randrange(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError("randrange needs n >= 1")
+        if not 1 <= n <= 1 << 64:
+            raise ValueError("randrange needs 1 <= n <= 2**64")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             v = self.next_u64()
             if v < limit:
                 return v % n
 
+    def randranges(self, bounds: np.ndarray) -> np.ndarray:
+        """randrange(n) for each n of a uint64 array in turn, as one array."""
+        bounds = np.asarray(bounds, np.uint64)
+        tops = _tops(bounds)
+        out, done = np.empty(len(bounds), np.uint64), 0
+        while done < len(bounds):
+            v = self.block(len(bounds) - done)
+            rejected = np.flatnonzero(v > tops[done:])
+            k = int(rejected[0]) if len(rejected) else len(v)
+            out[done:done + k] = v[:k] % bounds[done:done + k]
+            self.skip(k + (k < len(v)))
+            done += k
+        return out
+
     def random(self) -> float:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
+        picks = self.randranges(np.arange(2, len(items) + 1, dtype=np.uint64)[::-1]).tolist()
+        for i, j in zip(range(len(items) - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
 
     def sample(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), order rng-determined."""
+        if not 0 <= k <= n:
+            raise ValueError("sample needs 0 <= k <= n")
         idx = list(range(n))
-        for i in range(k):
-            j = i + self.randrange(n - i)
-            idx[i], idx[j] = idx[j], idx[i]
+        picks = self.randranges(np.arange(n - k + 1, n + 1, dtype=np.uint64)[::-1]).tolist()
+        for i, j in enumerate(picks):
+            idx[i], idx[i + j] = idx[i + j], idx[i]
         return idx[:k]
+
+
+# Every constant a uint64 array meets is a uint64 too: numpy 1.x turns a uint64
+# scalar met with a Python int into float64.
+_MULTIPLIER = np.uint64(0x2545F4914F6CDD1D)
+_SCALAR_DRAWS = 4096        # outputs made ints at a time for the scalar methods
+_S11, _S12, _S25, _S27 = (np.uint64(k) for k in (11, 12, 25, 27))
+_BITS = np.arange(64, dtype=np.uint64)
+_ONE = np.uint64(1)
+
+
+def _apply(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """A linear map over GF(2)**64, given by the images of the 64 unit
+    vectors, applied to each state: the xor of the images of its set bits."""
+    bits = ((states[:, None] >> _BITS) & _ONE).astype(bool)
+    return np.bitwise_xor.reduce(np.where(bits, matrix, np.uint64(0)), axis=1)
+
+
+@functools.cache
+def _jumps(lanes: int, steps: int) -> tuple[np.ndarray, ...]:
+    """The xorshift step taken steps * 2**i times, for each 2**i up to lanes."""
+    if lanes & (lanes - 1) or steps & (steps - 1):
+        raise ValueError("lanes and steps must be powers of two")
+    x = _ONE << _BITS
+    x ^= x >> _S12
+    x ^= x << _S25
+    x ^= x >> _S27
+    for _ in range(steps.bit_length() - 1):
+        x = _apply(x, x)
+    jumps = [x]
+    for _ in range(lanes.bit_length() - 1):
+        jumps.append(_apply(jumps[-1], jumps[-1]))
+    for jump in jumps:          # shared by every Rng through the cache
+        jump.flags.writeable = False
+    return tuple(jumps)
+
+
+def _tops(bounds: np.ndarray) -> np.ndarray:
+    """The largest output randrange(n) accepts, for each n of a uint64 array:
+    2**64 - 2**64 % n - 1, where 2**64 % n is (2**64 - n) % n."""
+    return ~((~bounds + _ONE) % bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -272,19 +401,16 @@ def _columns(spec: SourceSpec) -> tuple[str, ...]:
     return tuple(fd.name for fd in (SIRTE_LAYOUT if spec.format == "dbf" else spec.layout))
 
 
-def _wire_rows(spec: SourceSpec, entries: list) -> list[list[str]]:
-    """Each record as a row of the city's file, with its planted corruption
-    laid over it, so that ingest maps it straight back. No planted value is
-    one the codebooks translate, so they pass through them as they stand."""
-    columns = _columns(spec)
-    to_row = row_mapper(spec, columns)
-    rows = [to_row(record._replace(**overlay) if overlay else record)
-            for record, _, overlay in entries]
-    if spec.format == "dbf":    # the one column no mapping reads
-        appdate = columns.index("APPDATE")
-        for row, (record, _, _) in zip(rows, entries):
-            row[appdate] = f"{record.year}{_QTR_MONTH[record.quarter]}15"
-    return rows
+def _wire_rows(spec: SourceSpec, records: list[CanonicalApplicant]) -> list[tuple[str, ...]]:
+    """Each record, its planted corruption laid over it, as a row of the
+    city's file, so that ingest maps it straight back. No planted value is
+    one the codebooks translate, so they pass through them as they stand.
+    Sirte's APPDATE, the one column no mapping reads, is the 15th of the
+    quarter's middle month."""
+    to_rows = row_mapper(spec, _columns(spec))
+    if spec.format != "dbf":
+        return to_rows(records)
+    return to_rows(records, APPDATE=[f"{r.year}{_QTR_MONTH[r.quarter]}15" for r in records])
 
 
 def _misurata_row_width() -> float:
@@ -363,53 +489,176 @@ def _previous_quarter(year: int, quarter: str) -> tuple[int, str]:
     return year - 1, QUARTERS[3]
 
 
-def _placement(rng: Rng, config: GenConfig, city_key: str) -> dict:
-    """Where one application is filed: congress, district and sector draws
-    in that order, with the fields that follow from them."""
-    congress = f"{CITY_PREFIX[city_key]}-CG{rng.randrange(config.congresses_per_city) + 1:02d}"
-    district = f"{congress}-D{rng.randrange(DISTRICTS_PER_CONGRESS) + 1:02d}"
-    sector = (f"SEC-{rng.randrange(config.sectors) + 1:02d}"
-              if rng.random() < DIRECTED_SHARE else "")
-    return {"district": district, "congress": congress, "city": CITY_NAMES[city_key],
-            "sector": sector, "status": derive_status(sector), "source_id": city_key}
+# Records are drawn by column from blocks of the stream, CHUNK records a block.
+# A record's draws come in a fixed order, one per entry of its bounds: a None
+# is the directed draw, random() < DIRECTED_SHARE, and the sector draw after it
+# is taken only when that holds; every other entry n is randrange(n).
+CHUNK = 8192
 
 
-def _make_person(rng: Rng, config: GenConfig, city_key: str, ordinal: int,
-                 ) -> CanonicalApplicant:
-    placement = _placement(rng, config, city_key)
-    return CanonicalApplicant(
-        national_id=f"NID{ordinal:09d}",
-        name=f"APPLICANT-{ordinal:07d}",
-        sex=("male", "female")[rng.randrange(2)],
-        specialty=f"SPC-{rng.randrange(SPECIALTIES) + 1:03d}",
-        job_group=f"JG-{rng.randrange(JOB_GROUPS) + 1:02d}",
-        moahel=f"QL-{rng.randrange(MOAHELS) + 1:02d}",
-        education_level=EDUCATION_LEVELS[rng.randrange(len(EDUCATION_LEVELS))],
-        service_status=SERVICES[rng.randrange(len(SERVICES))],
-        year=config.year_from + rng.randrange(config.year_to - config.year_from + 1),
-        quarter=QUARTERS[rng.randrange(4)],
-        **placement,
-    )
+def _draw_tables(rng: Rng, bounds: tuple, count: int):
+    """count records' draws, as tables of up to CHUNK rows with a column per
+    bound: the directed column holds 0 or 1, and a sector column whose draw was
+    not taken holds any value. A draw randrange rejects is passed over, as it
+    passes over it, in the same pass that finds where each record starts."""
+    if not count:
+        return
+    width, d = len(bounds), bounds.index(None)
+    ns = np.array([1 if n is None else n for n in bounds], np.uint64)
+    tops = _tops(ns)
+    # where each column's draw lies from the record's first one, when not
+    # directed; directed, the draws after the sector draw lie one further on
+    lag = np.arange(width) > d + 1
+    offsets = np.arange(width) - lag
+    slack = 2 * width
+    while count:
+        v = rng.block(min(count, CHUNK) * width + slack)
+        starts_at = len(v) - width      # a record may start before this
+        directed = (v >> _S11).astype(np.float64) * 2.0 ** -53 < DIRECTED_SHARE
+        # the record starting at p, if none of the width draws from p is one
+        # some column rejects, is followed by one starting at following[p]
+        following = (np.arange(starts_at) + width - 1 + directed[d:d + starts_at]).tolist()
+        doubtful = np.concatenate(([0], np.cumsum(v > tops.min())))
+        plain = (doubtful[width:] == doubtful[:-width]).tolist()
+        starts: list[int] = []
+        walked: dict[int, list[int]] = {}
+        p = 0
+        for _ in range(min(count, CHUNK)):
+            if p >= starts_at:
+                break
+            if plain[p]:
+                starts.append(p)
+                p = following[p]
+                continue
+            drawn, q = [], p            # each draw in turn, passing over rejects
+            for k in range(width):
+                if k == d + 1 and not directed[drawn[d]]:
+                    drawn.append(drawn[d])      # no sector draw
+                    continue
+                while q < len(v) and v[q] > tops[k]:
+                    q += 1
+                if q == len(v):
+                    break
+                drawn.append(q)
+                q += 1
+            if len(drawn) < width:
+                break                   # past the block: the next one starts here
+            walked[len(starts)] = drawn
+            starts.append(p)
+            p = q
+        rng.skip(p)
+        if not starts:
+            slack *= 2
+            continue
+        first = np.array(starts)
+        at = first[:, None] + offsets + (directed[first + d][:, None] & lag)
+        for i, row in walked.items():
+            at[i] = row
+        table = (v[at] % ns).astype(np.int64)
+        table[:, d] = directed[at[:, d]]
+        count -= len(starts)
+        yield table
 
 
-def _make_copy(rng: Rng, config: GenConfig, donor: CanonicalApplicant,
-               copy_city: str) -> CanonicalApplicant:
-    """The same applicant filed in another city, strictly one quarter before
-    the donor application so the keep-latest rule always removes the copy."""
-    placement = _placement(rng, config, copy_city)
-    year, quarter = _previous_quarter(donor.year, donor.quarter)
-    return donor._replace(
-        specialty=f"SPC-{rng.randrange(SPECIALTIES) + 1:03d}",
-        job_group=f"JG-{rng.randrange(JOB_GROUPS) + 1:02d}",
-        year=year,
-        quarter=quarter,
-        **placement,
-    )
+def _take(labels, index: np.ndarray) -> list:
+    """labels[i] for each i of the index array, as a list."""
+    return np.array(labels, dtype=object)[index].tolist()
 
 
+def _labels(label: Callable[[int], str], values: np.ndarray) -> list[str]:
+    """label(v) for each of the values, made once for each distinct one."""
+    distinct, index = np.unique(values, return_inverse=True)
+    return _take([label(v) for v in distinct.tolist()], index)
+
+
+def _placement_bounds(config: GenConfig) -> tuple:
+    """The draws that file an application: congress, district, directed, sector."""
+    return (config.congresses_per_city, DISTRICTS_PER_CONGRESS, None, config.sectors)
+
+
+def _placements(config: GenConfig, cities: np.ndarray, draws: np.ndarray) -> dict:
+    """Where each application is filed, from its city's CITY_ORDER index and
+    its placement draws, with the fields that follow from them."""
+    per_city = config.congresses_per_city
+
+    def congress(k: int) -> str:    # k numbers a (city, congress) pair
+        city, i = divmod(k, per_city)
+        return f"{CITY_PREFIX[CITY_ORDER[city]]}-CG{i + 1:02d}"
+
+    congresses = cities * per_city + draws[:, 0]
+    return {
+        "district": _labels(lambda k: f"{congress(k // DISTRICTS_PER_CONGRESS)}-D"
+                                      f"{k % DISTRICTS_PER_CONGRESS + 1:02d}",
+                            congresses * DISTRICTS_PER_CONGRESS + draws[:, 1]),
+        "congress": _labels(congress, congresses),
+        "city": _take([CITY_NAMES[city_key] for city_key in CITY_ORDER], cities),
+        "sector": _labels(lambda i: f"SEC-{i:02d}" if i else "", draws[:, 2] * (draws[:, 3] + 1)),
+        "status": _take((STATUS_SEEKER, STATUS_DIRECTED), draws[:, 2]),
+        "source_id": _take(CITY_ORDER, cities),
+    }
+
+
+def _codes(form: str, n: int) -> list[str]:
+    return [form % (i + 1) for i in range(n)]
+
+
+def _make_persons(rng: Rng, config: GenConfig, counts: dict[str, int],
+                  ) -> list[CanonicalApplicant]:
+    """Each city's persons in CITY_ORDER, numbered on across cities. A
+    person's draws are its placement, then sex, specialty, job group, moahel,
+    education level, service status, year and quarter."""
+    span = config.year_to - config.year_from + 1
+    bounds = (*_placement_bounds(config), 2, SPECIALTIES, JOB_GROUPS, MOAHELS,
+              len(EDUCATION_LEVELS), len(SERVICES), span, len(QUARTERS))
+    coded = (("sex", ("male", "female")), ("specialty", _codes("SPC-%03d", SPECIALTIES)),
+             ("job_group", _codes("JG-%02d", JOB_GROUPS)), ("moahel", _codes("QL-%02d", MOAHELS)),
+             ("education_level", EDUCATION_LEVELS), ("service_status", SERVICES))
+    persons: list[CanonicalApplicant] = []
+    for city, city_key in enumerate(CITY_ORDER):
+        for draws in _draw_tables(rng, bounds, counts[city_key]):
+            ordinals = range(len(persons) + 1, len(persons) + 1 + len(draws))
+            columns = _placements(config, np.full(len(draws), city), draws)
+            for i, (name, labels) in enumerate(coded, 4):
+                columns[name] = _take(labels, draws[:, i])
+            columns.update(
+                national_id=list(map("NID%09d".__mod__, ordinals)),
+                name=list(map("APPLICANT-%07d".__mod__, ordinals)),
+                year=[config.year_from + y for y in draws[:, 10].tolist()],
+                quarter=_take(QUARTERS, draws[:, 11]))
+            persons.extend(map(CanonicalApplicant._make,
+                               zip(*(columns[name] for name in ALL_FIELDS))))
+    return persons
+
+
+def _make_copies(rng: Rng, config: GenConfig, eligible: list[CanonicalApplicant],
+                 count: int) -> list[tuple[CanonicalApplicant, CanonicalApplicant]]:
+    """count (donor, copy) pairs: an eligible donor's application filed again
+    in one of the other two cities, strictly one quarter before the donor's so
+    that the keep-latest rule always removes the copy. A copy's draws are its
+    donor, its city, its placement, then specialty and job group."""
+    bounds = (len(eligible), 2, *_placement_bounds(config), SPECIALTIES, JOB_GROUPS)
+    specialties, job_groups = _codes("SPC-%03d", SPECIALTIES), _codes("JG-%02d", JOB_GROUPS)
+    copies: list[tuple[CanonicalApplicant, CanonicalApplicant]] = []
+    for draws in _draw_tables(rng, bounds, count):
+        donors = [eligible[i] for i in draws[:, 0].tolist()]
+        donor_city = np.array([CITY_ORDER.index(donor.source_id) for donor in donors])
+        cities = draws[:, 1] + (draws[:, 1] >= donor_city)     # the other two, in order
+        columns = _placements(config, cities, draws[:, 2:])
+        columns.update(specialty=_take(specialties, draws[:, 6]),
+                       job_group=_take(job_groups, draws[:, 7]))
+        names = tuple(columns)
+        for donor, values in zip(donors, zip(*columns.values())):
+            year, quarter = _previous_quarter(donor.year, donor.quarter)
+            copies.append((donor, donor._replace(year=year, quarter=quarter,
+                                                 **dict(zip(names, values)))))
+    return copies
+
+
+@bulk()
 def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     """Emit the three source files plus truth set, sidecar configs, and the
-    planted-corruption manifest. Byte-deterministic for a given config."""
+    planted-corruption manifest, with the collector paused. Byte-deterministic
+    for a given config."""
     out = Path(out_dir)
     rng = Rng(config.seed)
 
@@ -421,38 +670,33 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
         counts = {"tripoli": 900, "misurata": 600, "sirte": 300}
 
     # Persons, one rng stream, fixed city order.
-    persons: list[CanonicalApplicant] = []
-    ordinal = 0
-    for city_key in CITY_ORDER:
-        for _ in range(counts[city_key]):
-            ordinal += 1
-            persons.append(_make_person(rng, config, city_key, ordinal))
+    persons = _make_persons(rng, config, counts)
     total_persons = len(persons)
 
     # Cross-city duplicate applications; copies always predate their donor.
     n_copies = int(config.duplicate_rate * total_persons)
-    eligible = [p for p in persons
-                if (p.year, quarter_index(p.quarter)) > (config.year_from, 1)]
+    eligible = [p for p in persons if p.year > config.year_from or p.quarter != QUARTERS[0]]
     if not eligible:
         n_copies = 0
+    wire: dict[str, list[CanonicalApplicant]] = {}     # persons first, city by city
+    start = 0
+    for city_key in CITY_ORDER:
+        wire[city_key] = persons[start:start + counts[city_key]]
+        start += counts[city_key]
     duplicates: list[tuple[str, str, str, str]] = []
-    wire: dict[str, list] = {c: [] for c in CITY_ORDER}
-    for p in persons:
-        wire[p.source_id].append([p, True])         # [record, is_person_row]
-    for _ in range(n_copies):
-        donor = eligible[rng.randrange(len(eligible))]
-        others = [c for c in CITY_ORDER if c != donor.source_id]
-        copy_city = others[rng.randrange(2)]
-        copy = _make_copy(rng, config, donor, copy_city)
-        wire[copy_city].append([copy, False])
-        duplicates.append((donor.national_id, donor.source_id, copy_city,
+    for donor, copy in _make_copies(rng, config, eligible, n_copies):
+        wire[copy.source_id].append(copy)
+        duplicates.append((donor.national_id, donor.source_id, copy.source_id,
                            f"{copy.year}{copy.quarter}"))
 
+    flat: list[CanonicalApplicant] = []         # every city's rows, shuffled
+    is_person: list[bool] = []
     for city_key in CITY_ORDER:
-        rng.shuffle(wire[city_key])
-    flat: list[list] = [entry for city_key in CITY_ORDER for entry in wire[city_key]]
-    for entry in flat:
-        entry.append({})    # corruption overlay: canonical field -> wire value
+        order = list(range(len(wire[city_key])))
+        rng.shuffle(order)
+        flat += [wire[city_key][i] for i in order]
+        is_person += [i < counts[city_key] for i in order]
+    overlays: dict[int, dict[str, str]] = {}   # corruption: row -> canonical field -> wire value
 
     expect = GenExpectations(persons=total_persons, wire_rows=len(flat),
                              duplicates=len(duplicates))
@@ -463,12 +707,12 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     blanks: list[tuple[str, str, str]] = []
     blanked_district_persons: set[str] = set()
     for row_idx in blank_rows:
-        record, is_person, overlay = flat[row_idx]
+        record = flat[row_idx]
         field_name = BLANKABLE_FIELDS[rng.randrange(len(BLANKABLE_FIELDS))]
-        overlay[field_name] = ""
+        overlays[row_idx] = {field_name: ""}
         expect.filled[field_name] = expect.filled.get(field_name, 0) + 1
         blanks.append((record.source_id, record.national_id, field_name))
-        if field_name == "district" and is_person:
+        if field_name == "district" and is_person[row_idx]:
             blanked_district_persons.add(record.national_id)
 
     # Entry discrepancies: variant spellings that normalization must rewrite.
@@ -476,7 +720,8 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     disc_rows = rng.sample(len(flat), n_disc)
     discrepancies: list[tuple[str, str, str, str]] = []
     for row_idx in disc_rows:
-        record, _, overlay = flat[row_idx]
+        record = flat[row_idx]
+        overlay = overlays.setdefault(row_idx, {})
         candidates = [f for f in DISCREPANCY_FIELDS if f not in overlay]
         field_name = candidates[rng.randrange(len(candidates))]
         pool = VARIANT_POOLS[record.source_id][field_name][getattr(record, field_name)]
@@ -497,14 +742,19 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
          for p in persons), WAREHOUSE_REQUIRED_FIELDS)
     truth.sort(key=lambda r: r.national_id)
 
-    files = _write_outputs(config, out, wire, truth)
+    # Each city's rows as its file holds them, the corruption laid over.
+    for row_idx, overlay in overlays.items():
+        flat[row_idx] = flat[row_idx]._replace(**overlay)
+    rows = iter(flat)
+    files = _write_outputs(config, out, {c: list(islice(rows, len(wire[c]))) for c in CITY_ORDER},
+                           truth)
     _write_gen_manifest(out / GEN_MANIFEST_FILE, config, expect, files,
                         duplicates, blanks, discrepancies)
     files["gen_manifest"] = out / GEN_MANIFEST_FILE
     return GenResult(out, truth, files, expect, duplicates, blanks, discrepancies)
 
 
-def _write_outputs(config: GenConfig, out: Path, wire: dict[str, list],
+def _write_outputs(config: GenConfig, out: Path, wire: dict[str, list[CanonicalApplicant]],
                    truth: list[CanonicalApplicant]) -> dict[str, Path]:
     import yaml
 

@@ -12,11 +12,14 @@ year text once, so later passes over the records touch a few hot objects.
 Every file jobcube writes goes through `replacing`: a temp file beside the
 target, renamed over it when whole, so a crash leaves the old file or the new.
 A device or FIFO path such as /dev/null cannot be replaced and is written in place.
+
+A bulk path runs under `bulk()`, which pauses the cyclic collector.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import os
 import re
@@ -115,6 +118,21 @@ MEMBER_GETTERS: dict[str, Callable[[CanonicalApplicant], str]] = {
     **{dimension: attrgetter(*names) for dimension, names in MEMBER_FIELDS.items()},
     "time": lambda r: time_key(r.year, r.quarter),
 }
+
+
+@contextmanager
+def bulk() -> Iterator[None]:
+    """Pause the cyclic collector while a bulk path makes many records, and
+    restore the state it found, also on an exception. Records hold only str
+    and int, so they make no cycles, but a record is no exact tuple, so each
+    full collection walks every live one. The thresholds stay as they are."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @contextmanager

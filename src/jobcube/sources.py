@@ -23,7 +23,7 @@ A :class:`SourceSpec` holds a source's field map and codebooks, as
 `sources.yaml` spells them; a key naming no mappable canonical field is a
 ConfigError. :func:`record_mapper` resolves them once per file, against the
 file's columns, into one row function; :func:`row_mapper`, its inverse, turns
-a record into a row in a given column order.
+records into rows in a given column order, one column at a time.
 """
 
 from __future__ import annotations
@@ -493,26 +493,31 @@ def record_mapper(spec: SourceSpec, columns: Sequence[str], counters: SourceCoun
 
 
 def row_mapper(spec: SourceSpec, columns: Sequence[str],
-               ) -> Callable[[CanonicalApplicant], list[str]]:
-    """The inverse of record_mapper: a record as a row in `columns` order.
-    Each mapped value is written as text through its codebook run backwards
-    (a value the book lacks passes through, as an untranslated code does
-    forwards); a column the field map does not name is blank. Where canonical
-    fields share a column, the last in map order fills it."""
+               ) -> Callable[..., list[tuple[str, ...]]]:
+    """The inverse of record_mapper, by column: records as rows in `columns`
+    order. Each mapped value is written as text (the year through str, every
+    other field is text already) through its codebook run backwards (a value
+    the book lacks passes through, as an untranslated code does forwards). A
+    column the field map does not name holds the values given for it by
+    keyword, one a record, or else is blank. Where canonical fields share a
+    column, the last in map order fills it."""
     named = {wire: canonical for canonical, wire in spec.field_map.items()}
-    blank = len(ALL_FIELDS)         # the position of the "" after a record's fields
-    take = [ALL_FIELDS.index(named[c]) if c in named else blank for c in columns]
-    coded = [(i, {value: code for code, value in spec.value_codebooks[named[c]].items()})
-             for i, c in enumerate(columns) if named.get(c) in spec.value_codebooks]
+    plan = [(c, ALL_FIELDS.index(named[c]) if c in named else None,
+             {value: code for code, value in spec.value_codebooks[named[c]].items()}
+             if named.get(c) in spec.value_codebooks else None)
+            for c in columns]
 
-    def to_row(record: CanonicalApplicant) -> list[str]:
-        values = (*record, "")
-        row = [str(values[j]) for j in take]
-        for i, book in coded:
-            row[i] = book.get(row[i], row[i])
-        return row
+    def to_rows(records: Sequence[CanonicalApplicant],
+                **given: Sequence[str]) -> list[tuple[str, ...]]:
+        fields = list(zip(*records)) or [()] * len(ALL_FIELDS)
+        texts = []
+        for name, j, book in plan:
+            text = (given.get(name, ("",) * len(records)) if j is None
+                    else list(map(str, fields[j])) if j == _YEAR else fields[j])
+            texts.append(text if book is None else list(map(book.get, text, text)))
+        return list(zip(*texts))
 
-    return to_row
+    return to_rows
 
 
 def parse_source(data: bytes, spec: SourceSpec, report: IngestReport) -> Parsed:

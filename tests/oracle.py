@@ -7,13 +7,20 @@ The factories build already-cleaned record sets with a known address
 hierarchy for property-style checks. `oracle_integrity` is check_integrity's
 problem list, found one row at a time with a set of the key tuples seen.
 `oracle_row_writer` renders fixed-position rows one at a time, checking each
-kind of bad value in a pass of its own.
+kind of bad value in a pass of its own. `ScalarRng` is the generator's
+xorshift64* stream stepped one draw at a time, and `oracle_persons` and
+`oracle_copies` make the generated persons and duplicate copies from it one
+record and one draw at a time.
 """
 
 from __future__ import annotations
 
 import random
 
+from jobcube.config import CITY_ORDER
+from jobcube.datagen import (CITY_NAMES, CITY_PREFIX, DIRECTED_SHARE, DISTRICTS_PER_CONGRESS,
+                             EDUCATION_LEVELS, JOB_GROUPS, MOAHELS, SPECIALTIES)
+from jobcube.datagen import SERVICES as SERVICES_GEN
 from jobcube.errors import FieldOverflow, InvalidFieldValue, UnresolvedDimensionValue
 from jobcube.preprocess import ConceptHierarchy
 from jobcube.records import DIMENSIONS, QUARTERS, CanonicalApplicant, derive_status
@@ -228,3 +235,109 @@ def oracle_row_writer(layout, where: str, head: str = "", tail: str = ""):
             raise InvalidFieldValue(f"{where} {i}: {fd.name}={value!r} is not ASCII") from None
 
     return write
+
+
+# ---------------------------------------------------------------------------
+# The generator one draw at a time
+
+MASK64 = (1 << 64) - 1
+
+
+class ScalarRng:
+    """xorshift64*, seeded via one splitmix64 scramble, stepped one draw at a
+    time in pure integer math: the stream datagen.Rng serves from blocks."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, seed: int):
+        z = (seed + 0x9E3779B97F4A7C15) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        z ^= z >> 31
+        self.state = z or 0x9E3779B97F4A7C15
+
+    def next_u64(self) -> int:
+        x = self.state
+        x ^= x >> 12
+        x ^= (x << 25) & MASK64
+        x ^= x >> 27
+        self.state = x
+        return (x * 0x2545F4914F6CDD1D) & MASK64
+
+    def randrange(self, n: int) -> int:
+        if n <= 0:
+            raise ValueError("randrange needs n >= 1")
+        limit = (1 << 64) - ((1 << 64) % n)
+        while True:
+            v = self.next_u64()
+            if v < limit:
+                return v % n
+
+    def random(self) -> float:
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def shuffle(self, items: list) -> None:
+        for i in range(len(items) - 1, 0, -1):
+            j = self.randrange(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+    def sample(self, n: int, k: int) -> list[int]:
+        idx = list(range(n))
+        for i in range(k):
+            j = i + self.randrange(n - i)
+            idx[i], idx[j] = idx[j], idx[i]
+        return idx[:k]
+
+
+def oracle_placement(rng, config, city_key: str) -> dict:
+    """Where one application is filed: congress, district and sector draws
+    in that order, with the fields that follow from them."""
+    congress = f"{CITY_PREFIX[city_key]}-CG{rng.randrange(config.congresses_per_city) + 1:02d}"
+    district = f"{congress}-D{rng.randrange(DISTRICTS_PER_CONGRESS) + 1:02d}"
+    sector = (f"SEC-{rng.randrange(config.sectors) + 1:02d}"
+              if rng.random() < DIRECTED_SHARE else "")
+    return {"district": district, "congress": congress, "city": CITY_NAMES[city_key],
+            "sector": sector, "status": derive_status(sector), "source_id": city_key}
+
+
+def oracle_make_person(rng, config, city_key: str, ordinal: int) -> CanonicalApplicant:
+    placement = oracle_placement(rng, config, city_key)
+    return CanonicalApplicant(
+        national_id=f"NID{ordinal:09d}",
+        name=f"APPLICANT-{ordinal:07d}",
+        sex=("male", "female")[rng.randrange(2)],
+        specialty=f"SPC-{rng.randrange(SPECIALTIES) + 1:03d}",
+        job_group=f"JG-{rng.randrange(JOB_GROUPS) + 1:02d}",
+        moahel=f"QL-{rng.randrange(MOAHELS) + 1:02d}",
+        education_level=EDUCATION_LEVELS[rng.randrange(len(EDUCATION_LEVELS))],
+        service_status=SERVICES_GEN[rng.randrange(len(SERVICES_GEN))],
+        year=config.year_from + rng.randrange(config.year_to - config.year_from + 1),
+        quarter=QUARTERS[rng.randrange(4)],
+        **placement,
+    )
+
+
+def oracle_persons(rng, config, counts: dict[str, int]) -> list[CanonicalApplicant]:
+    """Each city's persons in city order, one person and one draw at a time."""
+    persons = []
+    for city_key in CITY_ORDER:
+        for _ in range(counts[city_key]):
+            persons.append(oracle_make_person(rng, config, city_key, len(persons) + 1))
+    return persons
+
+
+def oracle_copies(rng, config, eligible, count: int) -> list[tuple]:
+    """(donor, copy) pairs one copy at a time: donor, copy city, placement,
+    specialty and job group, the copy filed one quarter before its donor."""
+    pairs = []
+    for _ in range(count):
+        donor = eligible[rng.randrange(len(eligible))]
+        others = [c for c in CITY_ORDER if c != donor.source_id]
+        placement = oracle_placement(rng, config, others[rng.randrange(2)])
+        qi = QUARTERS.index(donor.quarter)
+        year, quarter = (donor.year, QUARTERS[qi - 1]) if qi else (donor.year - 1, QUARTERS[3])
+        pairs.append((donor, donor._replace(
+            specialty=f"SPC-{rng.randrange(SPECIALTIES) + 1:03d}",
+            job_group=f"JG-{rng.randrange(JOB_GROUPS) + 1:02d}",
+            year=year, quarter=quarter, **placement)))
+    return pairs

@@ -801,6 +801,14 @@ class TestExitCodes:
         assert err.startswith(f"error: {path}: not valid YAML: nested too deeply"), err
         assert "Traceback" not in err
 
+    def test_a_tagged_integer_that_is_no_integer_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "jobcube.yaml"
+        path.write_text("seed: !!int 0x4\n", encoding="utf-8")
+        assert main(["validate", "-c", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid YAML: not an integer: '0x4'"), err
+        assert "Traceback" not in err
+
 
 # Each hand-off file of a tour and the subcommands that read it next; the
 # config itself goes only to commands that write nothing, so a mutated path

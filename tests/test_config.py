@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jobcube.bench import BenchConfig
-from jobcube.config import (DEFAULT_BENCH_QUERIES, PipelineConfig, load_codebooks, load_config,
-                            load_hierarchy, load_sources, parse_query)
+from jobcube.config import (DEFAULT_BENCH_QUERIES, MAX_CODES, PipelineConfig, load_codebooks,
+                            load_config, load_hierarchy, load_sources, parse_query)
 from jobcube.cube import AggregateQuery, YearSpan
 from jobcube.datagen import GenConfig
 from jobcube.errors import BadHierarchy, BadPolicy, ConfigError, JobcubeError
@@ -181,6 +181,68 @@ def test_integer_text_reads_as_its_value(tmp_path, sectors):
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     config = load_config(path)
     assert (config.gen.sectors, config.year_from, config.year_to) == (12, 2001, 2004)
+
+
+# YAML 1.1 reads each of these as an integer; the config loader reads them as
+# text, which the key's integer check refuses as it refuses the quoted text
+@pytest.mark.parametrize("text, message", [
+    ("seed: 1:00", "seed: expected an integer, got '1:00'"),
+    ("gen: {sectors: 1_2}", "gen.sectors: expected an integer, got '1_2'"),
+    ("gen: {congresses_per_city: 0x4}", "gen.congresses_per_city: expected an integer, got '0x4'"),
+    ("seed: 0o7", "seed: expected an integer, got '0o7'"),
+    ("seed: 0b101", "seed: expected an integer, got '0b101'"),
+    ("seed: +7", "seed: expected an integer, got '+7'"),
+    ("years: {from: 2_001, to: 2004}", "years.from: expected an integer, got '2_001'"),
+])
+def test_yaml_integer_forms_past_ascii_digits_are_refused(tmp_path, text, message):
+    path = tmp_path / "forms.yaml"
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}.{message}"
+
+
+def test_yaml_digits_read_as_decimal(tmp_path):
+    path = tmp_path / "digits.yaml"
+    path.write_text("seed: 010\ngen: {sectors: 012, congresses_per_city: -0}\n"
+                    "years: {from: 02001, to: 2004}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="congresses_per_city must be >= 1"):
+        load_config(path)
+    path.write_text("seed: -010\ngen: {sectors: 012, congresses_per_city: 04}\n"
+                    "years: {from: 02001, to: 2004}\n", encoding="utf-8")
+    config = load_config(path)
+    assert (config.gen.seed, config.gen.sectors, config.gen.congresses_per_city) == (-10, 12, 4)
+    assert (config.year_from, config.year_to) == (2001, 2004)
+
+
+def test_yaml_base_60_years_read_as_the_query_year_range(tmp_path):
+    # YAML 1.1 read 20:30 as 1230, which the years check refused
+    path = tmp_path / "years.yaml"
+    path.write_text("years: 20:30\n", encoding="utf-8")
+    config = load_config(path)
+    assert (config.year_from, config.year_to) == (20, 30)
+
+
+def test_a_tagged_integer_is_read_by_the_same_rule(tmp_path):
+    path = tmp_path / "tagged.yaml"
+    path.write_text("seed: !!int 42\n", encoding="utf-8")
+    assert load_config(path).gen.seed == 42
+    path.write_text("seed: !!int 0x4\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"not valid YAML: not an integer: '0x4'"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("name", ["sectors", "congresses_per_city"])
+def test_code_counts_are_bounded(name):
+    assert getattr(GenConfig(**{name: MAX_CODES}), name) == MAX_CODES
+    with pytest.raises(ConfigError, match=f"{name} must be <= {MAX_CODES}"):
+        GenConfig(**{name: MAX_CODES + 1})
+
+
+def test_year_span_is_bounded():
+    assert GenConfig(year_from=-10 ** 30, year_to=MAX_CODES - 1 - 10 ** 30).year_from == -10 ** 30
+    with pytest.raises(ConfigError, match=f"year range 0:{MAX_CODES} spans more than"):
+        GenConfig(year_from=0, year_to=MAX_CODES)
 
 
 # A valid config that exercises every reader: both year forms, a city list, a

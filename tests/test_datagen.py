@@ -1,10 +1,16 @@
-"""Synthetic source generator: determinism, planted-corruption accounting,
-format writers, byte-size targeting."""
+"""Synthetic source generator: the block stream and the column-built records
+against the one-draw-at-a-time oracle, determinism, planted-corruption
+accounting, format writers, byte-size targeting."""
 
+import gc
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from jobcube import datagen
 from jobcube.config import load_hierarchy
 from jobcube.datagen import (
     CITY_ORDER,
@@ -15,14 +21,53 @@ from jobcube.datagen import (
     read_gen_manifest,
 )
 from jobcube.errors import ConfigError, FieldOverflow, UnsatisfiableSize
-from jobcube.records import read_records_csv
+from jobcube.records import bulk, read_records_csv
 from jobcube.sources import render_dbf, render_fixed_width
 from jobcube.warehouse import build_schema, check_integrity
 
 from conftest import SMALL_COUNTS, run_etl
+from oracle import MASK64, ScalarRng, oracle_copies, oracle_persons
+
+MULTIPLIER = 0x2545F4914F6CDD1D
+
+
+class SmallRng(Rng):
+    """The block stream with blocks of 32 draws in 4 lanes, so that short
+    runs cross many lane and block edges."""
+
+    LANES, STEPS = 4, 8
+
+
+def unstep(x: int) -> int:
+    """The xorshift step run backwards, each shift-xor undone in turn: x ^= x >> s
+    is undone by x ^= x >> s, then >> 2s, >> 4s, .. while the shift is below 64."""
+    for shift in (27, 54):
+        x ^= x >> shift
+    for shift in (25, 50):
+        x ^= (x << shift) & MASK64
+    for shift in (12, 24, 48):
+        x ^= x >> shift
+    return x
+
+
+def state_before_max(draws: int) -> int:
+    """A state whose draws-th next output is 2**64 - 1: the state that output
+    is made from (the multiply is odd, so it inverts mod 2**64), stepped back
+    draws times."""
+    x = (MASK64 * pow(MULTIPLIER, -1, 1 << 64)) & MASK64
+    for _ in range(draws):
+        x = unstep(x)
+    return x
 
 
 class TestRng:
+    def test_unstep_inverts_the_step(self):
+        for seed in range(20):
+            rng = ScalarRng(seed)
+            before = rng.state
+            rng.next_u64()
+            assert unstep(rng.state) == before
+
     def test_pinned_recurrence(self):
         # hand-evaluated xorshift64* step from the seeded splitmix64 state:
         # x ^= x>>12; x ^= (x<<25) mask 64; x ^= x>>27; out = x * 0x2545F4914F6CDD1D
@@ -63,6 +108,161 @@ class TestRng:
         picked = rng.sample(100, 30)
         assert len(picked) == 30
         assert len(set(picked)) == 30
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1),
+           pieces=st.lists(st.tuples(st.sampled_from(("next_u64", "block", "randrange",
+                                                      "random", "state")),
+                                     st.integers(1, 80)), max_size=12),
+           small=st.booleans())
+    @example(seed=1, pieces=[("block", 31), ("next_u64", 1), ("block", 33), ("block", 64)],
+             small=True)
+    @example(seed=7, pieces=[("block", 70_000), ("next_u64", 1), ("randrange", 3)], small=False)
+    def test_block_stream_is_the_scalar_stream(self, seed, pieces, small):
+        rng, ref = (SmallRng if small else Rng)(seed), ScalarRng(seed)
+        for kind, n in pieces:
+            if kind == "block":
+                assert rng.block(n).tolist() == [ref.next_u64() for _ in range(n)]
+                rng.skip(n)
+            elif kind == "next_u64":
+                assert rng.next_u64() == ref.next_u64()
+            elif kind == "randrange":
+                assert rng.randrange(n) == ref.randrange(n)
+            elif kind == "random":
+                assert rng.random() == ref.random()
+            else:           # restart both streams from a state one of them reached
+                rng.state = ref.state = ref.state ^ n
+            assert rng.state == ref.state
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(0, 90), k=st.integers(0, 90))
+    def test_shuffle_and_sample_match_the_scalar_stream(self, seed, n, k):
+        rng, ref = SmallRng(seed), ScalarRng(seed)
+        items, want = list(range(n)), list(range(n))
+        rng.shuffle(items)
+        ref.shuffle(want)
+        assert items == want
+        assert rng.sample(n, min(k, n)) == ref.sample(n, min(k, n))
+        assert rng.state == ref.state
+
+    def test_randrange_passes_over_a_rejected_draw(self):
+        # 2**64 - 1 is not below 2**64 - 2**64 % 3, so randrange(3) takes the next draw
+        rng, ref = Rng(0), ScalarRng(0)
+        rng.state = ref.state = state_before_max(1)
+        assert rng.block(1).tolist() == [MASK64]
+        assert rng.randrange(3) == ref.randrange(3)
+        two = ScalarRng(0)
+        two.state = state_before_max(1)
+        two.next_u64()
+        two.next_u64()
+        assert rng.state == ref.state == two.state     # the rejected draw and the next
+
+    @pytest.mark.parametrize("rng_class", [Rng, SmallRng])
+    def test_randrange_rejects_about_half_of_a_bound_just_past_2_63(self, rng_class):
+        n, draws = 2 ** 63 + 1, 2000
+        rng, ref, counter = rng_class(5), ScalarRng(5), ScalarRng(5)
+        assert [rng.randrange(n) for _ in range(draws)] == [ref.randrange(n) for _ in range(draws)]
+        assert rng.randranges(np.full(draws, n, np.uint64)).tolist() == \
+               [ref.randrange(n) for _ in range(draws)]
+        assert rng.state == ref.state
+        taken = 0
+        while counter.state != ref.state:
+            counter.next_u64()
+            taken += 1
+        rejected = taken - 2 * draws
+        assert 0.4 < rejected / taken < 0.6, (rejected, taken)
+
+    def test_randrange_refuses_a_bound_past_2_64(self):
+        with pytest.raises(ValueError):
+            Rng(1).randrange(2 ** 64 + 1)
+        assert Rng(1).randrange(2 ** 64) == ScalarRng(1).next_u64()
+
+
+def _gen_config(seed, sectors, congresses, year_from, span):
+    return GenConfig(seed=seed, sectors=sectors, congresses_per_city=congresses,
+                     year_from=year_from, year_to=year_from + span - 1)
+
+
+class TestColumnRecords:
+    """The persons and copies built by column from the block stream are the
+    ones the one-draw-at-a-time oracle makes, and leave the stream where it
+    leaves it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), sectors=st.integers(1, 60),
+           congresses=st.integers(1, 20), span=st.integers(1, 40),
+           counts=st.tuples(*[st.integers(1, 40)] * 3), chunk=st.sampled_from((1, 3, 8192)),
+           copies=st.integers(0, 30), year_from=st.sampled_from((2000, -7, 10 ** 20)))
+    @example(seed=31, sectors=12, congresses=4, span=1, counts=(5, 5, 5), chunk=3, copies=8,
+             year_from=2000)
+    @example(seed=47, sectors=48, congresses=12, span=16, counts=(20, 9, 4), chunk=8192,
+             copies=20, year_from=2000)
+    @example(seed=2, sectors=1, congresses=1, span=7, counts=(1, 1, 1), chunk=1, copies=3,
+             year_from=2000)
+    def test_match_the_scalar_oracle(self, seed, sectors, congresses, span, counts, chunk,
+                                     copies, year_from):
+        config = _gen_config(seed, sectors, congresses, year_from, span)
+        counts = dict(zip(CITY_ORDER, counts))
+        rng, ref = SmallRng(seed), ScalarRng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(datagen, "CHUNK", chunk)
+            persons = datagen._make_persons(rng, config, counts)
+            assert persons == oracle_persons(ref, config, counts)
+            assert rng.state == ref.state
+            pairs = datagen._make_copies(rng, config, persons, copies)
+        assert pairs == oracle_copies(ref, config, persons, copies)
+        assert rng.state == ref.state
+
+    @pytest.mark.parametrize("chunk", [1, 2, 8192])
+    @pytest.mark.parametrize("draws", range(1, 40))
+    def test_a_rejected_draw_anywhere_in_the_first_persons(self, chunk, draws):
+        # the draws-th draw is 2**64 - 1, which every bound here but the powers
+        # of two rejects: the congress draw of the first person, one of the
+        # draws after it, or a draw of the second or third person
+        config = _gen_config(0, 12, 3, 2000, 7)
+        counts = {"tripoli": 4, "misurata": 1, "sirte": 1}
+        rng, ref = Rng(0), ScalarRng(0)
+        rng.state = ref.state = state_before_max(draws)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(datagen, "CHUNK", chunk)
+            persons = datagen._make_persons(rng, config, counts)
+        assert persons == oracle_persons(ref, config, counts)
+        assert rng.state == ref.state
+
+    @pytest.mark.parametrize("draws", range(1, 12))
+    def test_a_rejected_draw_in_a_copy(self, draws):
+        config = _gen_config(0, 12, 3, 2000, 7)
+        donors = oracle_persons(ScalarRng(3), config, {"tripoli": 5, "misurata": 3, "sirte": 3})
+        rng, ref = Rng(0), ScalarRng(0)
+        rng.state = ref.state = state_before_max(draws)
+        assert datagen._make_copies(rng, config, donors, 2) == oracle_copies(ref, config,
+                                                                               donors, 2)
+        assert rng.state == ref.state
+
+
+class TestCollector:
+    def test_generate_pauses_the_collector_and_restores_it(self, tmp_path, monkeypatch):
+        seen = []
+        make = datagen._make_persons
+        monkeypatch.setattr(datagen, "_make_persons",
+                            lambda *args: seen.append(gc.isenabled()) or make(*args))
+        assert gc.isenabled()
+        generate(GenConfig(seed=1, counts={"tripoli": 5, "misurata": 5, "sirte": 5}), tmp_path)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_bulk_restores_the_state_it_found_on_an_exception(self):
+        with pytest.raises(RuntimeError), bulk():
+            assert not gc.isenabled()
+            raise RuntimeError("stop")
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            with bulk():
+                pass
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 PINNED_COUNTS = {"tripoli": 300, "misurata": 200, "sirte": 120}

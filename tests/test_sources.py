@@ -536,20 +536,22 @@ class TestRowMapper:
     def test_writes_codes_in_column_order_and_blanks_the_rest(self):
         spec = make_spec({"sex": {"1": "male", "2": "female"}})
         record = map_row(spec, ("N1", "2003", "Q2", "S9", "2"))
-        to_row = row_mapper(spec, ("SX", "EXTRA", "YR", "NID", "QTR", "SEC"))
-        assert to_row(record) == ["2", "", "2003", "N1", "Q2", "S9"]
+        to_rows = row_mapper(spec, ("SX", "EXTRA", "YR", "NID", "QTR", "SEC"))
+        assert to_rows([record]) == [("2", "", "2003", "N1", "Q2", "S9")]
+        assert to_rows([record], EXTRA=["x"]) == [("2", "x", "2003", "N1", "Q2", "S9")]
+        assert to_rows([]) == []
 
     def test_value_outside_the_codebook_passes_through(self):
         spec = make_spec({"sex": {"1": "male"}})
         record = map_row(spec, ("N1", "2003", "Q2", "", "Male"))
-        assert row_mapper(spec, COLUMNS)(record) == ["N1", "2003", "Q2", "", "Male"]
+        assert row_mapper(spec, COLUMNS)([record]) == [("N1", "2003", "Q2", "", "Male")]
 
     def test_shared_column_takes_the_last_mapped_field(self):
         spec = SourceSpec("src", "CityX", "delimited", "x.csv",
                           field_map={"national_id": "NID", "name": "NID",
                                      "year": "YR", "quarter": "QTR"})
         record = CanonicalApplicant(national_id="N1", name="Ann", year=2003, quarter="Q2")
-        assert row_mapper(spec, ("NID", "YR", "QTR"))(record) == ["Ann", "2003", "Q2"]
+        assert row_mapper(spec, ("NID", "YR", "QTR"))([record]) == [("Ann", "2003", "Q2")]
 
     @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
     def test_inverts_record_mapper_on_generated_files(self, tmp_path, name):
@@ -561,13 +563,12 @@ class TestRowMapper:
         for spec in load_sources(tmp_path / "sources.yaml"):
             columns, rows = parse_source((tmp_path / spec.path).read_bytes(), spec, report)
             to_record = record_mapper(spec, columns, report.counters(spec.source_id))
-            to_row = row_mapper(spec, columns)
             read = set(spec.field_map.values())
-            for row in rows:
-                record = to_record(row)
-                back = to_row(record)
-                assert back == [v if c in read else "" for c, v in zip(columns, row)]
-                assert to_record(back) == record
+            records = [to_record(row) for row in rows]
+            back = row_mapper(spec, columns)(records)
+            assert back == [tuple(v if c in read else "" for c, v in zip(columns, row))
+                            for row in rows]
+            assert [to_record(row) for row in back] == records
 
 
 def reference_map_to_canonical(values, source, counters=None):
