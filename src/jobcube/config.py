@@ -325,9 +325,10 @@ _REPORT_KEYS = {"kind", "years", "city", "output", "format", "query"}
 
 
 def _parse_years(raw, where: str, default: tuple[int, int]) -> tuple[int, int]:
-    """{from, to} or the query grammar's 'A' / 'A:B'; None takes the default."""
-    if raw is None:
-        return default
+    """{from, to}, the query grammar's 'A' / 'A:B', or an int A, as YAML reads
+    an unquoted one-year range; None takes the default."""
+    if raw is None or type(raw) is int:
+        return default if raw is None else (raw, raw)
     if isinstance(raw, Mapping):
         raw = _as_mapping(raw, where, {"from", "to"})
         _require(raw, ("from", "to"), where)

@@ -19,8 +19,11 @@ x * 0x2545F4914F6CDD1D mod 2**64. The step is linear over GF(2), so `Rng`
 draws the stream in numpy blocks: lanes start at their places through a
 jump-ahead matrix and step side by side, giving the draws of the one stream
 in its order. Every operation is exact uint64 math, so the same seed gives
-the same bytes on any platform and numpy version. Persons and copies are
-built by column from a block of draws (see `_draw_tables`).
+the same bytes on any platform and numpy version. `Rng.randranges` is the one
+rule for a draw below n, and the only code that passes over a rejected draw.
+Persons and copies are built by column from a block of draws; a record with a
+draw that some column might reject is drawn through `randranges` instead (see
+`_draw_tables`). The corruption is planted by column too (see `_plant`).
 
 Planted corruption is bookkept so downstream cleaning counters are exactly
 predictable: duplicate copies always lose the keep-latest rule (they are
@@ -31,7 +34,8 @@ and variant spellings always differ from the canonical value after trimming.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence
@@ -50,7 +54,6 @@ from .records import (
     WAREHOUSE_REQUIRED_FIELDS,
     CanonicalApplicant,
     bulk,
-    quarter_index,
     replacing,
     write_records_csv,
 )
@@ -86,11 +89,12 @@ class Rng:
 
     A block is LANES * STEPS consecutive states of the one stream: lane j
     starts STEPS * j steps on (a jump-ahead matrix over GF(2)) and takes the
-    three shift-xors STEPS times, so each lane fills its own stretch. Column
-    code reads the next draws as an array with `block` and serves them with
-    `skip`; the scalar methods serve one draw at a time. `state` is the
-    xorshift state after the last draw served, as if stepped one by one;
-    setting it restarts the stream there."""
+    three shift-xors STEPS times, so each lane fills its own stretch. Code
+    reads the next draws as an array with `block` and serves the ones it used
+    with `skip`; `randranges` is the one rule for a bounded draw, and
+    `shuffle` and `sample` take their draws from it. `state` is the xorshift
+    state after the last draw served, as if stepped one by one; setting it
+    restarts the stream there."""
 
     LANES = 256
     STEPS = 64
@@ -111,7 +115,6 @@ class Rng:
         self._head = x                  # the state before _raw[0]
         self._raw = np.empty(0, np.uint64)
         self._pos = 0                   # draws of _raw served
-        self._outs: list[int] = []      # the next outputs as ints, last first, for scalar draws
         jumps = _jumps(self.LANES, self.STEPS)
         starts = np.array([x], np.uint64)
         for jump in jumps[:-1]:         # lane j starts j * STEPS steps on
@@ -133,46 +136,28 @@ class Rng:
         self._starts = _apply(_jumps(self.LANES, self.STEPS)[-1], self._starts)
         return states.T.ravel()
 
-    def _ensure(self, n: int) -> None:
-        """At least n unserved draws, the served ones dropped."""
-        head, rest = self.state, [self._raw[self._pos:]]
-        have = len(rest[0])
-        while have < n:
-            rest.append(self._fill())
-            have += len(rest[-1])
-        self._head, self._raw, self._pos = head, np.concatenate(rest), 0
-
     def block(self, n: int) -> np.ndarray:
         """The next n outputs as uint64, not yet served (see skip)."""
-        if len(self._raw) - self._pos < n:
-            self._ensure(n)
+        short = n - (len(self._raw) - self._pos)
+        if short > 0:                   # the unserved draws, then enough fills
+            fills = [self._fill() for _ in range(-(-short // (self.LANES * self.STEPS)))]
+            self._head, self._raw = self.state, np.concatenate((self._raw[self._pos:], *fills))
+            self._pos = 0
         return self._raw[self._pos:self._pos + n] * _MULTIPLIER
 
     def skip(self, n: int) -> None:
-        """Serve n draws, as n calls of next_u64 would."""
-        if len(self._raw) - self._pos < n:
-            self._ensure(n)
+        """Serve the next n draws, which a block has made."""
+        if n > len(self._raw) - self._pos:
+            raise ValueError("skip past the draws a block has made")
         self._pos += n
-        self._outs = []
 
-    def next_u64(self) -> int:
-        if not self._outs:
-            self._outs = self.block(_SCALAR_DRAWS).tolist()[::-1]
-        self._pos += 1
-        return self._outs.pop()
-
-    def randrange(self, n: int) -> int:
-        if not 1 <= n <= 1 << 64:
-            raise ValueError("randrange needs 1 <= n <= 2**64")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            v = self.next_u64()
-            if v < limit:
-                return v % n
-
-    def randranges(self, bounds: np.ndarray) -> np.ndarray:
-        """randrange(n) for each n of a uint64 array in turn, as one array."""
+    def randranges(self, bounds) -> np.ndarray:
+        """A draw below n for each bound n >= 1 in turn, as a uint64 array: the
+        next draw mod n, where a draw at or past the largest multiple of n up
+        to 2**64 is passed over, so that each value is as likely."""
         bounds = np.asarray(bounds, np.uint64)
+        if not bounds.all():
+            raise ValueError("randranges needs every bound >= 1")
         tops = _tops(bounds)
         out, done = np.empty(len(bounds), np.uint64), 0
         while done < len(bounds):
@@ -183,9 +168,6 @@ class Rng:
             self.skip(k + (k < len(v)))
             done += k
         return out
-
-    def random(self) -> float:
-        return (self.next_u64() >> 11) * 2.0 ** -53
 
     def shuffle(self, items: list) -> None:
         picks = self.randranges(np.arange(2, len(items) + 1, dtype=np.uint64)[::-1]).tolist()
@@ -206,7 +188,6 @@ class Rng:
 # Every constant a uint64 array meets is a uint64 too: numpy 1.x turns a uint64
 # scalar met with a Python int into float64.
 _MULTIPLIER = np.uint64(0x2545F4914F6CDD1D)
-_SCALAR_DRAWS = 4096        # outputs made ints at a time for the scalar methods
 _S11, _S12, _S25, _S27 = (np.uint64(k) for k in (11, 12, 25, 27))
 _BITS = np.arange(64, dtype=np.uint64)
 _ONE = np.uint64(1)
@@ -239,7 +220,7 @@ def _jumps(lanes: int, steps: int) -> tuple[np.ndarray, ...]:
 
 
 def _tops(bounds: np.ndarray) -> np.ndarray:
-    """The largest output randrange(n) accepts, for each n of a uint64 array:
+    """The largest output randranges accepts for each bound n of a uint64 array:
     2**64 - 2**64 % n - 1, where 2**64 % n is (2**64 - n) % n."""
     return ~((~bounds + _ONE) % bounds)
 
@@ -462,13 +443,13 @@ def _persons_from_targets(config: GenConfig) -> dict[str, int]:
 class GenExpectations:
     """What the cleaning stage must report when run over the emitted files."""
 
-    persons: int = 0
-    wire_rows: int = 0
-    duplicates: int = 0
-    filled: dict[str, int] = field(default_factory=dict)
-    normalized: dict[str, int] = field(default_factory=dict)
-    unknown_hierarchy: int = 0
-    generalized: int = 0
+    persons: int
+    wire_rows: int
+    duplicates: int
+    filled: dict[str, int]
+    normalized: dict[str, int]
+    unknown_hierarchy: int
+    generalized: int
 
 
 @dataclass
@@ -482,82 +463,64 @@ class GenResult:
     discrepancies: list[tuple[str, str, str, str]]  # city, nid, field, planted value
 
 
-def _previous_quarter(year: int, quarter: str) -> tuple[int, str]:
-    qi = quarter_index(quarter)
-    if qi > 1:
-        return year, QUARTERS[qi - 2]
-    return year - 1, QUARTERS[3]
-
-
 # Records are drawn by column from blocks of the stream, CHUNK records a block.
 # A record's draws come in a fixed order, one per entry of its bounds: a None
-# is the directed draw, random() < DIRECTED_SHARE, and the sector draw after it
-# is taken only when that holds; every other entry n is randrange(n).
+# is the directed draw, random() < DIRECTED_SHARE with random() a draw's top 53
+# bits over 2**53, and the sector draw after it is taken only when that holds;
+# every other entry n is a draw below n, as `randranges` makes it.
 CHUNK = 8192
+
+
+def _directed(draws: np.ndarray) -> np.ndarray:
+    return (draws >> _S11).astype(np.float64) * 2.0 ** -53 < DIRECTED_SHARE
 
 
 def _draw_tables(rng: Rng, bounds: tuple, count: int):
     """count records' draws, as tables of up to CHUNK rows with a column per
     bound: the directed column holds 0 or 1, and a sector column whose draw was
-    not taken holds any value. A draw randrange rejects is passed over, as it
-    passes over it, in the same pass that finds where each record starts."""
-    if not count:
-        return
+    not taken holds any value. A block of CHUNK * len(bounds) draws holds CHUNK
+    records, read from it by column up to the first record whose len(bounds)
+    draws from its start hold one that some column might reject; that record
+    is drawn column by column through `randranges`, which passes over a
+    rejected draw, and the next block starts after it."""
     width, d = len(bounds), bounds.index(None)
     ns = np.array([1 if n is None else n for n in bounds], np.uint64)
-    tops = _tops(ns)
     # where each column's draw lies from the record's first one, when not
     # directed; directed, the draws after the sector draw lie one further on
     lag = np.arange(width) > d + 1
     offsets = np.arange(width) - lag
-    slack = 2 * width
     while count:
-        v = rng.block(min(count, CHUNK) * width + slack)
-        starts_at = len(v) - width      # a record may start before this
-        directed = (v >> _S11).astype(np.float64) * 2.0 ** -53 < DIRECTED_SHARE
-        # the record starting at p, if none of the width draws from p is one
-        # some column rejects, is followed by one starting at following[p]
-        following = (np.arange(starts_at) + width - 1 + directed[d:d + starts_at]).tolist()
-        doubtful = np.concatenate(([0], np.cumsum(v > tops.min())))
+        n = min(count, CHUNK)
+        v = rng.block(n * width)
+        directed = _directed(v)
+        # the record at p is followed by one at following[p], and is plain if
+        # none of the width draws from p is one that some column might reject
+        places = len(v) - width + 1     # where a record may start
+        following = (np.arange(places) + width - 1 + directed[d:d + places]).tolist()
+        doubtful = np.concatenate(([0], np.cumsum(v > _tops(ns).min())))
         plain = (doubtful[width:] == doubtful[:-width]).tolist()
-        starts: list[int] = []
-        walked: dict[int, list[int]] = {}
-        p = 0
-        for _ in range(min(count, CHUNK)):
-            if p >= starts_at:
+        starts, p = [], 0
+        for _ in range(n):
+            if not plain[p]:
                 break
-            if plain[p]:
-                starts.append(p)
-                p = following[p]
-                continue
-            drawn, q = [], p            # each draw in turn, passing over rejects
-            for k in range(width):
-                if k == d + 1 and not directed[drawn[d]]:
-                    drawn.append(drawn[d])      # no sector draw
-                    continue
-                while q < len(v) and v[q] > tops[k]:
-                    q += 1
-                if q == len(v):
-                    break
-                drawn.append(q)
-                q += 1
-            if len(drawn) < width:
-                break                   # past the block: the next one starts here
-            walked[len(starts)] = drawn
             starts.append(p)
-            p = q
+            p = following[p]
         rng.skip(p)
-        if not starts:
-            slack *= 2
-            continue
-        first = np.array(starts)
-        at = first[:, None] + offsets + (directed[first + d][:, None] & lag)
-        for i, row in walked.items():
-            at[i] = row
-        table = (v[at] % ns).astype(np.int64)
-        table[:, d] = directed[at[:, d]]
-        count -= len(starts)
-        yield table
+        if starts:
+            first = np.array(starts)
+            at = first[:, None] + offsets + (directed[first + d][:, None] & lag)
+            table = (v[at] % ns).astype(np.int64)
+            table[:, d] = directed[at[:, d]]
+            yield table
+        if len(starts) < n:             # the record at p, column by column
+            record = np.zeros(width, np.int64)
+            record[:d] = rng.randranges(ns[:d])
+            record[d] = _directed(rng.block(1))[0]
+            rng.skip(1)
+            rest = d + 2 - record[d]    # the sector draw only if directed
+            record[rest:] = rng.randranges(ns[rest:])
+            yield record[None]
+        count -= min(len(starts) + 1, n)
 
 
 def _take(labels, index: np.ndarray) -> list:
@@ -648,10 +611,42 @@ def _make_copies(rng: Rng, config: GenConfig, eligible: list[CanonicalApplicant]
                        job_group=_take(job_groups, draws[:, 7]))
         names = tuple(columns)
         for donor, values in zip(donors, zip(*columns.values())):
-            year, quarter = _previous_quarter(donor.year, donor.quarter)
-            copies.append((donor, donor._replace(year=year, quarter=quarter,
+            qi = QUARTERS.index(donor.quarter)      # filed the quarter before the donor's
+            copies.append((donor, donor._replace(year=donor.year - (qi == 0),
+                                                 quarter=QUARTERS[qi - 1],
                                                  **dict(zip(names, values)))))
     return copies
+
+
+def _plant(rng: Rng, config: GenConfig, flat: list[CanonicalApplicant]) -> tuple:
+    """The corruption planted on the wire rows: blanks (city, nid, field), at
+    most one a row and only on fillable fields; then entry discrepancies (city,
+    nid, field, variant), spellings that normalization must rewrite, on a field
+    the row's blank spares; and the overlays, row -> field -> wire value. A
+    discrepancy's draws are its field, from the two or three its row leaves,
+    and its variant, from its source's pools, which are all one length."""
+    blank_rows = rng.sample(len(flat), int(config.blank_rate * len(flat)))
+    blanked = dict(zip(blank_rows, _take(BLANKABLE_FIELDS, rng.randranges(
+        np.full(len(blank_rows), len(BLANKABLE_FIELDS), np.uint64)))))
+    blanks = [(flat[row].source_id, flat[row].national_id, name) for row, name in blanked.items()]
+    overlays = {row: {name: ""} for row, name in blanked.items()}
+    disc_rows = rng.sample(len(flat), int(config.discrepancy_rate * len(flat)))
+    order = {name: i for i, name in enumerate(DISCREPANCY_FIELDS)}
+    # the discrepancy field each row's blank took, or one past the last
+    taken = np.array([order.get(blanked.get(row), len(order)) for row in disc_rows], np.int64)
+    pool_sizes = {city: len(pools["sex"]["male"]) for city, pools in VARIANT_POOLS.items()}
+    bounds = np.empty((len(disc_rows), 2), np.uint64)
+    bounds[:, 0] = len(order) - (taken < len(order))
+    bounds[:, 1] = [pool_sizes[flat[row].source_id] for row in disc_rows]
+    picks = rng.randranges(bounds.ravel()).astype(np.int64).reshape(-1, 2)
+    fields = picks[:, 0] + (picks[:, 0] >= taken)   # passing over the blanked one
+    discrepancies = []
+    for row, at, variant_at in zip(disc_rows, fields.tolist(), picks[:, 1].tolist()):
+        record, name = flat[row], DISCREPANCY_FIELDS[at]
+        variant = VARIANT_POOLS[record.source_id][name][getattr(record, name)][variant_at]
+        overlays.setdefault(row, {})[name] = variant
+        discrepancies.append((record.source_id, record.national_id, name, variant))
+    return blanks, discrepancies, overlays
 
 
 @bulk()
@@ -674,15 +669,10 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     total_persons = len(persons)
 
     # Cross-city duplicate applications; copies always predate their donor.
-    n_copies = int(config.duplicate_rate * total_persons)
     eligible = [p for p in persons if p.year > config.year_from or p.quarter != QUARTERS[0]]
-    if not eligible:
-        n_copies = 0
-    wire: dict[str, list[CanonicalApplicant]] = {}     # persons first, city by city
-    start = 0
-    for city_key in CITY_ORDER:
-        wire[city_key] = persons[start:start + counts[city_key]]
-        start += counts[city_key]
+    n_copies = int(config.duplicate_rate * total_persons) if eligible else 0
+    people = iter(persons)          # persons first, city by city
+    wire = {city_key: list(islice(people, counts[city_key])) for city_key in CITY_ORDER}
     duplicates: list[tuple[str, str, str, str]] = []
     for donor, copy in _make_copies(rng, config, eligible, n_copies):
         wire[copy.source_id].append(copy)
@@ -696,49 +686,18 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
         rng.shuffle(order)
         flat += [wire[city_key][i] for i in order]
         is_person += [i < counts[city_key] for i in order]
-    overlays: dict[int, dict[str, str]] = {}   # corruption: row -> canonical field -> wire value
-
-    expect = GenExpectations(persons=total_persons, wire_rows=len(flat),
-                             duplicates=len(duplicates))
-
-    # Blanks: at most one per row, only on fillable fields.
-    n_blanks = int(config.blank_rate * len(flat))
-    blank_rows = rng.sample(len(flat), n_blanks)
-    blanks: list[tuple[str, str, str]] = []
-    blanked_district_persons: set[str] = set()
-    for row_idx in blank_rows:
-        record = flat[row_idx]
-        field_name = BLANKABLE_FIELDS[rng.randrange(len(BLANKABLE_FIELDS))]
-        overlays[row_idx] = {field_name: ""}
-        expect.filled[field_name] = expect.filled.get(field_name, 0) + 1
-        blanks.append((record.source_id, record.national_id, field_name))
-        if field_name == "district" and is_person[row_idx]:
-            blanked_district_persons.add(record.national_id)
-
-    # Entry discrepancies: variant spellings that normalization must rewrite.
-    n_disc = int(config.discrepancy_rate * len(flat))
-    disc_rows = rng.sample(len(flat), n_disc)
-    discrepancies: list[tuple[str, str, str, str]] = []
-    for row_idx in disc_rows:
-        record = flat[row_idx]
-        overlay = overlays.setdefault(row_idx, {})
-        candidates = [f for f in DISCREPANCY_FIELDS if f not in overlay]
-        field_name = candidates[rng.randrange(len(candidates))]
-        pool = VARIANT_POOLS[record.source_id][field_name][getattr(record, field_name)]
-        variant = pool[rng.randrange(len(pool))]
-        overlay[field_name] = variant
-        expect.normalized[field_name] = expect.normalized.get(field_name, 0) + 1
-        discrepancies.append((record.source_id, record.national_id,
-                              field_name, variant))
-
-    expect.unknown_hierarchy = len(blanked_district_persons)
-    expect.generalized = total_persons - expect.unknown_hierarchy
-    expect.filled = dict(sorted(expect.filled.items()))
-    expect.normalized = dict(sorted(expect.normalized.items()))
+    blanks, discrepancies, overlays = _plant(rng, config, flat)
+    unknown = {flat[row].national_id for row, overlay in overlays.items()
+               if "district" in overlay and is_person[row]}    # only a blank is on district
+    expect = GenExpectations(
+        persons=total_persons, wire_rows=len(flat), duplicates=len(duplicates),
+        filled=dict(sorted(Counter(name for _, _, name in blanks).items())),
+        normalized=dict(sorted(Counter(name for _, _, name, _ in discrepancies).items())),
+        unknown_hierarchy=len(unknown), generalized=total_persons - len(unknown))
 
     # Truth: what the pipeline should hand the warehouse, sorted by key.
     truth = dimension_reduce(
-        (p._replace(congress=DEFAULT_FILL) if p.national_id in blanked_district_persons else p
+        (p._replace(congress=DEFAULT_FILL) if p.national_id in unknown else p
          for p in persons), WAREHOUSE_REQUIRED_FIELDS)
     truth.sort(key=lambda r: r.national_id)
 

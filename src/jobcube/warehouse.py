@@ -49,6 +49,7 @@ from .records import (
     STATUS_DIRECTED,
     STATUS_SEEKER,
     CanonicalApplicant,
+    parse_int,
     replacing,
     time_key,
     write_csv,
@@ -252,14 +253,13 @@ def persist(schema: StarSchema, path: str | Path) -> Path:
     return manifest
 
 
-def _parsed_row(fname: str, row_no: int, row: list[str], width: int, ints: int,
-                parse: Callable[[list[str]], object]) -> object:
-    """The row's first `ints` fields through parse, once its width is checked;
-    a wrong width, or a ValueError or OverflowError of parse, raises naming the row."""
+def _parsed_row(fname: str, row_no: int, row: list[str], width: int, ints: int) -> np.ndarray:
+    """The row's first `ints` fields as int64, each read by parse_int, once its
+    width is checked; a wrong width, or a field that is no int64, raises naming the row."""
     if len(row) != width:
         raise CorruptManifest(f"{fname}: row {row_no}: {len(row)} columns, expected {width}")
     try:
-        return parse(row[:ints])
+        return np.array([*map(parse_int, row[:ints])], np.int64)
     except (ValueError, OverflowError):
         raise CorruptManifest(f"{fname}: row {row_no}: not integers: {row[:ints]}") from None
 
@@ -349,7 +349,7 @@ def load_schema(path: str | Path) -> StarSchema:
             raise CorruptManifest(f"{fname}: unexpected columns {header}")
         table_rows, first_row = [], {}      # first_row: each key's first row number
         for row_no, row in enumerate(rows, 1):
-            row_id = _parsed_row(fname, row_no, row, len(header), 1, lambda f: int(f[0]))
+            row_id = _parsed_row(fname, row_no, row, len(header), 1)[0]
             if row_id != row_no:
                 raise CorruptManifest(f"{fname}: row {row_no}: id {row_id}, expected {row_no}")
             if (first := first_row.setdefault(row[1], row_no)) != row_no:
@@ -362,8 +362,8 @@ def load_schema(path: str | Path) -> StarSchema:
         raise CorruptManifest(f"{FACT_FILE}: unexpected columns {header}")
     width = len(FACT_COLUMNS)
     if isinstance(rows, list):          # the bulk guard refused the file
-        rows = [_parsed_row(FACT_FILE, row_no, row, width, width,
-                            lambda f: np.array(f, np.int64)) for row_no, row in enumerate(rows, 1)]
+        rows = [_parsed_row(FACT_FILE, row_no, row, width, width)
+                for row_no, row in enumerate(rows, 1)]
     schema = StarSchema(dims, np.asarray(rows, np.int64).reshape(len(rows), width), meta)
     try:
         schema.year_range(), int(meta.get("records", 0))

@@ -10,7 +10,8 @@ problem list, found one row at a time with a set of the key tuples seen.
 kind of bad value in a pass of its own. `ScalarRng` is the generator's
 xorshift64* stream stepped one draw at a time, and `oracle_persons` and
 `oracle_copies` make the generated persons and duplicate copies from it one
-record and one draw at a time.
+record and one draw at a time; `oracle_planting` plants blanks and entry
+discrepancies on wire rows one row at a time.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 import random
 
 from jobcube.config import CITY_ORDER
-from jobcube.datagen import (CITY_NAMES, CITY_PREFIX, DIRECTED_SHARE, DISTRICTS_PER_CONGRESS,
-                             EDUCATION_LEVELS, JOB_GROUPS, MOAHELS, SPECIALTIES)
+from jobcube.datagen import (BLANKABLE_FIELDS, CITY_NAMES, CITY_PREFIX, DIRECTED_SHARE,
+                             DISCREPANCY_FIELDS, DISTRICTS_PER_CONGRESS, EDUCATION_LEVELS,
+                             JOB_GROUPS, MOAHELS, SPECIALTIES, VARIANT_POOLS)
 from jobcube.datagen import SERVICES as SERVICES_GEN
 from jobcube.errors import FieldOverflow, InvalidFieldValue, UnresolvedDimensionValue
 from jobcube.preprocess import ConceptHierarchy
@@ -341,3 +343,22 @@ def oracle_copies(rng, config, eligible, count: int) -> list[tuple]:
             job_group=f"JG-{rng.randrange(JOB_GROUPS) + 1:02d}",
             year=year, quarter=quarter, **placement)))
     return pairs
+
+
+def oracle_planting(rng, config, flat) -> tuple[list, list, dict]:
+    """Blanks, discrepancies and overlays as the generator plants them, one row
+    and one draw at a time: a blank's field, then each discrepancy's field
+    among those its row's blank spares and its variant among the value's."""
+    blanks, discrepancies, overlays = [], [], {}
+    for row in rng.sample(len(flat), int(config.blank_rate * len(flat))):
+        name = BLANKABLE_FIELDS[rng.randrange(len(BLANKABLE_FIELDS))]
+        overlays[row] = {name: ""}
+        blanks.append((flat[row].source_id, flat[row].national_id, name))
+    for row in rng.sample(len(flat), int(config.discrepancy_rate * len(flat))):
+        record, overlay = flat[row], overlays.setdefault(row, {})
+        candidates = [name for name in DISCREPANCY_FIELDS if name not in overlay]
+        name = candidates[rng.randrange(len(candidates))]
+        pool = VARIANT_POOLS[record.source_id][name][getattr(record, name)]
+        overlay[name] = pool[rng.randrange(len(pool))]
+        discrepancies.append((record.source_id, record.national_id, name, overlay[name]))
+    return blanks, discrepancies, overlays

@@ -125,6 +125,11 @@ WAREHOUSE_TAMPERS = [
                  "fact.csv: row 3: 8 columns, expected 9", id="8_column_fact"),
     pytest.param("dim_sector.csv", replace_line(1, lambda line: "one" + line[1:]),
                  "dim_sector.csv: row 1: not integers", id="non_integer_dim_id"),
+    # int() reads each of these as 1, the row's id; parse_int, the record-year rule, does not
+    *[pytest.param("dim_sector.csv", replace_line(1, lambda line, one=one: one + line[1:]),
+                   "dim_sector.csv: row 1: not integers", id=name)
+      for name, one in (("plus_sign_dim_id", "+1"), ("leading_space_dim_id", " 1"),
+                        ("underscore_dim_id", "0_1"), ("arabic_digit_dim_id", "\u0661"))],
     pytest.param("dim_city.csv", replace_line(1, lambda line: "20000000" + line[1:]),
                  "dim_city.csv: row 1: id 20000000, expected 1", id="huge_dim_id"),
     pytest.param("dim_city.csv", replace_line(2, lambda line: "-1" + line[1:]),

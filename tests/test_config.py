@@ -172,6 +172,20 @@ class TestQueryGrammar:
         with pytest.raises(ConfigError, match="years: empty range '2006:2000'"):
             load_config(path)
 
+    def test_unquoted_one_year_range_loads(self, tmp_path):
+        """YAML reads `years: 2003` as an int, which is the range 2003:2003, at
+        the top level and in a report; a bool is still no range."""
+        path = tmp_path / "years.yaml"
+        path.write_text("years: 2003\n", encoding="utf-8")
+        config = load_config(path)
+        assert (config.year_from, config.year_to) == (2003, 2003)
+        path.write_text("reports: [{kind: service_counts, years: 2004}]\n", encoding="utf-8")
+        report = load_config(path).reports[0]
+        assert (report.year_from, report.year_to) == (2004, 2004)
+        path.write_text("years: true\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="years: expected 'A' or 'A:B', got True"):
+            load_config(path)
+
 
 @pytest.mark.parametrize("sectors", [12, "12"])
 def test_integer_text_reads_as_its_value(tmp_path, sectors):

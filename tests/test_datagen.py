@@ -4,6 +4,7 @@ accounting, format writers, byte-size targeting."""
 
 import gc
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from jobcube.records import bulk, read_records_csv
 from jobcube.sources import render_dbf, render_fixed_width
 from jobcube.warehouse import build_schema, check_integrity
 
+import oracle
 from conftest import SMALL_COUNTS, run_etl
-from oracle import MASK64, ScalarRng, oracle_copies, oracle_persons
+from oracle import MASK64, ScalarRng, oracle_copies, oracle_persons, oracle_planting
 
 MULTIPLIER = 0x2545F4914F6CDD1D
 
@@ -79,29 +81,42 @@ class TestRng:
         x ^= x >> 27
         want = (x * 0x2545F4914F6CDD1D) & mask
         rng = Rng(1)
-        assert rng.next_u64() == want
+        assert rng.block(1).tolist() == [want]
+        assert rng.state == state           # drawn, not yet served
+        rng.skip(1)
         assert rng.state == x
 
     def test_stream_is_stable_for_a_seed(self):
-        a, b = Rng(1), Rng(1)
-        assert [a.next_u64() for _ in range(10)] == \
-               [b.next_u64() for _ in range(10)]
+        assert Rng(1).block(10).tolist() == Rng(1).block(10).tolist()
 
     def test_seeds_disagree(self):
-        assert [Rng(1).next_u64() for _ in range(4)] != \
-               [Rng(2).next_u64() for _ in range(4)]
+        assert Rng(1).block(4).tolist() != Rng(2).block(4).tolist()
+
+    def test_skip_serves_only_drawn_draws(self):
+        rng = Rng(1)
+        with pytest.raises(ValueError):
+            rng.skip(1)                     # nothing drawn yet
+        rng.block(3)                        # draws one fill of LANES * STEPS
+        rng.skip(3)
+        with pytest.raises(ValueError):
+            rng.skip(Rng.LANES * Rng.STEPS)
+        ref = ScalarRng(1)
+        for _ in range(3):
+            ref.next_u64()
+        assert rng.state == ref.state
 
     def test_randrange_bounds(self):
-        rng = Rng(9)
-        values = {rng.randrange(7) for _ in range(500)}
-        assert values == set(range(7))
-        with pytest.raises(ValueError):
-            rng.randrange(0)
+        values = Rng(9).randranges(np.full(500, 7, np.uint64))
+        assert values.dtype == np.uint64 and set(values.tolist()) == set(range(7))
 
-    def test_random_unit_interval(self):
-        rng = Rng(3)
-        xs = [rng.random() for _ in range(1000)]
-        assert all(0.0 <= x < 1.0 for x in xs)
+    @pytest.mark.parametrize("bounds", [[0], [3, 0, 5]])
+    def test_randranges_refuses_a_bound_below_1(self, bounds):
+        rng = Rng(9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # not a divide-by-zero warning
+            with pytest.raises(ValueError, match="bound >= 1"):
+                rng.randranges(np.array(bounds, np.uint64))
+        assert rng.state == Rng(9).state        # and no draw served
 
     def test_sample_distinct(self):
         rng = Rng(4)
@@ -111,28 +126,49 @@ class TestRng:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 64 - 1),
-           pieces=st.lists(st.tuples(st.sampled_from(("next_u64", "block", "randrange",
-                                                      "random", "state")),
+           pieces=st.lists(st.tuples(st.sampled_from(("block", "skip", "randranges", "shuffle",
+                                                      "sample", "state")),
                                      st.integers(1, 80)), max_size=12),
            small=st.booleans())
-    @example(seed=1, pieces=[("block", 31), ("next_u64", 1), ("block", 33), ("block", 64)],
-             small=True)
-    @example(seed=7, pieces=[("block", 70_000), ("next_u64", 1), ("randrange", 3)], small=False)
+    @example(seed=1, pieces=[("block", 31), ("skip", 31), ("randranges", 1), ("block", 33),
+                             ("skip", 20), ("block", 64), ("skip", 64)], small=True)
+    @example(seed=7, pieces=[("block", 70_000), ("skip", 69_999), ("randranges", 3),
+                             ("shuffle", 5)], small=False)
     def test_block_stream_is_the_scalar_stream(self, seed, pieces, small):
+        """Any mix of Rng's calls serves the draws the scalar stream makes one
+        at a time. randranges's bounds mix 2**63 + 1, which rejects about half
+        of all draws, with small ones."""
         rng, ref = (SmallRng if small else Rng)(seed), ScalarRng(seed)
+        drawn = 0           # draws the last block call showed, not yet served
         for kind, n in pieces:
             if kind == "block":
-                assert rng.block(n).tolist() == [ref.next_u64() for _ in range(n)]
-                rng.skip(n)
-            elif kind == "next_u64":
-                assert rng.next_u64() == ref.next_u64()
-            elif kind == "randrange":
-                assert rng.randrange(n) == ref.randrange(n)
-            elif kind == "random":
-                assert rng.random() == ref.random()
+                peek = ScalarRng(0)
+                peek.state = ref.state
+                assert rng.block(n).tolist() == [peek.next_u64() for _ in range(n)]
+                drawn = n
+                continue
+            if kind == "skip":
+                rng.skip(min(n, drawn))
+                for _ in range(min(n, drawn)):
+                    ref.next_u64()
+                drawn -= min(n, drawn)
+                continue
+            if kind == "randranges":
+                bounds = [2 ** 63 + 1 if i % 3 == 0 else i + 1 for i in range(n)]
+                assert rng.randranges(np.array(bounds, np.uint64)).tolist() == \
+                       [ref.randrange(b) for b in bounds]
+            elif kind == "shuffle":
+                items, want = list(range(n)), list(range(n))
+                rng.shuffle(items)
+                ref.shuffle(want)
+                assert items == want
+            elif kind == "sample":
+                assert rng.sample(n, n // 2) == ref.sample(n, n // 2)
             else:           # restart both streams from a state one of them reached
                 rng.state = ref.state = ref.state ^ n
+            drawn = 0
             assert rng.state == ref.state
+        assert rng.state == ref.state
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(0, 90), k=st.integers(0, 90))
@@ -146,11 +182,11 @@ class TestRng:
         assert rng.state == ref.state
 
     def test_randrange_passes_over_a_rejected_draw(self):
-        # 2**64 - 1 is not below 2**64 - 2**64 % 3, so randrange(3) takes the next draw
+        # 2**64 - 1 is not below 2**64 - 2**64 % 3, so a draw below 3 takes the next draw
         rng, ref = Rng(0), ScalarRng(0)
         rng.state = ref.state = state_before_max(1)
         assert rng.block(1).tolist() == [MASK64]
-        assert rng.randrange(3) == ref.randrange(3)
+        assert rng.randranges(np.array([3], np.uint64)).tolist() == [ref.randrange(3)]
         two = ScalarRng(0)
         two.state = state_before_max(1)
         two.next_u64()
@@ -161,7 +197,6 @@ class TestRng:
     def test_randrange_rejects_about_half_of_a_bound_just_past_2_63(self, rng_class):
         n, draws = 2 ** 63 + 1, 2000
         rng, ref, counter = rng_class(5), ScalarRng(5), ScalarRng(5)
-        assert [rng.randrange(n) for _ in range(draws)] == [ref.randrange(n) for _ in range(draws)]
         assert rng.randranges(np.full(draws, n, np.uint64)).tolist() == \
                [ref.randrange(n) for _ in range(draws)]
         assert rng.state == ref.state
@@ -169,13 +204,14 @@ class TestRng:
         while counter.state != ref.state:
             counter.next_u64()
             taken += 1
-        rejected = taken - 2 * draws
+        rejected = taken - draws
         assert 0.4 < rejected / taken < 0.6, (rejected, taken)
 
     def test_randrange_refuses_a_bound_past_2_64(self):
-        with pytest.raises(ValueError):
-            Rng(1).randrange(2 ** 64 + 1)
-        assert Rng(1).randrange(2 ** 64) == ScalarRng(1).next_u64()
+        # a bound that is no uint64 is refused, not wrapped
+        for n in (2 ** 64, 2 ** 64 + 1):
+            with pytest.raises(OverflowError):
+                Rng(1).randranges([n])
 
 
 def _gen_config(seed, sectors, congresses, year_from, span):
@@ -237,6 +273,61 @@ class TestColumnRecords:
         rng.state = ref.state = state_before_max(draws)
         assert datagen._make_copies(rng, config, donors, 2) == oracle_copies(ref, config,
                                                                                donors, 2)
+        assert rng.state == ref.state
+
+    @pytest.mark.parametrize("chunk", [1, 8192])
+    @pytest.mark.parametrize("draws", [1, 13])
+    def test_a_draw_only_other_columns_reject_takes_the_column_path(self, chunk, draws,
+                                                                    monkeypatch):
+        # with 4 congresses the first draw of a person, its congress draw, is one
+        # that bound 4 accepts and bound 3 rejects when it is 2**64 - 1: the first
+        # person's (draws=1), or the second's when the first is directed (draws=13)
+        config = _gen_config(0, 12, 4, 2000, 7)
+        counts = {"tripoli": 3, "misurata": 1, "sirte": 1}
+        rng, ref = Rng(0), ScalarRng(0)
+        rng.state = ref.state = state_before_max(draws)
+        calls, randranges = [], Rng.randranges
+
+        def counted(self, bounds):
+            calls.append(len(bounds))
+            return randranges(self, bounds)
+
+        monkeypatch.setattr(Rng, "randranges", counted)
+        monkeypatch.setattr(datagen, "CHUNK", chunk)
+        persons = datagen._make_persons(rng, config, counts)
+        assert persons == oracle_persons(ref, config, counts)
+        assert rng.state == ref.state
+        # one person drawn column by column: congress and district, then the
+        # eight draws after the directed draw (it is a seeker: no sector draw)
+        assert calls == [2, 8]
+        assert persons[(draws - 1) // 12].congress == "TRI-CG04"     # 2**64 - 1 taken, mod 4
+
+
+class TestPlanting:
+    def test_every_variant_pool_of_a_source_has_one_length(self):
+        for source, pools in datagen.VARIANT_POOLS.items():
+            lengths = {len(pool) for field_pools in pools.values()
+                       for pool in field_pools.values()}
+            assert len(lengths) == 1, (source, lengths)
+            assert set(pools) == set(datagen.DISCREPANCY_FIELDS)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), counts=st.tuples(*[st.integers(1, 30)] * 3),
+           blank_rate=st.floats(0, 1), discrepancy_rate=st.floats(0, 1),
+           small=st.booleans(), fields=st.permutations(datagen.DISCREPANCY_FIELDS))
+    @example(seed=3, counts=(30, 30, 30), blank_rate=1.0, discrepancy_rate=1.0, small=True,
+             fields=("sex", "education_level", "service_status"))
+    def test_matches_the_row_at_a_time_oracle(self, seed, counts, blank_rate,
+                                              discrepancy_rate, small, fields):
+        """Also with the discrepancy fields in another order, so that the one a
+        blank can take (sex) is not always the last of them."""
+        config = GenConfig(seed=seed, blank_rate=blank_rate, discrepancy_rate=discrepancy_rate)
+        flat = oracle_persons(ScalarRng(seed), config, dict(zip(CITY_ORDER, counts)))
+        rng, ref = (SmallRng if small else Rng)(seed), ScalarRng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (datagen, oracle):
+                mp.setattr(module, "DISCREPANCY_FIELDS", tuple(fields))
+            assert datagen._plant(rng, config, flat) == oracle_planting(ref, config, flat)
         assert rng.state == ref.state
 
 

@@ -350,7 +350,11 @@ FACT_FAULTS = [
                  id="widths_cancel"),
     pytest.param(edit_rows(lambda rows: [rows[0], b"", *rows[1:]]),
                  "fact.csv: row 2: 0 columns, expected 9", id="blank_line"),
-    pytest.param(set_field(0, 0, b"+1"), unchanged, id="plus_sign"),
+    pytest.param(set_field(0, 0, b"+1"), "fact.csv: row 1: not integers", id="plus_sign"),
+    pytest.param(set_field(0, 0, b" 1"), "fact.csv: row 1: not integers", id="leading_space"),
+    pytest.param(set_field(0, 0, b"0_1"), "fact.csv: row 1: not integers", id="underscore"),
+    pytest.param(set_field(0, 0, "\u0661".encode()), "fact.csv: row 1: not integers",
+                 id="arabic_digit"),
     pytest.param(set_field(0, 0, b'"1"'), unchanged, id="quoted"),
     pytest.param(lambda data: data.replace(b"\n", b"\r\n"), unchanged, id="crlf"),
     pytest.param(lambda data: data[:-1], unchanged, id="no_final_newline"),
