@@ -153,10 +153,7 @@ def cmd_load(config: PipelineConfig, args: argparse.Namespace) -> int:
     schema = build_schema(records, (config.year_from, config.year_to), hierarchy)
     with _locked(Path(config.warehouse_dir)):
         manifest = persist(schema, config.warehouse_dir)
-    for dim, table in sorted(schema.dimensions.items()):
-        _say(f"[load] dim_{dim}: {len(table)} rows")
-    _say(f"[load] fact: {len(schema.facts)} rows from {len(records)} records")
-    _say(f"[load] manifest -> {manifest}")
+    _say_persisted("load", schema, len(records), manifest)
     return 0
 
 
@@ -169,13 +166,18 @@ def cmd_refresh(config: PipelineConfig, args: argparse.Namespace) -> int:
         before = {dim: len(table) for dim, table in schema.dimensions.items()}
         refreshed = refresh(schema, records, hierarchy)
         manifest = persist(refreshed, config.warehouse_dir)
-    for dim, table in sorted(refreshed.dimensions.items()):
-        grown = len(table) - before[dim]
-        suffix = f" (+{grown})" if grown else ""
-        _say(f"[refresh] dim_{dim}: {len(table)} rows{suffix}")
-    _say(f"[refresh] fact: {len(refreshed.facts)} rows from {len(records)} records")
-    _say(f"[refresh] manifest -> {manifest}")
+    _say_persisted("refresh", refreshed, len(records), manifest, before)
     return 0
+
+
+def _say_persisted(stage: str, schema: StarSchema, records: int, manifest: Path,
+                   before: dict[str, int] | None = None) -> None:
+    """Each table's rows, a dimension's growth over its `before` rows, and the manifest."""
+    for dim, table in sorted(schema.dimensions.items()):
+        grown = len(table) - before[dim] if before else 0
+        _say(f"[{stage}] dim_{dim}: {len(table)} rows" + (f" (+{grown})" if grown else ""))
+    _say(f"[{stage}] fact: {len(schema.facts)} rows from {records} records")
+    _say(f"[{stage}] manifest -> {manifest}")
 
 
 # parse_query's name for each query key, in its errors

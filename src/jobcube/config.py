@@ -6,14 +6,15 @@ whose default a missing key takes. The sidecar files (sources.yaml,
 hierarchy.yaml, codebooks.yaml, staging.csv, clean.csv) live in data_dir.
 Relative paths are taken as written, i.e. resolved against the working
 directory of the invoking process. Query text has one grammar, parse_query's,
-shared by the `jobcube query` flags, bench queries and custom reports. Each
-value is read through one check per shape, so a malformed file ends in a
-ConfigError naming the file and key path; an unquoted YAML number is an
-integer only as ASCII digits, the rule record years follow, and YAML 1.1's
-other integer forms reach the checks as text. Each config object checks itself
-when it is made; stages only check that their input files exist. The stages'
-settings objects are defined here, and this module imports no stage until
-load_sources or load_hierarchy runs, so a query process loads no stage code.
+shared by the `jobcube query` flags, bench queries and custom reports, and
+every year range is read by records.parse_years. Each value is read through
+one check per shape, so a malformed file ends in a ConfigError naming the file
+and key path; an unquoted YAML number is an integer only as ASCII digits, the
+rule record years follow, and YAML 1.1's other integer forms reach the checks
+as text. Each config object checks itself when it is made; stages only check
+that their input files exist. The stages' settings objects are defined here,
+and this module imports no stage until source_specs or load_hierarchy runs, so
+a query process loads no stage code.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import yaml
 
 from .cube import AggregateQuery, MEASURES, YearSpan
 from .errors import BadHierarchy, BadPolicy, ConfigError
-from .records import NULLABLE_FIELDS, parse_int
+from .records import NULLABLE_FIELDS, parse_int, parse_years
 from .reporting import ReportSpec
 
 if TYPE_CHECKING:
@@ -143,16 +144,12 @@ def _texts(mapping: Mapping, where: str, **defaults) -> dict[str, str]:
             for key, default in defaults.items()}
 
 
-def _year_range(text, where: str) -> tuple[int, int]:
-    """'A' or 'A:B' -> (A, B), a non-empty range of years, each read by parse_int."""
-    lo, sep, hi = _text(text, where, "'A' or 'A:B'").partition(":")
+def _years(raw, where: str) -> tuple[int, int]:
+    """A year range read by parse_years, the one rule for every years."""
     try:
-        lo_year, hi_year = parse_int(lo), parse_int(hi if sep else lo)
-    except ValueError:
-        raise ConfigError(f"{where}: bad range {text!r}") from None
-    if lo_year > hi_year:
-        raise ConfigError(f"{where}: empty range {text!r}")
-    return lo_year, hi_year
+        return parse_years(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _dimension_level(text: str) -> tuple[str, ...]:
@@ -165,7 +162,7 @@ def parse_query(measure, group_by, filters, years,
     """The one query grammar, from `jobcube query` flags or a YAML entry.
 
     group_by is "dim[:level],..."; each filter is "dim[:level]=m1,m2"; years,
-    "A" or "A:B", filters time:year. where names each of the four keys
+    "A" or "A:B" (or an int A), filters time:year. where names each of the four keys
     (measure, group_by, filters, years) in error messages.
     """
     if measure not in MEASURES:
@@ -174,7 +171,7 @@ def parse_query(measure, group_by, filters, years,
     entries = [_dimension_level(item) for item in text.split(",") if item.strip()]
     query_filters = []
     if years is not None:
-        lo, hi = _year_range(years, where["years"])
+        lo, hi = _years(years, where["years"])
         query_filters.append(("time", "year", YearSpan(lo, hi)))
     for raw in filters:
         target, eq, members = _text(raw, where["filters"], "'dim[:level]=m1,m2'").partition("=")
@@ -325,15 +322,16 @@ _REPORT_KEYS = {"kind", "years", "city", "output", "format", "query"}
 
 
 def _parse_years(raw, where: str, default: tuple[int, int]) -> tuple[int, int]:
-    """{from, to}, the query grammar's 'A' / 'A:B', or an int A, as YAML reads
-    an unquoted one-year range; None takes the default."""
-    if raw is None or type(raw) is int:
-        return default if raw is None else (raw, raw)
+    """{from, to} or parse_years' 'A', 'A:B' or int A, the range checked by
+    parse_years in either form; None takes the default."""
+    if raw is None:
+        return default
     if isinstance(raw, Mapping):
         raw = _as_mapping(raw, where, {"from", "to"})
         _require(raw, ("from", "to"), where)
-        return _integer(raw["from"], f"{where}.from"), _integer(raw["to"], f"{where}.to")
-    return _year_range(raw, where)
+        lo, hi = (_integer(raw[key], f"{where}.{key}") for key in ("from", "to"))
+        raw = f"{lo}:{hi}"
+    return _years(raw, where)
 
 
 def _build_gen(raw: Mapping, seed: int, years: tuple[int, int],
@@ -407,10 +405,15 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def load_sources(path: str | Path) -> list[SourceSpec]:
-    """Source catalog from YAML: formats, layouts, field maps, codebooks."""
+    """The source catalog in a YAML file, read by source_specs."""
+    return source_specs(_read_yaml(path), str(path))
+
+
+def source_specs(document, where: str) -> list[SourceSpec]:
+    """The source catalog document, {sources: [...]}: formats, layouts, field
+    maps, codebooks. Gen's catalog is read here as ingest's file is."""
     from .sources import FieldDescriptor, SourceSpec
-    where = str(path)
-    raw = _as_mapping(_read_yaml(path), where, {"sources"})
+    raw = _as_mapping(document, where, {"sources"})
     specs = []
     for i, entry in enumerate(_as_list(raw.get("sources"), f"{where}.sources")):
         entry_where = f"{where}.sources[{i}]"

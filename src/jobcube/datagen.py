@@ -5,8 +5,10 @@ together with the ground-truth record set the pipeline should reconstruct
 and a manifest of every planted corruption (cross-city duplicate
 applications, blanked fields, variant code spellings).
 
-Each city is described once, by its entry in `CITY_SPECS`, the SourceSpec
-that `sources.yaml` carries to ingest. A city's file is written by column:
+Each city is described once, by its entry in `SOURCE_CATALOG`, the document
+gen dumps as `sources.yaml`; `CITY_SPECS` is that document read by
+`config.source_specs`, the reader ingest's `load_sources` uses, so gen writes
+no catalog that ingest reads differently. A city's file is written by column:
 `sources.row_mapper`, the inverse of ingest's `record_mapper`, turns the
 records into rows in the file's column order, and this module adds only what
 is its own: the planted corruption laid over a record, and Sirte's APPDATE,
@@ -43,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import (CITY_ORDER, CODEBOOKS_FILE, DEFAULT_FILL, HIERARCHY_FILE, SOURCES_FILE,
-                     GenConfig)
+                     GenConfig, source_specs)
 from .errors import UnsatisfiableSize
 from .preprocess import dimension_reduce
 from .records import (
@@ -226,69 +228,60 @@ def _tops(bounds: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# City catalog: one source spec per city, and the dBASE file's own layout
+# City catalog: the source catalog document, and the dBASE file's own layout
 
 CITY_PREFIX = {"tripoli": "TRI", "misurata": "MIS", "sirte": "SIR"}
 
-_QTR_BY_INDEX = {str(i + 1): q for i, q in enumerate(QUARTERS)}
+_LAYOUT_KEYS = ("name", "kind", "length", "offset")
 
-CITY_SPECS = (
-    SourceSpec(
-        "tripoli", "Tripoli", "fixed_width", "tripoli.dat",
-        field_map={
-            "national_id": "ID_NO", "name": "FULL_NAME", "sex": "SEX",
-            "district": "DISTRICT", "specialty": "SPECIALTY", "job_group": "JOB_GROUP",
-            "sector": "SECTOR", "moahel": "MOAHEL", "education_level": "EDU_LEVEL",
-            "service_status": "SVC_STATUS", "year": "APP_YEAR", "quarter": "APP_QTR",
-        },
-        layout=(
-            FieldDescriptor("ID_NO", "C", 12, 0),
-            FieldDescriptor("FULL_NAME", "C", 20, 12),
-            FieldDescriptor("SEX", "C", 6, 32),
-            FieldDescriptor("DISTRICT", "C", 14, 38),
-            FieldDescriptor("SPECIALTY", "C", 8, 52),
-            FieldDescriptor("JOB_GROUP", "C", 6, 60),
-            FieldDescriptor("SECTOR", "C", 8, 66),
-            FieldDescriptor("MOAHEL", "C", 6, 74),
-            FieldDescriptor("EDU_LEVEL", "C", 12, 80),
-            FieldDescriptor("SVC_STATUS", "C", 10, 92),
-            FieldDescriptor("APP_YEAR", "N", 4, 102),
-            FieldDescriptor("APP_QTR", "C", 2, 106),
-        ),
-    ),
-    SourceSpec(
-        "misurata", "Misurata", "delimited", "misurata.csv",
-        field_map={
-            "national_id": "nid", "name": "full_name", "sex": "sex",
-            "district": "district", "congress": "mothamer", "specialty": "specialty",
-            "job_group": "job_group", "sector": "sector", "moahel": "moahel",
-            "education_level": "edu_level", "service_status": "svc_status",
-            "year": "app_year", "quarter": "app_qtr",
-        },
-        value_codebooks={
-            "sex": {"1": "male", "2": "female"},
-            "education_level": {str(i + 1): v for i, v in enumerate(EDUCATION_LEVELS)},
-            "service_status": {str(i + 1): v for i, v in enumerate(SERVICES)},
-            "quarter": dict(_QTR_BY_INDEX),
-        },
-        encoding="utf-8",
-    ),
-    SourceSpec(
-        "sirte", "Sirte", "dbf", "sirte.dbf",
-        field_map={
-            "national_id": "NID", "name": "NAME", "sex": "SEX",
-            "district": "DISTRICT", "specialty": "SPEC", "job_group": "JOBGRP",
-            "sector": "SECTOR", "moahel": "MOAHEL", "education_level": "EDULVL",
-            "service_status": "SERVICE", "year": "YEAR", "quarter": "QTR",
-        },
-        value_codebooks={
-            "sex": {"M": "male", "F": "female"},
-            "education_level": {f"E{i + 1}": v for i, v in enumerate(EDUCATION_LEVELS)},
-            "service_status": {f"S{i + 1}": v for i, v in enumerate(SERVICES)},
-            "quarter": dict(_QTR_BY_INDEX),
-        },
-    ),
-)
+
+def _numbered(values: Sequence[str], prefix: str = "") -> dict[str, str]:
+    """A codebook of values coded prefix1, prefix2, ... in order."""
+    return {f"{prefix}{i}": v for i, v in enumerate(values, 1)}
+
+
+# The source catalog as `sources.yaml` holds it: gen dumps this document, and
+# CITY_SPECS is it read by `config.source_specs`, the reader ingest's loader uses.
+SOURCE_CATALOG = {"sources": [
+    {"source_id": "tripoli", "city": "Tripoli", "format": "fixed_width",
+     "path": "tripoli.dat", "encoding": "ascii",
+     "field_map": {
+         "national_id": "ID_NO", "name": "FULL_NAME", "sex": "SEX",
+         "district": "DISTRICT", "specialty": "SPECIALTY", "job_group": "JOB_GROUP",
+         "sector": "SECTOR", "moahel": "MOAHEL", "education_level": "EDU_LEVEL",
+         "service_status": "SVC_STATUS", "year": "APP_YEAR", "quarter": "APP_QTR"},
+     "layout": [dict(zip(_LAYOUT_KEYS, column)) for column in (
+         ("ID_NO", "C", 12, 0), ("FULL_NAME", "C", 20, 12), ("SEX", "C", 6, 32),
+         ("DISTRICT", "C", 14, 38), ("SPECIALTY", "C", 8, 52), ("JOB_GROUP", "C", 6, 60),
+         ("SECTOR", "C", 8, 66), ("MOAHEL", "C", 6, 74), ("EDU_LEVEL", "C", 12, 80),
+         ("SVC_STATUS", "C", 10, 92), ("APP_YEAR", "N", 4, 102), ("APP_QTR", "C", 2, 106))]},
+    {"source_id": "misurata", "city": "Misurata", "format": "delimited",
+     "path": "misurata.csv", "encoding": "utf-8", "delimiter": ",",
+     "field_map": {
+         "national_id": "nid", "name": "full_name", "sex": "sex",
+         "district": "district", "congress": "mothamer", "specialty": "specialty",
+         "job_group": "job_group", "sector": "sector", "moahel": "moahel",
+         "education_level": "edu_level", "service_status": "svc_status",
+         "year": "app_year", "quarter": "app_qtr"},
+     "value_codebooks": {
+         "sex": {"1": "male", "2": "female"},
+         "education_level": _numbered(EDUCATION_LEVELS),
+         "service_status": _numbered(SERVICES),
+         "quarter": _numbered(QUARTERS)}},
+    {"source_id": "sirte", "city": "Sirte", "format": "dbf",
+     "path": "sirte.dbf", "encoding": "ascii",
+     "field_map": {
+         "national_id": "NID", "name": "NAME", "sex": "SEX",
+         "district": "DISTRICT", "specialty": "SPEC", "job_group": "JOBGRP",
+         "sector": "SECTOR", "moahel": "MOAHEL", "education_level": "EDULVL",
+         "service_status": "SERVICE", "year": "YEAR", "quarter": "QTR"},
+     "value_codebooks": {
+         "sex": {"M": "male", "F": "female"},
+         "education_level": _numbered(EDUCATION_LEVELS, "E"),
+         "service_status": _numbered(SERVICES, "S"),
+         "quarter": _numbered(QUARTERS)}},
+]}
+CITY_SPECS = tuple(source_specs(SOURCE_CATALOG, SOURCES_FILE))
 CITY_NAMES = {spec.source_id: spec.city for spec in CITY_SPECS}
 
 # A dBASE file describes itself, so its spec has no layout; the writer's is here.
@@ -718,33 +711,17 @@ def _write_outputs(config: GenConfig, out: Path, wire: dict[str, list[CanonicalA
     import yaml
 
     files: dict[str, Path] = {}
-    specs = []
     for spec in CITY_SPECS:
         path = out / spec.path
         with replacing(path, binary=True) as fh:
             fh.write(_render(config, spec, _wire_rows(spec, wire[spec.source_id])))
         files[spec.source_id] = path
 
-        entry: dict = {
-            "source_id": spec.source_id, "city": spec.city, "format": spec.format,
-            "path": spec.path, "encoding": spec.encoding,
-            "field_map": dict(spec.field_map),
-        }
-        if spec.value_codebooks:
-            entry["value_codebooks"] = {k: dict(v) for k, v in spec.value_codebooks.items()}
-        if spec.format == "delimited":
-            entry["delimiter"] = spec.delimiter
-        if spec.layout:
-            entry["layout"] = [
-                {"name": fd.name, "kind": fd.kind, "length": fd.length,
-                 "offset": fd.offset} for fd in spec.layout]
-        specs.append(entry)
-
     files["truth"] = out / TRUTH_FILE
     write_records_csv(truth, files["truth"])
     hierarchy = {"levels": ["district", "congress", "city"],
                  "tree": build_hierarchy_tree(config)}
-    for key, name, document in (("sources", SOURCES_FILE, {"sources": specs}),
+    for key, name, document in (("sources", SOURCES_FILE, SOURCE_CATALOG),
                                 ("hierarchy", HIERARCHY_FILE, hierarchy),
                                 ("codebooks", CODEBOOKS_FILE, normalize_codebooks())):
         with replacing(out / name) as fh:

@@ -29,7 +29,6 @@ from .records import (
     QUARTERS,
     WAREHOUSE_REQUIRED_FIELDS,
     CanonicalApplicant,
-    quarter_index,
 )
 
 
@@ -138,9 +137,8 @@ class PreprocessReport:
         ]
 
 
-def _quarter_rank(quarter: str) -> int:
-    # non-canonical quarters rank below Q1 so ordering stays total
-    return quarter_index(quarter) if quarter in QUARTERS else 0
+# Q1..Q4 -> 1..4; a non-canonical quarter ranks 0, below Q1, so ordering stays total
+_QUARTER_RANK = {quarter: rank for rank, quarter in enumerate(QUARTERS, 1)}
 
 
 def _compile_codebooks(codebooks: Mapping[str, Mapping[str, str]],
@@ -241,8 +239,8 @@ def _deduplicate(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
 
     def rank(r: CanonicalApplicant) -> tuple:
         if latest:
-            return (-r.year, -_quarter_rank(r.quarter), r.city, r.source_id, r)
-        return (r.year, _quarter_rank(r.quarter), r.city, r.source_id, r)
+            return (-r.year, -_QUARTER_RANK.get(r.quarter, 0), r.city, r.source_id, r)
+        return (r.year, _QUARTER_RANK.get(r.quarter, 0), r.city, r.source_id, r)
 
     kept = 0
     for r in records:

@@ -87,13 +87,6 @@ def derive_status(sector: str) -> str:
     return STATUS_DIRECTED if sector.strip() else STATUS_SEEKER
 
 
-def quarter_index(quarter: str) -> int:
-    """Q1..Q4 -> 1..4; raises ValueError on anything else."""
-    if quarter not in QUARTERS:
-        raise ValueError(f"not a quarter: {quarter!r}")
-    return int(quarter[1])
-
-
 def parse_int(text: str) -> int:
     """ASCII `-?[0-9]+` as an int, else ValueError: integer text in records,
     configs and queries. `int()` would also take '2_003', '+2003', ' 2003'
@@ -101,6 +94,25 @@ def parse_int(text: str) -> int:
     if not _INT_TEXT.fullmatch(text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+def parse_years(value: int | str) -> tuple[int, int]:
+    """A year range as (A, B), from an int A or text 'A' or 'A:B' whose years
+    parse_int reads; ValueError if it is neither, or empty (A > B). Every year
+    range, in configs, queries and the warehouse manifest, is read here."""
+    if type(value) is int:
+        lo = hi = value
+    elif isinstance(value, str):
+        lo_text, sep, hi_text = value.partition(":")
+        try:
+            lo, hi = parse_int(lo_text), parse_int(hi_text if sep else lo_text)
+        except ValueError:
+            raise ValueError(f"bad range {value!r}") from None
+    else:
+        raise ValueError(f"expected 'A' or 'A:B', got {value!r}")
+    if lo > hi:
+        raise ValueError(f"empty range {value!r}")
+    return lo, hi
 
 
 def time_key(year: int, quarter: str) -> str:

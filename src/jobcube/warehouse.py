@@ -50,6 +50,7 @@ from .records import (
     STATUS_SEEKER,
     CanonicalApplicant,
     parse_int,
+    parse_years,
     replacing,
     time_key,
     write_csv,
@@ -108,8 +109,7 @@ class StarSchema:
         self.facts.flags.writeable = False
 
     def year_range(self) -> tuple[int, int]:
-        lo, hi = self.meta["year_range"].split(":")
-        return int(lo), int(hi)
+        return parse_years(self.meta["year_range"])
 
 
 def group_rows(columns: list[np.ndarray], sizes: list[int],
@@ -307,7 +307,7 @@ def load_schema(path: str | Path) -> StarSchema:
         if line.startswith("table="):
             parts = dict(p.partition("=")[::2] for p in line.split())
             try:
-                tables[parts["table"]] = (int(parts["rows"]), parts["sha256"])
+                tables[parts["table"]] = (parse_int(parts["rows"]), parts["sha256"])
             except (KeyError, ValueError):
                 raise CorruptManifest(f"{MANIFEST_FILE}: bad table line {line!r}") from None
         else:
@@ -365,10 +365,13 @@ def load_schema(path: str | Path) -> StarSchema:
         rows = [_parsed_row(FACT_FILE, row_no, row, width, width)
                 for row_no, row in enumerate(rows, 1)]
     schema = StarSchema(dims, np.asarray(rows, np.int64).reshape(len(rows), width), meta)
-    try:
-        schema.year_range(), int(meta.get("records", 0))
-    except (KeyError, ValueError):
-        raise CorruptManifest(f"{MANIFEST_FILE}: bad year_range or records entry") from None
+    if "year_range" not in meta:
+        raise CorruptManifest(f"{MANIFEST_FILE}: no year_range entry")
+    for key, parse in (("year_range", parse_years), ("records", parse_int)):
+        try:
+            parse(meta.get(key, "0"))
+        except ValueError as exc:
+            raise CorruptManifest(f"{MANIFEST_FILE}: {key}: {exc}") from None
     return schema
 
 
@@ -420,7 +423,7 @@ def check_integrity(schema: StarSchema) -> list[str]:
             problems.append(f"fact {key}: total {total} != {seekers} + {directed}")
     if "records" in schema.meta:
         total = int(measures[0].sum())
-        if total != int(schema.meta["records"]):
+        if total != parse_int(schema.meta["records"]):
             problems.append(
                 f"fact totals sum to {total}, manifest records={schema.meta['records']}")
     return problems

@@ -108,6 +108,19 @@ def retamper(warehouse, name, edit) -> None:
         encoding="utf-8")
 
 
+# int() reads each of these forms of a number as the number
+INTEGER_FORMS = {
+    "plus_sign": lambda n: "+" + n, "leading_space": lambda n: " " + n,
+    "underscore": lambda n: f"{n[0]}_{n[1:]}",
+    "arabic_digit": lambda n: "".join(chr(0x660 + int(d)) for d in n),
+}
+
+
+def manifest_count(entry, form):
+    """An edit(text) of manifest.txt writing the number after `entry` in form."""
+    return lambda text: re.sub(rf"(?<={entry})\d+", lambda m: form(m[0]), text, count=1)
+
+
 def replace_line(index, edit):
     """An edit(text) applying edit(line) to one line (0 is the header)."""
     def apply(text):
@@ -152,6 +165,18 @@ WAREHOUSE_TAMPERS = [
     pytest.param("manifest.txt", lambda text: re.sub(r"(table=fact rows=\d+) sha256=\w+",
                                                      r"\1", text),
                  "manifest.txt: bad table line 'table=fact rows=", id="no_sha256"),
+    # int() reads each of these counts as the number it writes; parse_int does not
+    *[pytest.param("manifest.txt", manifest_count(entry, form),
+                   f"manifest.txt: {reason}", id=f"{name}_{entry.split()[-1][:-1]}")
+      for entry, reason in (("table=fact rows=", "bad table line 'table=fact rows="),
+                            ("records=", "records: not an integer: "))
+      for name, form in INTEGER_FORMS.items()
+      if not (entry.endswith("rows=") and name == "leading_space")],   # a space splits the line
+    pytest.param("manifest.txt",
+                 lambda text: re.sub(r"year_range=(\d)(\d+):", r"year_range=\1_\2:+", text),
+                 "manifest.txt: year_range: bad range '2_00", id="signed_year_range"),
+    pytest.param("manifest.txt", lambda text: re.sub(r"year_range=.*\n", "", text),
+                 "manifest.txt: no year_range entry", id="no_year_range"),
 ]
 
 

@@ -139,12 +139,25 @@ class TestQueryGrammar:
          "q.filters: expected 'dim[:level]=m1,m2', got {'dimension'"),
         (("total", None, [], "x"), "q.years: bad range 'x'"),
         (("total", None, [], "2006:2000"), "q.years: empty range '2006:2000'"),
-        (("total", None, [], 2003), "q.years: expected 'A' or 'A:B', got 2003"),
+        (("total", None, [], True), "q.years: expected 'A' or 'A:B', got True"),
     ])
     def test_malformed_query_names_its_key(self, args, message):
         with pytest.raises(ConfigError) as info:
             parse_query(*args, YAML_WHERE)
         assert str(info.value).startswith(message), info.value
+
+    @pytest.mark.parametrize("text, key", [
+        ("years: {from: 2006, to: 2000}", "years"),
+        ("reports: [{kind: service_counts, years: {from: 2006, to: 2000}}]", "reports[0].years"),
+    ])
+    def test_empty_from_to_range_names_its_key(self, tmp_path, text, key):
+        """The {from, to} form is checked by the rule the text form follows."""
+        path = tmp_path / "y2.yaml"
+        path.write_text(text + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}.{key}: empty range '2006:2000'"
+        assert info.value.exit_code == 1
 
     @pytest.mark.parametrize("entry, key", [
         ({"id": "q", "group_by": [{"dimension": "congress", "level": "city"}]},
@@ -174,7 +187,7 @@ class TestQueryGrammar:
 
     def test_unquoted_one_year_range_loads(self, tmp_path):
         """YAML reads `years: 2003` as an int, which is the range 2003:2003, at
-        the top level and in a report; a bool is still no range."""
+        the top level, in a report and in a query mapping; a bool is still no range."""
         path = tmp_path / "years.yaml"
         path.write_text("years: 2003\n", encoding="utf-8")
         config = load_config(path)
@@ -182,6 +195,13 @@ class TestQueryGrammar:
         path.write_text("reports: [{kind: service_counts, years: 2004}]\n", encoding="utf-8")
         report = load_config(path).reports[0]
         assert (report.year_from, report.year_to) == (2004, 2004)
+        want = AggregateQuery("total", (), (("time", "year", YearSpan(2003, 2003)),))
+        assert parse_query("total", None, [], 2003, YAML_WHERE) == want
+        path.write_text("reports: [{kind: custom, query: {years: 2003}}]\n"
+                        "bench: {queries: [{id: q, years: 2003}]}\n", encoding="utf-8")
+        config = load_config(path)
+        assert config.reports[0].query == want
+        assert config.bench.queries == (("q", want),)
         path.write_text("years: true\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="years: expected 'A' or 'A:B', got True"):
             load_config(path)

@@ -8,11 +8,12 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jobcube import datagen
-from jobcube.config import load_hierarchy
+from jobcube.config import load_hierarchy, load_sources
 from jobcube.datagen import (
     CITY_ORDER,
     FieldDescriptor,
@@ -443,6 +444,13 @@ class TestPlantedTruth:
 
     def test_truth_file_round_trips(self, gen_small):
         assert read_records_csv(gen_small.files["truth"]) == gen_small.truth
+
+    def test_source_catalog_reads_back_as_gen_holds_it(self, gen_small):
+        """sources.yaml is the catalog document, and ingest's loader reads it as
+        CITY_SPECS, which is that document read by the same function."""
+        assert yaml.safe_load(gen_small.files["sources"].read_text(encoding="utf-8")) == \
+            datagen.SOURCE_CATALOG
+        assert load_sources(gen_small.files["sources"]) == list(datagen.CITY_SPECS)
 
     def test_manifest_readback(self, gen_small):
         manifest = read_gen_manifest(gen_small.files["gen_manifest"])

@@ -15,6 +15,7 @@ from jobcube.records import (
     ALL_FIELDS,
     CanonicalApplicant,
     parse_int,
+    parse_years,
     read_records_csv,
     write_csv,
     write_records_csv,
@@ -163,3 +164,29 @@ def test_a_write_through_a_symlink_replaces_the_file_it_names(tmp_path):
     assert real.read_text(encoding="utf-8") == "a\nnew\n"
     assert stat.S_IMODE(real.stat().st_mode) == 0o640
     assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.csv", "real.csv"]
+
+
+@pytest.mark.parametrize("value, years", [
+    (2003, (2003, 2003)), ("2003", (2003, 2003)), ("2001:2004", (2001, 2004)),
+    ("02001:2004", (2001, 2004)), ("-5:-3", (-5, -3)), ("2004:2004", (2004, 2004)),
+])
+def test_parse_years_reads_a_range(value, years):
+    assert parse_years(value) == years
+
+
+@pytest.mark.parametrize("value, message", [
+    ("2006:2000", "empty range '2006:2000'"),
+    ("x", "bad range 'x'"),
+    ("2001:", "bad range '2001:'"),
+    ("2001:2002:2003", "bad range '2001:2002:2003'"),
+    ("2_000:+2006", "bad range '2_000:+2006'"),        # int() reads both years
+    (" 2001", "bad range ' 2001'"),
+    ("\u0662\u0660\u0660\u0661", "bad range '\u0662\u0660\u0660\u0661'"),
+    (True, "expected 'A' or 'A:B', got True"),
+    (2003.0, "expected 'A' or 'A:B', got 2003.0"),
+    (None, "expected 'A' or 'A:B', got None"),
+])
+def test_parse_years_refuses_what_is_no_range(value, message):
+    with pytest.raises(ValueError) as info:
+        parse_years(value)
+    assert str(info.value) == message
