@@ -30,10 +30,11 @@ from .config import (CITY_ORDER, PipelineConfig, load_codebooks, load_config, lo
                      load_sources, parse_query)
 from .cube import MEASURES, aggregate, build_cube
 from .errors import ConfigError, CorruptManifest, JobcubeError
-from .records import ALL_FIELDS, read_records_csv, write_csv, write_records_csv
+from .records import (ALL_FIELDS, find_row, read_columns, read_records_csv, write_csv,
+                      write_records_csv)
 from .reporting import run_report, write_result
-from .warehouse import (MANIFEST_FILE, StarSchema, build_schema, check_integrity, load_schema,
-                        persist, refresh)
+from .warehouse import (LOAD_FIELDS, MANIFEST_FILE, StarSchema, check_integrity, empty_schema,
+                        load_schema, member_lists, persist, refresh_members)
 
 INGEST_REJECTS = "ingest_rejects.csv"
 ETL_REJECTS = "rejects.csv"
@@ -63,9 +64,22 @@ def _require_file(path: Path, hint: str) -> None:
 
 
 def _clean_records(config: PipelineConfig) -> list:
-    """The records `jobcube etl` wrote to clean.csv, for load, refresh and bench."""
+    """The records `jobcube etl` wrote to clean.csv, for bench's row scan."""
     _require_file(config.clean_path(), "jobcube etl")
     return read_records_csv(config.clean_path())
+
+
+def _refreshed(config: PipelineConfig, schema: StarSchema) -> tuple[StarSchema, int]:
+    """schema refreshed with the LOAD_FIELDS columns of clean.csv, a record
+    named by its file, line and national_id, and the record count."""
+    path = config.clean_path()
+    members, status = member_lists(read_columns(path, LOAD_FIELDS))
+    hierarchy = load_hierarchy(config.hierarchy_path())
+
+    def where(i: int) -> tuple[str, str]:
+        line, row = find_row(path, i)
+        return f"{path}: line {line}: ", row[0]
+    return refresh_members(schema, members, status, hierarchy, where), len(status)
 
 
 def _rejects(stage: str, path: Path, header: tuple, rows: list, what: str) -> int:
@@ -129,44 +143,44 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_etl(config: PipelineConfig, args: argparse.Namespace) -> int:
-    from .preprocess import run_pipeline
+    from .preprocess import run_columns
     staging = config.staging_path()
     _require_file(staging, "jobcube ingest")
-    records = read_records_csv(staging)
+    columns = read_columns(staging)
+    staged = len(columns[0])
     codebooks = load_codebooks(config.codebooks_path())
     hierarchy = load_hierarchy(config.hierarchy_path())
-    cleaned, report = run_pipeline(records, codebooks=codebooks,
-                                   policy=config.policy(), hierarchy=hierarchy)
+    cleaned, report = run_columns(columns, codebooks=codebooks,
+                                  policy=config.policy(), hierarchy=hierarchy)
+    del columns
     for line in report.summary_lines():
         _say(f"[etl] {line}")
 
     clean = config.clean_path()
-    written = write_records_csv(cleaned, clean)
-    _say(f"[etl] {len(records)} in, {written} out -> {clean}")
+    written = write_csv(clean, ALL_FIELDS, zip(*cleaned))
+    _say(f"[etl] {staged} in, {written} out -> {clean}")
     return _rejects("etl", Path(config.data_dir) / ETL_REJECTS, ALL_FIELDS,
                     report.rejected, "quarantined records")
 
 
 def cmd_load(config: PipelineConfig, args: argparse.Namespace) -> int:
-    records = _clean_records(config)
-    hierarchy = load_hierarchy(config.hierarchy_path())
-    schema = build_schema(records, (config.year_from, config.year_to), hierarchy)
+    _require_file(config.clean_path(), "jobcube etl")
+    schema, records = _refreshed(config, empty_schema((config.year_from, config.year_to)))
     with _locked(Path(config.warehouse_dir)):
         manifest = persist(schema, config.warehouse_dir)
-    _say_persisted("load", schema, len(records), manifest)
+    _say_persisted("load", schema, records, manifest)
     return 0
 
 
 def cmd_refresh(config: PipelineConfig, args: argparse.Namespace) -> int:
     _require_file(Path(config.warehouse_dir) / MANIFEST_FILE, "jobcube load")
-    records = _clean_records(config)
-    hierarchy = load_hierarchy(config.hierarchy_path())
+    _require_file(config.clean_path(), "jobcube etl")
     with _locked(Path(config.warehouse_dir)):   # held from read to write
         schema = _warehouse(config, "refresh")
         before = {dim: len(table) for dim, table in schema.dimensions.items()}
-        refreshed = refresh(schema, records, hierarchy)
+        refreshed, records = _refreshed(config, schema)
         manifest = persist(refreshed, config.warehouse_dir)
-    _say_persisted("refresh", refreshed, len(records), manifest, before)
+    _say_persisted("refresh", refreshed, records, manifest, before)
     return 0
 
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from .config import (CITY_ORDER, CODEBOOKS_FILE, DEFAULT_FILL, HIERARCHY_FILE, SOURCES_FILE,
                      GenConfig, source_specs)
-from .errors import UnsatisfiableSize
+from .errors import InvalidFieldValue, UnsatisfiableSize
 from .preprocess import dimension_reduce
 from .records import (
     ALL_FIELDS,
@@ -56,6 +56,7 @@ from .records import (
     WAREHOUSE_REQUIRED_FIELDS,
     CanonicalApplicant,
     bulk,
+    parse_int,
     replacing,
     write_records_csv,
 )
@@ -765,20 +766,24 @@ def _write_gen_manifest(path: Path, config: GenConfig, expect: GenExpectations,
 
 
 def read_gen_manifest(path: str | Path) -> dict:
-    """Scalar and per-field expectations from a generation manifest."""
-    out: dict = {"expected_filled": {}, "expected_normalized": {}, "bytes": {}}
+    """The counts of a generation manifest: each `key=value` line before the
+    first `[section]` line, read by `parse_int`; `expected_filled.<field>`,
+    `expected_normalized.<field>` and `bytes.<city>` go into a dict of their
+    group. A count parse_int refuses raises InvalidFieldValue naming the file
+    and the key."""
+    groups = ("expected_filled", "expected_normalized", "bytes")
+    out: dict = {group: {} for group in groups}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.startswith("[") or "=" not in line or " " in line.split("=", 1)[0]:
-            continue
+        if line.startswith("["):
+            break
         key, _, value = line.partition("=")
-        if key.startswith("expected_filled."):
-            out["expected_filled"][key.split(".", 1)[1]] = int(value)
-        elif key.startswith("expected_normalized."):
-            out["expected_normalized"][key.split(".", 1)[1]] = int(value)
-        elif key.startswith("bytes."):
-            out["bytes"][key.split(".", 1)[1]] = int(value)
-        elif value.lstrip("-").isdigit():
-            out[key] = int(value)
+        try:
+            count = parse_int(value)
+        except ValueError as exc:
+            raise InvalidFieldValue(f"{path}: {key}: {exc}") from None
+        group, dot, name = key.partition(".")
+        if dot and group in groups:
+            out[group][name] = count
         else:
-            out[key] = value
+            out[key] = count
     return out

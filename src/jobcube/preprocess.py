@@ -5,16 +5,21 @@ dimension_reduce. Code normalization must run before deduplication so that
 variant spellings cannot hide duplicate keys; generalization runs late so it
 sees filled, deduplicated records.
 
-Each rule is compiled once into a row function: `_cleaner` normalizes and
-fills, `_finisher` generalizes and projects. run_pipeline makes one pass with
-each around deduplicate, the only step that needs every record; the public
-steps loop over the same row functions.
+Every rewrite depends only on a field's value, so each rule is worked out
+once per distinct value of the field and counted by the value's count:
+`_rewrites` normalizes and fills, `_finish` generalizes (and projects).
+`run_columns`, the ETL `jobcube etl` runs, works on one list per field and
+maps each column through those rewrites; deduplicate ranks records only
+within a key that occurs more than once. The public steps on records and
+`run_pipeline` call the same rules.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import attrgetter, itemgetter, ne
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .config import DEFAULT_FILL, CleaningPolicy
@@ -29,6 +34,7 @@ from .records import (
     QUARTERS,
     WAREHOUSE_REQUIRED_FIELDS,
     CanonicalApplicant,
+    bulk,
 )
 
 
@@ -139,6 +145,7 @@ class PreprocessReport:
 
 # Q1..Q4 -> 1..4; a non-canonical quarter ranks 0, below Q1, so ordering stays total
 _QUARTER_RANK = {quarter: rank for rank, quarter in enumerate(QUARTERS, 1)}
+_NATIONAL_ID = ALL_FIELDS.index("national_id")
 
 
 def _compile_codebooks(codebooks: Mapping[str, Mapping[str, str]],
@@ -166,97 +173,133 @@ def _compile_codebooks(codebooks: Mapping[str, Mapping[str, str]],
     return compiled
 
 
-def _cleaner(compiled: Mapping[str, Mapping[str, str]], fill_constants: Mapping[str, str],
-             report: PreprocessReport) -> Callable[[CanonicalApplicant], CanonicalApplicant]:
-    """The row function before dedup: per coded or fillable field, by name,
-    the codebook rewrite and then the fill, counted into report. A record
-    with nothing to change is returned as it is."""
-    steps = [(ALL_FIELDS.index(name), name, compiled.get(name), fill_constants.get(name))
-             for name in sorted(compiled.keys() | fill_constants.keys())]
-    normalized, filled = report.values_normalized, report.values_filled
-    make = CanonicalApplicant._make
+def _columns(records: Iterable[CanonicalApplicant]) -> list[list]:
+    """Records as one list per field, in ALL_FIELDS order."""
+    return [list(column) for column in zip(*records)] or [[] for _ in ALL_FIELDS]
 
-    def clean(r: CanonicalApplicant) -> CanonicalApplicant:
-        values = None
-        for i, name, lookup, fill in steps:
-            value = r[i]
+
+def _records(columns: Sequence[Sequence]) -> list[CanonicalApplicant]:
+    return list(map(CanonicalApplicant._make, zip(*columns)))
+
+
+def _rewrites(column: Callable[[int], Iterable[str]],
+              compiled: Mapping[str, Mapping[str, str]], fill_constants: Mapping[str, str],
+              report: PreprocessReport) -> list[tuple[int, dict[str, str]]]:
+    """The rule before dedup. Per coded or fillable field, by name, whose
+    values `column(index)` gives: the codebook rewrite and then the fill,
+    worked out once per distinct value and counted into report by the value's
+    count. Returns (index, {value: new value}) for each field with a value to
+    change."""
+    normalized, filled = report.values_normalized, report.values_filled
+    steps = []
+    for name in sorted(compiled.keys() | fill_constants.keys()):
+        i, lookup, fill = ALL_FIELDS.index(name), compiled.get(name), fill_constants.get(name)
+        rewrite = {}
+        for value, count in Counter(column(i)).items():
+            new = value
             if lookup is not None and value != "":
                 canonical = lookup.get(value.strip().casefold())
                 if canonical is None:
-                    report.values_unmatched += 1
+                    report.values_unmatched += count
                 elif canonical != value:
-                    normalized[name] = normalized.get(name, 0) + 1
-                    if values is None:
-                        values = list(r)
-                    values[i] = value = canonical
-            if fill is not None and value.strip() == "":
-                filled[name] = filled.get(name, 0) + 1
-                if values is None:
-                    values = list(r)
-                values[i] = fill
-        return r if values is None else make(values)
-    return clean
+                    normalized[name] = normalized.get(name, 0) + count
+                    new = canonical
+            if fill is not None and new.strip() == "":
+                filled[name] = filled.get(name, 0) + count
+                new = fill
+            if new != value:
+                rewrite[value] = new
+        if rewrite:
+            steps.append((i, rewrite))
+    return steps
 
 
-def _finisher(keep: Iterable[str], report: PreprocessReport | None = None,
-              lift: tuple[ConceptHierarchy, str, str, str] | None = None,
-              ) -> Callable[[CanonicalApplicant], CanonicalApplicant]:
-    """The row function after dedup: the lift (hierarchy, from_level,
-    to_level, fill), counted into report, then the projection onto keep
-    (other fields blank, year 0), in one _make per record."""
-    keep = frozenset(keep)
-    # slots past the record's own: the lifted value, a blank text, a blank year
-    n = len(ALL_FIELDS)
-    slots = [i if name in keep else n + 1 + (name == "year")
-             for i, name in enumerate(ALL_FIELDS)]
+def _rewrite_records(records: Iterable[CanonicalApplicant],
+                     compiled: Mapping[str, Mapping[str, str]], fill_constants: Mapping[str, str],
+                     report: PreprocessReport) -> list[CanonicalApplicant]:
+    """The records with `_rewrites` applied; one with nothing to change is
+    kept as it is."""
+    records = list(records)
+    steps = _rewrites(lambda i: map(itemgetter(i), records), compiled, fill_constants, report)
     make = CanonicalApplicant._make
-    if lift is None:
-        pick = itemgetter(*slots)
-        return lambda r: make(pick(r + (None, "", 0)))
-    hierarchy, from_level, to_level, fill = lift
-    ancestors = hierarchy.ancestors(from_level, to_level)
-    if from_level not in ALL_FIELDS or to_level not in ALL_FIELDS:
-        raise BadLevelPair(f"levels must name record fields: {from_level!r}, {to_level!r}")
-    source = ALL_FIELDS.index(from_level)
-    slots[ALL_FIELDS.index(to_level)] = n
-    pick = itemgetter(*slots)
-
-    def finish(r: CanonicalApplicant) -> CanonicalApplicant:
-        ancestor = ancestors.get(r[source])
-        if ancestor is None:
-            report.unknown_hierarchy_values += 1
-            ancestor = fill
-        else:
-            report.records_generalized += 1
-        return make(pick(r + (ancestor, "", 0)))
-    return finish
+    out = []
+    for r in records:
+        values = None
+        for i, rewrite in steps:
+            if r[i] in rewrite:
+                values = values or list(r)
+                values[i] = rewrite[r[i]]
+        out.append(r if values is None else make(values))
+    return out
 
 
-def _deduplicate(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
-                 report: PreprocessReport) -> list[CanonicalApplicant]:
-    groups: dict[str, CanonicalApplicant] = {}
+def _survivors(national_ids: Iterable[str], record: Callable[[int], CanonicalApplicant],
+               policy: CleaningPolicy, report: PreprocessReport) -> list[int]:
+    """The rows deduplicate keeps, in key order, given each row's national_id
+    and its record by row. Rows with a blank key are quarantined into report
+    in row order; only the rows of a key that occurs more than once are ranked."""
+    keys = list(map(str.strip, national_ids))
+    n = len(keys)
+    last = dict(zip(keys, range(n)))            # each key's last row
+    last.pop("", None)
     latest = policy.keep_rule == "latest_application"
 
-    def rank(r: CanonicalApplicant) -> tuple:
+    def rank(i: int) -> tuple:
+        r = record(i)
         if latest:
             return (-r.year, -_QUARTER_RANK.get(r.quarter, 0), r.city, r.source_id, r)
         return (r.year, _QUARTER_RANK.get(r.quarter, 0), r.city, r.source_id, r)
 
-    kept = 0
-    for r in records:
-        key = r.national_id.strip()
-        if key == "":
-            report.rejected.append(r)
-            continue
-        kept += 1
-        best = groups.get(key)
-        if best is None or rank(r) < rank(best):
-            groups[key] = r
-    out = [groups[k] for k in sorted(groups)]
-    report.duplicates_removed = kept - len(out)
+    groups: dict[str, list[int]] = {}
+    # the rows with a blank key, or not their key's last
+    for i in compress(range(n), map(ne, map(last.get, keys, repeat(-1)), range(n))):
+        if keys[i] == "":
+            report.rejected.append(record(i))
+        else:
+            groups.setdefault(keys[i], [last[keys[i]]]).append(i)
+    for key, rows in groups.items():
+        last[key] = min(rows, key=rank)
+    report.duplicates_removed = n - len(report.rejected) - len(last)
+    return list(map(last.__getitem__, sorted(last)))
+
+
+def _finish(columns: Sequence[Sequence], rows: Sequence[int] | None, keep: Iterable[str],
+            report: PreprocessReport | None = None,
+            lift: tuple[ConceptHierarchy, str, str, str] | None = None) -> list[list]:
+    """The rule after dedup, on the columns of the given rows (all of them,
+    if None): the lift (hierarchy, from_level, to_level, fill), worked out
+    once per distinct from_level value and counted into report by its count,
+    then the projection onto keep (other fields blank, year 0)."""
+    keep = frozenset(keep)
+    if lift is not None:
+        hierarchy, from_level, to_level, fill = lift
+        ancestors = hierarchy.ancestors(from_level, to_level)
+        if from_level not in ALL_FIELDS or to_level not in ALL_FIELDS:
+            raise BadLevelPair(f"levels must name record fields: {from_level!r}, {to_level!r}")
+    n = len(columns[0]) if rows is None else len(rows)
+    if rows is not None:
+        needed = keep | {lift[1]} if lift else keep
+        columns = [list(map(column.__getitem__, rows)) if name in needed else column
+                   for name, column in zip(ALL_FIELDS, columns)]
+    blank, zeros = [""] * n, [0] * n         # shared by every dropped field
+    out = [column if name in keep else zeros if name == "year" else blank
+           for name, column in zip(ALL_FIELDS, columns)]
+    if lift is not None:
+        values = columns[ALL_FIELDS.index(from_level)]
+        ancestor_of = {}
+        for value, count in Counter(values).items():
+            ancestor = ancestors.get(value)
+            if ancestor is None:
+                report.unknown_hierarchy_values += count
+                ancestor = fill
+            else:
+                report.records_generalized += count
+            ancestor_of[value] = ancestor
+        out[ALL_FIELDS.index(to_level)] = list(map(ancestor_of.__getitem__, values))
     return out
 
 
+@bulk()
 def deduplicate(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
                 ) -> tuple[list[CanonicalApplicant], PreprocessReport]:
     """Keep one record per national_id. Records with a blank national_id are
@@ -269,9 +312,13 @@ def deduplicate(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
     result independent of input order.
     """
     report = PreprocessReport()
-    return _deduplicate(records, policy, report), report
+    records = list(records)
+    rows = _survivors(map(attrgetter("national_id"), records), records.__getitem__, policy,
+                      report)
+    return list(map(records.__getitem__, rows)), report
 
 
+@bulk()
 def normalize_codes(records: Iterable[CanonicalApplicant],
                     codebooks: Mapping[str, Mapping[str, str]],
                     ) -> tuple[list[CanonicalApplicant], PreprocessReport]:
@@ -281,18 +328,18 @@ def normalize_codes(records: Iterable[CanonicalApplicant],
     values pass through unchanged and are counted.
     """
     report = PreprocessReport()
-    clean = _cleaner(_compile_codebooks(codebooks), {}, report)
-    return [clean(r) for r in records], report
+    return _rewrite_records(records, _compile_codebooks(codebooks), {}, report), report
 
 
+@bulk()
 def fill_missing(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
                  ) -> tuple[list[CanonicalApplicant], PreprocessReport]:
     """Replace blank nullable values with the policy's constants."""
     report = PreprocessReport()
-    clean = _cleaner({}, policy.fill_constants, report)
-    return [clean(r) for r in records], report
+    return _rewrite_records(records, {}, policy.fill_constants, report), report
 
 
+@bulk()
 def generalize(records: Iterable[CanonicalApplicant], hierarchy: ConceptHierarchy,
                from_level: str, to_level: str, fill: str = DEFAULT_FILL,
                ) -> tuple[list[CanonicalApplicant], PreprocessReport]:
@@ -303,10 +350,11 @@ def generalize(records: Iterable[CanonicalApplicant], hierarchy: ConceptHierarch
     counted as unknown.
     """
     report = PreprocessReport()
-    finish = _finisher(ALL_FIELDS, report, (hierarchy, from_level, to_level, fill))
-    return [finish(r) for r in records], report
+    lift = (hierarchy, from_level, to_level, fill)
+    return _records(_finish(_columns(records), None, ALL_FIELDS, report, lift)), report
 
 
+@bulk()
 def dimension_reduce(records: Iterable[CanonicalApplicant],
                      keep_fields: Iterable[str]) -> list[CanonicalApplicant]:
     """Project records onto keep_fields (other fields blanked, year 0).
@@ -321,8 +369,29 @@ def dimension_reduce(records: Iterable[CanonicalApplicant],
     missing = WAREHOUSE_REQUIRED_FIELDS - keep
     if missing:
         raise MissingRequiredField(f"keep_fields must include {sorted(missing)}")
-    finish = _finisher(keep)
-    return [finish(r) for r in records]
+    return _records(_finish(_columns(records), None, keep))
+
+
+@bulk()
+def run_columns(columns: list[list], *, codebooks: Mapping[str, Mapping[str, str]],
+                policy: CleaningPolicy, hierarchy: ConceptHierarchy,
+                ) -> tuple[list[list], PreprocessReport]:
+    """The fixed-order ETL on staged columns (one list per field, in
+    ALL_FIELDS order; rewritten in place), counted into one report: normalize
+    and fill, deduplicate, then generalize district to congress and reduce to
+    WAREHOUSE_REQUIRED_FIELDS, as the clean columns. A district with no
+    congress gets the district fill (or DEFAULT_FILL)."""
+    report = PreprocessReport(
+        fields_dropped=[f for f in ALL_FIELDS if f not in WAREHOUSE_REQUIRED_FIELDS])
+    compiled = _compile_codebooks(codebooks)
+    for i, rewrite in _rewrites(columns.__getitem__, compiled, policy.fill_constants, report):
+        columns[i] = list(map(rewrite.get, columns[i], columns[i]))
+    make = CanonicalApplicant._make
+    rows = _survivors(columns[_NATIONAL_ID], lambda i: make([c[i] for c in columns]),
+                      policy, report)
+    fill = policy.fill_constants.get("district") or DEFAULT_FILL
+    return _finish(columns, rows, WAREHOUSE_REQUIRED_FIELDS, report,
+                   (hierarchy, "district", "congress", fill)), report
 
 
 def run_pipeline(records: Iterable[CanonicalApplicant], *,
@@ -330,15 +399,7 @@ def run_pipeline(records: Iterable[CanonicalApplicant], *,
                  policy: CleaningPolicy,
                  hierarchy: ConceptHierarchy,
                  ) -> tuple[list[CanonicalApplicant], PreprocessReport]:
-    """The fixed-order ETL, counted into one report: one row pass normalizing
-    and filling, deduplicate, and one row pass generalizing district to
-    congress and reducing to WAREHOUSE_REQUIRED_FIELDS. A district with no
-    congress gets the district fill (or DEFAULT_FILL)."""
-    report = PreprocessReport(
-        fields_dropped=[f for f in ALL_FIELDS if f not in WAREHOUSE_REQUIRED_FIELDS])
-    compiled = _compile_codebooks(codebooks)
-    clean = _cleaner(compiled, policy.fill_constants, report)
-    deduped = _deduplicate(map(clean, records), policy, report)
-    fill = policy.fill_constants.get("district") or DEFAULT_FILL
-    finish = _finisher(WAREHOUSE_REQUIRED_FIELDS, report, (hierarchy, "district", "congress", fill))
-    return [finish(r) for r in deduped], report
+    """`run_columns` on records."""
+    columns, report = run_columns(_columns(records), codebooks=codebooks, policy=policy,
+                                  hierarchy=hierarchy)
+    return _records(columns), report

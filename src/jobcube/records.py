@@ -5,9 +5,14 @@ variant, and records order by their field tuple in `ALL_FIELDS` order. All
 attribute values are carried as text until warehouse load; `year` is the
 single typed exception because time ordering drives deduplication.
 
-`read_records_csv` gives equal values of a field one shared `str` object
-(all but the near-unique `national_id` and `name`) and parses each distinct
-year text once, so later passes over the records touch a few hot objects.
+A record file is read by one column reader, chunk by chunk: `read_columns`
+gives the named fields as one list each, and `read_records_csv` makes
+records from the same chunks. A chunk of plain lines is split in one pass
+and checked once; the rest of a file that is not so plain goes through
+csv.reader. Equal values of a field share one `str` object (all but the
+near-unique `national_id` and `name`), and each distinct year text is parsed
+once, so later passes touch a few hot objects. `write_csv` renders a chunk
+of rows in one `%` pass and checks it once, as the source writers do.
 
 Every file jobcube writes goes through `replacing`: a temp file beside the
 target, renamed over it when whole, so a crash leaves the old file or the new.
@@ -25,8 +30,8 @@ import os
 import re
 import shutil
 from contextlib import contextmanager
-from itertools import islice
-from operator import attrgetter
+from itertools import chain, islice
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -60,7 +65,10 @@ class CanonicalApplicant(NamedTuple):
 ALL_FIELDS: tuple[str, ...] = CanonicalApplicant._fields
 _YEAR = ALL_FIELDS.index("year")
 _SHARED = ALL_FIELDS.index("sex")      # fields from here on repeat across rows
-_CHUNK_ROWS = 512                      # rows write_csv renders per CR check
+_CHUNK_ROWS = 128                      # rows write_csv renders per check, and the
+                                       # reader's csv.reader path hands on per chunk
+_CHUNK_BYTES = 1 << 14                 # bytes of plain lines a record file is split at a time
+_HEADER_LINE = (",".join(ALL_FIELDS) + "\n").encode()
 _INT_TEXT = re.compile(r"-?[0-9]+")
 
 # Fields a cleaning policy may fill. Key fields are quarantined instead,
@@ -183,10 +191,13 @@ def write_csv(target: str | Path | TextIO, header: Sequence,
     count (header excluded). target is an open text stream, or a path that is
     replaced whole (see `replacing`).
 
-    A writer ending lines in LF leaves a bare CR unquoted, and a reader then
-    splits the row there, so a row holding a CR is written fully quoted and
-    every other row with minimal quoting. Rows are rendered in chunks; only a
-    chunk whose text holds a CR is checked row by row.
+    Rows are rendered in chunks, each in one `%` pass and checked once: one
+    delimiter fewer than the header's width and one LF a row, and no '"' or
+    CR. A chunk that fails the check, or holds a row of another width or a
+    value that is no str or int, and every row of a one-column file, goes
+    through the csv module row by row. There a row holding a CR is written
+    fully quoted and every other row with minimal quoting: a writer ending
+    lines in LF leaves a bare CR unquoted, and a reader then splits the row.
     """
     if isinstance(target, (str, Path)):
         with replacing(target) as fh:
@@ -195,12 +206,18 @@ def write_csv(target: str | Path | TextIO, header: Sequence,
     quote_all = csv.writer(target, delimiter=delimiter, lineterminator="\n",
                            quoting=csv.QUOTE_ALL)
     plain.writerow(header)
+    width = len(header)
+    row_format = delimiter.replace("%", "%%").join(["%s"] * width) + "\n"
     rows, n = iter(rows), 0
     while chunk := list(islice(rows, _CHUNK_ROWS)):
-        buffer = io.StringIO()
-        csv.writer(buffer, delimiter=delimiter, lineterminator="\n").writerows(chunk)
-        if "\r" not in buffer.getvalue():
-            target.write(buffer.getvalue())
+        text = ""
+        if width > 1 and set(map(len, chunk)) == {width}:
+            values = tuple(chain.from_iterable(chunk))
+            if set(map(type, values)) <= {str, int}:
+                text = (row_format * len(chunk)) % values
+        if (text and text.count(delimiter) == (width - 1) * len(chunk)
+                and text.count("\n") == len(chunk) and '"' not in text and "\r" not in text):
+            target.write(text)
         else:
             for row in chunk:
                 has_cr = any("\r" in v for v in row if type(v) is str)
@@ -214,6 +231,114 @@ def write_records_csv(records: Iterable[CanonicalApplicant], path: str | Path) -
     return write_csv(path, ALL_FIELDS, records)
 
 
+def _plain_cells(data: bytes, years: dict[str, int]) -> list[str] | None:
+    """A chunk of whole lines split in one pass into cells, each row's
+    sixteen fields then an LF cell, with each new year text read into years
+    by parse_int. None if the chunk holds '"', CR or NUL, or fails the check:
+    sixteen fields a line, and years parse_int reads. Raises
+    UnicodeDecodeError for bytes that are not UTF-8."""
+    if not data.endswith(b"\n") or any(c in data for c in (b'"', b"\r", b"\0")):
+        return None
+    rows, step = data.count(b"\n"), len(ALL_FIELDS) + 1
+    cells = data.decode("utf-8").replace("\n", ",\n,").split(",")
+    if cells.pop() != "" or len(cells) != rows * step or cells[step - 1::step].count("\n") != rows:
+        return None
+    try:
+        for year in set(cells[_YEAR::step]).difference(years):
+            years[year] = parse_int(year)
+    except ValueError:
+        return None
+    return cells
+
+
+def _column_chunks(path: str | Path, keep: Sequence[int]) -> Iterator[list[list]]:
+    """The columns at `keep` (ALL_FIELDS indices) of a record file, a chunk
+    of rows at a time: years read by parse_int (an empty one as 0), and equal
+    values of the fields from `sex` on one shared str.
+
+    After the header, the file is read in chunks of whole lines, each split
+    by `_plain_cells`. The rest of the file, from the first chunk that is not
+    so plain, goes through csv.reader, which checks row by row and so names
+    the first fault in file order.
+    """
+    width = len(ALL_FIELDS)
+    years = {"": 0}
+    share = {}.setdefault
+
+    def columns(cells: list[list[str]]) -> list[list]:
+        for k, i in enumerate(keep):
+            if i == _YEAR:
+                cells[k] = list(map(years.__getitem__, cells[k]))
+            elif i >= _SHARED:
+                cells[k] = list(map(share, cells[k], cells[k]))
+        return cells
+
+    with open(path, "rb") as fh:
+        lines = 1 if fh.readline() == _HEADER_LINE else 0      # lines taken so far
+        start = fh.tell() if lines else 0                      # where they end
+        while lines:
+            data = fh.read(_CHUNK_BYTES) + fh.readline()
+            if not data:
+                return
+            try:
+                cells = _plain_cells(data, years)
+            except UnicodeDecodeError as exc:
+                good = lines + data.count(b"\n", 0, exc.start)
+                raise MalformedCsv(f"{path}: not UTF-8 ({exc.reason}) after "
+                                   f"{good} good lines") from None
+            if cells is None:
+                break
+            yield columns([cells[i::width + 1] for i in keep])
+            lines += len(cells) // (width + 1)
+            start += len(data)
+
+        fh.seek(start)
+        with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+            reader = csv.reader(text)
+            try:
+                if not lines:
+                    header = next(reader, None)
+                    if header is None:
+                        return
+                    if tuple(header) != ALL_FIELDS:
+                        raise MalformedCsv(f"{path}: line 1: unexpected record columns {header}")
+                rows = []
+                for row in reader:
+                    if len(row) != width:
+                        raise MalformedCsv(f"{path}: line {lines + reader.line_num}: "
+                                           f"{len(row)} columns, expected {width}")
+                    if (year := row[_YEAR]) not in years:
+                        try:
+                            years[year] = parse_int(year)
+                        except ValueError:
+                            raise MalformedCsv(f"{path}: line {lines + reader.line_num}: "
+                                               f"bad year {year!r}") from None
+                    rows.append(row)
+                    if len(rows) == _CHUNK_ROWS:
+                        yield columns([list(map(itemgetter(i), rows)) for i in keep])
+                        rows = []
+                if rows:
+                    yield columns([list(map(itemgetter(i), rows)) for i in keep])
+            except csv.Error as exc:
+                raise MalformedCsv(f"{path}: line {lines + reader.line_num}: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise MalformedCsv(f"{path}: not UTF-8 ({exc.reason}) after "
+                                   f"{lines + reader.line_num} good lines") from None
+
+
+@bulk()
+def read_columns(path: str | Path, fields: Sequence[str] = ALL_FIELDS) -> list[list]:
+    """The named fields of a file written by `write_records_csv`, one list per
+    field in the order given, read chunk by chunk as `read_records_csv` reads
+    them, and failing closed as it does."""
+    out: list[list] = [[] for _ in fields]
+    for chunk in _column_chunks(path, [ALL_FIELDS.index(name) for name in fields]):
+        for column, part in zip(out, chunk):
+            column += part
+    return out
+
+
+@bulk()
 def read_records_csv(path: str | Path) -> list[CanonicalApplicant]:
     """Read a file written by `write_records_csv`, sharing equal values.
 
@@ -222,37 +347,18 @@ def read_records_csv(path: str | Path) -> list[CanonicalApplicant]:
     error or bytes that are not UTF-8 raise MalformedCsv naming the file and
     the line.
     """
-    width = len(ALL_FIELDS)
     make = CanonicalApplicant._make
-    share = {}.setdefault
-    years = {"": 0}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    out: list[CanonicalApplicant] = []
+    for columns in _column_chunks(path, range(len(ALL_FIELDS))):
+        out += map(make, zip(*columns))
+    return out
+
+
+def find_row(path: str | Path, index: int) -> tuple[int, list[str]]:
+    """The line that row `index` (0 is the first after the header) of a record
+    file ends on, counted as its readers count, and the row's values."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                return []
-            if tuple(header) != ALL_FIELDS:
-                raise MalformedCsv(f"{path}: line 1: unexpected record columns {header}")
-            out = []
-            for row in reader:
-                if len(row) != width:
-                    raise MalformedCsv(f"{path}: line {reader.line_num}: "
-                                       f"{len(row)} columns, expected {width}")
-                year = row[_YEAR]
-                if year not in years:
-                    try:
-                        years[year] = parse_int(year)
-                    except ValueError:
-                        raise MalformedCsv(f"{path}: line {reader.line_num}: "
-                                           f"bad year {year!r}") from None
-                repeated = row[_SHARED:]
-                row[_SHARED:] = map(share, repeated, repeated)
-                row[_YEAR] = years[year]
-                out.append(make(row))
-            return out
-        except csv.Error as exc:
-            raise MalformedCsv(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise MalformedCsv(f"{path}: not UTF-8 ({exc.reason}) after "
-                               f"{reader.line_num} good lines") from None
+        for row in islice(reader, index + 1, None):
+            return reader.line_num, row
+    raise MalformedCsv(f"{path}: no row {index + 1} after the header")

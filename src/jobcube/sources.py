@@ -50,7 +50,7 @@ from .errors import (
     TruncatedFile,
     UnsupportedFieldType,
 )
-from .records import ALL_FIELDS, CanonicalApplicant, derive_status, parse_int, write_csv
+from .records import ALL_FIELDS, CanonicalApplicant, bulk, derive_status, parse_int, write_csv
 
 # The padding rule of both fixed-position formats, per field kind: the
 # %-format flag that aligns a written value, and the strip that undoes it.
@@ -533,6 +533,7 @@ def parse_source(data: bytes, spec: SourceSpec, report: IngestReport) -> Parsed:
                            source_id=spec.source_id)
 
 
+@bulk()
 def ingest_sources(specs: Iterable[SourceSpec], base_dir: str | Path,
                    ) -> tuple[list[CanonicalApplicant], IngestReport]:
     """Read, parse, and map every configured source file.

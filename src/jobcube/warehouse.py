@@ -1,11 +1,12 @@
 """Star schema: six dimension tables, one fact table of additive counts.
 
 The fact table is one read-only (rows, 9) int64 array in FACT_COLUMNS order,
-rows in ascending id order. A build is a refresh of the empty warehouse;
-either reads the records into one member list per dimension, takes each
-dimension in one pass, where one natural key -> row index dict gives both
-the members to append and the fact codes, and groups the codes into facts
-with `group_rows`, the kernel the cube's roll-up and aggregate also use.
+rows in ascending id order. A build is a refresh of the empty warehouse.
+A refresh takes one member list per dimension (made from records, or from
+the columns the command line reads of clean.csv) and takes each dimension in
+one pass, where one natural key -> row index dict gives both the members to
+append and the fact codes; it groups the codes into facts with `group_rows`,
+the kernel the cube's roll-up and aggregate also use.
 
 A dimension row's surrogate id is its 1-based position in its table, which
 `load_schema` enforces and `check_integrity` checks. A build adds members in
@@ -29,10 +30,10 @@ import hashlib
 import io
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter, eq
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,11 +45,13 @@ from .errors import (
 )
 from .records import (
     DIMENSIONS,
+    MEMBER_FIELDS,
     MEMBER_GETTERS,
     QUARTERS,
     STATUS_DIRECTED,
     STATUS_SEEKER,
     CanonicalApplicant,
+    bulk,
     parse_int,
     parse_years,
     replacing,
@@ -74,8 +77,12 @@ FACT_COLUMNS = ("city_id", "sector_id", "edulevel_id", "cong_id", "service_id",
                 "time_id", "total_applicants", "num_seekers", "num_directed")
 ATTR_COLUMNS = {"time": ("year", "quarter"), "congress": ("city",)}
 KEYS = len(DIMENSIONS)          # fact columns before the three measures
+# The record fields a build or refresh reads: each dimension's members, and status.
+LOAD_FIELDS = (*chain.from_iterable(MEMBER_FIELDS.values()), "status")
 _FACT_HEADER = (",".join(FACT_COLUMNS) + "\n").encode()
 _FACT_ROW = "%d," * (len(FACT_COLUMNS) - 1) + "%d\n"    # a fact row as write_csv renders it
+
+_STAMP_ROWS = 4096              # fact rows the load stamp renders per hash update
 
 # Grouping counts into a dense slot array only while the key space is at
 # most this many slots per grouped row; beyond that it sorts the keys.
@@ -147,15 +154,15 @@ def _stamped(dims: dict[str, DimensionTable], facts: np.ndarray,
             h.update(repr((dim, row.surrogate_id, row.natural_key,
                            sorted(row.attributes.items()))).encode())
     row_repr = "((%d, %d, %d, %d, %d, %d), (%d, %d, %d))"     # repr((keys, measures))
-    h.update(((row_repr * len(facts)) % tuple(facts.ravel().tolist())).encode())
+    for start in range(0, len(facts), _STAMP_ROWS):
+        block = facts[start:start + _STAMP_ROWS]
+        h.update(((row_repr * len(block)) % tuple(block.ravel().tolist())).encode())
     h.update(repr(sorted(meta_core.items())).encode())
     return StarSchema(dims, facts, {**meta_core, "loaded": "content:" + h.hexdigest()[:16]})
 
 
-def build_schema(records: Sequence[CanonicalApplicant],
-                 year_range: tuple[int, int],
-                 hierarchy: ConceptHierarchy) -> StarSchema:
-    """A refresh of the empty warehouse, whose time is exhaustive over year_range."""
+def empty_schema(year_range: tuple[int, int]) -> StarSchema:
+    """The warehouse of no records, whose time is exhaustive over year_range."""
     year_from, year_to = year_range
     if year_from > year_to:
         raise EmptyYearRange(f"year range {year_from}:{year_to} is empty")
@@ -164,14 +171,53 @@ def build_schema(records: Sequence[CanonicalApplicant],
     dims["time"] = DimensionTable(tuple(
         DimensionRow(i, time_key(y, q), {"year": str(y), "quarter": q})
         for i, (y, q) in enumerate(quarters, 1)))
-    empty = StarSchema(dims, np.empty((0, KEYS + 3), np.int64),
-                       {"year_range": f"{year_from}:{year_to}"})
-    return refresh(empty, records, hierarchy)
+    return StarSchema(dims, np.empty((0, KEYS + 3), np.int64),
+                      {"year_range": f"{year_from}:{year_to}"})
+
+
+def build_schema(records: Sequence[CanonicalApplicant],
+                 year_range: tuple[int, int],
+                 hierarchy: ConceptHierarchy) -> StarSchema:
+    """A refresh of the empty warehouse, whose time is exhaustive over year_range."""
+    return refresh(empty_schema(year_range), records, hierarchy)
 
 
 def refresh(schema: StarSchema, full_records: Sequence[CanonicalApplicant],
             hierarchy: ConceptHierarchy) -> StarSchema:
-    """Recompute the warehouse over the full (re-deduplicated) record set.
+    """Recompute the warehouse over the full (re-deduplicated) record set:
+    `refresh_members` on the records' member lists, a record named by its
+    national_id."""
+    # Every list first: back-to-back passes over the scattered records run faster.
+    members = {dim: list(map(MEMBER_GETTERS[dim], full_records)) for dim in DIMENSIONS
+               if dim != "time"}
+    members["time"] = _time_members(map(attrgetter("year"), full_records),
+                                    map(attrgetter("quarter"), full_records))
+    status = list(map(attrgetter("status"), full_records))
+    return refresh_members(schema, members, status, hierarchy,
+                           lambda i: ("", full_records[i].national_id))
+
+
+def _time_members(years: Iterable[int], quarters: Iterable[str]) -> list[str]:
+    """Each record's time member; each distinct one is built once, and equal
+    ones share its string."""
+    return list(map(cache(time_key), years, quarters))
+
+
+def member_lists(columns: Sequence[list]) -> tuple[dict[str, list[str]], list[str]]:
+    """The member lists and the status list of records given as their
+    LOAD_FIELDS columns, in that order."""
+    *fields, years, quarters, status = columns
+    members = dict(zip(DIMENSIONS[:-1], fields))        # time is the last dimension
+    members["time"] = _time_members(years, quarters)
+    return members, status
+
+
+@bulk()
+def refresh_members(schema: StarSchema, members: Mapping[str, Sequence[str]],
+                    status: Sequence[str], hierarchy: ConceptHierarchy,
+                    where: Callable[[int], tuple[str, str]]) -> StarSchema:
+    """Recompute the warehouse over the full (re-deduplicated) record set,
+    given as each record's member of each dimension and its status.
 
     Per dimension, one natural key -> row index dict gives both the members to
     append and the fact codes. Existing rows keep their ids; every dimension
@@ -179,16 +225,11 @@ def refresh(schema: StarSchema, full_records: Sequence[CanonicalApplicant],
     hierarchy as its own city, which a city roll-up keeps. Facts are regrouped
     from scratch, so refresh(load(A), A∪B) is logically equal to load(A∪B). The
     first record whose time is not in the time dimension, or whose status is
-    neither seeker nor directed, raises naming the record, time checked first.
+    neither seeker nor directed, raises, time checked first; `where(i)` gives
+    the text that locates record i ('<path>: line N: ', or '') and its
+    national_id.
     """
-    n = len(full_records)
-    # Every list first: back-to-back passes over the scattered records run faster.
-    # Each distinct time member is built once, and equal ones share its string.
-    members = {dim: list(map(MEMBER_GETTERS[dim], full_records)) for dim in DIMENSIONS
-               if dim != "time"}
-    members["time"] = list(map(cache(time_key), map(attrgetter("year"), full_records),
-                               map(attrgetter("quarter"), full_records)))
-    status = list(map(attrgetter("status"), full_records))
+    n = len(status)
     dims, columns = {}, []
     for dim in DIMENSIONS:
         rows = list(schema.dimensions[dim].rows)
@@ -206,15 +247,16 @@ def refresh(schema: StarSchema, full_records: Sequence[CanonicalApplicant],
     unresolved = columns[DIMENSIONS.index("time")] < 0     # the one table not extended
     bad = np.flatnonzero(unresolved | ~(weights[0] | weights[1]))
     if bad.size:
-        r = full_records[bad[0]]
-        if unresolved[bad[0]]:
-            raise UnresolvedDimensionValue(f"Time: value {time_key(r.year, r.quarter)!r} "
-                                           f"of record {r.national_id!r} not in dimension")
-        raise InvalidFieldValue(f"record {r.national_id!r}: bad status {r.status!r}")
+        i = int(bad[0])
+        place, national_id = where(i)
+        if unresolved[i]:
+            raise UnresolvedDimensionValue(f"{place}Time: value {members['time'][i]!r} "
+                                           f"of record {national_id!r} not in dimension")
+        raise InvalidFieldValue(f"{place}record {national_id!r}: bad status {status[i]!r}")
 
     columns, (seekers, directed) = group_rows(columns, [len(dims[d]) for d in DIMENSIONS], weights)
     facts = np.column_stack([*(k + 1 for k in columns), seekers + directed, seekers, directed])
-    del members, status, columns, weights, seekers, directed   # not held through _stamped
+    del columns, weights, seekers, directed         # not held through _stamped
     meta_core = {k: v for k, v in schema.meta.items() if k != "loaded"}
     return _stamped(dims, facts, {**meta_core, "records": str(n)})
 

@@ -11,7 +11,9 @@ kind of bad value in a pass of its own. `ScalarRng` is the generator's
 xorshift64* stream stepped one draw at a time, and `oracle_persons` and
 `oracle_copies` make the generated persons and duplicate copies from it one
 record and one draw at a time; `oracle_planting` plants blanks and entry
-discrepancies on wire rows one row at a time.
+discrepancies on wire rows one row at a time. `oracle_etl` is the fixed
+four-step ETL one record at a time: each record cleaned, a dict of the best
+record per key, each survivor lifted and projected.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from jobcube.datagen import (BLANKABLE_FIELDS, CITY_NAMES, CITY_PREFIX, DIRECTED
 from jobcube.datagen import SERVICES as SERVICES_GEN
 from jobcube.errors import FieldOverflow, InvalidFieldValue, UnresolvedDimensionValue
 from jobcube.preprocess import ConceptHierarchy
-from jobcube.records import DIMENSIONS, QUARTERS, CanonicalApplicant, derive_status
+from jobcube.records import (ALL_FIELDS, DIMENSIONS, QUARTERS, WAREHOUSE_REQUIRED_FIELDS,
+                             CanonicalApplicant, derive_status)
 from jobcube.warehouse import DISPLAY_NAMES
 
 EDU_LEVELS = ("edu1", "edu2", "edu3", "edu4", "edu5", "edu6")
@@ -362,3 +365,60 @@ def oracle_planting(rng, config, flat) -> tuple[list, list, dict]:
         overlay[name] = pool[rng.randrange(len(pool))]
         discrepancies.append((record.source_id, record.national_id, name, overlay[name]))
     return blanks, discrepancies, overlays
+
+
+def oracle_etl(records, codebooks, policy, hierarchy, district_fill):
+    """run_pipeline's clean records and counters, one record at a time: the
+    counters as (duplicates_removed, values_filled, values_normalized,
+    values_unmatched, records_generalized, unknown_hierarchy_values, rejected)."""
+    books = {}
+    for name, book in codebooks.items():
+        for variant, canonical in book.items():
+            for key in (variant, canonical):
+                books.setdefault(name, {})[key.strip().casefold()] = canonical
+    filled, normalized, unmatched = {}, {}, 0
+    cleaned = []
+    for r in records:
+        values = r._asdict()
+        for name in sorted(books.keys() | policy.fill_constants.keys()):
+            value = values[name]
+            if name in books and value != "":
+                canonical = books[name].get(value.strip().casefold())
+                if canonical is None:
+                    unmatched += 1
+                elif canonical != value:
+                    normalized[name] = normalized.get(name, 0) + 1
+                    value = canonical
+            if name in policy.fill_constants and value.strip() == "":
+                filled[name] = filled.get(name, 0) + 1
+                value = policy.fill_constants[name]
+            values[name] = value
+        cleaned.append(CanonicalApplicant(**values))
+
+    sign = -1 if policy.keep_rule == "latest_application" else 1
+    quarter_rank = {q: i for i, q in enumerate(QUARTERS, 1)}
+    best, rejected = {}, []
+    for r in cleaned:
+        key = r.national_id.strip()
+        if not key:
+            rejected.append(r)
+            continue
+        rank = (sign * r.year, sign * quarter_rank.get(r.quarter, 0), r.city, r.source_id, r)
+        if key not in best or rank < best[key][0]:
+            best[key] = (rank, r)
+    ancestors = hierarchy.ancestors("district", "congress")
+    generalized = unknown = 0
+    out = []
+    for key in sorted(best):
+        r = best[key][1]
+        if r.district in ancestors:
+            generalized += 1
+            r = r._replace(congress=ancestors[r.district])
+        else:
+            unknown += 1
+            r = r._replace(congress=district_fill)
+        out.append(CanonicalApplicant(**{
+            name: getattr(r, name) if name in WAREHOUSE_REQUIRED_FIELDS
+            else 0 if name == "year" else "" for name in ALL_FIELDS}))
+    kept = len(cleaned) - len(rejected)
+    return out, (kept - len(out), filled, normalized, unmatched, generalized, unknown, rejected)

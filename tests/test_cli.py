@@ -80,14 +80,14 @@ RECORD_CSV_TAMPERS = [
 ]
 
 
-# (edit of one clean.csv row, and the error line load and refresh then print,
-# from the edited row)
+# (edit of one clean.csv row, and the error line load and refresh then print
+# after "error: <file>: line N: ", from the edited row)
 UNLOADABLE_RECORDS = [
     pytest.param(lambda row: row[:13] + ["2010"] + row[14:],
-                 lambda row: f"error: Time: value '2010{row[14]}' of record {row[0]!r} "
+                 lambda row: f"Time: value '2010{row[14]}' of record {row[0]!r} "
                              "not in dimension", id="year_out_of_range"),
     pytest.param(lambda row: row[:12] + ["waiting"] + row[13:],
-                 lambda row: f"error: record {row[0]!r}: bad status 'waiting'", id="bad_status"),
+                 lambda row: f"record {row[0]!r}: bad status 'waiting'", id="bad_status"),
 ]
 
 
@@ -519,19 +519,19 @@ class TestExitCodes:
         clean = tmp_path / "data" / "clean.csv"
         clean_bytes = clean.read_bytes()
         warehouse = {p.name: p.read_bytes() for p in (tmp_path / "warehouse").iterdir()}
-        real = preprocess.run_pipeline
+        real = preprocess.run_columns
 
         def crashing(*args, **kwargs):
             cleaned, report = real(*args, **kwargs)
 
-            def rows():
-                yield from cleaned[:1000]
+            def first_column():
+                yield from cleaned[0][:1000]
                 raise RuntimeError("etl crashed mid-write")
-            return rows(), report
-        monkeypatch.setattr(preprocess, "run_pipeline", crashing)
+            return [first_column(), *cleaned[1:]], report
+        monkeypatch.setattr(preprocess, "run_columns", crashing)
         with pytest.raises(RuntimeError, match="mid-write"):
             main(["etl", "-c", cfg])
-        monkeypatch.setattr(preprocess, "run_pipeline", real)
+        monkeypatch.setattr(preprocess, "run_columns", real)
         assert clean.read_bytes() == clean_bytes
         assert not list((tmp_path / "data").glob(".*.tmp"))
         shutil.rmtree(tmp_path / "warehouse")
@@ -618,14 +618,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("edit, message", UNLOADABLE_RECORDS)
     def test_unloadable_record_is_named(self, pipeline, tmp_path, capsys, edit, message):
         """A clean.csv record whose time or status the warehouse cannot take fails
-        load and refresh (exit 2) with an error naming it; load creates no
-        warehouse, and refresh moves no byte of the one it reads."""
+        load and refresh (exit 2) with an error naming its file, line and
+        national_id; load creates no warehouse, and refresh moves no byte of
+        the one it reads."""
         built, _ = pipeline
         shutil.copytree(built / "data", tmp_path / "data")
         clean = tmp_path / "data" / "clean.csv"
         edit_record_csv(clean, 5, edit)
         with open(clean, newline="", encoding="utf-8") as fh:
-            line = message(list(csv.reader(fh))[5])
+            line = f"error: {clean}: line 6: " + message(list(csv.reader(fh))[5])
         cfg = write_config(tmp_path)
         warehouse = tmp_path / "warehouse"
         capsys.readouterr()

@@ -22,7 +22,7 @@ from jobcube.datagen import (
     generate,
     read_gen_manifest,
 )
-from jobcube.errors import ConfigError, FieldOverflow, UnsatisfiableSize
+from jobcube.errors import ConfigError, FieldOverflow, InvalidFieldValue, UnsatisfiableSize
 from jobcube.records import bulk, read_records_csv
 from jobcube.sources import render_dbf, render_fixed_width
 from jobcube.warehouse import build_schema, check_integrity
@@ -465,6 +465,26 @@ class TestPlantedTruth:
         assert manifest["expected_unmatched"] == 0
         assert manifest["bytes"] == {
             c: gen_small.files[c].stat().st_size for c in CITY_ORDER}
+
+    @pytest.mark.parametrize("line, key", [
+        ("persons=\u0661\u0662", "persons"),
+        ("expected_filled.sex=+3", "expected_filled.sex"),
+        ("bytes.tripoli=1_000", "bytes.tripoli"),
+    ])
+    def test_manifest_counts_are_read_by_parse_int(self, tmp_path, line, key):
+        """int() reads each of these counts; the manifest reader refuses it,
+        naming the file and the key."""
+        path = tmp_path / "gen_manifest.txt"
+        lines = ["seed=7", "persons=12", "expected_filled.sex=3", "bytes.tripoli=1000",
+                 "[duplicates]", "NID000000001 donor=tripoli copy=sirte copy_time=2000Q1"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert read_gen_manifest(path) == {"seed": 7, "persons": 12, "expected_filled": {"sex": 3},
+                                           "expected_normalized": {}, "bytes": {"tripoli": 1000}}
+        lines[[entry.partition("=")[0] for entry in lines].index(key)] = line
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(InvalidFieldValue) as info:
+            read_gen_manifest(path)
+        assert str(info.value) == f"{path}: {key}: not an integer: {line.partition('=')[2]!r}"
 
     def test_rates_compute_from_wire_rows(self, gen_small):
         config = GenConfig(seed=4242, counts=SMALL_COUNTS)

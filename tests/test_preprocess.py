@@ -24,11 +24,12 @@ from jobcube.preprocess import (
     fill_missing,
     generalize,
     normalize_codes,
+    run_columns,
     run_pipeline,
 )
 from jobcube.records import ALL_FIELDS, CanonicalApplicant, WAREHOUSE_REQUIRED_FIELDS
 
-from oracle import make_hierarchy
+from oracle import make_hierarchy, oracle_etl
 
 POLICY = CleaningPolicy()
 
@@ -388,3 +389,29 @@ def test_run_pipeline_equals_the_steps(keep_rule, records, district_fill):
         assert getattr(report, f.name) == getattr(want_report, f.name), f.name
     if records == [rec(sex="  ")]:
         assert (report.values_unmatched, report.values_filled) == (1, {"sex": 1})
+
+
+def counters(report):
+    return (report.duplicates_removed, report.values_filled, report.values_normalized,
+            report.values_unmatched, report.records_generalized,
+            report.unknown_hierarchy_values, report.rejected)
+
+
+@pytest.mark.parametrize("keep_rule", ["latest_application", "first_seen"])
+@settings(max_examples=100, deadline=None)
+@given(records=staged_records, district_fill=st.sampled_from(["UNKNOWN", "N/A"]))
+def test_column_etl_is_the_record_at_a_time_etl(keep_rule, records, district_fill):
+    """The column ETL `jobcube etl` runs, each rule once per distinct value and
+    ranks compared only within a repeated key, gives the clean records and
+    counters of the ETL one record at a time, and of the five public steps."""
+    fills = dict(CleaningPolicy().fill_constants, district=district_fill)
+    policy = CleaningPolicy(fill_constants=fills, keep_rule=keep_rule)
+    hierarchy = make_hierarchy()
+    columns = [list(column) for column in zip(*records)] or [[] for _ in ALL_FIELDS]
+    clean, report = run_columns(columns, codebooks=PIPELINE_BOOKS, policy=policy,
+                                hierarchy=hierarchy)
+    clean = [CanonicalApplicant._make(row) for row in zip(*clean)]
+    want, want_counters = oracle_etl(records, PIPELINE_BOOKS, policy, hierarchy, district_fill)
+    assert (clean, counters(report)) == (want, want_counters)
+    steps, steps_report = stepwise(records, policy, hierarchy)
+    assert (steps, counters(steps_report)) == (want, want_counters)

@@ -1,21 +1,26 @@
 """Record CSV files: what write_records_csv writes, read_records_csv reads back."""
 
 import csv
+import gc
 import io
 import os
 import stat
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jobcube import records as records_module
 from jobcube.cube import ResultTable
 from jobcube.errors import MalformedCsv
 from jobcube.records import (
     ALL_FIELDS,
     CanonicalApplicant,
+    find_row,
     parse_int,
     parse_years,
+    read_columns,
     read_records_csv,
     write_csv,
     write_records_csv,
@@ -77,6 +82,144 @@ def test_read_shares_equal_values(csv_path, batch):
         for record in got:
             value = getattr(record, name)
             assert first.setdefault(value, value) is value, name
+
+
+def reference_write(header, rows, delimiter):
+    """write_csv's text, one row at a time through the csv module: a row
+    holding a CR fully quoted, every other row with minimal quoting."""
+    stream = io.StringIO()
+    plain = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
+    quote_all = csv.writer(stream, delimiter=delimiter, lineterminator="\n",
+                           quoting=csv.QUOTE_ALL)
+    plain.writerow(header)
+    for row in rows:
+        (quote_all if any("\r" in v for v in row if type(v) is str) else plain).writerow(row)
+    return stream.getvalue()
+
+
+# Values the one-pass render must leave to the csv module (every delimiter a
+# source may use, quotes, line breaks, the empty string, non-ASCII text) or
+# render as it does (ints), and a few it never takes (None, a float, a bool).
+cell = st.one_of(
+    st.text(alphabet=st.sampled_from(list('ab ,;|\t"\n\r\u0644')), max_size=4),
+    st.sampled_from(["", '""', "x", "\u0637\u0631\u0627\u0628\u0644\u0633"]),
+    st.integers(-10**20, 10**20),
+    st.sampled_from([None, 1.5, True]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 4), delimiter=st.sampled_from([",", ";", "|", "\t"]),
+       data=st.data())
+def test_write_csv_is_the_csv_module_row_by_row(width, delimiter, data):
+    """The same text as the csv module row by row, for rows of the header's
+    width and (rarely) of another, at several chunk sizes."""
+    row = st.lists(cell, min_size=width, max_size=width)
+    rows = data.draw(st.lists(st.one_of(row, row, row, st.lists(cell, max_size=5)),
+                              max_size=12))
+    header = [f"h{i}" for i in range(width)]
+    for chunk_rows in (1, 3, 4096):
+        stream = io.StringIO()
+        with mock.patch.object(records_module, "_CHUNK_ROWS", chunk_rows):
+            assert write_csv(stream, header, rows, delimiter) == len(rows)
+        assert stream.getvalue() == reference_write(header, rows, delimiter)
+
+
+def reference_columns(path, fields=ALL_FIELDS):
+    """The named fields of a record file as csv.reader reads it, years parsed."""
+    year = ALL_FIELDS.index("year")
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [[*row[:year], parse_int(row[year]) if row[year] else 0, *row[year + 1:]]
+                for row in list(csv.reader(fh))[1:]]
+    return [[row[ALL_FIELDS.index(name)] for row in rows] for name in fields]
+
+
+plain_records = st.builds(
+    CanonicalApplicant,
+    **{name: st.integers(0, 9999) if name == "year"
+       else st.sampled_from(["", "Tripoli", "x y", "\u0633\u0631\u062a"]) for name in ALL_FIELDS},
+)
+
+
+# Quotes or a CR with no delimiter or LF beside them keep every row sixteen
+# fields wide when split on ',' and LF, so only the plain check sees them.
+quoted_records = st.builds(
+    CanonicalApplicant,
+    **{name: st.integers(0, 9999) if name == "year"
+       else st.sampled_from(["", "x", 'q"t', '"', "x\ry"]) for name in ALL_FIELDS},
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(head=st.lists(plain_records, max_size=30),
+       middle=st.lists(st.one_of(records, quoted_records), max_size=4),
+       tail=st.lists(plain_records, max_size=30),
+       chunk_bytes=st.sampled_from([1, 64, 300, 1 << 16]),
+       fields=st.lists(st.sampled_from(ALL_FIELDS), unique=True, min_size=1))
+def test_read_columns_is_csv_reader(csv_path, head, middle, tail, chunk_bytes, fields):
+    """Plain rows, then rows that may need quoting, then plain rows again, read
+    in chunks of several sizes: the columns csv.reader reads, and each row's
+    line as find_row counts it."""
+    batch = head + middle + tail
+    write_records_csv(batch, csv_path)
+    with mock.patch.object(records_module, "_CHUNK_BYTES", chunk_bytes):
+        assert read_columns(csv_path, fields) == reference_columns(csv_path, fields)
+        assert [*map(CanonicalApplicant._make, zip(*read_columns(csv_path)))] == batch
+        assert read_records_csv(csv_path) == batch
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        lines = [(reader.line_num, row) for row in reader]
+    assert [find_row(csv_path, i) for i in range(len(batch))] == lines
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 16])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_malformed_file_restores_the_collector(tmp_path, chunk_bytes, enabled):
+    """The reader pauses the collector and restores the state it found, also
+    when it refuses a file, whether the fault is in a plain chunk or not."""
+    path = tmp_path / "clean.csv"
+    write_records_csv([CanonicalApplicant(national_id=f"N{i}", year=2003) for i in range(50)],
+                      path)
+    text = path.read_text(encoding="utf-8").replace(",2003,", ",20x3,", 1)
+    path.write_text(text, encoding="utf-8")
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for read in (read_records_csv, read_columns):
+            with mock.patch.object(records_module, "_CHUNK_BYTES", chunk_bytes), \
+                    pytest.raises(MalformedCsv, match="line 2: bad year '20x3'"):
+                read(path)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 16])
+def test_rows_whose_widths_cancel_out_fail_closed(tmp_path, chunk_bytes):
+    """A 15-field row then a 17-field one hold as many fields as two good rows."""
+    path = tmp_path / "staging.csv"
+    write_records_csv([CanonicalApplicant(national_id=f"N{i}", year=2003) for i in range(4)],
+                      path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[2], lines[3] = lines[2].replace(",", "", 1), lines[3] + ","
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with mock.patch.object(records_module, "_CHUNK_BYTES", chunk_bytes):
+        for read in (read_records_csv, read_columns):
+            with pytest.raises(MalformedCsv, match="staging.csv: line 3: 15 columns, expected 16"):
+                read(path)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 16])
+def test_a_bare_cr_ends_a_line_as_csv_reader_reads_it(tmp_path, chunk_bytes):
+    """A CR left unquoted (by a writer other than write_csv) ends a line."""
+    path = tmp_path / "staging.csv"
+    write_records_csv([CanonicalApplicant(national_id=f"N{i}", year=2003) for i in range(4)],
+                      path)
+    path.write_bytes(path.read_bytes().replace(b"N2,", b"N2\r,"))
+    with mock.patch.object(records_module, "_CHUNK_BYTES", chunk_bytes):
+        for read in (read_records_csv, read_columns):
+            with pytest.raises(MalformedCsv, match="staging.csv: line 4: 1 columns, expected 16"):
+                read(path)
 
 
 def test_non_utf8_bytes_fail_closed(tmp_path):
