@@ -30,8 +30,7 @@ from .config import (CITY_ORDER, PipelineConfig, load_codebooks, load_config, lo
                      load_sources, parse_query)
 from .cube import MEASURES, aggregate, build_cube
 from .errors import ConfigError, CorruptManifest, JobcubeError
-from .records import (ALL_FIELDS, find_row, read_columns, read_records_csv, write_csv,
-                      write_records_csv)
+from .records import ALL_FIELDS, find_row, read_columns, read_records_csv, write_csv
 from .reporting import run_report, write_result
 from .warehouse import (LOAD_FIELDS, MANIFEST_FILE, StarSchema, check_integrity, empty_schema,
                         load_schema, member_lists, persist, refresh_members)
@@ -127,16 +126,16 @@ def cmd_gen(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> int:
-    from .sources import RejectedRow, ingest_sources
+    from .sources import RejectedRow, ingest_columns
     specs = load_sources(config.sources_path())
     for spec in specs:
         _require_file(Path(config.data_dir) / spec.path, "jobcube gen")
-    records, report = ingest_sources(specs, config.data_dir)
+    columns, report = ingest_columns(specs, config.data_dir)
     for line in report.summary_lines():
         _say(f"[ingest] {line}")
 
     staging = config.staging_path()
-    written = write_records_csv(records, staging)
+    written = write_csv(staging, ALL_FIELDS, zip(*columns))
     _say(f"[ingest] staged {written} records -> {staging}")
     return _rejects("ingest", Path(config.data_dir) / INGEST_REJECTS, RejectedRow._fields,
                     report.rejects, "rejected rows")

@@ -9,8 +9,8 @@ Each city is described once, by its entry in `SOURCE_CATALOG`, the document
 gen dumps as `sources.yaml`; `CITY_SPECS` is that document read by
 `config.source_specs`, the reader ingest's `load_sources` uses, so gen writes
 no catalog that ingest reads differently. A city's file is written by column:
-`sources.row_mapper`, the inverse of ingest's `record_mapper`, turns the
-records into rows in the file's column order, and this module adds only what
+`sources.row_mapper`, the inverse of ingest's column mapper `record_mapper`,
+turns the records into rows in the file's column order; this module adds only what
 is its own: the planted corruption laid over a record, and Sirte's APPDATE,
 the one column no mapping reads. The bytes come from the `sources` writers,
 the partners of the readers ingest uses.

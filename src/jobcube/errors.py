@@ -40,10 +40,6 @@ class MalformedCsv(JobcubeError):
     canonical record layout (header, column count, year)."""
 
 
-class MissingMandatoryField(JobcubeError):
-    """Record lacks a source field mapped to a mandatory canonical field."""
-
-
 class InvalidFieldValue(JobcubeError):
     """A mandatory canonical field holds a value outside its domain."""
 

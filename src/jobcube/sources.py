@@ -1,29 +1,20 @@
 """Readers and writers for three legacy personnel-file formats, plus the
 mapping in both directions between their rows and
-:class:`~jobcube.records.CanonicalApplicant`.
+:class:`~jobcube.records.CanonicalApplicant`: dBASE III tables (version byte
+0x03, field types C/N/D), fixed-width files described by a column layout, and
+delimiter-separated text with a header row.
 
-* dBASE III table files (version byte 0x03, field types C/N/D)
-* fixed-width flat files described by a column layout
-* delimiter-separated text with a header row
-
-A row is its text values in the file's own column order. Each reader returns
-the file's column names once and its rows as value sequences; each writer
-takes rows in the column order of its layout or header.
-
-In both fixed-position formats a field is the byte slice [offset,
-offset+length) of its line or record body, decoded on its own and padded with
-spaces: C fields left-aligned and right-stripped, N and D fields right-aligned
-and stripped on both sides. Both writers render a file in one `%` pass and
-check its text once; only a failing text is scanned for its first bad value.
-
-Codecs are pure functions over bytes; nothing here touches the filesystem
-except :func:`ingest_sources`, which drives the full read-and-map pass.
-
-A :class:`SourceSpec` holds a source's field map and codebooks, as
-`sources.yaml` spells them; a key naming no mappable canonical field is a
-ConfigError. :func:`record_mapper` resolves them once per file, against the
-file's columns, into one row function; :func:`row_mapper`, its inverse, turns
-records into rows in a given column order, one column at a time.
+Ingest reads a file as a `Table`, one list per column; each `parse_*` front
+gives its column names once and its rows. In the fixed-position formats a
+field is the byte slice [offset, offset+length) of a line or record body,
+space-padded: C fields left-aligned and right-stripped, N and D fields
+right-aligned and stripped on both sides. Records of one stride are cut a
+field at a time and each distinct byte string is decoded and unpadded once,
+so equal values share one str. Both writers render a file in one `%` pass and
+check it once. :func:`record_mapper` applies a `SourceSpec`'s field map and
+codebooks to a file's columns, each rule once per distinct value;
+:func:`row_mapper`, its inverse, turns records into rows in a given column
+order. Only :func:`ingest_columns`, the read-and-map pass, touches files.
 """
 
 from __future__ import annotations
@@ -31,9 +22,10 @@ from __future__ import annotations
 import csv
 import io
 import struct
+from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -44,7 +36,6 @@ from .errors import (
     InvalidFieldValue,
     MalformedCsv,
     MalformedHeader,
-    MissingMandatoryField,
     RaggedRow,
     ShortLine,
     TruncatedFile,
@@ -71,12 +62,29 @@ _DBF_FIELD = struct.Struct("<11sB4xBB14x")
 # and source id come from the spec, status derives from sector.
 MANDATORY_MAPPED = ("national_id", "year", "quarter")
 FIXED_FIELDS = frozenset({"city", "status", "source_id"})
+_YEAR = ALL_FIELDS.index("year")
 
-_STATUS, _YEAR, _QUARTER, _SECTOR = map(ALL_FIELDS.index, ("status", "year", "quarter", "sector"))
 
-# A parsed file: its column names in file order, and each row's text values
-# in that order.
+# A parsed file: its column names, and each row's text values in that order.
 Parsed = tuple[tuple[str, ...], list[Sequence[str]]]
+
+
+class Table(NamedTuple):
+    """A file by column: its column names, one list of text values per name,
+    its row count, and the (index, reason) of each row csv could not read."""
+
+    names: tuple[str, ...]
+    columns: list[list[str]]
+    size: int
+    broken: tuple[tuple[int, str], ...] = ()
+
+
+def _rows(table: Table, row: Callable = tuple) -> Parsed:
+    """table's names and rows made by `row`; a broken row raises MalformedCsv."""
+    if table.broken:
+        raise MalformedCsv(table.broken[0][1])
+    return table.names, (list(map(row, zip(*table.columns))) if table.columns
+                         else [row() for _ in range(table.size)])
 
 
 @dataclass(frozen=True)
@@ -168,30 +176,6 @@ def validate_layout(layout: Iterable[FieldDescriptor], where: str = "") -> None:
 # Fixed-position fields: fixed-width lines, and dBASE record bodies below
 
 
-def _field_reader(layout: Sequence[FieldDescriptor], encoding: str, where: str,
-                  ) -> Callable[[bytes, int, int], tuple[str, ...]]:
-    """read(buf, pos, row_no): each field's bytes at pos + [offset, offset+length),
-    decoded and unpadded; a DecodeError names `where`, the row and the field."""
-    fmt, end = "", 0
-    for fd in layout:
-        fmt += f"{fd.offset - end}x{fd.length}s"
-        end = fd.offset + fd.length
-    unpack = struct.Struct(fmt).unpack_from
-    strips = [_PADDING[fd.kind][1] for fd in layout]
-
-    def read(buf: bytes, pos: int, row_no: int) -> tuple[str, ...]:
-        chunks = unpack(buf, pos)
-        try:
-            return tuple([strip(chunk.decode(encoding), " ")
-                          for strip, chunk in zip(strips, chunks)])
-        except UnicodeDecodeError as exc:
-            # the first chunk equal to the failing one is the one that failed
-            name = layout[chunks.index(exc.object)].name
-            raise DecodeError(f"{where} {row_no}: field {name!r}: {exc}") from None
-
-    return read
-
-
 def _row_writer(layout: Sequence[FieldDescriptor], where: str, head: str = "",
                 tail: str = "") -> Callable[[Iterable[Sequence[str]]], bytes]:
     """write(rows): ASCII bytes of, per row in layout order, `head`, each field
@@ -229,23 +213,58 @@ def _row_writer(layout: Sequence[FieldDescriptor], where: str, head: str = "",
     return write
 
 
-def parse_fixed_width(data: bytes, layout: Iterable[FieldDescriptor], *,
-                      encoding: str = "ascii", source_id: str = "") -> Parsed:
-    """One row per line, fields read by the fixed-position rule. Lines shorter
-    than the layout extent are an error; longer lines keep their tail bytes
-    unread."""
+def _cut(buf: bytes | memoryview, fields: Sequence[FieldDescriptor], encoding: str, stride: int,
+         where: str, skip: int = 0, live: list[bool] | None = None) -> list[list[str]]:
+    """The columns of the records tiling buf every `stride` bytes (those `live`
+    keeps), each field at skip + [offset, offset+length). A value that does not
+    decode raises DecodeError naming `where`, its record's place and field."""
+    columns = []
+    try:
+        for fd in fields:
+            tail = stride - skip - fd.offset - fd.length
+            cut = struct.Struct(f"{skip + fd.offset}x{fd.length}s{tail}x").iter_unpack(buf)
+            chunks = list(cut if live is None else compress(cut, live))
+            distinct = list(dict.fromkeys(chunks))
+            texts = map(bytes.decode, chain.from_iterable(distinct), repeat(encoding))
+            text = dict(zip(distinct, map(_PADDING[fd.kind][1], texts, repeat(" "))))
+            columns.append(list(map(text.__getitem__, chunks)))
+    except UnicodeDecodeError:
+        for no, pos in enumerate(range(skip, len(buf), stride), start=1):
+            for fd in fields if live is None or live[no - 1] else ():
+                try:
+                    str(buf[pos + fd.offset:pos + fd.offset + fd.length], encoding)
+                except UnicodeDecodeError as exc:
+                    raise DecodeError(f"{where} {no}: field {fd.name!r}: {exc}") from None
+        raise
+    return columns
+
+
+def _fixed_width_table(data: bytes, layout: Iterable[FieldDescriptor], encoding: str,
+                       source_id: str) -> Table:
+    """One row per line; a line shorter than the layout extent is an error, a
+    longer one is cut to the extent (lines of one length are cut in place)."""
     layout = tuple(layout)
     validate_layout(layout)
-    extent = layout[-1].offset + layout[-1].length
-    read = _field_reader(layout, encoding, f"{source_id}: line")
-    lines = data.removesuffix(b"\n").split(b"\n") if data else []
-    rows = []
-    for line_no, line in enumerate(lines, start=1):
-        if len(line) < extent:
-            raise ShortLine(f"{source_id}: line {line_no}: {len(line)} bytes, "
+    extent, where = layout[-1].offset + layout[-1].length, f"{source_id}: line"
+    buf = data if not data or data.endswith(b"\n") else data + b"\n"
+    size = buf.count(b"\n")
+    stride = len(buf) // size if size else 0
+    if not (stride > extent and stride * size == len(buf)
+            and buf[stride - 1::stride].count(b"\n") == size):
+        lines = buf[:-1].split(b"\n") if buf else []
+        short = next((i for i, line in enumerate(lines) if len(line) < extent), size)
+        buf, stride = b"".join(line[:extent] for line in lines[:short]), extent
+        if short < size:
+            _cut(buf, layout, encoding, stride, where)      # a line before may not decode
+            raise ShortLine(f"{where} {short + 1}: {len(lines[short])} bytes, "
                             f"layout needs {extent}")
-        rows.append(read(line, 0, line_no))
-    return tuple(fd.name for fd in layout), rows
+    return Table(tuple(fd.name for fd in layout), _cut(buf, layout, encoding, stride, where),
+                 size)
+
+
+def parse_fixed_width(data: bytes, layout: Iterable[FieldDescriptor], *,
+                      encoding: str = "ascii", source_id: str = "") -> Parsed:
+    return _rows(_fixed_width_table(data, layout, encoding, source_id))
 
 
 def render_fixed_width(rows: Iterable[Sequence[str]],
@@ -262,22 +281,19 @@ def render_fixed_width(rows: Iterable[Sequence[str]],
 
 @dataclass(frozen=True)
 class DbfFile:
-    """A fully decoded table file, header facts included; its rows are the
-    live records, in field order."""
+    """A decoded table file: header facts, and its live records as a table."""
 
     last_update: tuple[int, int, int]   # (yy, mm, dd) as stored
     record_count: int
     header_len: int
     record_len: int
     fields: tuple[FieldDescriptor, ...]
-    rows: list[tuple[str, ...]]
+    table: Table
     deleted: int
 
-
-def _dbf_lengths(fields: Sequence[FieldDescriptor]) -> tuple[int, int]:
-    """(header + descriptors + terminator, deletion flag + field bytes)."""
-    return (_DBF_HEADER.size + _DBF_FIELD.size * len(fields) + 1,
-            1 + sum(fd.length for fd in fields))
+    @property
+    def rows(self) -> list[tuple[str, ...]]:
+        return _rows(self.table)[1]
 
 
 def read_dbf(data: bytes, *, encoding: str = "ascii", source_id: str = "") -> DbfFile:
@@ -312,7 +328,7 @@ def read_dbf(data: bytes, *, encoding: str = "ascii", source_id: str = "") -> Db
         fields.append(FieldDescriptor(name, chr(kind), length, body_pos, decimals))
         body_pos += length
 
-    if record_len != _dbf_lengths(fields)[1]:
+    if record_len != 1 + body_pos:
         raise MalformedHeader(
             f"{source_id}: record length {record_len} != 1 + sum of field lengths {body_pos}")
     need = header_len + record_count * record_len
@@ -320,18 +336,18 @@ def read_dbf(data: bytes, *, encoding: str = "ascii", source_id: str = "") -> Db
         raise TruncatedFile(
             f"{source_id}: {record_count} records need {need} bytes, file has {len(data)}")
 
-    read = _field_reader(fields, encoding, f"{source_id}: record")
-    rows = [read(data, pos + 1, record_no)
-            for record_no, pos in enumerate(range(header_len, need, record_len), start=1)
-            if data[pos] != DBF_DELETED_FLAG]
-
+    flags = data[header_len:need:record_len]
+    deleted = flags.count(DBF_DELETED_FLAG)
+    live = [flag != DBF_DELETED_FLAG for flag in flags] if deleted else None
+    columns = _cut(memoryview(data)[header_len:need], fields, encoding, record_len,
+                   f"{source_id}: record", 1, live)
     return DbfFile((yy, mm, dd), record_count, header_len, record_len, tuple(fields),
-                   rows, record_count - len(rows))
+                   Table(tuple(fd.name for fd in fields), columns, record_count - deleted),
+                   deleted)
 
 
 def parse_dbf(data: bytes, *, encoding: str = "ascii", source_id: str = "") -> Parsed:
-    table = read_dbf(data, encoding=encoding, source_id=source_id)
-    return tuple(fd.name for fd in table.fields), table.rows
+    return _rows(read_dbf(data, encoding=encoding, source_id=source_id).table)
 
 
 def render_dbf(rows: Sequence[Sequence[str]],
@@ -348,7 +364,7 @@ def render_dbf(rows: Sequence[Sequence[str]],
         if len(fd.name) > 10 or fd.length > 255:
             raise ConfigError(f"field {fd.name!r} (length {fd.length}): dBASE allows "
                               f"names of up to 10 bytes and lengths up to 255")
-    header_len, record_len = _dbf_lengths(fields)
+    header_len, record_len = _DBF_HEADER.size + _DBF_FIELD.size * len(fields) + 1, 1 + body_pos
     head = _DBF_HEADER.pack(DBF_VERSION, *(b & 0xFF for b in last_update),
                             len(rows), header_len, record_len)
     descriptors = b"".join(_DBF_FIELD.pack(fd.name.encode("ascii"), ord(fd.kind),
@@ -361,30 +377,48 @@ def render_dbf(rows: Sequence[Sequence[str]],
 # Delimited
 
 
-def parse_delimited(data: bytes, delimiter: str = ",", has_header: bool = True, *,
-                    encoding: str = "utf-8", source_id: str = "") -> Parsed:
-    """Without a header the columns are named f0, f1, ...; a header that
-    repeats a name keeps both columns."""
+def _delimited_table(data: bytes, delimiter: str, has_header: bool, encoding: str,
+                     source_id: str) -> Table:
+    """Rows read a chunk at a time into columns, equal values sharing one str.
+    Without a header the columns are named f0, f1, ...; a repeated name keeps
+    both. A row csv cannot read is broken (but a first one raises MalformedCsv)."""
     try:
         text = data.decode(encoding)
     except UnicodeDecodeError as exc:
         raise DecodeError(f"{source_id}: {exc}") from exc
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    rows, broken, size, share = [], [], 0, {}.setdefault
     try:
-        rows = list(reader)
+        rows += islice(reader, 1)
     except csv.Error as exc:
         raise MalformedCsv(f"{source_id}: line {reader.line_num}: {exc}") from None
     if not rows:
-        return (), []
-    if has_header:
-        names, first_no = tuple(rows.pop(0)), 2
-    else:
-        names, first_no = tuple(f"f{i}" for i in range(len(rows[0]))), 1
-    for row_no, row in enumerate(rows, start=first_no):
-        if len(row) != len(names):
+        return Table((), [], 0)
+    names = tuple(rows.pop()) if has_header else tuple(f"f{i}" for i in range(len(rows[0])))
+    columns: list[list[str]] = [[] for _ in names]
+    while True:
+        try:
+            rows += islice(reader, 4096)
+        except csv.Error as exc:
+            broken.append((size + len(rows), f"{source_id}: line {reader.line_num}: {exc}"))
+            rows.append(("",) * len(names))
+            continue
+        if not rows:
+            return Table(names, columns, size, tuple(broken))
+        if not set(map(len, rows)) <= {len(names)}:
+            row_no, row = next((n, r) for n, r in enumerate(rows, size + 1 + has_header)
+                               if len(r) != len(names))
             raise RaggedRow(f"{source_id}: row {row_no}: {len(row)} fields, "
                             f"expected {len(names)}")
-    return names, rows
+        for column, values in zip(columns, zip(*rows)):
+            column += map(share, values, values)
+        size, rows = size + len(rows), []
+
+
+def parse_delimited(data: bytes, delimiter: str = ",", has_header: bool = True, *,
+                    encoding: str = "utf-8", source_id: str = "") -> Parsed:
+    """Rows as lists; a row csv cannot read raises MalformedCsv."""
+    return _rows(_delimited_table(data, delimiter, has_header, encoding, source_id), list)
 
 
 def render_delimited(rows: Iterable[Sequence[str]], columns: Sequence[str],
@@ -408,9 +442,6 @@ class SourceCounters:
     deleted_skipped: int = 0
     untranslatable: dict[str, int] = field(default_factory=dict)
 
-    def count_untranslatable(self, field_name: str) -> None:
-        self.untranslatable[field_name] = self.untranslatable.get(field_name, 0) + 1
-
 
 class RejectedRow(NamedTuple):
     source_id: str
@@ -430,66 +461,58 @@ class IngestReport:
         return sum(c.records_ok for c in self.per_source.values())
 
     def summary_lines(self) -> list[str]:
-        lines = []
-        for sid in sorted(self.per_source):
-            c = self.per_source[sid]
-            bad_codes = sum(c.untranslatable.values())
-            lines.append(
-                f"{sid}: read={c.records_read} ok={c.records_ok} "
+        return [f"{sid}: read={c.records_read} ok={c.records_ok} "
                 f"rejected={c.records_rejected} deleted={c.deleted_skipped} "
-                f"untranslatable_codes={bad_codes}")
-        return lines
+                f"untranslatable_codes={sum(c.untranslatable.values())}"
+                for sid, c in sorted(self.per_source.items())]
 
 
-def record_mapper(spec: SourceSpec, columns: Sequence[str], counters: SourceCounters,
-                  ) -> Callable[[Sequence[str]], CanonicalApplicant]:
-    """A spec's row function for a file with these columns: field map and
-    codebooks applied (an untranslated code passes through and is counted in
-    counters), city and source id fixed, status derived. A column named twice
-    is read from its last place. It raises MissingMandatoryField for every row
-    if the file lacks a mapped column, InvalidFieldValue for a bad year or a
-    blank quarter."""
-    sid = spec.source_id
-    place = {name: i for i, name in enumerate(columns)}
-    lacking = [(canonical, wire) for canonical, wire in spec.field_map.items()
-               if wire not in place]
+def record_mapper(spec: SourceSpec, table: Table, counters: SourceCounters,
+                  ) -> tuple[list[list], list[RejectedRow]]:
+    """A spec applied to a file's columns: its records' columns (ALL_FIELDS
+    order) and its rejected rows. Each codebook, the year rule (`parse_int`
+    on the stripped text) and the status rule run once per distinct value; an
+    untranslated code passes through and is counted once a row, also on a row
+    rejected later. A row is rejected for the first of: csv could not read it;
+    the file lacks a mapped column (the first named); a bad year; a blank
+    quarter. A column named twice is read from its last place."""
+    sid, size = spec.source_id, table.size
+    place = {name: i for i, name in enumerate(table.names)}
+    lacking = [(name, wire) for name, wire in spec.field_map.items() if wire not in place]
+    fields = dict.fromkeys(ALL_FIELDS, [""] * size) | {"city": [spec.city] * size,
+                                                       "source_id": [sid] * size}
+    if not lacking:
+        fields |= {name: table.columns[place[wire]] for name, wire in spec.field_map.items()}
+    for name, book in spec.value_codebooks.items():
+        counts = Counter(fields[name])
+        if untranslated := sum(n for code, n in counts.items() if code and code not in book):
+            counters.untranslatable[name] = counters.untranslatable.get(name, 0) + untranslated
+        text = {code: book.get(code, code) if code else code for code in counts}
+        fields[name] = list(map(text.__getitem__, fields[name]))
+
+    year_texts, years = dict.fromkeys(fields["year"]), {}
+    for text in year_texts:
+        with suppress(ValueError):
+            years[text] = parse_int(text.strip())
+    blank, reasons = {q for q in dict.fromkeys(fields["quarter"]) if not q.strip()}, {}
+    if blank or len(years) < len(year_texts):
+        for i, (y, q) in enumerate(zip(fields["year"], fields["quarter"])):
+            if y not in years:
+                reasons[i] = f"{sid}: bad year {y.strip()!r}"
+            elif q in blank:
+                reasons[i] = f"{sid}: empty quarter"
     if lacking:
         canonical, wire = lacking[0]
-
-        def reject(values: Sequence[str]) -> CanonicalApplicant:
-            raise MissingMandatoryField(f"{sid}: row lacks field {wire!r} (for {canonical})")
-
-        return reject
-    # The text of unmapped fields, city and source id, then the row's values,
-    # picked into ALL_FIELDS positions.
-    fixed = ("", spec.city, sid)
-    slots = {"city": 1, "source_id": 2} | {name: 3 + place[wire]
-                                           for name, wire in spec.field_map.items()}
-    arrange = itemgetter(*(slots.get(name, 0) for name in ALL_FIELDS))
-    coded = tuple((ALL_FIELDS.index(name), name, book)
-                  for name, book in spec.value_codebooks.items())
-    count = counters.count_untranslatable
-    make = CanonicalApplicant._make
-
-    def to_record(values: Sequence[str]) -> CanonicalApplicant:
-        row = list(arrange((*fixed, *values)))
-        for pos, name, book in coded:
-            code = row[pos]
-            if code and code in book:
-                row[pos] = book[code]
-            elif code:
-                count(name)
-        year_text = row[_YEAR].strip()
-        try:
-            row[_YEAR] = parse_int(year_text)
-        except ValueError:
-            raise InvalidFieldValue(f"{sid}: bad year {year_text!r}") from None
-        if not row[_QUARTER].strip():
-            raise InvalidFieldValue(f"{sid}: empty quarter")
-        row[_STATUS] = derive_status(row[_SECTOR])
-        return make(row)
-
-    return to_record
+        reasons = dict.fromkeys(range(size), f"{sid}: row lacks field {wire!r} (for {canonical})")
+    reasons |= dict(table.broken)
+    fields["year"] = list(map(years.get, fields["year"]))
+    status = {sector: derive_status(sector) for sector in dict.fromkeys(fields["sector"])}
+    fields["status"] = list(map(status.__getitem__, fields["sector"]))
+    columns = [fields[name] for name in ALL_FIELDS]
+    if reasons:
+        keep = [i not in reasons for i in range(size)]
+        columns = [list(compress(column, keep)) for column in columns]
+    return columns, [RejectedRow(sid, i + 1, reasons[i]) for i in sorted(reasons)]
 
 
 def row_mapper(spec: SourceSpec, columns: Sequence[str],
@@ -520,43 +543,39 @@ def row_mapper(spec: SourceSpec, columns: Sequence[str],
     return to_rows
 
 
-def parse_source(data: bytes, spec: SourceSpec, report: IngestReport) -> Parsed:
+def parse_source(data: bytes, spec: SourceSpec, report: IngestReport) -> Table:
     """Dispatch on the spec's format; a dbf's deleted rows are counted in report."""
     if spec.format == "dbf":
         table = read_dbf(data, encoding=spec.encoding, source_id=spec.source_id)
         report.counters(spec.source_id).deleted_skipped += table.deleted
-        return tuple(fd.name for fd in table.fields), table.rows
+        return table.table
     if spec.format == "fixed_width":
-        return parse_fixed_width(data, spec.layout, encoding=spec.encoding,
-                                 source_id=spec.source_id)
-    return parse_delimited(data, spec.delimiter, True, encoding=spec.encoding,
-                           source_id=spec.source_id)
+        return _fixed_width_table(data, spec.layout, spec.encoding, spec.source_id)
+    return _delimited_table(data, spec.delimiter, True, spec.encoding, spec.source_id)
+
+
+@bulk()
+def ingest_columns(specs: Iterable[SourceSpec], base_dir: str | Path,
+                   ) -> tuple[list[list], IngestReport]:
+    """Every source read, parsed and mapped: its record columns (ALL_FIELDS
+    order) in turn, and the report, where rejected rows are quarantined."""
+    base, report, out = Path(base_dir), IngestReport(), [[] for _ in ALL_FIELDS]
+    for spec in specs:
+        table = parse_source((base / spec.path).read_bytes(), spec, report)
+        counters = report.counters(spec.source_id)
+        columns, rejects = record_mapper(spec, table, counters)
+        for column, part in zip(out, columns):
+            column += part
+        report.rejects += rejects
+        counters.records_read += table.size
+        counters.records_ok += table.size - len(rejects)
+        counters.records_rejected += len(rejects)
+    return out, report
 
 
 @bulk()
 def ingest_sources(specs: Iterable[SourceSpec], base_dir: str | Path,
                    ) -> tuple[list[CanonicalApplicant], IngestReport]:
-    """Read, parse, and map every configured source file.
-
-    Rows that cannot satisfy the canonical mandatory fields are quarantined
-    into the report instead of aborting the run.
-    """
-    base = Path(base_dir)
-    report = IngestReport()
-    out: list[CanonicalApplicant] = []
-    for spec in specs:
-        data = (base / spec.path).read_bytes()
-        columns, rows = parse_source(data, spec, report)
-        counters = report.counters(spec.source_id)
-        to_record = record_mapper(spec, columns, counters)
-        before = len(out)
-        for row_no, values in enumerate(rows, start=1):
-            try:
-                out.append(to_record(values))
-            except (MissingMandatoryField, InvalidFieldValue) as exc:
-                report.rejects.append(RejectedRow(spec.source_id, row_no, str(exc)))
-        ok = len(out) - before
-        counters.records_read += len(rows)
-        counters.records_ok += ok
-        counters.records_rejected += len(rows) - ok
-    return out, report
+    """The rows of `ingest_columns` as records, and the report."""
+    columns, report = ingest_columns(specs, base_dir)
+    return list(map(CanonicalApplicant._make, zip(*columns))), report

@@ -13,22 +13,28 @@ xorshift64* stream stepped one draw at a time, and `oracle_persons` and
 record and one draw at a time; `oracle_planting` plants blanks and entry
 discrepancies on wire rows one row at a time. `oracle_etl` is the fixed
 four-step ETL one record at a time: each record cleaned, a dict of the best
-record per key, each survivor lifted and projected.
+record per key, each survivor lifted and projected. `oracle_ingest` reads a
+source file one line or record at a time, each field decoded and unpadded on
+its own, and maps it one row at a time by `oracle_record`.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import random
+import struct
 
 from jobcube.config import CITY_ORDER
 from jobcube.datagen import (BLANKABLE_FIELDS, CITY_NAMES, CITY_PREFIX, DIRECTED_SHARE,
                              DISCREPANCY_FIELDS, DISTRICTS_PER_CONGRESS, EDUCATION_LEVELS,
                              JOB_GROUPS, MOAHELS, SPECIALTIES, VARIANT_POOLS)
 from jobcube.datagen import SERVICES as SERVICES_GEN
-from jobcube.errors import FieldOverflow, InvalidFieldValue, UnresolvedDimensionValue
+from jobcube.errors import (DecodeError, FieldOverflow, InvalidFieldValue, JobcubeError,
+                            MalformedCsv, RaggedRow, ShortLine, UnresolvedDimensionValue)
 from jobcube.preprocess import ConceptHierarchy
 from jobcube.records import (ALL_FIELDS, DIMENSIONS, QUARTERS, WAREHOUSE_REQUIRED_FIELDS,
-                             CanonicalApplicant, derive_status)
+                             CanonicalApplicant, derive_status, parse_int)
 from jobcube.warehouse import DISPLAY_NAMES
 
 EDU_LEVELS = ("edu1", "edu2", "edu3", "edu4", "edu5", "edu6")
@@ -422,3 +428,115 @@ def oracle_etl(records, codebooks, policy, hierarchy, district_fill):
             else 0 if name == "year" else "" for name in ALL_FIELDS}))
     kept = len(cleaned) - len(rejected)
     return out, (kept - len(out), filled, normalized, unmatched, generalized, unknown, rejected)
+
+
+def oracle_source_rows(spec, data: bytes, layout=()) -> tuple[tuple, list, int]:
+    """A source's column names, its rows one at a time and its deleted dBASE
+    records. A row csv cannot read is its reason text. A fixed-width line is
+    checked for length, then each field is decoded and unpadded on its own; a
+    dBASE file is read by the header facts of `layout`, its fields back to
+    back behind a flag byte, and a live record named by its place among all."""
+    sid, encoding = spec.source_id, spec.encoding
+    if spec.format == "delimited":
+        try:
+            text = data.decode(encoding)
+        except UnicodeDecodeError as exc:
+            raise DecodeError(f"{sid}: {exc}") from None
+        reader = csv.reader(io.StringIO(text), delimiter=spec.delimiter)
+        rows = []
+        while True:
+            try:
+                rows.append(next(reader))
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                rows.append(f"{sid}: line {reader.line_num}: {exc}")
+        if not rows:
+            return (), [], 0
+        if isinstance(rows[0], str):
+            raise MalformedCsv(rows[0])
+        names = tuple(rows.pop(0))
+        for row_no, row in enumerate(rows, start=2):
+            if not isinstance(row, str) and len(row) != len(names):
+                raise RaggedRow(f"{sid}: row {row_no}: {len(row)} fields, expected {len(names)}")
+        return names, rows, 0
+
+    if spec.format == "fixed_width":
+        fields, where = spec.layout, "line"
+        extent = fields[-1].offset + fields[-1].length
+        records = list(enumerate(data.removesuffix(b"\n").split(b"\n") if data else [], 1))
+        deleted = 0
+    else:
+        fields, where, offset = [], "record", 0
+        for fd in layout:
+            fields.append(type(fd)(fd.name, fd.kind, fd.length, offset))
+            offset += fd.length
+        extent = 0
+        count = struct.unpack_from("<I", data, 4)[0]
+        start, size = 32 + 32 * len(fields) + 1, 1 + offset
+        flags = data[start:start + count * size:size]
+        deleted = flags.count(0x2A)
+        records = [(i + 1, data[start + i * size + 1:start + (i + 1) * size])
+                   for i in range(count) if flags[i] != 0x2A]
+    rows = []
+    for row_no, record in records:
+        if len(record) < extent:
+            raise ShortLine(f"{sid}: line {row_no}: {len(record)} bytes, layout needs {extent}")
+        row = []
+        for fd in fields:
+            try:
+                text = record[fd.offset:fd.offset + fd.length].decode(encoding)
+            except UnicodeDecodeError as exc:
+                raise DecodeError(f"{sid}: {where} {row_no}: field {fd.name!r}: {exc}") from None
+            row.append(text.rstrip(" ") if fd.kind == "C" else text.strip(" "))
+        rows.append(row)
+    return tuple(fd.name for fd in fields), rows, deleted
+
+
+def oracle_record(values: dict[str, str], spec, untranslatable: dict[str, int]):
+    """One row, as {column name: text}, mapped to its record, or to the text
+    of why it is rejected: each code looked up, an untranslated one counted
+    in untranslatable, then the year and the quarter checked."""
+    picked: dict[str, str] = {}
+    for canonical, wire in spec.field_map.items():
+        if wire not in values:
+            return f"{spec.source_id}: row lacks field {wire!r} (for {canonical})"
+        picked[canonical] = values[wire]
+
+    for name, book in spec.value_codebooks.items():
+        raw = picked.get(name, "")
+        if raw == "":
+            continue
+        if raw in book:
+            picked[name] = book[raw]
+        else:
+            untranslatable[name] = untranslatable.get(name, 0) + 1
+
+    year_text = picked.pop("year", "").strip()
+    try:
+        year = parse_int(year_text)
+    except ValueError:
+        return f"{spec.source_id}: bad year {year_text!r}"
+    if picked.get("quarter", "").strip() == "":
+        return f"{spec.source_id}: empty quarter"
+    return CanonicalApplicant(**picked, city=spec.city, source_id=spec.source_id,
+                              status=derive_status(picked.get("sector", "")), year=year)
+
+
+def oracle_ingest(spec, data: bytes, layout=()):
+    """One source ingested a row at a time: (records, rejects as (source id,
+    row number, reason), (read, ok, rejected, deleted), untranslatable
+    counts), or (error class, text) for a file that cannot be read."""
+    try:
+        names, rows, deleted = oracle_source_rows(spec, data, layout)
+    except JobcubeError as exc:
+        return type(exc), str(exc)
+    records, rejects, untranslatable = [], [], {}
+    for row_no, row in enumerate(rows, start=1):
+        out = row if isinstance(row, str) else oracle_record(dict(zip(names, row)), spec,
+                                                             untranslatable)
+        if isinstance(out, str):
+            rejects.append((spec.source_id, row_no, out))
+        else:
+            records.append(out)
+    return records, rejects, (len(rows), len(records), len(rejects), deleted), untranslatable

@@ -459,14 +459,21 @@ class TestExitCodes:
         assert "misurata" in rejects
 
     def test_stray_carriage_return_at_ingest(self, tmp_path, capsys):
+        # the row csv cannot read is quarantined, and the rows after it staged
         cfg = write_config(tmp_path)
         assert main(["gen", "-c", cfg]) == 0
         misurata = tmp_path / "data" / "misurata.csv"
+        lines = misurata.read_bytes().count(b"\n")
         with open(misurata, "a", encoding="utf-8", newline="") as fh:
-            fh.write("X1,BAD\rNAME,1,MIS-CG01-D01,MIS-CG01,SPC-001,JG-01,,QL-01,1,1,2003,1\n")
+            fh.write("X1,BAD\rNAME,1,MIS-CG01-D01,MIS-CG01,SPC-001,JG-01,,QL-01,1,1,2003,1\n"
+                     "X2,GOOD,1,MIS-CG01-D01,MIS-CG01,SPC-001,JG-01,,QL-01,1,1,2003,1\n")
         capsys.readouterr()
         assert main(["ingest", "-c", cfg]) == 2
-        assert "error: misurata: line " in capsys.readouterr().err
+        assert "[ingest] 1 rejected rows -> " in capsys.readouterr().err
+        rejects = (tmp_path / "data" / "ingest_rejects.csv").read_text(encoding="utf-8")
+        assert f"misurata,{lines},misurata: line {lines + 1}: new-line character" in rejects
+        staged = (tmp_path / "data" / "staging.csv").read_text(encoding="utf-8")
+        assert "\nX2,GOOD," in staged and "X1," not in staged
 
     # A Tripoli line is 108 bytes and a newline; cut_line keeps 50 bytes of line 6.
     @pytest.mark.parametrize("name, tamper, message", [
@@ -904,7 +911,7 @@ def test_mutated_handoff_files_fail_closed(tmp_path, capsys):
 EXIT_CODES = {
     "JobcubeError": 2, "MalformedHeader": 2, "TruncatedFile": 2, "UnsupportedFieldType": 2,
     "ShortLine": 2, "DecodeError": 2, "RaggedRow": 2, "MalformedCsv": 2,
-    "MissingMandatoryField": 2, "InvalidFieldValue": 2, "MissingRequiredField": 2,
+    "InvalidFieldValue": 2, "MissingRequiredField": 2,
     "UnresolvedDimensionValue": 2, "FieldOverflow": 2, "AnswerMismatch": 2,
     "ConfigError": 1, "BadPolicy": 1, "BadHierarchy": 1, "BadLevelPair": 1, "BadQuery": 1,
     "BadLevel": 1, "UnknownMember": 1, "EmptyMemberSet": 1, "EmptyYearRange": 1,

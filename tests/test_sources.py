@@ -2,7 +2,9 @@
 
 import hashlib
 import struct
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,19 +19,12 @@ from jobcube.errors import (
     JobcubeError,
     MalformedCsv,
     MalformedHeader,
-    MissingMandatoryField,
     RaggedRow,
     ShortLine,
     TruncatedFile,
     UnsupportedFieldType,
 )
-from jobcube.records import (
-    ALL_FIELDS,
-    CanonicalApplicant,
-    derive_status,
-    parse_int,
-    write_records_csv,
-)
+from jobcube.records import ALL_FIELDS, CanonicalApplicant, write_records_csv
 from jobcube.sources import (
     FIXED_FIELDS,
     MANDATORY_MAPPED,
@@ -37,6 +32,7 @@ from jobcube.sources import (
     IngestReport,
     SourceCounters,
     SourceSpec,
+    Table,
     ingest_sources,
     parse_dbf,
     parse_delimited,
@@ -51,7 +47,7 @@ from jobcube.sources import (
     validate_layout,
 )
 
-from oracle import oracle_row_writer
+from oracle import oracle_ingest, oracle_record, oracle_row_writer
 from test_datagen import PINNED_CONFIGS
 
 
@@ -429,9 +425,23 @@ def make_spec(value_codebooks=None) -> SourceSpec:
 COLUMNS = ("NID", "YR", "QTR", "SEC", "SX")
 
 
+def as_table(columns, rows) -> Table:
+    return Table(tuple(columns), [list(c) for c in zip(*rows)] or [[] for _ in columns],
+                 len(rows))
+
+
+def map_rows(spec, rows, columns=COLUMNS, counters=None):
+    """The records rows of a file with these columns map to, and the (row
+    number, reason) of each rejected row."""
+    fields, rejects = record_mapper(spec, as_table(columns, rows), counters or SourceCounters())
+    return ([CanonicalApplicant._make(values) for values in zip(*fields)],
+            [(r.row_no, r.reason) for r in rejects])
+
+
 def map_row(spec, row, counters=None):
-    """The record one row of a file with COLUMNS maps to."""
-    return record_mapper(spec, COLUMNS, counters or SourceCounters())(row)
+    """The record one row of a file with COLUMNS maps to, or its reject reason."""
+    records, rejects = map_rows(spec, [row], counters=counters)
+    return records[0] if records else rejects[0][1]
 
 
 class TestMapping:
@@ -444,15 +454,15 @@ class TestMapping:
 
     def test_picks_by_position_in_any_column_order(self):
         spec = make_spec()
-        to_record = record_mapper(spec, ("SX", "EXTRA", "QTR", "NID", "SEC", "YR"),
-                                  SourceCounters())
-        assert to_record(("male", "x", "Q2", "N1", "S9", "2003")) == map_row(
-            spec, ("N1", "2003", "Q2", "S9", "male"))
+        [record], _ = map_rows(spec, [("male", "x", "Q2", "N1", "S9", "2003")],
+                               ("SX", "EXTRA", "QTR", "NID", "SEC", "YR"))
+        assert record == map_row(spec, ("N1", "2003", "Q2", "S9", "male"))
 
     def test_repeated_column_reads_the_last(self):
         # as a header read into a dict would
-        to_record = record_mapper(make_spec(), COLUMNS + ("SX",), SourceCounters())
-        assert to_record(("N1", "2003", "Q2", "", "male", "female")).sex == "female"
+        [record], _ = map_rows(make_spec(), [("N1", "2003", "Q2", "", "male", "female")],
+                               COLUMNS + ("SX",))
+        assert record.sex == "female"
 
     def test_status_follows_sector(self):
         spec = make_spec()
@@ -484,23 +494,20 @@ class TestMapping:
 
     def test_missing_mapped_field(self):
         # every row is rejected, naming the first missing column in map order
-        to_record = record_mapper(make_spec(), ("NID", "SEC"), SourceCounters())
-        for row in (("N1", ""), ("N2", "S9")):
-            with pytest.raises(MissingMandatoryField) as err:
-                to_record(row)
-            assert str(err.value) == "src: row lacks field 'YR' (for year)"
+        records, rejects = map_rows(make_spec(), [("N1", ""), ("N2", "S9")], ("NID", "SEC"))
+        assert records == []
+        assert rejects == [(1, "src: row lacks field 'YR' (for year)"),
+                           (2, "src: row lacks field 'YR' (for year)")]
 
     def test_bad_year(self):
         spec = make_spec()
-        with pytest.raises(InvalidFieldValue):
-            map_row(spec, ("N1", "MMIV", "Q2", "", ""))
+        assert map_row(spec, ("N1", "MMIV", "Q2", "", "")) == "src: bad year 'MMIV'"
 
     @pytest.mark.parametrize("year", ["2_003", "\u0662\u0660\u0660\u0663", "+2003",
                                       "20 03", "--2003", ""])
     def test_year_must_be_ascii_digits(self, year):
         spec = make_spec()
-        with pytest.raises(InvalidFieldValue, match="bad year"):
-            map_row(spec, ("N1", year, "Q2", "", ""))
+        assert map_row(spec, ("N1", year, "Q2", "", "")) == f"src: bad year {year!r}"
 
     @pytest.mark.parametrize("year, want", [("2003", 2003), (" 2003  ", 2003),
                                             ("-5", -5), ("02003", 2003)])
@@ -510,8 +517,7 @@ class TestMapping:
 
     def test_empty_quarter(self):
         spec = make_spec()
-        with pytest.raises(InvalidFieldValue):
-            map_row(spec, ("N1", "2004", " ", "", ""))
+        assert map_row(spec, ("N1", "2004", " ", "", "")) == "src: empty quarter"
 
     def test_mapping_must_cover_mandatory_fields(self):
         with pytest.raises(ConfigError, match="^src: lacks mandatory canonical fields"):
@@ -561,63 +567,15 @@ class TestRowMapper:
         generate(PINNED_CONFIGS[name], tmp_path)
         report = IngestReport()
         for spec in load_sources(tmp_path / "sources.yaml"):
-            columns, rows = parse_source((tmp_path / spec.path).read_bytes(), spec, report)
-            to_record = record_mapper(spec, columns, report.counters(spec.source_id))
+            table = parse_source((tmp_path / spec.path).read_bytes(), spec, report)
+            rows = list(zip(*table.columns))
             read = set(spec.field_map.values())
-            records = [to_record(row) for row in rows]
-            back = row_mapper(spec, columns)(records)
-            assert back == [tuple(v if c in read else "" for c, v in zip(columns, row))
+            records, rejects = map_rows(spec, rows, table.names)
+            assert rejects == []
+            back = row_mapper(spec, table.names)(records)
+            assert back == [tuple(v if c in read else "" for c, v in zip(table.names, row))
                             for row in rows]
-            assert [to_record(row) for row in back] == records
-
-
-def reference_map_to_canonical(values, source, counters=None):
-    """The per-row mapper that record_mapper replaced, kept as the reference
-    the row function must agree with; values maps each column name to its
-    text."""
-    picked: dict[str, str] = {}
-    for canonical, src_field in source.field_map.items():
-        if src_field not in values:
-            raise MissingMandatoryField(
-                f"{source.source_id}: row lacks field {src_field!r} (for {canonical})")
-        picked[canonical] = values[src_field]
-
-    for field_name, book in source.value_codebooks.items():
-        raw = picked.get(field_name, "")
-        if raw == "":
-            continue
-        if raw in book:
-            picked[field_name] = book[raw]
-        elif counters is not None:
-            counters.count_untranslatable(field_name)
-
-    year_text = picked.pop("year", "").strip()
-    try:
-        year = parse_int(year_text)
-    except ValueError:
-        raise InvalidFieldValue(f"{source.source_id}: bad year {year_text!r}") from None
-    if picked.get("quarter", "").strip() == "":
-        raise InvalidFieldValue(f"{source.source_id}: empty quarter")
-
-    sector = picked.get("sector", "")
-    return CanonicalApplicant(
-        national_id=picked.get("national_id", ""),
-        name=picked.get("name", ""),
-        sex=picked.get("sex", ""),
-        district=picked.get("district", ""),
-        congress=picked.get("congress", ""),
-        city=source.city,
-        specialty=picked.get("specialty", ""),
-        job_group=picked.get("job_group", ""),
-        sector=sector,
-        moahel=picked.get("moahel", ""),
-        education_level=picked.get("education_level", ""),
-        service_status=picked.get("service_status", ""),
-        status=derive_status(sector),
-        year=year,
-        quarter=picked.get("quarter", ""),
-        source_id=source.source_id,
-    )
+            assert map_rows(spec, back, table.names) == (records, [])
 
 
 MAPPABLE = tuple(f for f in ALL_FIELDS if f not in FIXED_FIELDS)
@@ -651,23 +609,92 @@ def tables(draw) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     return tuple(columns), rows
 
 
-def outcome(call, *args):
-    try:
-        return call(*args)
-    except JobcubeError as exc:
-        return type(exc), str(exc)
-
-
 @settings(max_examples=60, deadline=None)
 @given(specs(), tables())
 def test_record_mapper_matches_reference(spec, table):
+    """The column mapper's records, rejects and untranslated-code counts are
+    those of the row-at-a-time reference."""
     columns, rows = table
-    want, got = SourceCounters(), SourceCounters()
-    to_record = record_mapper(spec, columns, got)
-    for row in rows:
-        assert outcome(to_record, row) == outcome(
-            reference_map_to_canonical, dict(zip(columns, row)), spec, want)
-    assert list(got.untranslatable.items()) == list(want.untranslatable.items())
+    want, got = {}, SourceCounters()
+    outcomes = [oracle_record(dict(zip(columns, row)), spec, want) for row in rows]
+    assert map_rows(spec, rows, columns, got) == (
+        [o for o in outcomes if not isinstance(o, str)],
+        [(i, o) for i, o in enumerate(outcomes, start=1) if isinstance(o, str)])
+    assert got.untranslatable == want
+
+
+# Bytes planted into a rendered source: undecodable in ASCII and UTF-8, an
+# Arabic-Indic digit two in UTF-8, and a carriage return that csv refuses
+# inside an unquoted field.
+PLANTED = (b"\xff", b"\xd9\xa2", b"\r")
+FIXED_TEXTS = tuple(t for t in TEXTS if t.isascii())
+
+
+def indices(n, most):
+    """Sets of up to `most` indices below n."""
+    return st.sets(st.integers(0, n - 1), max_size=most) if n else st.just(())
+
+
+@st.composite
+def source_files(draw):
+    """A spec of any format, the layout its file was rendered with, and the
+    file's bytes with faults planted: for fixed-width, a tail on every line
+    and lines cut short or lengthened; for dBASE, records flagged deleted; in
+    every format, bytes overwritten anywhere past a dBASE header."""
+    fmt = draw(st.sampled_from(("fixed_width", "dbf", "delimited")))
+    names = draw(st.permutations(WIRES))[draw(st.integers(0, 1)):]
+    layout, offset = [], 0
+    for name in names:
+        offset += draw(st.integers(0, 2)) if fmt == "fixed_width" else 0
+        layout.append(FieldDescriptor(name, draw(st.sampled_from("CND")),
+                                      draw(st.integers(1, 5)), offset))
+        offset += layout[-1].length
+    spec = replace(draw(specs()), format=fmt, encoding=draw(st.sampled_from(("ascii", "utf-8"))),
+                   layout=tuple(layout) if fmt == "fixed_width" else ())
+    if fmt == "delimited":
+        columns = draw(st.permutations(names + draw(st.lists(st.sampled_from(names), max_size=2))))
+        rows = draw(st.lists(st.tuples(*[st.sampled_from(TEXTS)] * len(columns)), max_size=8))
+        data = render_delimited(rows, columns)
+    else:
+        rows = draw(st.lists(st.tuples(*(st.sampled_from(FIXED_TEXTS).map(
+            lambda t, n=fd.length: t[:n]) for fd in layout)), max_size=8))
+        if fmt == "dbf":
+            data = bytearray(render_dbf(rows, layout))
+            start, size = 32 + 32 * len(layout) + 1, 1 + offset
+            for i in draw(indices(len(rows), 3)):
+                data[start + i * size] = 0x2A
+            data = bytes(data)
+        else:
+            tail = draw(st.sampled_from((b"", b"T", b"\xffZ")))
+            lines = [line + tail for line in render_fixed_width(rows, layout).split(b"\n")[:-1]]
+            for i in draw(indices(len(lines), 2)):
+                lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))] + tail
+            data = b"\n".join(lines) + draw(st.sampled_from((b"", b"\n")))
+    low = 32 + 32 * len(layout) + 1 if fmt == "dbf" else 0     # a dBASE header stays whole
+    for _ in range(draw(st.integers(0, 2)) if len(data) > low else 0):
+        at, plant = draw(st.integers(low, len(data) - 1)), draw(st.sampled_from(PLANTED))
+        data = data[:at] + plant + data[at + len(plant):]
+    return spec, tuple(layout), data
+
+
+@settings(max_examples=300, deadline=None)
+@given(source_files())
+def test_column_ingest_is_the_row_at_a_time_oracle(case):
+    """Records, rejects, counters and error texts of a source ingested by
+    column are those of reading and mapping it one row at a time."""
+    spec, layout, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, spec.path).write_bytes(data)
+        try:
+            records, report = ingest_sources([spec], tmp)
+        except JobcubeError as exc:
+            got = type(exc), str(exc)
+        else:
+            c = report.per_source[spec.source_id]
+            got = (records, [tuple(r) for r in report.rejects],
+                   (c.records_read, c.records_ok, c.records_rejected, c.deleted_skipped),
+                   c.untranslatable)
+    assert got == oracle_ingest(spec, data, layout)
 
 
 # sha256 of staging.csv and the ingest summary for each pinned generator
@@ -732,6 +759,19 @@ class TestIngest:
         assert [(r.row_no, r.reason) for r in report.rejects] == [
             (1, "src: row lacks field 'QTR' (for quarter)"),
             (2, "src: row lacks field 'QTR' (for quarter)")]
+
+    def test_a_row_csv_cannot_read_is_quarantined(self, tmp_path):
+        (tmp_path / "x.csv").write_text(
+            "NID,YR,QTR,SEC,SX\nN1,2003,Q2,,1\nN2,2003,Q2,x\ry,7\nN3,2004,Q1,,7\n",
+            encoding="utf-8")
+        records, report = ingest_sources([make_spec({"sex": {"1": "male"}})], tmp_path)
+        assert [r.national_id for r in records] == ["N1", "N3"]
+        counters = report.per_source["src"]
+        assert (counters.records_read, counters.records_ok,
+                counters.records_rejected, counters.untranslatable) == (3, 2, 1, {"sex": 1})
+        assert [(r.row_no, r.reason) for r in report.rejects] == [
+            (2, "src: line 3: new-line character seen in unquoted field - do you need to "
+                "open the file in universal-newline mode?")]
 
     @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
     def test_pinned_staging_bytes(self, tmp_path, name):
