@@ -34,8 +34,9 @@ print(f"\nsirte.dbf: {count} records, header {header_len} B, "
 
 dbf = read_dbf(blob, source_id="sirte")
 print("fields:", ", ".join(f"{f.name}({f.kind}{f.length})" for f in dbf.fields))
-# A parsed row is its values in the file's column order; the names come once.
-print("first record:", dict(zip((f.name for f in dbf.fields), dbf.rows[0])))
+# The live records are held by column, one list of values per field name.
+print("first record:", {name: column[0] for name, column in zip(dbf.table.names,
+                                                                  dbf.table.columns)})
 
 # The fixed-width file has no header at all; the layout lives in the
 # sources config that ships next to the data.

@@ -30,7 +30,7 @@ from .config import (CITY_ORDER, PipelineConfig, load_codebooks, load_config, lo
                      load_sources, parse_query)
 from .cube import MEASURES, aggregate, build_cube
 from .errors import ConfigError, CorruptManifest, JobcubeError
-from .records import ALL_FIELDS, find_row, read_columns, read_records_csv, write_csv
+from .records import ALL_FIELDS, find_row, read_columns, read_records_csv, text_years, write_csv
 from .reporting import run_report, write_result
 from .warehouse import (LOAD_FIELDS, MANIFEST_FILE, StarSchema, check_integrity, empty_schema,
                         load_schema, member_lists, persist, refresh_members)
@@ -135,7 +135,7 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> int:
         _say(f"[ingest] {line}")
 
     staging = config.staging_path()
-    written = write_csv(staging, ALL_FIELDS, zip(*columns))
+    written = write_csv(staging, ALL_FIELDS, zip(*text_years(columns)))
     _say(f"[ingest] staged {written} records -> {staging}")
     return _rejects("ingest", Path(config.data_dir) / INGEST_REJECTS, RejectedRow._fields,
                     report.rejects, "rejected rows")
@@ -156,7 +156,7 @@ def cmd_etl(config: PipelineConfig, args: argparse.Namespace) -> int:
         _say(f"[etl] {line}")
 
     clean = config.clean_path()
-    written = write_csv(clean, ALL_FIELDS, zip(*cleaned))
+    written = write_csv(clean, ALL_FIELDS, zip(*text_years(cleaned)))
     _say(f"[etl] {staged} in, {written} out -> {clean}")
     return _rejects("etl", Path(config.data_dir) / ETL_REJECTS, ALL_FIELDS,
                     report.rejected, "quarantined records")

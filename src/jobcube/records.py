@@ -12,7 +12,7 @@ and checked once; the rest of a file that is not so plain goes through
 csv.reader. Equal values of a field share one `str` object (all but the
 near-unique `national_id` and `name`), and each distinct year text is parsed
 once, so later passes touch a few hot objects. `write_csv` renders a chunk
-of rows in one `%` pass and checks it once, as the source writers do.
+of rows in one pass and checks it once, as the source writers do.
 
 Every file jobcube writes goes through `replacing`: a temp file beside the
 target, renamed over it when whole, so a crash leaves the old file or the new.
@@ -191,10 +191,11 @@ def write_csv(target: str | Path | TextIO, header: Sequence,
     count (header excluded). target is an open text stream, or a path that is
     replaced whole (see `replacing`).
 
-    Rows are rendered in chunks, each in one `%` pass and checked once: one
+    Rows are rendered in chunks, each in one pass and checked once: one
     delimiter fewer than the header's width and one LF a row, and no '"' or
-    CR. A chunk that fails the check, or holds a row of another width or a
-    value that is no str or int, and every row of a one-column file, goes
+    CR. A chunk of str values is joined, one that also holds ints goes through
+    a `%` pass. A chunk that fails the check, or holds a row of another width
+    or a value that is no str or int, and every row of a one-column file, goes
     through the csv module row by row. There a row holding a CR is written
     fully quoted and every other row with minimal quoting: a writer ending
     lines in LF leaves a bare CR unquoted, and a reader then splits the row.
@@ -203,8 +204,7 @@ def write_csv(target: str | Path | TextIO, header: Sequence,
         with replacing(target) as fh:
             return write_csv(fh, header, rows, delimiter)
     plain = csv.writer(target, delimiter=delimiter, lineterminator="\n")
-    quote_all = csv.writer(target, delimiter=delimiter, lineterminator="\n",
-                           quoting=csv.QUOTE_ALL)
+    quote_all = csv.writer(target, delimiter=delimiter, lineterminator="\n", quoting=csv.QUOTE_ALL)
     plain.writerow(header)
     width = len(header)
     row_format = delimiter.replace("%", "%%").join(["%s"] * width) + "\n"
@@ -212,9 +212,12 @@ def write_csv(target: str | Path | TextIO, header: Sequence,
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         text = ""
         if width > 1 and set(map(len, chunk)) == {width}:
-            values = tuple(chain.from_iterable(chunk))
-            if set(map(type, values)) <= {str, int}:
-                text = (row_format * len(chunk)) % values
+            try:
+                text = "\n".join(map(delimiter.join, chunk)) + "\n"
+            except TypeError:               # a value that is no str: an int, say
+                values = tuple(chain.from_iterable(chunk))
+                if set(map(type, values)) <= {str, int}:
+                    text = (row_format * len(chunk)) % values
         if (text and text.count(delimiter) == (width - 1) * len(chunk)
                 and text.count("\n") == len(chunk) and '"' not in text and "\r" not in text):
             target.write(text)
@@ -224,6 +227,12 @@ def write_csv(target: str | Path | TextIO, header: Sequence,
                 (quote_all if has_cr else plain).writerow(row)
         n += len(chunk)
     return n
+
+
+def text_years(columns: Sequence[list]) -> list[list]:
+    """ALL_FIELDS columns with each year made text, once per distinct value."""
+    text = {year: str(year) for year in dict.fromkeys(columns[_YEAR])}
+    return [*columns[:_YEAR], list(map(text.__getitem__, columns[_YEAR])), *columns[_YEAR + 1:]]
 
 
 def write_records_csv(records: Iterable[CanonicalApplicant], path: str | Path) -> int:

@@ -4,17 +4,15 @@ mapping in both directions between their rows and
 0x03, field types C/N/D), fixed-width files described by a column layout, and
 delimiter-separated text with a header row.
 
-Ingest reads a file as a `Table`, one list per column; each `parse_*` front
-gives its column names once and its rows. In the fixed-position formats a
-field is the byte slice [offset, offset+length) of a line or record body,
-space-padded: C fields left-aligned and right-stripped, N and D fields
-right-aligned and stripped on both sides. Records of one stride are cut a
-field at a time and each distinct byte string is decoded and unpadded once,
-so equal values share one str. Both writers render a file in one `%` pass and
-check it once. :func:`record_mapper` applies a `SourceSpec`'s field map and
-codebooks to a file's columns, each rule once per distinct value;
-:func:`row_mapper`, its inverse, turns records into rows in a given column
-order. Only :func:`ingest_columns`, the read-and-map pass, touches files.
+Ingest reads a file as a `Table`, one list per column. In the fixed-position
+formats a field is the byte slice [offset, offset+length) of a line or record
+body, space-padded: C fields left-aligned and right-stripped, N and D fields
+right-aligned and stripped on both sides; each distinct byte string of a field
+is decoded and unpadded once, so equal values share one str. Both writers
+render a file in one `%` pass and check it once. :func:`record_mapper` applies
+a `SourceSpec`'s field map and codebooks to a file's columns, each rule once
+per distinct value; :func:`row_mapper`, its inverse, turns records into rows
+in a given column order. Only :func:`ingest_columns` touches files.
 """
 
 from __future__ import annotations
@@ -25,22 +23,12 @@ import struct
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import (
-    ConfigError,
-    DecodeError,
-    FieldOverflow,
-    InvalidFieldValue,
-    MalformedCsv,
-    MalformedHeader,
-    RaggedRow,
-    ShortLine,
-    TruncatedFile,
-    UnsupportedFieldType,
-)
+from .errors import (ConfigError, DecodeError, FieldOverflow, InvalidFieldValue, MalformedCsv,
+                     MalformedHeader, RaggedRow, ShortLine, TruncatedFile, UnsupportedFieldType)
 from .records import ALL_FIELDS, CanonicalApplicant, bulk, derive_status, parse_int, write_csv
 
 # The padding rule of both fixed-position formats, per field kind: the
@@ -65,8 +53,7 @@ FIXED_FIELDS = frozenset({"city", "status", "source_id"})
 _YEAR = ALL_FIELDS.index("year")
 
 
-# A parsed file: its column names, and each row's text values in that order.
-Parsed = tuple[tuple[str, ...], list[Sequence[str]]]
+Parsed = tuple[tuple[str, ...], list[Sequence[str]]]     # column names, rows of text
 
 
 class Table(NamedTuple):
@@ -78,13 +65,11 @@ class Table(NamedTuple):
     size: int
     broken: tuple[tuple[int, str], ...] = ()
 
-
-def _rows(table: Table, row: Callable = tuple) -> Parsed:
-    """table's names and rows made by `row`; a broken row raises MalformedCsv."""
-    if table.broken:
-        raise MalformedCsv(table.broken[0][1])
-    return table.names, (list(map(row, zip(*table.columns))) if table.columns
-                         else [row() for _ in range(table.size)])
+    def parsed(self) -> Parsed:
+        """The names and rows; a broken row raises MalformedCsv."""
+        if self.broken:
+            raise MalformedCsv(self.broken[0][1])
+        return self.names, list(zip(*self.columns)) if self.columns else [()] * self.size
 
 
 @dataclass(frozen=True)
@@ -215,17 +200,15 @@ def _row_writer(layout: Sequence[FieldDescriptor], where: str, head: str = "",
 
 def _cut(buf: bytes | memoryview, fields: Sequence[FieldDescriptor], encoding: str, stride: int,
          where: str, skip: int = 0, live: list[bool] | None = None) -> list[list[str]]:
-    """The columns of the records tiling buf every `stride` bytes (those `live`
-    keeps), each field at skip + [offset, offset+length). A value that does not
-    decode raises DecodeError naming `where`, its record's place and field."""
+    """The columns of the `live` records tiling buf every `stride` bytes, fields at skip+offset."""
     columns = []
     try:
         for fd in fields:
             tail = stride - skip - fd.offset - fd.length
             cut = struct.Struct(f"{skip + fd.offset}x{fd.length}s{tail}x").iter_unpack(buf)
-            chunks = list(cut if live is None else compress(cut, live))
+            chunks = list(chain.from_iterable(cut if live is None else compress(cut, live)))
             distinct = list(dict.fromkeys(chunks))
-            texts = map(bytes.decode, chain.from_iterable(distinct), repeat(encoding))
+            texts = map(bytes.decode, distinct, repeat(encoding))
             text = dict(zip(distinct, map(_PADDING[fd.kind][1], texts, repeat(" "))))
             columns.append(list(map(text.__getitem__, chunks)))
     except UnicodeDecodeError:
@@ -241,8 +224,7 @@ def _cut(buf: bytes | memoryview, fields: Sequence[FieldDescriptor], encoding: s
 
 def _fixed_width_table(data: bytes, layout: Iterable[FieldDescriptor], encoding: str,
                        source_id: str) -> Table:
-    """One row per line; a line shorter than the layout extent is an error, a
-    longer one is cut to the extent (lines of one length are cut in place)."""
+    """One row per line, cut to the layout extent; a shorter line is an error."""
     layout = tuple(layout)
     validate_layout(layout)
     extent, where = layout[-1].offset + layout[-1].length, f"{source_id}: line"
@@ -251,20 +233,18 @@ def _fixed_width_table(data: bytes, layout: Iterable[FieldDescriptor], encoding:
     stride = len(buf) // size if size else 0
     if not (stride > extent and stride * size == len(buf)
             and buf[stride - 1::stride].count(b"\n") == size):
-        lines = buf[:-1].split(b"\n") if buf else []
-        short = next((i for i, line in enumerate(lines) if len(line) < extent), size)
-        buf, stride = b"".join(line[:extent] for line in lines[:short]), extent
-        if short < size:
-            _cut(buf, layout, encoding, stride, where)      # a line before may not decode
-            raise ShortLine(f"{where} {short + 1}: {len(lines[short])} bytes, "
-                            f"layout needs {extent}")
-    return Table(tuple(fd.name for fd in layout), _cut(buf, layout, encoding, stride, where),
-                 size)
+        lines = buf.split(b"\n")[:-1]
+        n = next((i for i, line in enumerate(lines) if len(line) < extent), size)
+        buf, stride = b"".join(line[:extent] for line in lines[:n]), extent
+        if n < size:                # the first short line, unless a line before does not decode
+            _cut(buf, layout, encoding, stride, where)
+            raise ShortLine(f"{where} {n + 1}: {len(lines[n])} bytes, layout needs {extent}")
+    return Table(tuple(fd.name for fd in layout), _cut(buf, layout, encoding, stride, where), size)
 
 
 def parse_fixed_width(data: bytes, layout: Iterable[FieldDescriptor], *,
                       encoding: str = "ascii", source_id: str = "") -> Parsed:
-    return _rows(_fixed_width_table(data, layout, encoding, source_id))
+    return _fixed_width_table(data, layout, encoding, source_id).parsed()
 
 
 def render_fixed_width(rows: Iterable[Sequence[str]],
@@ -290,10 +270,6 @@ class DbfFile:
     fields: tuple[FieldDescriptor, ...]
     table: Table
     deleted: int
-
-    @property
-    def rows(self) -> list[tuple[str, ...]]:
-        return _rows(self.table)[1]
 
 
 def read_dbf(data: bytes, *, encoding: str = "ascii", source_id: str = "") -> DbfFile:
@@ -342,12 +318,11 @@ def read_dbf(data: bytes, *, encoding: str = "ascii", source_id: str = "") -> Db
     columns = _cut(memoryview(data)[header_len:need], fields, encoding, record_len,
                    f"{source_id}: record", 1, live)
     return DbfFile((yy, mm, dd), record_count, header_len, record_len, tuple(fields),
-                   Table(tuple(fd.name for fd in fields), columns, record_count - deleted),
-                   deleted)
+                   Table(tuple(fd.name for fd in fields), columns, len(flags) - deleted), deleted)
 
 
 def parse_dbf(data: bytes, *, encoding: str = "ascii", source_id: str = "") -> Parsed:
-    return _rows(read_dbf(data, encoding=encoding, source_id=source_id).table)
+    return read_dbf(data, encoding=encoding, source_id=source_id).table.parsed()
 
 
 def render_dbf(rows: Sequence[Sequence[str]],
@@ -379,9 +354,8 @@ def render_dbf(rows: Sequence[Sequence[str]],
 
 def _delimited_table(data: bytes, delimiter: str, has_header: bool, encoding: str,
                      source_id: str) -> Table:
-    """Rows read a chunk at a time into columns, equal values sharing one str.
-    Without a header the columns are named f0, f1, ...; a repeated name keeps
-    both. A row csv cannot read is broken (but a first one raises MalformedCsv)."""
+    """Rows read a chunk at a time into columns, equal values sharing one str; no
+    header names them f0, f1, ... A row csv cannot read, but the first, is broken."""
     try:
         text = data.decode(encoding)
     except UnicodeDecodeError as exc:
@@ -406,10 +380,9 @@ def _delimited_table(data: bytes, delimiter: str, has_header: bool, encoding: st
         if not rows:
             return Table(names, columns, size, tuple(broken))
         if not set(map(len, rows)) <= {len(names)}:
-            row_no, row = next((n, r) for n, r in enumerate(rows, size + 1 + has_header)
-                               if len(r) != len(names))
-            raise RaggedRow(f"{source_id}: row {row_no}: {len(row)} fields, "
-                            f"expected {len(names)}")
+            no, row = next((n, r) for n, r in enumerate(rows, size + 1 + has_header)
+                           if len(r) != len(names))
+            raise RaggedRow(f"{source_id}: row {no}: {len(row)} fields, expected {len(names)}")
         for column, values in zip(columns, zip(*rows)):
             column += map(share, values, values)
         size, rows = size + len(rows), []
@@ -417,8 +390,8 @@ def _delimited_table(data: bytes, delimiter: str, has_header: bool, encoding: st
 
 def parse_delimited(data: bytes, delimiter: str = ",", has_header: bool = True, *,
                     encoding: str = "utf-8", source_id: str = "") -> Parsed:
-    """Rows as lists; a row csv cannot read raises MalformedCsv."""
-    return _rows(_delimited_table(data, delimiter, has_header, encoding, source_id), list)
+    """The first ragged row raises RaggedRow, else a row csv cannot read MalformedCsv."""
+    return _delimited_table(data, delimiter, has_header, encoding, source_id).parsed()
 
 
 def render_delimited(rows: Iterable[Sequence[str]], columns: Sequence[str],
@@ -469,12 +442,13 @@ class IngestReport:
 
 def record_mapper(spec: SourceSpec, table: Table, counters: SourceCounters,
                   ) -> tuple[list[list], list[RejectedRow]]:
-    """A spec applied to a file's columns: its records' columns (ALL_FIELDS
-    order) and its rejected rows. Each codebook, the year rule (`parse_int`
-    on the stripped text) and the status rule run once per distinct value; an
-    untranslated code passes through and is counted once a row, also on a row
-    rejected later. A row is rejected for the first of: csv could not read it;
-    the file lacks a mapped column (the first named); a bad year; a blank
+    """A spec applied to a file's columns: its records' columns (ALL_FIELDS order)
+    and its rejected rows. Each codebook, the year rule (`parse_int` on the
+    stripped text) and the status rule run once per distinct value; an
+    untranslated code passes through and is counted once a row, rejected later
+    or not, a field entering `untranslatable` at its first such row (in codebook
+    order within a row). A row is rejected for the first of: csv could not read
+    it; the file lacks a mapped column (the first named); a bad year; a blank
     quarter. A column named twice is read from its last place."""
     sid, size = spec.source_id, table.size
     place = {name: i for i, name in enumerate(table.names)}
@@ -483,12 +457,16 @@ def record_mapper(spec: SourceSpec, table: Table, counters: SourceCounters,
                                                        "source_id": [sid] * size}
     if not lacking:
         fields |= {name: table.columns[place[wire]] for name, wire in spec.field_map.items()}
-    for name, book in spec.value_codebooks.items():
+    untranslated = []       # (first row, place in the books, field, count)
+    for j, (name, book) in enumerate(spec.value_codebooks.items()):
         counts = Counter(fields[name])
-        if untranslated := sum(n for code, n in counts.items() if code and code not in book):
-            counters.untranslatable[name] = counters.untranslatable.get(name, 0) + untranslated
+        if bad := {code for code in counts if code and code not in book}:
+            untranslated.append((next(compress(count(), map(bad.__contains__, fields[name]))),
+                                 j, name, sum(map(counts.__getitem__, bad))))
         text = {code: book.get(code, code) if code else code for code in counts}
         fields[name] = list(map(text.__getitem__, fields[name]))
+    for *_, name, n in sorted(untranslated):
+        counters.untranslatable[name] = counters.untranslatable.get(name, 0) + n
 
     year_texts, years = dict.fromkeys(fields["year"]), {}
     for text in year_texts:
@@ -557,13 +535,11 @@ def parse_source(data: bytes, spec: SourceSpec, report: IngestReport) -> Table:
 @bulk()
 def ingest_columns(specs: Iterable[SourceSpec], base_dir: str | Path,
                    ) -> tuple[list[list], IngestReport]:
-    """Every source read, parsed and mapped: its record columns (ALL_FIELDS
-    order) in turn, and the report, where rejected rows are quarantined."""
+    """Every source read, parsed and mapped: its record columns (ALL_FIELDS order), the report."""
     base, report, out = Path(base_dir), IngestReport(), [[] for _ in ALL_FIELDS]
     for spec in specs:
         table = parse_source((base / spec.path).read_bytes(), spec, report)
-        counters = report.counters(spec.source_id)
-        columns, rejects = record_mapper(spec, table, counters)
+        columns, rejects = record_mapper(spec, table, counters := report.counters(spec.source_id))
         for column, part in zip(out, columns):
             column += part
         report.rejects += rejects

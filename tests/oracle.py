@@ -525,8 +525,9 @@ def oracle_record(values: dict[str, str], spec, untranslatable: dict[str, int]):
 
 def oracle_ingest(spec, data: bytes, layout=()):
     """One source ingested a row at a time: (records, rejects as (source id,
-    row number, reason), (read, ok, rejected, deleted), untranslatable
-    counts), or (error class, text) for a file that cannot be read."""
+    row number, reason), (read, ok, rejected, deleted), untranslatable counts
+    as (field, count) in the order the fields were first counted), or (error
+    class, text) for a file that cannot be read."""
     try:
         names, rows, deleted = oracle_source_rows(spec, data, layout)
     except JobcubeError as exc:
@@ -539,4 +540,5 @@ def oracle_ingest(spec, data: bytes, layout=()):
             rejects.append((spec.source_id, row_no, out))
         else:
             records.append(out)
-    return records, rejects, (len(rows), len(records), len(rejects), deleted), untranslatable
+    return (records, rejects, (len(rows), len(records), len(rejects), deleted),
+            list(untranslatable.items()))

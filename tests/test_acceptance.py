@@ -259,11 +259,11 @@ def test_5_format_round_trips(capsys):
                   "" if i % 3 else "checked",
                   str(2000 + i % 7)] for i in range(n)]
         parsed = parse_delimited(render_delimited(drows, columns))
-        assert parsed == (columns, drows)
+        assert parsed == (columns, list(map(tuple, drows)))
 
         blob = render_dbf(rows, layout, last_update=(95, 6, 30))
         dbf = read_dbf(blob)
-        assert dbf.rows == rows
+        assert dbf.table.parsed() == (tuple(fd.name for fd in layout), rows)
         assert dbf.record_count == n and dbf.deleted == 0
         record_len = 1 + sum(fd.length for fd in layout)
         header_len = 32 + 32 * len(layout) + 1

@@ -22,6 +22,7 @@ from jobcube.records import (
     parse_years,
     read_columns,
     read_records_csv,
+    text_years,
     write_csv,
     write_records_csv,
 )
@@ -97,14 +98,22 @@ def reference_write(header, rows, delimiter):
     return stream.getvalue()
 
 
+class Shouty(str):
+    """A str whose str() differs from its text, which the csv module writes."""
+
+    def __str__(self):
+        return self.upper()
+
+
 # Values the one-pass render must leave to the csv module (every delimiter a
 # source may use, quotes, line breaks, the empty string, non-ASCII text) or
-# render as it does (ints), and a few it never takes (None, a float, a bool).
+# render as it does (ints, a str subclass), and a few it never takes (None,
+# a float, a bool).
 cell = st.one_of(
     st.text(alphabet=st.sampled_from(list('ab ,;|\t"\n\r\u0644')), max_size=4),
     st.sampled_from(["", '""', "x", "\u0637\u0631\u0627\u0628\u0644\u0633"]),
     st.integers(-10**20, 10**20),
-    st.sampled_from([None, 1.5, True]),
+    st.sampled_from([None, 1.5, True, Shouty("ab")]),
 )
 
 
@@ -123,6 +132,20 @@ def test_write_csv_is_the_csv_module_row_by_row(width, delimiter, data):
         with mock.patch.object(records_module, "_CHUNK_ROWS", chunk_rows):
             assert write_csv(stream, header, rows, delimiter) == len(rows)
         assert stream.getvalue() == reference_write(header, rows, delimiter)
+
+
+def test_text_years_makes_each_distinct_year_text_once():
+    records = [CanonicalApplicant(national_id=f"P{i}", year=2000 + i % 2) for i in range(4)]
+    columns = text_years([list(column) for column in zip(*records)])
+    year = ALL_FIELDS.index("year")
+    assert columns[year] == ["2000", "2001", "2000", "2001"]
+    assert columns[year][0] is columns[year][2]
+    assert columns[:year] + columns[year + 1:] == [
+        list(column) for i, column in enumerate(zip(*records)) if i != year]
+    stream, want = io.StringIO(), io.StringIO()
+    write_csv(stream, ALL_FIELDS, zip(*columns))
+    write_records_csv(records, want)
+    assert stream.getvalue() == want.getvalue()
 
 
 def reference_columns(path, fields=ALL_FIELDS):

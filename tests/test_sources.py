@@ -79,8 +79,8 @@ class TestDbf:
     def test_frozen_fixture_skips_deleted(self):
         table = read_dbf(build_frozen_dbf(), source_id="t")
         assert table.deleted == 1
-        assert table.rows == [("A001", "Tripoli")]
-        assert parse_dbf(build_frozen_dbf(), source_id="t") == (("ID", "CITY"), table.rows)
+        assert table.table.parsed() == (("ID", "CITY"), [("A001", "Tripoli")])
+        assert parse_dbf(build_frozen_dbf(), source_id="t") == table.table.parsed()
 
     def test_character_fields_keep_leading_spaces(self):
         data = bytearray(build_frozen_dbf())
@@ -131,14 +131,14 @@ class TestDbf:
         data = bytearray(build_frozen_dbf())
         data[97 + 13] = ord("?")        # only 0x2A means deleted
         table = read_dbf(bytes(data))
-        assert len(table.rows) == 2
+        assert table.table.size == 2
         assert table.deleted == 0
 
     def test_zero_record_file(self):
         layout = (FieldDescriptor("A", "C", 3),)
         table = read_dbf(render_dbf([], layout))
         assert table.record_count == 0
-        assert table.rows == []
+        assert table.table.parsed() == (("A",), [])
         assert table.header_len == 32 + 32 + 1
         assert table.record_len == 4
 
@@ -361,11 +361,11 @@ def test_row_writer_refuses_a_row_of_the_wrong_arity(writer, rows, row_no, count
 class TestDelimited:
     def test_header_names_columns(self):
         assert parse_delimited(b"a,b\n1,2\n3,4\n", source_id="d") == (
-            ("a", "b"), [["1", "2"], ["3", "4"]])
+            ("a", "b"), [("1", "2"), ("3", "4")])
 
     def test_no_header_generates_names(self):
         assert parse_delimited(b"1,2,3\n", has_header=False) == (
-            ("f0", "f1", "f2"), [["1", "2", "3"]])
+            ("f0", "f1", "f2"), [("1", "2", "3")])
 
     def test_ragged_row(self):
         with pytest.raises(RaggedRow) as err:
@@ -374,7 +374,7 @@ class TestDelimited:
 
     def test_quoted_values_with_delimiter(self):
         _, [row] = parse_delimited(b'a,b\n"x,y",2\n')
-        assert row == ["x,y", "2"]
+        assert row == ("x,y", "2")
 
     def test_values_kept_verbatim(self):
         _, [row] = parse_delimited(b"a,b\n x ,2\n")
@@ -388,11 +388,19 @@ class TestDelimited:
             parse_delimited(b"a,b\n1,x\ry\n", source_id="misurata")
         assert str(err.value).startswith("misurata: line 2: ")
 
+    @pytest.mark.parametrize("body, row_no", [(b"1,x\ry\n1,2,3\n", 3),
+                                              (b"1,2,3\n1,x\ry\n", 2)])
+    def test_a_ragged_row_outranks_a_row_csv_cannot_read(self, body, row_no):
+        # a broken row is noted and reading goes on, so a ragged row anywhere is met
+        with pytest.raises(RaggedRow) as err:
+            parse_delimited(b"a,b\n" + body, source_id="d")
+        assert str(err.value) == f"d: row {row_no}: 3 fields, expected 2"
+
     def test_writer_quotes_a_row_holding_a_carriage_return(self):
         # unquoted, the CR would end the record for a reader
         blob = render_delimited([("x\ry", "2"), ("z", "3")], ("c1", "c2"))
         assert blob == b'c1,c2\n"x\ry","2"\nz,3\n'
-        assert parse_delimited(blob) == (("c1", "c2"), [["x\ry", "2"], ["z", "3"]])
+        assert parse_delimited(blob) == (("c1", "c2"), [("x\ry", "2"), ("z", "3")])
 
 
 @settings(max_examples=200, deadline=None)
@@ -412,7 +420,8 @@ delim_value = st.text(
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(delim_value, min_size=2, max_size=2), max_size=20))
 def test_delimited_round_trip(rows):
-    assert parse_delimited(render_delimited(rows, ("c1", "c2"))) == (("c1", "c2"), rows)
+    assert parse_delimited(render_delimited(rows, ("c1", "c2"))) == (
+        ("c1", "c2"), list(map(tuple, rows)))
 
 
 def make_spec(value_codebooks=None) -> SourceSpec:
@@ -620,7 +629,7 @@ def test_record_mapper_matches_reference(spec, table):
     assert map_rows(spec, rows, columns, got) == (
         [o for o in outcomes if not isinstance(o, str)],
         [(i, o) for i, o in enumerate(outcomes, start=1) if isinstance(o, str)])
-    assert got.untranslatable == want
+    assert list(got.untranslatable.items()) == list(want.items())
 
 
 # Bytes planted into a rendered source: undecodable in ASCII and UTF-8, an
@@ -693,7 +702,7 @@ def test_column_ingest_is_the_row_at_a_time_oracle(case):
             c = report.per_source[spec.source_id]
             got = (records, [tuple(r) for r in report.rejects],
                    (c.records_read, c.records_ok, c.records_rejected, c.deleted_skipped),
-                   c.untranslatable)
+                   list(c.untranslatable.items()))
     assert got == oracle_ingest(spec, data, layout)
 
 
@@ -772,6 +781,18 @@ class TestIngest:
         assert [(r.row_no, r.reason) for r in report.rejects] == [
             (2, "src: line 3: new-line character seen in unquoted field - do you need to "
                 "open the file in universal-newline mode?")]
+
+    @pytest.mark.parametrize("rows, row_no", [(("N1,2003,Q2,x\ry,1", "N2,2003,Q2,,1,9"), 3),
+                                              (("N2,2003,Q2,,1,9", "N1,2003,Q2,x\ry,1"), 2)])
+    def test_a_ragged_row_stops_a_source_that_also_holds_a_broken_row(self, tmp_path, rows,
+                                                                       row_no):
+        data = "\n".join(("NID,YR,QTR,SEC,SX",) + rows).encode() + b"\n"
+        (tmp_path / "x.csv").write_bytes(data)
+        spec = make_spec()
+        with pytest.raises(RaggedRow) as err:
+            ingest_sources([spec], tmp_path)
+        assert str(err.value) == f"src: row {row_no}: 6 fields, expected 5"
+        assert oracle_ingest(spec, data) == (RaggedRow, str(err.value))
 
     @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
     def test_pinned_staging_bytes(self, tmp_path, name):
