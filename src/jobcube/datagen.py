@@ -8,12 +8,16 @@ applications, blanked fields, variant code spellings).
 Each city is described once, by its entry in `SOURCE_CATALOG`, the document
 gen dumps as `sources.yaml`; `CITY_SPECS` is that document read by
 `config.source_specs`, the reader ingest's `load_sources` uses, so gen writes
-no catalog that ingest reads differently. A city's file is written by column:
-`sources.row_mapper`, the inverse of ingest's column mapper `record_mapper`,
-turns the records into rows in the file's column order; this module adds only what
-is its own: the planted corruption laid over a record, and Sirte's APPDATE,
-the one column no mapping reads. The bytes come from the `sources` writers,
-the partners of the readers ingest uses.
+no catalog that ingest reads differently.
+
+Gen holds its table as columns from the draw to the file, one list per
+`ALL_FIELDS` name as ingest's column mapper `record_mapper` returns them:
+persons drawn, copies gathered from their donor rows, each city's rows shuffled
+as an index list, the corruption written into the columns. Its inverse
+`sources.row_mapper` turns a city's columns into rows in the file's column
+order, for the `sources` writers, the partners of the readers ingest uses. The
+truth is the person columns projected onto the warehouse fields, already in
+`national_id` order, written as `jobcube ingest` writes staging.csv.
 
 Determinism: one pinned xorshift64* stream seeded through one splitmix64
 step. State update x ^= x>>12; x ^= x<<25; x ^= x>>27; output is
@@ -38,7 +42,6 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -46,28 +49,12 @@ import numpy as np
 
 from .config import (CITY_ORDER, CODEBOOKS_FILE, DEFAULT_FILL, HIERARCHY_FILE, SOURCES_FILE,
                      GenConfig, source_specs)
-from .errors import InvalidFieldValue, UnsatisfiableSize
-from .preprocess import dimension_reduce
-from .records import (
-    ALL_FIELDS,
-    QUARTERS,
-    STATUS_DIRECTED,
-    STATUS_SEEKER,
-    WAREHOUSE_REQUIRED_FIELDS,
-    CanonicalApplicant,
-    bulk,
-    parse_int,
-    replacing,
-    write_records_csv,
-)
-from .sources import (
-    FieldDescriptor,
-    SourceSpec,
-    render_dbf,
-    render_delimited,
-    render_fixed_width,
-    row_mapper,
-)
+from .errors import ConfigError, InvalidFieldValue, UnsatisfiableSize
+from .records import (ALL_FIELDS, QUARTERS, STATUS_DIRECTED, STATUS_SEEKER,
+                      WAREHOUSE_REQUIRED_FIELDS, CanonicalApplicant, bulk, parse_int,
+                      read_records_csv, replacing, text_years, write_csv)
+from .sources import (FieldDescriptor, SourceSpec, render_dbf, render_delimited,
+                      render_fixed_width, row_mapper)
 
 MASK64 = (1 << 64) - 1
 
@@ -286,21 +273,12 @@ CITY_SPECS = tuple(source_specs(SOURCE_CATALOG, SOURCES_FILE))
 CITY_NAMES = {spec.source_id: spec.city for spec in CITY_SPECS}
 
 # A dBASE file describes itself, so its spec has no layout; the writer's is here.
-SIRTE_LAYOUT = (
-    FieldDescriptor("NID", "C", 12, 0),
-    FieldDescriptor("NAME", "C", 20, 12),
-    FieldDescriptor("SEX", "C", 1, 32),
-    FieldDescriptor("DISTRICT", "C", 14, 33),
-    FieldDescriptor("SPEC", "C", 8, 47),
-    FieldDescriptor("JOBGRP", "C", 6, 55),
-    FieldDescriptor("SECTOR", "C", 8, 61),
-    FieldDescriptor("MOAHEL", "C", 6, 69),
-    FieldDescriptor("EDULVL", "C", 2, 75),
-    FieldDescriptor("SERVICE", "C", 2, 77),
-    FieldDescriptor("YEAR", "N", 4, 79),
-    FieldDescriptor("QTR", "N", 1, 83),
-    FieldDescriptor("APPDATE", "D", 8, 84),
-)
+SIRTE_LAYOUT = tuple(FieldDescriptor(*column) for column in (
+    ("NID", "C", 12, 0), ("NAME", "C", 20, 12), ("SEX", "C", 1, 32),
+    ("DISTRICT", "C", 14, 33), ("SPEC", "C", 8, 47), ("JOBGRP", "C", 6, 55),
+    ("SECTOR", "C", 8, 61), ("MOAHEL", "C", 6, 69), ("EDULVL", "C", 2, 75),
+    ("SERVICE", "C", 2, 77), ("YEAR", "N", 4, 79), ("QTR", "N", 1, 83),
+    ("APPDATE", "D", 8, 84)))
 
 # Variant spellings plantable as entry discrepancies, keyed by canonical
 # value, constrained to each source's field widths. All of them differ from
@@ -367,25 +345,29 @@ def build_hierarchy_tree(config: GenConfig) -> dict:
 # Wire rows and sizing
 
 _QTR_MONTH = {"Q1": "02", "Q2": "05", "Q3": "08", "Q4": "11"}
+# A field's place in a column table, which holds one list per ALL_FIELDS name.
+_AT = {name: i for i, name in enumerate(ALL_FIELDS)}
+
+
+def _layout(spec: SourceSpec) -> tuple[FieldDescriptor, ...]:
+    """A city file's fixed-position layout: its spec's, the dBASE writer's, or none."""
+    return SIRTE_LAYOUT if spec.format == "dbf" else spec.layout
 
 
 def _columns(spec: SourceSpec) -> tuple[str, ...]:
     """A city file's column names, in file order."""
-    if spec.format == "delimited":
-        return tuple(spec.field_map.values())
-    return tuple(fd.name for fd in (SIRTE_LAYOUT if spec.format == "dbf" else spec.layout))
+    return tuple(fd.name for fd in _layout(spec)) or tuple(spec.field_map.values())
 
 
-def _wire_rows(spec: SourceSpec, records: list[CanonicalApplicant]) -> list[tuple[str, ...]]:
-    """Each record, its planted corruption laid over it, as a row of the
-    city's file, so that ingest maps it straight back. No planted value is
-    one the codebooks translate, so they pass through them as they stand.
-    Sirte's APPDATE, the one column no mapping reads, is the 15th of the
-    quarter's middle month."""
-    to_rows = row_mapper(spec, _columns(spec))
-    if spec.format != "dbf":
-        return to_rows(records)
-    return to_rows(records, APPDATE=[f"{r.year}{_QTR_MONTH[r.quarter]}15" for r in records])
+def _check_years(config: GenConfig) -> None:
+    """Refuse years that a fixed-position file's year column cannot hold, naming
+    the source, the column and its width: the longest year text is an end's."""
+    year = max(config.year_from, config.year_to, key=lambda y: len(str(y)))
+    for spec in CITY_SPECS:
+        for fd in _layout(spec):
+            if fd.name == spec.field_map["year"] and len(str(year)) > fd.length:
+                raise ConfigError(f"{spec.source_id}: year {year} does not fit "
+                                  f"{fd.name}, which is {fd.length} bytes wide")
 
 
 def _misurata_row_width() -> float:
@@ -449,12 +431,16 @@ class GenExpectations:
 @dataclass
 class GenResult:
     out_dir: Path
-    truth: list[CanonicalApplicant]
     files: dict[str, Path]
     expect: GenExpectations
     duplicates: list[tuple[str, str, str, str]]     # nid, donor city, copy city, copy time
     blanks: list[tuple[str, str, str]]              # city, nid, field
     discrepancies: list[tuple[str, str, str, str]]  # city, nid, field, planted value
+
+    @functools.cached_property
+    def truth(self) -> list[CanonicalApplicant]:
+        """The records of truth.csv, read on first use."""
+        return read_records_csv(self.files["truth"])
 
 
 # Records are drawn by column from blocks of the stream, CHUNK records a block.
@@ -559,167 +545,180 @@ def _codes(form: str, n: int) -> list[str]:
     return [form % (i + 1) for i in range(n)]
 
 
-def _make_persons(rng: Rng, config: GenConfig, counts: dict[str, int],
-                  ) -> list[CanonicalApplicant]:
-    """Each city's persons in CITY_ORDER, numbered on across cities. A
-    person's draws are its placement, then sex, specialty, job group, moahel,
-    education level, service status, year and quarter."""
+def _make_persons(rng: Rng, config: GenConfig, counts: dict[str, int]) -> list[list]:
+    """Each city's persons in CITY_ORDER, numbered on across cities, as a
+    column table. A person's draws are its placement, then sex, specialty, job
+    group, moahel, education level, service status, year and quarter."""
     span = config.year_to - config.year_from + 1
     bounds = (*_placement_bounds(config), 2, SPECIALTIES, JOB_GROUPS, MOAHELS,
               len(EDUCATION_LEVELS), len(SERVICES), span, len(QUARTERS))
     coded = (("sex", ("male", "female")), ("specialty", _codes("SPC-%03d", SPECIALTIES)),
              ("job_group", _codes("JG-%02d", JOB_GROUPS)), ("moahel", _codes("QL-%02d", MOAHELS)),
              ("education_level", EDUCATION_LEVELS), ("service_status", SERVICES))
-    persons: list[CanonicalApplicant] = []
+    persons: list[list] = [[] for _ in ALL_FIELDS]
     for city, city_key in enumerate(CITY_ORDER):
         for draws in _draw_tables(rng, bounds, counts[city_key]):
-            ordinals = range(len(persons) + 1, len(persons) + 1 + len(draws))
+            ordinals = range(len(persons[0]) + 1, len(persons[0]) + 1 + len(draws))
             columns = _placements(config, np.full(len(draws), city), draws)
             for i, (name, labels) in enumerate(coded, 4):
                 columns[name] = _take(labels, draws[:, i])
             columns.update(
                 national_id=list(map("NID%09d".__mod__, ordinals)),
                 name=list(map("APPLICANT-%07d".__mod__, ordinals)),
-                year=[config.year_from + y for y in draws[:, 10].tolist()],
+                year=_labels(config.year_from.__add__, draws[:, 10]),
                 quarter=_take(QUARTERS, draws[:, 11]))
-            persons.extend(map(CanonicalApplicant._make,
-                               zip(*(columns[name] for name in ALL_FIELDS))))
+            for column, name in zip(persons, ALL_FIELDS):
+                column += columns[name]
     return persons
 
 
-def _make_copies(rng: Rng, config: GenConfig, eligible: list[CanonicalApplicant],
-                 count: int) -> list[tuple[CanonicalApplicant, CanonicalApplicant]]:
-    """count (donor, copy) pairs: an eligible donor's application filed again
-    in one of the other two cities, strictly one quarter before the donor's so
-    that the keep-latest rule always removes the copy. A copy's draws are its
-    donor, its city, its placement, then specialty and job group."""
+def _make_copies(rng: Rng, config: GenConfig, persons: list[list], eligible: Sequence[int],
+                 count: int) -> tuple[list[int], list[list]]:
+    """count copies, as their donors' rows and a column table: an eligible
+    donor row's application filed again in one of the other two cities,
+    strictly one quarter before the donor's so that the keep-latest rule always
+    removes the copy. A copy's draws are its donor, its city, its placement,
+    then specialty and job group."""
     bounds = (len(eligible), 2, *_placement_bounds(config), SPECIALTIES, JOB_GROUPS)
     specialties, job_groups = _codes("SPC-%03d", SPECIALTIES), _codes("JG-%02d", JOB_GROUPS)
-    copies: list[tuple[CanonicalApplicant, CanonicalApplicant]] = []
+    donors: list[int] = []
+    drawn: dict[str, list] = {}
     for draws in _draw_tables(rng, bounds, count):
-        donors = [eligible[i] for i in draws[:, 0].tolist()]
-        donor_city = np.array([CITY_ORDER.index(donor.source_id) for donor in donors])
+        rows = np.asarray(eligible)[draws[:, 0]].tolist()
+        donor_city = np.array([CITY_ORDER.index(persons[_AT["source_id"]][row]) for row in rows])
         cities = draws[:, 1] + (draws[:, 1] >= donor_city)     # the other two, in order
         columns = _placements(config, cities, draws[:, 2:])
         columns.update(specialty=_take(specialties, draws[:, 6]),
                        job_group=_take(job_groups, draws[:, 7]))
-        names = tuple(columns)
-        for donor, values in zip(donors, zip(*columns.values())):
-            qi = QUARTERS.index(donor.quarter)      # filed the quarter before the donor's
-            copies.append((donor, donor._replace(year=donor.year - (qi == 0),
-                                                 quarter=QUARTERS[qi - 1],
-                                                 **dict(zip(names, values)))))
-    return copies
+        donors += rows
+        for name, values in columns.items():
+            drawn.setdefault(name, []).extend(values)
+    copies = [drawn[name] if name in drawn else list(map(column.__getitem__, donors))
+              for name, column in zip(ALL_FIELDS, persons)]
+    # filed the quarter before the donor's
+    quarters, earlier = copies[_AT["quarter"]], dict(zip(QUARTERS, QUARTERS[-1:] + QUARTERS[:-1]))
+    copies[_AT["year"]] = [y - (q == QUARTERS[0]) for y, q in zip(copies[_AT["year"]], quarters)]
+    copies[_AT["quarter"]] = list(map(earlier.__getitem__, quarters))
+    return donors, copies
 
 
-def _plant(rng: Rng, config: GenConfig, flat: list[CanonicalApplicant]) -> tuple:
-    """The corruption planted on the wire rows: blanks (city, nid, field), at
-    most one a row and only on fillable fields; then entry discrepancies (city,
-    nid, field, variant), spellings that normalization must rewrite, on a field
-    the row's blank spares; and the overlays, row -> field -> wire value. A
+def _plant(rng: Rng, config: GenConfig, wire: list[list]) -> tuple[list, list]:
+    """The corruption planted on the wire rows, written into their columns:
+    blanks (city, nid, field), at most one a row and only on fillable fields;
+    then entry discrepancies (city, nid, field, variant), spellings that
+    normalization must rewrite, on a field the row's blank spares. A
     discrepancy's draws are its field, from the two or three its row leaves,
     and its variant, from its source's pools, which are all one length."""
-    blank_rows = rng.sample(len(flat), int(config.blank_rate * len(flat)))
+    size, cities, nids = len(wire[0]), wire[_AT["source_id"]], wire[_AT["national_id"]]
+    blank_rows = rng.sample(size, int(config.blank_rate * size))
     blanked = dict(zip(blank_rows, _take(BLANKABLE_FIELDS, rng.randranges(
         np.full(len(blank_rows), len(BLANKABLE_FIELDS), np.uint64)))))
-    blanks = [(flat[row].source_id, flat[row].national_id, name) for row, name in blanked.items()]
-    overlays = {row: {name: ""} for row, name in blanked.items()}
-    disc_rows = rng.sample(len(flat), int(config.discrepancy_rate * len(flat)))
+    blanks = [(cities[row], nids[row], name) for row, name in blanked.items()]
+    disc_rows = rng.sample(size, int(config.discrepancy_rate * size))
     order = {name: i for i, name in enumerate(DISCREPANCY_FIELDS)}
     # the discrepancy field each row's blank took, or one past the last
     taken = np.array([order.get(blanked.get(row), len(order)) for row in disc_rows], np.int64)
     pool_sizes = {city: len(pools["sex"]["male"]) for city, pools in VARIANT_POOLS.items()}
     bounds = np.empty((len(disc_rows), 2), np.uint64)
     bounds[:, 0] = len(order) - (taken < len(order))
-    bounds[:, 1] = [pool_sizes[flat[row].source_id] for row in disc_rows]
+    bounds[:, 1] = [pool_sizes[cities[row]] for row in disc_rows]
     picks = rng.randranges(bounds.ravel()).astype(np.int64).reshape(-1, 2)
     fields = picks[:, 0] + (picks[:, 0] >= taken)   # passing over the blanked one
+    for row, name in blanked.items():
+        wire[_AT[name]][row] = ""
     discrepancies = []
     for row, at, variant_at in zip(disc_rows, fields.tolist(), picks[:, 1].tolist()):
-        record, name = flat[row], DISCREPANCY_FIELDS[at]
-        variant = VARIANT_POOLS[record.source_id][name][getattr(record, name)][variant_at]
-        overlays.setdefault(row, {})[name] = variant
-        discrepancies.append((record.source_id, record.national_id, name, variant))
-    return blanks, discrepancies, overlays
+        name = DISCREPANCY_FIELDS[at]
+        column = wire[_AT[name]]
+        column[row] = VARIANT_POOLS[cities[row]][name][column[row]][variant_at]
+        discrepancies.append((cities[row], nids[row], name, column[row]))
+    return blanks, discrepancies
 
 
 @bulk()
 def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     """Emit the three source files plus truth set, sidecar configs, and the
     planted-corruption manifest, with the collector paused. Byte-deterministic
-    for a given config."""
-    out = Path(out_dir)
-    rng = Rng(config.seed)
+    for a given config. Years a source's year column cannot hold raise
+    ConfigError before anything is drawn or written."""
+    _check_years(config)
+    out, rng = Path(out_dir), Rng(config.seed)
+    counts = (_persons_from_targets(config) if config.target_bytes is not None
+              else dict(config.counts or {"tripoli": 900, "misurata": 600, "sirte": 300}))
 
-    if config.target_bytes is not None:
-        counts = _persons_from_targets(config)
-    elif config.counts is not None:
-        counts = dict(config.counts)
-    else:
-        counts = {"tripoli": 900, "misurata": 600, "sirte": 300}
-
-    # Persons, one rng stream, fixed city order.
+    # Persons, one rng stream, fixed city order: in national_id order.
     persons = _make_persons(rng, config, counts)
-    total_persons = len(persons)
+    total_persons = len(persons[0])
 
     # Cross-city duplicate applications; copies always predate their donor.
-    eligible = [p for p in persons if p.year > config.year_from or p.quarter != QUARTERS[0]]
-    n_copies = int(config.duplicate_rate * total_persons) if eligible else 0
-    people = iter(persons)          # persons first, city by city
-    wire = {city_key: list(islice(people, counts[city_key])) for city_key in CITY_ORDER}
-    duplicates: list[tuple[str, str, str, str]] = []
-    for donor, copy in _make_copies(rng, config, eligible, n_copies):
-        wire[copy.source_id].append(copy)
-        duplicates.append((donor.national_id, donor.source_id, copy.source_id,
-                           f"{copy.year}{copy.quarter}"))
+    first = (config.year_from, QUARTERS[0])
+    eligible = np.flatnonzero([when != first for when in
+                               zip(persons[_AT["year"]], persons[_AT["quarter"]])])
+    n_copies = int(config.duplicate_rate * total_persons) if len(eligible) else 0
+    donors, copies = _make_copies(rng, config, persons, eligible, n_copies)
+    nids, cities = persons[_AT["national_id"]], persons[_AT["source_id"]]
+    duplicates = [(nids[row], cities[row], city, f"{year}{quarter}") for row, city, year, quarter
+                  in zip(donors, *(copies[_AT[name]] for name in ("source_id", "year", "quarter")))]
 
-    flat: list[CanonicalApplicant] = []         # every city's rows, shuffled
-    is_person: list[bool] = []
+    # Each city's rows, its persons then the copies filed there, shuffled; the
+    # rows count on past the persons into the copies.
+    source_ids = np.array(cities + copies[_AT["source_id"]], dtype=object)
+    shuffled = []
     for city_key in CITY_ORDER:
-        order = list(range(len(wire[city_key])))
-        rng.shuffle(order)
-        flat += [wire[city_key][i] for i in order]
-        is_person += [i < counts[city_key] for i in order]
-    blanks, discrepancies, overlays = _plant(rng, config, flat)
-    unknown = {flat[row].national_id for row, overlay in overlays.items()
-               if "district" in overlay and is_person[row]}    # only a blank is on district
+        rows = np.flatnonzero(source_ids == city_key).tolist()
+        rng.shuffle(rows)
+        shuffled.append(np.array(rows, np.int64))
+    order = np.concatenate(shuffled)
+    sizes = dict(zip(CITY_ORDER, map(len, shuffled)))
+    wire = [_take(p + c, order) for p, c in zip(persons, copies)]
+    blanks, discrepancies = _plant(rng, config, wire)
+    # a person whose district the wire holds blank: only a blank is on district
+    unknown = {wire[_AT["national_id"]][row] for row, district in enumerate(wire[_AT["district"]])
+               if not district and order[row] < total_persons}
     expect = GenExpectations(
-        persons=total_persons, wire_rows=len(flat), duplicates=len(duplicates),
+        persons=total_persons, wire_rows=len(order), duplicates=len(duplicates),
         filled=dict(sorted(Counter(name for _, _, name in blanks).items())),
         normalized=dict(sorted(Counter(name for _, _, name, _ in discrepancies).items())),
         unknown_hierarchy=len(unknown), generalized=total_persons - len(unknown))
 
-    # Truth: what the pipeline should hand the warehouse, sorted by key.
-    truth = dimension_reduce(
-        (p._replace(congress=DEFAULT_FILL) if p.national_id in unknown else p
-         for p in persons), WAREHOUSE_REQUIRED_FIELDS)
-    truth.sort(key=lambda r: r.national_id)
+    # Truth: what the pipeline should hand the warehouse, the person columns
+    # projected onto the warehouse fields; written first, so that the persons
+    # and the city labels are let go before the cities' files are rendered.
+    blank = [""] * total_persons
+    truth = [column if name in WAREHOUSE_REQUIRED_FIELDS else blank
+             for name, column in zip(ALL_FIELDS, persons)]
+    truth[_AT["congress"]] = [DEFAULT_FILL if nid in unknown else congress
+                              for nid, congress in zip(nids, persons[_AT["congress"]])]
+    files = {"truth": out / TRUTH_FILE}
+    write_csv(files["truth"], ALL_FIELDS, zip(*text_years(truth)))
+    del persons, nids, cities, truth, blank, source_ids
 
-    # Each city's rows as its file holds them, the corruption laid over.
-    for row_idx, overlay in overlays.items():
-        flat[row_idx] = flat[row_idx]._replace(**overlay)
-    rows = iter(flat)
-    files = _write_outputs(config, out, {c: list(islice(rows, len(wire[c]))) for c in CITY_ORDER},
-                           truth)
+    files |= _write_outputs(config, out, wire, sizes)
     _write_gen_manifest(out / GEN_MANIFEST_FILE, config, expect, files,
                         duplicates, blanks, discrepancies)
     files["gen_manifest"] = out / GEN_MANIFEST_FILE
-    return GenResult(out, truth, files, expect, duplicates, blanks, discrepancies)
+    return GenResult(out, files, expect, duplicates, blanks, discrepancies)
 
 
-def _write_outputs(config: GenConfig, out: Path, wire: dict[str, list[CanonicalApplicant]],
-                   truth: list[CanonicalApplicant]) -> dict[str, Path]:
+def _write_outputs(config: GenConfig, out: Path, wire: list[list],
+                   sizes: dict[str, int]) -> dict[str, Path]:
+    """Each city's file from its slice of the wire columns (CITY_ORDER, sizes
+    rows each), and the sidecar configs."""
     import yaml
 
     files: dict[str, Path] = {}
+    start = 0
     for spec in CITY_SPECS:
-        path = out / spec.path
-        with replacing(path, binary=True) as fh:
-            fh.write(_render(config, spec, _wire_rows(spec, wire[spec.source_id])))
-        files[spec.source_id] = path
-
-    files["truth"] = out / TRUTH_FILE
-    write_records_csv(truth, files["truth"])
+        end = start + sizes[spec.source_id]
+        # Sirte's APPDATE, which no mapping reads, is the 15th of the quarter's middle month
+        given = {}
+        if spec.format == "dbf":
+            given["APPDATE"] = [f"{y}{_QTR_MONTH[q]}15" for y, q in zip(
+                wire[_AT["year"]][start:end], wire[_AT["quarter"]][start:end])]
+        rows = row_mapper(spec, _columns(spec))([column[start:end] for column in wire], **given)
+        with replacing(out / spec.path, binary=True) as fh:
+            fh.write(_render(config, spec, rows))
+        files[spec.source_id], start = out / spec.path, end
     hierarchy = {"levels": ["district", "congress", "city"],
                  "tree": build_hierarchy_tree(config)}
     for key, name, document in (("sources", SOURCES_FILE, SOURCE_CATALOG),

@@ -11,8 +11,9 @@ right-aligned and stripped on both sides; each distinct byte string of a field
 is decoded and unpadded once, so equal values share one str. Both writers
 render a file in one `%` pass and check it once. :func:`record_mapper` applies
 a `SourceSpec`'s field map and codebooks to a file's columns, each rule once
-per distinct value; :func:`row_mapper`, its inverse, turns records into rows
-in a given column order. Only :func:`ingest_columns` touches files.
+per distinct value; :func:`row_mapper`, its inverse, turns such record
+columns into rows in a given column order. Only :func:`ingest_columns` touches
+files.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (ConfigError, DecodeError, FieldOverflow, InvalidFieldValue, MalformedCsv,
                      MalformedHeader, RaggedRow, ShortLine, TruncatedFile, UnsupportedFieldType)
-from .records import ALL_FIELDS, CanonicalApplicant, bulk, derive_status, parse_int, write_csv
+from .records import (ALL_FIELDS, CanonicalApplicant, bulk, derive_status, parse_int, text_years,
+                      write_csv)
 
 # The padding rule of both fixed-position formats, per field kind: the
 # %-format flag that aligns a written value, and the strip that undoes it.
@@ -50,7 +52,6 @@ _DBF_FIELD = struct.Struct("<11sB4xBB14x")
 # and source id come from the spec, status derives from sector.
 MANDATORY_MAPPED = ("national_id", "year", "quarter")
 FIXED_FIELDS = frozenset({"city", "status", "source_id"})
-_YEAR = ALL_FIELDS.index("year")
 
 
 Parsed = tuple[tuple[str, ...], list[Sequence[str]]]     # column names, rows of text
@@ -495,26 +496,25 @@ def record_mapper(spec: SourceSpec, table: Table, counters: SourceCounters,
 
 def row_mapper(spec: SourceSpec, columns: Sequence[str],
                ) -> Callable[..., list[tuple[str, ...]]]:
-    """The inverse of record_mapper, by column: records as rows in `columns`
-    order. Each mapped value is written as text (the year through str, every
-    other field is text already) through its codebook run backwards (a value
-    the book lacks passes through, as an untranslated code does forwards). A
-    column the field map does not name holds the values given for it by
-    keyword, one a record, or else is blank. Where canonical fields share a
-    column, the last in map order fills it."""
+    """The inverse of record_mapper: record columns, one list per field in
+    ALL_FIELDS order as it returns them, as rows in `columns` order. Each
+    mapped value is written as text (the year by `text_years`, every other
+    field is text already) through its codebook run backwards (a value the book
+    lacks passes through, as an untranslated code does forwards). A column the
+    field map does not name holds the values given for it by keyword, one a
+    row, or else is blank. Where canonical fields share a column, the last in
+    map order fills it."""
     named = {wire: canonical for canonical, wire in spec.field_map.items()}
     plan = [(c, ALL_FIELDS.index(named[c]) if c in named else None,
              {value: code for code, value in spec.value_codebooks[named[c]].items()}
              if named.get(c) in spec.value_codebooks else None)
             for c in columns]
 
-    def to_rows(records: Sequence[CanonicalApplicant],
-                **given: Sequence[str]) -> list[tuple[str, ...]]:
-        fields = list(zip(*records)) or [()] * len(ALL_FIELDS)
+    def to_rows(fields: Sequence[list], **given: Sequence[str]) -> list[tuple[str, ...]]:
+        fields = text_years(fields)
         texts = []
         for name, j, book in plan:
-            text = (given.get(name, ("",) * len(records)) if j is None
-                    else list(map(str, fields[j])) if j == _YEAR else fields[j])
+            text = given.get(name, ("",) * len(fields[0])) if j is None else fields[j]
             texts.append(text if book is None else list(map(book.get, text, text)))
         return list(zip(*texts))
 

@@ -11,7 +11,10 @@ kind of bad value in a pass of its own. `ScalarRng` is the generator's
 xorshift64* stream stepped one draw at a time, and `oracle_persons` and
 `oracle_copies` make the generated persons and duplicate copies from it one
 record and one draw at a time; `oracle_planting` plants blanks and entry
-discrepancies on wire rows one row at a time. `oracle_etl` is the fixed
+discrepancies on wire rows one row at a time. `oracle_generate` is the
+generator built from them one record at a time, each row written by
+`oracle_wire_row`; `columns_of` lays records out as the column table the
+generator holds, to compare the two. `oracle_etl` is the fixed
 four-step ETL one record at a time: each record cleaned, a dict of the best
 record per key, each survivor lifted and projected. `oracle_ingest` reads a
 source file one line or record at a time, each field decoded and unpadded on
@@ -24,17 +27,23 @@ import csv
 import io
 import random
 import struct
+from pathlib import Path
 
-from jobcube.config import CITY_ORDER
+import yaml
+
+from jobcube import datagen
+from jobcube.config import CITY_ORDER, DEFAULT_FILL
 from jobcube.datagen import (BLANKABLE_FIELDS, CITY_NAMES, CITY_PREFIX, DIRECTED_SHARE,
                              DISCREPANCY_FIELDS, DISTRICTS_PER_CONGRESS, EDUCATION_LEVELS,
-                             JOB_GROUPS, MOAHELS, SPECIALTIES, VARIANT_POOLS)
+                             JOB_GROUPS, MOAHELS, SPECIALTIES, VARIANT_POOLS, GenExpectations,
+                             GenResult)
 from jobcube.datagen import SERVICES as SERVICES_GEN
 from jobcube.errors import (DecodeError, FieldOverflow, InvalidFieldValue, JobcubeError,
                             MalformedCsv, RaggedRow, ShortLine, UnresolvedDimensionValue)
 from jobcube.preprocess import ConceptHierarchy
 from jobcube.records import (ALL_FIELDS, DIMENSIONS, QUARTERS, WAREHOUSE_REQUIRED_FIELDS,
-                             CanonicalApplicant, derive_status, parse_int)
+                             CanonicalApplicant, derive_status, parse_int, write_records_csv)
+from jobcube.sources import render_dbf, render_delimited, render_fixed_width
 from jobcube.warehouse import DISPLAY_NAMES
 
 EDU_LEVELS = ("edu1", "edu2", "edu3", "edu4", "edu5", "edu6")
@@ -371,6 +380,98 @@ def oracle_planting(rng, config, flat) -> tuple[list, list, dict]:
         overlay[name] = pool[rng.randrange(len(pool))]
         discrepancies.append((record.source_id, record.national_id, name, overlay[name]))
     return blanks, discrepancies, overlays
+
+
+def columns_of(records) -> list[list]:
+    """Records as a column table: one list per field, in ALL_FIELDS order."""
+    return [list(column) for column in zip(*records)] or [[] for _ in ALL_FIELDS]
+
+
+def oracle_wire_row(spec, names, record) -> tuple:
+    """One record as a row of its source's file with these column names: a
+    column takes the field the map names for it last, as text, coded back
+    through the field's codebook when the book has it; Sirte's APPDATE is the
+    15th of the quarter's middle month, and any other column is blank."""
+    row = []
+    for name in names:
+        mapped = [canonical for canonical, wire in spec.field_map.items() if wire == name]
+        if not mapped:
+            month = 3 * QUARTERS.index(record.quarter) + 2
+            row.append(f"{record.year}{month:02d}15" if name == "APPDATE" else "")
+            continue
+        value = str(getattr(record, mapped[-1]))
+        codes = [code for code, v in spec.value_codebooks.get(mapped[-1], {}).items() if v == value]
+        row.append(codes[-1] if codes else value)
+    return tuple(row)
+
+
+def oracle_generate(config, out_dir) -> GenResult:
+    """The generator one record at a time, for a config that gives counts:
+    the persons, then the copies of the eligible ones, appended to their
+    cities; each city's records shuffled, the corruption planted over the
+    flat list and laid over each record; each file written row by row through
+    the sources writers, and the truth projected and sorted as records. The
+    sidecars are datagen's documents, and the manifest its writer's."""
+    out, rng = Path(out_dir), ScalarRng(config.seed)
+    counts = dict(config.counts)
+    persons = oracle_persons(rng, config, counts)
+    eligible = [p for p in persons if p.year > config.year_from or p.quarter != QUARTERS[0]]
+    n_copies = int(config.duplicate_rate * len(persons)) if eligible else 0
+    wire = {city: [p for p in persons if p.source_id == city] for city in CITY_ORDER}
+    duplicates = []
+    for donor, copy in oracle_copies(rng, config, eligible, n_copies):
+        wire[copy.source_id].append(copy)
+        duplicates.append((donor.national_id, donor.source_id, copy.source_id,
+                           f"{copy.year}{copy.quarter}"))
+    flat, is_person = [], []
+    for city in CITY_ORDER:
+        order = list(range(len(wire[city])))
+        rng.shuffle(order)
+        flat += [wire[city][i] for i in order]
+        is_person += [i < counts[city] for i in order]
+    blanks, discrepancies, overlays = oracle_planting(rng, config, flat)
+    unknown = {flat[row].national_id for row, overlay in overlays.items()
+               if "district" in overlay and is_person[row]}
+    filled, normalized = {}, {}
+    for _, _, name in blanks:
+        filled[name] = filled.get(name, 0) + 1
+    for _, _, name, _ in discrepancies:
+        normalized[name] = normalized.get(name, 0) + 1
+    expect = GenExpectations(
+        persons=len(persons), wire_rows=len(flat), duplicates=len(duplicates),
+        filled=dict(sorted(filled.items())), normalized=dict(sorted(normalized.items())),
+        unknown_hierarchy=len(unknown), generalized=len(persons) - len(unknown))
+
+    out.mkdir(parents=True, exist_ok=True)
+    files, start = {}, 0
+    for spec in datagen.CITY_SPECS:
+        records = [r._replace(**overlays.get(row, {}))
+                   for row, r in enumerate(flat[start:start + len(wire[spec.source_id])], start)]
+        start += len(records)
+        layout = datagen.SIRTE_LAYOUT if spec.format == "dbf" else spec.layout
+        names = [fd.name for fd in layout] or list(spec.field_map.values())
+        rows = [oracle_wire_row(spec, names, r) for r in records]
+        files[spec.source_id] = out / spec.path
+        files[spec.source_id].write_bytes(
+            render_fixed_width(rows, layout) if spec.format == "fixed_width"
+            else render_delimited(rows, names, spec.delimiter) if spec.format == "delimited"
+            else render_dbf(rows, layout, (max(0, config.year_to - 1900) & 0xFF, 12, 28)))
+    truth = sorted(CanonicalApplicant(**{
+        name: DEFAULT_FILL if name == "congress" and p.national_id in unknown
+        else getattr(p, name) if name in WAREHOUSE_REQUIRED_FIELDS else ""
+        for name in ALL_FIELDS}) for p in persons)
+    files["truth"] = out / datagen.TRUTH_FILE
+    write_records_csv(truth, files["truth"])
+    hierarchy = {"levels": ["district", "congress", "city"],
+                 "tree": datagen.build_hierarchy_tree(config)}
+    for key, document in (("sources", datagen.SOURCE_CATALOG), ("hierarchy", hierarchy),
+                          ("codebooks", datagen.normalize_codebooks())):
+        files[key] = out / f"{key}.yaml"
+        files[key].write_text(yaml.safe_dump(document, sort_keys=True), encoding="utf-8")
+    files["gen_manifest"] = out / datagen.GEN_MANIFEST_FILE
+    datagen._write_gen_manifest(files["gen_manifest"], config, expect, files,
+                                duplicates, blanks, discrepancies)
+    return GenResult(out, files, expect, duplicates, blanks, discrepancies)
 
 
 def oracle_etl(records, codebooks, policy, hierarchy, district_fill):

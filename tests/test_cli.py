@@ -228,6 +228,12 @@ class TestHappyPath:
             assert (tmp_path / "data" / name).exists(), name
         assert (tmp_path / "warehouse" / "manifest.txt").exists()
 
+    def test_clean_file_is_the_truth_file(self, pipeline):
+        """etl writes the bytes gen wrote as the truth."""
+        tmp_path, _ = pipeline
+        data = tmp_path / "data"
+        assert (data / "clean.csv").read_bytes() == (data / "truth.csv").read_bytes()
+
     def test_no_quarantines_on_clean_data(self, pipeline):
         tmp_path, _ = pipeline
         assert not (tmp_path / "data" / "rejects.csv").exists()
@@ -428,6 +434,13 @@ class TestExitCodes:
 
     def test_missing_config(self, tmp_path):
         assert main(["gen", "-c", str(tmp_path / "none.yaml")]) == 1
+
+    def test_gen_refuses_years_a_source_layout_cannot_hold(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, years={"from": 9998, "to": 10001})
+        assert main(["gen", "-c", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "error: tripoli: year 10001 does not fit APP_YEAR, which is 4 bytes wide" in err
+        assert not (tmp_path / "data").exists()
 
     def test_stage_run_out_of_order(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,10 +1,12 @@
-"""Synthetic source generator: the block stream and the column-built records
-against the one-draw-at-a-time oracle, determinism, planted-corruption
-accounting, format writers, byte-size targeting."""
+"""Synthetic source generator: the block stream, the column-built tables and
+the whole generator against the one-draw-at-a-time oracle, determinism,
+planted-corruption accounting, format writers, byte-size targeting."""
 
 import gc
 import hashlib
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,13 +25,14 @@ from jobcube.datagen import (
     read_gen_manifest,
 )
 from jobcube.errors import ConfigError, FieldOverflow, InvalidFieldValue, UnsatisfiableSize
-from jobcube.records import bulk, read_records_csv
+from jobcube.records import ALL_FIELDS, bulk
 from jobcube.sources import render_dbf, render_fixed_width
 from jobcube.warehouse import build_schema, check_integrity
 
 import oracle
 from conftest import SMALL_COUNTS, run_etl
-from oracle import MASK64, ScalarRng, oracle_copies, oracle_persons, oracle_planting
+from oracle import (MASK64, ScalarRng, columns_of, oracle_copies, oracle_generate, oracle_persons,
+                    oracle_planting)
 
 MULTIPLIER = 0x2545F4914F6CDD1D
 
@@ -222,8 +225,8 @@ def _gen_config(seed, sectors, congresses, year_from, span):
 
 class TestColumnRecords:
     """The persons and copies built by column from the block stream are the
-    ones the one-draw-at-a-time oracle makes, and leave the stream where it
-    leaves it."""
+    columns of the ones the one-draw-at-a-time oracle makes, and leave the
+    stream where it leaves it."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 64 - 1), sectors=st.integers(1, 60),
@@ -244,10 +247,13 @@ class TestColumnRecords:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(datagen, "CHUNK", chunk)
             persons = datagen._make_persons(rng, config, counts)
-            assert persons == oracle_persons(ref, config, counts)
+            records = oracle_persons(ref, config, counts)
+            assert persons == columns_of(records)
             assert rng.state == ref.state
-            pairs = datagen._make_copies(rng, config, persons, copies)
-        assert pairs == oracle_copies(ref, config, persons, copies)
+            donors, made = datagen._make_copies(rng, config, persons, range(len(records)), copies)
+        pairs = oracle_copies(ref, config, records, copies)
+        assert [records[row] for row in donors] == [donor for donor, _ in pairs]
+        assert made == columns_of([copy for _, copy in pairs])
         assert rng.state == ref.state
 
     @pytest.mark.parametrize("chunk", [1, 2, 8192])
@@ -263,7 +269,7 @@ class TestColumnRecords:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(datagen, "CHUNK", chunk)
             persons = datagen._make_persons(rng, config, counts)
-        assert persons == oracle_persons(ref, config, counts)
+        assert persons == columns_of(oracle_persons(ref, config, counts))
         assert rng.state == ref.state
 
     @pytest.mark.parametrize("draws", range(1, 12))
@@ -272,8 +278,10 @@ class TestColumnRecords:
         donors = oracle_persons(ScalarRng(3), config, {"tripoli": 5, "misurata": 3, "sirte": 3})
         rng, ref = Rng(0), ScalarRng(0)
         rng.state = ref.state = state_before_max(draws)
-        assert datagen._make_copies(rng, config, donors, 2) == oracle_copies(ref, config,
-                                                                               donors, 2)
+        rows, made = datagen._make_copies(rng, config, columns_of(donors), range(len(donors)), 2)
+        pairs = oracle_copies(ref, config, donors, 2)
+        assert [donors[row] for row in rows] == [donor for donor, _ in pairs]
+        assert made == columns_of([copy for _, copy in pairs])
         assert rng.state == ref.state
 
     @pytest.mark.parametrize("chunk", [1, 8192])
@@ -296,12 +304,13 @@ class TestColumnRecords:
         monkeypatch.setattr(Rng, "randranges", counted)
         monkeypatch.setattr(datagen, "CHUNK", chunk)
         persons = datagen._make_persons(rng, config, counts)
-        assert persons == oracle_persons(ref, config, counts)
+        assert persons == columns_of(oracle_persons(ref, config, counts))
         assert rng.state == ref.state
         # one person drawn column by column: congress and district, then the
         # eight draws after the directed draw (it is a seeker: no sector draw)
         assert calls == [2, 8]
-        assert persons[(draws - 1) // 12].congress == "TRI-CG04"     # 2**64 - 1 taken, mod 4
+        congresses = persons[ALL_FIELDS.index("congress")]
+        assert congresses[(draws - 1) // 12] == "TRI-CG04"     # 2**64 - 1 taken, mod 4
 
 
 class TestPlanting:
@@ -320,16 +329,47 @@ class TestPlanting:
              fields=("sex", "education_level", "service_status"))
     def test_matches_the_row_at_a_time_oracle(self, seed, counts, blank_rate,
                                               discrepancy_rate, small, fields):
-        """Also with the discrepancy fields in another order, so that the one a
+        """The wire columns hold the oracle's overlays laid over its records.
+        Also with the discrepancy fields in another order, so that the one a
         blank can take (sex) is not always the last of them."""
         config = GenConfig(seed=seed, blank_rate=blank_rate, discrepancy_rate=discrepancy_rate)
         flat = oracle_persons(ScalarRng(seed), config, dict(zip(CITY_ORDER, counts)))
+        wire = columns_of(flat)
         rng, ref = (SmallRng if small else Rng)(seed), ScalarRng(seed)
         with pytest.MonkeyPatch.context() as mp:
             for module in (datagen, oracle):
                 mp.setattr(module, "DISCREPANCY_FIELDS", tuple(fields))
-            assert datagen._plant(rng, config, flat) == oracle_planting(ref, config, flat)
+            planted = datagen._plant(rng, config, wire)
+            blanks, discrepancies, overlays = oracle_planting(ref, config, flat)
+        assert planted == (blanks, discrepancies)
+        assert wire == columns_of([record._replace(**overlays.get(row, {}))
+                                   for row, record in enumerate(flat)])
         assert rng.state == ref.state
+
+
+class TestOracleGenerate:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), counts=st.tuples(*[st.integers(1, 40)] * 3),
+           rates=st.tuples(*[st.sampled_from((0.0, 1.0)) | st.floats(0, 1)] * 3),
+           wide=st.booleans())
+    @example(seed=31, counts=(40, 40, 40), rates=(1.0, 1.0, 1.0), wide=True)
+    @example(seed=5, counts=(1, 1, 1), rates=(0.0, 0.0, 0.0), wide=False)
+    def test_matches_the_record_at_a_time_oracle(self, seed, counts, rates, wide):
+        """Every file's bytes, and the planted duplicates, blanks,
+        discrepancies and expectations, are the ones the oracle makes one
+        record at a time."""
+        shape = {"sectors": 48, "congresses_per_city": 12} if wide else {}
+        config = GenConfig(seed=seed, counts=dict(zip(CITY_ORDER, counts)),
+                           duplicate_rate=rates[0], blank_rate=rates[1],
+                           discrepancy_rate=rates[2], **shape)
+        with tempfile.TemporaryDirectory() as tmp:
+            got = generate(config, Path(tmp) / "gen")
+            want = oracle_generate(config, Path(tmp) / "oracle")
+            assert sorted(got.files) == sorted(want.files)
+            for name, path in got.files.items():
+                assert path.read_bytes() == want.files[name].read_bytes(), name
+        assert (got.duplicates, got.blanks, got.discrepancies, got.expect) == \
+            (want.duplicates, want.blanks, want.discrepancies, want.expect)
 
 
 class TestCollector:
@@ -442,9 +482,6 @@ class TestPlantedTruth:
     def test_pipeline_reconstructs_truth(self, gen_small, etl_small):
         assert etl_small[1] == gen_small.truth
 
-    def test_truth_file_round_trips(self, gen_small):
-        assert read_records_csv(gen_small.files["truth"]) == gen_small.truth
-
     def test_source_catalog_reads_back_as_gen_holds_it(self, gen_small):
         """sources.yaml is the catalog document, and ingest's loader reads it as
         CITY_SPECS, which is that document read by the same function."""
@@ -518,6 +555,30 @@ class TestPlantedTruth:
                               load_hierarchy(tmp_path / "hierarchy.yaml"))
         assert check_integrity(schema) == []
         assert sum(schema.facts[:, 6].tolist()) == 130
+
+
+class TestYearWidths:
+    def test_years_a_layout_cannot_hold_are_refused_before_anything_is_written(self, tmp_path):
+        config = GenConfig(seed=1, counts=SMALL_COUNTS, year_from=9998, year_to=10001)
+        with pytest.raises(ConfigError) as info:
+            generate(config, tmp_path / "out")
+        assert str(info.value) == "tripoli: year 10001 does not fit APP_YEAR, which is 4 bytes wide"
+        assert not (tmp_path / "out").exists()
+
+    def test_the_dbase_year_column_is_checked_too(self, tmp_path, monkeypatch):
+        narrow = tuple(fd if fd.name != "YEAR" else FieldDescriptor("YEAR", "N", 3, fd.offset)
+                       for fd in datagen.SIRTE_LAYOUT)
+        monkeypatch.setattr(datagen, "SIRTE_LAYOUT", narrow)
+        with pytest.raises(ConfigError, match="^sirte: year 2000 does not fit YEAR, which is "
+                                              "3 bytes wide$"):
+            generate(GenConfig(seed=1, counts=SMALL_COUNTS), tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_years_that_fit_generate_and_reconstruct(self, tmp_path):
+        counts = {"tripoli": 40, "misurata": 30, "sirte": 20}
+        result = generate(GenConfig(seed=3, counts=counts, year_from=-3, year_to=2), tmp_path)
+        assert {r.year for r in result.truth} <= set(range(-3, 3))
+        assert run_etl(result)[1] == result.truth
 
 
 class TestWriters:

@@ -47,7 +47,7 @@ from jobcube.sources import (
     validate_layout,
 )
 
-from oracle import oracle_ingest, oracle_record, oracle_row_writer
+from oracle import columns_of, oracle_ingest, oracle_record, oracle_row_writer
 from test_datagen import PINNED_CONFIGS
 
 
@@ -552,21 +552,22 @@ class TestRowMapper:
         spec = make_spec({"sex": {"1": "male", "2": "female"}})
         record = map_row(spec, ("N1", "2003", "Q2", "S9", "2"))
         to_rows = row_mapper(spec, ("SX", "EXTRA", "YR", "NID", "QTR", "SEC"))
-        assert to_rows([record]) == [("2", "", "2003", "N1", "Q2", "S9")]
-        assert to_rows([record], EXTRA=["x"]) == [("2", "x", "2003", "N1", "Q2", "S9")]
-        assert to_rows([]) == []
+        assert to_rows(columns_of([record])) == [("2", "", "2003", "N1", "Q2", "S9")]
+        assert to_rows(columns_of([record]), EXTRA=["x"]) == [("2", "x", "2003", "N1", "Q2", "S9")]
+        assert to_rows(columns_of([])) == []
 
     def test_value_outside_the_codebook_passes_through(self):
         spec = make_spec({"sex": {"1": "male"}})
         record = map_row(spec, ("N1", "2003", "Q2", "", "Male"))
-        assert row_mapper(spec, COLUMNS)([record]) == [("N1", "2003", "Q2", "", "Male")]
+        assert row_mapper(spec, COLUMNS)(columns_of([record])) == [("N1", "2003", "Q2", "", "Male")]
 
     def test_shared_column_takes_the_last_mapped_field(self):
         spec = SourceSpec("src", "CityX", "delimited", "x.csv",
                           field_map={"national_id": "NID", "name": "NID",
                                      "year": "YR", "quarter": "QTR"})
         record = CanonicalApplicant(national_id="N1", name="Ann", year=2003, quarter="Q2")
-        assert row_mapper(spec, ("NID", "YR", "QTR"))([record]) == [("Ann", "2003", "Q2")]
+        assert row_mapper(spec, ("NID", "YR", "QTR"))(columns_of([record])) == \
+            [("Ann", "2003", "Q2")]
 
     @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
     def test_inverts_record_mapper_on_generated_files(self, tmp_path, name):
@@ -581,7 +582,7 @@ class TestRowMapper:
             read = set(spec.field_map.values())
             records, rejects = map_rows(spec, rows, table.names)
             assert rejects == []
-            back = row_mapper(spec, table.names)(records)
+            back = row_mapper(spec, table.names)(columns_of(records))
             assert back == [tuple(v if c in read else "" for c, v in zip(table.names, row))
                             for row in rows]
             assert map_rows(spec, back, table.names) == (records, [])
