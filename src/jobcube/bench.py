@@ -35,9 +35,9 @@ from .errors import AnswerMismatch, BadLevel
 from .records import (
     DIMENSIONS,
     MEMBER_FIELDS,
-    MEMBER_GETTERS,
     STATUS_SEEKER,
     CanonicalApplicant,
+    time_key,
     write_csv,
 )
 
@@ -50,7 +50,9 @@ def _label_getter(dimension: str, level: str, congress_parent: Mapping[str, str]
                   ) -> Callable[[CanonicalApplicant], str]:
     """One callable giving a record's member label on a dimension at a level."""
     if level == base_level(dimension):
-        return MEMBER_GETTERS[dimension]
+        if dimension == "time":
+            return lambda r: time_key(r.year, r.quarter)
+        return attrgetter(*MEMBER_FIELDS[dimension])
     if (dimension, level) == ("time", "year"):
         return lambda r: str(r.year)
     if (dimension, level) == ("congress", "city"):

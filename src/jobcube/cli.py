@@ -30,7 +30,7 @@ from .config import (CITY_ORDER, PipelineConfig, load_codebooks, load_config, lo
                      load_sources, parse_query)
 from .cube import MEASURES, aggregate, build_cube
 from .errors import ConfigError, CorruptManifest, JobcubeError
-from .records import ALL_FIELDS, find_row, read_columns, read_records_csv, text_years, write_csv
+from .records import ALL_FIELDS, find_row, read_columns, read_records_csv, write_columns, write_csv
 from .reporting import run_report, write_result
 from .warehouse import (LOAD_FIELDS, MANIFEST_FILE, StarSchema, check_integrity, empty_schema,
                         load_schema, member_lists, persist, refresh_members)
@@ -60,12 +60,6 @@ def _locked(warehouse_dir: Path):
 def _require_file(path: Path, hint: str) -> None:
     if not path.exists():
         raise ConfigError(f"{path}: not found; run `{hint}` first")
-
-
-def _clean_records(config: PipelineConfig) -> list:
-    """The records `jobcube etl` wrote to clean.csv, for bench's row scan."""
-    _require_file(config.clean_path(), "jobcube etl")
-    return read_records_csv(config.clean_path())
 
 
 def _refreshed(config: PipelineConfig, schema: StarSchema) -> tuple[StarSchema, int]:
@@ -135,7 +129,7 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> int:
         _say(f"[ingest] {line}")
 
     staging = config.staging_path()
-    written = write_csv(staging, ALL_FIELDS, zip(*text_years(columns)))
+    written = write_columns(staging, columns)
     _say(f"[ingest] staged {written} records -> {staging}")
     return _rejects("ingest", Path(config.data_dir) / INGEST_REJECTS, RejectedRow._fields,
                     report.rejects, "rejected rows")
@@ -156,7 +150,7 @@ def cmd_etl(config: PipelineConfig, args: argparse.Namespace) -> int:
         _say(f"[etl] {line}")
 
     clean = config.clean_path()
-    written = write_csv(clean, ALL_FIELDS, zip(*text_years(cleaned)))
+    written = write_columns(clean, cleaned)
     _say(f"[etl] {staged} in, {written} out -> {clean}")
     return _rejects("etl", Path(config.data_dir) / ETL_REJECTS, ALL_FIELDS,
                     report.rejected, "quarantined records")
@@ -227,7 +221,8 @@ def cmd_report(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 def cmd_bench(config: PipelineConfig, args: argparse.Namespace) -> int:
     from .bench import run_benchmark, summary_lines, write_bench_report
-    records = _clean_records(config)
+    _require_file(config.clean_path(), "jobcube etl")
+    records = read_records_csv(config.clean_path())     # for the row scan
     cube = build_cube(_warehouse(config, "bench"))
     result = run_benchmark(records, cube, config.bench,
                            congress_parent=cube.axis("congress").parent)

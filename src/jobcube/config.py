@@ -347,7 +347,16 @@ def _build_gen(raw: Mapping, seed: int, years: tuple[int, int],
     for name in ("sectors", "congresses_per_city"):
         if name in raw:
             kwargs[name] = _integer(raw[name], f"{where}.{name}")
-    return GenConfig(**kwargs)
+    return _made(GenConfig, where, **kwargs)
+
+
+def _made(make: type, where: str, *args, **kwargs):
+    """make(*args, **kwargs), a config object that checks itself when made; the
+    error of its check keeps its class and is prefixed with where it was read."""
+    try:
+        return make(*args, **kwargs)
+    except (ConfigError, BadPolicy) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _build_reports(raw, years: tuple[int, int], where: str,
@@ -364,11 +373,8 @@ def _build_reports(raw, years: tuple[int, int], where: str,
         query = _yaml_query(entry["query"], f"{entry_where}.query") if "query" in entry else None
         texts = _texts(entry, entry_where, kind=None, output=ReportSpec.output,
                        format=ReportSpec.format)
-        try:
-            specs.append(ReportSpec(year_from=y_from, year_to=y_to, query=query, **texts,
-                                    city_filter=frozenset(map(str, cities)) or None))
-        except ConfigError as exc:
-            raise ConfigError(f"{entry_where}: {exc}") from None
+        specs.append(_made(ReportSpec, entry_where, year_from=y_from, year_to=y_to, query=query,
+                           **texts, city_filter=frozenset(map(str, cities)) or None))
     return tuple(specs)
 
 
@@ -393,13 +399,14 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     dirs = _texts(raw, where, data_dir=str(PipelineConfig.data_dir),
                   warehouse_dir=str(PipelineConfig.warehouse_dir))
-    return PipelineConfig(
+    return _made(
+        PipelineConfig, f"{where}.etl",     # whose own check reads only the etl keys
         data_dir=Path(dirs["data_dir"]), warehouse_dir=Path(dirs["warehouse_dir"]),
         gen=gen, **etl,
         reports=_build_reports(raw.get("reports"), years, f"{where}.reports"),
-        bench=BenchConfig(tuple(bench_queries) or DEFAULT_BENCH_QUERIES,
-                          **{name: _integer(bench[name], f"{where}.bench.{name}")
-                             for name in ("repetitions", "warmup") if name in bench}),
+        bench=_made(BenchConfig, f"{where}.bench", tuple(bench_queries) or DEFAULT_BENCH_QUERIES,
+                    **{name: _integer(bench[name], f"{where}.bench.{name}")
+                       for name in ("repetitions", "warmup") if name in bench}),
         bench_output=_texts(bench, f"{where}.bench", output=PipelineConfig.bench_output)["output"],
     )
 

@@ -102,8 +102,10 @@ class YearSpan:
     lo: int
     hi: int
 
+    size = property(lambda self: max(0, self.hi - self.lo + 1))   # len() stops at sys.maxsize
+
     def __len__(self) -> int:
-        return max(0, self.hi - self.lo + 1)
+        return self.size
 
     def __iter__(self):
         return map(str, range(self.lo, self.hi + 1))
@@ -208,10 +210,10 @@ def _selected(members: Sequence[str], wanted: frozenset[str] | YearSpan,
               where: str) -> np.ndarray:
     """Per-member mask of `wanted`, which must be a non-empty subset of members.
     The error names at most _LISTED of the others, and then how many there are."""
-    if not wanted:
+    if not (size := wanted.size if isinstance(wanted, YearSpan) else len(wanted)):
         raise EmptyMemberSet(f"{where}: empty member set")
     mask = np.fromiter((m in wanted for m in members), dtype=bool, count=len(members))
-    if missing := len(wanted) - np.count_nonzero(mask):
+    if missing := size - int(np.count_nonzero(mask)):     # size may pass int64
         ordered = wanted if isinstance(wanted, YearSpan) else sorted(wanted)
         listed = list(islice((m for m in ordered if m not in members), _LISTED))
         raise UnknownMember(f"{where}: no members {listed}"

@@ -17,7 +17,7 @@ as an index list, the corruption written into the columns. Its inverse
 `sources.row_mapper` turns a city's columns into rows in the file's column
 order, for the `sources` writers, the partners of the readers ingest uses. The
 truth is the person columns projected onto the warehouse fields, already in
-`national_id` order, written as `jobcube ingest` writes staging.csv.
+`national_id` order, written by `records.write_columns` as staging.csv is.
 
 Determinism: one pinned xorshift64* stream seeded through one splitmix64
 step. State update x ^= x>>12; x ^= x<<25; x ^= x>>27; output is
@@ -52,7 +52,7 @@ from .config import (CITY_ORDER, CODEBOOKS_FILE, DEFAULT_FILL, HIERARCHY_FILE, S
 from .errors import ConfigError, InvalidFieldValue, UnsatisfiableSize
 from .records import (ALL_FIELDS, QUARTERS, STATUS_DIRECTED, STATUS_SEEKER,
                       WAREHOUSE_REQUIRED_FIELDS, CanonicalApplicant, bulk, parse_int,
-                      read_records_csv, replacing, text_years, write_csv)
+                      read_records_csv, replacing, write_columns)
 from .sources import (FieldDescriptor, SourceSpec, render_dbf, render_delimited,
                       render_fixed_width, row_mapper)
 
@@ -359,15 +359,20 @@ def _columns(spec: SourceSpec) -> tuple[str, ...]:
     return tuple(fd.name for fd in _layout(spec)) or tuple(spec.field_map.values())
 
 
-def _check_years(config: GenConfig) -> None:
-    """Refuse years that a fixed-position file's year column cannot hold, naming
-    the source, the column and its width: the longest year text is an end's."""
-    year = max(config.year_from, config.year_to, key=lambda y: len(str(y)))
+def _check_widths(config: GenConfig) -> None:
+    """Refuse a year, sector or district that a fixed-position file's column
+    cannot hold, naming the source, the column and its width: the longest is
+    an end's, a year range's or what `_placements` makes of the highest draws."""
+    ends = [config.congresses_per_city - 1, DISTRICTS_PER_CONGRESS - 1, 1, config.sectors - 1]
+    labels = _placements(config, np.arange(len(CITY_ORDER)), np.array([ends] * len(CITY_ORDER)))
+    longest = {name: max(labels[name], key=len) for name in ("district", "sector")}
+    longest["year"] = str(max(config.year_from, config.year_to, key=lambda y: len(str(y))))
     for spec in CITY_SPECS:
         for fd in _layout(spec):
-            if fd.name == spec.field_map["year"] and len(str(year)) > fd.length:
-                raise ConfigError(f"{spec.source_id}: year {year} does not fit "
-                                  f"{fd.name}, which is {fd.length} bytes wide")
+            for name, text in longest.items():
+                if fd.name == spec.field_map[name] and len(text) > fd.length:
+                    raise ConfigError(f"{spec.source_id}: {name} {text} does not fit "
+                                      f"{fd.name}, which is {fd.length} bytes wide")
 
 
 def _misurata_row_width() -> float:
@@ -639,9 +644,9 @@ def _plant(rng: Rng, config: GenConfig, wire: list[list]) -> tuple[list, list]:
 def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     """Emit the three source files plus truth set, sidecar configs, and the
     planted-corruption manifest, with the collector paused. Byte-deterministic
-    for a given config. Years a source's year column cannot hold raise
-    ConfigError before anything is drawn or written."""
-    _check_years(config)
+    for a given config. A year, sector or district a source's column cannot
+    hold raises ConfigError before anything is drawn or written."""
+    _check_widths(config)
     out, rng = Path(out_dir), Rng(config.seed)
     counts = (_persons_from_targets(config) if config.target_bytes is not None
               else dict(config.counts or {"tripoli": 900, "misurata": 600, "sirte": 300}))
@@ -690,7 +695,7 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     truth[_AT["congress"]] = [DEFAULT_FILL if nid in unknown else congress
                               for nid, congress in zip(nids, persons[_AT["congress"]])]
     files = {"truth": out / TRUTH_FILE}
-    write_csv(files["truth"], ALL_FIELDS, zip(*text_years(truth)))
+    write_columns(files["truth"], truth)
     del persons, nids, cities, truth, blank, source_ids
 
     files |= _write_outputs(config, out, wire, sizes)

@@ -34,6 +34,8 @@ from .records import (
     QUARTERS,
     WAREHOUSE_REQUIRED_FIELDS,
     CanonicalApplicant,
+    as_columns,
+    as_records,
     bulk,
 )
 
@@ -171,15 +173,6 @@ def _compile_codebooks(codebooks: Mapping[str, Mapping[str, str]],
                 lookup[key] = canonical
         compiled[field_name] = lookup
     return compiled
-
-
-def _columns(records: Iterable[CanonicalApplicant]) -> list[list]:
-    """Records as one list per field, in ALL_FIELDS order."""
-    return [list(column) for column in zip(*records)] or [[] for _ in ALL_FIELDS]
-
-
-def _records(columns: Sequence[Sequence]) -> list[CanonicalApplicant]:
-    return list(map(CanonicalApplicant._make, zip(*columns)))
 
 
 def _rewrites(column: Callable[[int], Iterable[str]],
@@ -351,7 +344,7 @@ def generalize(records: Iterable[CanonicalApplicant], hierarchy: ConceptHierarch
     """
     report = PreprocessReport()
     lift = (hierarchy, from_level, to_level, fill)
-    return _records(_finish(_columns(records), None, ALL_FIELDS, report, lift)), report
+    return as_records(_finish(as_columns(records), None, ALL_FIELDS, report, lift)), report
 
 
 @bulk()
@@ -369,7 +362,7 @@ def dimension_reduce(records: Iterable[CanonicalApplicant],
     missing = WAREHOUSE_REQUIRED_FIELDS - keep
     if missing:
         raise MissingRequiredField(f"keep_fields must include {sorted(missing)}")
-    return _records(_finish(_columns(records), None, keep))
+    return as_records(_finish(as_columns(records), None, keep))
 
 
 @bulk()
@@ -400,6 +393,6 @@ def run_pipeline(records: Iterable[CanonicalApplicant], *,
                  hierarchy: ConceptHierarchy,
                  ) -> tuple[list[CanonicalApplicant], PreprocessReport]:
     """`run_columns` on records."""
-    columns, report = run_columns(_columns(records), codebooks=codebooks, policy=policy,
+    columns, report = run_columns(as_columns(records), codebooks=codebooks, policy=policy,
                                   hierarchy=hierarchy)
-    return _records(columns), report
+    return as_records(columns), report

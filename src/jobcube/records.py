@@ -5,14 +5,15 @@ variant, and records order by their field tuple in `ALL_FIELDS` order. All
 attribute values are carried as text until warehouse load; `year` is the
 single typed exception because time ordering drives deduplication.
 
-A record file is read by one column reader, chunk by chunk: `read_columns`
-gives the named fields as one list each, and `read_records_csv` makes
-records from the same chunks. A chunk of plain lines is split in one pass
-and checked once; the rest of a file that is not so plain goes through
-csv.reader. Equal values of a field share one `str` object (all but the
-near-unique `national_id` and `name`), and each distinct year text is parsed
-once, so later passes touch a few hot objects. `write_csv` renders a chunk
-of rows in one pass and checks it once, as the source writers do.
+Inside jobcube a record set is columns, one list per `ALL_FIELDS` name, which
+`as_records` and `as_columns` turn into records and back at the public fronts.
+A record file is written from its columns by `write_columns` and read by one
+column reader, chunk by chunk: `read_columns` gives the named fields as one
+list each, and `read_records_csv` makes records from the same chunks. A chunk
+of plain lines is split in one pass and checked once; the rest of a file that
+is not so plain goes through csv.reader. Equal values of a field share one
+`str` (all but the near-unique `national_id` and `name`), and each distinct
+year text is parsed once. `write_csv` joins a chunk of text rows and checks it once.
 
 Every file jobcube writes goes through `replacing`: a temp file beside the
 target, renamed over it when whole, so a crash leaves the old file or the new.
@@ -29,11 +30,11 @@ import io
 import os
 import re
 import shutil
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import chain, islice
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import MalformedCsv
 
@@ -79,8 +80,8 @@ NULLABLE_FIELDS: frozenset[str] = frozenset(
      "education_level", "service_status"}
 )
 
-# The six cube dimensions, in fixed axis order; MEMBER_GETTERS (below) gives a
-# record's member on each.
+# The six cube dimensions, in fixed axis order; MEMBER_FIELDS (below) names the
+# fields a member is read from.
 DIMENSIONS: tuple[str, ...] = ("city", "sector", "edulevel", "congress", "service", "time")
 
 # What must survive projection: the six dimension attributes, status, and the
@@ -128,15 +129,11 @@ def time_key(year: int, quarter: str) -> str:
     return f"{year}{quarter}"
 
 
-# The fields each cube dimension's member is read from, and the member at base
-# grain: the backing field, and for time the (year, quarter) pair as a time_key.
+# The fields each cube dimension's member is read from: its field, or for time
+# the (year, quarter) pair, whose member is their time_key.
 MEMBER_FIELDS: dict[str, tuple[str, ...]] = {
     "city": ("city",), "sector": ("sector",), "edulevel": ("education_level",),
     "congress": ("congress",), "service": ("service_status",), "time": ("year", "quarter"),
-}
-MEMBER_GETTERS: dict[str, Callable[[CanonicalApplicant], str]] = {
-    **{dimension: attrgetter(*names) for dimension, names in MEMBER_FIELDS.items()},
-    "time": lambda r: time_key(r.year, r.quarter),
 }
 
 
@@ -191,14 +188,14 @@ def write_csv(target: str | Path | TextIO, header: Sequence,
     count (header excluded). target is an open text stream, or a path that is
     replaced whole (see `replacing`).
 
-    Rows are rendered in chunks, each in one pass and checked once: one
-    delimiter fewer than the header's width and one LF a row, and no '"' or
-    CR. A chunk of str values is joined, one that also holds ints goes through
-    a `%` pass. A chunk that fails the check, or holds a row of another width
-    or a value that is no str or int, and every row of a one-column file, goes
-    through the csv module row by row. There a row holding a CR is written
-    fully quoted and every other row with minimal quoting: a writer ending
-    lines in LF leaves a bare CR unquoted, and a reader then splits the row.
+    Rows are taken in chunks. A chunk of str values is joined in one pass
+    and checked once: one delimiter fewer than the header's width and one LF
+    a row, and no '"' or CR. A chunk that fails the check, or holds a row of
+    another width or a value that is no str (an int, say), and every row of a
+    one-column file, goes through the csv module row by row. There a row
+    holding a CR is written fully quoted and every other row with minimal
+    quoting: a writer ending lines in LF leaves a bare CR unquoted, and a
+    reader then splits the row.
     """
     if isinstance(target, (str, Path)):
         with replacing(target) as fh:
@@ -207,17 +204,12 @@ def write_csv(target: str | Path | TextIO, header: Sequence,
     quote_all = csv.writer(target, delimiter=delimiter, lineterminator="\n", quoting=csv.QUOTE_ALL)
     plain.writerow(header)
     width = len(header)
-    row_format = delimiter.replace("%", "%%").join(["%s"] * width) + "\n"
     rows, n = iter(rows), 0
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         text = ""
         if width > 1 and set(map(len, chunk)) == {width}:
-            try:
+            with suppress(TypeError):       # a value that is no str: an int, say
                 text = "\n".join(map(delimiter.join, chunk)) + "\n"
-            except TypeError:               # a value that is no str: an int, say
-                values = tuple(chain.from_iterable(chunk))
-                if set(map(type, values)) <= {str, int}:
-                    text = (row_format * len(chunk)) % values
         if (text and text.count(delimiter) == (width - 1) * len(chunk)
                 and text.count("\n") == len(chunk) and '"' not in text and "\r" not in text):
             target.write(text)
@@ -235,9 +227,24 @@ def text_years(columns: Sequence[list]) -> list[list]:
     return [*columns[:_YEAR], list(map(text.__getitem__, columns[_YEAR])), *columns[_YEAR + 1:]]
 
 
+def as_columns(records: Iterable[CanonicalApplicant]) -> list[list]:
+    """Records as one list per field, in ALL_FIELDS order."""
+    return [list(column) for column in zip(*records)] or [[] for _ in ALL_FIELDS]
+
+
+def as_records(columns: Sequence[Sequence]) -> list[CanonicalApplicant]:
+    return list(map(CanonicalApplicant._make, zip(*columns)))
+
+
+def write_columns(path: str | Path, columns: Sequence[list]) -> int:
+    """Write ALL_FIELDS columns as a record file (LF, header row), years made
+    text once each, so every chunk is a join. Returns the row count."""
+    return write_csv(path, ALL_FIELDS, zip(*text_years(columns)))
+
+
 def write_records_csv(records: Iterable[CanonicalApplicant], path: str | Path) -> int:
-    """Write records as CSV (LF, header row). Returns the row count."""
-    return write_csv(path, ALL_FIELDS, records)
+    """`write_columns` of the records' columns. Returns the row count."""
+    return write_columns(path, as_columns(records))
 
 
 def _plain_cells(data: bytes, years: dict[str, int]) -> list[str] | None:
@@ -306,9 +313,8 @@ def _column_chunks(path: str | Path, keep: Sequence[int]) -> Iterator[list[list]
             reader = csv.reader(text)
             try:
                 if not lines:
-                    header = next(reader, None)
-                    if header is None:
-                        return
+                    if (header := next(reader, None)) is None:
+                        raise MalformedCsv(f"{path}: no header line")
                     if tuple(header) != ALL_FIELDS:
                         raise MalformedCsv(f"{path}: line 1: unexpected record columns {header}")
                 rows = []
@@ -337,7 +343,7 @@ def _column_chunks(path: str | Path, keep: Sequence[int]) -> Iterator[list[list]
 
 @bulk()
 def read_columns(path: str | Path, fields: Sequence[str] = ALL_FIELDS) -> list[list]:
-    """The named fields of a file written by `write_records_csv`, one list per
+    """The named fields of a file written by `write_columns`, one list per
     field in the order given, read chunk by chunk as `read_records_csv` reads
     them, and failing closed as it does."""
     out: list[list] = [[] for _ in fields]
@@ -349,18 +355,15 @@ def read_columns(path: str | Path, fields: Sequence[str] = ALL_FIELDS) -> list[l
 
 @bulk()
 def read_records_csv(path: str | Path) -> list[CanonicalApplicant]:
-    """Read a file written by `write_records_csv`, sharing equal values.
+    """Read a file written by `write_columns`, sharing equal values.
 
-    Fails closed: a wrong header, a row without exactly one value per field,
-    a year that `parse_int` refuses (an empty year reads as 0), a CSV syntax
-    error or bytes that are not UTF-8 raise MalformedCsv naming the file and
-    the line.
+    Fails closed: no header line or a wrong one, a row without exactly one
+    value per field, a year that `parse_int` refuses (an empty year reads as
+    0), a CSV syntax error or bytes that are not UTF-8 raise MalformedCsv
+    naming the file and the line.
     """
-    make = CanonicalApplicant._make
-    out: list[CanonicalApplicant] = []
-    for columns in _column_chunks(path, range(len(ALL_FIELDS))):
-        out += map(make, zip(*columns))
-    return out
+    chunks = _column_chunks(path, range(len(ALL_FIELDS)))
+    return list(chain.from_iterable(map(as_records, chunks)))
 
 
 def find_row(path: str | Path, index: int) -> tuple[int, list[str]]:

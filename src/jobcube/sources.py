@@ -30,8 +30,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (ConfigError, DecodeError, FieldOverflow, InvalidFieldValue, MalformedCsv,
                      MalformedHeader, RaggedRow, ShortLine, TruncatedFile, UnsupportedFieldType)
-from .records import (ALL_FIELDS, CanonicalApplicant, bulk, derive_status, parse_int, text_years,
-                      write_csv)
+from .records import (ALL_FIELDS, CanonicalApplicant, as_records, bulk, derive_status, parse_int,
+                      text_years, write_csv)
 
 # The padding rule of both fixed-position formats, per field kind: the
 # %-format flag that aligns a written value, and the strip that undoes it.
@@ -554,4 +554,4 @@ def ingest_sources(specs: Iterable[SourceSpec], base_dir: str | Path,
                    ) -> tuple[list[CanonicalApplicant], IngestReport]:
     """The rows of `ingest_columns` as records, and the report."""
     columns, report = ingest_columns(specs, base_dir)
-    return list(map(CanonicalApplicant._make, zip(*columns))), report
+    return as_records(columns), report

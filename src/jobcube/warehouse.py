@@ -2,11 +2,12 @@
 
 The fact table is one read-only (rows, 9) int64 array in FACT_COLUMNS order,
 rows in ascending id order. A build is a refresh of the empty warehouse.
-A refresh takes one member list per dimension (made from records, or from
-the columns the command line reads of clean.csv) and takes each dimension in
-one pass, where one natural key -> row index dict gives both the members to
-append and the fact codes; it groups the codes into facts with `group_rows`,
-the kernel the cube's roll-up and aggregate also use.
+A refresh takes one member list per dimension, made by `member_lists` from
+the records' LOAD_FIELDS columns (taken from records by `refresh`, or read of
+clean.csv by the command line), and takes each dimension in one pass, where
+one natural key -> row index dict gives both the members to append and the
+fact codes; it groups the codes into facts with `group_rows`, the kernel the
+cube's roll-up and aggregate also use.
 
 A dimension row's surrogate id is its 1-based position in its table, which
 `load_schema` enforces and `check_integrity` checks. A build adds members in
@@ -46,7 +47,6 @@ from .errors import (
 from .records import (
     DIMENSIONS,
     MEMBER_FIELDS,
-    MEMBER_GETTERS,
     QUARTERS,
     STATUS_DIRECTED,
     STATUS_SEEKER,
@@ -185,30 +185,23 @@ def build_schema(records: Sequence[CanonicalApplicant],
 def refresh(schema: StarSchema, full_records: Sequence[CanonicalApplicant],
             hierarchy: ConceptHierarchy) -> StarSchema:
     """Recompute the warehouse over the full (re-deduplicated) record set:
-    `refresh_members` on the records' member lists, a record named by its
-    national_id."""
-    # Every list first: back-to-back passes over the scattered records run faster.
-    members = {dim: list(map(MEMBER_GETTERS[dim], full_records)) for dim in DIMENSIONS
-               if dim != "time"}
-    members["time"] = _time_members(map(attrgetter("year"), full_records),
-                                    map(attrgetter("quarter"), full_records))
-    status = list(map(attrgetter("status"), full_records))
-    return refresh_members(schema, members, status, hierarchy,
+    `refresh_members` on the `member_lists` of the records' LOAD_FIELDS, a
+    record named by its national_id."""
+    # Each list in one pass, back to back: it runs faster over scattered records.
+    lazy = MEMBER_FIELDS["time"]        # read as member_lists makes time's members
+    columns = [map(attrgetter(name), full_records) if name in lazy
+               else list(map(attrgetter(name), full_records)) for name in LOAD_FIELDS]
+    return refresh_members(schema, *member_lists(columns), hierarchy,
                            lambda i: ("", full_records[i].national_id))
 
 
-def _time_members(years: Iterable[int], quarters: Iterable[str]) -> list[str]:
-    """Each record's time member; each distinct one is built once, and equal
-    ones share its string."""
-    return list(map(cache(time_key), years, quarters))
-
-
-def member_lists(columns: Sequence[list]) -> tuple[dict[str, list[str]], list[str]]:
+def member_lists(columns: Sequence[Iterable]) -> tuple[dict[str, list[str]], list[str]]:
     """The member lists and the status list of records given as their
-    LOAD_FIELDS columns, in that order."""
+    LOAD_FIELDS columns in that order, lists but for year and quarter. Each
+    distinct time member is made once, and equal ones share its string."""
     *fields, years, quarters, status = columns
     members = dict(zip(DIMENSIONS[:-1], fields))        # time is the last dimension
-    members["time"] = _time_members(years, quarters)
+    members["time"] = list(map(cache(time_key), years, quarters))
     return members, status
 
 

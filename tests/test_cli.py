@@ -406,7 +406,8 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["gen", "-c", cfg]) == 1
         err = capsys.readouterr().err
-        assert "error: unknown keep_rule 'newest'" in err and "Traceback" not in err, err
+        assert f"error: {cfg}.etl: unknown keep_rule 'newest'" in err, err
+        assert "Traceback" not in err, err
 
     @staticmethod
     def etl_with_codebook(tmp_path, capsys, field_name, book) -> str:
@@ -441,6 +442,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: tripoli: year 10001 does not fit APP_YEAR, which is 4 bytes wide" in err
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("gen, message", [
+        ({"sectors": 100000}, "tripoli: sector SEC-100000 does not fit SECTOR, which is 8 bytes"),
+        ({"congresses_per_city": 100000},
+         "tripoli: district TRI-CG100000-D03 does not fit DISTRICT, which is 14 bytes"),
+    ])
+    def test_gen_refuses_codes_a_source_layout_cannot_hold(self, tmp_path, capsys, gen, message):
+        cfg = write_config(tmp_path, gen={"counts": dict(COUNTS), **gen})
+        assert main(["gen", "-c", cfg]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message} wide\n")
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("command, name", [("etl", "staging.csv"), ("load", "clean.csv"),
+                                               ("refresh", "clean.csv"), ("bench", "clean.csv")])
+    def test_a_record_file_without_a_header_is_data_error(self, pipeline, tmp_path, capsys,
+                                                          command, name):
+        """A 0-byte staging.csv or clean.csv holds no header line, so no records:
+        the command reading it fails (exit 2) naming the file, and every file
+        already there, the warehouse's too, keeps its bytes."""
+        built, _ = pipeline
+        for directory in ("data", "warehouse"):
+            shutil.copytree(built / directory, tmp_path / directory)
+        path = tmp_path / "data" / name
+        path.write_bytes(b"")
+        files = sorted(p for d in ("data", "warehouse") for p in (tmp_path / d).iterdir())
+        before = [p.read_bytes() for p in files]
+        cfg = write_config(tmp_path)
+        capsys.readouterr()
+        assert main([command, "-c", cfg]) == 2
+        assert f"error: {path}: no header line\n" in capsys.readouterr().err
+        assert sorted(p for d in ("data", "warehouse") for p in (tmp_path / d).iterdir()) == files
+        assert [p.read_bytes() for p in files] == before
 
     def test_stage_run_out_of_order(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -729,13 +762,17 @@ class TestExitCodes:
         assert main(["query", "-c", cfg, "--filter", "city=Atlantis"]) == 1
 
     def test_wide_year_range_names_a_few_missing_years(self, pipeline, capsys):
-        """The range is matched against the time axis, never listed member by member."""
+        """The range is matched against the time axis, never listed member by
+        member, also when it spans more years than len() can count."""
         _, cfg = pipeline
-        capsys.readouterr()
-        assert main(["query", "-c", cfg, "--years", "0:2000000"]) == 1
-        err = capsys.readouterr().err
-        assert err == ("error: time@year: no members ['0', '1', '2', '3', '4', '5', '6', '7', "
-                       "'8', '9'] (1999994 in all)\n")
+        for years, message in (
+                ("0:2000000",
+                 "['0', '1', '2', '3', '4', '5', '6', '7', '8', '9'] (1999994 in all)"),
+                ("2000:99999999999999999999", "['2007', '2008', '2009', '2010', '2011', '2012', "
+                 "'2013', '2014', '2015', '2016'] (99999999999999997993 in all)")):
+            capsys.readouterr()
+            assert main(["query", "-c", cfg, "--years", years]) == 1
+            assert capsys.readouterr().err == f"error: time@year: no members {message}\n"
 
     @pytest.mark.parametrize("flags, message", [
         (["--years", "2006:2000"], "error: --years: empty range '2006:2000'"),

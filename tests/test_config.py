@@ -273,6 +273,27 @@ def test_code_counts_are_bounded(name):
         GenConfig(**{name: MAX_CODES + 1})
 
 
+@pytest.mark.parametrize("section, error, message", [
+    pytest.param({"gen": {"duplicate_rate": 2}}, ConfigError,
+                 "gen: duplicate_rate must lie in [0,1], got 2.0", id="gen"),
+    pytest.param({"bench": {"repetitions": 0}}, ConfigError,
+                 "bench: repetitions must be >= 1", id="bench"),
+    pytest.param({"etl": {"keep_rule": "newest"}}, BadPolicy,
+                 "etl: unknown keep_rule 'newest'", id="etl_keep_rule"),
+    pytest.param({"etl": {"fill_constant": ""}}, ConfigError,
+                 "etl: fill_constant must be non-empty", id="etl_fill_constant"),
+])
+def test_a_config_object_error_names_its_file_and_section(tmp_path, section, error, message):
+    """A value each key's reader takes but its config object's own check
+    refuses: the error keeps its class and names the file and the section."""
+    path = tmp_path / "ranges.yaml"
+    path.write_text(yaml.safe_dump(section), encoding="utf-8")
+    with pytest.raises(error) as caught:
+        load_config(path)
+    assert type(caught.value) is error
+    assert str(caught.value) == f"{path}.{message}"
+
+
 def test_year_span_is_bounded():
     assert GenConfig(year_from=-10 ** 30, year_to=MAX_CODES - 1 - 10 ** 30).year_from == -10 ** 30
     with pytest.raises(ConfigError, match=f"year range 0:{MAX_CODES} spans more than"):

@@ -565,6 +565,23 @@ class TestYearWidths:
         assert str(info.value) == "tripoli: year 10001 does not fit APP_YEAR, which is 4 bytes wide"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("shape, message", [
+        ({"sectors": 10000},
+         "tripoli: sector SEC-10000 does not fit SECTOR, which is 8 bytes wide"),
+        ({"congresses_per_city": 10000},
+         "tripoli: district TRI-CG10000-D03 does not fit DISTRICT, which is 14 bytes wide"),
+    ])
+    def test_codes_a_layout_cannot_hold_are_refused_before_anything_is_written(
+            self, tmp_path, shape, message):
+        with pytest.raises(ConfigError) as info:
+            generate(GenConfig(seed=1, counts=SMALL_COUNTS, **shape), tmp_path / "out")
+        assert str(info.value) == message
+        assert not (tmp_path / "out").exists()
+
+    def test_the_widest_codes_that_fit_pass_the_check(self):
+        """SEC-9999 fills SECTOR's 8 bytes, TRI-CG9999-D03 DISTRICT's 14."""
+        datagen._check_widths(GenConfig(sectors=9999, congresses_per_city=9999))
+
     def test_the_dbase_year_column_is_checked_too(self, tmp_path, monkeypatch):
         narrow = tuple(fd if fd.name != "YEAR" else FieldDescriptor("YEAR", "N", 3, fd.offset)
                        for fd in datagen.SIRTE_LAYOUT)

@@ -245,6 +245,18 @@ def test_a_bare_cr_ends_a_line_as_csv_reader_reads_it(tmp_path, chunk_bytes):
                 read(path)
 
 
+def test_a_file_without_a_header_line_fails_closed(tmp_path):
+    """A 0-byte file holds no header, not zero records."""
+    path = tmp_path / "clean.csv"
+    path.write_bytes(b"")
+    for read in (read_records_csv, read_columns):
+        with pytest.raises(MalformedCsv) as caught:
+            read(path)
+        assert str(caught.value) == f"{path}: no header line"
+    write_records_csv([], path)
+    assert read_records_csv(path) == [] and read_columns(path) == [[] for _ in ALL_FIELDS]
+
+
 def test_non_utf8_bytes_fail_closed(tmp_path):
     path = tmp_path / "staging.csv"
     path.write_bytes(",".join(ALL_FIELDS).encode("ascii") + b"\n\xff\n")
