@@ -230,12 +230,16 @@ def _tops(bounds: np.ndarray) -> np.ndarray:
 
 CITY_PREFIX = {"tripoli": "TRI", "misurata": "MIS", "sirte": "SIR"}
 
-_LAYOUT_KEYS = ("name", "kind", "length", "offset")
-
 
 def _numbered(values: Sequence[str], prefix: str = "") -> dict[str, str]:
     """A codebook of values coded prefix1, prefix2, ... in order."""
     return {f"{prefix}{i}": v for i, v in enumerate(values, 1)}
+
+
+def _laid_out(*columns: tuple[str, str, int]) -> list[dict]:
+    """Fixed-width layout entries: each (name, kind, length) at the sum of the lengths before it."""
+    return [dict(name=name, kind=kind, length=length, offset=sum(n for *_, n in columns[:i]))
+            for i, (name, kind, length) in enumerate(columns)]
 
 
 # The source catalog as `sources.yaml` holds it: gen dumps this document, and
@@ -248,11 +252,11 @@ SOURCE_CATALOG = {"sources": [
          "district": "DISTRICT", "specialty": "SPECIALTY", "job_group": "JOB_GROUP",
          "sector": "SECTOR", "moahel": "MOAHEL", "education_level": "EDU_LEVEL",
          "service_status": "SVC_STATUS", "year": "APP_YEAR", "quarter": "APP_QTR"},
-     "layout": [dict(zip(_LAYOUT_KEYS, column)) for column in (
-         ("ID_NO", "C", 12, 0), ("FULL_NAME", "C", 20, 12), ("SEX", "C", 6, 32),
-         ("DISTRICT", "C", 14, 38), ("SPECIALTY", "C", 8, 52), ("JOB_GROUP", "C", 6, 60),
-         ("SECTOR", "C", 8, 66), ("MOAHEL", "C", 6, 74), ("EDU_LEVEL", "C", 12, 80),
-         ("SVC_STATUS", "C", 10, 92), ("APP_YEAR", "N", 4, 102), ("APP_QTR", "C", 2, 106))]},
+     "layout": _laid_out(
+         ("ID_NO", "C", 12), ("FULL_NAME", "C", 20), ("SEX", "C", 6), ("DISTRICT", "C", 14),
+         ("SPECIALTY", "C", 8), ("JOB_GROUP", "C", 6), ("SECTOR", "C", 8), ("MOAHEL", "C", 6),
+         ("EDU_LEVEL", "C", 12), ("SVC_STATUS", "C", 10), ("APP_YEAR", "N", 4),
+         ("APP_QTR", "C", 2))},
     {"source_id": "misurata", "city": "Misurata", "format": "delimited",
      "path": "misurata.csv", "encoding": "utf-8", "delimiter": ",",
      "field_map": {

@@ -6,12 +6,13 @@ variant spellings cannot hide duplicate keys; generalization runs late so it
 sees filled, deduplicated records.
 
 Every rewrite depends only on a field's value, so each rule is worked out
-once per distinct value of the field and counted by the value's count:
-`_rewrites` normalizes and fills, `_finish` generalizes (and projects).
-`run_columns`, the ETL `jobcube etl` runs, works on one list per field and
-maps each column through those rewrites; deduplicate ranks records only
-within a key that occurs more than once. The public steps on records and
-`run_pipeline` call the same rules.
+once per distinct value of the field and counted by the value's count. The
+rules work on columns: `_rewrite` normalizes and fills, `_survivors`
+deduplicates, ranking records only within a key that occurs more than once,
+and `_finish` generalizes (and projects). `run_columns`, the ETL `jobcube etl`
+runs, calls the three in turn; the public record steps and `run_pipeline`
+transpose records to columns and back around them (`deduplicate` hands
+`_survivors` its records by row).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import attrgetter, itemgetter, ne
+from operator import attrgetter, ne
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .config import DEFAULT_FILL, CleaningPolicy
@@ -175,20 +176,18 @@ def _compile_codebooks(codebooks: Mapping[str, Mapping[str, str]],
     return compiled
 
 
-def _rewrites(column: Callable[[int], Iterable[str]],
-              compiled: Mapping[str, Mapping[str, str]], fill_constants: Mapping[str, str],
-              report: PreprocessReport) -> list[tuple[int, dict[str, str]]]:
-    """The rule before dedup. Per coded or fillable field, by name, whose
-    values `column(index)` gives: the codebook rewrite and then the fill,
-    worked out once per distinct value and counted into report by the value's
-    count. Returns (index, {value: new value}) for each field with a value to
-    change."""
+def _rewrite(columns: list[list], codebooks: Mapping[str, Mapping[str, str]],
+             fill_constants: Mapping[str, str], report: PreprocessReport) -> list[list]:
+    """The rule before dedup, on columns in ALL_FIELDS order (rewritten in
+    place and returned). Per coded or fillable field, by name: the codebook
+    rewrite and then the fill, worked out once per distinct value and counted
+    into report by the value's count, then the column mapped through it."""
+    compiled = _compile_codebooks(codebooks)
     normalized, filled = report.values_normalized, report.values_filled
-    steps = []
     for name in sorted(compiled.keys() | fill_constants.keys()):
         i, lookup, fill = ALL_FIELDS.index(name), compiled.get(name), fill_constants.get(name)
         rewrite = {}
-        for value, count in Counter(column(i)).items():
+        for value, count in Counter(columns[i]).items():
             new = value
             if lookup is not None and value != "":
                 canonical = lookup.get(value.strip().casefold())
@@ -203,27 +202,8 @@ def _rewrites(column: Callable[[int], Iterable[str]],
             if new != value:
                 rewrite[value] = new
         if rewrite:
-            steps.append((i, rewrite))
-    return steps
-
-
-def _rewrite_records(records: Iterable[CanonicalApplicant],
-                     compiled: Mapping[str, Mapping[str, str]], fill_constants: Mapping[str, str],
-                     report: PreprocessReport) -> list[CanonicalApplicant]:
-    """The records with `_rewrites` applied; one with nothing to change is
-    kept as it is."""
-    records = list(records)
-    steps = _rewrites(lambda i: map(itemgetter(i), records), compiled, fill_constants, report)
-    make = CanonicalApplicant._make
-    out = []
-    for r in records:
-        values = None
-        for i, rewrite in steps:
-            if r[i] in rewrite:
-                values = values or list(r)
-                values[i] = rewrite[r[i]]
-        out.append(r if values is None else make(values))
-    return out
+            columns[i] = list(map(rewrite.get, columns[i], columns[i]))
+    return columns
 
 
 def _survivors(national_ids: Iterable[str], record: Callable[[int], CanonicalApplicant],
@@ -321,7 +301,7 @@ def normalize_codes(records: Iterable[CanonicalApplicant],
     values pass through unchanged and are counted.
     """
     report = PreprocessReport()
-    return _rewrite_records(records, _compile_codebooks(codebooks), {}, report), report
+    return as_records(_rewrite(as_columns(records), codebooks, {}, report)), report
 
 
 @bulk()
@@ -329,7 +309,7 @@ def fill_missing(records: Iterable[CanonicalApplicant], policy: CleaningPolicy,
                  ) -> tuple[list[CanonicalApplicant], PreprocessReport]:
     """Replace blank nullable values with the policy's constants."""
     report = PreprocessReport()
-    return _rewrite_records(records, {}, policy.fill_constants, report), report
+    return as_records(_rewrite(as_columns(records), {}, policy.fill_constants, report)), report
 
 
 @bulk()
@@ -376,9 +356,7 @@ def run_columns(columns: list[list], *, codebooks: Mapping[str, Mapping[str, str
     congress gets the district fill (or DEFAULT_FILL)."""
     report = PreprocessReport(
         fields_dropped=[f for f in ALL_FIELDS if f not in WAREHOUSE_REQUIRED_FIELDS])
-    compiled = _compile_codebooks(codebooks)
-    for i, rewrite in _rewrites(columns.__getitem__, compiled, policy.fill_constants, report):
-        columns[i] = list(map(rewrite.get, columns[i], columns[i]))
+    _rewrite(columns, codebooks, policy.fill_constants, report)
     make = CanonicalApplicant._make
     rows = _survivors(columns[_NATIONAL_ID], lambda i: make([c[i] for c in columns]),
                       policy, report)

@@ -357,13 +357,20 @@ staged_records = st.lists(st.builds(
 
 
 def stepwise(records, policy, hierarchy):
-    """The five public steps one after another, and their counters in one report."""
-    normalized, norm = normalize_codes(records, PIPELINE_BOOKS)
-    filled, fill = fill_missing(normalized, policy)
-    deduped, dedup = deduplicate(filled, policy)
+    """The five public steps one after another, each handed a one-shot iterator
+    of its input and checked to return records, and their counters in one report."""
+    def step(run, rows, *args, **kwargs):
+        out = run(iter(rows), *args, **kwargs)
+        rows = out[0] if isinstance(out, tuple) else out
+        assert all(type(r) is CanonicalApplicant for r in rows), run.__name__
+        return out
+
+    normalized, norm = step(normalize_codes, records, PIPELINE_BOOKS)
+    filled, fill = step(fill_missing, normalized, policy)
+    deduped, dedup = step(deduplicate, filled, policy)
     district_fill = policy.fill_constants.get("district") or DEFAULT_FILL
-    lifted, gen = generalize(deduped, hierarchy, "district", "congress", fill=district_fill)
-    return dimension_reduce(lifted, WAREHOUSE_REQUIRED_FIELDS), PreprocessReport(
+    lifted, gen = step(generalize, deduped, hierarchy, "district", "congress", fill=district_fill)
+    return step(dimension_reduce, lifted, WAREHOUSE_REQUIRED_FIELDS), PreprocessReport(
         duplicates_removed=dedup.duplicates_removed, rejected=dedup.rejected,
         values_filled=fill.values_filled, values_normalized=norm.values_normalized,
         values_unmatched=norm.values_unmatched,
